@@ -102,27 +102,15 @@ def _failure(sender: str, receiver: str, conv: str, proposal_id: str, reason: st
     return _envelope(sender, receiver, conv, [InformFailure(proposal_id, reason)])
 
 
-@dataclass
-class _Gap:
-    """A placement gap with successor-aware bookkeeping."""
-
-    start: Seconds
-    end: Seconds  # already adjusted for the successor's recomputed setup
-    from_state: str
-    ti_next: Seconds  # signed successor setup change a booking here would cause
-    bounded: bool  # False when the gap runs to the scan horizon
-
-
 def _slack_from(
-    gap: _Gap, nominal_end: Seconds, *caps: Optional[Seconds]
+    gap_end: Seconds, nominal_end: Seconds, *caps: Optional[Seconds]
 ) -> Slack:
-    """Shift room for a slot ending at ``nominal_end`` inside ``gap``, window-capped."""
-    candidates: list[Optional[Seconds]] = [None if not gap.bounded else gap.end - nominal_end]
-    candidates.extend(c - nominal_end if c is not None else None for c in caps)
-    finite = [c for c in candidates if c is not None]
-    if not finite:
+    """Shift room for a slot ending at ``nominal_end`` in a gap ending at
+    ``gap_end``, window-capped; a gap reaching the scan horizon is unbounded."""
+    limits = [c for c in (gap_end if gap_end < HORIZON else None, *caps) if c is not None]
+    if not limits:
         return Slack.UNBOUNDED
-    return Slack(max(0, min(finite)))
+    return Slack(max(0, min(limits) - nominal_end))
 
 
 @dataclass
@@ -133,7 +121,6 @@ class _Offer:
     conv: str
     step_label: str
     product: str = ""
-    setup: Seconds = 0
     unload: Seconds = 0
     # transport-only geometry
     pickup_x: float = 0.0
@@ -199,52 +186,6 @@ class ProductionAgent:
         # finishing in the wrong state in front of one costs a changeover too
         return self._setup(new_state, succ.end_state)
 
-    def _state_before(self, t: Seconds, assume_closed: frozenset[str]) -> str:
-        state = self.config.initial_state
-        for e in self.schedule.entries:
-            end = e.span_end
-            if e.open_tail and e.order_id not in assume_closed:
-                break
-            if end <= t:
-                state = e.end_state
-            else:
-                break
-        return state
-
-    def _gaps(self, product: str, conv: str, now, assume_closed: frozenset[str]) -> list[_Gap]:
-        extra = self.holds.active_spans(now, exclude_conversation=conv)
-        free = self.schedule.free_intervals(_ALL, extra_busy=extra, assume_closed=assume_closed)
-        out = []
-        for iv in free:
-            succ = self.schedule.entry_at_or_after(iv.end)
-            end, ti = iv.end, 0
-            if succ is not None:
-                setup_iv = succ.setup_interval
-                if setup_iv is not None and setup_iv.start == iv.end:
-                    # gap bounded by the successor's movable changeover
-                    new_setup = self._setup(product, succ.end_state)
-                    ti = new_setup - setup_iv.duration
-                    end = succ.core_start - new_setup
-                elif setup_iv is None and succ.span_start == iv.end:
-                    # successor currently needs no changeover; booking this
-                    # product before it may introduce one
-                    new_setup = self._setup(product, succ.end_state)
-                    if new_setup:
-                        ti = new_setup
-                        end = succ.span_start - new_setup
-            if end <= iv.start:
-                continue
-            out.append(
-                _Gap(
-                    start=iv.start,
-                    end=end,
-                    from_state=self._state_before(iv.start, assume_closed),
-                    ti_next=ti,
-                    bounded=end < HORIZON,
-                )
-            )
-        return out
-
     # -- event handling ----------------------------------------------------
 
     def handle(self, event, ctx) -> list[Message]:
@@ -296,6 +237,13 @@ class ProductionAgent:
         _order, stage = parse_conversation(conv)
         step_label = str((stage or 0) + 1)
         now = ctx.now()
+        # the holds added below belong to this conversation, which the free
+        # intervals ignore, so they hold for every alternative
+        free = self.schedule.free_intervals(
+            _ALL,
+            extra_busy=self.holds.active_spans(now, exclude_conversation=conv),
+            assume_closed=assume,
+        )
         proposals: list[Proposal] = []
         for alt_idx, alt in enumerate(cfp.alternatives):
             # the requested es includes a transport estimate; when the piece is
@@ -303,7 +251,9 @@ class ProductionAgent:
             es = tail.operation_end if own and tail is not None else alt.windows.es
             ls, lf = alt.windows.ls, alt.windows.lf
             emitted = 0
-            for gap in self._gaps(product, conv, now, assume):
+            for gap in self.schedule.placement_gaps(
+                free, product, self._succ_setup, self.config.initial_state
+            ):
                 if own and tail is not None and gap.start != tail.operation_end:
                     # the workpiece sits on this machine and can only wait in
                     # place: any slot beyond the next booking is unreachable
@@ -319,7 +269,7 @@ class ProductionAgent:
                 if op_end + load_est > gap.end:
                     continue
                 slack_after = _slack_from(
-                    gap,
+                    gap.end,
                     op_end + load_est,
                     ls + op_dur + load_est if ls is not None else None,
                     lf + load_est if lf is not None else None,
@@ -343,7 +293,7 @@ class ProductionAgent:
                 )
                 proposals.append(proposal)
                 self._offers[pid] = _Offer(
-                    proposal, conv, step_label, product=product, setup=setup, unload=unload
+                    proposal, conv, step_label, product=product, unload=unload
                 )
                 self.holds.add(
                     OfferHold(
@@ -359,26 +309,18 @@ class ProductionAgent:
         return proposals
 
     def _on_accept(self, msg: Message, acc: AcceptProposal, ctx) -> list[Message]:
-        offer = self._offers.pop(acc.proposal_id, None)
-        hold = self.holds.take(acc.proposal_id, ctx.now())
-        if offer is None or hold is None:
-            return [
-                _failure(
-                    self.agent_id,
-                    msg.sender,
-                    msg.conversation_id,
-                    acc.proposal_id,
-                    "offer unknown or hold expired",
-                )
-            ]
-        p = offer.proposal
-        booked = acc.booked_slot
-        order_id, _ = parse_conversation(msg.conversation_id)
-
         def fail(reason: str) -> list[Message]:
             return [
                 _failure(self.agent_id, msg.sender, msg.conversation_id, acc.proposal_id, reason)
             ]
+
+        offer = self._offers.pop(acc.proposal_id, None)
+        hold = self.holds.take(acc.proposal_id, ctx.now())
+        if offer is None or hold is None:
+            return fail("offer unknown or hold expired")
+        p = offer.proposal
+        booked = acc.booked_slot
+        order_id, _ = parse_conversation(msg.conversation_id)
 
         if booked.duration != p.op_duration:
             return fail("operation duration mismatch")
@@ -391,8 +333,10 @@ class ProductionAgent:
         # close our own tail first when the workpiece stays on this machine
         tail = self.schedule.open_tail_for(order_id)
         unload = acc.actual_unload_time if offer.unload else 0
-        from_state = self._state_before(
-            booked.start, frozenset({order_id}) if tail else frozenset()
+        from_state = self.schedule.state_before(
+            booked.start,
+            self.config.initial_state,
+            assume_closed=frozenset({order_id}) if tail else frozenset(),
         )
         setup = self._setup(from_state, offer.product)
         block_start = booked.start - unload - setup
@@ -518,9 +462,8 @@ class BufferAgent:
                     break
                 if end + l_est > iv.end:
                     continue
-                gap = _Gap(iv.start, iv.end, "", 0, bounded=iv.end < HORIZON)
                 slack_after = _slack_from(
-                    gap, end + l_est, w.lf + l_est if w.lf is not None else None
+                    iv.end, end + l_est, w.lf + l_est if w.lf is not None else None
                 )
                 self._seq += 1
                 pid = f"{self.agent_id}#p{self._seq}"
@@ -553,25 +496,17 @@ class BufferAgent:
         return proposals
 
     def _on_accept(self, msg: Message, acc: AcceptProposal, ctx) -> list[Message]:
-        offer = self._offers.pop(acc.proposal_id, None)
-        hold = self.holds.take(acc.proposal_id, ctx.now())
-        if offer is None or hold is None:
-            return [
-                _failure(
-                    self.agent_id,
-                    msg.sender,
-                    msg.conversation_id,
-                    acc.proposal_id,
-                    "offer unknown or hold expired",
-                )
-            ]
-        p = offer.proposal
-        resident = acc.booked_slot
-
         def fail(reason: str) -> list[Message]:
             return [
                 _failure(self.agent_id, msg.sender, msg.conversation_id, acc.proposal_id, reason)
             ]
+
+        offer = self._offers.pop(acc.proposal_id, None)
+        hold = self.holds.take(acc.proposal_id, ctx.now())
+        if offer is None or hold is None:
+            return fail("offer unknown or hold expired")
+        p = offer.proposal
+        resident = acc.booked_slot
 
         if resident.start < p.slot.start:
             return fail("arrival earlier than the offered slot")
@@ -616,6 +551,14 @@ class TransportConfig:
     initial_x: float = 0.0
 
 
+def _crane_x(entry: BookingEntry) -> Optional[float]:
+    """The x-position a crane booking leaves the crane at; None when not numeric."""
+    try:
+        return float(entry.end_state)
+    except ValueError:
+        return None
+
+
 class TransportAgent:
     """One crane/vehicle on a 1-D segment; prices setup travel explicitly."""
 
@@ -629,49 +572,15 @@ class TransportAgent:
         self._committed_pids: set[str] = set()
         self._seq = 0
 
-    # crane position after the bookings preceding t
-    def _x_before(self, t: Seconds) -> float:
-        x = self.config.initial_x
-        for e in self.schedule.entries:
-            if e.span_end <= t:
-                try:
-                    x = float(e.end_state)
-                except ValueError:
-                    pass
-            else:
-                break
-        return x
+    def _succ_setup(self, new_state, succ: BookingEntry) -> Seconds:
+        """Travel from ``new_state`` (a drop-off x) to the successor's pickup.
 
-    def _succ_setup(self, new_state: str, succ: BookingEntry) -> Seconds:
+        A booking whose pickup this crane never recorded keeps its setup.
+        """
         pickup = self._pickup_x.get((succ.order_id, succ.step_label))
         if pickup is None:
             return succ.setup_interval.duration if succ.setup_interval else 0
         return self.config.geometry.travel_seconds(float(new_state), pickup)
-
-    def _gaps(self, drop_x: float, conv: str, now) -> list[_Gap]:
-        extra = self.holds.active_spans(now, exclude_conversation=conv)
-        free = self.schedule.free_intervals(_ALL, extra_busy=extra)
-        out = []
-        for iv in free:
-            succ = self.schedule.entry_at_or_after(iv.end)
-            end, ti = iv.end, 0
-            boundary = succ is not None and (
-                succ.span_start == iv.end
-                or (succ.setup_interval is not None and succ.setup_interval.start == iv.end)
-            )
-            if succ is not None and boundary:
-                pickup = self._pickup_x.get((succ.order_id, succ.step_label))
-                if pickup is not None:
-                    new_setup = self.config.geometry.travel_seconds(drop_x, pickup)
-                    old = succ.setup_interval.duration if succ.setup_interval else 0
-                    ti = new_setup - old
-                    end = succ.core_start - new_setup
-            if end <= iv.start:
-                continue
-            out.append(
-                _Gap(iv.start, end, "", ti, bounded=end < HORIZON)
-            )
-        return out
 
     def handle(self, event, ctx) -> list[Message]:
         if not isinstance(event, Message):
@@ -718,6 +627,11 @@ class TransportAgent:
         i = (stage or 0) + 1
         # legs that some other leg chains onto head into a buffer
         chain_targets = {leg.chain_after for leg in cfp.legs if leg.chain_after is not None}
+        # the holds added below belong to this conversation, which the free
+        # intervals ignore, so they hold for every leg
+        free = self.schedule.free_intervals(
+            _ALL, extra_busy=self.holds.active_spans(now, exclude_conversation=conv)
+        )
         proposals: list[Proposal] = []
         emitted_by_leg: dict[int, Proposal] = {}
         for leg_idx, leg in enumerate(cfp.legs):
@@ -732,7 +646,7 @@ class TransportAgent:
                 label = f"T:{i - 1},{i}"
             travel = geom.travel_seconds(fx, tx)
             dur = geom.load_time + travel + geom.unload_time
-            made = self._place_leg(leg, leg_idx, label, dur, fx, tx, conv, now, ctx)
+            made = self._place_leg(leg, leg_idx, label, dur, fx, tx, free, conv, now, ctx)
             if made is not None:
                 proposals.append(made)
                 emitted_by_leg[leg_idx] = made
@@ -743,7 +657,7 @@ class TransportAgent:
                     self._offers[partner.proposal_id].drop_x - fx
                 ) < 1e-9:
                     chained = self._place_leg(
-                        leg, leg_idx, label, dur, fx, tx, conv, now, ctx, after=partner
+                        leg, leg_idx, label, dur, fx, tx, free, conv, now, ctx, after=partner
                     )
                     if chained is not None and (
                         made is None or chained.slot != made.slot or chained.price != made.price
@@ -759,6 +673,7 @@ class TransportAgent:
         dur: Seconds,
         fx: float,
         tx: float,
+        free: list[TimeInterval],
         conv: str,
         now,
         ctx,
@@ -766,15 +681,16 @@ class TransportAgent:
     ) -> Optional[Proposal]:
         geom = self.config.geometry
         w = leg.windows
-        for gap in self._gaps(tx, conv, now):
+        for gap in self.schedule.placement_gaps(
+            free, tx, self._succ_setup, self.config.initial_x, _crane_x
+        ):
             if after is not None:
                 if not (gap.start <= after.slot.start and after.slot.end <= gap.end):
                     continue
                 setup = 0
                 floor = after.slot.end
             else:
-                pred_x = self._x_before(gap.start)
-                setup = geom.travel_seconds(pred_x, fx)
+                setup = geom.travel_seconds(gap.from_state, fx)
                 floor = gap.start + setup
             load_start = max(w.es, w.ef - dur, floor)
             if w.ls is not None and load_start > w.ls:
@@ -785,7 +701,7 @@ class TransportAgent:
             if end > gap.end:
                 continue
             slack_after = _slack_from(
-                gap,
+                gap.end,
                 end,
                 w.ls + dur if w.ls is not None else None,
                 w.lf,
@@ -808,14 +724,7 @@ class TransportAgent:
                 leg=LegRef(leg_idx, leg.from_resource, leg.to_resource, leg.realizes, leg.via),
                 required_operation=after.proposal_id if after is not None else None,
             )
-            self._offers[pid] = _Offer(
-                proposal,
-                conv,
-                step_label,
-                setup=setup,
-                pickup_x=fx,
-                drop_x=tx,
-            )
+            self._offers[pid] = _Offer(proposal, conv, step_label, pickup_x=fx, drop_x=tx)
             self.holds.add(
                 OfferHold(
                     proposal_id=pid,
@@ -828,25 +737,17 @@ class TransportAgent:
         return None
 
     def _on_accept(self, msg: Message, acc: AcceptProposal, ctx) -> list[Message]:
-        offer = self._offers.pop(acc.proposal_id, None)
-        hold = self.holds.take(acc.proposal_id, ctx.now())
-        if offer is None or hold is None:
-            return [
-                _failure(
-                    self.agent_id,
-                    msg.sender,
-                    msg.conversation_id,
-                    acc.proposal_id,
-                    "offer unknown or hold expired",
-                )
-            ]
-        p = offer.proposal
-        booked = acc.booked_slot
-
         def fail(reason: str) -> list[Message]:
             return [
                 _failure(self.agent_id, msg.sender, msg.conversation_id, acc.proposal_id, reason)
             ]
+
+        offer = self._offers.pop(acc.proposal_id, None)
+        hold = self.holds.take(acc.proposal_id, ctx.now())
+        if offer is None or hold is None:
+            return fail("offer unknown or hold expired")
+        p = offer.proposal
+        booked = acc.booked_slot
 
         if booked.duration != p.op_duration:
             return fail("transport duration mismatch")
@@ -864,7 +765,7 @@ class TransportAgent:
 
         geom = self.config.geometry
         order_id, _ = parse_conversation(msg.conversation_id)
-        pred_x = self._x_before(booked.start)
+        pred_x = self.schedule.state_before(booked.start, self.config.initial_x, _crane_x)
         setup = geom.travel_seconds(pred_x, offer.pickup_x)
         travel = geom.travel_seconds(offer.pickup_x, offer.drop_x)
         segments: list[tuple[str, TimeInterval]] = []

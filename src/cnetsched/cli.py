@@ -113,7 +113,11 @@ def _cmd_experiment(args) -> int:
     kwargs = {}
     if args.orders is not None:
         kwargs["n_orders"] = args.orders
-    result = preset(**kwargs)
+    try:
+        result = preset(**kwargs)
+    except RuntimeError as exc:  # a preset that refuses to summarise failed orders
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     text = json.dumps(result, indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -180,7 +180,7 @@ def _full_coverage_cranes(x_max: float = 60.0) -> tuple[TransportSpec, ...]:
     # completion is event-driven rather than deadline-driven
     return (
         TransportSpec(id="Crane1", segment=(0.0, x_max), speed=5.0, load=600, unload=600, initial_x=5.0),
-        TransportSpec(id="Crane2", segment=(0.0, x_max), speed=5.0, load=600, unload=600, initial_x=45.0),
+        TransportSpec(id="Crane2", segment=(0.0, x_max), speed=5.0, load=600, unload=600, initial_x=min(45.0, x_max)),
     )
 
 
@@ -244,7 +244,10 @@ def build_scaling_scenario(k: int, n_orders: int = 6, release_gap: float = 5000.
     for col, op in enumerate(operations):
         for i in range(k):
             machines.append(
-                _machine(f"{op}-{i + 1:02d}", op, x=10 * col + 5, y=5 + 5 * i, duration_min=60)
+                _machine(
+                    f"{op}-{i + 1:02d}", op, x=10 * col + 5, y=5 + 5 * i, duration_min=60,
+                    products=("P",),
+                )
             )
     orders = tuple(
         OrderSpec(id=f"order-{i + 1:02d}", product="P", arrival=0, release=i * release_gap)
@@ -334,7 +337,11 @@ def hosting_sweep(
 def scaling_sweep(
     ks: Sequence[int] = (2, 4, 8, 16, 32), n_orders: int = 6
 ) -> dict[str, Any]:
-    """Deterministic-mode message growth in the number of resources per capability."""
+    """Deterministic-mode message growth in the number of resources per capability.
+
+    Raises ``RuntimeError`` when any order fails: a failed negotiation's
+    messages say nothing about how the protocol scales.
+    """
     points = []
     for k in ks:
         scenario = build_scaling_scenario(k, n_orders=n_orders)
@@ -347,6 +354,9 @@ def scaling_sweep(
                 "messages_per_order": report.counter.total() / n_orders,
             }
         )
+    failed = [p["k"] for p in points if not p["all_done"]]
+    if failed:
+        raise RuntimeError(f"scaling-sweep: orders failed at k={failed}; no fit over such runs")
 
     xs = np.array([p["k"] for p in points], dtype=float)
     ys = np.array([p["messages_per_order"] for p in points], dtype=float)

@@ -362,10 +362,12 @@ class ConcurrentKernel:
                 return
             wait = visible_at - time.monotonic()
             if wait > 0:
-                # a uniform per-hop latency keeps each mailbox FIFO, so
-                # waiting for this event never delays an earlier one
-                if self._stop.wait(wait):
-                    continue  # tearing down; drain to the stop sentinel
+                # only messages wait: a uniform per-hop latency keeps each
+                # mailbox FIFO, so waiting for this one never delays an
+                # earlier one. Teardown does not cut the wait short: the last
+                # order's final accepts and departures are still in flight
+                # when it finishes, and the calendars must receive them.
+                time.sleep(wait)
             try:
                 out = agent.handle(event, ctx)
             except Exception:  # noqa: BLE001 - one bad event must not kill the thread

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Optional
 
 Seconds = int  # engine-wide unit: integer seconds from the scenario epoch
 
@@ -224,15 +225,36 @@ class AdjustmentReport:
     successor_step: Optional[str] = None
 
 
-# callback: (new predecessor end_state, successor entry) -> required setup duration
-SetupFn = Callable[[str, BookingEntry], Seconds]
+# callback: (new predecessor end state, successor entry) -> required setup duration
+SetupFn = Callable[[Any, BookingEntry], Seconds]
+# callback: entry -> the state it leaves the resource in, None when it tells nothing
+StateFn = Callable[[BookingEntry], Any]
 
 _INF = None  # suffix sentinel used in busy spans: (start, None) means [start, +inf)
+_span_start = attrgetter("span_start")
+_span_end = attrgetter("span_end")
+_end_state = attrgetter("end_state")
+
+
+@dataclass(frozen=True)
+class PlacementGap:
+    """A free interval as a new booking of a given end state sees it."""
+
+    start: Seconds
+    end: Seconds  # where the successor's recomputed setup has to begin
+    from_state: Any  # state the predecessor leaves the resource in
+    ti_next: Seconds  # signed successor setup change a booking here would cause
 
 
 @dataclass
 class ResourceSchedule:
-    """Time-sorted, pairwise disjoint booking calendar of one resource."""
+    """Time-sorted, pairwise disjoint booking calendar of one resource.
+
+    Every entry ends at or before the next one starts, and no entry is empty,
+    so both ``span_start`` and ``span_end`` never decrease along ``entries``.
+    The lookups bisect the live list on these keys; code that edits
+    ``entries`` directly must keep it sorted and disjoint.
+    """
 
     entries: list[BookingEntry] = field(default_factory=list)
 
@@ -307,41 +329,60 @@ class ResourceSchedule:
 
     def placement_gaps(
         self,
-        window: TimeInterval,
-        new_end_state: str,
-        setup_of: Optional[SetupFn] = None,
-        extra_busy: Iterable[TimeInterval] = (),
-        assume_closed: frozenset[str] | set[str] = frozenset(),
-    ) -> list[TimeInterval]:
-        """Free intervals whose right edge accounts for the successor's setup shift.
+        free: Iterable[TimeInterval],
+        new_end_state: Any,
+        setup_of: SetupFn,
+        initial: Any,
+        read: StateFn = _end_state,
+    ) -> Iterator[PlacementGap]:
+        """Yield the intervals of ``free`` as a booking ending in ``new_end_state`` sees them.
 
-        A slot placed in a gap must leave room for the *recomputed* setup of
-        the booking that follows the gap (its setup depends on the new entry's
-        end state). Each plain free interval is trimmed or stretched at its
-        end accordingly; the interior of the gap is untouched.
+        ``free`` comes from :meth:`free_intervals`, so every interval lies
+        before any open tail that blocks, and a gap's ``from_state`` is plain
+        :meth:`state_before` of its start. When an entry starts where the
+        interval ends, the gap ends where that successor's setup, recomputed
+        by ``setup_of``, has to begin. Empty gaps are skipped.
         """
-        plain = self.free_intervals(window, extra_busy, assume_closed)
-        if setup_of is None:
-            return plain
-        out: list[TimeInterval] = []
-        for gap in plain:
-            succ = self.entry_at_or_after(gap.end)
-            limit = gap.end
-            if succ is not None and succ.setup_interval is not None:
-                if succ.setup_interval.start == gap.end:
-                    # the gap is bounded by this successor's movable setup
-                    new_setup = setup_of(new_end_state, succ)
-                    limit = succ.core_start - new_setup
-            hold_end = min(limit, window.end)
-            if hold_end > gap.start:
-                out.append(TimeInterval(gap.start, hold_end))
-        return out
+        for iv in free:
+            end, ti = iv.end, 0
+            succ = self.entry_at_or_after(iv.end)
+            if succ is not None and succ.span_start == iv.end:
+                setup_iv = succ.setup_interval
+                new_setup = setup_of(new_end_state, succ)
+                ti = new_setup - (setup_iv.duration if setup_iv is not None else 0)
+                end = succ.core_start - new_setup
+            if end > iv.start:
+                yield PlacementGap(iv.start, end, self.state_before(iv.start, initial, read), ti)
 
     def entry_at_or_after(self, t: Seconds) -> Optional[BookingEntry]:
-        for e in self.entries:
-            if e.span_start >= t:
-                return e
-        return None
+        i = bisect.bisect_left(self.entries, t, key=_span_start)
+        return self.entries[i] if i < len(self.entries) else None
+
+    def last_ending_by(self, t: Seconds) -> int:
+        """Index of the last entry that ends at or before ``t``; -1 when none does."""
+        return bisect.bisect_right(self.entries, t, key=_span_end) - 1
+
+    def state_before(
+        self,
+        t: Seconds,
+        initial: Any,
+        read: StateFn = _end_state,
+        assume_closed: Optional[frozenset[str] | set[str]] = None,
+    ) -> Any:
+        """The state the entries ending by ``t`` leave the resource in.
+
+        That is ``read`` of the last of them it gives a state for (``None``
+        skips an entry), else ``initial``. With ``assume_closed``, an open tail
+        of any other order hides itself and every later entry.
+        """
+        if assume_closed is not None:
+            tails = self.open_tail_entries()
+            t = min([t] + [e.span_start for e in tails if e.order_id not in assume_closed])
+        for i in range(self.last_ending_by(t), -1, -1):
+            state = read(self.entries[i])
+            if state is not None:
+                return state
+        return initial
 
     # -- mutations -------------------------------------------------------
 
@@ -362,8 +403,7 @@ class ResourceSchedule:
                 f"order {entry.order_id} already has an open tail on this resource"
             )
 
-        starts = [e.span_start for e in self.entries]
-        idx = bisect.bisect_left(starts, entry.span_start)
+        idx = bisect.bisect_left(self.entries, entry.span_start, key=_span_start)
 
         if idx > 0:
             pred = self.entries[idx - 1]
@@ -450,7 +490,7 @@ class ResourceSchedule:
                 f"ending {hhmm(op_end)}"
             )
         # the successor (if any) must still start after the closed tail
-        idx = self.entries.index(entry)
+        idx = bisect.bisect_left(self.entries, entry.span_start, key=_span_start)
         if idx + 1 < len(self.entries):
             succ = self.entries[idx + 1]
             bound = succ.span_start

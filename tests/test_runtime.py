@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cnetsched.harness import render_gantt, render_trace, run_scenario
@@ -162,3 +164,23 @@ def test_releases_stagger_start_times():
     assert r.all_done
     assert r.agents["o1"].t_start < r.agents["o2"].t_start
     assert r.agents["o2"].t_start >= 500
+
+
+def test_concurrent_latency_delivers_the_last_orders_bookings(flowshop_scenario):
+    # the run ends once every order is done, while its final accepts and
+    # departures are still waiting out their latency; they must still land
+    from cnetsched.harness import kernel_config
+
+    # releases are wall-clock seconds under this kernel: 0.3 s apart, not 1500
+    s = replace(
+        flowshop_scenario,
+        orders=tuple(replace(o, release=0.3 * i) for i, o in enumerate(flowshop_scenario.orders)),
+    )
+    cfg = replace(kernel_config(s, "concurrent"), message_latency=0.002)
+    r = run_scenario(s, "concurrent", config=cfg)
+    assert r.all_done
+    machines = {m.id for m in s.machines}
+    steps = {p.id: len(p.steps) for p in s.products}
+    for order in s.orders:
+        booked = [c for c in r.commits if c.order_id == order.id and c.resource_id in machines]
+        assert len(booked) == steps[order.product], order.id

@@ -301,10 +301,13 @@ def test_placement_gaps_respect_successor_setup():
 
     s = ResourceSchedule()
     s.insert_booking(op_entry("later", 200, 300, setup=20))  # setup [180, 200)
-    gaps_b = s.placement_gaps(TimeInterval(0, 1000), "B", setup_of)
-    assert gaps_b[0] == TimeInterval(0, 160)  # 40s setup now needed before 200
-    gaps_a = s.placement_gaps(TimeInterval(0, 1000), "A", setup_of)
-    assert gaps_a[0] == TimeInterval(0, 190)  # setup shrinks, gap stretches
+    free = s.free_intervals(TimeInterval(0, 1000))
+    gaps_b = list(s.placement_gaps(free, "B", setup_of, initial="A"))
+    assert (gaps_b[0].start, gaps_b[0].end) == (0, 160)  # 40s setup now needed before 200
+    assert gaps_b[0].ti_next == 20 and gaps_b[0].from_state == "A"
+    gaps_a = list(s.placement_gaps(free, "A", setup_of, initial="A"))
+    assert (gaps_a[0].start, gaps_a[0].end) == (0, 190)  # setup shrinks, gap stretches
+    assert gaps_a[0].ti_next == -10
 
 
 def test_entry_at_or_after():
@@ -412,3 +415,220 @@ def test_property_insert_with_zero_ti_only_removes_its_own_span(s, start, dur):
     for iv in after:
         after_secs.update(range(iv.start, iv.end))
     assert after_secs == before_secs - set(range(start, start + dur))
+
+
+# ---------------------------------------------------------------------------
+# indexed lookups and the gap walk against linear references
+
+MACHINE_STATES = ("A", "B", "C")
+MACHINE_SETUP = {("A", "B"): 15, ("B", "A"): 30, ("A", "C"): 5, ("C", "B"): 25}
+CRANE_XS = ("0", "7", "12.5", "30", "")  # "" is a booking that leaves no position
+SCAN = TimeInterval(0, 10**9)
+
+
+def machine_succ_setup(new_state, succ):
+    return MACHINE_SETUP.get((new_state, succ.end_state), 0)
+
+
+def travel(a, b):
+    return int(round(abs(a - b) * 2))
+
+
+def crane_succ_setup(pickups):
+    def setup_of(new_state, succ):
+        pickup = pickups.get((succ.order_id, succ.step_label))
+        if pickup is None:
+            return succ.setup_interval.duration if succ.setup_interval else 0
+        return travel(float(new_state), pickup)
+
+    return setup_of
+
+
+def crane_x(entry):
+    try:
+        return float(entry.end_state)
+    except ValueError:
+        return None
+
+
+holds = st.lists(
+    st.tuples(st.integers(0, 700), st.integers(1, 50)).map(
+        lambda t: TimeInterval(t[0], t[0] + t[1])
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def machine_calendar(draw):
+    """A machine calendar grown by insert_booking and close_open_tail only."""
+    s = ResourceSchedule()
+    for i in range(draw(st.integers(0, 14))):
+        start, dur = draw(st.integers(0, 600)), draw(st.integers(1, 60))
+        setup = draw(st.sampled_from((0, 5, 15, 30)))
+        entry = op_entry(
+            f"o{i}",
+            start + setup,
+            start + setup + dur,
+            end_state=draw(st.sampled_from(MACHINE_STATES)),
+            open_tail=draw(st.integers(0, 3)) == 0,
+            setup=setup,
+        )
+        try:
+            s.insert_booking(entry, machine_succ_setup)  # moves successor setups
+        except OverlapError:
+            pass
+    for e in s.open_tail_entries():
+        if draw(st.booleans()):
+            wait = draw(st.integers(0, 40))
+            try:
+                s.close_open_tail(e.order_id, e.span_end + wait, draw(st.integers(0, wait)))
+            except OverlapError:
+                pass
+    s.check_invariants()
+    return s
+
+
+@st.composite
+def crane_calendar(draw):
+    """A crane calendar, its recorded pickups and its initial position."""
+    s = ResourceSchedule()
+    pickups: dict[tuple[str, str], float] = {}
+    for i in range(draw(st.integers(0, 14))):
+        start, dur = draw(st.integers(0, 600)), draw(st.integers(1, 60))
+        setup = draw(st.sampled_from((0, 6, 14)))
+        segments = [("load", TimeInterval(start + setup, start + setup + dur))]
+        if setup:
+            segments.insert(0, ("travel", TimeInterval(start, start + setup)))
+        entry = BookingEntry(f"o{i}", "T", segments, end_state=draw(st.sampled_from(CRANE_XS)))
+        try:
+            s.insert_booking(entry, crane_succ_setup(pickups))
+        except (OverlapError, ValueError):
+            continue
+        if draw(st.booleans()):
+            pickups[(entry.order_id, "T")] = draw(st.sampled_from((0.0, 7.0, 20.0, 30.0)))
+    s.check_invariants()
+    return s, pickups, draw(st.sampled_from((0.0, 30.0)))
+
+
+def linear_at_or_after(s, t):
+    return next((e for e in s.entries if e.span_start >= t), None)
+
+
+def linear_last_ending_by(s, t):
+    return max((i for i, e in enumerate(s.entries) if e.span_end <= t), default=-1)
+
+
+def linear_machine_state(s, t, initial, assume_closed):
+    state = initial
+    for e in s.entries:
+        if e.open_tail and e.order_id not in assume_closed:
+            break
+        if e.span_end <= t:
+            state = e.end_state
+        else:
+            break
+    return state
+
+
+def linear_crane_x(s, t, initial):
+    x = initial
+    for e in s.entries:
+        if e.span_end <= t:
+            try:
+                x = float(e.end_state)
+            except ValueError:
+                pass
+        else:
+            break
+    return x
+
+
+def linear_machine_gaps(s, product, initial, extra, assume_closed):
+    """The per-agent machine gap scan the indexed walk replaced."""
+    out = []
+    for iv in s.free_intervals(SCAN, extra_busy=extra, assume_closed=assume_closed):
+        succ = linear_at_or_after(s, iv.end)
+        end, ti = iv.end, 0
+        if succ is not None:
+            setup_iv = succ.setup_interval
+            if setup_iv is not None and setup_iv.start == iv.end:
+                new_setup = MACHINE_SETUP.get((product, succ.end_state), 0)
+                ti = new_setup - setup_iv.duration
+                end = succ.core_start - new_setup
+            elif setup_iv is None and succ.span_start == iv.end:
+                new_setup = MACHINE_SETUP.get((product, succ.end_state), 0)
+                if new_setup:
+                    ti = new_setup
+                    end = succ.span_start - new_setup
+        if end <= iv.start:
+            continue
+        out.append((iv.start, end, linear_machine_state(s, iv.start, initial, assume_closed), ti))
+    return out
+
+
+def linear_crane_gaps(s, pickups, initial_x, drop_x, extra):
+    """The per-agent crane gap scan, with the position lookup it was used with."""
+    out = []
+    for iv in s.free_intervals(SCAN, extra_busy=extra):
+        succ = linear_at_or_after(s, iv.end)
+        end, ti = iv.end, 0
+        boundary = succ is not None and (
+            succ.span_start == iv.end
+            or (succ.setup_interval is not None and succ.setup_interval.start == iv.end)
+        )
+        if succ is not None and boundary:
+            pickup = pickups.get((succ.order_id, succ.step_label))
+            if pickup is not None:
+                new_setup = travel(drop_x, pickup)
+                old = succ.setup_interval.duration if succ.setup_interval else 0
+                ti = new_setup - old
+                end = succ.core_start - new_setup
+        if end <= iv.start:
+            continue
+        out.append((iv.start, end, linear_crane_x(s, iv.start, initial_x), ti))
+    return out
+
+
+def walked(gaps):
+    return [(g.start, g.end, g.from_state, g.ti_next) for g in gaps]
+
+
+@given(machine_calendar())
+def test_property_indexed_lookups_match_linear_scans(s):
+    horizon = max((e.span_end for e in s.entries), default=0) + 5
+    for t in range(horizon):
+        assert s.entry_at_or_after(t) is linear_at_or_after(s, t)
+        assert s.last_ending_by(t) == linear_last_ending_by(s, t)
+
+
+@given(
+    machine_calendar(),
+    st.sampled_from(MACHINE_STATES),
+    st.sampled_from(MACHINE_STATES),
+    holds,
+    st.booleans(),
+)
+def test_property_machine_gap_walk_matches_linear_scan(s, product, initial, extra, own):
+    tails = s.open_tail_entries()
+    assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
+    free = s.free_intervals(SCAN, extra_busy=extra, assume_closed=assume)
+    assert walked(s.placement_gaps(free, product, machine_succ_setup, initial)) == (
+        linear_machine_gaps(s, product, initial, extra, assume)
+    )
+    horizon = max((e.span_end for e in s.entries), default=0) + 5
+    for t in range(horizon):
+        assert s.state_before(t, initial, assume_closed=assume) == (
+            linear_machine_state(s, t, initial, assume)
+        )
+
+
+@given(crane_calendar(), st.sampled_from((0.0, 12.5, 30.0)), holds)
+def test_property_crane_gap_walk_matches_linear_scan(calendar, drop_x, extra):
+    s, pickups, initial_x = calendar
+    free = s.free_intervals(SCAN, extra_busy=extra)
+    gaps = s.placement_gaps(free, drop_x, crane_succ_setup(pickups), initial_x, crane_x)
+    assert walked(gaps) == linear_crane_gaps(s, pickups, initial_x, drop_x, extra)
+    horizon = max((e.span_end for e in s.entries), default=0) + 5
+    for t in range(horizon):
+        assert s.state_before(t, initial_x, crane_x) == linear_crane_x(s, t, initial_x)
