@@ -55,6 +55,7 @@ from .timebase import (
     NoOpenTail,
     OverlapError,
     ResourceSchedule,
+    ScheduleError,
     Seconds,
     Slack,
     TimeInterval,
@@ -113,18 +114,164 @@ def _slack_from(
     return Slack(max(0, min(limits) - nominal_end))
 
 
-@dataclass
-class _Offer:
-    """What a resource remembers about a proposal it has outstanding."""
+# ---------------------------------------------------------------------------
+# resource agent core
 
-    proposal: Proposal
-    conv: str
-    step_label: str
-    product: str = ""
-    unload: Seconds = 0
-    # transport-only geometry
-    pickup_x: float = 0.0
-    drop_x: float = 0.0
+
+class _Refusal(Exception):
+    """An accept the resource cannot honour; the message is the reason sent back."""
+
+
+def _check_booked(p: Proposal, booked: TimeInterval, what: str) -> None:
+    """A booked slot keeps the offered length and may only shift later within the slack."""
+    if booked.duration != p.op_duration:
+        raise _Refusal(f"{what} duration mismatch")
+    if booked.start < p.slot.start:
+        raise _Refusal("booked earlier than offered")
+    latest = p.slack_after.bound_from(p.slot.start)
+    if latest is not None and booked.start > latest:
+        raise _Refusal("booked outside the offered slack")
+
+
+class _ResourceAgent:
+    """What machines, buffer places and cranes share.
+
+    Each owns a private calendar and a book of held offers: it answers a CFP
+    with proposals whose spans it withholds from other orders, then commits or
+    releases them as the order decides. A subclass says how it places
+    proposals (``_propose``) and lays out an accepted booking (``_booking``).
+    """
+
+    kind: str  # PRODUCTION | BUFFER | TRANSPORT
+    #: successor setup callback for ``insert_booking``; None keeps it as booked
+    _succ_setup = None
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.agent_id = config.agent_id
+        self.schedule = ResourceSchedule()
+        self.holds = HoldBook()
+        self._seq = 0
+
+    def handle(self, event, ctx) -> list[Message]:
+        if not isinstance(event, Message):
+            return []
+        out: list[Message] = []
+        accept_failed = released = False
+        for part in event.parts:
+            if isinstance(part, Cfp):
+                out.extend(self._on_cfp(event, part, ctx))
+            elif isinstance(part, AcceptProposal):
+                if accept_failed:
+                    # linked accepts in one envelope commit or fail as a unit
+                    self.holds.release(part.proposal_id)
+                    out.append(
+                        _failure(
+                            self.agent_id,
+                            event.sender,
+                            event.conversation_id,
+                            part.proposal_id,
+                            "a linked movement in the same commit failed",
+                        )
+                    )
+                    continue
+                failures = self._on_accept(event, part, ctx)
+                accept_failed = accept_failed or bool(failures)
+                out.extend(failures)
+            elif isinstance(part, RejectProposal):
+                self.holds.release(part.proposal_id)
+                released = True
+            else:
+                out.extend(self._on_other(part, ctx))
+        if released:
+            out.extend(self._drain(ctx))
+        return out
+
+    def _on_other(self, part, ctx) -> list[Message]:
+        log.warning("%s: unexpected %s", self.agent_id, type(part).__name__)
+        return []
+
+    def _drain(self, ctx) -> list[Message]:
+        """Answer CFPs queued while engaged; only a machine queues any."""
+        return []
+
+    # -- offers -----------------------------------------------------------
+
+    def _on_cfp(self, msg: Message, cfp: Cfp, ctx) -> list[Message]:
+        now = ctx.now()
+        if cfp.deadline and cfp.deadline <= now:
+            return []  # answered too late to matter (e.g. drained after blocking)
+        self.holds.purge(now)
+        _order, stage = parse_conversation(msg.conversation_id)
+        proposals = self._propose(msg, cfp, (stage or 0) + 1, ctx)
+        if not proposals:
+            return []  # absence is refusal; the order's deadline handles it
+        return [_envelope(self.agent_id, msg.sender, msg.conversation_id, proposals)]
+
+    def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
+        """Proposals for one CFP of the 1-based plan step ``step``, each held by ``_offer``."""
+        raise NotImplementedError
+
+    def _free(self, conv: str, ctx, assume_closed: frozenset[str] = frozenset()):
+        """Free calendar intervals with other conversations' holds counted busy.
+
+        This conversation's holds are ignored, so the offers made for one CFP
+        never block each other and the list holds for the whole CFP.
+        """
+        return self.schedule.free_intervals(
+            _ALL,
+            extra_busy=self.holds.active_spans(ctx.now(), exclude_conversation=conv),
+            assume_closed=assume_closed,
+        )
+
+    def _offer(
+        self, ctx, conv: str, step_label: str, span: TimeInterval, end_state="", **fields
+    ) -> Proposal:
+        """Number a proposal and hold ``span`` for it until the hold deadline."""
+        self._seq += 1
+        pid = f"{self.agent_id}#p{self._seq}"
+        proposal = Proposal(proposal_id=pid, kind=self.kind, resource_id=self.agent_id, **fields)
+        self.holds.add(
+            OfferHold(
+                proposal_id=pid,
+                span=span,
+                conversation_id=conv,
+                deadline=ctx.now() + ctx.hold_deadline,
+                proposal=proposal,
+                step_label=step_label,
+                end_state=end_state,
+            )
+        )
+        return proposal
+
+    # -- commitment -------------------------------------------------------
+
+    def _on_accept(self, msg: Message, acc: AcceptProposal, ctx) -> list[Message]:
+        def fail(reason: str) -> list[Message]:
+            return [
+                _failure(self.agent_id, msg.sender, msg.conversation_id, acc.proposal_id, reason)
+            ]
+
+        hold = self.holds.take(acc.proposal_id, ctx.now())
+        if hold is None:
+            return fail("offer unknown or hold expired")
+        order_id, _ = parse_conversation(msg.conversation_id)
+        try:
+            self._commit(hold, self._booking(hold, acc, order_id), ctx)
+        except (_Refusal, ScheduleError, ValueError) as exc:
+            return fail(str(exc))
+        return []
+
+    def _booking(self, hold: OfferHold, acc: AcceptProposal, order_id: str) -> BookingEntry:
+        """Re-validate an accept against its offer and lay out the booking.
+
+        Raises ``_Refusal`` (or a calendar error) when the accept cannot be honoured.
+        """
+        raise NotImplementedError
+
+    def _commit(self, hold: OfferHold, entry: BookingEntry, ctx) -> None:
+        self.schedule.insert_booking(entry, successor_setup=self._succ_setup)
+        ctx.record_commit(self.agent_id, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +291,14 @@ class ProductionConfig:
     max_slots_per_cfp: int = 2
 
 
-class ProductionAgent:
+class ProductionAgent(_ResourceAgent):
     """Owns one machine calendar; proposes, commits, blocks, defers."""
 
+    kind = PRODUCTION
+
     def __init__(self, config: ProductionConfig):
-        self.config = config
-        self.agent_id = config.agent_id
-        self.schedule = ResourceSchedule()
-        self.holds = HoldBook()
-        self._offers: dict[str, _Offer] = {}
+        super().__init__(config)
         self._deferred: list[Message] = []
-        self._seq = 0
 
     # -- state ------------------------------------------------------------
 
@@ -162,7 +306,7 @@ class ProductionAgent:
     def blocked(self) -> bool:
         return bool(self.schedule.open_tail_entries())
 
-    def _engaged_elsewhere(self, order_id: str, now) -> bool:
+    def _engaged_elsewhere(self, order_id: str) -> bool:
         """True while another order's negotiation could still claim this machine.
 
         A booked workpiece blocks the machine until its departure is known,
@@ -172,11 +316,7 @@ class ProductionAgent:
         """
         if self.blocked and self.schedule.open_tail_for(order_id) is None:
             return True
-        self.holds.purge(now)
-        self._offers = {pid: o for pid, o in self._offers.items() if pid in self.holds}
-        return any(
-            parse_conversation(o.conv)[0] != order_id for o in self._offers.values()
-        )
+        return any(parse_conversation(h.conversation_id)[0] != order_id for h in self.holds)
 
     def _setup(self, from_state: str, to_state: str) -> Seconds:
         return self.config.setup.get(from_state, {}).get(to_state, 0)
@@ -188,62 +328,29 @@ class ProductionAgent:
 
     # -- event handling ----------------------------------------------------
 
-    def handle(self, event, ctx) -> list[Message]:
-        if isinstance(event, Message):
-            out: list[Message] = []
-            released = False
-            for part in event.parts:
-                if isinstance(part, Cfp):
-                    out.extend(self._on_cfp(event, part, ctx))
-                elif isinstance(part, AcceptProposal):
-                    out.extend(self._on_accept(event, part, ctx))
-                elif isinstance(part, RejectProposal):
-                    self._release(part.proposal_id)
-                    released = True
-                elif isinstance(part, InformDeparture):
-                    out.extend(self._on_departure(event, part, ctx))
-                else:
-                    log.warning("%s: unexpected %s", self.agent_id, type(part).__name__)
-            if released:
-                out.extend(self._drain(ctx))
-            return out
-        return []
+    def _on_other(self, part, ctx) -> list[Message]:
+        if isinstance(part, InformDeparture):
+            return self._on_departure(part, ctx)
+        return super()._on_other(part, ctx)
 
-    def _on_cfp(self, msg: Message, cfp: Cfp, ctx) -> list[Message]:
-        if cfp.deadline and cfp.deadline <= ctx.now():
-            return []  # answered too late to matter (e.g. drained after blocking)
-        if self._engaged_elsewhere(cfp.workpiece.order_id, ctx.now()):
+    def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
+        order_id = cfp.workpiece.order_id
+        if self._engaged_elsewhere(order_id):
             # blocked for further negotiations: queue, answer after the
             # engagement resolves (departure, rejection, or hold expiry)
             self._deferred.append(msg)
             return []
-        proposals = self._make_proposals(cfp, msg.conversation_id, ctx)
-        if not proposals:
-            return []  # absence is refusal; the order's deadline handles it
-        return [_envelope(self.agent_id, msg.sender, msg.conversation_id, proposals)]
-
-    def _make_proposals(self, cfp: Cfp, conv: str, ctx) -> list[Proposal]:
         product = cfp.workpiece.product
         op_dur = self.config.op_duration.get(product)
         if op_dur is None:
             return []
-        order_id = cfp.workpiece.order_id
         tail = self.schedule.open_tail_for(order_id)
         own = tail is not None
-        assume = frozenset({order_id}) if own else frozenset()
         entry_stage = cfp.workpiece.location is None
         unload = 0 if (entry_stage or own) else self.config.unload_estimate
         load_est = self.config.load_estimate
-        _order, stage = parse_conversation(conv)
-        step_label = str((stage or 0) + 1)
-        now = ctx.now()
-        # the holds added below belong to this conversation, which the free
-        # intervals ignore, so they hold for every alternative
-        free = self.schedule.free_intervals(
-            _ALL,
-            extra_busy=self.holds.active_spans(now, exclude_conversation=conv),
-            assume_closed=assume,
-        )
+        conv = msg.conversation_id
+        free = self._free(conv, ctx, frozenset({order_id}) if own else frozenset())
         proposals: list[Proposal] = []
         for alt_idx, alt in enumerate(cfp.alternatives):
             # the requested es includes a transport estimate; when the piece is
@@ -274,33 +381,23 @@ class ProductionAgent:
                     ls + op_dur + load_est if ls is not None else None,
                     lf + load_est if lf is not None else None,
                 )
-                self._seq += 1
-                pid = f"{self.agent_id}#p{self._seq}"
                 block_start = op_start - prefix
-                proposal = Proposal(
-                    proposal_id=pid,
-                    kind=PRODUCTION,
-                    resource_id=self.agent_id,
-                    location=self.config.location,
-                    slot=TimeInterval(op_start, op_end),
-                    slack_before=Slack(block_start - gap.start),
-                    slack_after=slack_after,
-                    op_duration=op_dur,
-                    load_time=load_est,
-                    unload_time=unload,
-                    price=proposal_price(op_dur, setup, gap.ti_next),
-                    alternative=alt_idx,
-                )
-                proposals.append(proposal)
-                self._offers[pid] = _Offer(
-                    proposal, conv, step_label, product=product, unload=unload
-                )
-                self.holds.add(
-                    OfferHold(
-                        proposal_id=pid,
-                        span=TimeInterval(block_start, op_end + load_est),
-                        conversation_id=conv,
-                        deadline=now + ctx.hold_deadline,
+                proposals.append(
+                    self._offer(
+                        ctx,
+                        conv,
+                        str(step),
+                        TimeInterval(block_start, op_end + load_est),
+                        product,
+                        location=self.config.location,
+                        slot=TimeInterval(op_start, op_end),
+                        slack_before=Slack(block_start - gap.start),
+                        slack_after=slack_after,
+                        op_duration=op_dur,
+                        load_time=load_est,
+                        unload_time=unload,
+                        price=proposal_price(op_dur, setup, gap.ti_next),
+                        alternative=alt_idx,
                     )
                 )
                 emitted += 1
@@ -308,43 +405,22 @@ class ProductionAgent:
                     break
         return proposals
 
-    def _on_accept(self, msg: Message, acc: AcceptProposal, ctx) -> list[Message]:
-        def fail(reason: str) -> list[Message]:
-            return [
-                _failure(self.agent_id, msg.sender, msg.conversation_id, acc.proposal_id, reason)
-            ]
-
-        offer = self._offers.pop(acc.proposal_id, None)
-        hold = self.holds.take(acc.proposal_id, ctx.now())
-        if offer is None or hold is None:
-            return fail("offer unknown or hold expired")
-        p = offer.proposal
+    def _booking(self, hold: OfferHold, acc: AcceptProposal, order_id: str) -> BookingEntry:
+        p = hold.proposal
         booked = acc.booked_slot
-        order_id, _ = parse_conversation(msg.conversation_id)
-
-        if booked.duration != p.op_duration:
-            return fail("operation duration mismatch")
-        if booked.start < p.slot.start:
-            return fail("booked earlier than offered")
-        latest = p.slack_after.bound_from(p.slot.start)
-        if latest is not None and booked.start > latest:
-            return fail("booked outside the offered slack")
-
+        _check_booked(p, booked, "operation")
         # close our own tail first when the workpiece stays on this machine
         tail = self.schedule.open_tail_for(order_id)
-        unload = acc.actual_unload_time if offer.unload else 0
+        unload = acc.actual_unload_time if p.unload_time else 0
         from_state = self.schedule.state_before(
             booked.start,
             self.config.initial_state,
             assume_closed=frozenset({order_id}) if tail else frozenset(),
         )
-        setup = self._setup(from_state, offer.product)
+        setup = self._setup(from_state, hold.end_state)
         block_start = booked.start - unload - setup
         if tail is not None:
-            try:
-                self.schedule.close_open_tail(order_id, block_start, 0)
-            except (OverlapError, NoOpenTail) as exc:
-                return fail(str(exc))
+            self.schedule.close_open_tail(order_id, block_start, 0)
         segments: list[tuple[str, TimeInterval]] = []
         t = block_start
         if setup:
@@ -354,22 +430,11 @@ class ProductionAgent:
             segments.append(("unload", TimeInterval(t, t + unload)))
             t += unload
         segments.append(("operation", booked))
-        entry = BookingEntry(
-            order_id=order_id,
-            step_label=offer.step_label,
-            segments=segments,
-            open_tail=True,
-            end_state=offer.product,
+        return BookingEntry(
+            order_id, hold.step_label, segments, open_tail=True, end_state=hold.end_state
         )
-        try:
-            self.schedule.insert_booking(entry, successor_setup=self._succ_setup)
-        except (OverlapError, ValueError) as exc:
-            return fail(str(exc))
-        if hasattr(ctx, "record_commit"):
-            ctx.record_commit(self.agent_id, entry)
-        return []
 
-    def _on_departure(self, msg: Message, info: InformDeparture, ctx) -> list[Message]:
+    def _on_departure(self, info: InformDeparture, ctx) -> list[Message]:
         try:
             self.schedule.close_open_tail(info.order_id, info.departure, info.loading_time)
         except NoOpenTail:
@@ -391,10 +456,6 @@ class ProductionAgent:
                     out.extend(self._on_cfp(queued, part, ctx))
         return out
 
-    def _release(self, proposal_id: str) -> None:
-        self._offers.pop(proposal_id, None)
-        self.holds.release(proposal_id)
-
 
 # ---------------------------------------------------------------------------
 # buffer agent
@@ -409,47 +470,20 @@ class BufferConfig:
     load_estimate: Seconds = 0
 
 
-class BufferAgent:
+class BufferAgent(_ResourceAgent):
     """A capacity-1 buffer place offering decoupling slots."""
+
+    kind = BUFFER
 
     def __init__(self, config: BufferConfig):
         if config.capacity != 1:
             raise ValueError("buffer places have capacity 1; model more places instead")
-        self.config = config
-        self.agent_id = config.agent_id
-        self.schedule = ResourceSchedule()
-        self.holds = HoldBook()
-        self._offers: dict[str, _Offer] = {}
-        self._seq = 0
+        super().__init__(config)
 
-    def handle(self, event, ctx) -> list[Message]:
-        if not isinstance(event, Message):
-            return []
-        out: list[Message] = []
-        for part in event.parts:
-            if isinstance(part, Cfp):
-                proposals = self._make_proposals(event, part, ctx)
-                if proposals:
-                    out.append(
-                        _envelope(self.agent_id, event.sender, event.conversation_id, proposals)
-                    )
-            elif isinstance(part, AcceptProposal):
-                out.extend(self._on_accept(event, part, ctx))
-            elif isinstance(part, RejectProposal):
-                self._offers.pop(part.proposal_id, None)
-                self.holds.release(part.proposal_id)
-        return out
-
-    def _make_proposals(self, msg: Message, cfp: Cfp, ctx) -> list[Proposal]:
-        now = ctx.now()
+    def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
         conv = msg.conversation_id
-        self.holds.purge(now)
-        self._offers = {pid: o for pid, o in self._offers.items() if pid in self.holds}
-        _order, stage = parse_conversation(conv)
-        step_label = f"B{(stage or 0) + 1}"
         u_est, l_est = self.config.unload_estimate, self.config.load_estimate
-        extra = self.holds.active_spans(now, exclude_conversation=conv)
-        free = self.schedule.free_intervals(_ALL, extra_busy=extra)
+        free = self._free(conv, ctx)
         proposals: list[Proposal] = []
         for alt_idx, alt in enumerate(cfp.alternatives):
             w = alt.windows
@@ -465,56 +499,36 @@ class BufferAgent:
                 slack_after = _slack_from(
                     iv.end, end + l_est, w.lf + l_est if w.lf is not None else None
                 )
-                self._seq += 1
-                pid = f"{self.agent_id}#p{self._seq}"
-                proposal = Proposal(
-                    proposal_id=pid,
-                    kind=BUFFER,
-                    resource_id=self.agent_id,
-                    location=self.config.location,
-                    slot=TimeInterval(start, end),
-                    slack_before=Slack(start - u_est - iv.start),
-                    slack_after=slack_after,
-                    op_duration=end - start,
-                    load_time=l_est,
-                    unload_time=u_est,
-                    price=0,
-                    alternative=alt_idx,
-                    connected_operations=(alt.realizes,) if alt.realizes else (),
-                )
-                proposals.append(proposal)
-                self._offers[pid] = _Offer(proposal, conv, step_label)
-                self.holds.add(
-                    OfferHold(
-                        proposal_id=pid,
-                        span=TimeInterval(max(0, start - u_est), end + l_est),
-                        conversation_id=conv,
-                        deadline=now + ctx.hold_deadline,
+                proposals.append(
+                    self._offer(
+                        ctx,
+                        conv,
+                        f"B{step}",
+                        TimeInterval(max(0, start - u_est), end + l_est),
+                        location=self.config.location,
+                        slot=TimeInterval(start, end),
+                        slack_before=Slack(start - u_est - iv.start),
+                        slack_after=slack_after,
+                        op_duration=end - start,
+                        load_time=l_est,
+                        unload_time=u_est,
+                        price=0,
+                        alternative=alt_idx,
+                        connected_operations=(alt.realizes,) if alt.realizes else (),
                     )
                 )
                 break  # earliest feasible slot per alternative
         return proposals
 
-    def _on_accept(self, msg: Message, acc: AcceptProposal, ctx) -> list[Message]:
-        def fail(reason: str) -> list[Message]:
-            return [
-                _failure(self.agent_id, msg.sender, msg.conversation_id, acc.proposal_id, reason)
-            ]
-
-        offer = self._offers.pop(acc.proposal_id, None)
-        hold = self.holds.take(acc.proposal_id, ctx.now())
-        if offer is None or hold is None:
-            return fail("offer unknown or hold expired")
-        p = offer.proposal
+    def _booking(self, hold: OfferHold, acc: AcceptProposal, order_id: str) -> BookingEntry:
+        p = hold.proposal
         resident = acc.booked_slot
-
         if resident.start < p.slot.start:
-            return fail("arrival earlier than the offered slot")
+            raise _Refusal("arrival earlier than the offered slot")
         latest = p.slack_after.bound_from(p.slot.end)
         if latest is not None and resident.end > latest:
-            return fail("pickup outside the offered slack")
+            raise _Refusal("pickup outside the offered slack")
         u, l = acc.actual_unload_time, acc.actual_load_time
-        order_id, _ = parse_conversation(msg.conversation_id)
         segments: list[tuple[str, TimeInterval]] = []
         if u:
             segments.append(("unload", TimeInterval(resident.start - u, resident.start)))
@@ -523,21 +537,8 @@ class BufferAgent:
         if l:
             segments.append(("load", TimeInterval(resident.end, resident.end + l)))
         if not segments:
-            return fail("empty buffering interval")
-        entry = BookingEntry(
-            order_id=order_id,
-            step_label=offer.step_label,
-            segments=segments,
-            open_tail=False,
-            end_state="",
-        )
-        try:
-            self.schedule.insert_booking(entry)
-        except (OverlapError, ValueError) as exc:
-            return fail(str(exc))
-        if hasattr(ctx, "record_commit"):
-            ctx.record_commit(self.agent_id, entry)
-        return []
+            raise _Refusal("empty buffering interval")
+        return BookingEntry(order_id, hold.step_label, segments)
 
 
 # ---------------------------------------------------------------------------
@@ -559,18 +560,15 @@ def _crane_x(entry: BookingEntry) -> Optional[float]:
         return None
 
 
-class TransportAgent:
+class TransportAgent(_ResourceAgent):
     """One crane/vehicle on a 1-D segment; prices setup travel explicitly."""
 
+    kind = TRANSPORT
+
     def __init__(self, config: TransportConfig):
-        self.config = config
-        self.agent_id = config.agent_id
-        self.schedule = ResourceSchedule()
-        self.holds = HoldBook()
-        self._offers: dict[str, _Offer] = {}
+        super().__init__(config)
         self._pickup_x: dict[tuple[str, str], float] = {}
         self._committed_pids: set[str] = set()
-        self._seq = 0
 
     def _succ_setup(self, new_state, succ: BookingEntry) -> Seconds:
         """Travel from ``new_state`` (a drop-off x) to the successor's pickup.
@@ -582,56 +580,12 @@ class TransportAgent:
             return succ.setup_interval.duration if succ.setup_interval else 0
         return self.config.geometry.travel_seconds(float(new_state), pickup)
 
-    def handle(self, event, ctx) -> list[Message]:
-        if not isinstance(event, Message):
-            return []
-        out: list[Message] = []
-        accept_failed = False
-        for part in event.parts:
-            if isinstance(part, Cfp):
-                proposals = self._make_proposals(event, part, ctx)
-                if proposals:
-                    out.append(
-                        _envelope(self.agent_id, event.sender, event.conversation_id, proposals)
-                    )
-            elif isinstance(part, AcceptProposal):
-                if accept_failed:
-                    # linked accepts in one envelope commit or fail as a unit
-                    self._offers.pop(part.proposal_id, None)
-                    self.holds.release(part.proposal_id)
-                    out.append(
-                        _failure(
-                            self.agent_id,
-                            event.sender,
-                            event.conversation_id,
-                            part.proposal_id,
-                            "a linked movement in the same commit failed",
-                        )
-                    )
-                    continue
-                failures = self._on_accept(event, part, ctx)
-                accept_failed = accept_failed or bool(failures)
-                out.extend(failures)
-            elif isinstance(part, RejectProposal):
-                self._offers.pop(part.proposal_id, None)
-                self.holds.release(part.proposal_id)
-        return out
-
-    def _make_proposals(self, msg: Message, cfp: Cfp, ctx) -> list[Proposal]:
+    def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
         geom = self.config.geometry
-        now = ctx.now()
         conv = msg.conversation_id
-        self.holds.purge(now)
-        self._offers = {pid: o for pid, o in self._offers.items() if pid in self.holds}
-        _order, stage = parse_conversation(conv)
-        i = (stage or 0) + 1
         # legs that some other leg chains onto head into a buffer
         chain_targets = {leg.chain_after for leg in cfp.legs if leg.chain_after is not None}
-        # the holds added below belong to this conversation, which the free
-        # intervals ignore, so they hold for every leg
-        free = self.schedule.free_intervals(
-            _ALL, extra_busy=self.holds.active_spans(now, exclude_conversation=conv)
-        )
+        free = self._free(conv, ctx)
         proposals: list[Proposal] = []
         emitted_by_leg: dict[int, Proposal] = {}
         for leg_idx, leg in enumerate(cfp.legs):
@@ -639,25 +593,25 @@ class TransportAgent:
             if not (geom.covers(fx) and geom.covers(tx)):
                 continue
             if leg.via is not None:
-                label = f"T:B{i},{i}"
+                label = f"T:B{step},{step}"
             elif leg_idx in chain_targets:
-                label = f"T:{i - 1},B{i}"
+                label = f"T:{step - 1},B{step}"
             else:
-                label = f"T:{i - 1},{i}"
-            travel = geom.travel_seconds(fx, tx)
-            dur = geom.load_time + travel + geom.unload_time
-            made = self._place_leg(leg, leg_idx, label, dur, fx, tx, free, conv, now, ctx)
+                label = f"T:{step - 1},{step}"
+            dur = geom.load_time + geom.travel_seconds(fx, tx) + geom.unload_time
+            made = self._place_leg(leg, leg_idx, label, dur, free, conv, ctx)
             if made is not None:
                 proposals.append(made)
                 emitted_by_leg[leg_idx] = made
             # chained variant: departing right where a partner leg drops off
             if leg.chain_after is not None:
                 partner = emitted_by_leg.get(leg.chain_after)
-                if partner is not None and abs(
-                    self._offers[partner.proposal_id].drop_x - fx
-                ) < 1e-9:
+                if (
+                    partner is not None
+                    and abs(cfp.legs[leg.chain_after].to_location[0] - fx) < 1e-9
+                ):
                     chained = self._place_leg(
-                        leg, leg_idx, label, dur, fx, tx, free, conv, now, ctx, after=partner
+                        leg, leg_idx, label, dur, free, conv, ctx, after=partner
                     )
                     if chained is not None and (
                         made is None or chained.slot != made.slot or chained.price != made.price
@@ -671,16 +625,14 @@ class TransportAgent:
         leg_idx: int,
         step_label: str,
         dur: Seconds,
-        fx: float,
-        tx: float,
         free: list[TimeInterval],
         conv: str,
-        now,
         ctx,
         after: Optional[Proposal] = None,
     ) -> Optional[Proposal]:
         geom = self.config.geometry
         w = leg.windows
+        fx, tx = leg.from_location[0], leg.to_location[0]
         for gap in self.schedule.placement_gaps(
             free, tx, self._succ_setup, self.config.initial_x, _crane_x
         ):
@@ -706,12 +658,12 @@ class TransportAgent:
                 w.ls + dur if w.ls is not None else None,
                 w.lf,
             )
-            self._seq += 1
-            pid = f"{self.agent_id}#p{self._seq}"
-            proposal = Proposal(
-                proposal_id=pid,
-                kind=TRANSPORT,
-                resource_id=self.agent_id,
+            return self._offer(
+                ctx,
+                conv,
+                step_label,
+                TimeInterval(max(0, load_start - setup), end),
+                tx,
                 location=(fx, leg.from_location[1]),
                 slot=TimeInterval(load_start, end),
                 slack_before=Slack(max(0, load_start - setup - gap.start)),
@@ -724,50 +676,24 @@ class TransportAgent:
                 leg=LegRef(leg_idx, leg.from_resource, leg.to_resource, leg.realizes, leg.via),
                 required_operation=after.proposal_id if after is not None else None,
             )
-            self._offers[pid] = _Offer(proposal, conv, step_label, pickup_x=fx, drop_x=tx)
-            self.holds.add(
-                OfferHold(
-                    proposal_id=pid,
-                    span=TimeInterval(max(0, load_start - setup), end),
-                    conversation_id=conv,
-                    deadline=now + ctx.hold_deadline,
-                )
-            )
-            return proposal
         return None
 
-    def _on_accept(self, msg: Message, acc: AcceptProposal, ctx) -> list[Message]:
-        def fail(reason: str) -> list[Message]:
-            return [
-                _failure(self.agent_id, msg.sender, msg.conversation_id, acc.proposal_id, reason)
-            ]
-
-        offer = self._offers.pop(acc.proposal_id, None)
-        hold = self.holds.take(acc.proposal_id, ctx.now())
-        if offer is None or hold is None:
-            return fail("offer unknown or hold expired")
-        p = offer.proposal
+    def _booking(self, hold: OfferHold, acc: AcceptProposal, order_id: str) -> BookingEntry:
+        p = hold.proposal
         booked = acc.booked_slot
-
-        if booked.duration != p.op_duration:
-            return fail("transport duration mismatch")
-        if booked.start < p.slot.start:
-            return fail("booked earlier than offered")
-        latest = p.slack_after.bound_from(p.slot.start)
-        if latest is not None and booked.start > latest:
-            return fail("booked outside the offered slack")
-        if p.required_operation is not None:
-            if (
-                p.required_operation not in self._committed_pids
-                and p.required_operation not in acc.dependent_proposal_ids
-            ):
-                return fail("required preceding movement was not committed")
+        _check_booked(p, booked, "transport")
+        if (
+            p.required_operation is not None
+            and p.required_operation not in self._committed_pids
+            and p.required_operation not in acc.dependent_proposal_ids
+        ):
+            raise _Refusal("required preceding movement was not committed")
 
         geom = self.config.geometry
-        order_id, _ = parse_conversation(msg.conversation_id)
+        pickup_x, drop_x = p.location[0], hold.end_state
         pred_x = self.schedule.state_before(booked.start, self.config.initial_x, _crane_x)
-        setup = geom.travel_seconds(pred_x, offer.pickup_x)
-        travel = geom.travel_seconds(offer.pickup_x, offer.drop_x)
+        setup = geom.travel_seconds(pred_x, pickup_x)
+        travel = geom.travel_seconds(pickup_x, drop_x)
         segments: list[tuple[str, TimeInterval]] = []
         t = booked.start - setup
         if setup:
@@ -779,24 +705,12 @@ class TransportAgent:
             segments.append(("travel", TimeInterval(t, t + travel)))
             t += travel
         segments.append(("unload", TimeInterval(t, t + geom.unload_time)))
-        entry = BookingEntry(
-            order_id=order_id,
-            step_label=offer.step_label,
-            segments=segments,
-            open_tail=False,
-            end_state=f"{offer.drop_x:g}",
-        )
-        try:
-            self.schedule.insert_booking(
-                entry, successor_setup=self._succ_setup
-            )
-        except (OverlapError, ValueError) as exc:
-            return fail(str(exc))
-        self._pickup_x[(order_id, offer.step_label)] = offer.pickup_x
-        self._committed_pids.add(acc.proposal_id)
-        if hasattr(ctx, "record_commit"):
-            ctx.record_commit(self.agent_id, entry)
-        return []
+        return BookingEntry(order_id, hold.step_label, segments, end_state=f"{drop_x:g}")
+
+    def _commit(self, hold: OfferHold, entry: BookingEntry, ctx) -> None:
+        super()._commit(hold, entry, ctx)
+        self._pickup_x[(entry.order_id, entry.step_label)] = hold.proposal.location[0]
+        self._committed_pids.add(hold.proposal_id)
 
 
 # ---------------------------------------------------------------------------
@@ -820,20 +734,6 @@ class OrderConfig:
     product: str
     plan: tuple[str, ...]  # operation names, in order
     arrival: Seconds = 0
-
-
-class _NegCtx:
-    """Context handed to the stage machine: timers plus the kernel services."""
-
-    def __init__(self, oa: "OrderAgent", kernel_ctx):
-        self.oa = oa
-        self.kernel = kernel_ctx
-
-    def now(self):
-        return self.kernel.now()
-
-    def set_timer_for_stage(self, neg: StageNegotiation) -> int:
-        return self.kernel.set_timer(self.kernel.cfp_deadline)
 
 
 class OrderAgent:
@@ -888,7 +788,7 @@ class OrderAgent:
     def _drive(self, event, ctx) -> list[Message]:
         if self.neg is None:
             return []
-        out = advance_stage(self.neg, event, self, _NegCtx(self, ctx))
+        out = advance_stage(self.neg, event, self, ctx)
         neg = self.neg
         if neg is not None and neg.is_terminal():
             if neg.phase is Phase.FAILED:
@@ -955,8 +855,7 @@ class OrderAgent:
         prev = self._prev
         return prev.slack_after if prev is not None else Slack.UNBOUNDED
 
-    def plan_production(self, neg: StageNegotiation, nctx: _NegCtx) -> RoundPlan:
-        ctx = nctx.kernel
+    def plan_production(self, neg: StageNegotiation, ctx) -> RoundPlan:
         operation = self.config.plan[neg.stage_index]
         responders = ctx.directory.search(operation)
         if not responders:
@@ -986,8 +885,7 @@ class OrderAgent:
             order_id=self.agent_id, product=self.config.product, location=location
         )
 
-    def plan_buffer(self, neg: StageNegotiation, nctx: _NegCtx) -> Optional[RoundPlan]:
-        ctx = nctx.kernel
+    def plan_buffer(self, neg: StageNegotiation, ctx) -> Optional[RoundPlan]:
         prev = self._prev
         if prev is None:
             return None
@@ -1028,8 +926,7 @@ class OrderAgent:
         ]
         return RoundPlan(msgs, set(responders))
 
-    def plan_transport(self, neg: StageNegotiation, nctx: _NegCtx) -> Optional[RoundPlan]:
-        ctx = nctx.kernel
+    def plan_transport(self, neg: StageNegotiation, ctx) -> Optional[RoundPlan]:
         prev = self._prev
         if prev is None:
             return None
@@ -1111,7 +1008,7 @@ class OrderAgent:
         ]
         return RoundPlan(msgs, set(responders))
 
-    def decide(self, neg: StageNegotiation, nctx: _NegCtx):
+    def decide(self, neg: StageNegotiation, ctx):
         sctx = StageContext(
             f_prev=self._f_prev,
             prev_resource=self._prev.resource_id if self._prev else None,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Protocol, Union
+from typing import Iterator, Optional, Protocol, Union
 
 from .calculus import StageWindows
 from .timebase import Seconds, Slack, TimeInterval
@@ -200,12 +200,20 @@ def parse_conversation(conv: str) -> tuple[str, Optional[int]]:
 
 @dataclass
 class OfferHold:
-    """A timeslot promised to one order and therefore withheld from others."""
+    """A timeslot promised to one order and therefore withheld from others.
+
+    The hold also keeps what the resource needs to book the offer on accept:
+    the proposal, the step label of the booking, and the state the booking
+    leaves the resource in (a machine's product, a crane's drop-off x).
+    """
 
     proposal_id: str
     span: TimeInterval
     conversation_id: str
     deadline: Seconds
+    proposal: Optional[Proposal] = None
+    step_label: str = ""
+    end_state: Union[str, float] = ""
 
 
 class HoldBook:
@@ -232,6 +240,9 @@ class HoldBook:
 
     def __contains__(self, proposal_id: str) -> bool:
         return proposal_id in self._holds
+
+    def __iter__(self) -> Iterator[OfferHold]:
+        return iter(self._holds.values())
 
     def active_spans(
         self, now: Seconds, exclude_conversation: Optional[str] = None
@@ -306,7 +317,6 @@ class MessageCounter:
 class Phase(str, Enum):
     QUERY_DIRECTORY = "query-directory"
     AWAIT_PRODUCTION = "await-production"
-    AWAIT_SHARED_RESOURCE = "await-shared-resource"  # reserved, never entered
     AWAIT_BUFFER = "await-buffer"
     AWAIT_TRANSPORT = "await-transport"
     SELECT = "select"
@@ -410,9 +420,10 @@ def advance_stage(
 ) -> list[Message]:
     """Feed one event into the stage machine; returns the envelopes to send.
 
-    ``ctx`` must provide ``now()`` and ``set_timer(delay, token_payload) -> token``
-    plus whatever the planner needs. Out-of-phase or unknown events are dropped
-    with a protocol-violation log line, never an exception.
+    ``ctx`` must provide ``cfp_deadline`` and ``set_timer(delay) -> token``,
+    which arm one round's deadline, plus whatever the planner needs; it is
+    passed on to the planner unchanged. Out-of-phase or unknown events are
+    dropped with a protocol-violation log line, never an exception.
     """
     if neg.is_terminal():
         return []
@@ -426,7 +437,7 @@ def advance_stage(
         if not plan.awaiting:
             return _fail(neg, planner, ctx, "no capable production resource registered")
         neg.awaiting = set(plan.awaiting)
-        neg.deadline_token = ctx.set_timer_for_stage(neg)
+        neg.deadline_token = ctx.set_timer(ctx.cfp_deadline)
         return plan.messages
 
     if isinstance(event, DeadlineExpired):
@@ -483,7 +494,7 @@ def _advance_round(neg: StageNegotiation, planner: StagePlanner, ctx) -> list[Me
         if plan is not None and plan.awaiting:
             neg._enter(Phase.AWAIT_BUFFER)
             neg.awaiting = set(plan.awaiting)
-            neg.deadline_token = ctx.set_timer_for_stage(neg)
+            neg.deadline_token = ctx.set_timer(ctx.cfp_deadline)
             return plan.messages
         neg.phase = Phase.AWAIT_BUFFER  # passed through silently, not recorded
         return _after_buffer(neg, planner, ctx, [])
@@ -502,7 +513,7 @@ def _after_buffer(
     if plan is not None and plan.awaiting:
         neg._enter(Phase.AWAIT_TRANSPORT)
         neg.awaiting = set(plan.awaiting)
-        neg.deadline_token = ctx.set_timer_for_stage(neg)
+        neg.deadline_token = ctx.set_timer(ctx.cfp_deadline)
         return carried + plan.messages
     return carried + _select(neg, planner, ctx)
 

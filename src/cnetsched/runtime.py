@@ -101,6 +101,9 @@ class RunReport:
 
 Event = Union[Message, StartOrder, DeadlineExpired]
 
+#: trace line kind of each event the kernel itself injects (docs/formats.md)
+_KERNEL_LINES = {StartOrder: "StartOrder", DeadlineExpired: "Deadline"}
+
 
 class _Ctx:
     """What an agent may ask of the kernel while handling one event."""
@@ -141,12 +144,71 @@ def _trace_line(t, kind: str, sender: str, receiver: str, detail: str) -> str:
     return f"{stamp} {sender}>{receiver} {kind}{detail}"
 
 
-class DeterministicKernel:
+class _Kernel:
+    """What both kernels keep: the run's inputs, message counts, trace and commit log."""
+
+    mode: str
+
+    def __init__(
+        self,
+        directory,
+        agents: dict[str, object],
+        releases: list[tuple[float, str]],
+        config: KernelConfig,
+    ):
+        self.directory = directory
+        self.agents = agents
+        self.config = config
+        self._releases = sorted(releases)
+        self.counter = MessageCounter()
+        self.trace: list[str] = []
+        self.commits: list[CommitRecord] = []
+
+    def record_commit(self, resource_id: str, entry) -> None:
+        # the booked *core* is what stability protects: leading setup/travel may
+        # be reshaped by later insertions, and open tails grow a load segment
+        self.commits.append(
+            CommitRecord(
+                at=self.now(),
+                resource_id=resource_id,
+                order_id=entry.order_id,
+                step_label=entry.step_label,
+                start=entry.core_start,
+                end=entry.operation_end,
+            )
+        )
+
+    def _report(self, events: int, wall: float) -> RunReport:
+        status, t_start, t_end, diag = {}, {}, {}, {}
+        for aid, agent in self.agents.items():
+            if isinstance(agent, OrderAgent):
+                status[aid] = agent.status if agent.status in ("done", "failed") else "stuck"
+                t_start[aid] = agent.t_start
+                t_end[aid] = agent.t_end
+                diag[aid] = agent.diagnostic
+        return RunReport(
+            mode=self.mode,
+            status=status,
+            t_start=t_start,
+            t_end=t_end,
+            diagnostics=diag,
+            commits=list(self.commits),
+            counter=self.counter,
+            trace=list(self.trace),
+            events=events,
+            wall_seconds=wall,
+            agents=self.agents,
+        )
+
+
+class DeterministicKernel(_Kernel):
     """Single-threaded replayable event loop over a logical tick clock.
 
     Message delivery costs one tick; timers jump the clock forward for free,
     so protocol deadlines are cheap in logical time.
     """
+
+    mode = "deterministic"
 
     def __init__(
         self,
@@ -155,16 +217,10 @@ class DeterministicKernel:
         releases: list[tuple[float, str]],
         config: Optional[KernelConfig] = None,
     ):
-        self.directory = directory
-        self.agents = agents
-        self.config = config or KernelConfig.deterministic()
-        self._releases = sorted(releases)
+        super().__init__(directory, agents, releases, config or KernelConfig.deterministic())
         self._queue: list[tuple[float, int, str, Event]] = []
         self._seq = 0
         self._now: float = 0
-        self.counter = MessageCounter()
-        self.trace: list[str] = []
-        self.commits: list[CommitRecord] = []
 
     def now(self):
         return self._now
@@ -176,20 +232,6 @@ class DeterministicKernel:
             self._queue, (self._now + delay, self._next_seq(), agent_id, DeadlineExpired(token))
         )
         return token
-
-    def record_commit(self, resource_id: str, entry) -> None:
-        # the booked *core* is what stability protects: leading setup/travel may
-        # be reshaped by later insertions, and open tails grow a load segment
-        self.commits.append(
-            CommitRecord(
-                at=self._now,
-                resource_id=resource_id,
-                order_id=entry.order_id,
-                step_label=entry.step_label,
-                start=entry.core_start,
-                end=entry.operation_end,
-            )
-        )
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -227,40 +269,17 @@ class DeterministicKernel:
             agent = self.agents.get(receiver)
             if agent is None:
                 continue
-            if isinstance(event, StartOrder):
-                self.trace.append(_trace_line(int(t), "StartOrder", "kernel", receiver, ""))
-            elif isinstance(event, DeadlineExpired):
-                self.trace.append(_trace_line(int(t), "Deadline", "kernel", receiver, ""))
+            kind = _KERNEL_LINES.get(type(event))
+            if kind is not None:
+                self.trace.append(_trace_line(int(t), kind, "kernel", receiver, ""))
             ctx = _Ctx(self, receiver)
             for msg in agent.handle(event, ctx):
                 self._post(msg)
         wall = time.perf_counter() - t0
         return self._report(events, wall)
 
-    def _report(self, events: int, wall: float) -> RunReport:
-        status, t_start, t_end, diag = {}, {}, {}, {}
-        for aid, agent in self.agents.items():
-            if isinstance(agent, OrderAgent):
-                status[aid] = agent.status if agent.status in ("done", "failed") else "stuck"
-                t_start[aid] = agent.t_start
-                t_end[aid] = agent.t_end
-                diag[aid] = agent.diagnostic
-        return RunReport(
-            mode="deterministic",
-            status=status,
-            t_start=t_start,
-            t_end=t_end,
-            diagnostics=diag,
-            commits=self.commits,
-            counter=self.counter,
-            trace=self.trace,
-            events=events,
-            wall_seconds=wall,
-            agents=self.agents,
-        )
 
-
-class ConcurrentKernel:
+class ConcurrentKernel(_Kernel):
     """Thread-per-agent kernel on the monotonic clock.
 
     Each agent owns a mailbox thread, so its handlers stay single-threaded;
@@ -269,6 +288,8 @@ class ConcurrentKernel:
     wall-clock offsets — the hosting-interval experiments feed on this.
     """
 
+    mode = "concurrent"
+
     def __init__(
         self,
         directory,
@@ -276,10 +297,7 @@ class ConcurrentKernel:
         releases: list[tuple[float, str]],
         config: Optional[KernelConfig] = None,
     ):
-        self.directory = directory
-        self.agents = agents
-        self.config = config or KernelConfig.concurrent()
-        self._releases = sorted(releases)
+        super().__init__(directory, agents, releases, config or KernelConfig.concurrent())
         self._queues: dict[str, queue.Queue] = {aid: queue.Queue() for aid in agents}
         self._lock = threading.Lock()
         self._timers: set[threading.Timer] = set()
@@ -292,9 +310,6 @@ class ConcurrentKernel:
         self._order_ids = {
             aid for aid, agent in agents.items() if isinstance(agent, OrderAgent)
         }
-        self.counter = MessageCounter()
-        self.trace: list[str] = []
-        self.commits: list[CommitRecord] = []
         self._events = 0
 
     def now(self) -> float:
@@ -320,16 +335,7 @@ class ConcurrentKernel:
 
     def record_commit(self, resource_id: str, entry) -> None:
         with self._lock:
-            self.commits.append(
-                CommitRecord(
-                    at=self.now(),
-                    resource_id=resource_id,
-                    order_id=entry.order_id,
-                    step_label=entry.step_label,
-                    start=entry.core_start,
-                    end=entry.operation_end,
-                )
-            )
+            super().record_commit(resource_id, entry)
 
     def _deliver(self, agent_id: str, event: Event, delay: float = 0.0) -> None:
         q = self._queues.get(agent_id)
@@ -368,6 +374,11 @@ class ConcurrentKernel:
                 # order's final accepts and departures are still in flight
                 # when it finishes, and the calendars must receive them.
                 time.sleep(wait)
+            kind = _KERNEL_LINES.get(type(event))
+            if kind is not None:
+                with self._lock:
+                    self.trace.append(_trace_line(self.now(), kind, "kernel", agent_id, ""))
+                    self._events += 1
             try:
                 out = agent.handle(event, ctx)
             except Exception:  # noqa: BLE001 - one bad event must not kill the thread
@@ -430,29 +441,8 @@ class ConcurrentKernel:
         wall = time.perf_counter() - t_wall
         if not finished:
             log.error("concurrent run hit the wall limit of %.1fs", limit)
-        return self._report(wall)
-
-    def _report(self, wall: float) -> RunReport:
-        status, t_start, t_end, diag = {}, {}, {}, {}
-        for aid, agent in self.agents.items():
-            if isinstance(agent, OrderAgent):
-                status[aid] = agent.status if agent.status in ("done", "failed") else "stuck"
-                t_start[aid] = agent.t_start
-                t_end[aid] = agent.t_end
-                diag[aid] = agent.diagnostic
-        return RunReport(
-            mode="concurrent",
-            status=status,
-            t_start=t_start,
-            t_end=t_end,
-            diagnostics=diag,
-            commits=list(self.commits),
-            counter=self.counter,
-            trace=list(self.trace),
-            events=self._events,
-            wall_seconds=wall,
-            agents=self.agents,
-        )
+        with self._lock:
+            return self._report(self._events, wall)
 
 
 def run_kernel(

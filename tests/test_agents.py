@@ -238,15 +238,6 @@ def test_accept_unknown_offer_fails():
     assert "offer unknown or hold expired" in out[0].parts[0].reason
 
 
-def test_accept_after_hold_expiry_fails():
-    m, ctx = machine(), FakeCtx()
-    offer = proposals_of(m.handle(envelope("M1", "o1", 0, production_cfp()), ctx))[0]
-    ctx.advance(ctx.hold_deadline + 1)
-    out = m.handle(envelope("M1", "o1", 0, AcceptProposal(offer.proposal_id, offer.slot)), ctx)
-    assert out[0].variant == "InformFailure"
-    assert m.schedule.entries == []
-
-
 def test_accept_revalidates_duration_start_and_slack():
     def fresh_offer():
         m, ctx = machine(initial_state="B"), FakeCtx()
@@ -313,7 +304,7 @@ def test_buffer_requires_unit_capacity():
         BufferAgent(BufferConfig(agent_id="B", location=(0, 0), capacity=2))
 
 
-def buffer_cfp(realizes="P#1", es=1000, ef=2000, ls=5000, lf=6000, order="o1"):
+def buffer_cfp(realizes="P#1", es=1000, ef=2000, ls=5000, lf=6000, order="o1", deadline=10**7):
     return Cfp(
         kind=BUFFER,
         workpiece=WorkpieceInfo(order, "A", (5.0, 5.0)),
@@ -321,7 +312,7 @@ def buffer_cfp(realizes="P#1", es=1000, ef=2000, ls=5000, lf=6000, order="o1"):
         alternatives=(
             CfpAlternative(StageWindows(es=es, ef=ef, ls=ls, lf=lf), realizes=realizes),
         ),
-        deadline=10**7,
+        deadline=deadline,
     )
 
 
@@ -393,7 +384,7 @@ def crane(agent_id="Crane1", initial_x=0.0):
     )
 
 
-def transport_cfp(order="o1"):
+def transport_cfp(order="o1", deadline=10**7):
     inbound = TransportLeg(
         from_resource="M1",
         to_resource="Buf1",
@@ -417,16 +408,17 @@ def transport_cfp(order="o1"):
         workpiece=WorkpieceInfo(order, "A", (10.0, 5.0)),
         operation="transport",
         legs=(inbound, outbound),
-        deadline=10**7,
+        deadline=deadline,
     )
 
 
 def test_transport_labels_legs_and_offers_chained_variant():
     t, ctx = crane(), FakeCtx()
     props = proposals_of(t.handle(envelope("Crane1", "o1", 1, transport_cfp()), ctx))
+    held = {h.proposal_id: h for h in t.holds}
     by_label = {}
     for p in props:
-        by_label.setdefault(t._offers[p.proposal_id].step_label, []).append(p)
+        by_label.setdefault(held[p.proposal_id].step_label, []).append(p)
     assert set(by_label) == {"T:1,B2", "T:B2,2"}
 
     (inbound,) = by_label["T:1,B2"]
@@ -509,6 +501,72 @@ def test_transport_linked_accepts_fail_as_a_unit():
 
 
 # ---------------------------------------------------------------------------
+# offer book, shared by every resource kind
+
+
+def buffer_place():
+    return BufferAgent(
+        BufferConfig(agent_id="Buf1", location=(15.0, 15.0), unload_estimate=600, load_estimate=600)
+    )
+
+
+RESOURCES = {
+    "machine": (machine, lambda order, deadline: production_cfp(order=order, deadline=deadline)),
+    "buffer": (buffer_place, lambda order, deadline: buffer_cfp(order=order, deadline=deadline)),
+    "crane": (crane, transport_cfp),
+}
+
+
+def ask(kind, agent, ctx, order, deadline=10**7):
+    """Send the agent its kind's CFP for ``order`` (stage 1); returns its answer."""
+    cfp = RESOURCES[kind][1](order, deadline)
+    return agent.handle(envelope(agent.agent_id, order, 1, cfp), ctx)
+
+
+def resource(kind):
+    return RESOURCES[kind][0]()
+
+
+@pytest.mark.parametrize("kind", RESOURCES)
+def test_accept_after_hold_expiry_fails(kind):
+    agent, ctx = resource(kind), FakeCtx()
+    offer = proposals_of(ask(kind, agent, ctx, "o1"))[0]
+    ctx.advance(ctx.hold_deadline + 1)
+    out = agent.handle(
+        envelope(agent.agent_id, "o1", 1, AcceptProposal(offer.proposal_id, offer.slot)), ctx
+    )
+    assert [m.variant for m in out] == ["InformFailure"]
+    assert out[0].parts[0].reason == "offer unknown or hold expired"
+    assert agent.schedule.entries == [] and ctx.commits == []
+    assert len(agent.holds) == 0
+
+
+@pytest.mark.parametrize("kind", RESOURCES)
+def test_reject_frees_the_held_span_for_the_next_cfp(kind):
+    agent, ctx = resource(kind), FakeCtx()
+    first = proposals_of(ask(kind, agent, ctx, "o1"))
+    rejects = [RejectProposal(p.proposal_id) for p in first]
+    assert agent.handle(envelope(agent.agent_id, "o1", 1, *rejects), ctx) == []
+    assert len(agent.holds) == 0
+    again = proposals_of(ask(kind, agent, ctx, "o2"))
+    assert again[0].slot == first[0].slot
+
+    # without the reject the hold keeps that span from the second order
+    held, ctx = resource(kind), FakeCtx()
+    first = proposals_of(ask(kind, held, ctx, "o1"))
+    out = ask(kind, held, ctx, "o2")
+    assert out == [] or proposals_of(out)[0].slot != first[0].slot
+
+
+@pytest.mark.parametrize("kind", RESOURCES)
+def test_cfp_past_its_deadline_gets_no_answer(kind):
+    agent, ctx = resource(kind), FakeCtx(now=100)
+    assert ask(kind, agent, ctx, "o1", deadline=100) == []
+    assert len(agent.holds) == 0
+    assert proposals_of(ask(kind, agent, ctx, "o1", deadline=101))  # still open: answered
+
+
+# ---------------------------------------------------------------------------
 # order agent bookkeeping
 
 
@@ -566,11 +624,6 @@ def test_terminal_order_ignores_further_events():
     assert out == [] and oa.status == "done"
 
 
-class _NC:
-    def __init__(self, kernel):
-        self.kernel = kernel
-
-
 def test_production_round_windows_follow_previous_commit():
     oa, ctx = order_agent(), FakeCtx()
     ctx.directory.register("cutting", "M1")
@@ -578,7 +631,7 @@ def test_production_round_windows_follow_previous_commit():
 
     from cnetsched.protocol import StageNegotiation
 
-    plan = oa.plan_production(StageNegotiation("o1", 0), _NC(ctx))
+    plan = oa.plan_production(StageNegotiation("o1", 0), ctx)
     assert {m.receiver for m in plan.messages} == {"M1", "M2"}
     assert plan.awaiting == {"M1", "M2"}
     cfp = plan.messages[0].parts[0]
@@ -588,7 +641,7 @@ def test_production_round_windows_follow_previous_commit():
 
     ctx.directory.register("forging", "F1")
     oa.committed = [stage_commit("M0", 0, 6000)]
-    plan = oa.plan_production(StageNegotiation("o1", 1), _NC(ctx))
+    plan = oa.plan_production(StageNegotiation("o1", 1), ctx)
     cfp = plan.messages[0].parts[0]
     assert cfp.workpiece.location == (5.0, 5.0)
     assert cfp.alternatives[0].windows.es == 6000 + PARAMS.t_transport_min

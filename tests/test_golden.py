@@ -3,7 +3,8 @@
 Each digest is the sha256 of ``render_gantt(r) + render_trace(r)`` of one
 deterministic run. A refactor or speed-up of the engine must leave every one
 of them as it is; a change that moves schedules on purpose updates them and
-says why.
+says why. The brute-force oracles judge the same runs, so a schedule that
+moves on purpose must still be a valid one.
 """
 
 import hashlib
@@ -11,9 +12,10 @@ import hashlib
 import pytest
 
 from cnetsched.harness import build_shop_scenario, render_gantt, render_trace, run_scenario
+from cnetsched.oracle import occupancy_check, stability_check
 from cnetsched.scenario import load_scenario
 
-from conftest import FLOWSHOP, JOBSHOP
+from conftest import FLOWSHOP, JOBSHOP, agent_kinds
 
 GOLDEN = [
     pytest.param(
@@ -50,3 +52,11 @@ def test_deterministic_schedule_is_unchanged(make, digest, counts):
     assert (statuses.count("done"), statuses.count("failed")) == counts
     text = render_gantt(r) + render_trace(r)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make, digest, counts", GOLDEN)
+def test_golden_runs_pass_the_oracles(make, digest, counts):
+    r = run_scenario(make(), mode="deterministic")
+    schedules = r.schedules()
+    assert occupancy_check(schedules, kinds=agent_kinds(r)) == []
+    assert stability_check(r.commits, schedules) == []

@@ -59,17 +59,15 @@ def proposal_msg(resource, conv, *proposals):
 
 
 class FakeCtx:
+    cfp_deadline = 60
+
     def __init__(self):
-        self._now = 0
         self._tokens = 0
         self.timers = []
 
-    def now(self):
-        return self._now
-
-    def set_timer_for_stage(self, neg):
+    def set_timer(self, delay):
         self._tokens += 1
-        self.timers.append(self._tokens)
+        self.timers.append((self._tokens, delay))
         return self._tokens
 
 
@@ -205,6 +203,7 @@ def test_stage_happy_path_and_phase_history():
     assert [m.receiver for m in out] == ["M1", "M2"]
     assert neg.phase is Phase.AWAIT_PRODUCTION
     assert neg.deadline_token == 1
+    assert ctx.timers == [(1, ctx.cfp_deadline)]  # the round's deadline is armed
 
     assert advance_stage(
         neg, proposal_msg("M1", "o1/s0", mk_proposal("M1#1", "M1")), planner, ctx

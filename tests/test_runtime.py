@@ -119,10 +119,27 @@ def test_concurrent_kernel_with_latency_completes():
     assert report.wall_seconds > 0
 
 
-def test_trace_records_every_event(flowshop_report):
+def staggered(scenario, seconds=0.3):
+    """The scenario with its order releases ``seconds`` apart.
+
+    Releases are wall-clock seconds under the concurrent kernel, so the
+    bundled floors' tick offsets (1500 for the flow shop) would idle the run.
+    """
+    return replace(
+        scenario,
+        orders=tuple(replace(o, release=seconds * i) for i, o in enumerate(scenario.orders)),
+    )
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "concurrent"])
+def test_trace_records_every_event(mode, flowshop_report, flowshop_scenario):
     # one line per delivered event; protocol envelopes carry a conversation,
     # kernel housekeeping is written as StartOrder / Deadline (docs/formats.md)
-    r = flowshop_report
+    if mode == "deterministic":
+        r = flowshop_report
+    else:
+        # order-A's 0.25-s round deadlines fire while order-B (0.3 s) runs
+        r = run_scenario(staggered(flowshop_scenario), mode)
     assert len(r.trace) == r.events
     kinds = [ln.split()[2] for ln in r.trace]
     housekeeping = ("StartOrder", "Deadline")
@@ -171,11 +188,7 @@ def test_concurrent_latency_delivers_the_last_orders_bookings(flowshop_scenario)
     # departures are still waiting out their latency; they must still land
     from cnetsched.harness import kernel_config
 
-    # releases are wall-clock seconds under this kernel: 0.3 s apart, not 1500
-    s = replace(
-        flowshop_scenario,
-        orders=tuple(replace(o, release=0.3 * i) for i, o in enumerate(flowshop_scenario.orders)),
-    )
+    s = staggered(flowshop_scenario)
     cfg = replace(kernel_config(s, "concurrent"), message_latency=0.002)
     r = run_scenario(s, "concurrent", config=cfg)
     assert r.all_done
