@@ -8,8 +8,11 @@ deterministic and the concurrent kernel.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import logging
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from . import calculus
@@ -48,6 +51,7 @@ from .protocol import (
     advance_stage,
     conversation_id,
     parse_conversation,
+    reject_unused,
 )
 from .selector import StageContext, build_ocs, select
 from .timebase import (
@@ -66,6 +70,7 @@ log = logging.getLogger(__name__)
 #: upper edge of every placement scan; a gap reaching it counts as unbounded
 HORIZON: Seconds = 10**9
 _ALL = TimeInterval(0, HORIZON)
+_iv_end = attrgetter("end")
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,9 @@ class _ResourceAgent:
     kind: str  # PRODUCTION | BUFFER | TRANSPORT
     #: successor setup callback for ``insert_booking``; None keeps it as booked
     _succ_setup = None
+    #: S, the largest setup (plus unload prefix) a gap's predecessor or
+    #: successor can impose on this resource; set by each kind
+    _setup_bound: Seconds = 0
 
     def __init__(self, config) -> None:
         self.config = config
@@ -212,17 +220,34 @@ class _ResourceAgent:
         """Proposals for one CFP of the 1-based plan step ``step``, each held by ``_offer``."""
         raise NotImplementedError
 
-    def _free(self, conv: str, ctx, assume_closed: frozenset[str] = frozenset()):
+    def _free(
+        self, conv: str, ctx, base: Seconds, assume_closed: frozenset[str] = frozenset()
+    ) -> list[TimeInterval]:
         """Free calendar intervals with other conversations' holds counted busy.
 
         This conversation's holds are ignored, so the offers made for one CFP
-        never block each other and the list holds for the whole CFP.
+        never block each other and the list holds for the whole CFP. ``base``
+        is the earliest start of any slot the CFP asks for; intervals that
+        :meth:`_usable` would drop for it are not even listed.
         """
         return self.schedule.free_intervals(
             _ALL,
             extra_busy=self.holds.active_spans(ctx.now(), exclude_conversation=conv),
             assume_closed=assume_closed,
+            after=base - self._setup_bound - 1,
         )
+
+    def _usable(self, free: list[TimeInterval], base: Seconds) -> list[TimeInterval]:
+        """The intervals of ``free`` that may host a slot starting no earlier than ``base``.
+
+        In an interval with ``iv.end + S < base`` the predecessor's setup
+        (at most S) ends before ``base``, so the slot starts at exactly
+        ``base``; the gap ends at most the successor's old setup (at most S)
+        after the interval, so the slot overruns it. A latest-start or
+        latest-finish break such a slot would trigger fires on the first
+        interval kept as well, so dropping these intervals changes no offer.
+        """
+        return free[bisect.bisect_left(free, base - self._setup_bound, key=_iv_end):]
 
     def _offer(
         self, ctx, conv: str, step_label: str, span: TimeInterval, end_state="", **fields
@@ -321,6 +346,12 @@ class ProductionAgent(_ResourceAgent):
     def _setup(self, from_state: str, to_state: str) -> Seconds:
         return self.config.setup.get(from_state, {}).get(to_state, 0)
 
+    @functools.cached_property
+    def _setup_bound(self) -> Seconds:
+        # worked out at the first CFP, not for every machine a run builds
+        setups = [d for row in self.config.setup.values() for d in row.values()]
+        return max(setups, default=0) + self.config.unload_estimate
+
     def _succ_setup(self, new_state: str, succ: BookingEntry) -> Seconds:
         # a maintenance window demands its end_state just like a job does, so
         # finishing in the wrong state in front of one costs a changeover too
@@ -350,16 +381,23 @@ class ProductionAgent(_ResourceAgent):
         unload = 0 if (entry_stage or own) else self.config.unload_estimate
         load_est = self.config.load_estimate
         conv = msg.conversation_id
-        free = self._free(conv, ctx, frozenset({order_id}) if own else frozenset())
+        # the requested es includes a transport estimate; when the piece is
+        # already sitting on this machine it is available at operation end
+        earliest = [
+            tail.operation_end if tail is not None else alt.windows.es
+            for alt in cfp.alternatives
+        ]
+        if not earliest:
+            return []
+        free = self._free(
+            conv, ctx, min(earliest), frozenset({order_id}) if own else frozenset()
+        )
         proposals: list[Proposal] = []
-        for alt_idx, alt in enumerate(cfp.alternatives):
-            # the requested es includes a transport estimate; when the piece is
-            # already sitting on this machine it is available at operation end
-            es = tail.operation_end if own and tail is not None else alt.windows.es
+        for alt_idx, (alt, es) in enumerate(zip(cfp.alternatives, earliest)):
             ls, lf = alt.windows.ls, alt.windows.lf
             emitted = 0
             for gap in self.schedule.placement_gaps(
-                free, product, self._succ_setup, self.config.initial_state
+                self._usable(free, es), product, self._succ_setup, self.config.initial_state
             ):
                 if own and tail is not None and gap.start != tail.operation_end:
                     # the workpiece sits on this machine and can only wait in
@@ -479,15 +517,18 @@ class BufferAgent(_ResourceAgent):
         if config.capacity != 1:
             raise ValueError("buffer places have capacity 1; model more places instead")
         super().__init__(config)
+        self._setup_bound = config.unload_estimate
 
     def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
         conv = msg.conversation_id
         u_est, l_est = self.config.unload_estimate, self.config.load_estimate
-        free = self._free(conv, ctx)
+        if not cfp.alternatives:
+            return []
+        free = self._free(conv, ctx, min(alt.windows.es for alt in cfp.alternatives))
         proposals: list[Proposal] = []
         for alt_idx, alt in enumerate(cfp.alternatives):
             w = alt.windows
-            for iv in free:
+            for iv in self._usable(free, w.es):
                 start = max(w.es, iv.start + u_est)
                 if w.ls is not None and start > w.ls:
                     break
@@ -569,6 +610,9 @@ class TransportAgent(_ResourceAgent):
         super().__init__(config)
         self._pickup_x: dict[tuple[str, str], float] = {}
         self._committed_pids: set[str] = set()
+        # every setup is travel inside the crane's own segment
+        geom = config.geometry
+        self._setup_bound = geom.travel_seconds(geom.x_min, geom.x_max)
 
     def _succ_setup(self, new_state, succ: BookingEntry) -> Seconds:
         """Travel from ``new_state`` (a drop-off x) to the successor's pickup.
@@ -585,9 +629,7 @@ class TransportAgent(_ResourceAgent):
         conv = msg.conversation_id
         # legs that some other leg chains onto head into a buffer
         chain_targets = {leg.chain_after for leg in cfp.legs if leg.chain_after is not None}
-        free = self._free(conv, ctx)
-        proposals: list[Proposal] = []
-        emitted_by_leg: dict[int, Proposal] = {}
+        legs: list[tuple[int, TransportLeg, str, Seconds]] = []
         for leg_idx, leg in enumerate(cfp.legs):
             fx, tx = leg.from_location[0], leg.to_location[0]
             if not (geom.covers(fx) and geom.covers(tx)):
@@ -599,42 +641,56 @@ class TransportAgent(_ResourceAgent):
             else:
                 label = f"T:{step - 1},{step}"
             dur = geom.load_time + geom.travel_seconds(fx, tx) + geom.unload_time
-            made = self._place_leg(leg, leg_idx, label, dur, free, conv, ctx)
-            if made is not None:
+            legs.append((leg_idx, leg, label, dur))
+        if not legs:
+            return []  # outside this crane's segment: silent, no calendar walk
+        # a chained variant starts after its partner, which is placed no
+        # earlier than its own leg's base
+        free = self._free(
+            conv, ctx, min(max(leg.windows.es, leg.windows.ef - dur) for _, leg, _, dur in legs)
+        )
+        proposals: list[Proposal] = []
+        emitted_by_leg: dict[int, Proposal] = {}
+        for leg_idx, leg, label, dur in legs:
+            fx, tx = leg.from_location[0], leg.to_location[0]
+            plain = self._place_leg(leg, leg_idx, dur, free)
+            if plain is not None:
+                made = self._offer(ctx, conv, label, end_state=tx, **plain)
                 proposals.append(made)
                 emitted_by_leg[leg_idx] = made
             # chained variant: departing right where a partner leg drops off
-            if leg.chain_after is not None:
-                partner = emitted_by_leg.get(leg.chain_after)
-                if (
-                    partner is not None
-                    and abs(cfp.legs[leg.chain_after].to_location[0] - fx) < 1e-9
-                ):
-                    chained = self._place_leg(
-                        leg, leg_idx, label, dur, free, conv, ctx, after=partner
-                    )
-                    if chained is not None and (
-                        made is None or chained.slot != made.slot or chained.price != made.price
-                    ):
-                        proposals.append(chained)
+            partner = emitted_by_leg.get(leg.chain_after)
+            if partner is None or abs(cfp.legs[leg.chain_after].to_location[0] - fx) >= 1e-9:
+                continue
+            chained = self._place_leg(leg, leg_idx, dur, free, after=partner)
+            # one equal to the plain placement is not offered: no hold, no id
+            if chained is not None and (
+                plain is None
+                or (chained["slot"], chained["price"]) != (plain["slot"], plain["price"])
+            ):
+                proposals.append(self._offer(ctx, conv, label, end_state=tx, **chained))
         return proposals
 
     def _place_leg(
         self,
         leg: TransportLeg,
         leg_idx: int,
-        step_label: str,
         dur: Seconds,
         free: list[TimeInterval],
-        conv: str,
-        ctx,
         after: Optional[Proposal] = None,
-    ) -> Optional[Proposal]:
+    ) -> Optional[dict]:
+        """Where ``leg`` fits first, as ``_offer`` arguments: the span and the proposal's fields.
+
+        ``after`` places the chained variant, which loads where and when the
+        partner proposal ``after`` unloads. None when the leg fits nowhere.
+        Nothing is held here; ``_propose`` decides what becomes an offer.
+        """
         geom = self.config.geometry
         w = leg.windows
         fx, tx = leg.from_location[0], leg.to_location[0]
+        base = after.slot.end if after is not None else max(w.es, w.ef - dur)
         for gap in self.schedule.placement_gaps(
-            free, tx, self._succ_setup, self.config.initial_x, _crane_x
+            self._usable(free, base), tx, self._succ_setup, self.config.initial_x, _crane_x
         ):
             if after is not None:
                 if not (gap.start <= after.slot.start and after.slot.end <= gap.end):
@@ -658,12 +714,8 @@ class TransportAgent(_ResourceAgent):
                 w.ls + dur if w.ls is not None else None,
                 w.lf,
             )
-            return self._offer(
-                ctx,
-                conv,
-                step_label,
-                TimeInterval(max(0, load_start - setup), end),
-                tx,
+            return dict(
+                span=TimeInterval(max(0, load_start - setup), end),
                 location=(fx, leg.from_location[1]),
                 slot=TimeInterval(load_start, end),
                 slack_before=Slack(max(0, load_start - setup - gap.start)),
@@ -757,7 +809,7 @@ class OrderAgent:
 
     def handle(self, event, ctx) -> list[Message]:
         if self.status in ("done", "failed"):
-            return []
+            return reject_unused(self.agent_id, event)
         if isinstance(event, StartOrder):
             self.status = "running"
             self.t_start = ctx.now()

@@ -423,10 +423,11 @@ def advance_stage(
     ``ctx`` must provide ``cfp_deadline`` and ``set_timer(delay) -> token``,
     which arm one round's deadline, plus whatever the planner needs; it is
     passed on to the planner unchanged. Out-of-phase or unknown events are
-    dropped with a protocol-violation log line, never an exception.
+    dropped with a protocol-violation log line, never an exception; proposals
+    among them are rejected (:func:`reject_unused`).
     """
     if neg.is_terminal():
-        return []
+        return reject_unused(neg.order_id, event)
 
     if isinstance(event, StartStage):
         if neg.phase is not Phase.QUERY_DIRECTORY:
@@ -453,7 +454,7 @@ def advance_stage(
                 event.conversation_id,
                 neg.conversation,
             )
-            return []
+            return reject_unused(neg.order_id, event)
         if neg.phase not in _AWAIT_KIND:
             log.warning(
                 "protocol violation: %s from %s arrived in phase %s",
@@ -461,9 +462,9 @@ def advance_stage(
                 event.sender,
                 neg.phase,
             )
-            return []
+            return reject_unused(neg.order_id, event)
         expected = _AWAIT_KIND[neg.phase]
-        for part in event.parts:
+        for part in event.parts:  # an envelope carries one payload kind
             if not isinstance(part, Proposal):
                 log.warning(
                     "protocol violation: %s inside a proposal round", type(part).__name__
@@ -473,8 +474,8 @@ def advance_stage(
                 log.warning(
                     "protocol violation: %s proposal during %s round", part.kind, expected
                 )
-                return []
-            neg.proposals[expected].append(part)
+                return reject_unused(neg.order_id, event)
+        neg.proposals[expected].extend(event.parts)
         neg.awaiting.discard(event.sender)
         if neg.awaiting:
             return []
@@ -482,6 +483,28 @@ def advance_stage(
 
     log.warning("protocol violation: unknown event %r", event)
     return []
+
+
+def reject_unused(order_id: str, event) -> list[Message]:
+    """A RejectProposal to the sender for every proposal in ``event``.
+
+    An order answers each proposal it will not use (late, stray or out of
+    phase) this way, so the sender frees the held span at once instead of
+    withholding it from other orders until the hold deadline.
+    """
+    if not isinstance(event, Message):
+        return []
+    parts = tuple(RejectProposal(p.proposal_id) for p in event.parts if isinstance(p, Proposal))
+    if not parts:
+        return []
+    return [
+        Message(
+            sender=order_id,
+            receiver=event.sender,
+            conversation_id=event.conversation_id,
+            parts=parts,
+        )
+    ]
 
 
 def _advance_round(neg: StageNegotiation, planner: StagePlanner, ctx) -> list[Message]:

@@ -83,10 +83,6 @@ class RunReport:
     def all_done(self) -> bool:
         return all(s == "done" for s in self.status.values())
 
-    @property
-    def all_terminated(self) -> bool:
-        return all(s in ("done", "failed") for s in self.status.values())
-
     def lead_time(self, order_id: str) -> Optional[float]:
         a, b = self.t_start.get(order_id), self.t_end.get(order_id)
         return None if a is None or b is None else b - a

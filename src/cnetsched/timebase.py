@@ -230,10 +230,11 @@ SetupFn = Callable[[Any, BookingEntry], Seconds]
 # callback: entry -> the state it leaves the resource in, None when it tells nothing
 StateFn = Callable[[BookingEntry], Any]
 
-_INF = None  # suffix sentinel used in busy spans: (start, None) means [start, +inf)
+_INF = None  # suffix sentinel of a busy span: (start, None) means [start, +inf)
 _span_start = attrgetter("span_start")
 _span_end = attrgetter("span_end")
 _end_state = attrgetter("end_state")
+_open_tail = attrgetter("open_tail")
 
 
 @dataclass(frozen=True)
@@ -275,55 +276,58 @@ class ResourceSchedule:
                 return e
         return None
 
-    def busy_spans(
-        self, assume_closed: frozenset[str] | set[str] = frozenset()
-    ) -> list[tuple[Seconds, Optional[Seconds]]]:
-        """(start, end) busy spans; end=None encodes an open tail's infinite suffix.
-
-        ``assume_closed`` names orders whose open tail should be treated as
-        ending at its operation end (used by a resource reasoning about the
-        follow-up operation of the workpiece it currently holds).
-        """
-        spans: list[tuple[Seconds, Optional[Seconds]]] = []
-        for e in self.entries:
-            if e.open_tail and e.order_id not in assume_closed:
-                spans.append((e.span_start, _INF))
-            else:
-                spans.append((e.span_start, e.span_end))
-        return spans
-
     def free_intervals(
         self,
         window: TimeInterval,
         extra_busy: Iterable[TimeInterval] = (),
         assume_closed: frozenset[str] | set[str] = frozenset(),
+        after: Seconds = -1,
     ) -> list[TimeInterval]:
         """Maximal free intervals intersected with ``window``, sorted.
 
-        Open-tail entries block from their span start to +infinity. The union
-        of the result and the busy spans partitions the window exactly.
+        Open-tail entries block from their span start to +infinity;
+        ``assume_closed`` names orders whose open tail counts as ending at its
+        operation end (a resource reasoning about the follow-up operation of
+        the workpiece it holds). The union of the result and the busy spans
+        partitions the window exactly.
+
+        Only the intervals ending after ``after`` are returned (the default
+        keeps all), and they are not clipped: each is the same maximal
+        interval the full query gives, so its start and everything derived
+        from it stay put. The walk starts at the end of the last entry ending
+        by ``after``, the instant after which only the later entries and
+        ``extra_busy`` can block, so only those are merged. An open tail among
+        the earlier entries still blocks everything after it.
         """
-        blocked: list[tuple[Seconds, Optional[Seconds]]] = list(
-            self.busy_spans(assume_closed)
-        )
+        entries = self.entries
+        first = bisect.bisect_right(entries, after, key=_span_end)
+        cursor = window.start
+        if first:
+            for e in filter(_open_tail, entries[:first]):
+                if e.order_id not in assume_closed:
+                    return []
+            cursor = max(cursor, entries[first - 1].span_end)
+        blocked: list[tuple[Seconds, Optional[Seconds]]] = [
+            (e.span_start, _INF if e.open_tail and e.order_id not in assume_closed else e.span_end)
+            for e in entries[first:]
+        ]
         blocked.extend((iv.start, iv.end) for iv in extra_busy if not iv.is_empty())
         blocked.sort(key=lambda s: (s[0], s[1] is not None, s[1] or 0))
 
         free: list[TimeInterval] = []
-        cursor = window.start
         for start, end in blocked:
             if end is not None and end <= cursor:
                 continue
             if start >= window.end:
                 break
-            if start > cursor:
+            if start > cursor and min(start, window.end) > after:
                 free.append(TimeInterval(cursor, min(start, window.end)))
             if end is None:
                 return free  # everything after an open tail is blocked
             cursor = max(cursor, end)
             if cursor >= window.end:
                 return free
-        if cursor < window.end:
+        if cursor < window.end and window.end > after:
             free.append(TimeInterval(cursor, window.end))
         return free
 
@@ -342,6 +346,13 @@ class ResourceSchedule:
         :meth:`state_before` of its start. When an entry starts where the
         interval ends, the gap ends where that successor's setup, recomputed
         by ``setup_of``, has to begin. Empty gaps are skipped.
+
+        A gap therefore ends at most the successor's old setup after its
+        interval. When no setup on the resource exceeds ``S`` and a slot
+        cannot start before ``base``, a gap of an interval with
+        ``iv.end + S < base`` starts its slot at exactly ``base`` and cannot
+        hold it, so callers may drop those intervals first (and ask
+        :meth:`free_intervals` only for those ending after ``base - S - 1``).
         """
         for iv in free:
             end, ti = iv.end, 0

@@ -66,6 +66,23 @@ def agent_kinds(report) -> dict[str, str]:
     return kinds
 
 
+def hold_check(report) -> list[str]:
+    """Offer conservation: once every order is terminal, no resource holds an offer.
+
+    An offered span is withheld from other orders until it is accepted,
+    rejected or expires; a hold that outlives every order is one that was
+    never answered. Returns one line per violation.
+    """
+    running = sorted(o for o, s in report.status.items() if s not in ("done", "failed"))
+    if running:
+        return [f"orders still running: {', '.join(running)}"]
+    return [
+        f"{rid} still holds {h.proposal_id} for {h.conversation_id}"
+        for rid in sorted(agent_kinds(report))
+        for h in report.agents[rid].holds
+    ]
+
+
 # ---------------------------------------------------------------------------
 # randomized whole scenarios (invariant sweeps)
 

@@ -1,6 +1,11 @@
+import copy
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cnetsched.agents import (
+    _ALL,
     BufferAgent,
     BufferConfig,
     DirectoryService,
@@ -11,8 +16,10 @@ from cnetsched.agents import (
     StageCommit,
     TransportAgent,
     TransportConfig,
+    _crane_x,
+    _slack_from,
 )
-from cnetsched.calculus import ScheduleParams, TransportGeometry
+from cnetsched.calculus import ScheduleParams, TransportGeometry, proposal_price
 from cnetsched.protocol import (
     BUFFER,
     PRODUCTION,
@@ -23,13 +30,15 @@ from cnetsched.protocol import (
     InformDeparture,
     InformFailure,
     Message,
+    OfferHold,
+    Proposal,
     RejectProposal,
     StageWindows,
     TransportLeg,
     WorkpieceInfo,
     conversation_id,
 )
-from cnetsched.timebase import BookingEntry, Slack, TimeInterval, minutes
+from cnetsched.timebase import BookingEntry, OverlapError, Slack, TimeInterval, minutes
 
 PARAMS = ScheduleParams(t_transport_min=minutes(21), t_buffer_min=minutes(15))
 
@@ -436,6 +445,16 @@ def test_transport_labels_legs_and_offers_chained_variant():
     assert chained[0].slot == plain[0].slot  # same placement, cheaper start
 
 
+def test_transport_drops_a_chained_variant_equal_to_the_plain_one_without_holding_it():
+    # parked at the buffer, the plain outbound leg needs no approach either,
+    # so its chained variant would be the same offer
+    t, ctx = crane(initial_x=20.0), FakeCtx()
+    props = proposals_of(t.handle(envelope("Crane1", "o1", 1, transport_cfp()), ctx))
+    assert [p.required_operation for p in props] == [None, None]
+    assert len(t.holds) == len(props)
+    assert [p.proposal_id for p in props] == ["Crane1#p1", "Crane1#p2"]
+
+
 def test_transport_accept_books_travel_load_travel_unload():
     t, ctx = crane(), FakeCtx()
     props = proposals_of(t.handle(envelope("Crane1", "o1", 1, transport_cfp()), ctx))
@@ -645,3 +664,386 @@ def test_production_round_windows_follow_previous_commit():
     cfp = plan.messages[0].parts[0]
     assert cfp.workpiece.location == (5.0, 5.0)
     assert cfp.alternatives[0].windows.es == 6000 + PARAMS.t_transport_min
+
+
+# ---------------------------------------------------------------------------
+# placement skip: the same offers as a walk over every free interval
+#
+# Calendars are grown by ``insert_booking`` with the agent's own successor
+# setup, so a later booking may shrink a successor's setup and a gap may end
+# after its free interval (``gap.end > iv.end``); holds of other orders and
+# open tails sit in between. The references are copies of the walks before
+# the skip: every free interval from time 0.
+
+
+SMALL_SETUP = {"A": {"B": 15, "C": 5}, "B": {"A": 30}, "C": {"B": 25, "A": 10}}
+
+
+def small_machine():
+    return ProductionAgent(
+        ProductionConfig(
+            agent_id="M1",
+            capability="cutting",
+            location=(5.0, 5.0),
+            op_duration={"A": 20, "B": 35, "C": 10},
+            setup=SMALL_SETUP,
+            initial_state="A",
+            unload_estimate=7,
+            load_estimate=4,
+        )
+    )
+
+
+def small_crane():
+    return TransportAgent(
+        TransportConfig(
+            agent_id="Crane1",
+            geometry=TransportGeometry(
+                speed=1.0, load_time=5, unload_time=5, x_min=0.0, x_max=60.0
+            ),
+            initial_x=30.0,
+        )
+    )
+
+
+other_holds = st.lists(
+    st.tuples(st.integers(0, 700), st.integers(1, 40)), max_size=3
+)
+
+
+def hold_others(agent, spans, order="x"):
+    for i, (start, dur) in enumerate(spans):
+        agent.holds.add(
+            OfferHold(f"other#{i}", TimeInterval(start, start + dur), f"{order}/s9", 10**6)
+        )
+
+
+@st.composite
+def machine_with_calendar(draw):
+    m = small_machine()
+    states = ("A", "B", "C")
+    for i in range(draw(st.integers(0, 12))):
+        start, dur = draw(st.integers(0, 600)), draw(st.integers(1, 50))
+        prev, state = draw(st.sampled_from(states)), draw(st.sampled_from(states))
+        setup = m._setup(prev, state)
+        segments = [("operation", TimeInterval(start + setup, start + setup + dur))]
+        if setup:
+            segments.insert(0, ("setup", TimeInterval(start, start + setup)))
+        entry = BookingEntry(
+            f"o{i}", "1", segments, open_tail=draw(st.integers(0, 4)) == 0, end_state=state
+        )
+        try:
+            m.schedule.insert_booking(entry, m._succ_setup)
+        except OverlapError:
+            pass
+    m.schedule.check_invariants()
+    return m
+
+
+def full_walk_machine(m, cfp, conv, ctx):
+    """The machine's proposal loop over every free interval (before the skip)."""
+    order_id = cfp.workpiece.order_id
+    if m._engaged_elsewhere(order_id):
+        return []
+    product = cfp.workpiece.product
+    op_dur = m.config.op_duration[product]
+    tail = m.schedule.open_tail_for(order_id)
+    own = tail is not None
+    unload = 0 if (cfp.workpiece.location is None or own) else m.config.unload_estimate
+    load_est = m.config.load_estimate
+    free = m.schedule.free_intervals(
+        _ALL,
+        extra_busy=m.holds.active_spans(ctx.now(), exclude_conversation=conv),
+        assume_closed=frozenset({order_id}) if own else frozenset(),
+    )
+    out = []
+    for alt_idx, alt in enumerate(cfp.alternatives):
+        es = tail.operation_end if own else alt.windows.es
+        ls, lf = alt.windows.ls, alt.windows.lf
+        emitted = 0
+        for gap in m.schedule.placement_gaps(free, product, m._succ_setup, "A"):
+            if own and gap.start != tail.operation_end:
+                continue
+            setup = m._setup(gap.from_state, product)
+            prefix = setup + unload
+            op_start = max(es, gap.start + prefix)
+            if ls is not None and op_start > ls:
+                break
+            op_end = op_start + op_dur
+            if lf is not None and op_end > lf:
+                break
+            if op_end + load_est > gap.end:
+                continue
+            block_start = op_start - prefix
+            out.append(
+                m._offer(
+                    ctx,
+                    conv,
+                    "1",
+                    TimeInterval(block_start, op_end + load_est),
+                    product,
+                    location=m.config.location,
+                    slot=TimeInterval(op_start, op_end),
+                    slack_before=Slack(block_start - gap.start),
+                    slack_after=_slack_from(
+                        gap.end,
+                        op_end + load_est,
+                        ls + op_dur + load_est if ls is not None else None,
+                        lf + load_est if lf is not None else None,
+                    ),
+                    op_duration=op_dur,
+                    load_time=load_est,
+                    unload_time=unload,
+                    price=proposal_price(op_dur, setup, gap.ti_next),
+                    alternative=alt_idx,
+                )
+            )
+            emitted += 1
+            if emitted >= m.config.max_slots_per_cfp:
+                break
+    return out
+
+
+@st.composite
+def machine_cfp(draw, m):
+    tails = m.schedule.open_tail_entries()
+    order = tails[0].order_id if tails and draw(st.booleans()) else "new"
+    alternatives = []
+    for _ in range(draw(st.integers(1, 3))):
+        es = draw(st.integers(0, 800))
+        ls = draw(st.one_of(st.none(), st.integers(es, es + 300)))
+        lf = draw(st.one_of(st.none(), st.integers(es, es + 400)))
+        alternatives.append(CfpAlternative(StageWindows(es=es, ef=es, ls=ls, lf=lf)))
+    return Cfp(
+        kind=PRODUCTION,
+        workpiece=WorkpieceInfo(order, draw(st.sampled_from("ABC")), draw(
+            st.sampled_from((None, (10.0, 5.0)))
+        )),
+        operation="cutting",
+        alternatives=tuple(alternatives),
+        deadline=10**7,
+    )
+
+
+@given(st.data())
+def test_property_machine_skip_makes_the_full_walks_offers(data):
+    m = data.draw(machine_with_calendar())
+    cfp = data.draw(machine_cfp(m))
+    # another order's hold would make the machine defer; an earlier stage's does not
+    hold_others(m, data.draw(other_holds), cfp.workpiece.order_id)
+    msg = envelope("M1", cfp.workpiece.order_id, 0, cfp)
+    ref, ctx = copy.deepcopy(m), FakeCtx()
+    assert m._propose(msg, cfp, 1, ctx) == full_walk_machine(ref, cfp, msg.conversation_id, ctx)
+    assert list(m.holds) == list(ref.holds)
+
+
+@st.composite
+def crane_with_calendar(draw):
+    t = small_crane()
+    xs = (0.0, 12.0, 30.0, 45.0, 60.0)
+    for i in range(draw(st.integers(0, 12))):
+        start, dur = draw(st.integers(0, 600)), draw(st.integers(10, 70))
+        pickup, drop = draw(st.sampled_from(xs)), draw(st.sampled_from(xs))
+        setup = t.config.geometry.travel_seconds(draw(st.sampled_from(xs)), pickup)
+        segments = [("load", TimeInterval(start + setup, start + setup + dur))]
+        if setup:
+            segments.insert(0, ("travel", TimeInterval(start, start + setup)))
+        entry = BookingEntry(f"o{i}", "T", segments, end_state=f"{drop:g}")
+        try:
+            t.schedule.insert_booking(entry, t._succ_setup)
+        except OverlapError:
+            continue
+        if draw(st.booleans()):
+            t._pickup_x[(entry.order_id, "T")] = pickup
+    hold_others(t, draw(other_holds))
+    t.schedule.check_invariants()
+    return t
+
+
+def full_walk_leg(t, leg, dur, free, after=None):
+    """The crane's leg placement over every free interval (before the skip)."""
+    geom = t.config.geometry
+    w = leg.windows
+    fx, tx = leg.from_location[0], leg.to_location[0]
+    for gap in t.schedule.placement_gaps(free, tx, t._succ_setup, t.config.initial_x, _crane_x):
+        if after is not None:
+            if not (gap.start <= after.slot.start and after.slot.end <= gap.end):
+                continue
+            setup = 0
+            floor = after.slot.end
+        else:
+            setup = geom.travel_seconds(gap.from_state, fx)
+            floor = gap.start + setup
+        load_start = max(w.es, w.ef - dur, floor)
+        if w.ls is not None and load_start > w.ls:
+            break
+        end = load_start + dur
+        if w.lf is not None and end > w.lf:
+            break
+        if end > gap.end:
+            continue
+        slack_after = _slack_from(gap.end, end, w.ls + dur if w.ls is not None else None, w.lf)
+        return (
+            TimeInterval(max(0, load_start - setup), end),
+            TimeInterval(load_start, end),
+            Slack(max(0, load_start - setup - gap.start)),
+            slack_after,
+            proposal_price(dur, setup, gap.ti_next),
+        )
+    return None
+
+
+def placed(fields):
+    if fields is None:
+        return None
+    keys = ("span", "slot", "slack_before", "slack_after", "price")
+    return tuple(fields[k] for k in keys)
+
+
+@given(
+    crane_with_calendar(),
+    st.sampled_from((0.0, 12.0, 30.0, 60.0)),
+    st.sampled_from((0.0, 20.0, 45.0, 60.0)),
+    st.integers(0, 800),
+    st.integers(0, 120),
+    st.one_of(st.none(), st.integers(0, 300)),
+    st.one_of(st.none(), st.integers(0, 400)),
+    st.one_of(st.none(), st.tuples(st.integers(0, 800), st.integers(10, 80))),
+    st.integers(0, 300),
+)
+def test_property_crane_skip_places_legs_like_the_full_walk(
+    t, fx, tx, es, ef_after, ls_room, lf_room, partner_slot, lower
+):
+    geom = t.config.geometry
+    dur = geom.load_time + geom.travel_seconds(fx, tx) + geom.unload_time
+    ef = es + ef_after
+    windows = StageWindows(
+        es=es,
+        ef=ef,
+        ls=None if ls_room is None else es + ls_room,
+        lf=None if lf_room is None else ef + lf_room,
+    )
+    leg = TransportLeg("Buf1", "M2", (fx, 5.0), (tx, 5.0), windows, realizes="P#1")
+    after = None
+    if partner_slot is not None:
+        start, length = partner_slot
+        after = Proposal(
+            "Crane1#p0", TRANSPORT, "Crane1", (0.0, 5.0), TimeInterval(start, start + length),
+            Slack(0), Slack(0), length, 5, 5, price=length,
+        )
+    conv, ctx = "o1/s1", FakeCtx()
+    # another leg of the CFP may start earlier and bound the list lower
+    base = after.slot.end if after is not None else max(es, ef - dur)
+    bounded = t._free(conv, ctx, base - lower)
+    full = t.schedule.free_intervals(
+        _ALL, extra_busy=t.holds.active_spans(ctx.now(), exclude_conversation=conv)
+    )
+    assert placed(t._place_leg(leg, 0, dur, bounded, after)) == full_walk_leg(
+        t, leg, dur, full, after
+    )
+
+
+def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretches():
+    # the successor's 60-s approach from x=60 shrinks to 0 after a drop at x=0,
+    # so the gap reaches 160 although its free interval ends at 100
+    t = small_crane()
+    t.schedule.insert_booking(
+        BookingEntry(
+            "s",
+            "T",
+            [("travel", TimeInterval(100, 160)), ("load", TimeInterval(160, 165))],
+            end_state="0",
+        )
+    )
+    t._pickup_x[("s", "T")] = 0.0
+    t.config.initial_x = 0.0
+    leg = TransportLeg("Buf1", "M2", (0.0, 5.0), (0.0, 5.0), StageWindows(es=140, ef=150), "P#1")
+    conv, ctx = "o1/s1", FakeCtx()
+    free = t._free(conv, ctx, 140)
+    assert free[0] == TimeInterval(0, 100)
+    fields = t._place_leg(leg, 0, 10, free)
+    assert fields["slot"] == TimeInterval(140, 150)
+    assert fields["price"] == 10 + 0 - 60  # the successor's setup shrinks by 60 s
+    assert fields["slack_after"] == Slack(10)
+
+
+def machine_with(setup, unload):
+    return ProductionAgent(
+        ProductionConfig(
+            agent_id="M1",
+            capability="cutting",
+            location=(5.0, 5.0),
+            op_duration={"A": 5},
+            setup=setup,
+            initial_state="A",
+            unload_estimate=unload,
+        )
+    )
+
+
+def test_machine_keeps_an_interval_that_ends_before_es_when_the_gap_stretches():
+    # the successor's 60-s changeover from B vanishes after an A job, so the
+    # gap reaches 160 although its free interval ends at 100
+    m = machine_with({"B": {"A": 60}}, unload=0)
+    m.schedule.insert_booking(
+        BookingEntry(
+            "s",
+            "1",
+            [("setup", TimeInterval(100, 160)), ("operation", TimeInterval(160, 170))],
+            end_state="A",
+        )
+    )
+    out = m.handle(envelope("M1", "o1", 0, production_cfp(es=150)), FakeCtx())
+    first = proposals_of(out)[0]
+    assert first.slot == TimeInterval(150, 155)
+    assert first.price == 5 - 60
+
+
+def test_machine_keeps_the_interval_whose_latest_start_break_decides():
+    # the 2-s interval after a B job needs a 30-s changeover plus the 50-s
+    # unload, so its slot could start only at 180 > ls: the walk stops there
+    # and offers nothing, even though the A-state interval from 110 would fit
+    m = machine_with({"B": {"A": 30}}, unload=50)
+    m.schedule.insert_booking(closed_block("x", 0, 100, end_state="B"))
+    m.schedule.insert_booking(closed_block("y", 102, 110, end_state="A"))
+    cfp = production_cfp(entry=False, es=140, ls=165)
+    assert m.handle(envelope("M1", "o1", 0, cfp), FakeCtx()) == []
+
+
+def test_buffer_offers_a_zero_length_stay_at_the_very_end_of_an_interval():
+    # with no handling estimates an interval ending exactly at es still hosts
+    # a stay of zero length: the skip drops only iv.end + S < es
+    b = BufferAgent(BufferConfig(agent_id="Buf1", location=(15.0, 15.0)))
+    b.schedule.insert_booking(closed_block("x", 1000, 1500))
+    out = b.handle(
+        envelope("Buf1", "o1", 1, buffer_cfp(es=1000, ef=1000, ls=5000, lf=6000)), FakeCtx()
+    )
+    assert proposals_of(out)[0].slot == TimeInterval(1000, 1000)
+
+
+@pytest.mark.parametrize("n_orders", [60, 120])
+def test_crane_legs_walk_a_bounded_number_of_gaps(monkeypatch, n_orders):
+    # calendars grow with the order count; a leg's walk must not (a walk from
+    # time 0 visits ~53 gaps per leg at 60 orders and ~105 at 120)
+    from cnetsched.harness import build_shop_scenario, run_scenario
+    from cnetsched.timebase import ResourceSchedule
+
+    counts = {"legs": 0, "gaps": 0}
+    walk, place = ResourceSchedule.placement_gaps, TransportAgent._place_leg
+
+    def counted_walk(self, *args):
+        crane_walk = args[-1] is _crane_x  # only cranes read positions
+        for gap in walk(self, *args):
+            counts["gaps"] += crane_walk
+            yield gap
+
+    def counted_place(self, *args, **kwargs):
+        counts["legs"] += 1
+        return place(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResourceSchedule, "placement_gaps", counted_walk)
+    monkeypatch.setattr(TransportAgent, "_place_leg", counted_place)
+    report = run_scenario(build_shop_scenario("flow", n_orders, 100), mode="deterministic")
+    assert list(report.status.values()).count("done") == n_orders - 1
+    assert counts["legs"] > n_orders
+    assert counts["gaps"] <= 5 * counts["legs"]

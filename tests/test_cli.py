@@ -1,0 +1,46 @@
+"""The command-line contract: exit codes and the files ``run`` writes."""
+
+import json
+
+from cnetsched.cli import main
+
+from conftest import FLOWSHOP, JOBSHOP
+
+
+def test_run_writes_gantt_metrics_and_trace(tmp_path, capsys):
+    gantt, metrics, trace = tmp_path / "g.csv", tmp_path / "m.json", tmp_path / "t.txt"
+    code = main(
+        ["run", str(FLOWSHOP), "--gantt", str(gantt), "--metrics", str(metrics),
+         "--trace", str(trace)]
+    )
+    assert code == 0
+    assert "order-A: done" in capsys.readouterr().out
+    assert gantt.read_text().count("\n") > 1
+    assert json.loads(metrics.read_text())
+    assert "StartOrder" in trace.read_text()
+
+
+def test_validate_accepts_both_bundled_scenarios(capsys):
+    assert main(["validate", str(FLOWSHOP)]) == 0
+    assert main(["validate", str(JOBSHOP)]) == 0
+    assert capsys.readouterr().out.count("OK") == 2
+
+
+def test_malformed_scenario_exits_1(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"format_version": 1, "machines": [')
+    assert main(["validate", str(broken)]) == 1
+    assert main(["run", str(broken)]) == 1
+    assert main(["run", str(tmp_path / "missing.json")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_order_no_machine_serves_exits_2(tmp_path, capsys):
+    doc = json.loads(FLOWSHOP.read_text())
+    doc["products"].append({"id": "C", "steps": ["cutting"]})  # no machine makes C
+    doc["orders"] = [{"id": "order-C", "product": "C", "arrival": 0, "release": 0}]
+    path = tmp_path / "unserved.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path)]) == 2
+    assert "order-C: failed" in capsys.readouterr().out

@@ -15,7 +15,7 @@ from cnetsched.harness import build_shop_scenario, render_gantt, render_trace, r
 from cnetsched.oracle import occupancy_check, stability_check
 from cnetsched.scenario import load_scenario
 
-from conftest import FLOWSHOP, JOBSHOP, agent_kinds
+from conftest import FLOWSHOP, JOBSHOP, agent_kinds, hold_check
 
 GOLDEN = [
     pytest.param(
@@ -60,3 +60,4 @@ def test_golden_runs_pass_the_oracles(make, digest, counts):
     schedules = r.schedules()
     assert occupancy_check(schedules, kinds=agent_kinds(r)) == []
     assert stability_check(r.commits, schedules) == []
+    assert hold_check(r) == []

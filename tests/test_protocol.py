@@ -282,10 +282,13 @@ def test_stage_drops_out_of_phase_events():
     neg = StageNegotiation("o1", 0)
     planner, ctx = ScriptPlanner(), FakeCtx()
 
-    # proposal before the stage started
+    def rejected(conv, pid):
+        return [Message("o1", "M1", conv, (RejectProposal(pid),))]
+
+    # proposal before the stage started: rejected so M1 frees its hold
     assert advance_stage(
         neg, proposal_msg("M1", "o1/s0", mk_proposal("M1#1", "M1")), planner, ctx
-    ) == []
+    ) == rejected("o1/s0", "M1#1")
     assert neg.phase is Phase.QUERY_DIRECTORY
 
     advance_stage(neg, StartStage(), planner, ctx)
@@ -294,11 +297,11 @@ def test_stage_drops_out_of_phase_events():
     # stray conversation
     assert advance_stage(
         neg, proposal_msg("M1", "o9/s4", mk_proposal("X#1", "M1")), planner, ctx
-    ) == []
-    # wrong proposal kind for the current round: dropped, sender still awaited
+    ) == rejected("o9/s4", "X#1")
+    # wrong proposal kind for the current round: rejected, sender still awaited
     assert advance_stage(
         neg, proposal_msg("M1", "o1/s0", mk_proposal("B#1", "B1", kind=BUFFER)), planner, ctx
-    ) == []
+    ) == rejected("o1/s0", "B#1")
     assert neg.awaiting == {"M1", "M2"}
     assert neg.proposals[PRODUCTION] == []
 
@@ -311,6 +314,10 @@ def test_terminal_stage_ignores_everything():
     assert neg.is_terminal()
     assert advance_stage(neg, StartStage(), planner, ctx) == []
     assert advance_stage(neg, DeadlineExpired(token=1), planner, ctx) == []
+    late = proposal_msg("M2", "o1/s0", mk_proposal("M2#1", "M2"))
+    assert advance_stage(neg, late, planner, ctx) == [
+        Message("o1", "M2", "o1/s0", (RejectProposal("M2#1"),))
+    ]
 
 
 def test_stage_machine_is_deterministic():

@@ -1,0 +1,39 @@
+"""Random whole scenarios judged by the oracles.
+
+``conftest.random_scenario`` builds small, rough floors: missing
+capabilities, colliding releases, pre-booked machines and maintenance. Failed
+orders are a legal outcome; a double-booked resource, a moved commitment or
+an offer still held after every order finished is not.
+"""
+
+from cnetsched.harness import run_scenario
+from cnetsched.oracle import occupancy_check, stability_check
+
+from conftest import agent_kinds, hold_check, random_scenario
+
+
+def test_random_scenarios_pass_the_oracles():
+    problems = []
+    for seed in range(200):
+        r = run_scenario(random_scenario(seed), mode="deterministic")
+        schedules = r.schedules()
+        found = (
+            occupancy_check(schedules, kinds=agent_kinds(r))
+            + stability_check(r.commits, schedules)
+            + hold_check(r)
+        )
+        problems.extend(f"seed {seed}: {p}" for p in found)
+    assert problems == []
+
+
+def test_a_proposal_reaching_a_failed_order_is_rejected():
+    # under det, M1's proposal reaches o05 on the tick its deadline failed it
+    r = run_scenario(random_scenario(89), mode="deterministic")
+    assert r.status["o05"] == "failed"
+    held = [
+        (rid, h.proposal_id)
+        for rid in agent_kinds(r)
+        for h in r.agents[rid].holds
+        if h.conversation_id.startswith("o05/")
+    ]
+    assert held == []

@@ -295,6 +295,29 @@ def test_free_intervals_extra_busy():
     assert free == [TimeInterval(0, 20), TimeInterval(40, 100)]
 
 
+def test_free_intervals_after_keeps_whole_intervals_ending_later():
+    s = ResourceSchedule()
+    s.insert_booking(op_entry("a", 100, 200))
+    s.insert_booking(op_entry("b", 300, 400))
+    window = TimeInterval(0, 500)
+    # [200, 300) ends after 250 and keeps its start; [0, 100) ends too early
+    assert s.free_intervals(window, after=250) == [TimeInterval(200, 300), TimeInterval(400, 500)]
+    assert s.free_intervals(window, after=99) == s.free_intervals(window)
+    assert s.free_intervals(window, after=100) == s.free_intervals(window)[1:]
+    # a hold that starts before the walk's first entry end still counts
+    held = s.free_intervals(window, extra_busy=[TimeInterval(150, 250)], after=260)
+    assert held == [TimeInterval(250, 300), TimeInterval(400, 500)]
+
+
+def test_free_intervals_after_an_earlier_open_tail_is_empty():
+    s = ResourceSchedule()
+    s.insert_booking(op_entry("a", 100, 200, open_tail=True))
+    assert s.free_intervals(TimeInterval(0, 10_000), after=500) == []
+    assert s.free_intervals(TimeInterval(0, 10_000), assume_closed={"a"}, after=500) == [
+        TimeInterval(200, 10_000)
+    ]
+
+
 def test_placement_gaps_respect_successor_setup():
     def setup_of(end_state, succ):
         return 40 if end_state == "B" else 10
@@ -388,8 +411,8 @@ def test_property_free_intervals_match_per_second_scan(s, w_start, w_end):
     for iv in free:
         got.update(range(iv.start, iv.end))
     busy = set()
-    for start, end in s.busy_spans():
-        busy.update(range(start, w_end if end is None else min(end, w_end)))
+    for e in s.entries:
+        busy.update(range(e.span_start, w_end if e.open_tail else min(e.span_end, w_end)))
     expected = set(range(w_start, w_end)) - busy
     assert got == expected
     # free intervals are maximal: sorted with busy time strictly between them
@@ -632,3 +655,18 @@ def test_property_crane_gap_walk_matches_linear_scan(calendar, drop_x, extra):
     horizon = max((e.span_end for e in s.entries), default=0) + 5
     for t in range(horizon):
         assert s.state_before(t, initial_x, crane_x) == linear_crane_x(s, t, initial_x)
+
+
+@given(
+    machine_calendar(),
+    holds,
+    st.booleans(),
+    st.integers(-5, 800),
+    st.sampled_from((SCAN, TimeInterval(0, 400), TimeInterval(90, 10**9))),
+)
+def test_property_free_intervals_after_is_the_filtered_full_query(s, extra, own, lo, window):
+    tails = s.open_tail_entries()
+    assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
+    full = s.free_intervals(window, extra_busy=extra, assume_closed=assume)
+    bounded = s.free_intervals(window, extra_busy=extra, assume_closed=assume, after=lo)
+    assert bounded == [iv for iv in full if iv.end > lo]
