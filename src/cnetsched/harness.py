@@ -13,11 +13,10 @@ import csv
 import io
 import json
 import logging
+import statistics
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
-
-import numpy as np
 
 from .runtime import KernelConfig, RunReport, run_kernel
 from .scenario import (
@@ -325,13 +324,27 @@ def hosting_sweep(
                 "dt_start_ms": [round(v * 1000, 3) for v in _spacings(starts)],
                 "dt_end_ms": [round(v * 1000, 3) for v in dt_end],
                 "coordination_ms": {k: round(v * 1000, 3) for k, v in durations.items()},
-                "mean_dt_end_ms": round(float(np.mean(dt_end)) * 1000, 3) if dt_end else None,
+                "mean_dt_end_ms": round(statistics.fmean(dt_end) * 1000, 3) if dt_end else None,
                 "mean_ratio_dt_end": (
-                    round(float(np.mean(dt_end)) * 1000 / interval_ms, 4) if dt_end else None
+                    round(statistics.fmean(dt_end) * 1000 / interval_ms, 4) if dt_end else None
                 ),
             }
         )
     return {"preset": "hosting-sweep", "kind": kind, "runs": runs}
+
+
+def _det3(m: Sequence[Sequence[float]]) -> float:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _quadratic_fit(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
+    """Least-squares ``[a, b, c]`` of ``a*x^2 + b*x + c``: Cramer's rule, normal equations."""
+    s = [sum(x**p for x in xs) for p in range(5)]
+    m = [[s[4 - i - j] for j in range(3)] for i in range(3)]
+    rhs = [sum(x ** (2 - i) * y for x, y in zip(xs, ys)) for i in range(3)]
+    d = _det3(m)
+    return [_det3([row[:j] + [r] + row[j + 1:] for row, r in zip(m, rhs)]) / d for j in range(3)]
 
 
 def scaling_sweep(
@@ -358,17 +371,17 @@ def scaling_sweep(
     if failed:
         raise RuntimeError(f"scaling-sweep: orders failed at k={failed}; no fit over such runs")
 
-    xs = np.array([p["k"] for p in points], dtype=float)
-    ys = np.array([p["messages_per_order"] for p in points], dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    predicted = slope * xs + intercept
-    ss_res = float(np.sum((ys - predicted) ** 2))
-    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
+    xs = [float(p["k"]) for p in points]
+    ys = [float(p["messages_per_order"]) for p in points]
+    slope, intercept = statistics.linear_regression(xs, ys)
+    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    mean_y = statistics.fmean(ys)
+    ss_tot = sum((y - mean_y) ** 2 for y in ys)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
 
-    quad = np.polyfit(xs, ys, 2)
-    k_max = float(xs[-1])
-    value_at_max = float(np.polyval(quad, k_max))
+    quad = _quadratic_fit(xs, ys)
+    k_max = xs[-1]
+    value_at_max = quad[0] * k_max**2 + quad[1] * k_max + quad[2]
     quad_share = abs(quad[0] * k_max**2) / abs(value_at_max) if value_at_max else 0.0
 
     return {
@@ -376,14 +389,14 @@ def scaling_sweep(
         "orders": n_orders,
         "points": points,
         "linear_fit": {
-            "slope": float(slope),
-            "intercept": float(intercept),
-            "r2": float(r2),
+            "slope": slope,
+            "intercept": intercept,
+            "r2": r2,
             "residual_ss": ss_res,
         },
         "quadratic_fit": {
-            "coefficients": [float(c) for c in quad],
-            "share_at_k_max": float(quad_share),
+            "coefficients": quad,
+            "share_at_k_max": quad_share,
         },
     }
 
@@ -412,7 +425,7 @@ def shop_compare(
             for oid, status in report.status.items()
             if status == "done" and report.lead_time(oid) is not None
         ]
-        mean = float(np.mean(durations)) if durations else None
+        mean = statistics.fmean(durations) if durations else None
         means[kind] = mean
         statuses: dict[str, int] = {}
         for st in report.status.values():

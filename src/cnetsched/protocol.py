@@ -423,8 +423,9 @@ def advance_stage(
     ``ctx`` must provide ``cfp_deadline`` and ``set_timer(delay) -> token``,
     which arm one round's deadline, plus whatever the planner needs; it is
     passed on to the planner unchanged. Out-of-phase or unknown events are
-    dropped with a protocol-violation log line, never an exception; proposals
-    among them are rejected (:func:`reject_unused`).
+    dropped with a log line, never an exception: DEBUG for a proposal that
+    missed its round, WARNING for a protocol violation; proposals among them
+    are rejected (:func:`reject_unused`).
     """
     if neg.is_terminal():
         return reject_unused(neg.order_id, event)
@@ -448,9 +449,12 @@ def advance_stage(
         return _advance_round(neg, planner, ctx)
 
     if isinstance(event, Message):
+        # a proposal that misses its round's deadline is a legal outcome of the
+        # deadline-driven protocol, not a violation: it lands on a later
+        # conversation or during a later round, and is rejected
         if event.conversation_id != neg.conversation:
-            log.warning(
-                "protocol violation: stray conversation %s in %s",
+            log.debug(
+                "late reply: stray conversation %s in %s",
                 event.conversation_id,
                 neg.conversation,
             )
@@ -471,9 +475,7 @@ def advance_stage(
                 )
                 return []
             if part.kind != expected:
-                log.warning(
-                    "protocol violation: %s proposal during %s round", part.kind, expected
-                )
+                log.debug("late reply: %s proposal during %s round", part.kind, expected)
                 return reject_unused(neg.order_id, event)
         neg.proposals[expected].extend(event.parts)
         neg.awaiting.discard(event.sender)

@@ -1,10 +1,10 @@
 """Event kernels that drive the agents: deterministic replay and free threads.
 
-The same agent objects run under either kernel. The deterministic kernel is a
-single-threaded discrete-event loop over a logical tick clock — equal inputs
-give byte-identical traces. The concurrent kernel gives every agent its own
-thread and mailbox and uses the monotonic wall clock, which is what the
-order-release (hosting interval) experiments measure against.
+The same agent objects run under either kernel, fed from one event heap. The
+deterministic kernel pops it in a single-threaded loop over a logical tick
+clock — equal inputs give byte-identical traces. The concurrent kernel gives
+every agent its own thread and mailbox, and one clock thread on the monotonic
+wall clock, which the order-release (hosting interval) experiments measure.
 """
 
 from __future__ import annotations
@@ -132,49 +132,97 @@ class _Ctx:
         self.kernel.record_commit(resource_id, entry)
 
 
-def _trace_line(t, kind: str, sender: str, receiver: str, detail: str) -> str:
-    if isinstance(t, float):
-        stamp = f"{t:012.6f}"
-    else:
-        stamp = f"{t:08d}"
-    return f"{stamp} {sender}>{receiver} {kind}{detail}"
-
-
 class _Kernel:
-    """What both kernels keep: the run's inputs, message counts, trace and commit log."""
+    """What both kernels share: one event heap, message counts, trace and commit log.
+
+    Every delivery — a message, a round deadline, an order release — is one
+    heap entry ``(at, seq, receiver, event)``; the kernels differ only in
+    their clock and in who pops the heap. ``_lock`` guards the heap and the
+    bookkeeping: a plain lock under the deterministic kernel's one thread, a
+    Condition the concurrent kernel's clock thread waits on.
+    """
 
     mode: str
+    _hop: float = 1  # delay between sending a message and its delivery
+    _new_lock = threading.Lock
+    _clocked = False  # a clock thread waits on ``_lock`` for the heap's head
 
     def __init__(
         self,
         directory,
         agents: dict[str, object],
         releases: list[tuple[float, str]],
-        config: KernelConfig,
+        config: Optional[KernelConfig] = None,
     ):
+        unknown = sorted({oid for _, oid in releases} - agents.keys())
+        if unknown:
+            raise ValueError(f"releases for unknown agents {unknown}")
         self.directory = directory
         self.agents = agents
-        self.config = config
-        self._releases = sorted(releases)
+        self.config = config or KernelConfig.deterministic()
         self.counter = MessageCounter()
         self.trace: list[str] = []
         self.commits: list[CommitRecord] = []
+        self._lock = self._new_lock()
+        self._heap: list[tuple[float, int, str, Event]] = []
+        self._seq = 0
+        with self._lock:
+            for release, order_id in sorted(releases):
+                self._schedule(release, order_id, StartOrder(order_id))
+
+    def _schedule(self, at, receiver: str, event: Event) -> None:
+        """Deliver ``event`` to ``receiver`` at clock time ``at``; call under ``_lock``."""
+        self._seq += 1
+        entry = (at, self._seq, receiver, event)
+        heapq.heappush(self._heap, entry)
+        if self._clocked and self._heap[0] is entry:
+            self._lock.notify()  # the clock thread waits for the old head
+
+    def set_timer(self, agent_id: str, delay) -> int:
+        with self._lock:
+            self._seq += 1
+            token = self._seq
+            self._schedule(self.now() + delay, agent_id, DeadlineExpired(token))
+        return token
+
+    def _line(self, t, kind: str, sender: str, receiver: str, detail: str) -> None:
+        self.trace.append(f"{self._stamp(t)} {sender}>{receiver} {kind}{detail}")
+
+    def _post(self, msg: Message) -> None:
+        if msg.receiver not in self.agents:
+            log.error("message to unknown agent %s dropped", msg.receiver)
+            return
+        with self._lock:
+            now = self.now()
+            self.counter.count(msg)
+            self._line(now, msg.variant, msg.sender, msg.receiver,
+                       f" n={len(msg.parts)} {msg.conversation_id}")
+            self._schedule(now + self._hop, msg.receiver, msg)
+
+    def _dispatch(self, receiver: str, event: Event) -> None:
+        kind = _KERNEL_LINES.get(type(event))
+        if kind is not None:
+            with self._lock:
+                self._line(self.now(), kind, "kernel", receiver, "")
+        for msg in self.agents[receiver].handle(event, _Ctx(self, receiver)):
+            self._post(msg)
 
     def record_commit(self, resource_id: str, entry) -> None:
         # the booked *core* is what stability protects: leading setup/travel may
         # be reshaped by later insertions, and open tails grow a load segment
-        self.commits.append(
-            CommitRecord(
-                at=self.now(),
-                resource_id=resource_id,
-                order_id=entry.order_id,
-                step_label=entry.step_label,
-                start=entry.core_start,
-                end=entry.operation_end,
+        with self._lock:
+            self.commits.append(
+                CommitRecord(
+                    at=self.now(),
+                    resource_id=resource_id,
+                    order_id=entry.order_id,
+                    step_label=entry.step_label,
+                    start=entry.core_start,
+                    end=entry.operation_end,
+                )
             )
-        )
 
-    def _report(self, events: int, wall: float) -> RunReport:
+    def _report(self, wall: float) -> RunReport:
         status, t_start, t_end, diag = {}, {}, {}, {}
         for aid, agent in self.agents.items():
             if isinstance(agent, OrderAgent):
@@ -191,7 +239,7 @@ class _Kernel:
             commits=list(self.commits),
             counter=self.counter,
             trace=list(self.trace),
-            events=events,
+            events=len(self.trace),
             wall_seconds=wall,
             agents=self.agents,
         )
@@ -205,86 +253,41 @@ class DeterministicKernel(_Kernel):
     """
 
     mode = "deterministic"
-
-    def __init__(
-        self,
-        directory,
-        agents: dict[str, object],
-        releases: list[tuple[float, str]],
-        config: Optional[KernelConfig] = None,
-    ):
-        super().__init__(directory, agents, releases, config or KernelConfig.deterministic())
-        self._queue: list[tuple[float, int, str, Event]] = []
-        self._seq = 0
-        self._now: float = 0
+    _now: float = 0
 
     def now(self):
         return self._now
 
-    def set_timer(self, agent_id: str, delay) -> int:
-        self._seq += 1
-        token = self._seq
-        heapq.heappush(
-            self._queue, (self._now + delay, self._next_seq(), agent_id, DeadlineExpired(token))
-        )
-        return token
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _post(self, msg: Message) -> None:
-        if msg.receiver not in self.agents:
-            log.error("message to unknown agent %s dropped", msg.receiver)
-            return
-        self.counter.count(msg)
-        self.trace.append(
-            _trace_line(
-                int(self._now),
-                msg.variant,
-                msg.sender,
-                msg.receiver,
-                f" n={len(msg.parts)} {msg.conversation_id}",
-            )
-        )
-        heapq.heappush(self._queue, (self._now + 1, self._next_seq(), msg.receiver, msg))
+    @staticmethod
+    def _stamp(t) -> str:
+        return f"{int(t):08d}"
 
     def run(self) -> RunReport:
         t0 = time.perf_counter()
-        for release, order_id in self._releases:
-            heapq.heappush(
-                self._queue, (release, self._next_seq(), order_id, StartOrder(order_id))
-            )
-        events = 0
-        while self._queue:
-            events += 1
-            if events > self.config.max_events:
-                raise RunTimeout(f"event cap {self.config.max_events} exceeded")
-            t, _seq, receiver, event = heapq.heappop(self._queue)
-            self._now = t
-            agent = self.agents.get(receiver)
-            if agent is None:
-                continue
-            kind = _KERNEL_LINES.get(type(event))
-            if kind is not None:
-                self.trace.append(_trace_line(int(t), kind, "kernel", receiver, ""))
-            ctx = _Ctx(self, receiver)
-            for msg in agent.handle(event, ctx):
-                self._post(msg)
-        wall = time.perf_counter() - t0
-        return self._report(events, wall)
+        heap, cap, popped = self._heap, self.config.max_events, 0
+        while heap:
+            popped += 1
+            if popped > cap:
+                raise RunTimeout(f"event cap {cap} exceeded")
+            self._now, _seq, receiver, event = heapq.heappop(heap)
+            self._dispatch(receiver, event)
+        return self._report(time.perf_counter() - t0)
 
 
 class ConcurrentKernel(_Kernel):
     """Thread-per-agent kernel on the monotonic clock.
 
-    Each agent owns a mailbox thread, so its handlers stay single-threaded;
-    only the kernel bookkeeping (counter, trace, commit log) is locked.
-    Order releases are injected by a separate thread at their configured
-    wall-clock offsets — the hosting-interval experiments feed on this.
+    Each agent owns a mailbox thread, so its handlers stay single-threaded.
+    One clock thread moves each heap entry into its receiver's mailbox once
+    it falls due, so a run starts one thread per agent plus the clock however
+    many deadlines are armed. Order releases are heap entries at their
+    configured wall-clock offsets — the hosting-interval experiments feed on
+    this — and ``config.message_latency`` is the per-hop delivery delay.
     """
 
     mode = "concurrent"
+    _new_lock = threading.Condition
+    _clocked = True
 
     def __init__(
         self,
@@ -294,151 +297,92 @@ class ConcurrentKernel(_Kernel):
         config: Optional[KernelConfig] = None,
     ):
         super().__init__(directory, agents, releases, config or KernelConfig.concurrent())
+        self._hop = self.config.message_latency
+        self._last_release = max((at for at, _ in releases), default=0.0)
         self._queues: dict[str, queue.Queue] = {aid: queue.Queue() for aid in agents}
-        self._lock = threading.Lock()
-        self._timers: set[threading.Timer] = set()
-        self._token_lock = threading.Lock()
-        self._token = 0
         self._t0 = 0.0
-        self._stop = threading.Event()
-        self._all_finished = threading.Event()
-        self._finished: set[str] = set()
-        self._order_ids = {
-            aid for aid, agent in agents.items() if isinstance(agent, OrderAgent)
-        }
-        self._events = 0
+        # the last sequence number still delivered once the run stops
+        self._cutoff: Optional[int] = None
+        self._error: Optional[Exception] = None
+        self._over = threading.Event()
+        self._open = {aid for aid, agent in agents.items() if isinstance(agent, OrderAgent)}
 
     def now(self) -> float:
         return time.monotonic() - self._t0
 
-    def set_timer(self, agent_id: str, delay) -> int:
-        with self._token_lock:
-            self._token += 1
-            token = self._token
-        timer = threading.Timer(
-            max(0.0, float(delay)), self._fire_timer, args=(agent_id, token)
-        )
-        timer.daemon = True
+    @staticmethod
+    def _stamp(t) -> str:
+        return f"{t:012.6f}"
+
+    def _clock(self) -> None:
+        """Move each heap entry into its receiver's mailbox once it falls due.
+
+        Once the run stops, pending deadlines and releases are dropped, and
+        so is whatever is posted after the stop; messages already in flight
+        still land at their due time, because the last order's final accepts
+        and departures are among them and the calendars must receive them.
+        Only then does each mailbox get ``_STOP``.
+        """
+        heap = self._heap
         with self._lock:
-            self._timers.add(timer)
-        timer.start()
-        return token
-
-    def _fire_timer(self, agent_id: str, token: int) -> None:
-        if self._stop.is_set():
-            return
-        self._deliver(agent_id, DeadlineExpired(token))
-
-    def record_commit(self, resource_id: str, entry) -> None:
-        with self._lock:
-            super().record_commit(resource_id, entry)
-
-    def _deliver(self, agent_id: str, event: Event, delay: float = 0.0) -> None:
-        q = self._queues.get(agent_id)
-        if q is None:
-            log.error("event to unknown agent %s dropped", agent_id)
-            return
-        q.put((time.monotonic() + delay, event))
-
-    def _post(self, msg: Message) -> None:
-        with self._lock:
-            self.counter.count(msg)
-            self.trace.append(
-                _trace_line(
-                    self.now(),
-                    msg.variant,
-                    msg.sender,
-                    msg.receiver,
-                    f" n={len(msg.parts)} {msg.conversation_id}",
-                )
-            )
-            self._events += 1
-        self._deliver(msg.receiver, msg, delay=self.config.message_latency)
+            while True:
+                if (cutoff := self._cutoff) is not None:
+                    heap[:] = [e for e in heap if e[1] <= cutoff and isinstance(e[3], Message)]
+                    if not heap:
+                        break
+                    heapq.heapify(heap)
+                wait = heap[0][0] - self.now() if heap else None
+                if wait is None or wait > 0:
+                    self._lock.wait(wait)
+                else:
+                    _at, _seq, receiver, event = heapq.heappop(heap)
+                    self._queues[receiver].put(event)
+        for q in self._queues.values():
+            q.put(_STOP)
 
     def _agent_loop(self, agent_id: str, agent) -> None:
-        ctx = _Ctx(self, agent_id)
         q = self._queues[agent_id]
-        while True:
-            visible_at, event = q.get()
-            if event is _STOP:
-                return
-            wait = visible_at - time.monotonic()
-            if wait > 0:
-                # only messages wait: a uniform per-hop latency keeps each
-                # mailbox FIFO, so waiting for this one never delays an
-                # earlier one. Teardown does not cut the wait short: the last
-                # order's final accepts and departures are still in flight
-                # when it finishes, and the calendars must receive them.
-                time.sleep(wait)
-            kind = _KERNEL_LINES.get(type(event))
-            if kind is not None:
-                with self._lock:
-                    self.trace.append(_trace_line(self.now(), kind, "kernel", agent_id, ""))
-                    self._events += 1
+        while (event := q.get()) is not _STOP:
             try:
-                out = agent.handle(event, ctx)
-            except Exception:  # noqa: BLE001 - one bad event must not kill the thread
-                log.exception("agent %s crashed on %r", agent_id, event)
-                out = []
-            for msg in out:
-                self._post(msg)
-            if (
-                agent_id in self._order_ids
-                and agent.status in ("done", "failed")
-                and agent_id not in self._finished
-            ):
+                self._dispatch(agent_id, event)
+            except Exception as exc:  # re-raised by run() after teardown
                 with self._lock:
-                    self._finished.add(agent_id)
-                    done = len(self._finished) == len(self._order_ids)
-                if done:
-                    self._all_finished.set()
-
-    def _injector(self) -> None:
-        for release, order_id in self._releases:
-            wait = self._t0 + release - time.monotonic()
-            if wait > 0 and self._stop.wait(wait):
+                    self._error = self._error or exc
+                self._over.set()
                 return
-            if self._stop.is_set():
-                return
-            self._deliver(order_id, StartOrder(order_id))
+            if agent_id in self._open and agent.status in ("done", "failed"):
+                with self._lock:
+                    self._open.discard(agent_id)
+                    if not self._open:
+                        self._over.set()
 
     def run(self) -> RunReport:
         t_wall = time.perf_counter()
-        self._t0 = time.monotonic()
-        threads = [
+        limit = self.config.wall_limit
+        if limit is None:
+            # generous safety net: every stage can burn a full CFP deadline
+            stages = 20 * max(1, len(self._open))
+            limit = self._last_release + 60.0 + stages * self.config.cfp_deadline
+        threads = [threading.Thread(target=self._clock, name="clock", daemon=True)] + [
             threading.Thread(
                 target=self._agent_loop, args=(aid, agent), name=f"agent-{aid}", daemon=True
             )
             for aid, agent in self.agents.items()
         ]
+        self._t0 = time.monotonic()
         for t in threads:
             t.start()
-        injector = threading.Thread(target=self._injector, name="order-release", daemon=True)
-        injector.start()
-
-        last_release = self._releases[-1][0] if self._releases else 0.0
-        limit = self.config.wall_limit
-        if limit is None:
-            # generous safety net: every stage can burn a full CFP deadline
-            limit = last_release + 60.0 + 20 * self.config.cfp_deadline * max(
-                1, len(self._order_ids)
-            )
-        finished = self._all_finished.wait(timeout=limit)
-        self._stop.set()
-        with self._lock:
-            for timer in self._timers:
-                timer.cancel()
-            self._timers.clear()
-        for aid in self._queues:
-            self._queues[aid].put((0.0, _STOP))
-        injector.join(timeout=5)
-        for t in threads:
-            t.join(timeout=5)
-        wall = time.perf_counter() - t_wall
-        if not finished:
+        if not self._over.wait(timeout=limit):
             log.error("concurrent run hit the wall limit of %.1fs", limit)
         with self._lock:
-            return self._report(self._events, wall)
+            self._cutoff = self._seq
+            self._lock.notify()
+        for t in threads:
+            t.join(timeout=5)
+        if self._error is not None:
+            raise self._error
+        with self._lock:
+            return self._report(time.perf_counter() - t_wall)
 
 
 def run_kernel(

@@ -14,7 +14,7 @@ whole combinations, exactly four steps:
 "Best" is always the same lexicographic criterion: earliest fulfillment, then
 lowest price, then lowest resource/proposal id. The pruning is deliberately
 local (it can discard a link partner a later step would have wanted); the
-brute-force enumerator in the oracle module quantifies that gap.
+brute-force enumerator in the test suite's oracle module quantifies that gap.
 """
 
 from __future__ import annotations
@@ -186,7 +186,6 @@ class Selection:
     route: RouteCandidate
     fulfillment: Seconds
     accept_ids: tuple[str, ...]
-    reject_ids: tuple[str, ...]
 
 
 def _leg_key(leg: Proposal) -> tuple:
@@ -251,17 +250,9 @@ def select(
     if best is None:
         return None
     _key, oc, route = best
-    accept_ids = (oc.production.proposal_id,) + route.proposal_ids
-    all_ids = []
-    for other in ocs:
-        all_ids.append(other.production.proposal_id)
-        for r in other.routes:
-            all_ids.extend(r.proposal_ids)
-    reject_ids = tuple(sorted(set(all_ids) - set(accept_ids)))
     return Selection(
         winner=oc,
         route=route,
         fulfillment=_key[0],
-        accept_ids=accept_ids,
-        reject_ids=reject_ids,
+        accept_ids=(oc.production.proposal_id,) + route.proposal_ids,
     )

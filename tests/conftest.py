@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from pathlib import Path
 
@@ -11,7 +10,6 @@ from hypothesis import HealthCheck, settings
 
 from cnetsched.agents import BufferAgent, ProductionAgent, TransportAgent
 from cnetsched.harness import run_scenario
-from cnetsched.protocol import BUFFER, PRODUCTION, TRANSPORT, LegRef, Proposal
 from cnetsched.scenario import (
     BufferSpec,
     InitialBooking,
@@ -24,7 +22,6 @@ from cnetsched.scenario import (
     TransportSpec,
     load_scenario,
 )
-from cnetsched.timebase import Slack, TimeInterval
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -188,125 +185,3 @@ def random_scenario(seed: int) -> Scenario:
         products=products,
         orders=orders,
     )
-
-
-# ---------------------------------------------------------------------------
-# randomized single-stage proposal instances (selector vs enumeration)
-
-
-def random_stage_instance(seed: int):
-    """(production, buffers, transports, ctx) wired like a live stage.
-
-    Slots are generated loosely, so a good share of combinations is
-    temporally infeasible — that is the point.
-    """
-    from cnetsched.selector import StageContext
-
-    rng = random.Random(seed)
-    pid = itertools.count(1)
-    f_prev = rng.randrange(0, 2000) * 60
-    prev_resource = "M-prev"
-
-    def slack() -> Slack:
-        return (
-            Slack.UNBOUNDED
-            if rng.random() < 0.3
-            else Slack(rng.randrange(0, 240) * 60)
-        )
-
-    production: list[Proposal] = []
-    buffers: list[Proposal] = []
-    transports: list[Proposal] = []
-    buffered: set[str] = set()
-
-    for i in range(rng.randint(1, 3)):
-        stay = rng.random() < 0.15
-        start = f_prev + rng.randrange(10, 900) * 60
-        dur = rng.randrange(30, 180) * 60
-        p = Proposal(
-            proposal_id=f"P#{next(pid)}",
-            kind=PRODUCTION,
-            resource_id=prev_resource if stay else f"M{i + 1}",
-            location=(10.0 * (i + 1), 5.0),
-            slot=TimeInterval(start, start + dur),
-            slack_before=Slack(0),
-            slack_after=slack(),
-            op_duration=dur,
-            load_time=600,
-            unload_time=600,
-            price=rng.randrange(1, 500),
-        )
-        production.append(p)
-        if not stay and rng.random() < 0.55:
-            buffered.add(p.proposal_id)
-
-    leg_idx = itertools.count()
-
-    def leg(from_r, to_r, realizes, via=None, required=None, lo=0, hi=1200):
-        start = f_prev + rng.randrange(lo, hi) * 60
-        dur = rng.randrange(20, 40) * 60
-        return Proposal(
-            proposal_id=f"T#{next(pid)}",
-            kind=TRANSPORT,
-            resource_id=rng.choice(("Crane1", "Crane2")),
-            location=(0.0, 0.0),
-            slot=TimeInterval(start, start + dur),
-            slack_before=Slack(0),
-            slack_after=slack(),
-            op_duration=dur,
-            load_time=600,
-            unload_time=600,
-            price=rng.randrange(1, 100),
-            leg=LegRef(next(leg_idx), from_r, to_r, realizes, via),
-            required_operation=required,
-        )
-
-    for p in production:
-        if p.proposal_id in buffered:
-            for _ in range(rng.randint(0, 2)):
-                bstart = f_prev + rng.randrange(0, 400) * 60
-                bend = bstart + rng.randrange(0, 600) * 60
-                b = Proposal(
-                    proposal_id=f"B#{next(pid)}",
-                    kind=BUFFER,
-                    resource_id=f"Buf{rng.randint(1, 2)}",
-                    location=(20.0, 12.0),
-                    slot=TimeInterval(bstart, bend),
-                    slack_before=Slack(0),
-                    slack_after=slack(),
-                    op_duration=bend - bstart,
-                    load_time=600,
-                    unload_time=600,
-                    price=0,
-                    connected_operations=(p.proposal_id,),
-                )
-                buffers.append(b)
-                ins = [
-                    leg(prev_resource, b.resource_id, b.proposal_id, hi=600)
-                    for _ in range(rng.randint(0, 2))
-                ]
-                transports.extend(ins)
-                for _ in range(rng.randint(0, 2)):
-                    required = (
-                        rng.choice(ins).proposal_id
-                        if ins and rng.random() < 0.4
-                        else None
-                    )
-                    transports.append(
-                        leg(
-                            b.resource_id,
-                            p.resource_id,
-                            p.proposal_id,
-                            via=b.proposal_id,
-                            required=required,
-                            lo=200,
-                        )
-                    )
-        elif p.resource_id != prev_resource:
-            for _ in range(rng.randint(0, 2)):
-                transports.append(leg(prev_resource, p.resource_id, p.proposal_id))
-
-    ctx = StageContext(
-        f_prev=f_prev, prev_resource=prev_resource, buffered=frozenset(buffered)
-    )
-    return production, buffers, transports, ctx

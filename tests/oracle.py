@@ -14,9 +14,9 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .protocol import Proposal
-from .selector import StageContext
-from .timebase import ResourceSchedule, Seconds
+from cnetsched.protocol import Proposal
+from cnetsched.selector import StageContext
+from cnetsched.timebase import ResourceSchedule, Seconds
 
 log = logging.getLogger(__name__)
 

@@ -12,10 +12,10 @@ import hashlib
 import pytest
 
 from cnetsched.harness import build_shop_scenario, render_gantt, render_trace, run_scenario
-from cnetsched.oracle import occupancy_check, stability_check
 from cnetsched.scenario import load_scenario
 
 from conftest import FLOWSHOP, JOBSHOP, agent_kinds, hold_check
+from oracle import occupancy_check, stability_check
 
 GOLDEN = [
     pytest.param(

@@ -22,3 +22,27 @@ def test_scaling_sweep_refuses_to_fit_over_failed_orders(monkeypatch):
     monkeypatch.setattr(harness, "build_scaling_scenario", no_cutting)
     with pytest.raises(RuntimeError, match="failed"):
         scaling_sweep(ks=(2, 3), n_orders=1)
+
+
+def test_scaling_sweep_fits_match_the_published_values():
+    # the values the numpy polyfit gave; the stdlib fits must agree to 4 digits
+    fit = scaling_sweep()
+
+    def approx(v):
+        return pytest.approx(v, rel=5e-5)
+
+    assert fit["linear_fit"]["slope"] == approx(9.084005)
+    assert fit["linear_fit"]["intercept"] == approx(24.958333)
+    assert fit["linear_fit"]["r2"] == approx(0.9998412)
+    assert fit["quadratic_fit"]["coefficients"] == [
+        approx(-0.0103574), approx(9.441335), approx(23.35294)
+    ]
+    assert fit["quadratic_fit"]["share_at_k_max"] == approx(0.0336836)
+
+
+def test_quadratic_fit_recovers_an_exact_parabola():
+    xs = [2.0, 4.0, 8.0, 16.0, 32.0]
+    ys = [-0.5 * x * x + 3 * x + 7 for x in xs]
+    assert harness._quadratic_fit(xs, ys) == [
+        pytest.approx(-0.5), pytest.approx(3.0), pytest.approx(7.0)
+    ]

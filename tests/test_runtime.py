@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -109,6 +111,13 @@ def test_unknown_mode_rejected(flowshop_scenario):
         run_kernel("async", b.directory, b.agents, b.releases)
 
 
+@pytest.mark.parametrize("mode", ["deterministic", "concurrent"])
+def test_release_for_an_unknown_agent_is_rejected(mode, flowshop_scenario):
+    b = build_runtime(flowshop_scenario)
+    with pytest.raises(ValueError, match="order-Z"):
+        run_kernel(mode, b.directory, b.agents, b.releases + [(0, "order-Z")])
+
+
 def test_concurrent_kernel_with_latency_completes():
     s = parse_scenario(single_responder_doc(), source="t")
     b = build_runtime(s)
@@ -165,7 +174,7 @@ def test_lead_time_and_schedules_views(flowshop_report):
 
 def test_commit_log_matches_final_calendars(flowshop_report):
     # every commit the kernel observed still sits in the owner's calendar
-    from cnetsched.oracle import stability_check
+    from oracle import stability_check
 
     assert stability_check(flowshop_report.commits, flowshop_report.schedules()) == []
 
@@ -197,3 +206,62 @@ def test_concurrent_latency_delivers_the_last_orders_bookings(flowshop_scenario)
     for order in s.orders:
         booked = [c for c in r.commits if c.order_id == order.id and c.resource_id in machines]
         assert len(booked) == steps[order.product], order.id
+
+
+class Crash(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "concurrent"])
+def test_agent_exception_surfaces_from_run(mode, monkeypatch):
+    # a crashed handler must not turn into orders reported as merely stuck
+    s = parse_scenario(single_responder_doc(), source="t")
+    b = build_runtime(s)
+
+    def handle(event, ctx):
+        raise Crash(f"M1 on {type(event).__name__}")
+
+    monkeypatch.setattr(b.agents["M1"], "handle", handle)
+    config = KernelConfig.deterministic() if mode == "deterministic" else None
+    with pytest.raises(Crash, match="M1 on Message"):
+        run_kernel(mode, b.directory, b.agents, b.releases, config)
+
+
+def test_concurrent_kernel_starts_one_thread_per_agent_plus_the_clock(
+    monkeypatch, flowshop_scenario
+):
+    # order-A's round deadlines are armed while order-B negotiates; none of
+    # them may cost a thread
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    r = run_scenario(staggered(flowshop_scenario), "concurrent")
+    assert r.all_done
+    assert sum(" Deadline" in line for line in r.trace) >= 2
+    assert len(started) == len(r.agents) + 1
+
+
+def test_concurrent_bookkeeping_holds_under_fast_thread_switching(flowshop_scenario):
+    # the agent threads and the clock thread share the heap, its sequence
+    # numbers, the counter and the trace; a lost update breaks these counts
+    from cnetsched.harness import kernel_config
+    from oracle import stability_check
+
+    s = staggered(flowshop_scenario)
+    cfg = replace(kernel_config(s, "concurrent"), message_latency=0.001, wall_limit=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        r = run_scenario(s, "concurrent", config=cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert r.all_done
+    kinds = [ln.split()[2] for ln in r.trace]
+    assert kinds.count("StartOrder") == len(r.status)
+    assert len(kinds) - kinds.count("StartOrder") - kinds.count("Deadline") == r.counter.total()
+    assert stability_check(r.commits, r.schedules()) == []

@@ -1,6 +1,15 @@
 import random
 
-from cnetsched.protocol import BUFFER, PRODUCTION, TRANSPORT, LegRef, Proposal
+from cnetsched.agents import OrderAgent, OrderConfig, StageCommit
+from cnetsched.calculus import ScheduleParams
+from cnetsched.protocol import (
+    BUFFER,
+    PRODUCTION,
+    TRANSPORT,
+    LegRef,
+    Proposal,
+    StageNegotiation,
+)
 from cnetsched.selector import StageContext, build_ocs, select
 from cnetsched.timebase import Slack, TimeInterval
 
@@ -65,17 +74,35 @@ def follow_up(buffered=(), f_prev=1000):
     )
 
 
+def sent_rejects(ctx, production, buffers=(), transports=()):
+    """(receiver, proposal id) of each reject ``OrderAgent.decide`` sends on these proposals."""
+    params = ScheduleParams(t_transport_min=60, t_buffer_min=60)
+    oa = OrderAgent(OrderConfig("o1", "A", ("cutting", "forging", "milling")), params)
+    if ctx.prev_resource is not None:
+        oa.committed = [
+            StageCommit(ctx.prev_resource, (0.0, 0.0), TimeInterval(0, ctx.f_prev),
+                        Slack.UNBOUNDED, "direct")
+        ]
+    oa._buffered = ctx.buffered
+    neg = StageNegotiation("o1", len(oa.committed))
+    for kind, proposals in ((PRODUCTION, production), (BUFFER, buffers), (TRANSPORT, transports)):
+        neg.proposals[kind].extend(proposals)
+    decision = oa.decide(neg, None)
+    return [(msg.receiver, part.proposal_id) for msg in decision.rejects for part in msg.parts]
+
+
 # ---------------------------------------------------------------------------
 # route wiring
 
 
 def test_entry_stage_needs_no_transport():
-    ocs = build_ocs([prod("P#1", "M1", 100), prod("P#2", "M2", 50)], [], [], ENTRY)
+    production = [prod("P#1", "M1", 100), prod("P#2", "M2", 50)]
+    ocs = build_ocs(production, [], [], ENTRY)
     assert all(len(oc.routes) == 1 and oc.routes[0].kind == "entry" for oc in ocs)
     sel = select(ocs, ENTRY)
     assert sel.winner.production.proposal_id == "P#2"  # finishes 150 vs 200
     assert sel.accept_ids == ("P#2",)
-    assert sel.reject_ids == ("P#1",)
+    assert sent_rejects(ENTRY, production) == [("M1", "P#1")]
 
 
 def test_stay_on_machine_route():
@@ -202,12 +229,13 @@ def test_pairwise_leg_pruning_keeps_one_pair_per_buffer():
     i_slow = leg("T#i2", 1000, 1300, realizes="B#1", price=10)
     o_fast = leg("T#o1", 3800, 3900, realizes="P#1", via="B#1", price=10)
     o_slow = leg("T#o2", 3800, 3950, realizes="P#1", via="B#1", price=10)
-    ocs = build_ocs([p], [b], [i_fast, i_slow, o_fast, o_slow], ctx)
+    legs = [i_fast, i_slow, o_fast, o_slow]
+    ocs = build_ocs([p], [b], legs, ctx)
     assert len(ocs[0].routes) == 4  # all pairs temporally fine
     sel = select(ocs, ctx)
     assert sel.route.legs[0].proposal_id == "T#i1"
     assert sel.route.legs[1].proposal_id == "T#o1"
-    assert set(sel.reject_ids) == {"T#i2", "T#o2"}
+    assert set(sent_rejects(ctx, [p], [b], legs)) == {("Crane1", "T#i2"), ("Crane1", "T#o2")}
 
 
 def test_pairwise_pruning_can_discard_the_only_viable_pairs():
@@ -244,8 +272,9 @@ def test_accepts_and_rejects_partition_routed_proposals():
     for oc in ocs:
         for r in oc.routes:
             mentioned.update(r.proposal_ids)
-    assert set(sel.accept_ids) | set(sel.reject_ids) == mentioned
-    assert set(sel.accept_ids).isdisjoint(sel.reject_ids)
+    rejected = [pid for _, pid in sent_rejects(ctx, production, buffers, transports)]
+    assert set(sel.accept_ids) | set(rejected) == mentioned
+    assert set(sel.accept_ids).isdisjoint(rejected)
 
 
 def test_selection_is_input_order_independent():
@@ -266,6 +295,7 @@ def test_selection_is_input_order_independent():
         leg("T#7", 1200, 1400, realizes="P#3"),
     ]
     baseline = select(build_ocs(production, buffers, transports, ctx), ctx)
+    baseline_rejects = sorted(sent_rejects(ctx, production, buffers, transports))
     for seed in range(8):
         rng = random.Random(seed)
         p, b, t = production[:], buffers[:], transports[:]
@@ -274,7 +304,7 @@ def test_selection_is_input_order_independent():
         rng.shuffle(t)
         sel = select(build_ocs(p, b, t, ctx), ctx)
         assert sel.accept_ids == baseline.accept_ids
-        assert sel.reject_ids == baseline.reject_ids
+        assert sorted(sent_rejects(ctx, p, b, t)) == baseline_rejects
         assert sel.fulfillment == baseline.fulfillment
 
 

@@ -6,10 +6,12 @@ orders are a legal outcome; a double-booked resource, a moved commitment or
 an offer still held after every order finished is not.
 """
 
+import logging
+
 from cnetsched.harness import run_scenario
-from cnetsched.oracle import occupancy_check, stability_check
 
 from conftest import agent_kinds, hold_check, random_scenario
+from oracle import occupancy_check, stability_check
 
 
 def test_random_scenarios_pass_the_oracles():
@@ -37,3 +39,15 @@ def test_a_proposal_reaching_a_failed_order_is_rejected():
         if h.conversation_id.startswith("o05/")
     ]
     assert held == []
+
+
+def test_late_proposals_are_not_logged_as_protocol_violations(caplog):
+    # seed 96 has proposals land on a later conversation and during a later
+    # round: legal outcomes of a deadline-driven protocol, logged at DEBUG
+    with caplog.at_level(logging.DEBUG, logger="cnetsched.protocol"):
+        run_scenario(random_scenario(96), mode="deterministic")
+    protocol = [rec for rec in caplog.records if rec.name == "cnetsched.protocol"]
+    late = [rec.getMessage() for rec in protocol if rec.levelno == logging.DEBUG]
+    assert any("stray conversation" in msg for msg in late)
+    assert any("proposal during" in msg for msg in late)
+    assert [rec.getMessage() for rec in protocol if rec.levelno >= logging.WARNING] == []
