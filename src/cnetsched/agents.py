@@ -52,6 +52,7 @@ from .protocol import (
     conversation_id,
     parse_conversation,
     reject_unused,
+    rejects,
 )
 from .selector import StageContext, build_ocs, select
 from .timebase import (
@@ -70,6 +71,8 @@ log = logging.getLogger(__name__)
 #: upper edge of every placement scan; a gap reaching it counts as unbounded
 HORIZON: Seconds = 10**9
 _ALL = TimeInterval(0, HORIZON)
+#: a machine offers one slot per free gap, at most this many per CFP alternative
+MAX_SLOTS_PER_CFP = 2
 _iv_end = attrgetter("end")
 
 
@@ -88,9 +91,6 @@ class DirectoryService:
 
     def register(self, capability: str, agent_id: str) -> None:
         self._by_capability.setdefault(capability, set()).add(agent_id)
-
-    def deregister(self, capability: str, agent_id: str) -> None:
-        self._by_capability.get(capability, set()).discard(agent_id)
 
     def search(self, capability: str) -> tuple[str, ...]:
         return tuple(sorted(self._by_capability.get(capability, ())))
@@ -306,14 +306,12 @@ class _ResourceAgent:
 @dataclass
 class ProductionConfig:
     agent_id: str
-    capability: str
     location: tuple[float, float]
     op_duration: dict[str, Seconds]
     setup: dict[str, dict[str, Seconds]]
     initial_state: str = ""
     unload_estimate: Seconds = 0
     load_estimate: Seconds = 0
-    max_slots_per_cfp: int = 2
 
 
 class ProductionAgent(_ResourceAgent):
@@ -439,7 +437,7 @@ class ProductionAgent(_ResourceAgent):
                     )
                 )
                 emitted += 1
-                if emitted >= self.config.max_slots_per_cfp:
+                if emitted >= MAX_SLOTS_PER_CFP:
                     break
         return proposals
 
@@ -872,22 +870,9 @@ class OrderAgent:
         if self.committed:
             # free the machine still holding (or believed to hold) the piece;
             # a resource without a matching open tail simply ignores this
-            last_stage = len(self.committed) - 1
             commit = self.committed[-1]
-            out.append(
-                _envelope(
-                    self.agent_id,
-                    commit.resource_id,
-                    conversation_id(self.agent_id, last_stage),
-                    [
-                        InformDeparture(
-                            order_id=self.agent_id,
-                            departure=commit.op_slot.end,
-                            loading_time=0,
-                        )
-                    ],
-                )
-            )
+            conv = conversation_id(self.agent_id, len(self.committed) - 1)
+            out.append(self._depart(commit.resource_id, conv, commit.op_slot.end))
         log.info("order %s failed: %s", self.agent_id, reason)
         return out
 
@@ -907,34 +892,51 @@ class OrderAgent:
         prev = self._prev
         return prev.slack_after if prev is not None else Slack.UNBOUNDED
 
-    def plan_production(self, neg: StageNegotiation, ctx) -> RoundPlan:
-        operation = self.config.plan[neg.stage_index]
-        responders = ctx.directory.search(operation)
+    def _call(
+        self,
+        neg: StageNegotiation,
+        ctx,
+        capability: str,
+        location: Optional[tuple[float, float]],
+        **cfp_fields,
+    ) -> Optional[RoundPlan]:
+        """Open one CFP round: the same CFP, whose operation is ``capability``,
+        to every agent registered for it; None when nobody is."""
+        responders = ctx.directory.search(capability)
         if not responders:
-            return RoundPlan([], set())
-        prev = self._prev
-        if prev is None:
-            es = self.config.arrival
-            location = None
-        else:
-            es = self._f_prev + self.params.t_transport_min
-            location = prev.location
-        windows = StageWindows(es=es, ef=es)
+            return None
         cfp = Cfp(
-            kind=PRODUCTION,
-            workpiece=self._workpiece(location),
-            operation=operation,
-            alternatives=(CfpAlternative(windows=windows),),
+            workpiece=WorkpieceInfo(self.agent_id, self.config.product, location),
+            operation=capability,
             deadline=ctx.now() + ctx.cfp_deadline,
+            **cfp_fields,
         )
-        msgs = [
-            _envelope(self.agent_id, rid, neg.conversation, [cfp]) for rid in responders
-        ]
+        msgs = [_envelope(self.agent_id, rid, neg.conversation, [cfp]) for rid in responders]
         return RoundPlan(msgs, set(responders))
 
-    def _workpiece(self, location):
-        return WorkpieceInfo(
-            order_id=self.agent_id, product=self.config.product, location=location
+    def _depart(
+        self,
+        resource: str,
+        conv: str,
+        departure: Seconds,
+        loading_time: Seconds = 0,
+        stay_on_machine: bool = False,
+    ) -> Message:
+        """The InformDeparture that frees ``resource`` from this workpiece."""
+        info = InformDeparture(self.agent_id, departure, loading_time, stay_on_machine)
+        return _envelope(self.agent_id, resource, conv, [info])
+
+    def plan_production(self, neg: StageNegotiation, ctx) -> Optional[RoundPlan]:
+        prev = self._prev
+        es = self.config.arrival if prev is None else self._f_prev + self.params.t_transport_min
+        windows = StageWindows(es=es, ef=es)
+        return self._call(
+            neg,
+            ctx,
+            self.config.plan[neg.stage_index],
+            None if prev is None else prev.location,
+            kind=PRODUCTION,
+            alternatives=(CfpAlternative(windows=windows),),
         )
 
     def plan_buffer(self, neg: StageNegotiation, ctx) -> Optional[RoundPlan]:
@@ -963,20 +965,9 @@ class OrderAgent:
         self._buffered = frozenset(buffered)
         if not alternatives:
             return None
-        responders = ctx.directory.search("buffer")
-        if not responders:
-            return None
-        cfp = Cfp(
-            kind=BUFFER,
-            workpiece=self._workpiece(prev.location),
-            operation="buffer",
-            alternatives=tuple(alternatives),
-            deadline=ctx.now() + ctx.cfp_deadline,
+        return self._call(
+            neg, ctx, BUFFER, prev.location, kind=BUFFER, alternatives=tuple(alternatives)
         )
-        msgs = [
-            _envelope(self.agent_id, rid, neg.conversation, [cfp]) for rid in responders
-        ]
-        return RoundPlan(msgs, set(responders))
 
     def plan_transport(self, neg: StageNegotiation, ctx) -> Optional[RoundPlan]:
         prev = self._prev
@@ -1045,22 +1036,10 @@ class OrderAgent:
                 )
         if not legs:
             return None
-        responders = ctx.directory.search("transport")
-        if not responders:
-            return None
-        cfp = Cfp(
-            kind=TRANSPORT,
-            workpiece=self._workpiece(prev.location),
-            operation="transport",
-            legs=tuple(legs),
-            deadline=ctx.now() + ctx.cfp_deadline,
-        )
-        msgs = [
-            _envelope(self.agent_id, rid, neg.conversation, [cfp]) for rid in responders
-        ]
-        return RoundPlan(msgs, set(responders))
+        return self._call(neg, ctx, TRANSPORT, prev.location, kind=TRANSPORT, legs=tuple(legs))
 
     def decide(self, neg: StageNegotiation, ctx):
+        conv = neg.conversation
         sctx = StageContext(
             f_prev=self._f_prev,
             prev_resource=self._prev.resource_id if self._prev else None,
@@ -1078,7 +1057,6 @@ class OrderAgent:
         op_start = p.slot.start if arrival is None else max(p.slot.start, arrival)
         op_slot = TimeInterval(op_start, op_start + p.op_duration)
 
-        accepts: list[Message] = []
         transport_slots: list[tuple[str, TimeInterval]] = []
         buffer_slot = None
         inbound_unload = 0
@@ -1130,74 +1108,27 @@ class OrderAgent:
                 actual_unload_time=inbound_unload,
             )
         )
-        for rid in sorted(by_resource):
-            accepts.append(_envelope(self.agent_id, rid, neg.conversation, by_resource[rid]))
-
-        reject_by_resource: dict[str, list[RejectProposal]] = {}
-        accepted_ids = {a.proposal_id for parts in by_resource.values() for a in parts}
-        for prop in neg.all_proposals():
-            if prop.proposal_id not in accepted_ids:
-                reject_by_resource.setdefault(prop.resource_id, []).append(
-                    RejectProposal(prop.proposal_id)
-                )
-        rejects = [
-            _envelope(self.agent_id, rid, neg.conversation, parts)
-            for rid, parts in sorted(reject_by_resource.items())
+        accepts = [
+            _envelope(self.agent_id, rid, conv, parts) for rid, parts in sorted(by_resource.items())
         ]
+
+        accepted_ids = {a.proposal_id for parts in by_resource.values() for a in parts}
+        unused = [q for q in neg.all_proposals() if q.proposal_id not in accepted_ids]
 
         informs: list[Message] = []
         prev = self._prev
-        if prev is not None:
-            if route.kind == "stay-on-machine":
-                informs.append(
-                    _envelope(
-                        self.agent_id,
-                        prev.resource_id,
-                        neg.conversation,
-                        [
-                            InformDeparture(
-                                order_id=self.agent_id,
-                                departure=op_slot.start,
-                                loading_time=0,
-                                stay_on_machine=True,
-                            )
-                        ],
-                    )
-                )
-            else:
-                first_leg = route.legs[0]
-                informs.append(
-                    _envelope(
-                        self.agent_id,
-                        prev.resource_id,
-                        neg.conversation,
-                        [
-                            InformDeparture(
-                                order_id=self.agent_id,
-                                departure=first_leg.slot.start + first_leg.load_time,
-                                loading_time=first_leg.load_time,
-                            )
-                        ],
-                    )
-                )
-
+        if prev is not None and route.kind == "stay-on-machine":
+            informs.append(
+                self._depart(prev.resource_id, conv, op_slot.start, stay_on_machine=True)
+            )
+        elif prev is not None:
+            first = route.legs[0]
+            departure = first.slot.start + first.load_time
+            informs.append(self._depart(prev.resource_id, conv, departure, first.load_time))
         informs_post: list[Message] = []
         if neg.stage_index == len(self.config.plan) - 1:
             # final stage: the workpiece leaves the system at operation end
-            informs_post.append(
-                _envelope(
-                    self.agent_id,
-                    p.resource_id,
-                    neg.conversation,
-                    [
-                        InformDeparture(
-                            order_id=self.agent_id,
-                            departure=op_slot.end,
-                            loading_time=0,
-                        )
-                    ],
-                )
-            )
+            informs_post.append(self._depart(p.resource_id, conv, op_slot.end))
 
         latest = p.slack_after.bound_from(p.slot.start)
         slack_after = Slack.UNBOUNDED if latest is None else Slack(latest - op_start)
@@ -1213,5 +1144,8 @@ class OrderAgent:
             )
         )
         return StageDecision(
-            accepts=accepts, rejects=rejects, informs=informs, informs_post=informs_post
+            accepts=accepts,
+            rejects=rejects(self.agent_id, conv, unused),
+            informs=informs,
+            informs_post=informs_post,
         )

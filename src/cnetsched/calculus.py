@@ -63,14 +63,6 @@ class StageWindows:
         if self.lf is not None and self.lf < self.ef:
             raise InfeasibleWindow(f"LF {self.lf} before EF {self.ef}")
 
-    @property
-    def start_window(self) -> tuple[Seconds, Optional[Seconds]]:
-        return (self.es, self.ls)
-
-    @property
-    def finish_window(self) -> tuple[Seconds, Optional[Seconds]]:
-        return (self.ef, self.lf)
-
 
 @dataclass(frozen=True)
 class SlotCommitment:
@@ -83,14 +75,6 @@ class SlotCommitment:
     def __post_init__(self) -> None:
         if self.finish < self.start:
             raise ValueError("slot finish precedes start")
-
-    @property
-    def latest_start(self) -> Optional[Seconds]:
-        return self.slack_after.bound_from(self.start)
-
-    @property
-    def latest_finish(self) -> Optional[Seconds]:
-        return self.slack_after.bound_from(self.finish)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ MODE_NAMES = {"det": "deterministic", "conc": "concurrent"}
 
 def kernel_config(scenario: Scenario, mode: str) -> KernelConfig:
     """Kernel defaults for the mode, with the scenario's overrides applied."""
-    cfg = KernelConfig.deterministic() if mode == "deterministic" else KernelConfig.concurrent()
+    cfg = KernelConfig() if mode == "deterministic" else KernelConfig.concurrent()
     p = scenario.params
     if p.cfp_deadline is not None:
         cfg = replace(cfg, cfp_deadline=p.cfp_deadline)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Protocol, Union
+from typing import Iterable, Iterator, Optional, Protocol, Union
 
 from .calculus import StageWindows
 from .timebase import Seconds, Slack, TimeInterval
@@ -113,10 +113,6 @@ class Proposal:
     leg: Optional[LegRef] = None
     required_operation: Optional[str] = None
     connected_operations: tuple[str, ...] = ()
-
-    @property
-    def latest_end(self) -> Optional[Seconds]:
-        return self.slack_after.bound_from(self.slot.end)
 
 
 @dataclass(frozen=True)
@@ -294,21 +290,6 @@ class MessageCounter:
             out[variant] = out.get(variant, 0) + n
         return out
 
-    def for_order_stage(self, order_id: str, stage: int) -> int:
-        return sum(
-            n
-            for (o, s, _v), n in self._counts.items()
-            if o == order_id and s == stage
-        )
-
-    def snapshot(self) -> dict[str, dict[str, int]]:
-        """JSON-friendly view: {"order/stage": {variant: n}}."""
-        out: dict[str, dict[str, int]] = {}
-        for (order_id, stage, variant), n in sorted(self._counts.items(), key=str):
-            key = f"{order_id}/s{stage}" if stage is not None else order_id
-            out.setdefault(key, {})[variant] = n
-        return out
-
 
 # ---------------------------------------------------------------------------
 # stage negotiation state machine
@@ -376,7 +357,7 @@ class StageFailure:
 class StagePlanner(Protocol):
     """Decision logic a StageNegotiation delegates to (implemented by the order agent)."""
 
-    def plan_production(self, neg: "StageNegotiation", ctx) -> RoundPlan: ...
+    def plan_production(self, neg: "StageNegotiation", ctx) -> Optional[RoundPlan]: ...
 
     def plan_buffer(self, neg: "StageNegotiation", ctx) -> Optional[RoundPlan]: ...
 
@@ -436,11 +417,9 @@ def advance_stage(
             return []
         neg._enter(Phase.AWAIT_PRODUCTION)
         plan = planner.plan_production(neg, ctx)
-        if not plan.awaiting:
-            return _fail(neg, planner, ctx, "no capable production resource registered")
-        neg.awaiting = set(plan.awaiting)
-        neg.deadline_token = ctx.set_timer(ctx.cfp_deadline)
-        return plan.messages
+        if not (plan and plan.awaiting):
+            return _fail(neg, "no capable production resource registered")
+        return _await(neg, plan, ctx)
 
     if isinstance(event, DeadlineExpired):
         if event.token != neg.deadline_token:
@@ -509,45 +488,46 @@ def reject_unused(order_id: str, event) -> list[Message]:
     ]
 
 
+def rejects(order_id: str, conv: str, proposals: Iterable[Proposal]) -> list[Message]:
+    """One RejectProposal envelope per resource, in resource order."""
+    by_resource: dict[str, list[RejectProposal]] = {}
+    for p in proposals:
+        by_resource.setdefault(p.resource_id, []).append(RejectProposal(p.proposal_id))
+    return [
+        Message(order_id, rid, conv, tuple(parts)) for rid, parts in sorted(by_resource.items())
+    ]
+
+
+def _await(neg: StageNegotiation, plan: RoundPlan, ctx) -> list[Message]:
+    """Open a round: await its responders under one armed deadline."""
+    neg.awaiting = set(plan.awaiting)
+    neg.deadline_token = ctx.set_timer(ctx.cfp_deadline)
+    return plan.messages
+
+
 def _advance_round(neg: StageNegotiation, planner: StagePlanner, ctx) -> list[Message]:
-    """Move past the just-finished await phase into the next one (or select)."""
+    """Close the finished round; open the next one that has responders, or select.
+
+    The rounds run production, buffer, transport; a round the planner skips
+    (``None`` or nobody to await) leaves no phase in the history.
+    """
     neg.deadline_token = None
     if neg.phase is Phase.AWAIT_PRODUCTION:
         if not neg.proposals[PRODUCTION]:
-            return _fail(neg, planner, ctx, "no production proposals received")
+            return _fail(neg, "no production proposals received")
         plan = planner.plan_buffer(neg, ctx)
-        if plan is not None and plan.awaiting:
+        if plan and plan.awaiting:
             neg._enter(Phase.AWAIT_BUFFER)
-            neg.awaiting = set(plan.awaiting)
-            neg.deadline_token = ctx.set_timer(ctx.cfp_deadline)
-            return plan.messages
-        neg.phase = Phase.AWAIT_BUFFER  # passed through silently, not recorded
-        return _after_buffer(neg, planner, ctx, [])
-    if neg.phase is Phase.AWAIT_BUFFER:
-        return _after_buffer(neg, planner, ctx, [])
-    if neg.phase is Phase.AWAIT_TRANSPORT:
-        return _select(neg, planner, ctx)
-    log.warning("protocol violation: round advance in phase %s", neg.phase)
-    return []
-
-
-def _after_buffer(
-    neg: StageNegotiation, planner: StagePlanner, ctx, carried: list[Message]
-) -> list[Message]:
-    plan = planner.plan_transport(neg, ctx)
-    if plan is not None and plan.awaiting:
-        neg._enter(Phase.AWAIT_TRANSPORT)
-        neg.awaiting = set(plan.awaiting)
-        neg.deadline_token = ctx.set_timer(ctx.cfp_deadline)
-        return carried + plan.messages
-    return carried + _select(neg, planner, ctx)
-
-
-def _select(neg: StageNegotiation, planner: StagePlanner, ctx) -> list[Message]:
+            return _await(neg, plan, ctx)
+    if neg.phase is not Phase.AWAIT_TRANSPORT:
+        plan = planner.plan_transport(neg, ctx)
+        if plan and plan.awaiting:
+            neg._enter(Phase.AWAIT_TRANSPORT)
+            return _await(neg, plan, ctx)
     neg._enter(Phase.SELECT)
     decision = planner.decide(neg, ctx)
     if isinstance(decision, StageFailure):
-        return _fail(neg, planner, ctx, decision.reason)
+        return _fail(neg, decision.reason)
     neg._enter(Phase.COMMIT)
     neg._enter(Phase.DONE)
     # departures first: a stay-on-machine accept lands on the same resource
@@ -555,24 +535,8 @@ def _select(neg: StageNegotiation, planner: StagePlanner, ctx) -> list[Message]:
     return decision.informs + decision.accepts + decision.rejects + decision.informs_post
 
 
-def _fail(neg: StageNegotiation, planner: StagePlanner, ctx, reason: str) -> list[Message]:
-    neg.failure_reason = reason
-    rejects = _reject_everything(neg)
-    neg._enter(Phase.FAILED)
-    return rejects
-
-
-def _reject_everything(neg: StageNegotiation) -> list[Message]:
+def _fail(neg: StageNegotiation, reason: str) -> list[Message]:
     """On failure no partial bookings may remain: reject every held offer."""
-    by_resource: dict[str, list[RejectProposal]] = {}
-    for p in neg.all_proposals():
-        by_resource.setdefault(p.resource_id, []).append(RejectProposal(p.proposal_id))
-    return [
-        Message(
-            sender=neg.order_id,
-            receiver=rid,
-            conversation_id=neg.conversation,
-            parts=tuple(parts),
-        )
-        for rid, parts in sorted(by_resource.items())
-    ]
+    neg.failure_reason = reason
+    neg._enter(Phase.FAILED)
+    return rejects(neg.order_id, neg.conversation, neg.all_proposals())

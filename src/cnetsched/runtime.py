@@ -43,10 +43,6 @@ class KernelConfig:
     message_latency: float = 0.0
 
     @classmethod
-    def deterministic(cls, **kw) -> "KernelConfig":
-        return cls(**kw)
-
-    @classmethod
     def concurrent(
         cls, cfp_deadline: float = 0.25, hold_deadline: float = 120.0, **kw
     ) -> "KernelConfig":
@@ -159,7 +155,7 @@ class _Kernel:
             raise ValueError(f"releases for unknown agents {unknown}")
         self.directory = directory
         self.agents = agents
-        self.config = config or KernelConfig.deterministic()
+        self.config = config or KernelConfig()
         self.counter = MessageCounter()
         self.trace: list[str] = []
         self.commits: list[CommitRecord] = []

@@ -29,12 +29,10 @@ from .agents import (
     TransportConfig,
 )
 from .calculus import ScheduleParams, TransportGeometry, derive_t_transport_min
+from .protocol import BUFFER, TRANSPORT
 from .timebase import BookingEntry, Seconds, TimeInterval, minutes
 
 FORMAT_VERSION = 1
-
-BUFFER_CAPABILITY = "buffer"
-TRANSPORT_CAPABILITY = "transport"
 
 
 class ValidationError(ValueError):
@@ -638,7 +636,6 @@ class RuntimeBundle:
     directory: DirectoryService
     agents: dict[str, Any]
     releases: list[tuple[float, str]]
-    params: ScheduleParams
     kinds: dict[str, str]  # agent id -> machine | buffer | transport | order
 
 
@@ -656,7 +653,6 @@ def build_runtime(scenario: Scenario) -> RuntimeBundle:
         agent = ProductionAgent(
             ProductionConfig(
                 agent_id=m.id,
-                capability=m.operation,
                 location=m.location,
                 op_duration=m.durations(),
                 setup=m.setup_matrix(),
@@ -700,7 +696,7 @@ def build_runtime(scenario: Scenario) -> RuntimeBundle:
             )
         )
         kinds[b.id] = "buffer"
-        directory.register(BUFFER_CAPABILITY, b.id)
+        directory.register(BUFFER, b.id)
 
     for t in scenario.transports:
         agent = TransportAgent(
@@ -718,7 +714,7 @@ def build_runtime(scenario: Scenario) -> RuntimeBundle:
             )
         agents[t.id] = agent
         kinds[t.id] = "transport"
-        directory.register(TRANSPORT_CAPABILITY, t.id)
+        directory.register(TRANSPORT, t.id)
 
     releases: list[tuple[float, str]] = []
     for o in scenario.orders:
@@ -731,6 +727,4 @@ def build_runtime(scenario: Scenario) -> RuntimeBundle:
         releases.append((o.release, o.id))
 
     releases.sort(key=lambda pair: (pair[0], pair[1]))
-    return RuntimeBundle(
-        directory=directory, agents=agents, releases=releases, params=params, kinds=kinds
-    )
+    return RuntimeBundle(directory=directory, agents=agents, releases=releases, kinds=kinds)

@@ -75,20 +75,6 @@ class TimeInterval:
     def is_empty(self) -> bool:
         return self.end == self.start
 
-    def contains_point(self, t: Seconds) -> bool:
-        return self.start <= t < self.end
-
-    def contains(self, other: "TimeInterval") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
-    def overlaps(self, other: "TimeInterval") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def intersect(self, other: "TimeInterval") -> Optional["TimeInterval"]:
-        lo = max(self.start, other.start)
-        hi = min(self.end, other.end)
-        return TimeInterval(lo, hi) if lo < hi else None
-
     def shift(self, delta: Seconds) -> "TimeInterval":
         return TimeInterval(self.start + delta, self.end + delta)
 
@@ -113,10 +99,6 @@ class Slack:
         if self.seconds is not None and self.seconds < 0:
             raise ValueError("slack cannot be negative")
 
-    @classmethod
-    def finite(cls, seconds: Seconds) -> "Slack":
-        return cls(int(seconds))
-
     @property
     def unbounded(self) -> bool:
         return self.seconds is None
@@ -124,14 +106,6 @@ class Slack:
     def bound_from(self, point: Seconds) -> Optional[Seconds]:
         """point + slack, or None when the slack is unbounded."""
         return None if self.seconds is None else point + self.seconds
-
-    def capped(self, limit: Optional[Seconds]) -> "Slack":
-        """Slack reduced to at most ``limit`` (None limit keeps it as is)."""
-        if limit is None:
-            return self
-        if self.seconds is None:
-            return Slack(limit)
-        return Slack(min(self.seconds, limit))
 
     def __str__(self) -> str:  # pragma: no cover
         return "unbounded" if self.seconds is None else f"{self.seconds}s"

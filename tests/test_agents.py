@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cnetsched.agents import (
     _ALL,
+    MAX_SLOTS_PER_CFP,
     BufferAgent,
     BufferConfig,
     DirectoryService,
@@ -72,7 +73,6 @@ def machine(agent_id="M1", op=6000, initial_state="A", unload=600, load=600):
     return ProductionAgent(
         ProductionConfig(
             agent_id=agent_id,
-            capability="cutting",
             location=(5.0, 5.0),
             op_duration={"A": op, "B": op},
             setup={"A": {"B": 900}, "B": {"A": 1800}},
@@ -683,7 +683,6 @@ def small_machine():
     return ProductionAgent(
         ProductionConfig(
             agent_id="M1",
-            capability="cutting",
             location=(5.0, 5.0),
             op_duration={"A": 20, "B": 35, "C": 10},
             setup=SMALL_SETUP,
@@ -799,7 +798,7 @@ def full_walk_machine(m, cfp, conv, ctx):
                 )
             )
             emitted += 1
-            if emitted >= m.config.max_slots_per_cfp:
+            if emitted >= MAX_SLOTS_PER_CFP:
                 break
     return out
 
@@ -971,7 +970,6 @@ def machine_with(setup, unload):
     return ProductionAgent(
         ProductionConfig(
             agent_id="M1",
-            capability="cutting",
             location=(5.0, 5.0),
             op_duration={"A": 5},
             setup=setup,

@@ -244,18 +244,11 @@ def test_stage_windows_validation():
         StageWindows(es=100, ef=200, ls=99)
     with pytest.raises(InfeasibleWindow):
         StageWindows(es=100, ef=200, lf=199)
-    w = StageWindows(es=100, ef=200)
-    assert w.start_window == (100, None)
-    assert w.finish_window == (200, None)
 
 
 def test_slot_commitment_validation():
     with pytest.raises(ValueError):
         SlotCommitment(100, 99)
-    c = SlotCommitment(100, 200, Slack(50))
-    assert c.latest_start == 150
-    assert c.latest_finish == 250
-    assert SlotCommitment(0, 0).latest_start is None
 
 
 def test_schedule_params_positive():

@@ -222,7 +222,7 @@ def test_agent_exception_surfaces_from_run(mode, monkeypatch):
         raise Crash(f"M1 on {type(event).__name__}")
 
     monkeypatch.setattr(b.agents["M1"], "handle", handle)
-    config = KernelConfig.deterministic() if mode == "deterministic" else None
+    config = KernelConfig() if mode == "deterministic" else None
     with pytest.raises(Crash, match="M1 on Message"):
         run_kernel(mode, b.directory, b.agents, b.releases, config)
 

@@ -1,8 +1,10 @@
+import functools
 import json
 
 import pytest
 
 from cnetsched.agents import BufferAgent, OrderAgent, ProductionAgent, TransportAgent
+from cnetsched.harness import build_scaling_scenario, build_shop_scenario
 from cnetsched.scenario import (
     Scenario,
     ValidationError,
@@ -13,6 +15,8 @@ from cnetsched.scenario import (
     scenario_to_dict,
 )
 from cnetsched.timebase import minutes
+
+from conftest import FLOWSHOP, JOBSHOP, random_scenario
 
 
 def minimal_doc():
@@ -77,10 +81,25 @@ def test_explicit_transport_floor_wins():
     assert parse_scenario(doc, source="t").t_transport_min == minutes(21)
 
 
-def test_round_trip_is_identity():
-    for path in ("scenarios/section6_flowshop.json", "scenarios/tableV_jobshop.json"):
-        s = load_scenario(path)
-        assert parse_scenario(scenario_to_dict(s), source="rt") == s
+ROUND_TRIP = [
+    pytest.param(lambda: load_scenario(FLOWSHOP), id="section6_flowshop"),
+    pytest.param(lambda: load_scenario(JOBSHOP), id="tableV_jobshop"),
+    pytest.param(lambda: build_shop_scenario("flow", 15, 100), id="flow-15x100"),
+    pytest.param(lambda: build_shop_scenario("job", 15, 100), id="job-15x100"),
+    pytest.param(lambda: build_scaling_scenario(2), id="scaling-2"),
+    pytest.param(lambda: build_scaling_scenario(32), id="scaling-32"),
+    *(
+        pytest.param(functools.partial(random_scenario, seed), id=f"random-{seed}")
+        for seed in range(200)
+    ),
+]
+
+
+@pytest.mark.parametrize("make", ROUND_TRIP)
+def test_round_trip_is_identity(make):
+    # bundled files and every generated shape survive the JSON form unchanged
+    s = make()
+    assert parse_scenario(scenario_to_dict(s), source="rt") == s
 
 
 def test_save_and_load(tmp_path):
