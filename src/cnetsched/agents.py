@@ -57,6 +57,7 @@ from .protocol import (
 from .selector import StageContext, build_ocs, select
 from .timebase import (
     BookingEntry,
+    GapRow,
     NoOpenTail,
     OverlapError,
     ResourceSchedule,
@@ -64,6 +65,7 @@ from .timebase import (
     Seconds,
     Slack,
     TimeInterval,
+    gaps_for,
 )
 
 log = logging.getLogger(__name__)
@@ -228,7 +230,10 @@ class _ResourceAgent:
         This conversation's holds are ignored, so the offers made for one CFP
         never block each other and the list holds for the whole CFP. ``base``
         is the earliest start of any slot the CFP asks for; intervals that
-        :meth:`_usable` would drop for it are not even listed.
+        :meth:`_usable` would drop for it are not even listed. Machines and
+        cranes turn the list into one gap table per CFP right away
+        (``ResourceSchedule.gap_table``); buffers, whose stays impose no
+        setup, use the plain intervals.
         """
         return self.schedule.free_intervals(
             _ALL,
@@ -237,8 +242,11 @@ class _ResourceAgent:
             after=base - self._setup_bound - 1,
         )
 
-    def _usable(self, free: list[TimeInterval], base: Seconds) -> list[TimeInterval]:
+    def _usable(self, free: list, base: Seconds) -> list:
         """The intervals of ``free`` that may host a slot starting no earlier than ``base``.
+
+        ``free`` is a list of free intervals or the rows of a gap table;
+        either way this is one bisect into the sorted interval ends.
 
         In an interval with ``iv.end + S < base`` the predecessor's setup
         (at most S) ends before ``base``, so the slot starts at exactly
@@ -390,29 +398,31 @@ class ProductionAgent(_ResourceAgent):
         free = self._free(
             conv, ctx, min(earliest), frozenset({order_id}) if own else frozenset()
         )
+        # every alternative reads the same table: the new end state is the product
+        table = self.schedule.gap_table(free, self.config.initial_state)
         proposals: list[Proposal] = []
         for alt_idx, (alt, es) in enumerate(zip(cfp.alternatives, earliest)):
             ls, lf = alt.windows.ls, alt.windows.lf
             emitted = 0
-            for gap in self.schedule.placement_gaps(
-                self._usable(free, es), product, self._succ_setup, self.config.initial_state
+            for gap_start, gap_end, from_state, ti_next in gaps_for(
+                self._usable(table, es), product, self._succ_setup
             ):
-                if own and tail is not None and gap.start != tail.operation_end:
+                if own and tail is not None and gap_start != tail.operation_end:
                     # the workpiece sits on this machine and can only wait in
                     # place: any slot beyond the next booking is unreachable
                     continue
-                setup = self._setup(gap.from_state, product)
+                setup = self._setup(from_state, product)
                 prefix = setup + unload
-                op_start = max(es, gap.start + prefix)
+                op_start = max(es, gap_start + prefix)
                 if ls is not None and op_start > ls:
                     break
                 op_end = op_start + op_dur
                 if lf is not None and op_end > lf:
                     break
-                if op_end + load_est > gap.end:
+                if op_end + load_est > gap_end:
                     continue
                 slack_after = _slack_from(
-                    gap.end,
+                    gap_end,
                     op_end + load_est,
                     ls + op_dur + load_est if ls is not None else None,
                     lf + load_est if lf is not None else None,
@@ -427,12 +437,12 @@ class ProductionAgent(_ResourceAgent):
                         product,
                         location=self.config.location,
                         slot=TimeInterval(op_start, op_end),
-                        slack_before=Slack(block_start - gap.start),
+                        slack_before=Slack(block_start - gap_start),
                         slack_after=slack_after,
                         op_duration=op_dur,
                         load_time=load_est,
                         unload_time=unload,
-                        price=proposal_price(op_dur, setup, gap.ti_next),
+                        price=proposal_price(op_dur, setup, ti_next),
                         alternative=alt_idx,
                     )
                 )
@@ -643,15 +653,17 @@ class TransportAgent(_ResourceAgent):
         if not legs:
             return []  # outside this crane's segment: silent, no calendar walk
         # a chained variant starts after its partner, which is placed no
-        # earlier than its own leg's base
+        # earlier than its own leg's base; the table does not depend on where
+        # a leg drops off, so every leg and chained variant reads it
         free = self._free(
             conv, ctx, min(max(leg.windows.es, leg.windows.ef - dur) for _, leg, _, dur in legs)
         )
+        table = self.schedule.gap_table(free, self.config.initial_x, _crane_x)
         proposals: list[Proposal] = []
         emitted_by_leg: dict[int, Proposal] = {}
         for leg_idx, leg, label, dur in legs:
             fx, tx = leg.from_location[0], leg.to_location[0]
-            plain = self._place_leg(leg, leg_idx, dur, free)
+            plain = self._place_leg(leg, leg_idx, dur, table)
             if plain is not None:
                 made = self._offer(ctx, conv, label, end_state=tx, **plain)
                 proposals.append(made)
@@ -660,7 +672,7 @@ class TransportAgent(_ResourceAgent):
             partner = emitted_by_leg.get(leg.chain_after)
             if partner is None or abs(cfp.legs[leg.chain_after].to_location[0] - fx) >= 1e-9:
                 continue
-            chained = self._place_leg(leg, leg_idx, dur, free, after=partner)
+            chained = self._place_leg(leg, leg_idx, dur, table, after=partner)
             # one equal to the plain placement is not offered: no hold, no id
             if chained is not None and (
                 plain is None
@@ -674,7 +686,7 @@ class TransportAgent(_ResourceAgent):
         leg: TransportLeg,
         leg_idx: int,
         dur: Seconds,
-        free: list[TimeInterval],
+        table: list[GapRow],
         after: Optional[Proposal] = None,
     ) -> Optional[dict]:
         """Where ``leg`` fits first, as ``_offer`` arguments: the span and the proposal's fields.
@@ -687,27 +699,27 @@ class TransportAgent(_ResourceAgent):
         w = leg.windows
         fx, tx = leg.from_location[0], leg.to_location[0]
         base = after.slot.end if after is not None else max(w.es, w.ef - dur)
-        for gap in self.schedule.placement_gaps(
-            self._usable(free, base), tx, self._succ_setup, self.config.initial_x, _crane_x
+        for gap_start, gap_end, from_state, ti_next in gaps_for(
+            self._usable(table, base), tx, self._succ_setup
         ):
             if after is not None:
-                if not (gap.start <= after.slot.start and after.slot.end <= gap.end):
+                if not (gap_start <= after.slot.start and after.slot.end <= gap_end):
                     continue
                 setup = 0
                 floor = after.slot.end
             else:
-                setup = geom.travel_seconds(gap.from_state, fx)
-                floor = gap.start + setup
+                setup = geom.travel_seconds(from_state, fx)
+                floor = gap_start + setup
             load_start = max(w.es, w.ef - dur, floor)
             if w.ls is not None and load_start > w.ls:
                 break
             end = load_start + dur
             if w.lf is not None and end > w.lf:
                 break
-            if end > gap.end:
+            if end > gap_end:
                 continue
             slack_after = _slack_from(
-                gap.end,
+                gap_end,
                 end,
                 w.ls + dur if w.ls is not None else None,
                 w.lf,
@@ -716,12 +728,12 @@ class TransportAgent(_ResourceAgent):
                 span=TimeInterval(max(0, load_start - setup), end),
                 location=(fx, leg.from_location[1]),
                 slot=TimeInterval(load_start, end),
-                slack_before=Slack(max(0, load_start - setup - gap.start)),
+                slack_before=Slack(max(0, load_start - setup - gap_start)),
                 slack_after=slack_after,
                 op_duration=dur,
                 load_time=geom.load_time,
                 unload_time=geom.unload_time,
-                price=proposal_price(dur, setup, gap.ti_next),
+                price=proposal_price(dur, setup, ti_next),
                 alternative=0,
                 leg=LegRef(leg_idx, leg.from_resource, leg.to_resource, leg.realizes, leg.via),
                 required_operation=after.proposal_id if after is not None else None,

@@ -117,6 +117,7 @@ def build_metrics(
             "per_variant": report.counter.per_variant(),
         },
         "commits": len(report.commits),
+        "leftover_holds": dict(report.leftover_holds),
         "events": report.events,
         "wall_seconds": report.wall_seconds,
     }

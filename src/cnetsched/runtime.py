@@ -74,6 +74,8 @@ class RunReport:
     events: int
     wall_seconds: float
     agents: dict[str, object] = field(default_factory=dict)
+    #: resource id -> offers still in its hold book when the run ends
+    leftover_holds: dict[str, int] = field(default_factory=dict)
 
     @property
     def all_done(self) -> bool:
@@ -238,6 +240,11 @@ class _Kernel:
             events=len(self.trace),
             wall_seconds=wall,
             agents=self.agents,
+            leftover_holds={
+                aid: len(agent.holds)
+                for aid, agent in self.agents.items()
+                if hasattr(agent, "holds")
+            },
         )
 
 

@@ -8,6 +8,12 @@ sits on top of two guarantees made here:
 * a calendar is a time-sorted list of pairwise disjoint booking entries, where an
   entry with an *open tail* (departure not yet negotiated) blocks its whole
   suffix to +infinity instead of pretending to know when the workpiece leaves.
+
+A resource answers one CFP from one gap table
+(:meth:`ResourceSchedule.gap_table`): its free intervals, each with the state
+before it and the booking right after it, looked up once. :func:`gaps_for`
+turns the table into the gaps a booking of one end state sees, with no further
+calendar lookup, however many legs or alternatives the CFP carries.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, ClassVar, Iterable, Iterator, Optional
+from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional
 
 Seconds = int  # engine-wide unit: integer seconds from the scenario epoch
 
@@ -211,14 +217,40 @@ _end_state = attrgetter("end_state")
 _open_tail = attrgetter("open_tail")
 
 
-@dataclass(frozen=True)
-class PlacementGap:
-    """A free interval as a new booking of a given end state sees it."""
+class GapRow(NamedTuple):
+    """One free interval of a gap table, with its neighbours resolved."""
 
     start: Seconds
-    end: Seconds  # where the successor's recomputed setup has to begin
+    end: Seconds  # end of the free interval
     from_state: Any  # state the predecessor leaves the resource in
-    ti_next: Seconds  # signed successor setup change a booking here would cause
+    succ: Optional[BookingEntry]  # the entry starting exactly at ``end``, if any
+    core_start: Seconds  # the successor's core start; the interval's end without one
+    setup: Seconds  # the successor's current setup length
+
+
+#: a free interval as a booking of a given end state sees it:
+#: (start, end where the successor's recomputed setup has to begin,
+#: from_state, signed successor setup change a booking there would cause)
+PlacementGap = tuple[Seconds, Seconds, Any, Seconds]
+
+
+def gaps_for(
+    rows: Iterable[GapRow], new_end_state: Any, setup_of: SetupFn
+) -> Iterator[PlacementGap]:
+    """The rows of a gap table as a booking ending in ``new_end_state`` sees them.
+
+    With a successor, the gap ends where the successor's setup, recomputed by
+    ``setup_of``, has to begin; that is all the work left per end state, as
+    the table already holds every calendar lookup. Empty gaps are skipped.
+    """
+    for start, end, from_state, succ, core_start, setup in rows:
+        ti = 0
+        if succ is not None:
+            new_setup = setup_of(new_end_state, succ)
+            ti = new_setup - setup
+            end = core_start - new_setup
+        if end > start:
+            yield start, end, from_state, ti
 
 
 @dataclass
@@ -305,21 +337,20 @@ class ResourceSchedule:
             free.append(TimeInterval(cursor, window.end))
         return free
 
-    def placement_gaps(
-        self,
-        free: Iterable[TimeInterval],
-        new_end_state: Any,
-        setup_of: SetupFn,
-        initial: Any,
-        read: StateFn = _end_state,
-    ) -> Iterator[PlacementGap]:
-        """Yield the intervals of ``free`` as a booking ending in ``new_end_state`` sees them.
+    def gap_table(
+        self, free: Iterable[TimeInterval], initial: Any, read: StateFn = _end_state
+    ) -> list[GapRow]:
+        """The intervals of ``free`` with their neighbours looked up once.
 
-        ``free`` comes from :meth:`free_intervals`, so every interval lies
-        before any open tail that blocks, and a gap's ``from_state`` is plain
-        :meth:`state_before` of its start. When an entry starts where the
-        interval ends, the gap ends where that successor's setup, recomputed
-        by ``setup_of``, has to begin. Empty gaps are skipped.
+        ``free`` comes from :meth:`free_intervals`: sorted, free of entries,
+        and before any open tail that blocks. So the entries ending by an
+        interval's start are exactly those before it, and the next entry
+        starts at or after its end. One bisect finds the first interval's
+        place; a cursor then walks the entries once for the whole table,
+        keeping each row's ``from_state`` equal to :meth:`state_before` of
+        its start. A row's successor is the entry that starts where the
+        interval ends; its setup is the one a new booking in front of it
+        recomputes (see :func:`gaps_for`).
 
         A gap therefore ends at most the successor's old setup after its
         interval. When no setup on the resource exceeds ``S`` and a slot
@@ -328,16 +359,26 @@ class ResourceSchedule:
         hold it, so callers may drop those intervals first (and ask
         :meth:`free_intervals` only for those ending after ``base - S - 1``).
         """
+        entries = self.entries
+        rows: list[GapRow] = []
+        i = -1  # cursor: the first entry not ending by the current interval's start
         for iv in free:
-            end, ti = iv.end, 0
-            succ = self.entry_at_or_after(iv.end)
+            if i < 0:
+                i = self.last_ending_by(iv.start) + 1
+                state = self._state_below(i, initial, read)
+            while i < len(entries) and entries[i].span_end <= iv.start:
+                got = read(entries[i])
+                if got is not None:
+                    state = got
+                i += 1
+            succ = entries[i] if i < len(entries) else None
             if succ is not None and succ.span_start == iv.end:
                 setup_iv = succ.setup_interval
-                new_setup = setup_of(new_end_state, succ)
-                ti = new_setup - (setup_iv.duration if setup_iv is not None else 0)
-                end = succ.core_start - new_setup
-            if end > iv.start:
-                yield PlacementGap(iv.start, end, self.state_before(iv.start, initial, read), ti)
+                setup = setup_iv.duration if setup_iv is not None else 0
+                rows.append(GapRow(iv.start, iv.end, state, succ, succ.core_start, setup))
+            else:
+                rows.append(GapRow(iv.start, iv.end, state, None, iv.end, 0))
+        return rows
 
     def entry_at_or_after(self, t: Seconds) -> Optional[BookingEntry]:
         i = bisect.bisect_left(self.entries, t, key=_span_start)
@@ -363,8 +404,12 @@ class ResourceSchedule:
         if assume_closed is not None:
             tails = self.open_tail_entries()
             t = min([t] + [e.span_start for e in tails if e.order_id not in assume_closed])
-        for i in range(self.last_ending_by(t), -1, -1):
-            state = read(self.entries[i])
+        return self._state_below(self.last_ending_by(t) + 1, initial, read)
+
+    def _state_below(self, i: int, initial: Any, read: StateFn) -> Any:
+        """``read`` of the last entry before index ``i`` that gives a state, else ``initial``."""
+        for j in range(i - 1, -1, -1):
+            state = read(self.entries[j])
             if state is not None:
                 return state
         return initial

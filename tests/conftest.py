@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,8 @@ from cnetsched.scenario import (
     TransportSpec,
     load_scenario,
 )
+
+_end_state = attrgetter("end_state")
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -68,16 +71,38 @@ def hold_check(report) -> list[str]:
 
     An offered span is withheld from other orders until it is accepted,
     rejected or expires; a hold that outlives every order is one that was
-    never answered. Returns one line per violation.
+    never answered. Reads ``report.leftover_holds``; returns one line per
+    violation.
     """
     running = sorted(o for o, s in report.status.items() if s not in ("done", "failed"))
     if running:
         return [f"orders still running: {', '.join(running)}"]
     return [
-        f"{rid} still holds {h.proposal_id} for {h.conversation_id}"
-        for rid in sorted(agent_kinds(report))
-        for h in report.agents[rid].holds
+        f"{rid} still holds {n}: "
+        + ", ".join(f"{h.proposal_id} for {h.conversation_id}" for h in report.agents[rid].holds)
+        for rid, n in sorted(report.leftover_holds.items())
+        if n
     ]
+
+
+def full_gap_walk(schedule, free, new_end_state, setup_of, initial, read=_end_state):
+    """The successor-aware gap walk that asks the calendar afresh for every interval.
+
+    The reference for ``ResourceSchedule.gap_table`` read through
+    ``timebase.gaps_for``: for each interval of ``free`` one successor bisect
+    and one ``state_before`` walk, each time it is called. Yields
+    ``(start, end, from_state, ti_next)`` and skips empty gaps.
+    """
+    for iv in free:
+        end, ti = iv.end, 0
+        succ = schedule.entry_at_or_after(iv.end)
+        if succ is not None and succ.span_start == iv.end:
+            setup_iv = succ.setup_interval
+            new_setup = setup_of(new_end_state, succ)
+            ti = new_setup - (setup_iv.duration if setup_iv is not None else 0)
+            end = succ.core_start - new_setup
+        if end > iv.start:
+            yield iv.start, end, schedule.state_before(iv.start, initial, read), ti
 
 
 # ---------------------------------------------------------------------------

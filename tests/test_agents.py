@@ -40,6 +40,7 @@ from cnetsched.protocol import (
     conversation_id,
 )
 from cnetsched.timebase import BookingEntry, OverlapError, Slack, TimeInterval, minutes
+from conftest import full_gap_walk
 
 PARAMS = ScheduleParams(t_transport_min=minutes(21), t_buffer_min=minutes(15))
 
@@ -760,18 +761,20 @@ def full_walk_machine(m, cfp, conv, ctx):
         es = tail.operation_end if own else alt.windows.es
         ls, lf = alt.windows.ls, alt.windows.lf
         emitted = 0
-        for gap in m.schedule.placement_gaps(free, product, m._succ_setup, "A"):
-            if own and gap.start != tail.operation_end:
+        for gap_start, gap_end, from_state, ti_next in full_gap_walk(
+            m.schedule, free, product, m._succ_setup, "A"
+        ):
+            if own and gap_start != tail.operation_end:
                 continue
-            setup = m._setup(gap.from_state, product)
+            setup = m._setup(from_state, product)
             prefix = setup + unload
-            op_start = max(es, gap.start + prefix)
+            op_start = max(es, gap_start + prefix)
             if ls is not None and op_start > ls:
                 break
             op_end = op_start + op_dur
             if lf is not None and op_end > lf:
                 break
-            if op_end + load_est > gap.end:
+            if op_end + load_est > gap_end:
                 continue
             block_start = op_start - prefix
             out.append(
@@ -783,9 +786,9 @@ def full_walk_machine(m, cfp, conv, ctx):
                     product,
                     location=m.config.location,
                     slot=TimeInterval(op_start, op_end),
-                    slack_before=Slack(block_start - gap.start),
+                    slack_before=Slack(block_start - gap_start),
                     slack_after=_slack_from(
-                        gap.end,
+                        gap_end,
                         op_end + load_est,
                         ls + op_dur + load_est if ls is not None else None,
                         lf + load_est if lf is not None else None,
@@ -793,7 +796,7 @@ def full_walk_machine(m, cfp, conv, ctx):
                     op_duration=op_dur,
                     load_time=load_est,
                     unload_time=unload,
-                    price=proposal_price(op_dur, setup, gap.ti_next),
+                    price=proposal_price(op_dur, setup, ti_next),
                     alternative=alt_idx,
                 )
             )
@@ -864,30 +867,32 @@ def full_walk_leg(t, leg, dur, free, after=None):
     geom = t.config.geometry
     w = leg.windows
     fx, tx = leg.from_location[0], leg.to_location[0]
-    for gap in t.schedule.placement_gaps(free, tx, t._succ_setup, t.config.initial_x, _crane_x):
+    for gap_start, gap_end, from_state, ti_next in full_gap_walk(
+        t.schedule, free, tx, t._succ_setup, t.config.initial_x, _crane_x
+    ):
         if after is not None:
-            if not (gap.start <= after.slot.start and after.slot.end <= gap.end):
+            if not (gap_start <= after.slot.start and after.slot.end <= gap_end):
                 continue
             setup = 0
             floor = after.slot.end
         else:
-            setup = geom.travel_seconds(gap.from_state, fx)
-            floor = gap.start + setup
+            setup = geom.travel_seconds(from_state, fx)
+            floor = gap_start + setup
         load_start = max(w.es, w.ef - dur, floor)
         if w.ls is not None and load_start > w.ls:
             break
         end = load_start + dur
         if w.lf is not None and end > w.lf:
             break
-        if end > gap.end:
+        if end > gap_end:
             continue
-        slack_after = _slack_from(gap.end, end, w.ls + dur if w.ls is not None else None, w.lf)
+        slack_after = _slack_from(gap_end, end, w.ls + dur if w.ls is not None else None, w.lf)
         return (
             TimeInterval(max(0, load_start - setup), end),
             TimeInterval(load_start, end),
-            Slack(max(0, load_start - setup - gap.start)),
+            Slack(max(0, load_start - setup - gap_start)),
             slack_after,
-            proposal_price(dur, setup, gap.ti_next),
+            proposal_price(dur, setup, ti_next),
         )
     return None
 
@@ -933,7 +938,7 @@ def test_property_crane_skip_places_legs_like_the_full_walk(
     conv, ctx = "o1/s1", FakeCtx()
     # another leg of the CFP may start earlier and bound the list lower
     base = after.slot.end if after is not None else max(es, ef - dur)
-    bounded = t._free(conv, ctx, base - lower)
+    bounded = t.schedule.gap_table(t._free(conv, ctx, base - lower), t.config.initial_x, _crane_x)
     full = t.schedule.free_intervals(
         _ALL, extra_busy=t.holds.active_spans(ctx.now(), exclude_conversation=conv)
     )
@@ -960,7 +965,7 @@ def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretche
     conv, ctx = "o1/s1", FakeCtx()
     free = t._free(conv, ctx, 140)
     assert free[0] == TimeInterval(0, 100)
-    fields = t._place_leg(leg, 0, 10, free)
+    fields = t._place_leg(leg, 0, 10, t.schedule.gap_table(free, 0.0, _crane_x))
     assert fields["slot"] == TimeInterval(140, 150)
     assert fields["price"] == 10 + 0 - 60  # the successor's setup shrinks by 60 s
     assert fields["slack_after"] == Slack(10)
@@ -1021,27 +1026,76 @@ def test_buffer_offers_a_zero_length_stay_at_the_very_end_of_an_interval():
 
 @pytest.mark.parametrize("n_orders", [60, 120])
 def test_crane_legs_walk_a_bounded_number_of_gaps(monkeypatch, n_orders):
-    # calendars grow with the order count; a leg's walk must not (a walk from
-    # time 0 visits ~53 gaps per leg at 60 orders and ~105 at 120)
+    # calendars grow with the order count; the table rows a leg reads must
+    # not (a walk from time 0 visits ~53 gaps per leg at 60 orders and ~105
+    # at 120)
+    from cnetsched import agents
     from cnetsched.harness import build_shop_scenario, run_scenario
-    from cnetsched.timebase import ResourceSchedule
 
-    counts = {"legs": 0, "gaps": 0}
-    walk, place = ResourceSchedule.placement_gaps, TransportAgent._place_leg
+    counts = {"legs": 0, "rows": 0}
+    gaps, place = agents.gaps_for, TransportAgent._place_leg
 
-    def counted_walk(self, *args):
-        crane_walk = args[-1] is _crane_x  # only cranes read positions
-        for gap in walk(self, *args):
-            counts["gaps"] += crane_walk
-            yield gap
+    def counted_rows(rows):
+        for row in rows:
+            counts["rows"] += 1
+            yield row
+
+    def counted_gaps(rows, new_end_state, setup_of):
+        if isinstance(getattr(setup_of, "__self__", None), TransportAgent):
+            rows = counted_rows(rows)
+        return gaps(rows, new_end_state, setup_of)
 
     def counted_place(self, *args, **kwargs):
         counts["legs"] += 1
         return place(self, *args, **kwargs)
 
-    monkeypatch.setattr(ResourceSchedule, "placement_gaps", counted_walk)
+    monkeypatch.setattr(agents, "gaps_for", counted_gaps)
     monkeypatch.setattr(TransportAgent, "_place_leg", counted_place)
     report = run_scenario(build_shop_scenario("flow", n_orders, 100), mode="deterministic")
     assert list(report.status.values()).count("done") == n_orders - 1
     assert counts["legs"] > n_orders
-    assert counts["gaps"] <= 5 * counts["legs"]
+    assert counts["rows"] <= 5 * counts["legs"]
+
+
+def test_a_crane_cfp_looks_up_each_free_interval_once_whatever_its_legs(monkeypatch):
+    # k = 32 machines per capability: a transport CFP carries dozens of legs,
+    # and each leg reads the CFP's gap table instead of the calendar
+    from cnetsched.harness import build_scaling_scenario, run_scenario
+    from cnetsched.timebase import ResourceSchedule
+
+    cfps = []  # per crane CFP: [legs, usable free intervals, calendar lookups]
+    current = []
+
+    def counted(name):
+        lookup = getattr(ResourceSchedule, name)
+
+        def wrapper(self, *args, **kwargs):
+            if current:
+                current[-1][2] += 1
+            return lookup(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResourceSchedule, name, wrapper)
+
+    for name in ("state_before", "entry_at_or_after", "last_ending_by"):
+        counted(name)
+    propose, free = TransportAgent._propose, TransportAgent._free
+
+    def counted_propose(self, msg, cfp, step, ctx):
+        current.append([len(cfp.legs), 0, 0])
+        try:
+            return propose(self, msg, cfp, step, ctx)
+        finally:
+            cfps.append(current.pop())
+
+    def counted_free(self, *args, **kwargs):
+        intervals = free(self, *args, **kwargs)
+        current[-1][1] = len(intervals)
+        return intervals
+
+    monkeypatch.setattr(TransportAgent, "_propose", counted_propose)
+    monkeypatch.setattr(TransportAgent, "_free", counted_free)
+    report = run_scenario(build_scaling_scenario(32), mode="deterministic")
+    assert report.all_done
+    assert max(legs for legs, _, _ in cfps) >= 40
+    assert any(legs > 5 * intervals > 0 for legs, intervals, _ in cfps)
+    assert [(legs, intervals, n) for legs, intervals, n in cfps if n > intervals] == []

@@ -4,7 +4,9 @@ import pytest
 
 from cnetsched import harness
 from cnetsched.harness import build_scaling_scenario, run_scenario, scaling_sweep
+from cnetsched.protocol import HoldBook
 from cnetsched.scenario import parse_scenario, scenario_to_dict
+from conftest import agent_kinds, hold_check
 
 
 def test_scaling_scenario_is_valid_and_every_order_finishes():
@@ -46,3 +48,16 @@ def test_quadratic_fit_recovers_an_exact_parabola():
     assert harness._quadratic_fit(xs, ys) == [
         pytest.approx(-0.5), pytest.approx(3.0), pytest.approx(7.0)
     ]
+
+
+def test_leftover_holds_count_the_offers_nobody_answered(flowshop_scenario, monkeypatch):
+    clean = run_scenario(flowshop_scenario, mode="deterministic")
+    assert set(clean.leftover_holds) == set(agent_kinds(clean))
+    assert set(clean.leftover_holds.values()) == {0} and hold_check(clean) == []
+    assert harness.build_metrics(clean)["leftover_holds"] == clean.leftover_holds
+    # a resource that forgets every reject keeps the offers it lost
+    monkeypatch.setattr(HoldBook, "release", lambda self, proposal_id: None)
+    leaky = run_scenario(flowshop_scenario, mode="deterministic")
+    left = {rid: n for rid, n in leaky.leftover_holds.items() if n}
+    assert left and left == {rid: len(leaky.agents[rid].holds) for rid in left}
+    assert len(hold_check(leaky)) == len(left)

@@ -200,12 +200,28 @@ def test_concurrent_latency_delivers_the_last_orders_bookings(flowshop_scenario)
     s = staggered(flowshop_scenario)
     cfg = replace(kernel_config(s, "concurrent"), message_latency=0.002)
     r = run_scenario(s, "concurrent", config=cfg)
-    assert r.all_done
     machines = {m.id for m in s.machines}
-    steps = {p.id: len(p.steps) for p in s.products}
+    steps = {p.id: p.steps for p in s.products}
+
+    def outcome() -> str:
+        # each order's status and diagnostic, and the steps with no machine commit
+        lines = []
+        for order in s.orders:
+            labels = {c.step_label for c in r.commits
+                      if c.order_id == order.id and c.resource_id in machines}
+            lacking = [
+                f"step {i} ({op}): none of {sorted(m.id for m in s.machines if m.operation == op)}"
+                for i, op in enumerate(steps[order.product], 1)
+                if str(i) not in labels
+            ]
+            lines.append(f"{order.id} {r.status[order.id]} ({r.diagnostics[order.id]}); "
+                         f"machines lacking a commit: {lacking or 'none'}")
+        return "\n".join(lines)
+
+    assert r.all_done, outcome()
     for order in s.orders:
         booked = [c for c in r.commits if c.order_id == order.id and c.resource_id in machines]
-        assert len(booked) == steps[order.product], order.id
+        assert len(booked) == len(steps[order.product]), outcome()
 
 
 class Crash(Exception):

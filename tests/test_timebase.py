@@ -9,10 +9,12 @@ from cnetsched.timebase import (
     ResourceSchedule,
     Slack,
     TimeInterval,
+    gaps_for,
     hhmm,
     min_bound,
     minutes,
 )
+from conftest import full_gap_walk
 
 
 def op_entry(order, start, end, step="1", end_state="", open_tail=False, setup=0):
@@ -310,13 +312,12 @@ def test_placement_gaps_respect_successor_setup():
 
     s = ResourceSchedule()
     s.insert_booking(op_entry("later", 200, 300, setup=20))  # setup [180, 200)
-    free = s.free_intervals(TimeInterval(0, 1000))
-    gaps_b = list(s.placement_gaps(free, "B", setup_of, initial="A"))
-    assert (gaps_b[0].start, gaps_b[0].end) == (0, 160)  # 40s setup now needed before 200
-    assert gaps_b[0].ti_next == 20 and gaps_b[0].from_state == "A"
-    gaps_a = list(s.placement_gaps(free, "A", setup_of, initial="A"))
-    assert (gaps_a[0].start, gaps_a[0].end) == (0, 190)  # setup shrinks, gap stretches
-    assert gaps_a[0].ti_next == -10
+    table = s.gap_table(s.free_intervals(TimeInterval(0, 1000)), initial="A")
+    assert table[0].succ is s.entries[0] and table[0].setup == 20
+    # start, end, from_state, ti_next: a 40s setup is now needed before 200
+    assert list(gaps_for(table, "B", setup_of))[0] == (0, 160, "A", 20)
+    # the setup shrinks and the gap stretches
+    assert list(gaps_for(table, "A", setup_of))[0] == (0, 190, "A", -10)
 
 
 def test_entry_at_or_after():
@@ -599,10 +600,6 @@ def linear_crane_gaps(s, pickups, initial_x, drop_x, extra):
     return out
 
 
-def walked(gaps):
-    return [(g.start, g.end, g.from_state, g.ti_next) for g in gaps]
-
-
 @given(machine_calendar())
 def test_property_indexed_lookups_match_linear_scans(s):
     horizon = max((e.span_end for e in s.entries), default=0) + 5
@@ -622,9 +619,10 @@ def test_property_machine_gap_walk_matches_linear_scan(s, product, initial, extr
     tails = s.open_tail_entries()
     assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
     free = s.free_intervals(SCAN, extra_busy=extra, assume_closed=assume)
-    assert walked(s.placement_gaps(free, product, machine_succ_setup, initial)) == (
-        linear_machine_gaps(s, product, initial, extra, assume)
-    )
+    linear = linear_machine_gaps(s, product, initial, extra, assume)
+    table = s.gap_table(free, initial)
+    assert list(gaps_for(table, product, machine_succ_setup)) == linear
+    assert list(full_gap_walk(s, free, product, machine_succ_setup, initial)) == linear
     horizon = max((e.span_end for e in s.entries), default=0) + 5
     for t in range(horizon):
         assert s.state_before(t, initial, assume_closed=assume) == (
@@ -636,8 +634,11 @@ def test_property_machine_gap_walk_matches_linear_scan(s, product, initial, extr
 def test_property_crane_gap_walk_matches_linear_scan(calendar, drop_x, extra):
     s, pickups, initial_x = calendar
     free = s.free_intervals(SCAN, extra_busy=extra)
-    gaps = s.placement_gaps(free, drop_x, crane_succ_setup(pickups), initial_x, crane_x)
-    assert walked(gaps) == linear_crane_gaps(s, pickups, initial_x, drop_x, extra)
+    linear = linear_crane_gaps(s, pickups, initial_x, drop_x, extra)
+    table = s.gap_table(free, initial_x, crane_x)
+    assert list(gaps_for(table, drop_x, crane_succ_setup(pickups))) == linear
+    walk = full_gap_walk(s, free, drop_x, crane_succ_setup(pickups), initial_x, crane_x)
+    assert list(walk) == linear
     horizon = max((e.span_end for e in s.entries), default=0) + 5
     for t in range(horizon):
         assert s.state_before(t, initial_x, crane_x) == linear_crane_x(s, t, initial_x)
@@ -656,3 +657,18 @@ def test_property_free_intervals_after_is_the_filtered_full_query(s, extra, own,
     full = s.free_intervals(window, extra_busy=extra, assume_closed=assume)
     bounded = s.free_intervals(window, extra_busy=extra, assume_closed=assume, after=lo)
     assert bounded == [iv for iv in full if iv.end > lo]
+
+
+@given(machine_calendar(), holds, st.booleans(), st.integers(-5, 800))
+def test_property_gap_table_of_a_bounded_list_is_the_full_tables_tail(s, extra, own, lo):
+    # the cursor starts with one bisect at the first interval it is given
+    tails = s.open_tail_entries()
+    assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
+    full = s.free_intervals(SCAN, extra_busy=extra, assume_closed=assume)
+    bounded = s.free_intervals(SCAN, extra_busy=extra, assume_closed=assume, after=lo)
+    table = s.gap_table(bounded, "A")
+    assert table == [row for row in s.gap_table(full, "A") if row.end > lo]
+    for row in table:
+        assert row.from_state == s.state_before(row.start, "A")
+        succ = linear_at_or_after(s, row.end)
+        assert row.succ is (succ if succ is not None and succ.span_start == row.end else None)
