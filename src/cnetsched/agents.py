@@ -13,7 +13,7 @@ import functools
 import logging
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import calculus
 from .calculus import (
@@ -78,8 +78,7 @@ MAX_SLOTS_PER_CFP = 2
 _iv_end = attrgetter("end")
 
 
-@dataclass(frozen=True)
-class StartOrder:
+class StartOrder(NamedTuple):
     """Kernel-injected event that wakes an order agent."""
 
     order_id: str

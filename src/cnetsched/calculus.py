@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .timebase import Seconds, Slack, min_bound
 
@@ -44,37 +44,61 @@ class ScheduleParams:
             raise ValueError("scheduling floors must be positive")
 
 
-@dataclass(frozen=True)
-class StageWindows:
+class _StageWindows(NamedTuple):
+    es: Seconds
+    ef: Seconds
+    ls: Optional[Seconds] = None
+    lf: Optional[Seconds] = None
+
+
+class StageWindows(_StageWindows):
     """ES/EF/LS/LF bounds exchanged in CFPs; None encodes an unbounded bound.
 
     ``(es, ls)`` bound an activity's start and ``(ef, lf)`` its finish; for a
     buffering activity the two pairs are the entry and exit windows.
     """
 
-    es: Seconds
-    ef: Seconds
-    ls: Optional[Seconds] = None
-    lf: Optional[Seconds] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ls is not None and self.ls < self.es:
-            raise InfeasibleWindow(f"LS {self.ls} before ES {self.es}")
-        if self.lf is not None and self.lf < self.ef:
-            raise InfeasibleWindow(f"LF {self.lf} before EF {self.ef}")
+    def __new__(
+        cls,
+        es: Seconds,
+        ef: Seconds,
+        ls: Optional[Seconds] = None,
+        lf: Optional[Seconds] = None,
+    ) -> "StageWindows":
+        if ls is not None and ls < es:
+            raise InfeasibleWindow(f"LS {ls} before ES {es}")
+        if lf is not None and lf < ef:
+            raise InfeasibleWindow(f"LF {lf} before EF {ef}")
+        return tuple.__new__(cls, (es, ef, ls, lf))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Optional[Seconds]]) -> "StageWindows":
+        return cls(*iterable)  # ``_replace`` builds through here too: checked
 
 
-@dataclass(frozen=True)
-class SlotCommitment:
-    """A committed or proposed slot another stage hangs its windows on."""
-
+class _SlotCommitment(NamedTuple):
     start: Seconds
     finish: Seconds
     slack_after: Slack = Slack.UNBOUNDED
 
-    def __post_init__(self) -> None:
-        if self.finish < self.start:
+
+class SlotCommitment(_SlotCommitment):
+    """A committed or proposed slot another stage hangs its windows on."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, start: Seconds, finish: Seconds, slack_after: Slack = Slack.UNBOUNDED
+    ) -> "SlotCommitment":
+        if finish < start:
             raise ValueError("slot finish precedes start")
+        return tuple.__new__(cls, (start, finish, slack_after))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "SlotCommitment":
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Six payload kinds travel between agents: Cfp, Proposal, AcceptProposal,
 RejectProposal, InformDeparture, InformFailure. An envelope (Message) carries
 one or more payloads of one kind to one receiver; aggregation is what keeps
-message growth linear in the number of contacted resources.
+message growth linear in the number of contacted resources. Payloads and
+envelopes are immutable tuple records (``typing.NamedTuple``): cheap to build
+once per hop, and safe to hand to another agent's thread without a copy.
 
 StageNegotiation is a deterministic state machine: feeding it the same event
 sequence always yields the same transitions and the same outgoing envelopes.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Protocol, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Protocol, Union
 
 from .calculus import StageWindows
 from .timebase import Seconds, Slack, TimeInterval
@@ -32,8 +34,7 @@ TRANSPORT = "transport"
 # payloads
 
 
-@dataclass(frozen=True)
-class WorkpieceInfo:
+class WorkpieceInfo(NamedTuple):
     """What the receiver needs to know about the workpiece being negotiated.
 
     ``location is None`` marks a workpiece entering the system from outside:
@@ -45,8 +46,7 @@ class WorkpieceInfo:
     location: Optional[tuple[float, float]] = None
 
 
-@dataclass(frozen=True)
-class CfpAlternative:
+class CfpAlternative(NamedTuple):
     """One requested window set; ``realizes`` ties buffer requests to the
     production proposal they would serve."""
 
@@ -54,8 +54,7 @@ class CfpAlternative:
     realizes: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class TransportLeg:
+class TransportLeg(NamedTuple):
     """One requested transport movement inside a transport CFP.
 
     ``realizes`` names the proposal whose arrival this leg enables (a buffer
@@ -75,8 +74,7 @@ class TransportLeg:
     chain_after: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class Cfp:
+class Cfp(NamedTuple):
     kind: str  # PRODUCTION | BUFFER | TRANSPORT
     workpiece: WorkpieceInfo
     operation: str
@@ -85,8 +83,7 @@ class Cfp:
     deadline: Seconds = 0
 
 
-@dataclass(frozen=True)
-class LegRef:
+class LegRef(NamedTuple):
     """Echo of the CFP leg a transport proposal answers."""
 
     index: int
@@ -96,8 +93,7 @@ class LegRef:
     via: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Proposal:
+class Proposal(NamedTuple):
     proposal_id: str
     kind: str
     resource_id: str
@@ -115,8 +111,7 @@ class Proposal:
     connected_operations: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AcceptProposal:
+class AcceptProposal(NamedTuple):
     """Binding commitment to (a possibly shifted variant of) an offered slot.
 
     ``actual_unload_time``/``actual_load_time`` replace the estimates used at
@@ -131,21 +126,18 @@ class AcceptProposal:
     dependent_proposal_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class RejectProposal:
+class RejectProposal(NamedTuple):
     proposal_id: str
 
 
-@dataclass(frozen=True)
-class InformDeparture:
+class InformDeparture(NamedTuple):
     order_id: str
     departure: Seconds
     loading_time: Seconds
     stay_on_machine: bool = False
 
 
-@dataclass(frozen=True)
-class InformFailure:
+class InformFailure(NamedTuple):
     proposal_id: str
     reason: str
 
@@ -153,25 +145,37 @@ class InformFailure:
 Payload = Union[Cfp, Proposal, AcceptProposal, RejectProposal, InformDeparture, InformFailure]
 
 
-@dataclass(frozen=True)
-class Message:
+class _Message(NamedTuple):
+    sender: str
+    receiver: str
+    conversation_id: str
+    parts: tuple[Payload, ...]
+
+
+class Message(_Message):
     """Envelope: one sender, one receiver, homogeneous payload parts.
 
     Several CFPs (or proposals, or rejects) to the same receiver ride in one
     envelope and count as one message.
     """
 
-    sender: str
-    receiver: str
-    conversation_id: str
-    parts: tuple[Payload, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __new__(
+        cls, sender: str, receiver: str, conversation_id: str, parts: tuple[Payload, ...]
+    ) -> "Message":
+        if not parts:
             raise ValueError("empty envelope")
-        kinds = {type(p).__name__ for p in self.parts}
-        if len(kinds) > 1:
-            raise ValueError(f"mixed payload kinds in one envelope: {kinds}")
+        kind = type(parts[0])
+        for p in parts:
+            if type(p) is not kind:
+                kinds = {type(q).__name__ for q in parts}
+                raise ValueError(f"mixed payload kinds in one envelope: {kinds}")
+        return tuple.__new__(cls, (sender, receiver, conversation_id, parts))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Message":
+        return cls(*iterable)  # ``_replace`` builds through here too: checked
 
     @property
     def variant(self) -> str:
@@ -194,7 +198,7 @@ def parse_conversation(conv: str) -> tuple[str, Optional[int]]:
 # offer holds
 
 
-@dataclass
+@dataclass(slots=True)
 class OfferHold:
     """A timeslot promised to one order and therefore withheld from others.
 
@@ -265,14 +269,17 @@ class HoldBook:
 
 
 class MessageCounter:
-    """Append-only envelope counts keyed by (order, stage, variant)."""
+    """Append-only envelope counts keyed by (conversation, variant).
+
+    Conversation ids are parsed into their order only when the counts are
+    read per order.
+    """
 
     def __init__(self) -> None:
-        self._counts: dict[tuple[str, Optional[int], str], int] = {}
+        self._counts: dict[tuple[str, str], int] = {}
 
     def count(self, msg: Message) -> None:
-        order_id, stage = parse_conversation(msg.conversation_id)
-        key = (order_id, stage, msg.variant)
+        key = (msg.conversation_id, msg.variant)
         self._counts[key] = self._counts.get(key, 0) + 1
 
     def total(self) -> int:
@@ -280,13 +287,14 @@ class MessageCounter:
 
     def per_order(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for (order_id, _stage, _variant), n in self._counts.items():
+        for (conv, _variant), n in self._counts.items():
+            order_id = parse_conversation(conv)[0]
             out[order_id] = out.get(order_id, 0) + n
         return out
 
     def per_variant(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for (_o, _s, variant), n in self._counts.items():
+        for (_conv, variant), n in self._counts.items():
             out[variant] = out.get(variant, 0) + n
         return out
 
@@ -318,8 +326,7 @@ class StartStage:
     pass
 
 
-@dataclass(frozen=True)
-class DeadlineExpired:
+class DeadlineExpired(NamedTuple):
     token: int
 
 

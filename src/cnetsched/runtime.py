@@ -100,7 +100,7 @@ _KERNEL_LINES = {StartOrder: "StartOrder", DeadlineExpired: "Deadline"}
 
 
 class _Ctx:
-    """What an agent may ask of the kernel while handling one event."""
+    """What an agent may ask of the kernel while handling an event; one per agent."""
 
     __slots__ = ("kernel", "agent_id")
 
@@ -157,6 +157,7 @@ class _Kernel:
             raise ValueError(f"releases for unknown agents {unknown}")
         self.directory = directory
         self.agents = agents
+        self._ctx = {aid: _Ctx(self, aid) for aid in agents}
         self.config = config or KernelConfig()
         self.counter = MessageCounter()
         self.trace: list[str] = []
@@ -202,7 +203,7 @@ class _Kernel:
         if kind is not None:
             with self._lock:
                 self._line(self.now(), kind, "kernel", receiver, "")
-        for msg in self.agents[receiver].handle(event, _Ctx(self, receiver)):
+        for msg in self.agents[receiver].handle(event, self._ctx[receiver]):
             self._post(msg)
 
     def record_commit(self, resource_id: str, entry) -> None:
@@ -291,6 +292,8 @@ class ConcurrentKernel(_Kernel):
     mode = "concurrent"
     _new_lock = threading.Condition
     _clocked = True
+    _stopped = False
+    _sealed = False  # stopped with orders still open: nothing new is delivered
 
     def __init__(
         self,
@@ -304,8 +307,8 @@ class ConcurrentKernel(_Kernel):
         self._last_release = max((at for at, _ in releases), default=0.0)
         self._queues: dict[str, queue.Queue] = {aid: queue.Queue() for aid in agents}
         self._t0 = 0.0
-        # the last sequence number still delivered once the run stops
-        self._cutoff: Optional[int] = None
+        # events handed to a mailbox whose handler has not returned yet
+        self._busy = 0
         self._error: Optional[Exception] = None
         self._over = threading.Event()
         self._open = {aid for aid, agent in agents.items() if isinstance(agent, OrderAgent)}
@@ -317,28 +320,46 @@ class ConcurrentKernel(_Kernel):
     def _stamp(t) -> str:
         return f"{t:012.6f}"
 
+    def _schedule(self, at, receiver: str, event: Event) -> None:
+        # once the run stops, only the messages of a finished run still land
+        if self._stopped and (self._sealed or not isinstance(event, Message)):
+            return
+        super()._schedule(at, receiver, event)
+
+    def _stop(self) -> None:
+        """End the run: keep only the messages in flight; call under ``_lock``.
+
+        Pending deadlines and releases are dropped. If every order has
+        finished, messages sent from now on still land, because the rejects a
+        finished order sends for proposals that reached it late are among
+        them and free the holds they answer (resources answer none of them).
+        If orders are still open (the wall limit, or an agent error), nothing
+        sent from now on is delivered, so their negotiations cannot go on.
+        """
+        self._stopped = True
+        self._sealed = bool(self._open)
+        heap = self._heap
+        heap[:] = [e for e in heap if isinstance(e[3], Message)]
+        heapq.heapify(heap)
+        self._lock.notify()
+
     def _clock(self) -> None:
         """Move each heap entry into its receiver's mailbox once it falls due.
 
-        Once the run stops, pending deadlines and releases are dropped, and
-        so is whatever is posted after the stop; messages already in flight
-        still land at their due time, because the last order's final accepts
-        and departures are among them and the calendars must receive them.
-        Only then does each mailbox get ``_STOP``.
+        After the stop it goes on until the heap is empty and every handler
+        has returned, so the last order's final accepts and departures reach
+        their calendars; only then does each mailbox get ``_STOP``. After an
+        agent error it gets it at once.
         """
         heap = self._heap
         with self._lock:
-            while True:
-                if (cutoff := self._cutoff) is not None:
-                    heap[:] = [e for e in heap if e[1] <= cutoff and isinstance(e[3], Message)]
-                    if not heap:
-                        break
-                    heapq.heapify(heap)
+            while self._error is None and not (self._stopped and not heap and not self._busy):
                 wait = heap[0][0] - self.now() if heap else None
                 if wait is None or wait > 0:
                     self._lock.wait(wait)
                 else:
                     _at, _seq, receiver, event = heapq.heappop(heap)
+                    self._busy += 1
                     self._queues[receiver].put(event)
         for q in self._queues.values():
             q.put(_STOP)
@@ -351,10 +372,14 @@ class ConcurrentKernel(_Kernel):
             except Exception as exc:  # re-raised by run() after teardown
                 with self._lock:
                     self._error = self._error or exc
+                    self._lock.notify()
                 self._over.set()
                 return
-            if agent_id in self._open and agent.status in ("done", "failed"):
-                with self._lock:
+            with self._lock:
+                self._busy -= 1
+                if self._stopped and not self._busy:
+                    self._lock.notify()  # the stopped clock may wait for this
+                if agent_id in self._open and agent.status in ("done", "failed"):
                     self._open.discard(agent_id)
                     if not self._open:
                         self._over.set()
@@ -378,8 +403,7 @@ class ConcurrentKernel(_Kernel):
         if not self._over.wait(timeout=limit):
             log.error("concurrent run hit the wall limit of %.1fs", limit)
         with self._lock:
-            self._cutoff = self._seq
-            self._lock.notify()
+            self._stop()
         for t in threads:
             t.join(timeout=5)
         if self._error is not None:

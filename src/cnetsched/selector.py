@@ -20,7 +20,7 @@ brute-force enumerator in the test suite's oracle module quantifies that gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .protocol import BUFFER, PRODUCTION, TRANSPORT, Proposal
 from .timebase import Seconds
@@ -39,8 +39,7 @@ class StageContext:
     buffered: frozenset[str]  # production proposal ids that require buffering
 
 
-@dataclass(frozen=True)
-class RouteCandidate:
+class RouteCandidate(NamedTuple):
     """One feasible way to realize a production proposal."""
 
     kind: str  # "entry" | "stay-on-machine" | "direct" | "buffered"
@@ -180,8 +179,7 @@ def build_ocs(
     return ocs
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(NamedTuple):
     winner: OperationCombination
     route: RouteCandidate
     fulfillment: Seconds

@@ -19,7 +19,7 @@ calendar lookup, however many legs or alternatives the CFP carries.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional
 
@@ -61,18 +61,30 @@ def hhmm(t: Seconds) -> str:
     return f"{d}.{base}" if d else base
 
 
-@dataclass(frozen=True, order=True)
-class TimeInterval:
-    """Half-open interval [start, end) in whole seconds."""
-
+class _TimeInterval(NamedTuple):
     start: Seconds
     end: Seconds
 
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"interval start {self.start} is negative")
-        if self.end < self.start:
-            raise ValueError(f"interval end {self.end} precedes start {self.start}")
+
+class TimeInterval(_TimeInterval):
+    """Half-open interval [start, end) in whole seconds.
+
+    An immutable tuple record: it orders, compares and hashes as
+    ``(start, end)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start: Seconds, end: Seconds) -> "TimeInterval":
+        if start < 0:
+            raise ValueError(f"interval start {start} is negative")
+        if end < start:
+            raise ValueError(f"interval end {end} precedes start {start}")
+        return tuple.__new__(cls, (start, end))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Seconds]) -> "TimeInterval":
+        return cls(*iterable)  # ``_replace`` builds through here too: checked
 
     @property
     def duration(self) -> Seconds:
@@ -88,8 +100,11 @@ class TimeInterval:
         return f"[{hhmm(self.start)}; {hhmm(self.end)})"
 
 
-@dataclass(frozen=True)
-class Slack:
+class _Slack(NamedTuple):
+    seconds: Optional[Seconds] = None
+
+
+class Slack(_Slack):
     """Shift room after a committed or proposed slot.
 
     ``seconds=None`` is the explicit unbounded variant ("large number" in
@@ -97,13 +112,18 @@ class Slack:
     big sentinel integer.
     """
 
-    seconds: Optional[Seconds] = None
+    __slots__ = ()
 
     UNBOUNDED: ClassVar["Slack"]
 
-    def __post_init__(self) -> None:
-        if self.seconds is not None and self.seconds < 0:
+    def __new__(cls, seconds: Optional[Seconds] = None) -> "Slack":
+        if seconds is not None and seconds < 0:
             raise ValueError("slack cannot be negative")
+        return tuple.__new__(cls, (seconds,))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Optional[Seconds]]) -> "Slack":
+        return cls(*iterable)
 
     @property
     def unbounded(self) -> bool:
@@ -214,7 +234,6 @@ _INF = None  # suffix sentinel of a busy span: (start, None) means [start, +inf)
 _span_start = attrgetter("span_start")
 _span_end = attrgetter("span_end")
 _end_state = attrgetter("end_state")
-_open_tail = attrgetter("open_tail")
 
 
 class GapRow(NamedTuple):
@@ -253,7 +272,6 @@ def gaps_for(
             yield start, end, from_state, ti
 
 
-@dataclass
 class ResourceSchedule:
     """Time-sorted, pairwise disjoint booking calendar of one resource.
 
@@ -261,26 +279,32 @@ class ResourceSchedule:
     so both ``span_start`` and ``span_end`` never decrease along ``entries``.
     The lookups bisect the live list on these keys; code that edits
     ``entries`` directly must keep it sorted and disjoint.
+
+    The open tails are also indexed by order (``_tails``), so the checks for
+    them cost one lookup instead of a scan. :meth:`insert_booking` and
+    :meth:`close_open_tail` keep the index; it is built from ``entries`` when
+    a schedule is constructed, and :meth:`check_invariants` compares it with
+    a scan.
     """
 
-    entries: list[BookingEntry] = field(default_factory=list)
+    def __init__(self, entries: Optional[list[BookingEntry]] = None) -> None:
+        self.entries: list[BookingEntry] = [] if entries is None else entries
+        self._tails: dict[str, BookingEntry] = {}
+        for e in self.entries:
+            if e.open_tail:
+                self._tails[e.order_id] = e
+
+    def __repr__(self) -> str:
+        return f"ResourceSchedule(entries={self.entries!r})"
 
     # -- queries ---------------------------------------------------------
 
     def open_tail_entries(self) -> list[BookingEntry]:
-        return [e for e in self.entries if e.open_tail]
+        """The open-tail entries in time order."""
+        return sorted(self._tails.values(), key=_span_start)
 
     def open_tail_for(self, order_id: str) -> Optional[BookingEntry]:
-        for e in self.entries:
-            if e.open_tail and e.order_id == order_id:
-                return e
-        return None
-
-    def find(self, order_id: str, step_label: str) -> Optional[BookingEntry]:
-        for e in self.entries:
-            if e.order_id == order_id and e.step_label == step_label:
-                return e
-        return None
+        return self._tails.get(order_id)
 
     def free_intervals(
         self,
@@ -303,14 +327,15 @@ class ResourceSchedule:
         from it stay put. The walk starts at the end of the last entry ending
         by ``after``, the instant after which only the later entries and
         ``extra_busy`` can block, so only those are merged. An open tail among
-        the earlier entries still blocks everything after it.
+        the earlier entries (one ending by ``after``) still blocks everything
+        after it.
         """
         entries = self.entries
         first = bisect.bisect_right(entries, after, key=_span_end)
         cursor = window.start
         if first:
-            for e in filter(_open_tail, entries[:first]):
-                if e.order_id not in assume_closed:
+            for e in self._tails.values():
+                if e.span_end <= after and e.order_id not in assume_closed:
                     return []
             cursor = max(cursor, entries[first - 1].span_end)
         blocked: list[tuple[Seconds, Optional[Seconds]]] = [
@@ -402,7 +427,7 @@ class ResourceSchedule:
         of any other order hides itself and every later entry.
         """
         if assume_closed is not None:
-            tails = self.open_tail_entries()
+            tails = self._tails.values()
             t = min([t] + [e.span_start for e in tails if e.order_id not in assume_closed])
         return self._state_below(self.last_ending_by(t) + 1, initial, read)
 
@@ -426,9 +451,7 @@ class ResourceSchedule:
         moved; every other previously booked segment is untouched.
         """
         entry.validate()
-        if entry.open_tail and any(
-            e.open_tail and e.order_id == entry.order_id for e in self.entries
-        ):
+        if entry.open_tail and entry.order_id in self._tails:
             raise OverlapError(
                 f"order {entry.order_id} already has an open tail on this resource"
             )
@@ -495,6 +518,8 @@ class ResourceSchedule:
             else:
                 succ.segments[0] = (kind, new_setup_iv)
         self.entries.insert(idx, entry)
+        if entry.open_tail:
+            self._tails[entry.order_id] = entry
         if succ is not None and ti != 0:
             return AdjustmentReport(ti, succ.order_id, succ.step_label)
         return AdjustmentReport(0, None, None)
@@ -536,6 +561,7 @@ class ResourceSchedule:
         if load_time > 0:
             entry.segments.append(("load", TimeInterval(loading_start, departure)))
         entry.open_tail = False
+        del self._tails[order_id]
         return entry
 
     # -- invariant helper (used heavily by tests) -------------------------
@@ -558,3 +584,6 @@ class ResourceSchedule:
                     )
                 open_orders.add(e.order_id)
             prev = e
+        indexed = {o: id(e) for o, e in self._tails.items()}
+        if indexed != {e.order_id: id(e) for e in self.entries if e.open_tail}:
+            raise ScheduleError("the open-tail index disagrees with the entries")

@@ -16,7 +16,7 @@ import numpy as np
 
 from cnetsched.protocol import Proposal
 from cnetsched.selector import StageContext
-from cnetsched.timebase import ResourceSchedule, Seconds
+from cnetsched.timebase import BookingEntry, ResourceSchedule, Seconds
 
 log = logging.getLogger(__name__)
 
@@ -151,12 +151,22 @@ def occupancy_check(
     return violations
 
 
+def find_entry(
+    schedule: ResourceSchedule, order_id: str, step_label: str
+) -> Optional[BookingEntry]:
+    """The first booking of ``order_id`` labelled ``step_label``, by a linear scan."""
+    for e in schedule.entries:
+        if e.order_id == order_id and e.step_label == step_label:
+            return e
+    return None
+
+
 def stability_check(commits: Sequence, schedules: Mapping[str, ResourceSchedule]) -> list[str]:
     """Every committed core must still sit untouched in the final calendars."""
     problems = []
     for rec in commits:
         sched = schedules.get(rec.resource_id)
-        entry = sched.find(rec.order_id, rec.step_label) if sched is not None else None
+        entry = find_entry(sched, rec.order_id, rec.step_label) if sched is not None else None
         if entry is None:
             problems.append(
                 f"{rec.resource_id}: committed booking {rec.order_id}/{rec.step_label} disappeared"

@@ -41,6 +41,7 @@ from cnetsched.protocol import (
 )
 from cnetsched.timebase import BookingEntry, OverlapError, Slack, TimeInterval, minutes
 from conftest import full_gap_walk
+from oracle import find_entry
 
 PARAMS = ScheduleParams(t_transport_min=minutes(21), t_buffer_min=minutes(15))
 
@@ -227,6 +228,7 @@ def test_own_order_negotiates_past_the_open_tail():
     tail.open_tail = False
     m.schedule.insert_booking(closed_block("pre", 30_000, 40_000, end_state="A"))
     tail.open_tail = True
+    m.schedule.check_invariants()
 
     out = m.handle(
         envelope("M1", "o1", 1, production_cfp(order="o1", entry=False, es=0)), ctx
@@ -283,7 +285,7 @@ def test_accept_books_shifted_slot_within_slack_and_records_commit():
     p = proposals_of(m.handle(envelope("M1", "o1", 0, production_cfp()), ctx))[0]
     booked = p.slot.shift(1200)
     assert m.handle(envelope("M1", "o1", 0, AcceptProposal(p.proposal_id, booked)), ctx) == []
-    entry = m.schedule.find("o1", "1")
+    entry = find_entry(m.schedule, "o1", "1")
     assert entry.segment("operation") == booked
     assert entry.open_tail and entry.end_state == "A"
     assert ctx.commits == [("M1", entry)]
@@ -297,6 +299,7 @@ def test_departure_that_collides_is_refused_not_applied():
     tail.open_tail = False
     m.schedule.insert_booking(closed_block("pre", 6100, 7000))
     tail.open_tail = True
+    m.schedule.check_invariants()
 
     out = m.handle(
         envelope("M1", "o1", 0, InformDeparture("o1", departure=6500, loading_time=300)), ctx
@@ -360,7 +363,7 @@ def test_buffer_accept_books_unload_hold_load():
         ctx,
     )
     assert out == []
-    entry = b.schedule.find("o1", "B2")
+    entry = find_entry(b.schedule, "o1", "B2")
     assert [k for k, _ in entry.segments] == ["unload", "buffer-hold", "load"]
     assert entry.segment("buffer-hold") == resident
     assert entry.span == TimeInterval(600, 5400)
@@ -463,7 +466,7 @@ def test_transport_accept_books_travel_load_travel_unload():
     assert t.handle(
         envelope("Crane1", "o1", 1, AcceptProposal(inbound.proposal_id, inbound.slot)), ctx
     ) == []
-    entry = t.schedule.find("o1", "T:1,B2")
+    entry = find_entry(t.schedule, "o1", "T:1,B2")
     kinds = [k for k, _ in entry.segments]
     assert kinds == ["travel", "load", "travel", "unload"]
     assert entry.end_state == "20"  # parked at the drop position

@@ -1,13 +1,18 @@
 import pytest
 
-from cnetsched.calculus import StageWindows
+from cnetsched.agents import StartOrder
+from cnetsched.calculus import InfeasibleWindow, SlotCommitment, StageWindows
 from cnetsched.protocol import (
     BUFFER,
     PRODUCTION,
     AcceptProposal,
     Cfp,
+    CfpAlternative,
     DeadlineExpired,
     HoldBook,
+    InformDeparture,
+    InformFailure,
+    LegRef,
     Message,
     MessageCounter,
     OfferHold,
@@ -19,11 +24,13 @@ from cnetsched.protocol import (
     StageFailure,
     StageNegotiation,
     StartStage,
+    TransportLeg,
     WorkpieceInfo,
     advance_stage,
     conversation_id,
     parse_conversation,
 )
+from cnetsched.selector import RouteCandidate
 from cnetsched.timebase import Slack, TimeInterval
 
 
@@ -130,6 +137,71 @@ def test_envelope_rejects_empty_and_mixed_parts():
         )
     m = Message("a", "b", "o1/s0", (RejectProposal("p"), RejectProposal("q")))
     assert m.variant == "RejectProposal"
+    # _make and _replace build without __new__ unless overridden: they check too
+    with pytest.raises(ValueError):
+        Message._make(("a", "b", "o1/s0", ()))
+    with pytest.raises(ValueError):
+        m._replace(parts=())
+    with pytest.raises(ValueError, match="mixed payload kinds"):
+        m._replace(parts=(RejectProposal("p"), InformFailure("q", "gone")))
+    assert m._replace(receiver="c").receiver == "c"
+
+
+def test_message_parts_share_one_type_not_one_shape():
+    # a RejectProposal and a DeadlineExpired are both 1-tuples; kinds go by type
+    with pytest.raises(ValueError):
+        Message("a", "b", "o1/s0", (RejectProposal("p"), DeadlineExpired(1)))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: StageWindows(10, 10, ls=5), InfeasibleWindow),
+        (lambda: StageWindows(10, 20, lf=15), InfeasibleWindow),
+        (lambda: StageWindows._make((10, 10, 5, None)), InfeasibleWindow),
+        (lambda: StageWindows(10, 20)._replace(lf=15), InfeasibleWindow),
+        (lambda: SlotCommitment(10, 5), ValueError),
+        (lambda: SlotCommitment._make((10, 5, Slack.UNBOUNDED)), ValueError),
+        (lambda: SlotCommitment(0, 5)._replace(finish=-1), ValueError),
+    ],
+)
+def test_windows_and_slots_check_every_way_they_are_built(build, error):
+    with pytest.raises(error):
+        build()
+
+
+# one of each record a negotiation builds per message, proposal, leg or route
+WINDOWS = StageWindows(0, 10, 20, 30)
+RECORDS = [
+    WorkpieceInfo("o1", "A"),
+    CfpAlternative(WINDOWS),
+    TransportLeg("M1", "M2", (0.0, 0.0), (5.0, 0.0), WINDOWS, "p1"),
+    mk_cfp(),
+    LegRef(0, "M1", "M2", "p1"),
+    mk_proposal("p1", "M1"),
+    AcceptProposal("p1", TimeInterval(0, 1)),
+    RejectProposal("p1"),
+    InformDeparture("o1", 10, 5),
+    InformFailure("p1", "no slot"),
+    Message("o1", "M1", "o1/s0", (RejectProposal("p1"),)),
+    DeadlineExpired(3),
+    StartOrder("o1"),
+    WINDOWS,
+    SlotCommitment(0, 10),
+    RouteCandidate(kind="direct", legs=(mk_proposal("t1", "Crane1"),)),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable_and_hash_as_their_fields(record):
+    # the concurrent kernel hands one Message to another thread without a copy
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.note = "no instance dict either"
+    assert hash(record) == hash(tuple(record))
+    assert type(record)._make(record) == record
 
 
 def test_conversation_id_round_trip():

@@ -281,3 +281,61 @@ def test_concurrent_bookkeeping_holds_under_fast_thread_switching(flowshop_scena
     assert kinds.count("StartOrder") == len(r.status)
     assert len(kinds) - kinds.count("StartOrder") - kinds.count("Deadline") == r.counter.total()
     assert stability_check(r.commits, r.schedules()) == []
+
+
+@pytest.mark.parametrize(
+    "cfp_deadline, latency",
+    [
+        (0.005, 0.003),  # two hops take 6 ms: every reply misses its 5-ms round
+        (0.01, 0.004),  # replies land around the deadline: some make it, some do not
+    ],
+)
+def test_concurrent_late_replies_leave_no_holds(cfp_deadline, latency, flowshop_scenario):
+    # offer conservation under the concurrent kernel: a proposal that reaches
+    # its order after the round (or the whole order) closed is rejected, and
+    # the reject lands even when the run has already stopped
+    from cnetsched.harness import kernel_config
+    from conftest import hold_check
+
+    s = flowshop_scenario
+    orders = tuple(
+        replace(o, id=f"{o.id}{k}", release=0.02 * (2 * k + i))
+        for k in range(3)
+        for i, o in enumerate(s.orders)
+    )
+    s = replace(s, orders=orders)
+    cfg = replace(
+        kernel_config(s, "concurrent"),
+        cfp_deadline=cfp_deadline,
+        message_latency=latency,
+        wall_limit=60,
+    )
+    for _ in range(3):
+        r = run_scenario(s, "concurrent", config=cfg)
+        assert hold_check(r) == []
+        assert all(n == 0 for n in r.leftover_holds.values())
+        if latency * 2 > cfp_deadline:
+            assert set(r.diagnostics.values()) == {
+                "stage 1: no production proposals received"
+            }
+
+
+def test_concurrent_wall_limit_ends_open_negotiations(flowshop_scenario):
+    # at the wall limit only the messages already in flight land: what their
+    # handlers send is written but not delivered, so no open order negotiates
+    # on, run() returns about one hop after the limit and no thread outlives it
+    from cnetsched.harness import kernel_config
+
+    s = flowshop_scenario
+    s = replace(s, orders=tuple(replace(o, release=0.0) for o in s.orders))
+    hop, limit = 0.1, 0.25
+    cfg = replace(
+        kernel_config(s, "concurrent"), cfp_deadline=5, message_latency=hop, wall_limit=limit
+    )
+    r = run_scenario(s, "concurrent", config=cfg)
+    assert set(r.status.values()) == {"stuck"}
+    assert r.wall_seconds < limit + hop + 0.2
+    assert max(float(line.split()[0]) for line in r.trace) < limit + hop + 0.2
+    assert not [
+        t.name for t in threading.enumerate() if t.name == "clock" or t.name.startswith("agent-")
+    ]

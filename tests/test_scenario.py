@@ -17,6 +17,7 @@ from cnetsched.scenario import (
 from cnetsched.timebase import minutes
 
 from conftest import FLOWSHOP, JOBSHOP, random_scenario
+from oracle import find_entry
 
 
 def minimal_doc():
@@ -248,7 +249,7 @@ def test_build_runtime_materialises_calendars():
     rt = build_runtime(parse_scenario(doc, source="t"))
 
     m1 = rt.agents["M1"].schedule
-    pre = m1.find("pre", "init")
+    pre = find_entry(m1, "pre", "init")
     assert pre.span.start == minutes(100) and pre.end_state == "B"
     maint = m1.entries[-1]
     assert maint.step_label == "maintenance" and maint.end_state == "A"

@@ -65,6 +65,46 @@ def test_interval_relations():
     assert a.shift(5) == TimeInterval(15, 25)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TimeInterval(-1, 5),
+        lambda: TimeInterval._make((-1, 5)),
+        lambda: TimeInterval(0, 5)._replace(start=-1),
+        lambda: TimeInterval(5, 4),
+        lambda: TimeInterval._make((5, 4)),
+        lambda: TimeInterval(0, 5)._replace(end=-1),
+        lambda: Slack(-1),
+        lambda: Slack._make((-1,)),
+        lambda: Slack(3)._replace(seconds=-1),
+    ],
+)
+def test_interval_and_slack_check_every_way_they_are_built(build):
+    # _make and _replace build a tuple without calling __new__ unless overridden
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("record", [TimeInterval(10, 20), Slack(5), Slack.UNBOUNDED])
+def test_interval_and_slack_are_immutable(record):
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.note = "no instance dict either"
+
+
+def test_interval_hashes_and_orders_as_its_field_tuple():
+    # set and dict order, and with them the run digests, rest on this
+    for a, b in ((0, 0), (10, 20), (5, 10**9)):
+        assert hash(TimeInterval(a, b)) == hash((a, b))
+    assert hash(Slack(7)) == hash((7,))
+    ivs = [TimeInterval(5, 9), TimeInterval(1, 20), TimeInterval(1, 3), TimeInterval(5, 5)]
+    assert sorted(ivs) == [(1, 3), (1, 20), (5, 5), (5, 9)]
+    assert TimeInterval(1, 3) < TimeInterval(1, 4) < TimeInterval(2, 2)
+    assert TimeInterval(2, 2)._replace(end=6) == TimeInterval(2, 6)
+
+
 # ---------------------------------------------------------------------------
 # slack
 
@@ -245,6 +285,7 @@ def test_close_open_tail_cannot_run_into_successor():
     tail.open_tail = False
     s.insert_booking(op_entry("b", 120, 200))
     tail.open_tail = True
+    s.check_invariants()  # the flag is back, so the open-tail index holds again
     with pytest.raises(OverlapError):
         s.close_open_tail("a", departure=130, load_time=5)
 
@@ -301,6 +342,8 @@ def test_free_intervals_after_an_earlier_open_tail_is_empty():
     s = ResourceSchedule()
     s.insert_booking(op_entry("a", 100, 200, open_tail=True))
     assert s.free_intervals(TimeInterval(0, 10_000), after=500) == []
+    # a tail whose operation ends exactly at ``after`` is among the earlier entries
+    assert s.free_intervals(TimeInterval(0, 10_000), after=200) == []
     assert s.free_intervals(TimeInterval(0, 10_000), assume_closed={"a"}, after=500) == [
         TimeInterval(200, 10_000)
     ]
@@ -378,17 +421,17 @@ def test_property_booked_cores_never_move(tries):
 @st.composite
 def prebuilt_schedule(draw):
     """A valid schedule built directly: sorted disjoint entries, maybe one tail."""
-    s = ResourceSchedule()
+    entries = []
     cursor = 0
     n = draw(st.integers(0, 10))
     for i in range(n):
         cursor += draw(st.integers(0, 40))
         dur = draw(st.integers(1, 40))
-        s.entries.append(op_entry(f"o{i}", cursor, cursor + dur))
+        entries.append(op_entry(f"o{i}", cursor, cursor + dur))
         cursor += dur
-    if s.entries and draw(st.booleans()):
-        s.entries[-1].open_tail = True
-    return s
+    if entries and draw(st.booleans()):
+        entries[-1].open_tail = True
+    return ResourceSchedule(entries)
 
 
 @given(prebuilt_schedule(), st.integers(0, 50), st.integers(400, 700))
@@ -425,6 +468,58 @@ def test_property_insert_with_zero_ti_only_removes_its_own_span(s, start, dur):
     for iv in after:
         after_secs.update(range(iv.start, iv.end))
     assert after_secs == before_secs - set(range(start, start + dur))
+
+
+tail_ops = st.lists(
+    st.one_of(
+        # insert: order, start, duration, open tail
+        st.tuples(
+            st.just("insert"),
+            st.sampled_from("abcd"),
+            st.integers(0, 500),
+            st.integers(1, 60),
+            st.booleans(),
+        ),
+        # close: order, wait after the operation, load time
+        st.tuples(st.just("close"), st.sampled_from("abcd"), st.integers(0, 40), st.integers(0, 40)),
+    ),
+    max_size=30,
+)
+
+
+@given(tail_ops)
+def test_property_open_tail_index_matches_a_scan(ops):
+    s = ResourceSchedule()
+    for op in ops:
+        if op[0] == "insert":
+            _, order, start, dur, tail = op
+            try:
+                s.insert_booking(op_entry(order, start, start + dur, open_tail=tail))
+            except OverlapError:
+                pass
+        else:
+            _, order, wait, load = op
+            tail = s.open_tail_for(order)
+            departure = (tail.span_end if tail is not None else 0) + wait
+            try:
+                s.close_open_tail(order, departure, load)
+            except (NoOpenTail, OverlapError):
+                pass
+        s.check_invariants()  # compares the index with a scan
+        scan = [e for e in s.entries if e.open_tail]
+        assert [id(e) for e in s.open_tail_entries()] == [id(e) for e in scan]
+        for order in "abcd":
+            expected = next((e for e in scan if e.order_id == order), None)
+            assert s.open_tail_for(order) is expected
+
+
+def test_schedule_built_from_entries_indexes_their_open_tails():
+    entries = [op_entry("a", 0, 10), op_entry("b", 20, 30, open_tail=True)]
+    s = ResourceSchedule(entries)
+    s.check_invariants()
+    assert s.open_tail_for("b") is entries[1]
+    with pytest.raises(OverlapError):
+        s.insert_booking(op_entry("b", 5, 8, open_tail=True))
 
 
 # ---------------------------------------------------------------------------
