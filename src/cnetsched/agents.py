@@ -210,6 +210,7 @@ class _ResourceAgent:
         now = ctx.now()
         if cfp.deadline and cfp.deadline <= now:
             return []  # answered too late to matter (e.g. drained after blocking)
+        # the one purge per CFP: _engaged_elsewhere and _free read live holds only
         self.holds.purge(now)
         _order, stage = parse_conversation(msg.conversation_id)
         proposals = self._propose(msg, cfp, (stage or 0) + 1, ctx)
@@ -222,7 +223,7 @@ class _ResourceAgent:
         raise NotImplementedError
 
     def _free(
-        self, conv: str, ctx, base: Seconds, assume_closed: frozenset[str] = frozenset()
+        self, conv: str, base: Seconds, assume_closed: frozenset[str] = frozenset()
     ) -> list[TimeInterval]:
         """Free calendar intervals with other conversations' holds counted busy.
 
@@ -236,7 +237,7 @@ class _ResourceAgent:
         """
         return self.schedule.free_intervals(
             _ALL,
-            extra_busy=self.holds.active_spans(ctx.now(), exclude_conversation=conv),
+            extra_busy=self.holds.active_spans(exclude_conversation=conv),
             assume_closed=assume_closed,
             after=base - self._setup_bound - 1,
         )
@@ -395,7 +396,7 @@ class ProductionAgent(_ResourceAgent):
         if not earliest:
             return []
         free = self._free(
-            conv, ctx, min(earliest), frozenset({order_id}) if own else frozenset()
+            conv, min(earliest), frozenset({order_id}) if own else frozenset()
         )
         # every alternative reads the same table: the new end state is the product
         table = self.schedule.gap_table(free, self.config.initial_state)
@@ -531,7 +532,7 @@ class BufferAgent(_ResourceAgent):
         u_est, l_est = self.config.unload_estimate, self.config.load_estimate
         if not cfp.alternatives:
             return []
-        free = self._free(conv, ctx, min(alt.windows.es for alt in cfp.alternatives))
+        free = self._free(conv, min(alt.windows.es for alt in cfp.alternatives))
         proposals: list[Proposal] = []
         for alt_idx, alt in enumerate(cfp.alternatives):
             w = alt.windows
@@ -655,7 +656,7 @@ class TransportAgent(_ResourceAgent):
         # earlier than its own leg's base; the table does not depend on where
         # a leg drops off, so every leg and chained variant reads it
         free = self._free(
-            conv, ctx, min(max(leg.windows.es, leg.windows.ef - dur) for _, leg, _, dur in legs)
+            conv, min(max(leg.windows.es, leg.windows.ef - dur) for _, leg, _, dur in legs)
         )
         table = self.schedule.gap_table(free, self.config.initial_x, _crane_x)
         proposals: list[Proposal] = []
@@ -1059,7 +1060,7 @@ class OrderAgent:
         ocs = build_ocs(
             neg.proposals[PRODUCTION], neg.proposals[BUFFER], neg.proposals[TRANSPORT], sctx
         )
-        selection = select(ocs, sctx)
+        selection = select(ocs)
         if selection is None:
             return StageFailure("no feasible operation combination")
         p = selection.winner.production

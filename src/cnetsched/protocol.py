@@ -244,16 +244,13 @@ class HoldBook:
     def __iter__(self) -> Iterator[OfferHold]:
         return iter(self._holds.values())
 
-    def active_spans(
-        self, now: Seconds, exclude_conversation: Optional[str] = None
-    ) -> list[TimeInterval]:
-        """Spans other negotiations must treat as busy.
+    def active_spans(self, exclude_conversation: Optional[str] = None) -> list[TimeInterval]:
+        """Spans other negotiations must treat as busy; purge expired holds first.
 
         Holds of the same conversation are excluded: alternatives offered to
         one order may overlap each other, the indecision problem is about two
         *different* orders claiming one slot.
         """
-        self.purge(now)
         return [
             h.span
             for h in self._holds.values()

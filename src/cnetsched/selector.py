@@ -3,31 +3,19 @@
 An operation combination (OC) is one production proposal plus every feasible
 way of getting the workpiece there: directly, through a buffer (two transport
 legs plus a buffer slot), or not at all when the workpiece already sits on the
-proposing machine. Selection prunes leg alternatives pairwise before comparing
-whole combinations, exactly four steps:
-
-1. per buffer proposal, keep the best buffer-to-machine leg;
-2. per buffer proposal, keep the best machine-to-buffer leg;
-3. per OC, keep the best surviving route;
-4. pick the best OC.
-
-"Best" is always the same lexicographic criterion: earliest fulfillment, then
-lowest price, then lowest resource/proposal id. The pruning is deliberately
-local (it can discard a link partner a later step would have wanted); the
-brute-force enumerator in the test suite's oracle module quantifies that gap.
+proposing machine. Selection is one rule over every route ``build_ocs`` admits:
+the minimum of (fulfillment, production price + route price, production
+resource id, production proposal id, route proposal ids). The brute-force
+enumerator in the test suite's oracle module ranks in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .protocol import BUFFER, PRODUCTION, TRANSPORT, Proposal
+from .protocol import Proposal
 from .timebase import Seconds
-
-
-class SelectionError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -65,25 +53,18 @@ class RouteCandidate(NamedTuple):
             ids.append(self.buffer.proposal_id)
         return tuple(ids)
 
-    def sort_key(self) -> tuple:
-        return (self.price, self.proposal_ids)
-
 
 @dataclass
 class OperationCombination:
     production: Proposal
     routes: list[RouteCandidate] = field(default_factory=list)
-    selected: Optional[RouteCandidate] = None
 
-    def fulfillment(self, route: RouteCandidate, ctx: StageContext) -> Seconds:
+    def fulfillment(self, route: RouteCandidate) -> Seconds:
         """Planned finish of the production operation via this route."""
         start = self.production.slot.start
         if route.arrival is not None:
             start = max(start, route.arrival)
         return start + self.production.op_duration
-
-    def feasible(self) -> bool:
-        return bool(self.routes)
 
 
 def _within_latest_start(p: Proposal, start: Seconds) -> bool:
@@ -186,71 +167,27 @@ class Selection(NamedTuple):
     accept_ids: tuple[str, ...]
 
 
-def _leg_key(leg: Proposal) -> tuple:
-    return (leg.slot.end, leg.price, leg.resource_id, leg.proposal_id)
+def select(ocs: Sequence[OperationCombination]) -> Optional[Selection]:
+    """The best route over every combination; None when no route is feasible."""
 
-
-def select(
-    ocs: Sequence[OperationCombination], ctx: StageContext
-) -> Optional[Selection]:
-    """Four-step selection over operation combinations; None when nothing is feasible."""
-    # steps 1+2: pairwise pruning of transport legs per buffer proposal
-    kept_out: dict[str, str] = {}
-    kept_in: dict[str, str] = {}
-    kept_out_key: dict[str, tuple] = {}
-    kept_in_key: dict[str, tuple] = {}
-    for oc in ocs:
-        for route in oc.routes:
-            if route.kind != "buffered":
-                continue
-            b_id = route.buffer.proposal_id  # type: ignore[union-attr]
-            leg_in, leg_out = route.legs
-            k_out = _leg_key(leg_out)
-            if b_id not in kept_out_key or k_out < kept_out_key[b_id]:
-                kept_out_key[b_id] = k_out
-                kept_out[b_id] = leg_out.proposal_id
-            k_in = _leg_key(leg_in)
-            if b_id not in kept_in_key or k_in < kept_in_key[b_id]:
-                kept_in_key[b_id] = k_in
-                kept_in[b_id] = leg_in.proposal_id
-
-    def survives(route: RouteCandidate) -> bool:
-        if route.kind != "buffered":
-            return True
-        b_id = route.buffer.proposal_id  # type: ignore[union-attr]
-        leg_in, leg_out = route.legs
+    def key(choice: tuple[OperationCombination, RouteCandidate]) -> tuple:
+        oc, route = choice
+        p = oc.production
         return (
-            kept_in.get(b_id) == leg_in.proposal_id
-            and kept_out.get(b_id) == leg_out.proposal_id
+            oc.fulfillment(route),
+            p.price + route.price,
+            p.resource_id,
+            p.proposal_id,
+            route.proposal_ids,
         )
 
-    # step 3: best surviving route per OC
-    best: Optional[tuple[tuple, OperationCombination, RouteCandidate]] = None
-    for oc in ocs:
-        candidates = [r for r in oc.routes if survives(r)]
-        if not candidates:
-            continue
-        route = min(
-            candidates,
-            key=lambda r: (oc.fulfillment(r, ctx),) + r.sort_key(),
-        )
-        oc.selected = route
-        # step 4: best OC overall
-        key = (
-            oc.fulfillment(route, ctx),
-            oc.production.price + route.price,
-            oc.production.resource_id,
-            oc.production.proposal_id,
-        )
-        if best is None or key < best[0]:
-            best = (key, oc, route)
-
-    if best is None:
+    choices = [(oc, route) for oc in ocs for route in oc.routes]
+    if not choices:
         return None
-    _key, oc, route = best
+    oc, route = min(choices, key=key)
     return Selection(
         winner=oc,
         route=route,
-        fulfillment=_key[0],
+        fulfillment=oc.fulfillment(route),
         accept_ids=(oc.production.proposal_id,) + route.proposal_ids,
     )

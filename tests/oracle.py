@@ -218,8 +218,11 @@ def enumerate_combinations(
 ) -> OracleEnumeration:
     """Every consistent (production, buffer, legs) tuple, best first.
 
-    Same feasibility rules and the same lexicographic criterion as the
-    selector, but with no pairwise pruning: the full cross-product is ranked.
+    The selector's rule, written independently: the same feasibility checks
+    over the full cross-product of proposals, ranked by fulfillment, total
+    price, production proposal id and route ids. An engine proposal id
+    starts with its resource's id, so this is the selector's order, which
+    ranks on the production resource id before the proposal id.
     """
 
     def latest_start(p: Proposal) -> Optional[Seconds]:

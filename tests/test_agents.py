@@ -756,7 +756,7 @@ def full_walk_machine(m, cfp, conv, ctx):
     load_est = m.config.load_estimate
     free = m.schedule.free_intervals(
         _ALL,
-        extra_busy=m.holds.active_spans(ctx.now(), exclude_conversation=conv),
+        extra_busy=m.holds.active_spans(exclude_conversation=conv),
         assume_closed=frozenset({order_id}) if own else frozenset(),
     )
     out = []
@@ -938,12 +938,12 @@ def test_property_crane_skip_places_legs_like_the_full_walk(
             "Crane1#p0", TRANSPORT, "Crane1", (0.0, 5.0), TimeInterval(start, start + length),
             Slack(0), Slack(0), length, 5, 5, price=length,
         )
-    conv, ctx = "o1/s1", FakeCtx()
+    conv = "o1/s1"
     # another leg of the CFP may start earlier and bound the list lower
     base = after.slot.end if after is not None else max(es, ef - dur)
-    bounded = t.schedule.gap_table(t._free(conv, ctx, base - lower), t.config.initial_x, _crane_x)
+    bounded = t.schedule.gap_table(t._free(conv, base - lower), t.config.initial_x, _crane_x)
     full = t.schedule.free_intervals(
-        _ALL, extra_busy=t.holds.active_spans(ctx.now(), exclude_conversation=conv)
+        _ALL, extra_busy=t.holds.active_spans(exclude_conversation=conv)
     )
     assert placed(t._place_leg(leg, 0, dur, bounded, after)) == full_walk_leg(
         t, leg, dur, full, after
@@ -965,8 +965,8 @@ def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretche
     t._pickup_x[("s", "T")] = 0.0
     t.config.initial_x = 0.0
     leg = TransportLeg("Buf1", "M2", (0.0, 5.0), (0.0, 5.0), StageWindows(es=140, ef=150), "P#1")
-    conv, ctx = "o1/s1", FakeCtx()
-    free = t._free(conv, ctx, 140)
+    conv = "o1/s1"
+    free = t._free(conv, 140)
     assert free[0] == TimeInterval(0, 100)
     fields = t._place_leg(leg, 0, 10, t.schedule.gap_table(free, 0.0, _crane_x))
     assert fields["slot"] == TimeInterval(140, 150)
@@ -1055,7 +1055,7 @@ def test_crane_legs_walk_a_bounded_number_of_gaps(monkeypatch, n_orders):
     monkeypatch.setattr(agents, "gaps_for", counted_gaps)
     monkeypatch.setattr(TransportAgent, "_place_leg", counted_place)
     report = run_scenario(build_shop_scenario("flow", n_orders, 100), mode="deterministic")
-    assert list(report.status.values()).count("done") == n_orders - 1
+    assert list(report.status.values()).count("done") == n_orders
     assert counts["legs"] > n_orders
     assert counts["rows"] <= 5 * counts["legs"]
 

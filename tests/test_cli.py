@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cnetsched.cli import main
 
 from conftest import FLOWSHOP, JOBSHOP
@@ -44,3 +46,20 @@ def test_order_no_machine_serves_exits_2(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
     assert main(["run", str(path)]) == 2
     assert "order-C: failed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("preset", ["hosting-sweep", "shop-compare"])
+def test_concurrent_experiment_writes_what_it_prints(tmp_path, capsys, preset):
+    # concurrent timing decides how many orders finish, so only the shape
+    # of the result is pinned, not its done counts
+    out = tmp_path / "result.json"
+    assert main(["experiment", preset, "--orders", "2", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    result = json.loads(printed)
+    if preset == "hosting-sweep":
+        runs = result["runs"]
+        assert [run["interval_ms"] for run in runs] == [75, 150, 300, 600]
+    else:
+        runs = [result["flow"], result["job"]]
+    assert [sum(run["status_counts"].values()) for run in runs] == [2] * len(runs)

@@ -32,14 +32,14 @@ GOLDEN = [
     ),
     pytest.param(
         lambda: build_shop_scenario("flow", 15, 100),
-        "c8a91ae934c39ca8536f3815950a2582ff157ac9cc98a1189e5628ae06eed2c7",
-        (14, 1),
+        "58a357352480690b94887c872625e73c134bc9b22eaed75f14edfdd85f6352ba",
+        (15, 0),
         id="flow-15x100",
     ),
     pytest.param(
         lambda: build_shop_scenario("job", 15, 100),
-        "de0bb544d203f1936aca99a8e6a1ba4c096d006c594b4e0fb59390948294a011",
-        (9, 6),
+        "41013fe7d479318171871fe52feb125b649cffeac277f5325aaf94d305eeba04",
+        (10, 5),
         id="job-15x100",
     ),
 ]

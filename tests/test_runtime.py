@@ -6,8 +6,8 @@ import pytest
 
 from cnetsched.harness import render_gantt, render_trace, run_scenario
 from cnetsched.runtime import KernelConfig, RunTimeout, run_kernel
-from cnetsched.scenario import build_runtime, load_scenario, parse_scenario
-from cnetsched.timebase import TimeInterval, hhmm, minutes
+from cnetsched.scenario import build_runtime, parse_scenario
+from cnetsched.timebase import TimeInterval, hhmm
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_entry_stage_needs_no_transport():
     production = [prod("P#1", "M1", 100), prod("P#2", "M2", 50)]
     ocs = build_ocs(production, [], [], ENTRY)
     assert all(len(oc.routes) == 1 and oc.routes[0].kind == "entry" for oc in ocs)
-    sel = select(ocs, ENTRY)
+    sel = select(ocs)
     assert sel.winner.production.proposal_id == "P#2"  # finishes 150 vs 200
     assert sel.accept_ids == ("P#2",)
     assert sent_rejects(ENTRY, production) == [("M1", "P#1")]
@@ -110,7 +110,7 @@ def test_stay_on_machine_route():
     ocs = build_ocs([prod("P#1", "M-prev", 1200)], [], [], ctx)
     assert ocs[0].routes[0].kind == "stay-on-machine"
     assert ocs[0].routes[0].arrival is None
-    sel = select(ocs, ctx)
+    sel = select(ocs)
     assert sel.fulfillment == 1300
     assert sel.accept_ids == ("P#1",)
 
@@ -120,7 +120,7 @@ def test_direct_route_arrival_defers_fulfillment():
     p = prod("P#1", "M1", 1200, dur=100)
     late_leg = leg("T#1", 1300, 1350, realizes="P#1")
     ocs = build_ocs([p], [], [late_leg], ctx)
-    sel = select(ocs, ctx)
+    sel = select(ocs)
     assert sel.fulfillment == 1450  # max(1200, 1350) + 100
     assert sel.accept_ids == ("P#1", "T#1")
 
@@ -130,8 +130,8 @@ def test_direct_leg_may_not_start_before_workpiece_is_free():
     ocs = build_ocs(
         [prod("P#1", "M1", 1200)], [], [leg("T#1", 900, 1100, realizes="P#1")], ctx
     )
-    assert not ocs[0].feasible()
-    assert select(ocs, ctx) is None
+    assert not ocs[0].routes
+    assert select(ocs) is None
 
 
 def test_direct_leg_never_carries_a_dependency():
@@ -142,7 +142,7 @@ def test_direct_leg_never_carries_a_dependency():
         [leg("T#1", 1000, 1100, realizes="P#1", required="T#0")],
         ctx,
     )
-    assert not ocs[0].feasible()
+    assert not ocs[0].routes
 
 
 def test_production_latest_start_prunes_late_arrivals():
@@ -169,7 +169,7 @@ def test_buffered_route_wiring_and_rules():
     routes = {(r.legs[0].proposal_id, r.legs[1].proposal_id) for r in ocs[0].routes}
     assert routes == {("T#in", "T#out")}
     assert ocs[0].routes[0].buffer is b
-    sel = select(ocs, ctx)
+    sel = select(ocs)
     assert sel.accept_ids == ("P#1", "T#in", "T#out", "B#1")
 
 
@@ -216,12 +216,12 @@ def test_selection_prefers_fulfillment_then_price_then_ids():
         [],
         ENTRY,
     )
-    sel = select(ocs, ENTRY)
+    sel = select(ocs)
     assert sel.fulfillment == 200
     assert sel.winner.production.proposal_id == "P#2"
 
 
-def test_pairwise_leg_pruning_keeps_one_pair_per_buffer():
+def test_buffered_selection_accepts_one_pair_per_buffer():
     ctx = follow_up(buffered=("P#1",))
     p = prod("P#1", "M1", 4000)
     b = buf("B#1", "P#1", 1000, 3950)
@@ -232,29 +232,29 @@ def test_pairwise_leg_pruning_keeps_one_pair_per_buffer():
     legs = [i_fast, i_slow, o_fast, o_slow]
     ocs = build_ocs([p], [b], legs, ctx)
     assert len(ocs[0].routes) == 4  # all pairs temporally fine
-    sel = select(ocs, ctx)
+    sel = select(ocs)
     assert sel.route.legs[0].proposal_id == "T#i1"
     assert sel.route.legs[1].proposal_id == "T#o1"
     assert set(sent_rejects(ctx, [p], [b], legs)) == {("Crane1", "T#i2"), ("Crane1", "T#o2")}
 
 
-def test_pairwise_pruning_can_discard_the_only_viable_pairs():
-    """The kept-in/kept-out pair may be an impossible combination; selection
-    then reports no feasible combination even though full enumeration would
-    have found one (the oracle documents this gap)."""
+def test_selection_ranks_every_feasible_buffered_pair():
+    """The earliest-ending legs on their own (i1, o2) are no route, because o2
+    is chained to i2; selection still finds the best of the feasible pairs."""
     ctx = follow_up(buffered=("P#1",))
     p = prod("P#1", "M1", 4000)
     b = buf("B#1", "P#1", 1000, 3950)
-    i1 = leg("T#i1", 1000, 1100, realizes="B#1")  # kept: earliest end
+    i1 = leg("T#i1", 1000, 1100, realizes="B#1")
     i2 = leg("T#i2", 1000, 1200, realizes="B#1")
-    # kept outbound (earliest end) is chained to i2, so the kept pair (i1, o2)
-    # was never a feasible route
     o1 = leg("T#o1", 3800, 3960, realizes="P#1", via="B#1")
     o2 = leg("T#o2", 3800, 3950, realizes="P#1", via="B#1", required="T#i2")
     ocs = build_ocs([p], [b], [i1, i2, o1, o2], ctx)
     pairs = {(r.legs[0].proposal_id, r.legs[1].proposal_id) for r in ocs[0].routes}
     assert pairs == {("T#i1", "T#o1"), ("T#i2", "T#o1"), ("T#i2", "T#o2")}
-    assert select(ocs, ctx) is None
+    # all three finish at 4100 for the same price: the route ids break the tie
+    sel = select(ocs)
+    assert sel.fulfillment == 4100
+    assert sel.accept_ids == ("P#1", "T#i1", "T#o1", "B#1")
 
 
 def test_accepts_and_rejects_partition_routed_proposals():
@@ -267,7 +267,7 @@ def test_accepts_and_rejects_partition_routed_proposals():
         leg("T#3", 1100, 1250, realizes="P#2"),
     ]
     ocs = build_ocs(production, buffers, transports, ctx)
-    sel = select(ocs, ctx)
+    sel = select(ocs)
     mentioned = {"P#1", "P#2"}
     for oc in ocs:
         for r in oc.routes:
@@ -294,7 +294,7 @@ def test_selection_is_input_order_independent():
         leg("T#6", 2850, 3010, realizes="P#2", via="B#3"),
         leg("T#7", 1200, 1400, realizes="P#3"),
     ]
-    baseline = select(build_ocs(production, buffers, transports, ctx), ctx)
+    baseline = select(build_ocs(production, buffers, transports, ctx))
     baseline_rejects = sorted(sent_rejects(ctx, production, buffers, transports))
     for seed in range(8):
         rng = random.Random(seed)
@@ -302,14 +302,14 @@ def test_selection_is_input_order_independent():
         rng.shuffle(p)
         rng.shuffle(b)
         rng.shuffle(t)
-        sel = select(build_ocs(p, b, t, ctx), ctx)
+        sel = select(build_ocs(p, b, t, ctx))
         assert sel.accept_ids == baseline.accept_ids
         assert sorted(sent_rejects(ctx, p, b, t)) == baseline_rejects
         assert sel.fulfillment == baseline.fulfillment
 
 
 def test_nothing_feasible_returns_none():
-    assert select([], ENTRY) is None
+    assert select([]) is None
     ctx = follow_up(buffered=("P#1",))
     ocs = build_ocs([prod("P#1", "M1", 3000)], [], [], ctx)  # buffered but no buffer
-    assert select(ocs, ctx) is None
+    assert select(ocs) is None

@@ -16,7 +16,7 @@ from conftest import agent_kinds, hold_check, random_scenario
 from oracle import occupancy_check, stability_check
 
 
-SWEEP_DIGEST = "017c1c5e1a769ff65f9d69d75761095a73dcd2c002bfacdf721ec276d1e68b7a"
+SWEEP_DIGEST = "12d67d8dbf1db39f05eb7b913709e5df099c9827e4027e4d2a55fe66c826d883"
 
 
 def test_random_scenarios_pass_the_oracles():
