@@ -9,10 +9,13 @@ golden gate: one sha256 over every seed's deterministic GANTT and trace.
 
 import hashlib
 import logging
+from dataclasses import replace
 
-from cnetsched.harness import render_gantt, render_trace, run_scenario
+from cnetsched.agents import DirectoryService
+from cnetsched.harness import build_shop_scenario, render_gantt, render_trace, run_scenario
+from cnetsched.scenario import load_scenario
 
-from conftest import agent_kinds, hold_check, random_scenario
+from conftest import FLOWSHOP, JOBSHOP, agent_kinds, hold_check, random_scenario
 from oracle import occupancy_check, stability_check
 
 
@@ -60,3 +63,31 @@ def test_late_proposals_are_not_logged_as_protocol_violations(caplog):
     assert any("stray conversation" in msg for msg in late)
     assert any("proposal during" in msg for msg in late)
     assert [rec.getMessage() for rec in protocol if rec.levelno >= logging.WARNING] == []
+
+
+def arrival_order_scenarios():
+    yield "section6_flowshop", load_scenario(FLOWSHOP)
+    yield "tableV_jobshop", load_scenario(JOBSHOP)
+    for kind in ("flow", "job"):
+        yield f"{kind}-15x100", build_shop_scenario(kind, 15, 100)
+    flow = build_shop_scenario("flow", 8, 1000)
+    yield "flow-8x1000-one-crane", replace(flow, transports=flow.transports[:1])
+    for seed in range(200):
+        yield f"random-{seed}", random_scenario(seed)
+
+
+def test_schedule_is_independent_of_proposal_arrival_order(monkeypatch):
+    # the deterministic kernel delivers in send order, so CFPs sent to the
+    # responders in reverse come back as proposals in reverse order
+    scenarios = list(arrival_order_scenarios())
+    as_is = {name: render_gantt(run_scenario(s, mode="deterministic")) for name, s in scenarios}
+    search = DirectoryService.search
+    monkeypatch.setattr(
+        DirectoryService, "search", lambda self, capability: search(self, capability)[::-1]
+    )
+    moved = [
+        name
+        for name, s in scenarios
+        if render_gantt(run_scenario(s, mode="deterministic")) != as_is[name]
+    ]
+    assert moved == []
