@@ -41,8 +41,6 @@ from .protocol import (
     Phase,
     Proposal,
     RejectProposal,
-    RoundPlan,
-    StageDecision,
     StageFailure,
     StageNegotiation,
     StartStage,
@@ -648,7 +646,7 @@ class TransportAgent(_ResourceAgent):
                 label = f"T:{step - 1},B{step}"
             else:
                 label = f"T:{step - 1},{step}"
-            dur = geom.load_time + geom.travel_seconds(fx, tx) + geom.unload_time
+            dur = calculus.transport_duration(leg.from_location, leg.to_location, geom)
             legs.append((leg_idx, leg, label, dur))
         if not legs:
             return []  # outside this crane's segment: silent, no calendar walk
@@ -785,9 +783,15 @@ class StageCommit:
     location: tuple[float, float]
     op_slot: TimeInterval
     slack_after: Slack
-    route_kind: str
-    transport_slots: tuple[tuple[str, TimeInterval], ...] = ()
-    buffer_slot: Optional[tuple[str, TimeInterval]] = None
+
+
+def _leg(frm, to: Proposal, windows: StageWindows, **fields) -> TransportLeg:
+    """The movement from ``frm`` (a commit or a proposal) to the resource of
+    ``to``, which it realizes."""
+    return TransportLeg(
+        frm.resource_id, to.resource_id, frm.location, to.location, windows, to.proposal_id,
+        **fields,
+    )
 
 
 @dataclass
@@ -813,7 +817,6 @@ class OrderAgent:
         self.t_end = None
         self.diagnostic: Optional[str] = None
         self._buffered: frozenset[str] = frozenset()
-        self._selection = None
 
     # -- kernel event entry -------------------------------------------------
 
@@ -844,7 +847,6 @@ class OrderAgent:
     def _start_stage(self, ctx) -> list[Message]:
         self.neg = StageNegotiation(order_id=self.agent_id, stage_index=self.stage_index)
         self._buffered = frozenset()
-        self._selection = None
         return self._drive(StartStage(), ctx)
 
     def _drive(self, event, ctx) -> list[Message]:
@@ -911,20 +913,19 @@ class OrderAgent:
         capability: str,
         location: Optional[tuple[float, float]],
         **cfp_fields,
-    ) -> Optional[RoundPlan]:
-        """Open one CFP round: the same CFP, whose operation is ``capability``,
-        to every agent registered for it; None when nobody is."""
-        responders = ctx.directory.search(capability)
-        if not responders:
-            return None
+    ) -> list[Message]:
+        """One CFP round: the same CFP, whose operation is ``capability``, to
+        every agent registered for it; empty when nobody is."""
         cfp = Cfp(
             workpiece=WorkpieceInfo(self.agent_id, self.config.product, location),
             operation=capability,
             deadline=ctx.now() + ctx.cfp_deadline,
             **cfp_fields,
         )
-        msgs = [_envelope(self.agent_id, rid, neg.conversation, [cfp]) for rid in responders]
-        return RoundPlan(msgs, set(responders))
+        return [
+            _envelope(self.agent_id, rid, neg.conversation, [cfp])
+            for rid in ctx.directory.search(capability)
+        ]
 
     def _depart(
         self,
@@ -938,7 +939,7 @@ class OrderAgent:
         info = InformDeparture(self.agent_id, departure, loading_time, stay_on_machine)
         return _envelope(self.agent_id, resource, conv, [info])
 
-    def plan_production(self, neg: StageNegotiation, ctx) -> Optional[RoundPlan]:
+    def plan_production(self, neg: StageNegotiation, ctx) -> list[Message]:
         prev = self._prev
         es = self.config.arrival if prev is None else self._f_prev + self.params.t_transport_min
         windows = StageWindows(es=es, ef=es)
@@ -951,10 +952,10 @@ class OrderAgent:
             alternatives=(CfpAlternative(windows=windows),),
         )
 
-    def plan_buffer(self, neg: StageNegotiation, ctx) -> Optional[RoundPlan]:
+    def plan_buffer(self, neg: StageNegotiation, ctx) -> list[Message]:
         prev = self._prev
         if prev is None:
-            return None
+            return []
         buffered = set()
         alternatives = []
         for p in neg.proposals[PRODUCTION]:
@@ -976,15 +977,15 @@ class OrderAgent:
                 alternatives.append(CfpAlternative(windows=windows, realizes=p.proposal_id))
         self._buffered = frozenset(buffered)
         if not alternatives:
-            return None
+            return []
         return self._call(
             neg, ctx, BUFFER, prev.location, kind=BUFFER, alternatives=tuple(alternatives)
         )
 
-    def plan_transport(self, neg: StageNegotiation, ctx) -> Optional[RoundPlan]:
+    def plan_transport(self, neg: StageNegotiation, ctx) -> list[Message]:
         prev = self._prev
         if prev is None:
-            return None
+            return []
         legs: list[TransportLeg] = []
         buffers_by_realizes: dict[str, list[Proposal]] = {}
         for b in neg.proposals[BUFFER]:
@@ -1007,28 +1008,8 @@ class OrderAgent:
                     except InfeasibleWindow:
                         continue
                     inbound_idx = len(legs)
-                    legs.append(
-                        TransportLeg(
-                            from_resource=prev.resource_id,
-                            to_resource=b.resource_id,
-                            from_location=prev.location,
-                            to_location=b.location,
-                            windows=w_in,
-                            realizes=b.proposal_id,
-                        )
-                    )
-                    legs.append(
-                        TransportLeg(
-                            from_resource=b.resource_id,
-                            to_resource=p.resource_id,
-                            from_location=b.location,
-                            to_location=p.location,
-                            windows=w_out,
-                            realizes=p.proposal_id,
-                            via=b.proposal_id,
-                            chain_after=inbound_idx,
-                        )
-                    )
+                    legs.append(_leg(prev, b, w_in))
+                    legs.append(_leg(b, p, w_out, via=b.proposal_id, chain_after=inbound_idx))
             else:
                 try:
                     w = calculus.transport_direct_windows(
@@ -1036,25 +1017,17 @@ class OrderAgent:
                     )
                 except InfeasibleWindow:
                     continue
-                legs.append(
-                    TransportLeg(
-                        from_resource=prev.resource_id,
-                        to_resource=p.resource_id,
-                        from_location=prev.location,
-                        to_location=p.location,
-                        windows=w,
-                        realizes=p.proposal_id,
-                    )
-                )
+                legs.append(_leg(prev, p, w))
         if not legs:
-            return None
+            return []
         return self._call(neg, ctx, TRANSPORT, prev.location, kind=TRANSPORT, legs=tuple(legs))
 
     def decide(self, neg: StageNegotiation, ctx):
         conv = neg.conversation
+        prev = self._prev
         sctx = StageContext(
             f_prev=self._f_prev,
-            prev_resource=self._prev.resource_id if self._prev else None,
+            prev_resource=prev.resource_id if prev else None,
             buffered=self._buffered,
         )
         ocs = build_ocs(
@@ -1063,101 +1036,51 @@ class OrderAgent:
         selection = select(ocs)
         if selection is None:
             return StageFailure("no feasible operation combination")
-        p = selection.winner.production
-        route = selection.route
-        arrival = route.arrival
+        p, route = selection.winner.production, selection.route
+        legs, arrival = route.legs, route.arrival
         op_start = p.slot.start if arrival is None else max(p.slot.start, arrival)
         op_slot = TimeInterval(op_start, op_start + p.op_duration)
 
-        transport_slots: list[tuple[str, TimeInterval]] = []
-        buffer_slot = None
-        inbound_unload = 0
         by_resource: dict[str, list[AcceptProposal]] = {}
 
-        if route.kind == "buffered":
-            leg_in, leg_out = route.legs
-            buf = route.buffer
-            assert buf is not None
-            inbound_unload = leg_out.unload_time
-            resident = TimeInterval(leg_in.slot.end, leg_out.slot.start)
-            by_resource.setdefault(leg_in.resource_id, []).append(
-                AcceptProposal(leg_in.proposal_id, leg_in.slot)
+        def accept(q: Proposal, slot: TimeInterval, **fields) -> None:
+            by_resource.setdefault(q.resource_id, []).append(
+                AcceptProposal(q.proposal_id, slot, **fields)
             )
-            by_resource.setdefault(leg_out.resource_id, []).append(
-                AcceptProposal(
-                    leg_out.proposal_id,
-                    leg_out.slot,
-                    dependent_proposal_ids=(leg_in.proposal_id,)
-                    if leg_out.required_operation
-                    else (),
-                )
-            )
-            by_resource.setdefault(buf.resource_id, []).append(
-                AcceptProposal(
-                    buf.proposal_id,
-                    resident,
-                    actual_unload_time=leg_in.unload_time,
-                    actual_load_time=leg_out.load_time,
-                )
-            )
-            transport_slots = [
-                (leg_in.resource_id, leg_in.slot),
-                (leg_out.resource_id, leg_out.slot),
-            ]
-            buffer_slot = (buf.resource_id, resident)
-        elif route.kind == "direct":
-            (leg,) = route.legs
-            inbound_unload = leg.unload_time
-            by_resource.setdefault(leg.resource_id, []).append(
-                AcceptProposal(leg.proposal_id, leg.slot)
-            )
-            transport_slots = [(leg.resource_id, leg.slot)]
 
-        by_resource.setdefault(p.resource_id, []).append(
-            AcceptProposal(
-                p.proposal_id,
-                op_slot,
-                actual_unload_time=inbound_unload,
+        for leg in legs:
+            dependent = (leg.required_operation,) if leg.required_operation else ()
+            accept(leg, leg.slot, dependent_proposal_ids=dependent)
+        if route.buffer is not None:
+            leg_in, leg_out = legs
+            accept(
+                route.buffer,
+                TimeInterval(leg_in.slot.end, leg_out.slot.start),
+                actual_unload_time=leg_in.unload_time,
+                actual_load_time=leg_out.load_time,
             )
-        )
-        accepts = [
+        accept(p, op_slot, actual_unload_time=legs[-1].unload_time if legs else 0)
+
+        out: list[Message] = []
+        # departures first: a stay-on-machine accept lands on the same resource
+        # and must find the previous tail already closed
+        if prev is not None and legs:
+            departure = legs[0].slot.start + legs[0].load_time
+            out.append(self._depart(prev.resource_id, conv, departure, legs[0].load_time))
+        elif prev is not None:
+            out.append(self._depart(prev.resource_id, conv, op_start, stay_on_machine=True))
+        out += [
             _envelope(self.agent_id, rid, conv, parts) for rid, parts in sorted(by_resource.items())
         ]
-
-        accepted_ids = {a.proposal_id for parts in by_resource.values() for a in parts}
-        unused = [q for q in neg.all_proposals() if q.proposal_id not in accepted_ids]
-
-        informs: list[Message] = []
-        prev = self._prev
-        if prev is not None and route.kind == "stay-on-machine":
-            informs.append(
-                self._depart(prev.resource_id, conv, op_slot.start, stay_on_machine=True)
-            )
-        elif prev is not None:
-            first = route.legs[0]
-            departure = first.slot.start + first.load_time
-            informs.append(self._depart(prev.resource_id, conv, departure, first.load_time))
-        informs_post: list[Message] = []
+        accepted = set(selection.accept_ids)
+        out += rejects(
+            self.agent_id, conv, [q for q in neg.all_proposals() if q.proposal_id not in accepted]
+        )
         if neg.stage_index == len(self.config.plan) - 1:
             # final stage: the workpiece leaves the system at operation end
-            informs_post.append(self._depart(p.resource_id, conv, op_slot.end))
+            out.append(self._depart(p.resource_id, conv, op_slot.end))
 
         latest = p.slack_after.bound_from(p.slot.start)
         slack_after = Slack.UNBOUNDED if latest is None else Slack(latest - op_start)
-        self.committed.append(
-            StageCommit(
-                resource_id=p.resource_id,
-                location=p.location,
-                op_slot=op_slot,
-                slack_after=slack_after,
-                route_kind=route.kind,
-                transport_slots=tuple(transport_slots),
-                buffer_slot=buffer_slot,
-            )
-        )
-        return StageDecision(
-            accepts=accepts,
-            rejects=rejects(self.agent_id, conv, unused),
-            informs=informs,
-            informs_post=informs_post,
-        )
+        self.committed.append(StageCommit(p.resource_id, p.location, op_slot, slack_after))
+        return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Protocol, Union
 
 from .calculus import StageWindows
@@ -305,8 +306,6 @@ class Phase(str, Enum):
     AWAIT_PRODUCTION = "await-production"
     AWAIT_BUFFER = "await-buffer"
     AWAIT_TRANSPORT = "await-transport"
-    SELECT = "select"
-    COMMIT = "commit"
     DONE = "done"
     FAILED = "failed"
 
@@ -316,6 +315,9 @@ _AWAIT_KIND = {
     Phase.AWAIT_BUFFER: BUFFER,
     Phase.AWAIT_TRANSPORT: TRANSPORT,
 }
+
+#: the order a closed round's proposals are used in: by resource, then by offer
+_RANK = attrgetter("resource_id", "slot", "price", "alternative", "proposal_id")
 
 
 @dataclass(frozen=True)
@@ -331,43 +333,25 @@ StageEvent = Union[StartStage, DeadlineExpired, Message]
 
 
 @dataclass
-class RoundPlan:
-    """CFP envelopes for one phase plus the responders they await."""
-
-    messages: list[Message]
-    awaiting: set[str]
-
-
-@dataclass
-class StageDecision:
-    """Commit bundle produced by the planner's selection step.
-
-    ``informs`` go out before the accepts (freeing the previous machine),
-    ``informs_post`` after them (e.g. the final-stage departure, which needs
-    the accepted booking to exist first).
-    """
-
-    accepts: list[Message]
-    rejects: list[Message]
-    informs: list[Message]
-    informs_post: list[Message] = field(default_factory=list)
-
-
-@dataclass
 class StageFailure:
     reason: str
 
 
 class StagePlanner(Protocol):
-    """Decision logic a StageNegotiation delegates to (implemented by the order agent)."""
+    """Decision logic a StageNegotiation delegates to (implemented by the order agent).
 
-    def plan_production(self, neg: "StageNegotiation", ctx) -> Optional[RoundPlan]: ...
+    Each ``plan_*`` returns one round's CFP envelopes; the round awaits their
+    receivers, and an empty list skips it. ``decide`` returns the stage's
+    commit envelopes in the order they are sent, or a StageFailure.
+    """
 
-    def plan_buffer(self, neg: "StageNegotiation", ctx) -> Optional[RoundPlan]: ...
+    def plan_production(self, neg: "StageNegotiation", ctx) -> list[Message]: ...
 
-    def plan_transport(self, neg: "StageNegotiation", ctx) -> Optional[RoundPlan]: ...
+    def plan_buffer(self, neg: "StageNegotiation", ctx) -> list[Message]: ...
 
-    def decide(self, neg: "StageNegotiation", ctx) -> Union[StageDecision, StageFailure]: ...
+    def plan_transport(self, neg: "StageNegotiation", ctx) -> list[Message]: ...
+
+    def decide(self, neg: "StageNegotiation", ctx) -> Union[list[Message], StageFailure]: ...
 
 
 @dataclass
@@ -383,7 +367,6 @@ class StageNegotiation:
     )
     deadline_token: Optional[int] = None
     failure_reason: Optional[str] = None
-    history: list[Phase] = field(default_factory=list)
 
     @property
     def conversation(self) -> str:
@@ -391,10 +374,6 @@ class StageNegotiation:
 
     def all_proposals(self) -> list[Proposal]:
         return [p for kind in (PRODUCTION, BUFFER, TRANSPORT) for p in self.proposals[kind]]
-
-    def _enter(self, phase: Phase) -> None:
-        self.phase = phase
-        self.history.append(phase)
 
     def is_terminal(self) -> bool:
         return self.phase in (Phase.DONE, Phase.FAILED)
@@ -419,11 +398,11 @@ def advance_stage(
         if neg.phase is not Phase.QUERY_DIRECTORY:
             log.warning("protocol violation: StartStage in phase %s", neg.phase)
             return []
-        neg._enter(Phase.AWAIT_PRODUCTION)
-        plan = planner.plan_production(neg, ctx)
-        if not (plan and plan.awaiting):
+        neg.phase = Phase.AWAIT_PRODUCTION
+        msgs = planner.plan_production(neg, ctx)
+        if not msgs:
             return _fail(neg, "no capable production resource registered")
-        return _await(neg, plan, ctx)
+        return _await(neg, msgs, ctx)
 
     if isinstance(event, DeadlineExpired):
         if event.token != neg.deadline_token:
@@ -502,45 +481,43 @@ def rejects(order_id: str, conv: str, proposals: Iterable[Proposal]) -> list[Mes
     ]
 
 
-def _await(neg: StageNegotiation, plan: RoundPlan, ctx) -> list[Message]:
-    """Open a round: await its responders under one armed deadline."""
-    neg.awaiting = set(plan.awaiting)
+def _await(neg: StageNegotiation, msgs: list[Message], ctx) -> list[Message]:
+    """Open a round: await the receivers of its CFPs under one armed deadline."""
+    neg.awaiting = {m.receiver for m in msgs}
     neg.deadline_token = ctx.set_timer(ctx.cfp_deadline)
-    return plan.messages
+    return msgs
 
 
 def _advance_round(neg: StageNegotiation, planner: StagePlanner, ctx) -> list[Message]:
-    """Close the finished round; open the next one that has responders, or select.
+    """Close the finished round; open the next one the planner sends CFPs for, or select.
 
-    The rounds run production, buffer, transport; a round the planner skips
-    (``None`` or nobody to await) leaves no phase in the history.
+    The rounds run production, buffer, transport. The closed round's
+    proposals are ranked by resource first, so the order they arrived in
+    changes neither the next round's CFPs nor the decision.
     """
     neg.deadline_token = None
+    neg.proposals[_AWAIT_KIND[neg.phase]].sort(key=_RANK)
     if neg.phase is Phase.AWAIT_PRODUCTION:
         if not neg.proposals[PRODUCTION]:
             return _fail(neg, "no production proposals received")
-        plan = planner.plan_buffer(neg, ctx)
-        if plan and plan.awaiting:
-            neg._enter(Phase.AWAIT_BUFFER)
-            return _await(neg, plan, ctx)
+        msgs = planner.plan_buffer(neg, ctx)
+        if msgs:
+            neg.phase = Phase.AWAIT_BUFFER
+            return _await(neg, msgs, ctx)
     if neg.phase is not Phase.AWAIT_TRANSPORT:
-        plan = planner.plan_transport(neg, ctx)
-        if plan and plan.awaiting:
-            neg._enter(Phase.AWAIT_TRANSPORT)
-            return _await(neg, plan, ctx)
-    neg._enter(Phase.SELECT)
+        msgs = planner.plan_transport(neg, ctx)
+        if msgs:
+            neg.phase = Phase.AWAIT_TRANSPORT
+            return _await(neg, msgs, ctx)
     decision = planner.decide(neg, ctx)
     if isinstance(decision, StageFailure):
         return _fail(neg, decision.reason)
-    neg._enter(Phase.COMMIT)
-    neg._enter(Phase.DONE)
-    # departures first: a stay-on-machine accept lands on the same resource
-    # and must find the previous tail already closed
-    return decision.informs + decision.accepts + decision.rejects + decision.informs_post
+    neg.phase = Phase.DONE
+    return decision
 
 
 def _fail(neg: StageNegotiation, reason: str) -> list[Message]:
     """On failure no partial bookings may remain: reject every held offer."""
     neg.failure_reason = reason
-    neg._enter(Phase.FAILED)
+    neg.phase = Phase.FAILED
     return rejects(neg.order_id, neg.conversation, neg.all_proposals())

@@ -636,7 +636,6 @@ class RuntimeBundle:
     directory: DirectoryService
     agents: dict[str, Any]
     releases: list[tuple[float, str]]
-    kinds: dict[str, str]  # agent id -> machine | buffer | transport | order
 
 
 def build_runtime(scenario: Scenario) -> RuntimeBundle:
@@ -644,7 +643,6 @@ def build_runtime(scenario: Scenario) -> RuntimeBundle:
     params = scenario.schedule_params()
     directory = DirectoryService()
     agents: dict[str, Any] = {}
-    kinds: dict[str, str] = {}
 
     max_unload = max((t.unload for t in scenario.transports), default=0)
     max_load = max((t.load for t in scenario.transports), default=0)
@@ -682,7 +680,6 @@ def build_runtime(scenario: Scenario) -> RuntimeBundle:
                 )
             )
         agents[m.id] = agent
-        kinds[m.id] = "machine"
         directory.register(m.operation, m.id)
 
     for b in scenario.buffers:
@@ -695,7 +692,6 @@ def build_runtime(scenario: Scenario) -> RuntimeBundle:
                 load_estimate=max_load,
             )
         )
-        kinds[b.id] = "buffer"
         directory.register(BUFFER, b.id)
 
     for t in scenario.transports:
@@ -713,7 +709,6 @@ def build_runtime(scenario: Scenario) -> RuntimeBundle:
                 )
             )
         agents[t.id] = agent
-        kinds[t.id] = "transport"
         directory.register(TRANSPORT, t.id)
 
     releases: list[tuple[float, str]] = []
@@ -723,8 +718,7 @@ def build_runtime(scenario: Scenario) -> RuntimeBundle:
             OrderConfig(order_id=o.id, product=o.product, plan=plan, arrival=o.arrival),
             params=params,
         )
-        kinds[o.id] = "order"
         releases.append((o.release, o.id))
 
     releases.sort(key=lambda pair: (pair[0], pair[1]))
-    return RuntimeBundle(directory=directory, agents=agents, releases=releases, kinds=kinds)
+    return RuntimeBundle(directory=directory, agents=agents, releases=releases)

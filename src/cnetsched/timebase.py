@@ -212,19 +212,6 @@ class BookingEntry:
         return op.end if op is not None else self.span_end
 
 
-@dataclass(frozen=True)
-class AdjustmentReport:
-    """Outcome of an insertion: the signed time increment applied to the successor.
-
-    ``ti`` is new-setup minus old-setup of the booking that now follows the
-    inserted entry (0 when there is no successor or its setup is fixed).
-    """
-
-    ti: Seconds = 0
-    successor_order_id: Optional[str] = None
-    successor_step: Optional[str] = None
-
-
 # callback: (new predecessor end state, successor entry) -> required setup duration
 SetupFn = Callable[[Any, BookingEntry], Seconds]
 # callback: entry -> the state it leaves the resource in, None when it tells nothing
@@ -443,7 +430,7 @@ class ResourceSchedule:
 
     def insert_booking(
         self, entry: BookingEntry, successor_setup: Optional[SetupFn] = None
-    ) -> AdjustmentReport:
+    ) -> None:
         """Insert ``entry``, shifting the successor's setup segment if needed.
 
         Raises OverlapError when the entry (or the successor setup it forces)
@@ -470,7 +457,6 @@ class ResourceSchedule:
                     f"{pred.order_id}/{pred.step_label}"
                 )
 
-        ti = 0
         succ: Optional[BookingEntry] = None
         new_setup_iv: Optional[TimeInterval] = None
         if idx < len(self.entries):
@@ -480,7 +466,6 @@ class ResourceSchedule:
                 new_setup = successor_setup(entry.end_state, succ)
                 if new_setup < 0:
                     raise ValueError("setup duration cannot be negative")
-                ti = new_setup - setup_iv.duration
                 new_start = succ.core_start - new_setup
                 if entry.span_end > new_start:
                     raise OverlapError(
@@ -500,9 +485,7 @@ class ResourceSchedule:
                     new_setup = successor_setup(entry.end_state, succ)
                     if new_setup < 0:
                         raise ValueError("setup duration cannot be negative")
-                    if new_setup:
-                        ti = new_setup
-                        bound = succ.span_start - new_setup
+                    bound = succ.span_start - new_setup
                 if entry.span_end > bound:
                     raise OverlapError(
                         f"booking {entry.order_id}/{entry.step_label} overlaps "
@@ -520,9 +503,6 @@ class ResourceSchedule:
         self.entries.insert(idx, entry)
         if entry.open_tail:
             self._tails[entry.order_id] = entry
-        if succ is not None and ti != 0:
-            return AdjustmentReport(ti, succ.order_id, succ.step_label)
-        return AdjustmentReport(0, None, None)
 
     def close_open_tail(
         self, order_id: str, departure: Seconds, load_time: Seconds

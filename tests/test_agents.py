@@ -605,7 +605,6 @@ def stage_commit(resource, start, end):
         location=(5.0, 5.0),
         op_slot=TimeInterval(start, end),
         slack_after=Slack.UNBOUNDED,
-        route_kind="direct",
     )
 
 
@@ -654,18 +653,17 @@ def test_production_round_windows_follow_previous_commit():
 
     from cnetsched.protocol import StageNegotiation
 
-    plan = oa.plan_production(StageNegotiation("o1", 0), ctx)
-    assert {m.receiver for m in plan.messages} == {"M1", "M2"}
-    assert plan.awaiting == {"M1", "M2"}
-    cfp = plan.messages[0].parts[0]
+    msgs = oa.plan_production(StageNegotiation("o1", 0), ctx)
+    assert {m.receiver for m in msgs} == {"M1", "M2"}
+    cfp = msgs[0].parts[0]
     assert cfp.workpiece.location is None  # entering the system
     assert cfp.alternatives[0].windows.es == 0
     assert cfp.deadline == ctx.cfp_deadline
 
     ctx.directory.register("forging", "F1")
     oa.committed = [stage_commit("M0", 0, 6000)]
-    plan = oa.plan_production(StageNegotiation("o1", 1), ctx)
-    cfp = plan.messages[0].parts[0]
+    msgs = oa.plan_production(StageNegotiation("o1", 1), ctx)
+    cfp = msgs[0].parts[0]
     assert cfp.workpiece.location == (5.0, 5.0)
     assert cfp.alternatives[0].windows.es == 6000 + PARAMS.t_transport_min
 

@@ -19,8 +19,6 @@ from cnetsched.protocol import (
     Phase,
     Proposal,
     RejectProposal,
-    RoundPlan,
-    StageDecision,
     StageFailure,
     StageNegotiation,
     StartStage,
@@ -87,17 +85,16 @@ class ScriptPlanner:
         self.fail = fail
 
     def plan_production(self, neg, ctx):
-        msgs = [
+        return [
             Message(neg.order_id, r, neg.conversation, (mk_cfp(),))
             for r in self.responders
         ]
-        return RoundPlan(msgs, set(self.responders))
 
     def plan_buffer(self, neg, ctx):
-        return None
+        return []
 
     def plan_transport(self, neg, ctx):
-        return None
+        return []
 
     def decide(self, neg, ctx):
         if self.fail:
@@ -121,7 +118,7 @@ class ScriptPlanner:
             Message(neg.order_id, rid, neg.conversation, tuple(parts))
             for rid, parts in sorted(by_resource.items())
         ]
-        return StageDecision(accepts=accepts, rejects=rejects, informs=[])
+        return accepts + rejects
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +282,6 @@ def test_stage_happy_path_and_phase_history():
         neg, proposal_msg("M2", "o1/s0", mk_proposal("M2#1", "M2", start=90)), planner, ctx
     )
     assert neg.phase is Phase.DONE
-    assert neg.history == [
-        Phase.AWAIT_PRODUCTION,
-        Phase.SELECT,
-        Phase.COMMIT,
-        Phase.DONE,
-    ]
     # commit completeness: every received proposal is accepted or rejected
     accepted = [p.proposal_id for m in out if m.variant == "AcceptProposal" for p in m.parts]
     rejected = [p.proposal_id for m in out if m.variant == "RejectProposal" for p in m.parts]
@@ -403,7 +394,7 @@ def test_stage_machine_is_deterministic():
         outs += advance_stage(
             neg, proposal_msg("M1", "o1/s0", mk_proposal("M1#1", "M1")), planner, ctx
         )
-        return neg.history, [
+        return neg.phase, [
             (m.sender, m.receiver, m.variant, tuple(p for p in m.parts)) for m in outs
         ]
 

@@ -7,7 +7,7 @@ import pytest
 from cnetsched.harness import render_gantt, render_trace, run_scenario
 from cnetsched.runtime import KernelConfig, RunTimeout, run_kernel
 from cnetsched.scenario import build_runtime, parse_scenario
-from cnetsched.timebase import TimeInterval, hhmm
+from cnetsched.timebase import hhmm
 
 
 # ---------------------------------------------------------------------------
@@ -27,15 +27,12 @@ def test_flowshop_reference_run(flowshop_report):
 
     a = r.agents["order-A"]
     # second production step buffers: two crane movements bracket the stay
-    stage = a.committed[1]
-    assert stage.route_kind == "buffered"
-    assert [iv for _, iv in stage.transport_slots] == [
-        TimeInterval(64_800, 66_120),
-        TimeInterval(102_840, 104_100),
-    ]
-    assert hhmm(stage.transport_slots[0][1].start) == "18:00"
-    assert hhmm(stage.transport_slots[1][1].start) == "1.04:34"
-    assert stage.buffer_slot is not None
+    spans = {c.step_label: (c.start, c.end) for c in r.commits if c.order_id == "order-A"}
+    assert spans["T:1,B2"] == (64_800, 66_120)
+    assert spans["T:B2,2"] == (102_840, 104_100)
+    assert spans["B2"] == (65_520, 103_440)
+    assert hhmm(spans["T:1,B2"][0]) == "18:00"
+    assert hhmm(spans["T:B2,2"][0]) == "1.04:34"
     assert a.committed[-1].op_slot.end == 130_860  # 1.12:21
     assert r.agents["order-B"].committed[-1].op_slot.end == 113_160  # 1.07:26
 

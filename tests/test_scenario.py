@@ -219,13 +219,6 @@ def test_build_runtime_registers_every_agent():
     s = parse_scenario(minimal_doc(), source="t")
     rt = build_runtime(s)
     assert set(rt.agents) == {"M1", "M2", "Buf1", "Crane1", "o1"}
-    assert rt.kinds == {
-        "M1": "machine",
-        "M2": "machine",
-        "Buf1": "buffer",
-        "Crane1": "transport",
-        "o1": "order",
-    }
     assert isinstance(rt.agents["M1"], ProductionAgent)
     assert isinstance(rt.agents["Buf1"], BufferAgent)
     assert isinstance(rt.agents["Crane1"], TransportAgent)

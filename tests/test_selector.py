@@ -81,14 +81,18 @@ def sent_rejects(ctx, production, buffers=(), transports=()):
     if ctx.prev_resource is not None:
         oa.committed = [
             StageCommit(ctx.prev_resource, (0.0, 0.0), TimeInterval(0, ctx.f_prev),
-                        Slack.UNBOUNDED, "direct")
+                        Slack.UNBOUNDED)
         ]
     oa._buffered = ctx.buffered
     neg = StageNegotiation("o1", len(oa.committed))
     for kind, proposals in ((PRODUCTION, production), (BUFFER, buffers), (TRANSPORT, transports)):
         neg.proposals[kind].extend(proposals)
-    decision = oa.decide(neg, None)
-    return [(msg.receiver, part.proposal_id) for msg in decision.rejects for part in msg.parts]
+    return [
+        (msg.receiver, part.proposal_id)
+        for msg in oa.decide(neg, None)
+        if msg.variant == "RejectProposal"
+        for part in msg.parts
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -216,9 +216,7 @@ def test_successor_setup_reshaped_on_insert():
     succ = op_entry("later", 200, 300, setup=30)  # setup [170, 200)
     s.insert_booking(succ)
 
-    report = s.insert_booking(op_entry("now", 0, 170, end_state="A"), setup_of)
-    assert report.ti == -30
-    assert report.successor_order_id == "later"
+    s.insert_booking(op_entry("now", 0, 170, end_state="A"), setup_of)
     assert succ.setup_interval is None  # shrank to nothing
     assert succ.segments[0] == ("operation", TimeInterval(200, 300))
     s.check_invariants()
@@ -243,8 +241,7 @@ def test_insert_accounts_for_unmaterialized_successor_setup():
     s.insert_booking(op_entry("later", 200, 300))  # no setup segment recorded
     with pytest.raises(OverlapError):
         s.insert_booking(op_entry("now", 0, 190, end_state="B"), setup_of)
-    report = s.insert_booking(op_entry("now", 0, 180, end_state="B"), setup_of)
-    assert report.ti == 20  # successor effectively starts 20s of work earlier
+    s.insert_booking(op_entry("now", 0, 180, end_state="B"), setup_of)
     s.check_invariants()
 
 
@@ -456,10 +453,9 @@ def test_property_insert_with_zero_ti_only_removes_its_own_span(s, start, dur):
     before = s.free_intervals(window)
     entry = op_entry("new", start, start + dur)
     try:
-        report = s.insert_booking(entry)
+        s.insert_booking(entry)
     except OverlapError:
         return
-    assert report.ti == 0
     after = s.free_intervals(window)
     before_secs = set()
     for iv in before:
