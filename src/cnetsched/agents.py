@@ -13,7 +13,7 @@ import functools
 import logging
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import calculus
 from .calculus import (
@@ -21,7 +21,6 @@ from .calculus import (
     ScheduleParams,
     SlotCommitment,
     StageWindows,
-    TransportGeometry,
     proposal_price,
 )
 from .protocol import (
@@ -65,6 +64,9 @@ from .timebase import (
     TimeInterval,
     gaps_for,
 )
+
+if TYPE_CHECKING:  # scenario imports this module; its records are read by attribute
+    from .scenario import BufferSpec, MachineSpec, OrderSpec, TransportSpec
 
 log = logging.getLogger(__name__)
 
@@ -153,12 +155,16 @@ class _ResourceAgent:
     #: successor can impose on this resource; set by each kind
     _setup_bound: Seconds = 0
 
-    def __init__(self, config) -> None:
-        self.config = config
-        self.agent_id = config.agent_id
+    def __init__(self, agent_id: str) -> None:
+        self.agent_id = agent_id
         self.schedule = ResourceSchedule()
         self.holds = HoldBook()
         self._seq = 0
+
+    def _book_fixed(self, order_id: str, label: str, kind: str, block, end_state: str) -> None:
+        """Book ``block``, a scenario record with a start and an end, before any negotiation."""
+        segments = [(kind, TimeInterval(block.start, block.end))]
+        self.schedule.insert_booking(BookingEntry(order_id, label, segments, end_state=end_state))
 
     def handle(self, event, ctx) -> list[Message]:
         if not isinstance(event, Message):
@@ -309,25 +315,25 @@ class _ResourceAgent:
 # production resource agent
 
 
-@dataclass
-class ProductionConfig:
-    agent_id: str
-    location: tuple[float, float]
-    op_duration: dict[str, Seconds]
-    setup: dict[str, dict[str, Seconds]]
-    initial_state: str = ""
-    unload_estimate: Seconds = 0
-    load_estimate: Seconds = 0
-
-
 class ProductionAgent(_ResourceAgent):
     """Owns one machine calendar; proposes, commits, blocks, defers."""
 
     kind = PRODUCTION
 
-    def __init__(self, config: ProductionConfig):
-        super().__init__(config)
+    def __init__(self, spec: MachineSpec, unload_estimate: Seconds = 0, load_estimate: Seconds = 0):
+        super().__init__(spec.id)
+        self.location = spec.location
+        # dicts built once: every CFP reads them
+        self.op_duration = spec.durations()
+        self.setup = spec.setup_matrix()
+        self.initial_state = spec.initial_state
+        self.unload_estimate = unload_estimate
+        self.load_estimate = load_estimate
         self._deferred: list[Message] = []
+        for b in spec.initial_bookings:
+            self._book_fixed(b.order_id, "init", "operation", b, b.end_state)
+        for i, w in enumerate(spec.maintenance):
+            self._book_fixed(f"{spec.id}-maint-{i}", "maintenance", "maintenance", w, w.state)
 
     # -- state ------------------------------------------------------------
 
@@ -348,13 +354,13 @@ class ProductionAgent(_ResourceAgent):
         return any(parse_conversation(h.conversation_id)[0] != order_id for h in self.holds)
 
     def _setup(self, from_state: str, to_state: str) -> Seconds:
-        return self.config.setup.get(from_state, {}).get(to_state, 0)
+        return self.setup.get(from_state, {}).get(to_state, 0)
 
     @functools.cached_property
     def _setup_bound(self) -> Seconds:
         # worked out at the first CFP, not for every machine a run builds
-        setups = [d for row in self.config.setup.values() for d in row.values()]
-        return max(setups, default=0) + self.config.unload_estimate
+        setups = [d for row in self.setup.values() for d in row.values()]
+        return max(setups, default=0) + self.unload_estimate
 
     def _succ_setup(self, new_state: str, succ: BookingEntry) -> Seconds:
         # a maintenance window demands its end_state just like a job does, so
@@ -376,14 +382,14 @@ class ProductionAgent(_ResourceAgent):
             self._deferred.append(msg)
             return []
         product = cfp.workpiece.product
-        op_dur = self.config.op_duration.get(product)
+        op_dur = self.op_duration.get(product)
         if op_dur is None:
             return []
         tail = self.schedule.open_tail_for(order_id)
         own = tail is not None
         entry_stage = cfp.workpiece.location is None
-        unload = 0 if (entry_stage or own) else self.config.unload_estimate
-        load_est = self.config.load_estimate
+        unload = 0 if (entry_stage or own) else self.unload_estimate
+        load_est = self.load_estimate
         conv = msg.conversation_id
         # the requested es includes a transport estimate; when the piece is
         # already sitting on this machine it is available at operation end
@@ -397,7 +403,7 @@ class ProductionAgent(_ResourceAgent):
             conv, min(earliest), frozenset({order_id}) if own else frozenset()
         )
         # every alternative reads the same table: the new end state is the product
-        table = self.schedule.gap_table(free, self.config.initial_state)
+        table = self.schedule.gap_table(free, self.initial_state)
         proposals: list[Proposal] = []
         for alt_idx, (alt, es) in enumerate(zip(cfp.alternatives, earliest)):
             ls, lf = alt.windows.ls, alt.windows.lf
@@ -433,7 +439,7 @@ class ProductionAgent(_ResourceAgent):
                         str(step),
                         TimeInterval(block_start, op_end + load_est),
                         product,
-                        location=self.config.location,
+                        location=self.location,
                         slot=TimeInterval(op_start, op_end),
                         slack_before=Slack(block_start - gap_start),
                         slack_after=slack_after,
@@ -458,7 +464,7 @@ class ProductionAgent(_ResourceAgent):
         unload = acc.actual_unload_time if p.unload_time else 0
         from_state = self.schedule.state_before(
             booked.start,
-            self.config.initial_state,
+            self.initial_state,
             assume_closed=frozenset({order_id}) if tail else frozenset(),
         )
         setup = self._setup(from_state, hold.end_state)
@@ -505,29 +511,21 @@ class ProductionAgent(_ResourceAgent):
 # buffer agent
 
 
-@dataclass
-class BufferConfig:
-    agent_id: str
-    location: tuple[float, float]
-    capacity: int = 1
-    unload_estimate: Seconds = 0
-    load_estimate: Seconds = 0
-
-
 class BufferAgent(_ResourceAgent):
     """A capacity-1 buffer place offering decoupling slots."""
 
     kind = BUFFER
 
-    def __init__(self, config: BufferConfig):
-        if config.capacity != 1:
-            raise ValueError("buffer places have capacity 1; model more places instead")
-        super().__init__(config)
-        self._setup_bound = config.unload_estimate
+    def __init__(self, spec: BufferSpec, unload_estimate: Seconds = 0, load_estimate: Seconds = 0):
+        super().__init__(spec.id)
+        self.location = spec.location
+        self.unload_estimate = unload_estimate
+        self.load_estimate = load_estimate
+        self._setup_bound = unload_estimate
 
     def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
         conv = msg.conversation_id
-        u_est, l_est = self.config.unload_estimate, self.config.load_estimate
+        u_est, l_est = self.unload_estimate, self.load_estimate
         if not cfp.alternatives:
             return []
         free = self._free(conv, min(alt.windows.es for alt in cfp.alternatives))
@@ -552,7 +550,7 @@ class BufferAgent(_ResourceAgent):
                         conv,
                         f"B{step}",
                         TimeInterval(max(0, start - u_est), end + l_est),
-                        location=self.config.location,
+                        location=self.location,
                         slot=TimeInterval(start, end),
                         slack_before=Slack(start - u_est - iv.start),
                         slack_after=slack_after,
@@ -592,13 +590,6 @@ class BufferAgent(_ResourceAgent):
 # transport agent
 
 
-@dataclass
-class TransportConfig:
-    agent_id: str
-    geometry: TransportGeometry
-    initial_x: float = 0.0
-
-
 def _crane_x(entry: BookingEntry) -> Optional[float]:
     """The x-position a crane booking leaves the crane at; None when not numeric."""
     try:
@@ -612,13 +603,16 @@ class TransportAgent(_ResourceAgent):
 
     kind = TRANSPORT
 
-    def __init__(self, config: TransportConfig):
-        super().__init__(config)
+    def __init__(self, spec: TransportSpec):
+        super().__init__(spec.id)
+        self.geometry = geom = spec.geometry()
+        self.initial_x = spec.initial_x
         self._pickup_x: dict[tuple[str, str], float] = {}
         self._committed_pids: set[str] = set()
         # every setup is travel inside the crane's own segment
-        geom = config.geometry
         self._setup_bound = geom.travel_seconds(geom.x_min, geom.x_max)
+        for b in spec.initial_bookings:
+            self._book_fixed(b.order_id, "init", "operation", b, f"{b.end_x:g}")
 
     def _succ_setup(self, new_state, succ: BookingEntry) -> Seconds:
         """Travel from ``new_state`` (a drop-off x) to the successor's pickup.
@@ -628,10 +622,10 @@ class TransportAgent(_ResourceAgent):
         pickup = self._pickup_x.get((succ.order_id, succ.step_label))
         if pickup is None:
             return succ.setup_interval.duration if succ.setup_interval else 0
-        return self.config.geometry.travel_seconds(float(new_state), pickup)
+        return self.geometry.travel_seconds(float(new_state), pickup)
 
     def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
-        geom = self.config.geometry
+        geom = self.geometry
         conv = msg.conversation_id
         # legs that some other leg chains onto head into a buffer
         chain_targets = {leg.chain_after for leg in cfp.legs if leg.chain_after is not None}
@@ -656,7 +650,7 @@ class TransportAgent(_ResourceAgent):
         free = self._free(
             conv, min(max(leg.windows.es, leg.windows.ef - dur) for _, leg, _, dur in legs)
         )
-        table = self.schedule.gap_table(free, self.config.initial_x, _crane_x)
+        table = self.schedule.gap_table(free, self.initial_x, _crane_x)
         proposals: list[Proposal] = []
         emitted_by_leg: dict[int, Proposal] = {}
         for leg_idx, leg, label, dur in legs:
@@ -693,7 +687,7 @@ class TransportAgent(_ResourceAgent):
         partner proposal ``after`` unloads. None when the leg fits nowhere.
         Nothing is held here; ``_propose`` decides what becomes an offer.
         """
-        geom = self.config.geometry
+        geom = self.geometry
         w = leg.windows
         fx, tx = leg.from_location[0], leg.to_location[0]
         base = after.slot.end if after is not None else max(w.es, w.ef - dur)
@@ -749,9 +743,9 @@ class TransportAgent(_ResourceAgent):
         ):
             raise _Refusal("required preceding movement was not committed")
 
-        geom = self.config.geometry
+        geom = self.geometry
         pickup_x, drop_x = p.location[0], hold.end_state
-        pred_x = self.schedule.state_before(booked.start, self.config.initial_x, _crane_x)
+        pred_x = self.schedule.state_before(booked.start, self.initial_x, _crane_x)
         setup = geom.travel_seconds(pred_x, pickup_x)
         travel = geom.travel_seconds(pickup_x, drop_x)
         segments: list[tuple[str, TimeInterval]] = []
@@ -794,21 +788,15 @@ def _leg(frm, to: Proposal, windows: StageWindows, **fields) -> TransportLeg:
     )
 
 
-@dataclass
-class OrderConfig:
-    order_id: str
-    product: str
-    plan: tuple[str, ...]  # operation names, in order
-    arrival: Seconds = 0
-
-
 class OrderAgent:
     """Drives one order through its plan, stage by stage."""
 
-    def __init__(self, config: OrderConfig, params: ScheduleParams):
-        self.config = config
+    def __init__(self, spec: OrderSpec, plan: Sequence[str], params: ScheduleParams):
+        self.agent_id = spec.id
+        self.product = spec.product
+        self.arrival = spec.arrival
+        self.plan = plan  # operation names, in order
         self.params = params
-        self.agent_id = config.order_id
         self.status = "pending"  # pending -> running -> done | failed
         self.stage_index = 0
         self.committed: list[StageCommit] = []
@@ -864,7 +852,7 @@ class OrderAgent:
 
     def _on_stage_done(self, ctx) -> list[Message]:
         self.stage_index += 1
-        if self.stage_index >= len(self.config.plan):
+        if self.stage_index >= len(self.plan):
             self.status = "done"
             self.t_end = ctx.now()
             self.neg = None
@@ -899,7 +887,7 @@ class OrderAgent:
     @property
     def _f_prev(self) -> Seconds:
         prev = self._prev
-        return prev.op_slot.end if prev is not None else self.config.arrival
+        return prev.op_slot.end if prev is not None else self.arrival
 
     @property
     def _st_prev(self) -> Slack:
@@ -917,7 +905,7 @@ class OrderAgent:
         """One CFP round: the same CFP, whose operation is ``capability``, to
         every agent registered for it; empty when nobody is."""
         cfp = Cfp(
-            workpiece=WorkpieceInfo(self.agent_id, self.config.product, location),
+            workpiece=WorkpieceInfo(self.agent_id, self.product, location),
             operation=capability,
             deadline=ctx.now() + ctx.cfp_deadline,
             **cfp_fields,
@@ -941,12 +929,12 @@ class OrderAgent:
 
     def plan_production(self, neg: StageNegotiation, ctx) -> list[Message]:
         prev = self._prev
-        es = self.config.arrival if prev is None else self._f_prev + self.params.t_transport_min
+        es = self.arrival if prev is None else self._f_prev + self.params.t_transport_min
         windows = StageWindows(es=es, ef=es)
         return self._call(
             neg,
             ctx,
-            self.config.plan[neg.stage_index],
+            self.plan[neg.stage_index],
             None if prev is None else prev.location,
             kind=PRODUCTION,
             alternatives=(CfpAlternative(windows=windows),),
@@ -1076,7 +1064,7 @@ class OrderAgent:
         out += rejects(
             self.agent_id, conv, [q for q in neg.all_proposals() if q.proposal_id not in accepted]
         )
-        if neg.stage_index == len(self.config.plan) - 1:
+        if neg.stage_index == len(self.plan) - 1:
             # final stage: the workpiece leaves the system at operation end
             out.append(self._depart(p.resource_id, conv, op_slot.end))
 

@@ -14,6 +14,7 @@ import io
 import json
 import logging
 import statistics
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
@@ -142,8 +143,6 @@ def export_metrics(
 
 # ---------------------------------------------------------------------------
 # scenario builders for the experiment presets
-
-_SETUP_AB = {"A": {"B": 15 * 60}, "B": {"A": 30 * 60}}
 
 
 def _machine(mid, operation, x, y, duration_min, products=("A", "B", "C")):
@@ -313,15 +312,12 @@ def hosting_sweep(
             oid: report.lead_time(oid) for oid in done if report.lead_time(oid) is not None
         }
         dt_end = _spacings(ends)
-        statuses: dict[str, int] = {}
-        for st in report.status.values():
-            statuses[st] = statuses.get(st, 0) + 1
         runs.append(
             {
                 "interval_ms": interval_ms,
                 "orders": n_orders,
                 "all_done": report.all_done,
-                "status_counts": statuses,
+                "status_counts": dict(Counter(report.status.values())),
                 "dt_start_ms": [round(v * 1000, 3) for v in _spacings(starts)],
                 "dt_end_ms": [round(v * 1000, 3) for v in dt_end],
                 "coordination_ms": {k: round(v * 1000, 3) for k, v in durations.items()},
@@ -428,12 +424,9 @@ def shop_compare(
         ]
         mean = statistics.fmean(durations) if durations else None
         means[kind] = mean
-        statuses: dict[str, int] = {}
-        for st in report.status.values():
-            statuses[st] = statuses.get(st, 0) + 1
         out[kind] = {
             "all_done": report.all_done,
-            "status_counts": statuses,
+            "status_counts": dict(Counter(report.status.values())),
             "coordination_ms": sorted(round(d * 1000, 3) for d in durations),
             "mean_coordination_ms": round(mean * 1000, 3) if mean is not None else None,
         }

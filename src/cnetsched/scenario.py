@@ -1,4 +1,4 @@
-"""Scenario files: schema, validation, normalization, agent instantiation.
+"""Scenario files: schema, validation, normalization, runtime assembly.
 
 A scenario is a JSON document describing one shop floor: machines, buffer
 places, transports, the product process plans, and the orders to run.  All
@@ -17,20 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from .agents import (
-    BufferAgent,
-    BufferConfig,
-    DirectoryService,
-    OrderAgent,
-    OrderConfig,
-    ProductionAgent,
-    ProductionConfig,
-    TransportAgent,
-    TransportConfig,
-)
+from .agents import BufferAgent, DirectoryService, OrderAgent, ProductionAgent, TransportAgent
 from .calculus import ScheduleParams, TransportGeometry, derive_t_transport_min
 from .protocol import BUFFER, TRANSPORT
-from .timebase import BookingEntry, Seconds, TimeInterval, minutes
+from .timebase import Seconds, minutes
 
 FORMAT_VERSION = 1
 
@@ -91,7 +81,6 @@ class MachineSpec:
 class BufferSpec:
     id: str
     location: tuple[float, float]
-    capacity: int = 1
 
 
 @dataclass(frozen=True)
@@ -393,7 +382,7 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         capacity = r.number(bdoc, "capacity", path, default=1, minimum=1)
         if capacity != 1:
             r.fail(f"{path}.capacity", "buffer places have capacity 1; model more places instead")
-        buffers.append(BufferSpec(id=bid, location=r.xy(bdoc, "location", path), capacity=1))
+        buffers.append(BufferSpec(id=bid, location=r.xy(bdoc, "location", path)))
 
     transports: list[TransportSpec] = []
     for i, tdoc_raw in enumerate(r.array(root.get("transports", []), f"{source}.transports")):
@@ -583,7 +572,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         doc["machines"].append(mdoc)
 
     for b in s.buffers:
-        doc["buffers"].append({"id": b.id, "location": list(b.location), "capacity": b.capacity})
+        doc["buffers"].append({"id": b.id, "location": list(b.location)})
 
     for t in s.transports:
         tdoc: dict[str, Any] = {
@@ -639,7 +628,7 @@ class RuntimeBundle:
 
 
 def build_runtime(scenario: Scenario) -> RuntimeBundle:
-    """Instantiate and register all agents, with initial calendars in place."""
+    """Instantiate and register all agents; each books its own initial calendar."""
     params = scenario.schedule_params()
     directory = DirectoryService()
     agents: dict[str, Any] = {}
@@ -648,76 +637,18 @@ def build_runtime(scenario: Scenario) -> RuntimeBundle:
     max_load = max((t.load for t in scenario.transports), default=0)
 
     for m in scenario.machines:
-        agent = ProductionAgent(
-            ProductionConfig(
-                agent_id=m.id,
-                location=m.location,
-                op_duration=m.durations(),
-                setup=m.setup_matrix(),
-                initial_state=m.initial_state,
-                unload_estimate=max_unload,
-                load_estimate=max_load,
-            )
-        )
-        for b in m.initial_bookings:
-            agent.schedule.insert_booking(
-                BookingEntry(
-                    order_id=b.order_id,
-                    step_label="init",
-                    segments=[("operation", TimeInterval(b.start, b.end))],
-                    open_tail=False,
-                    end_state=b.end_state,
-                )
-            )
-        for i, w in enumerate(m.maintenance):
-            agent.schedule.insert_booking(
-                BookingEntry(
-                    order_id=f"{m.id}-maint-{i}",
-                    step_label="maintenance",
-                    segments=[("maintenance", TimeInterval(w.start, w.end))],
-                    open_tail=False,
-                    end_state=w.state,
-                )
-            )
-        agents[m.id] = agent
+        agents[m.id] = ProductionAgent(m, max_unload, max_load)
         directory.register(m.operation, m.id)
-
     for b in scenario.buffers:
-        agents[b.id] = BufferAgent(
-            BufferConfig(
-                agent_id=b.id,
-                location=b.location,
-                capacity=b.capacity,
-                unload_estimate=max_unload,
-                load_estimate=max_load,
-            )
-        )
+        agents[b.id] = BufferAgent(b, max_unload, max_load)
         directory.register(BUFFER, b.id)
-
     for t in scenario.transports:
-        agent = TransportAgent(
-            TransportConfig(agent_id=t.id, geometry=t.geometry(), initial_x=t.initial_x)
-        )
-        for ib in t.initial_bookings:
-            agent.schedule.insert_booking(
-                BookingEntry(
-                    order_id=ib.order_id,
-                    step_label="init",
-                    segments=[("operation", TimeInterval(ib.start, ib.end))],
-                    open_tail=False,
-                    end_state=f"{ib.end_x:g}",
-                )
-            )
-        agents[t.id] = agent
+        agents[t.id] = TransportAgent(t)
         directory.register(TRANSPORT, t.id)
 
     releases: list[tuple[float, str]] = []
     for o in scenario.orders:
-        plan = scenario.product(o.product).steps
-        agents[o.id] = OrderAgent(
-            OrderConfig(order_id=o.id, product=o.product, plan=plan, arrival=o.arrival),
-            params=params,
-        )
+        agents[o.id] = OrderAgent(o, scenario.product(o.product).steps, params)
         releases.append((o.release, o.id))
 
     releases.sort(key=lambda pair: (pair[0], pair[1]))

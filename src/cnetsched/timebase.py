@@ -458,48 +458,31 @@ class ResourceSchedule:
                 )
 
         succ: Optional[BookingEntry] = None
-        new_setup_iv: Optional[TimeInterval] = None
+        new_setup = 0
         if idx < len(self.entries):
             succ = self.entries[idx]
-            setup_iv = succ.setup_interval
-            if setup_iv is not None and successor_setup is not None:
+            # with a callback the successor's setup is recomputed from the new
+            # end state; one with no segment yet must still find room in the gap
+            if successor_setup is None:
+                new_setup = succ.core_start - succ.span_start  # as booked
+            else:
                 new_setup = successor_setup(entry.end_state, succ)
                 if new_setup < 0:
                     raise ValueError("setup duration cannot be negative")
-                new_start = succ.core_start - new_setup
-                if entry.span_end > new_start:
-                    raise OverlapError(
-                        f"booking {entry.order_id}/{entry.step_label} would force "
-                        f"the setup of {succ.order_id}/{succ.step_label} to start "
-                        f"before {hhmm(entry.span_end)}"
-                    )
-                if new_setup > 0:
-                    new_setup_iv = TimeInterval(new_start, succ.core_start)
-            else:
-                bound = succ.span_start
-                if setup_iv is None and successor_setup is not None:
-                    # the successor had no setup recorded (it previously started
-                    # from the right state/position); the new end state may force
-                    # one, which must fit in the remaining gap even though it is
-                    # not materialized as a segment
-                    new_setup = successor_setup(entry.end_state, succ)
-                    if new_setup < 0:
-                        raise ValueError("setup duration cannot be negative")
-                    bound = succ.span_start - new_setup
-                if entry.span_end > bound:
-                    raise OverlapError(
-                        f"booking {entry.order_id}/{entry.step_label} overlaps "
-                        f"{succ.order_id}/{succ.step_label} (or the setup room "
-                        f"it now needs)"
-                    )
+            if entry.span_end > succ.core_start - new_setup:
+                raise OverlapError(
+                    f"booking {entry.order_id}/{entry.step_label} overlaps "
+                    f"{succ.order_id}/{succ.step_label} (or the setup room "
+                    f"it now needs)"
+                )
 
         # all checks passed: apply
         if succ is not None and succ.setup_interval is not None and successor_setup is not None:
-            kind, _old = succ.segments[0]
-            if new_setup_iv is None:
-                succ.segments.pop(0)  # setup shrank to zero
+            kind, old_setup = succ.segments[0]
+            if new_setup:
+                succ.segments[0] = (kind, TimeInterval(old_setup.end - new_setup, old_setup.end))
             else:
-                succ.segments[0] = (kind, new_setup_iv)
+                succ.segments.pop(0)  # setup shrank to zero
         self.entries.insert(idx, entry)
         if entry.open_tail:
             self._tails[entry.order_id] = entry

@@ -8,19 +8,15 @@ from cnetsched.agents import (
     _ALL,
     MAX_SLOTS_PER_CFP,
     BufferAgent,
-    BufferConfig,
     DirectoryService,
     OrderAgent,
-    OrderConfig,
     ProductionAgent,
-    ProductionConfig,
     StageCommit,
     TransportAgent,
-    TransportConfig,
     _crane_x,
     _slack_from,
 )
-from cnetsched.calculus import ScheduleParams, TransportGeometry, proposal_price
+from cnetsched.calculus import ScheduleParams, proposal_price
 from cnetsched.protocol import (
     BUFFER,
     PRODUCTION,
@@ -39,6 +35,7 @@ from cnetsched.protocol import (
     WorkpieceInfo,
     conversation_id,
 )
+from cnetsched.scenario import BufferSpec, MachineSpec, OrderSpec, TransportSpec
 from cnetsched.timebase import BookingEntry, OverlapError, Slack, TimeInterval, minutes
 from conftest import full_gap_walk
 from oracle import find_entry
@@ -71,17 +68,27 @@ class FakeCtx:
         self.commits.append((resource_id, entry))
 
 
+def machine_spec(op_duration, setup, agent_id="M1", initial_state="A"):
+    return MachineSpec(
+        id=agent_id,
+        operation="cutting",
+        location=(5.0, 5.0),
+        op_duration=tuple(op_duration.items()),
+        setup=tuple((frm, to, dur) for frm, row in setup.items() for to, dur in row.items()),
+        initial_state=initial_state,
+    )
+
+
 def machine(agent_id="M1", op=6000, initial_state="A", unload=600, load=600):
     return ProductionAgent(
-        ProductionConfig(
+        machine_spec(
+            {"A": op, "B": op},
+            {"A": {"B": 900}, "B": {"A": 1800}},
             agent_id=agent_id,
-            location=(5.0, 5.0),
-            op_duration={"A": op, "B": op},
-            setup={"A": {"B": 900}, "B": {"A": 1800}},
             initial_state=initial_state,
-            unload_estimate=unload,
-            load_estimate=load,
-        )
+        ),
+        unload_estimate=unload,
+        load_estimate=load,
     )
 
 
@@ -312,9 +319,10 @@ def test_departure_that_collides_is_refused_not_applied():
 # buffer agent
 
 
-def test_buffer_requires_unit_capacity():
-    with pytest.raises(ValueError):
-        BufferAgent(BufferConfig(agent_id="B", location=(0, 0), capacity=2))
+def buffer_place(unload=600, load=600):
+    return BufferAgent(
+        BufferSpec(id="Buf1", location=(15.0, 15.0)), unload_estimate=unload, load_estimate=load
+    )
 
 
 def buffer_cfp(realizes="P#1", es=1000, ef=2000, ls=5000, lf=6000, order="o1", deadline=10**7):
@@ -330,9 +338,7 @@ def buffer_cfp(realizes="P#1", es=1000, ef=2000, ls=5000, lf=6000, order="o1", d
 
 
 def test_buffer_offers_earliest_slot_and_echoes_linkage():
-    b = BufferAgent(
-        BufferConfig(agent_id="Buf1", location=(15.0, 15.0), unload_estimate=600, load_estimate=600)
-    )
+    b = buffer_place()
     ctx = FakeCtx()
     p = proposals_of(b.handle(envelope("Buf1", "o1", 1, buffer_cfp()), ctx))[0]
     assert p.kind == BUFFER
@@ -349,9 +355,7 @@ def test_buffer_offers_earliest_slot_and_echoes_linkage():
 
 
 def test_buffer_accept_books_unload_hold_load():
-    b = BufferAgent(
-        BufferConfig(agent_id="Buf1", location=(15.0, 15.0), unload_estimate=600, load_estimate=600)
-    )
+    b = buffer_place()
     ctx = FakeCtx()
     p = proposals_of(b.handle(envelope("Buf1", "o1", 1, buffer_cfp()), ctx))[0]
     resident = TimeInterval(1200, 4800)
@@ -371,7 +375,7 @@ def test_buffer_accept_books_unload_hold_load():
 
 
 def test_buffer_accept_outside_slack_fails():
-    b = BufferAgent(BufferConfig(agent_id="Buf1", location=(15.0, 15.0)))
+    b = buffer_place(unload=0, load=0)
     ctx = FakeCtx()
     p = proposals_of(b.handle(envelope("Buf1", "o1", 1, buffer_cfp()), ctx))[0]
     out = b.handle(
@@ -385,13 +389,15 @@ def test_buffer_accept_outside_slack_fails():
 # transport agent
 
 
-def crane(agent_id="Crane1", initial_x=0.0):
+def crane(agent_id="Crane1", initial_x=0.0, handling=600):
+    # speed is in metres per minute, as in a scenario file: these cranes travel 1 m/s
     return TransportAgent(
-        TransportConfig(
-            agent_id=agent_id,
-            geometry=TransportGeometry(
-                speed=1.0, load_time=600, unload_time=600, x_min=0.0, x_max=60.0
-            ),
+        TransportSpec(
+            id=agent_id,
+            segment=(0.0, 60.0),
+            speed=60.0,
+            load=handling,
+            unload=handling,
             initial_x=initial_x,
         )
     )
@@ -527,12 +533,6 @@ def test_transport_linked_accepts_fail_as_a_unit():
 # offer book, shared by every resource kind
 
 
-def buffer_place():
-    return BufferAgent(
-        BufferConfig(agent_id="Buf1", location=(15.0, 15.0), unload_estimate=600, load_estimate=600)
-    )
-
-
 RESOURCES = {
     "machine": (machine, lambda order, deadline: production_cfp(order=order, deadline=deadline)),
     "buffer": (buffer_place, lambda order, deadline: buffer_cfp(order=order, deadline=deadline)),
@@ -594,7 +594,7 @@ def test_cfp_past_its_deadline_gets_no_answer(kind):
 
 
 def order_agent(plan=("cutting", "forging")):
-    oa = OrderAgent(OrderConfig(order_id="o1", product="A", plan=plan), PARAMS)
+    oa = OrderAgent(OrderSpec(id="o1", product="A"), plan, PARAMS)
     oa.status = "running"
     return oa
 
@@ -683,28 +683,12 @@ SMALL_SETUP = {"A": {"B": 15, "C": 5}, "B": {"A": 30}, "C": {"B": 25, "A": 10}}
 
 def small_machine():
     return ProductionAgent(
-        ProductionConfig(
-            agent_id="M1",
-            location=(5.0, 5.0),
-            op_duration={"A": 20, "B": 35, "C": 10},
-            setup=SMALL_SETUP,
-            initial_state="A",
-            unload_estimate=7,
-            load_estimate=4,
-        )
+        machine_spec({"A": 20, "B": 35, "C": 10}, SMALL_SETUP), unload_estimate=7, load_estimate=4
     )
 
 
 def small_crane():
-    return TransportAgent(
-        TransportConfig(
-            agent_id="Crane1",
-            geometry=TransportGeometry(
-                speed=1.0, load_time=5, unload_time=5, x_min=0.0, x_max=60.0
-            ),
-            initial_x=30.0,
-        )
-    )
+    return crane(initial_x=30.0, handling=5)
 
 
 other_holds = st.lists(
@@ -747,11 +731,11 @@ def full_walk_machine(m, cfp, conv, ctx):
     if m._engaged_elsewhere(order_id):
         return []
     product = cfp.workpiece.product
-    op_dur = m.config.op_duration[product]
+    op_dur = m.op_duration[product]
     tail = m.schedule.open_tail_for(order_id)
     own = tail is not None
-    unload = 0 if (cfp.workpiece.location is None or own) else m.config.unload_estimate
-    load_est = m.config.load_estimate
+    unload = 0 if (cfp.workpiece.location is None or own) else m.unload_estimate
+    load_est = m.load_estimate
     free = m.schedule.free_intervals(
         _ALL,
         extra_busy=m.holds.active_spans(exclude_conversation=conv),
@@ -785,7 +769,7 @@ def full_walk_machine(m, cfp, conv, ctx):
                     "1",
                     TimeInterval(block_start, op_end + load_est),
                     product,
-                    location=m.config.location,
+                    location=m.location,
                     slot=TimeInterval(op_start, op_end),
                     slack_before=Slack(block_start - gap_start),
                     slack_after=_slack_from(
@@ -847,7 +831,7 @@ def crane_with_calendar(draw):
     for i in range(draw(st.integers(0, 12))):
         start, dur = draw(st.integers(0, 600)), draw(st.integers(10, 70))
         pickup, drop = draw(st.sampled_from(xs)), draw(st.sampled_from(xs))
-        setup = t.config.geometry.travel_seconds(draw(st.sampled_from(xs)), pickup)
+        setup = t.geometry.travel_seconds(draw(st.sampled_from(xs)), pickup)
         segments = [("load", TimeInterval(start + setup, start + setup + dur))]
         if setup:
             segments.insert(0, ("travel", TimeInterval(start, start + setup)))
@@ -865,11 +849,11 @@ def crane_with_calendar(draw):
 
 def full_walk_leg(t, leg, dur, free, after=None):
     """The crane's leg placement over every free interval (before the skip)."""
-    geom = t.config.geometry
+    geom = t.geometry
     w = leg.windows
     fx, tx = leg.from_location[0], leg.to_location[0]
     for gap_start, gap_end, from_state, ti_next in full_gap_walk(
-        t.schedule, free, tx, t._succ_setup, t.config.initial_x, _crane_x
+        t.schedule, free, tx, t._succ_setup, t.initial_x, _crane_x
     ):
         if after is not None:
             if not (gap_start <= after.slot.start and after.slot.end <= gap_end):
@@ -919,7 +903,7 @@ def placed(fields):
 def test_property_crane_skip_places_legs_like_the_full_walk(
     t, fx, tx, es, ef_after, ls_room, lf_room, partner_slot, lower
 ):
-    geom = t.config.geometry
+    geom = t.geometry
     dur = geom.load_time + geom.travel_seconds(fx, tx) + geom.unload_time
     ef = es + ef_after
     windows = StageWindows(
@@ -939,7 +923,7 @@ def test_property_crane_skip_places_legs_like_the_full_walk(
     conv = "o1/s1"
     # another leg of the CFP may start earlier and bound the list lower
     base = after.slot.end if after is not None else max(es, ef - dur)
-    bounded = t.schedule.gap_table(t._free(conv, base - lower), t.config.initial_x, _crane_x)
+    bounded = t.schedule.gap_table(t._free(conv, base - lower), t.initial_x, _crane_x)
     full = t.schedule.free_intervals(
         _ALL, extra_busy=t.holds.active_spans(exclude_conversation=conv)
     )
@@ -961,7 +945,7 @@ def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretche
         )
     )
     t._pickup_x[("s", "T")] = 0.0
-    t.config.initial_x = 0.0
+    t.initial_x = 0.0
     leg = TransportLeg("Buf1", "M2", (0.0, 5.0), (0.0, 5.0), StageWindows(es=140, ef=150), "P#1")
     conv = "o1/s1"
     free = t._free(conv, 140)
@@ -973,16 +957,7 @@ def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretche
 
 
 def machine_with(setup, unload):
-    return ProductionAgent(
-        ProductionConfig(
-            agent_id="M1",
-            location=(5.0, 5.0),
-            op_duration={"A": 5},
-            setup=setup,
-            initial_state="A",
-            unload_estimate=unload,
-        )
-    )
+    return ProductionAgent(machine_spec({"A": 5}, setup), unload_estimate=unload)
 
 
 def test_machine_keeps_an_interval_that_ends_before_es_when_the_gap_stretches():
@@ -1017,7 +992,7 @@ def test_machine_keeps_the_interval_whose_latest_start_break_decides():
 def test_buffer_offers_a_zero_length_stay_at_the_very_end_of_an_interval():
     # with no handling estimates an interval ending exactly at es still hosts
     # a stay of zero length: the skip drops only iv.end + S < es
-    b = BufferAgent(BufferConfig(agent_id="Buf1", location=(15.0, 15.0)))
+    b = buffer_place(unload=0, load=0)
     b.schedule.insert_booking(closed_block("x", 1000, 1500))
     out = b.handle(
         envelope("Buf1", "o1", 1, buffer_cfp(es=1000, ef=1000, ls=5000, lf=6000)), FakeCtx()

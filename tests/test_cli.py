@@ -1,6 +1,10 @@
 """The command-line contract: exit codes and the files ``run`` writes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +67,23 @@ def test_concurrent_experiment_writes_what_it_prints(tmp_path, capsys, preset):
     else:
         runs = [result["flow"], result["job"]]
     assert [sum(run["status_counts"].values()) for run in runs] == [2] * len(runs)
+
+
+def test_the_package_imports_the_standard_library_only():
+    # -S keeps site-packages, and with it numpy, pytest and hypothesis, off the path
+    probe = (
+        "import sys\n"
+        "start = set(sys.modules)\n"
+        "import cnetsched, cnetsched.cli, cnetsched.harness\n"
+        "loaded = {m.partition('.')[0] for m in set(sys.modules) - start}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "['cnetsched']"

@@ -226,8 +226,8 @@ def test_build_runtime_registers_every_agent():
     assert rt.directory.search("cutting") == ("M1",)
     assert rt.directory.search("forging") == ("M2",)
     # transport handling estimates flow into the machines' proposal prefixes
-    assert rt.agents["M1"].config.unload_estimate == minutes(10)
-    assert rt.agents["M1"].config.load_estimate == minutes(10)
+    assert rt.agents["M1"].unload_estimate == minutes(10)
+    assert rt.agents["M1"].load_estimate == minutes(10)
 
 
 def test_build_runtime_materialises_calendars():
@@ -249,7 +249,7 @@ def test_build_runtime_materialises_calendars():
 
     crane = rt.agents["Crane1"]
     assert crane.schedule.entries[0].end_state == "30"
-    assert float(crane.schedule.state_before(minutes(10), crane.config.initial_x)) == 30.0
+    assert float(crane.schedule.state_before(minutes(10), crane.initial_x)) == 30.0
 
 
 def test_build_runtime_sorts_releases():

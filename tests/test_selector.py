@@ -1,6 +1,6 @@
 import random
 
-from cnetsched.agents import OrderAgent, OrderConfig, StageCommit
+from cnetsched.agents import OrderAgent, StageCommit
 from cnetsched.calculus import ScheduleParams
 from cnetsched.protocol import (
     BUFFER,
@@ -10,6 +10,7 @@ from cnetsched.protocol import (
     Proposal,
     StageNegotiation,
 )
+from cnetsched.scenario import OrderSpec
 from cnetsched.selector import StageContext, build_ocs, select
 from cnetsched.timebase import Slack, TimeInterval
 
@@ -77,7 +78,7 @@ def follow_up(buffered=(), f_prev=1000):
 def sent_rejects(ctx, production, buffers=(), transports=()):
     """(receiver, proposal id) of each reject ``OrderAgent.decide`` sends on these proposals."""
     params = ScheduleParams(t_transport_min=60, t_buffer_min=60)
-    oa = OrderAgent(OrderConfig("o1", "A", ("cutting", "forging", "milling")), params)
+    oa = OrderAgent(OrderSpec("o1", "A"), ("cutting", "forging", "milling"), params)
     if ctx.prev_resource is not None:
         oa.committed = [
             StageCommit(ctx.prev_resource, (0.0, 0.0), TimeInterval(0, ctx.f_prev),
