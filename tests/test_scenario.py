@@ -197,6 +197,44 @@ def test_overlapping_initial_bookings_rejected():
     assert any("overlaps" in p for p in problems_of(doc))
 
 
+M1_BOOKINGS = "t.machines[0].initial_bookings"
+M1_MAINT = "t.machines[0].maintenance"
+CRANE_BOOKINGS = "t.transports[0].initial_bookings"
+BLOCK_LISTS = {M1_BOOKINGS: ("machines", "initial_bookings"),
+               M1_MAINT: ("machines", "maintenance"),
+               CRANE_BOOKINGS: ("transports", "initial_bookings")}
+BLOCK_IDS = ((M1_BOOKINGS, "booking"), (M1_MAINT, "maintenance"), (CRANE_BOOKINGS, "crane"))
+
+
+@pytest.mark.parametrize(
+    "blocks,problem",
+    [
+        *(
+            pytest.param({path: [{"start": 30, "end": 30}]},
+                         f"{path}[0]: end (1800s) must be after start (1800s)", id=f"{key}-empty")
+            for path, key in BLOCK_IDS
+        ),
+        *(
+            pytest.param({path: [{"start": 0, "end": 30}, {"start": 20, "end": 50}]},
+                         f"{path}[1]: overlaps {path}[0]", id=f"{key}-overlap")
+            for path, key in BLOCK_IDS
+        ),
+        pytest.param({M1_BOOKINGS: [{"start": 0, "end": 30}],
+                      M1_MAINT: [{"start": 10, "end": 40}]},
+                     f"{M1_MAINT}[0]: overlaps {M1_BOOKINGS}[0]", id="maintenance-over-booking"),
+        pytest.param({CRANE_BOOKINGS: [{"start": 0, "end": 5, "end_x": 99}]},
+                     f"{CRANE_BOOKINGS}[0].end_x: 99 lies outside segment", id="crane-end-x"),
+    ],
+)
+def test_fixed_blocks_are_validated(blocks, problem):
+    # every block list reports its own field path
+    doc = minimal_doc()
+    for path, blocks_at in blocks.items():
+        kind, key = BLOCK_LISTS[path]
+        doc[kind][0][key] = blocks_at
+    assert any(p.startswith(problem) for p in problems_of(doc)), problems_of(doc)
+
+
 def test_all_problems_collected_not_just_first():
     doc = minimal_doc()
     doc["machines"][0]["op_duration"]["A"] = 0
