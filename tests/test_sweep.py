@@ -16,7 +16,7 @@ from cnetsched.harness import build_shop_scenario, render_gantt, render_trace, r
 from cnetsched.scenario import load_scenario
 
 from conftest import FLOWSHOP, JOBSHOP, agent_kinds, hold_check, random_scenario
-from oracle import occupancy_check, stability_check
+from oracle import OracleInfeasible, exhaustive_schedule, occupancy_check, stability_check
 
 
 SWEEP_DIGEST = "12d67d8dbf1db39f05eb7b913709e5df099c9827e4027e4d2a55fe66c826d883"
@@ -38,6 +38,29 @@ def test_random_scenarios_pass_the_oracles():
     assert problems == []
     # a refactor leaves every schedule and trace of the sweep as it is
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+# order -> completion (s) of the exhaustive per-order search, for every sweep
+# floor within its input limits; None where it finds no feasible schedule
+EXHAUSTIVE_COMPLETIONS = {
+    14: {"o01": 4320},
+    94: {"o01": 30540, "o02": 39360},
+    161: {"o01": 29220, "o02": 37380},
+    179: None,
+}
+
+
+def test_exhaustive_schedule_of_the_sweep_floors_it_accepts():
+    # the oracle reads the scenario records directly, not through the agents
+    completions = {}
+    for seed in range(200):
+        try:
+            completions[seed] = exhaustive_schedule(random_scenario(seed))["completions"]
+        except ValueError:
+            continue  # beyond the oracle's input limits
+        except OracleInfeasible:
+            completions[seed] = None
+    assert completions == EXHAUSTIVE_COMPLETIONS
 
 
 def test_a_proposal_reaching_a_failed_order_is_rejected():
