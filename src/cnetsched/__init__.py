@@ -37,8 +37,6 @@ from .scenario import (
     build_runtime,
     load_scenario,
     parse_scenario,
-    save_scenario,
-    scenario_to_dict,
 )
 from .selector import StageContext, select
 from .timebase import (
@@ -88,8 +86,6 @@ __all__ = [
     "parse_scenario",
     "proposal_price",
     "run_kernel",
-    "save_scenario",
-    "scenario_to_dict",
     "select",
     "transport_direct_windows",
     "transport_from_buffer_windows",

@@ -66,7 +66,7 @@ from .timebase import (
 )
 
 if TYPE_CHECKING:  # scenario imports this module; its records are read by attribute
-    from .scenario import BufferSpec, MachineSpec, OrderSpec, TransportSpec
+    from .scenario import BufferSpec, FixedBlock, MachineSpec, OrderSpec, TransportSpec
 
 log = logging.getLogger(__name__)
 
@@ -161,10 +161,12 @@ class _ResourceAgent:
         self.holds = HoldBook()
         self._seq = 0
 
-    def _book_fixed(self, order_id: str, label: str, kind: str, block, end_state: str) -> None:
-        """Book ``block``, a scenario record with a start and an end, before any negotiation."""
+    def _book_fixed(self, block: FixedBlock, label: str, kind: str) -> None:
+        """Book a scenario's fixed block before any negotiation."""
         segments = [(kind, TimeInterval(block.start, block.end))]
-        self.schedule.insert_booking(BookingEntry(order_id, label, segments, end_state=end_state))
+        self.schedule.insert_booking(
+            BookingEntry(block.order_id, label, segments, end_state=block.state)
+        )
 
     def handle(self, event, ctx) -> list[Message]:
         if not isinstance(event, Message):
@@ -323,17 +325,16 @@ class ProductionAgent(_ResourceAgent):
     def __init__(self, spec: MachineSpec, unload_estimate: Seconds = 0, load_estimate: Seconds = 0):
         super().__init__(spec.id)
         self.location = spec.location
-        # dicts built once: every CFP reads them
-        self.op_duration = spec.durations()
-        self.setup = spec.setup_matrix()
+        self.op_duration = spec.op_duration
+        self.setup = spec.setup
         self.initial_state = spec.initial_state
         self.unload_estimate = unload_estimate
         self.load_estimate = load_estimate
         self._deferred: list[Message] = []
         for b in spec.initial_bookings:
-            self._book_fixed(b.order_id, "init", "operation", b, b.end_state)
-        for i, w in enumerate(spec.maintenance):
-            self._book_fixed(f"{spec.id}-maint-{i}", "maintenance", "maintenance", w, w.state)
+            self._book_fixed(b, "init", "operation")
+        for w in spec.maintenance:
+            self._book_fixed(w, "maintenance", "maintenance")
 
     # -- state ------------------------------------------------------------
 
@@ -612,7 +613,7 @@ class TransportAgent(_ResourceAgent):
         # every setup is travel inside the crane's own segment
         self._setup_bound = geom.travel_seconds(geom.x_min, geom.x_max)
         for b in spec.initial_bookings:
-            self._book_fixed(b.order_id, "init", "operation", b, f"{b.end_x:g}")
+            self._book_fixed(b, "init", "operation")
 
     def _succ_setup(self, new_state, succ: BookingEntry) -> Seconds:
         """Travel from ``new_state`` (a drop-off x) to the successor's pickup.

@@ -2,9 +2,9 @@
 
 Everything the CLI and the experiment presets need: running a scenario through
 a kernel, writing GANTT/metrics/trace files, and the three canned experiments
-(hosting-sweep, scaling-sweep, shop-compare).  Experiment scenarios are built
-programmatically here rather than shipped as files, because their size is a
-sweep parameter.
+(hosting-sweep, scaling-sweep, shop-compare).  Experiment scenarios are written
+here as documents rather than shipped as files, because their size is a sweep
+parameter; they pass the same validator as a file.
 """
 
 from __future__ import annotations
@@ -20,17 +20,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from .runtime import KernelConfig, RunReport, run_kernel
-from .scenario import (
-    BufferSpec,
-    MachineSpec,
-    OrderSpec,
-    ProductSpec,
-    Scenario,
-    ScenarioParams,
-    TransportSpec,
-    build_runtime,
-)
-from .timebase import Seconds
+from .scenario import FORMAT_VERSION, Scenario, build_runtime, parse_scenario
 
 log = logging.getLogger(__name__)
 
@@ -145,25 +135,25 @@ def export_metrics(
 # scenario builders for the experiment presets
 
 
-def _machine(mid, operation, x, y, duration_min, products=("A", "B", "C")):
-    return MachineSpec(
-        id=mid,
-        operation=operation,
-        location=(float(x), float(y)),
-        op_duration=tuple((p, duration_min * 60) for p in products),
-        setup=(("A", "B", 15 * 60), ("B", "A", 30 * 60)),
-        initial_state="B",
-    )
+def _machine(mid, operation, x, y, duration_min, products=("A", "B", "C")) -> dict:
+    return {
+        "id": mid,
+        "operation": operation,
+        "location": [x, y],
+        "op_duration": {p: duration_min for p in products},
+        "setup": {"A": {"B": 15}, "B": {"A": 30}},
+        "initial_state": "B",
+    }
 
 
-def _shop_machines() -> tuple[MachineSpec, ...]:
+def _shop_machines() -> list[dict]:
     """The experiment floor: the bundled flow-shop line plus a second forge.
 
     Forging is the bottleneck once follow-up operations may claim a machine
     back to back, so the sweeps run with two interchangeable forges; every
     other capability keeps its single station (milling already has two).
     """
-    return (
+    return [
         _machine("Cutting", "cutting", 5, 5, 80),
         _machine("Forging1", "forging", 10, 11, 150),
         _machine("Forging2", "forging", 10, 19, 150),
@@ -171,30 +161,41 @@ def _shop_machines() -> tuple[MachineSpec, ...]:
         _machine("Milling1", "milling", 30, 5, 100),
         _machine("Milling2", "milling", 30, 15, 100),
         _machine("Quality", "quality", 40, 5, 150),
-    )
+    ]
 
 
-def _full_coverage_cranes(x_max: float = 60.0) -> tuple[TransportSpec, ...]:
+def _full_coverage_cranes(x_max: float = 60.0) -> list[dict]:
     # both cranes span the whole floor so every CFP gets an answer and round
     # completion is event-driven rather than deadline-driven
-    return (
-        TransportSpec(id="Crane1", segment=(0.0, x_max), speed=5.0, load=600, unload=600, initial_x=5.0),
-        TransportSpec(id="Crane2", segment=(0.0, x_max), speed=5.0, load=600, unload=600, initial_x=min(45.0, x_max)),
-    )
+    return [
+        {"id": crane, "segment": [0.0, x_max], "speed": 5.0, "load": 10, "unload": 10,
+         "initial_x": x}
+        for crane, x in (("Crane1", 5.0), ("Crane2", min(45.0, x_max)))
+    ]
 
 
-FLOW_PRODUCT = ProductSpec(id="B", steps=("cutting", "forging", "roll-forming", "milling", "quality"))
+def _buffers(*locations: tuple[float, float]) -> list[dict]:
+    return [{"id": f"Buffer{i + 1}", "location": list(xy)} for i, xy in enumerate(locations)]
 
-JOB_PRODUCTS = (
-    ProductSpec(id="A", steps=("milling", "forging", "cutting", "roll-forming", "forging")),
-    ProductSpec(id="B", steps=("cutting", "quality", "forging", "forging", "quality")),
-    ProductSpec(id="C", steps=("milling", "forging", "milling", "roll-forming", "milling")),
-)
+
+FLOW_PRODUCTS = {"B": ("cutting", "forging", "roll-forming", "milling", "quality")}
+
+JOB_PRODUCTS = {
+    "A": ("milling", "forging", "cutting", "roll-forming", "forging"),
+    "B": ("cutting", "quality", "forging", "forging", "quality"),
+    "C": ("milling", "forging", "milling", "roll-forming", "milling"),
+}
 
 
 def build_shop_scenario(
     kind: str, n_orders: int, interval_s: float, name: Optional[str] = None
 ) -> Scenario:
+    """``shop_document``'s floor, validated."""
+    doc = shop_document(kind, n_orders, interval_s, name)
+    return parse_scenario(doc, source=doc["name"])
+
+
+def shop_document(kind: str, n_orders: int, interval_s: float, name: Optional[str] = None) -> dict:
     """A flow- or job-shop run on the shared seven-machine floor.
 
     ``interval_s`` is the hosting interval: consecutive orders are released
@@ -205,65 +206,51 @@ def build_shop_scenario(
     with no feasible route; four keep the flow line loss-free at fifteen
     orders while the job mix still sheds a few orders under overload.
     """
-    if kind == "flow":
-        products: tuple[ProductSpec, ...] = (FLOW_PRODUCT,)
-    elif kind == "job":
-        products = JOB_PRODUCTS
-    else:
+    products = {"flow": FLOW_PRODUCTS, "job": JOB_PRODUCTS}.get(kind)
+    if products is None:
         raise ValueError(f"unknown shop kind {kind!r}")
-    orders = tuple(
-        OrderSpec(
-            id=f"order-{i + 1:02d}",
-            product=products[i % len(products)].id,
-            arrival=0,
-            release=round(i * interval_s, 9),
-        )
-        for i in range(n_orders)
-    )
-    return Scenario(
-        name=name or f"{kind}-shop-{n_orders}x{interval_s:g}",
-        params=ScenarioParams(t_buffer_min=15 * 60, cfp_deadline=5.0, hold_deadline=600.0),
-        machines=_shop_machines(),
-        buffers=(
-            BufferSpec(id="Buffer1", location=(15.0, 15.0)),
-            BufferSpec(id="Buffer2", location=(35.0, 10.0)),
-            BufferSpec(id="Buffer3", location=(20.0, 12.0)),
-            BufferSpec(id="Buffer4", location=(30.0, 12.0)),
-        ),
-        transports=_full_coverage_cranes(),
-        products=products,
-        orders=orders,
-    )
+    return {
+        "format_version": FORMAT_VERSION,
+        "name": name or f"{kind}-shop-{n_orders}x{interval_s:g}",
+        "params": {"t_buffer_min": 15, "cfp_deadline": 5.0, "hold_deadline": 600.0},
+        "machines": _shop_machines(),
+        "buffers": _buffers((15.0, 15.0), (35.0, 10.0), (20.0, 12.0), (30.0, 12.0)),
+        "transports": _full_coverage_cranes(),
+        "products": [{"id": pid, "steps": list(steps)} for pid, steps in products.items()],
+        "orders": [
+            {"id": f"order-{i + 1:02d}", "product": list(products)[i % len(products)],
+             "release": round(i * interval_s, 9)}
+            for i in range(n_orders)
+        ],
+    }
 
 
 def build_scaling_scenario(k: int, n_orders: int = 6, release_gap: float = 5000.0) -> Scenario:
+    """``scaling_document``'s floor, validated."""
+    return parse_scenario(scaling_document(k, n_orders, release_gap), source=f"scaling-k{k}")
+
+
+def scaling_document(k: int, n_orders: int = 6, release_gap: float = 5000.0) -> dict:
     """``k`` machines per capability, one three-step product, sequential orders."""
-    operations = ("cutting", "forging", "milling")
-    machines = []
-    for col, op in enumerate(operations):
-        for i in range(k):
-            machines.append(
-                _machine(
-                    f"{op}-{i + 1:02d}", op, x=10 * col + 5, y=5 + 5 * i, duration_min=60,
-                    products=("P",),
-                )
-            )
-    orders = tuple(
-        OrderSpec(id=f"order-{i + 1:02d}", product="P", arrival=0, release=i * release_gap)
-        for i in range(n_orders)
-    )
-    return Scenario(
-        name=f"scaling-k{k}",
-        params=ScenarioParams(t_buffer_min=15 * 60),
-        machines=tuple(machines),
-        buffers=(
-            BufferSpec(id="Buffer1", location=(15.0, 15.0)),
-            BufferSpec(id="Buffer2", location=(21.0, 15.0)),
-        ),
-        transports=_full_coverage_cranes(x_max=40.0),
-        products=(ProductSpec(id="P", steps=operations),),
-        orders=orders,
-    )
+    operations = ["cutting", "forging", "milling"]
+    return {
+        "format_version": FORMAT_VERSION,
+        "name": f"scaling-k{k}",
+        "params": {"t_buffer_min": 15},
+        "machines": [
+            _machine(f"{op}-{i + 1:02d}", op, x=10 * col + 5, y=5 + 5 * i, duration_min=60,
+                     products=("P",))
+            for col, op in enumerate(operations)
+            for i in range(k)
+        ],
+        "buffers": _buffers((15.0, 15.0), (21.0, 15.0)),
+        "transports": _full_coverage_cranes(x_max=40.0),
+        "products": [{"id": "P", "steps": operations}],
+        "orders": [
+            {"id": f"order-{i + 1:02d}", "product": "P", "release": i * release_gap}
+            for i in range(n_orders)
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

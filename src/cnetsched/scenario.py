@@ -1,4 +1,4 @@
-"""Scenario files: schema, validation, normalization, runtime assembly.
+"""Scenario documents: schema, validation, runtime assembly.
 
 A scenario is a JSON document describing one shop floor: machines, buffer
 places, transports, the product process plans, and the orders to run.  All
@@ -6,8 +6,9 @@ durations and calendar instants in the file are **minutes**; the engine works
 in whole seconds, so every minute value must land on a whole second.  The
 normative field reference lives in ``docs/formats.md``.
 
-``load_scenario`` validates aggressively and reports *every* violation with
-its field path, because scenario files are written by hand.
+``parse_scenario`` is the only way in: bundled files, the experiment presets
+and generated floors are all documents it validates.  It reports *every*
+violation with its field path, because scenario files are written by hand.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .agents import BufferAgent, DirectoryService, OrderAgent, ProductionAgent, TransportAgent
 from .calculus import ScheduleParams, TransportGeometry, derive_t_transport_min
@@ -38,22 +39,18 @@ class ValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class InitialBooking:
-    """A pre-existing busy block on a machine (seconds, half-open)."""
+class FixedBlock:
+    """A busy block booked before any negotiation (seconds, half-open).
+
+    Machines hold initial bookings and maintenance windows, cranes hold
+    initial bookings; ``state`` is what the resource is left in: a machine
+    state, or a crane's position written as ``f"{x:g}"``.
+    """
 
     order_id: str
     start: Seconds
     end: Seconds
-    end_state: str = ""
-
-
-@dataclass(frozen=True)
-class MaintenanceWindow:
-    """A fixed maintenance block; ``state`` is the machine state it demands."""
-
-    start: Seconds
-    end: Seconds
-    state: str = ""
+    state: str
 
 
 @dataclass(frozen=True)
@@ -61,34 +58,17 @@ class MachineSpec:
     id: str
     operation: str
     location: tuple[float, float]
-    op_duration: tuple[tuple[str, Seconds], ...]  # (product, seconds)
-    setup: tuple[tuple[str, str, Seconds], ...]  # (from, to, seconds)
+    op_duration: dict[str, Seconds]  # product -> seconds
+    setup: dict[str, dict[str, Seconds]]  # from state -> to state -> seconds
     initial_state: str = ""
-    initial_bookings: tuple[InitialBooking, ...] = ()
-    maintenance: tuple[MaintenanceWindow, ...] = ()
-
-    def durations(self) -> dict[str, Seconds]:
-        return dict(self.op_duration)
-
-    def setup_matrix(self) -> dict[str, dict[str, Seconds]]:
-        out: dict[str, dict[str, Seconds]] = {}
-        for frm, to, dur in self.setup:
-            out.setdefault(frm, {})[to] = dur
-        return out
+    initial_bookings: tuple[FixedBlock, ...] = ()
+    maintenance: tuple[FixedBlock, ...] = ()
 
 
 @dataclass(frozen=True)
 class BufferSpec:
     id: str
     location: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class TransportInitialBooking:
-    order_id: str
-    start: Seconds
-    end: Seconds
-    end_x: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -99,7 +79,7 @@ class TransportSpec:
     load: Seconds
     unload: Seconds
     initial_x: float = 0.0
-    initial_bookings: tuple[TransportInitialBooking, ...] = ()
+    initial_bookings: tuple[FixedBlock, ...] = ()
 
     def geometry(self) -> TransportGeometry:
         return TransportGeometry(
@@ -250,6 +230,37 @@ class _Reader:
             return (0.0, 0.0)
         return (float(value[0]), float(value[1]))
 
+    def blocks(
+        self,
+        owner: Mapping,
+        key: str,
+        path: str,
+        spans: list[tuple[Seconds, Seconds, str]],
+        state: Callable[[Mapping, str], str],
+        id_prefix: str,
+        named: bool = True,
+    ) -> tuple[FixedBlock, ...]:
+        """``owner[key]`` as fixed blocks; each block's span joins ``spans``.
+
+        ``state(block, path)`` reads what the block leaves the resource in.
+        A named block takes its ``order_id`` field, ``<id_prefix>-<j>`` by
+        default; an unnamed one is always ``<id_prefix>-<j>``.
+        """
+        out = []
+        for j, raw in enumerate(self.array(owner.get(key, []), f"{path}.{key}")):
+            bpath = f"{path}.{key}[{j}]"
+            bdoc = self.obj(raw, bpath)
+            start = self.duration(bdoc, "start", bpath, minimum=0)
+            end = self.duration(bdoc, "end", bpath, minimum=0)
+            if end <= start:
+                self.fail(bpath, f"end ({end}s) must be after start ({start}s)")
+            order_id = f"{id_prefix}-{j}"
+            if named:
+                order_id = self.string(bdoc, "order_id", bpath, default=order_id)
+            out.append(FixedBlock(order_id, start, end, state(bdoc, bpath)))
+            spans.append((start, end, bpath))
+        return tuple(out)
+
     def no_shared_resources(self, parent: Mapping, path: str) -> None:
         for key in ("shared_resources", "sr_demands", "tools"):
             if parent.get(key):
@@ -309,67 +320,45 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         r.no_shared_resources(mdoc, path)
         location = r.xy(mdoc, "location", path)
 
-        durations: list[tuple[str, Seconds]] = []
+        durations: dict[str, Seconds] = {}
         ddoc = r.obj(mdoc.get("op_duration", {}), f"{path}.op_duration")
         if not ddoc:
             r.fail(f"{path}.op_duration", "must map at least one product to a duration")
-        for product, _ in sorted(ddoc.items()):
+        for product in sorted(ddoc):
             dur = r.duration(ddoc, product, f"{path}.op_duration", minimum=0)
             if dur <= 0:
                 r.fail(f"{path}.op_duration.{product}", "operation duration must be positive")
-            durations.append((product, dur))
+            durations[product] = dur
 
-        setups: list[tuple[str, str, Seconds]] = []
+        setups: dict[str, dict[str, Seconds]] = {}
         sdoc = r.obj(mdoc.get("setup", {}), f"{path}.setup")
         for frm in sorted(sdoc):
             row = r.obj(sdoc[frm], f"{path}.setup.{frm}")
-            for to in sorted(row):
-                setups.append((frm, to, r.duration(row, to, f"{path}.setup.{frm}", minimum=0)))
+            setups[frm] = {
+                to: r.duration(row, to, f"{path}.setup.{frm}", minimum=0) for to in sorted(row)
+            }
 
-        bookings: list[InitialBooking] = []
         spans: list[tuple[Seconds, Seconds, str]] = []
-        for j, bdoc_raw in enumerate(
-            r.array(mdoc.get("initial_bookings", []), f"{path}.initial_bookings")
-        ):
-            bpath = f"{path}.initial_bookings[{j}]"
-            bdoc = r.obj(bdoc_raw, bpath)
-            start = r.duration(bdoc, "start", bpath, minimum=0)
-            end = r.duration(bdoc, "end", bpath, minimum=0)
-            if end <= start:
-                r.fail(bpath, f"end ({end}s) must be after start ({start}s)")
-            booking = InitialBooking(
-                order_id=r.string(bdoc, "order_id", bpath, default=f"{mid}-init-{j}"),
-                start=start,
-                end=end,
-                end_state=r.string(bdoc, "end_state", bpath, default=""),
-            )
-            bookings.append(booking)
-            spans.append((start, end, bpath))
-
-        windows: list[MaintenanceWindow] = []
-        for j, wdoc_raw in enumerate(r.array(mdoc.get("maintenance", []), f"{path}.maintenance")):
-            wpath = f"{path}.maintenance[{j}]"
-            wdoc = r.obj(wdoc_raw, wpath)
-            start = r.duration(wdoc, "start", wpath, minimum=0)
-            end = r.duration(wdoc, "end", wpath, minimum=0)
-            if end <= start:
-                r.fail(wpath, f"end ({end}s) must be after start ({start}s)")
-            windows.append(
-                MaintenanceWindow(start=start, end=end, state=r.string(wdoc, "state", wpath, default=""))
-            )
-            spans.append((start, end, wpath))
-
+        bookings = r.blocks(
+            mdoc, "initial_bookings", path, spans,
+            lambda b, bpath: r.string(b, "end_state", bpath, default=""), f"{mid}-init",
+        )
+        windows = r.blocks(
+            mdoc, "maintenance", path, spans,
+            lambda b, bpath: r.string(b, "state", bpath, default=""), f"{mid}-maint",
+            named=False,
+        )
         _check_disjoint(spans, r)
         machines.append(
             MachineSpec(
                 id=mid,
                 operation=operation,
                 location=location,
-                op_duration=tuple(durations),
-                setup=tuple(setups),
+                op_duration=durations,
+                setup=setups,
                 initial_state=r.string(mdoc, "initial_state", path, default=""),
-                initial_bookings=tuple(bookings),
-                maintenance=tuple(windows),
+                initial_bookings=bookings,
+                maintenance=windows,
             )
         )
 
@@ -407,29 +396,14 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         if not seg[0] <= initial_x <= seg[1]:
             r.fail(f"{path}.initial_x", f"{initial_x} lies outside segment {seg}")
 
-        bookings_t: list[TransportInitialBooking] = []
-        spans = []
-        for j, ibdoc_raw in enumerate(
-            r.array(tdoc.get("initial_bookings", []), f"{path}.initial_bookings")
-        ):
-            bpath = f"{path}.initial_bookings[{j}]"
-            ibdoc = r.obj(ibdoc_raw, bpath)
-            start = r.duration(ibdoc, "start", bpath, minimum=0)
-            end = r.duration(ibdoc, "end", bpath, minimum=0)
-            if end <= start:
-                r.fail(bpath, f"end ({end}s) must be after start ({start}s)")
-            end_x = r.number(ibdoc, "end_x", bpath, default=initial_x)
+        def crane_state(bdoc: Mapping, bpath: str) -> str:
+            end_x = r.number(bdoc, "end_x", bpath, default=initial_x)
             if not seg[0] <= end_x <= seg[1]:
                 r.fail(f"{bpath}.end_x", f"{end_x} lies outside segment {seg}")
-            bookings_t.append(
-                TransportInitialBooking(
-                    order_id=r.string(ibdoc, "order_id", bpath, default=f"{tid}-init-{j}"),
-                    start=start,
-                    end=end,
-                    end_x=float(end_x),
-                )
-            )
-            spans.append((start, end, bpath))
+            return f"{end_x:g}"
+
+        spans = []
+        crane_bookings = r.blocks(tdoc, "initial_bookings", path, spans, crane_state, f"{tid}-init")
         _check_disjoint(spans, r)
 
         transports.append(
@@ -440,7 +414,7 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
                 load=r.duration(tdoc, "load", path, minimum=0),
                 unload=r.duration(tdoc, "unload", path, minimum=0),
                 initial_x=float(initial_x),
-                initial_bookings=tuple(bookings_t),
+                initial_bookings=crane_bookings,
             )
         )
 
@@ -513,105 +487,6 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         except json.JSONDecodeError as exc:
             raise ValidationError([f"{path}: not valid JSON ({exc})"]) from exc
     return parse_scenario(doc, source=path.name)
-
-
-# ---------------------------------------------------------------------------
-# normalization / export
-
-
-def _mins(seconds: Seconds) -> Union[int, float]:
-    m = seconds / 60
-    return int(m) if m == int(m) else m
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    """Canonical JSON-ready form; load(export(load(x))) is the identity."""
-    doc: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "name": s.name,
-        "params": {"t_buffer_min": _mins(s.params.t_buffer_min)},
-        "machines": [],
-        "buffers": [],
-        "transports": [],
-        "products": [],
-        "orders": [],
-    }
-    if s.params.t_transport_min is not None:
-        doc["params"]["t_transport_min"] = _mins(s.params.t_transport_min)
-    if s.params.cfp_deadline is not None:
-        doc["params"]["cfp_deadline"] = s.params.cfp_deadline
-    if s.params.hold_deadline is not None:
-        doc["params"]["hold_deadline"] = s.params.hold_deadline
-
-    for m in s.machines:
-        mdoc: dict[str, Any] = {
-            "id": m.id,
-            "operation": m.operation,
-            "location": list(m.location),
-            "op_duration": {p: _mins(d) for p, d in m.op_duration},
-            "setup": {},
-            "initial_state": m.initial_state,
-        }
-        for frm, to, dur in m.setup:
-            mdoc["setup"].setdefault(frm, {})[to] = _mins(dur)
-        if m.initial_bookings:
-            mdoc["initial_bookings"] = [
-                {
-                    "order_id": b.order_id,
-                    "start": _mins(b.start),
-                    "end": _mins(b.end),
-                    "end_state": b.end_state,
-                }
-                for b in m.initial_bookings
-            ]
-        if m.maintenance:
-            mdoc["maintenance"] = [
-                {"start": _mins(w.start), "end": _mins(w.end), "state": w.state}
-                for w in m.maintenance
-            ]
-        doc["machines"].append(mdoc)
-
-    for b in s.buffers:
-        doc["buffers"].append({"id": b.id, "location": list(b.location)})
-
-    for t in s.transports:
-        tdoc: dict[str, Any] = {
-            "id": t.id,
-            "segment": list(t.segment),
-            "speed": t.speed,
-            "load": _mins(t.load),
-            "unload": _mins(t.unload),
-            "initial_x": t.initial_x,
-        }
-        if t.initial_bookings:
-            tdoc["initial_bookings"] = [
-                {
-                    "order_id": b.order_id,
-                    "start": _mins(b.start),
-                    "end": _mins(b.end),
-                    "end_x": b.end_x,
-                }
-                for b in t.initial_bookings
-            ]
-        doc["transports"].append(tdoc)
-
-    for p in s.products:
-        doc["products"].append({"id": p.id, "steps": list(p.steps)})
-
-    for o in s.orders:
-        doc["orders"].append(
-            {
-                "id": o.id,
-                "product": o.product,
-                "arrival": _mins(o.arrival),
-                "release": o.release,
-            }
-        )
-    return doc
-
-
-def save_scenario(s: Scenario, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

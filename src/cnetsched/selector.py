@@ -119,18 +119,13 @@ def build_ocs(
         if b.connected_operations:
             buffers_for.setdefault(b.connected_operations[0], []).append(b)
 
-    legs_to_buffer: dict[str, list[Proposal]] = {}
-    legs_from_buffer: dict[tuple[str, str], list[Proposal]] = {}
-    legs_direct: dict[str, list[Proposal]] = {}
+    # legs by (via, realizes): (None, buffer) inbound, (buffer, production)
+    # outbound, (None, production) direct; proposal ids are unique across
+    # resources, so the three kinds never share a key
+    legs: dict[tuple[Optional[str], str], list[Proposal]] = {}
     for t in transports:
-        if t.leg is None:
-            continue
-        if t.leg.via is not None:
-            legs_from_buffer.setdefault((t.leg.via, t.leg.realizes), []).append(t)
-        elif any(t.leg.realizes == b.proposal_id for b in buffers):
-            legs_to_buffer.setdefault(t.leg.realizes, []).append(t)
-        else:
-            legs_direct.setdefault(t.leg.realizes, []).append(t)
+        if t.leg is not None:
+            legs.setdefault((t.leg.via, t.leg.realizes), []).append(t)
 
     ocs: list[OperationCombination] = []
     for p in sorted(production, key=lambda x: x.proposal_id):
@@ -142,8 +137,8 @@ def build_ocs(
             oc.routes.append(RouteCandidate(kind="stay-on-machine"))
         elif p.proposal_id in ctx.buffered:
             for b in buffers_for.get(p.proposal_id, []):
-                inbound = legs_to_buffer.get(b.proposal_id, [])
-                outbound = legs_from_buffer.get((b.proposal_id, p.proposal_id), [])
+                inbound = legs.get((None, b.proposal_id), [])
+                outbound = legs.get((b.proposal_id, p.proposal_id), [])
                 for leg_in in inbound:
                     for leg_out in outbound:
                         route = RouteCandidate(
@@ -152,7 +147,7 @@ def build_ocs(
                         if _route_ok(p, route, ctx):
                             oc.routes.append(route)
         else:
-            for leg in legs_direct.get(p.proposal_id, []):
+            for leg in legs.get((None, p.proposal_id), []):
                 route = RouteCandidate(kind="direct", legs=(leg,))
                 if _route_ok(p, route, ctx):
                     oc.routes.append(route)

@@ -11,18 +11,7 @@ from hypothesis import HealthCheck, settings
 
 from cnetsched.agents import BufferAgent, ProductionAgent, TransportAgent
 from cnetsched.harness import run_scenario
-from cnetsched.scenario import (
-    BufferSpec,
-    InitialBooking,
-    MachineSpec,
-    MaintenanceWindow,
-    OrderSpec,
-    ProductSpec,
-    Scenario,
-    ScenarioParams,
-    TransportSpec,
-    load_scenario,
-)
+from cnetsched.scenario import Scenario, load_scenario, parse_scenario
 
 _end_state = attrgetter("end_state")
 
@@ -110,12 +99,17 @@ def full_gap_walk(schedule, free, new_end_state, setup_of, initial, read=_end_st
 
 
 def random_scenario(seed: int) -> Scenario:
+    return parse_scenario(random_document(seed), source=f"fuzz-{seed}")
+
+
+def random_document(seed: int) -> dict:
     """A small random floor: <= 8 resources, <= 6 orders, whole-minute data.
 
     Deliberately rough around the edges — some machines cannot make some
     products, floors may lack a capability a plan needs, releases may all
     collide at tick zero.  Failed orders are a legal outcome; the invariants
-    must hold regardless.
+    must hold regardless.  ``random_scenario`` passes the document through
+    the validator like any scenario file.
     """
     rng = random.Random(seed)
     n_transports = rng.randint(1, 2)
@@ -127,86 +121,72 @@ def random_scenario(seed: int) -> Scenario:
 
     machines = []
     for i in range(n_machines):
-        durations = tuple(
-            (p, rng.randrange(30, 151) * 60)
+        durations = {
+            p: rng.randrange(30, 151)
             for p in product_ids
             if len(product_ids) == 1 or rng.random() > 0.1
-        ) or ((product_ids[0], rng.randrange(30, 151) * 60),)
-        setup = tuple(
-            (a, b, rng.randrange(0, 31) * 60)
-            for a in product_ids
-            for b in product_ids
-            if a != b and rng.random() < 0.8
-        )
+        } or {product_ids[0]: rng.randrange(30, 151)}
+        setup: dict[str, dict[str, int]] = {}
+        for a in product_ids:
+            for b in product_ids:
+                if a != b and rng.random() < 0.8:
+                    setup.setdefault(a, {})[b] = rng.randrange(0, 31)
         bookings, windows = [], []
         t = 0
         for _ in range(rng.randint(0, 2)):
-            t += rng.randrange(10, 180) * 60
-            end = t + rng.randrange(30, 120) * 60
+            t += rng.randrange(10, 180)
+            end = t + rng.randrange(30, 120)
             if rng.random() < 0.5:
                 bookings.append(
-                    InitialBooking(
-                        order_id=f"pre-{i}",
-                        start=t,
-                        end=end,
-                        end_state=rng.choice(product_ids),
-                    )
+                    {"order_id": f"pre-{i}", "start": t, "end": end,
+                     "end_state": rng.choice(product_ids)}
                 )
             else:
-                windows.append(
-                    MaintenanceWindow(start=t, end=end, state=rng.choice(product_ids))
-                )
+                windows.append({"start": t, "end": end, "state": rng.choice(product_ids)})
             t = end
         machines.append(
-            MachineSpec(
-                id=f"M{i + 1}",
-                operation=ops[i % len(ops)],
-                location=(rng.choice(xs), float(rng.randrange(0, 20))),
-                op_duration=durations,
-                setup=setup,
-                initial_state=rng.choice(product_ids),
-                initial_bookings=tuple(bookings),
-                maintenance=tuple(windows),
-            )
+            {
+                "id": f"M{i + 1}",
+                "operation": ops[i % len(ops)],
+                "location": [rng.choice(xs), float(rng.randrange(0, 20))],
+                "op_duration": durations,
+                "setup": setup,
+                "initial_state": rng.choice(product_ids),
+                "initial_bookings": bookings,
+                "maintenance": windows,
+            }
         )
 
-    buffers = tuple(
-        BufferSpec(id=f"Buf{j + 1}", location=(rng.choice(xs), 12.0))
-        for j in range(n_buffers)
-    )
-    transports = tuple(
-        TransportSpec(
-            id=f"T{j + 1}",
-            segment=(0.0, 50.0),
-            speed=5.0,
-            load=rng.randrange(5, 11) * 60,
-            unload=rng.randrange(5, 11) * 60,
-            initial_x=rng.choice(xs),
-        )
+    buffers = [
+        {"id": f"Buf{j + 1}", "location": [rng.choice(xs), 12.0]} for j in range(n_buffers)
+    ]
+    transports = [
+        {
+            "id": f"T{j + 1}",
+            "segment": [0.0, 50.0],
+            "speed": 5.0,
+            "load": rng.randrange(5, 11),
+            "unload": rng.randrange(5, 11),
+            "initial_x": rng.choice(xs),
+        }
         for j in range(n_transports)
-    )
-    products = tuple(
-        ProductSpec(
-            id=p, steps=tuple(rng.choice(ops) for _ in range(rng.randint(1, 4)))
-        )
+    ]
+    products = [
+        {"id": p, "steps": [rng.choice(ops) for _ in range(rng.randint(1, 4))]}
         for p in product_ids
-    )
+    ]
     gap = rng.choice([0.0, 3.0, 25.0, 400.0])
-    orders = tuple(
-        OrderSpec(
-            id=f"o{k + 1:02d}",
-            product=rng.choice(product_ids),
-            arrival=0,
-            release=k * gap,
-        )
+    orders = [
+        {"id": f"o{k + 1:02d}", "product": rng.choice(product_ids), "release": k * gap}
         for k in range(rng.randint(1, 6))
-    )
-    return Scenario(
-        name=f"fuzz-{seed}",
-        params=ScenarioParams(t_buffer_min=15 * 60),
-        machines=tuple(machines),
-        buffers=buffers,
-        transports=transports,
-        products=products,
-        orders=orders,
-    )
+    ]
+    return {
+        "format_version": 1,
+        "name": f"fuzz-{seed}",
+        "params": {"t_buffer_min": 15},
+        "machines": machines,
+        "buffers": buffers,
+        "transports": transports,
+        "products": products,
+        "orders": orders,
+    }

@@ -385,9 +385,9 @@ def exhaustive_schedule(scenario, max_nodes: int = 200_000) -> dict[str, Any]:
     for o in scenario.orders:
         for op in scenario.product(o.product).steps:
             caps = [m for m in scenario.machines if m.operation == op]
-            total += max((m.durations().get(o.product, 0) for m in caps), default=0)
+            total += max((m.op_duration.get(o.product, 0) for m in caps), default=0)
             total += max(
-                (m.setup_matrix().get(s, {}).get(o.product, 0) for m in caps for s in m.setup_matrix()),
+                (m.setup.get(s, {}).get(o.product, 0) for m in caps for s in m.setup),
                 default=0,
             )
             if geometry is not None:
@@ -400,13 +400,11 @@ def exhaustive_schedule(scenario, max_nodes: int = 200_000) -> dict[str, Any]:
 
     cal = _MiniCalendar()
     for m in scenario.machines:
-        for b in m.initial_bookings:
-            cal.add(_Booking(m.id, b.order_id, b.start, b.end, b.start, b.end_state))
-        for i, w in enumerate(m.maintenance):
-            cal.add(_Booking(m.id, f"maint-{i}", w.start, w.end, w.start, w.state))
+        for b in m.initial_bookings + m.maintenance:
+            cal.add(_Booking(m.id, b.order_id, b.start, b.end, b.start, b.state))
     if transport is not None:
         for b in transport.initial_bookings:
-            cal.add(_Booking(transport.id, b.order_id, b.start, b.end, b.start, f"{b.end_x:g}"))
+            cal.add(_Booking(transport.id, b.order_id, b.start, b.end, b.start, b.state))
 
     nodes = [0]
 
@@ -455,14 +453,14 @@ def exhaustive_schedule(scenario, max_nodes: int = 200_000) -> dict[str, Any]:
         succ = cal.successor(m.id, end)
         if succ is None:
             return True
-        need = m.setup_matrix().get(state, {}).get(succ.state_after, 0)
+        need = m.setup.get(state, {}).get(succ.state_after, 0)
         return end <= succ.core_start - need
 
     def machine_slot(m, product: str, s: Seconds, dur: Seconds, unload: Seconds) -> Optional[_Booking]:
         """Book op start s on machine m if setup/unload fit and states allow."""
         block_core = s - unload
         state = cal.state_before(m.id, block_core, m.initial_state)
-        setup = m.setup_matrix().get(state, {}).get(product, 0)
+        setup = m.setup.get(state, {}).get(product, 0)
         start = block_core - setup
         if start < 0:
             return None
@@ -484,7 +482,7 @@ def exhaustive_schedule(scenario, max_nodes: int = 200_000) -> dict[str, Any]:
         for b in cal.entries(prev_slot.resource_id):
             if b is prev_slot or b.end <= prev_slot.start:
                 continue
-            need = m.setup_matrix().get(prev_slot.state_after, {}).get(b.state_after, 0)
+            need = m.setup.get(prev_slot.state_after, {}).get(b.state_after, 0)
             if new_end > b.core_start - need:
                 return None
         prev_slot.end = new_end
@@ -510,7 +508,7 @@ def exhaustive_schedule(scenario, max_nodes: int = 200_000) -> dict[str, Any]:
         are enumerated; between them nothing can improve.
         """
         offsets = {0, t_t, t_t + t_b}
-        setups = {0} | {v for row in m.setup_matrix().values() for v in row.values()}
+        setups = {0} | {v for row in m.setup.values() for v in row.values()}
         unload = geometry.unload_time if geometry is not None else 0
         offsets |= {su + unload for su in setups}
         if leg_dur is not None:
@@ -553,7 +551,7 @@ def exhaustive_schedule(scenario, max_nodes: int = 200_000) -> dict[str, Any]:
         for m in scenario.machines:
             if m.operation != op:
                 continue
-            dur = m.durations().get(order.product)
+            dur = m.op_duration.get(order.product)
             if dur is None:
                 continue
             if f_prev is None:  # entry stage: no transport at all

@@ -73,8 +73,8 @@ def machine_spec(op_duration, setup, agent_id="M1", initial_state="A"):
         id=agent_id,
         operation="cutting",
         location=(5.0, 5.0),
-        op_duration=tuple(op_duration.items()),
-        setup=tuple((frm, to, dur) for frm, row in setup.items() for to, dur in row.items()),
+        op_duration=op_duration,
+        setup=setup,
         initial_state=initial_state,
     )
 

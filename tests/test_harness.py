@@ -10,13 +10,11 @@ from cnetsched.harness import (
     scaling_sweep,
 )
 from cnetsched.protocol import HoldBook
-from cnetsched.scenario import parse_scenario, scenario_to_dict
 from conftest import agent_kinds, hold_check
 
 
 def test_scaling_scenario_is_valid_and_every_order_finishes():
-    s = build_scaling_scenario(2)
-    parse_scenario(scenario_to_dict(s), source="scaling-k2")  # raises when invalid
+    s = build_scaling_scenario(2)  # raises ValidationError when invalid
     r = run_scenario(s, mode="deterministic")
     assert r.status and set(r.status.values()) == {"done"}
 

@@ -194,7 +194,10 @@ def test_concurrent_latency_delivers_the_last_orders_bookings(flowshop_scenario)
     # departures are still waiting out their latency; they must still land
     from cnetsched.harness import kernel_config
 
-    s = staggered(flowshop_scenario)
+    # order-B is released after order-A is done: A takes up to 0.82 s beside
+    # one busy-loop process, and a B that overlaps it can find Forging
+    # deferring its CFP past the 0.25-s round deadline on a loaded host
+    s = staggered(flowshop_scenario, seconds=1.0)
     cfg = replace(kernel_config(s, "concurrent"), message_latency=0.002)
     r = run_scenario(s, "concurrent", config=cfg)
     machines = {m.id for m in s.machines}
