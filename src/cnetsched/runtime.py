@@ -1,19 +1,21 @@
-"""Event kernels that drive the agents: deterministic replay and free threads.
+"""Event kernels that drive the agents: deterministic replay and a worker pool.
 
 The same agent objects run under either kernel, fed from one event heap. The
 deterministic kernel pops it in a single-threaded loop over a logical tick
-clock — equal inputs give byte-identical traces. The concurrent kernel gives
-every agent its own thread and mailbox, and one clock thread on the monotonic
-wall clock, which the order-release (hosting interval) experiments measure.
+clock — equal inputs give byte-identical traces. The concurrent kernel pops it
+on the monotonic wall clock, which the order-release (hosting interval)
+experiments measure: the caller's thread hands each due event to its
+receiver's deque, and two worker threads run the agents that have mail, one
+event at a time and never one agent on both.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
-import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -22,7 +24,13 @@ from .protocol import DeadlineExpired, Message, MessageCounter
 
 log = logging.getLogger(__name__)
 
-_STOP = object()
+#: worker threads of the concurrent kernel: under the interpreter lock only one
+#: handler runs at a time, and a second takes the next ready agent while the
+#: first is switched out
+WORKERS = 2
+#: seconds the concurrent kernel waits, after the stop, for the messages in
+#: flight and the handlers still running, and then for each worker to exit
+DRAIN_LIMIT = 5.0
 
 
 class RunTimeout(RuntimeError):
@@ -137,13 +145,13 @@ class _Kernel:
     heap entry ``(at, seq, receiver, event)``; the kernels differ only in
     their clock and in who pops the heap. ``_lock`` guards the heap and the
     bookkeeping: a plain lock under the deterministic kernel's one thread, a
-    Condition the concurrent kernel's clock thread waits on.
+    Condition the concurrent kernel's clock waits on.
     """
 
     mode: str
     _hop: float = 1  # delay between sending a message and its delivery
     _new_lock = threading.Lock
-    _clocked = False  # a clock thread waits on ``_lock`` for the heap's head
+    _clocked = False  # a clock waits on ``_lock`` for the heap's head
 
     def __init__(
         self,
@@ -175,7 +183,7 @@ class _Kernel:
         entry = (at, self._seq, receiver, event)
         heapq.heappush(self._heap, entry)
         if self._clocked and self._heap[0] is entry:
-            self._lock.notify()  # the clock thread waits for the old head
+            self._lock.notify()  # the clock waits for the old head
 
     def set_timer(self, agent_id: str, delay) -> int:
         with self._lock:
@@ -279,14 +287,18 @@ class DeterministicKernel(_Kernel):
 
 
 class ConcurrentKernel(_Kernel):
-    """Thread-per-agent kernel on the monotonic clock.
+    """Actor kernel on the monotonic clock: a small worker pool runs the agents.
 
-    Each agent owns a mailbox thread, so its handlers stay single-threaded.
-    One clock thread moves each heap entry into its receiver's mailbox once
-    it falls due, so a run starts one thread per agent plus the clock however
-    many deadlines are armed. Order releases are heap entries at their
-    configured wall-clock offsets — the hosting-interval experiments feed on
-    this — and ``config.message_latency`` is the per-hop delivery delay.
+    The caller's thread is the clock: it moves each heap entry onto its
+    receiver's deque once it falls due, and puts an agent with new mail on the
+    ready queue unless it is already scheduled. ``WORKERS`` threads take a
+    ready agent, run its oldest event and queue it again while it has mail, so
+    no agent runs on two workers at once: its handlers stay single-threaded
+    and see its events in heap-pop order. A run starts ``WORKERS`` threads
+    whatever the floor's size and however many deadlines are armed. Order
+    releases are heap entries at their configured wall-clock offsets — the
+    hosting-interval experiments feed on this — and
+    ``config.message_latency`` is the per-hop delivery delay.
     """
 
     mode = "concurrent"
@@ -294,6 +306,7 @@ class ConcurrentKernel(_Kernel):
     _clocked = True
     _stopped = False
     _sealed = False  # stopped with orders still open: nothing new is delivered
+    _closed = False  # the clock has returned: workers take nothing more
 
     def __init__(
         self,
@@ -305,12 +318,15 @@ class ConcurrentKernel(_Kernel):
         super().__init__(directory, agents, releases, config or KernelConfig.concurrent())
         self._hop = self.config.message_latency
         self._last_release = max((at for at, _ in releases), default=0.0)
-        self._queues: dict[str, queue.Queue] = {aid: queue.Queue() for aid in agents}
+        self._mail: dict[str, deque] = {aid: deque() for aid in agents}
+        self._ready: deque[str] = deque()  # agents with mail and on no worker
+        self._scheduled: set[str] = set()  # agents on the ready queue or on a worker
+        # the workers wait on this one for the ready queue, the clock on _lock
+        self._wake = threading.Condition(self._lock)
         self._t0 = 0.0
-        # events handed to a mailbox whose handler has not returned yet
+        # events handed to a deque whose handler has not returned yet
         self._busy = 0
         self._error: Optional[Exception] = None
-        self._over = threading.Event()
         self._open = {aid for aid, agent in agents.items() if isinstance(agent, OrderAgent)}
 
     def now(self) -> float:
@@ -343,46 +359,72 @@ class ConcurrentKernel(_Kernel):
         heapq.heapify(heap)
         self._lock.notify()
 
-    def _clock(self) -> None:
-        """Move each heap entry into its receiver's mailbox once it falls due.
+    def _clock(self, limit: float) -> None:
+        """Hand each heap entry to its receiver once it falls due; stop the run.
 
-        After the stop it goes on until the heap is empty and every handler
+        It calls ``_stop`` once every order has finished or ``limit`` seconds
+        have passed, then goes on until the heap is empty and every handler
         has returned, so the last order's final accepts and departures reach
-        their calendars; only then does each mailbox get ``_STOP``. After an
-        agent error it gets it at once.
+        their calendars, but for no more than ``DRAIN_LIMIT`` seconds: a
+        handler that never returns cannot hold the run. After an agent error
+        it returns at once.
         """
-        heap = self._heap
+        heap, mail, ready = self._heap, self._mail, self._ready
         with self._lock:
-            while self._error is None and not (self._stopped and not heap and not self._busy):
-                wait = heap[0][0] - self.now() if heap else None
-                if wait is None or wait > 0:
-                    self._lock.wait(wait)
-                else:
+            while self._error is None:
+                now = self.now()
+                if not self._stopped and (not self._open or now >= limit):
+                    if self._open:
+                        log.error("concurrent run hit the wall limit of %.1fs", limit)
+                    self._stop()
+                    limit = now + DRAIN_LIMIT
+                if heap and heap[0][0] <= now:
                     _at, _seq, receiver, event = heapq.heappop(heap)
                     self._busy += 1
-                    self._queues[receiver].put(event)
-        for q in self._queues.values():
-            q.put(_STOP)
+                    mail[receiver].append(event)
+                    if receiver not in self._scheduled:
+                        self._scheduled.add(receiver)
+                        ready.append(receiver)
+                        self._wake.notify()
+                elif self._stopped and not heap and not self._busy:
+                    break
+                elif now >= limit:  # stopped: the stop moved limit on by DRAIN_LIMIT
+                    log.error("%d events still undelivered or in a handler %.1fs after the stop",
+                              self._busy + len(heap), DRAIN_LIMIT)
+                    break
+                else:
+                    self._lock.wait(min(heap[0][0], limit) - now if heap else limit - now)
 
-    def _agent_loop(self, agent_id: str, agent) -> None:
-        q = self._queues[agent_id]
-        while (event := q.get()) is not _STOP:
+    def _work(self) -> None:
+        """Run ready agents one event at a time until the clock closes the pool."""
+        mail, ready = self._mail, self._ready
+        while True:
+            with self._lock:
+                while not ready and not self._closed:
+                    self._wake.wait()
+                if self._closed:
+                    return
+                agent_id = ready.popleft()
+                event = mail[agent_id].popleft()
             try:
                 self._dispatch(agent_id, event)
             except Exception as exc:  # re-raised by run() after teardown
                 with self._lock:
                     self._error = self._error or exc
                     self._lock.notify()
-                self._over.set()
                 return
             with self._lock:
                 self._busy -= 1
-                if self._stopped and not self._busy:
-                    self._lock.notify()  # the stopped clock may wait for this
-                if agent_id in self._open and agent.status in ("done", "failed"):
+                if mail[agent_id]:
+                    ready.append(agent_id)
+                else:
+                    self._scheduled.discard(agent_id)
+                if agent_id in self._open and self.agents[agent_id].status in ("done", "failed"):
                     self._open.discard(agent_id)
                     if not self._open:
-                        self._over.set()
+                        self._lock.notify()  # the clock stops the run
+                if self._stopped and not self._busy:
+                    self._lock.notify()  # the stopped clock may wait for this
 
     def run(self) -> RunReport:
         t_wall = time.perf_counter()
@@ -391,21 +433,21 @@ class ConcurrentKernel(_Kernel):
             # generous safety net: every stage can burn a full CFP deadline
             stages = 20 * max(1, len(self._open))
             limit = self._last_release + 60.0 + stages * self.config.cfp_deadline
-        threads = [threading.Thread(target=self._clock, name="clock", daemon=True)] + [
-            threading.Thread(
-                target=self._agent_loop, args=(aid, agent), name=f"agent-{aid}", daemon=True
-            )
-            for aid, agent in self.agents.items()
+        workers = [
+            threading.Thread(target=self._work, name=f"agent-worker-{i}", daemon=True)
+            for i in range(WORKERS)
         ]
         self._t0 = time.monotonic()
-        for t in threads:
+        for t in workers:
             t.start()
-        if not self._over.wait(timeout=limit):
-            log.error("concurrent run hit the wall limit of %.1fs", limit)
-        with self._lock:
-            self._stop()
-        for t in threads:
-            t.join(timeout=5)
+        try:
+            self._clock(limit)
+        finally:
+            with self._lock:
+                self._closed = True
+                self._wake.notify_all()
+            for t in workers:
+                t.join(timeout=DRAIN_LIMIT)
         if self._error is not None:
             raise self._error
         with self._lock:

@@ -510,7 +510,7 @@ def exhaustive_schedule(scenario, max_nodes: int = 200_000) -> dict[str, Any]:
         offsets = {0, t_t, t_t + t_b}
         setups = {0} | {v for row in m.setup.values() for v in row.values()}
         unload = geometry.unload_time if geometry is not None else 0
-        offsets |= {su + unload for su in setups}
+        offsets |= setups | {su + unload for su in setups}
         if leg_dur is not None:
             offsets.add(leg_dur)
             if from_x is not None:

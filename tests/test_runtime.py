@@ -1,11 +1,14 @@
 import sys
 import threading
+import time
+from collections import Counter, defaultdict, deque
 from dataclasses import replace
 
 import pytest
 
+from cnetsched import runtime
 from cnetsched.harness import render_gantt, render_trace, run_scenario
-from cnetsched.runtime import KernelConfig, RunTimeout, run_kernel
+from cnetsched.runtime import ConcurrentKernel, KernelConfig, RunTimeout, run_kernel
 from cnetsched.scenario import build_runtime, parse_scenario
 from cnetsched.timebase import hhmm
 
@@ -241,13 +244,51 @@ def test_agent_exception_surfaces_from_run(mode, monkeypatch):
     config = KernelConfig() if mode == "deterministic" else None
     with pytest.raises(Crash, match="M1 on Message"):
         run_kernel(mode, b.directory, b.agents, b.releases, config)
+    assert not [
+        t.name for t in threading.enumerate() if t.name == "clock" or t.name.startswith("agent-")
+    ]
 
 
-def test_concurrent_kernel_starts_one_thread_per_agent_plus_the_clock(
-    monkeypatch, flowshop_scenario
+def test_concurrent_run_returns_when_a_handler_never_does(monkeypatch, flowshop_scenario):
+    # order-A's first handler blocks past the wall limit: run() still returns
+    # within the drain limit, and the blocked worker exits once released
+    drain, limit = 0.2, 0.3
+    monkeypatch.setattr(runtime, "DRAIN_LIMIT", drain)
+    s = staggered(flowshop_scenario, seconds=0.0)
+    b = build_runtime(s)
+    release = threading.Event()
+    handle = b.agents["order-A"].handle
+
+    def blocked(event, ctx):
+        release.wait(10)
+        return handle(event, ctx)
+
+    monkeypatch.setattr(b.agents["order-A"], "handle", blocked)
+    try:
+        t0 = time.perf_counter()
+        r = run_kernel(
+            "concurrent", b.directory, b.agents, b.releases, KernelConfig.concurrent(wall_limit=limit)
+        )
+        # the drain, then the blocked worker's join; far below the block's 10 s
+        assert time.perf_counter() - t0 < limit + 2 * drain + 1.0
+        assert r.status["order-A"] == "stuck"
+    finally:
+        release.set()
+    for t in threading.enumerate():
+        if t.name.startswith("agent-"):
+            t.join(timeout=5)
+            assert not t.is_alive()
+
+
+@pytest.mark.parametrize("floor", ["flowshop", "scaling-k32"])
+def test_concurrent_kernel_starts_two_workers_whatever_the_floor(
+    floor, monkeypatch, flowshop_scenario
 ):
-    # order-A's round deadlines are armed while order-B negotiates; none of
-    # them may cost a thread
+    # order-A's round deadlines are armed while order-B negotiates, and the
+    # scaling floor has over 100 agents; neither may cost a thread
+    from cnetsched.harness import build_scaling_scenario
+
+    s = flowshop_scenario if floor == "flowshop" else build_scaling_scenario(32, n_orders=2)
     started = []
     start = threading.Thread.start
 
@@ -256,14 +297,74 @@ def test_concurrent_kernel_starts_one_thread_per_agent_plus_the_clock(
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counting_start)
-    r = run_scenario(staggered(flowshop_scenario), "concurrent")
+    r = run_scenario(staggered(s), "concurrent")
     assert r.all_done
+    assert len(r.agents) == {"flowshop": 12, "scaling-k32": 102}[floor]
     assert sum(" Deadline" in line for line in r.trace) >= 2
-    assert len(started) == len(r.agents) + 1
+    assert started == ["agent-worker-0", "agent-worker-1"]
+
+
+def test_concurrent_workers_run_each_agent_alone_and_in_hand_over_order(flowshop_scenario):
+    # two workers share every agent: an agent's handler is never entered
+    # while it runs, and each agent handles its events in the order the clock
+    # handed them over, even with a thread switch after almost every bytecode
+    from cnetsched.harness import kernel_config
+
+    s = staggered(flowshop_scenario)
+    b = build_runtime(s)
+    kernel = ConcurrentKernel(
+        b.directory, b.agents, b.releases, replace(kernel_config(s, "concurrent"), wall_limit=60)
+    )
+    handed, handled = defaultdict(list), defaultdict(list)
+    depth, reentered, workers = Counter(), [], set()
+    guard = threading.Lock()
+
+    class Mail(deque):
+        def __init__(self, agent_id):
+            super().__init__()
+            self.agent_id = agent_id
+
+        def append(self, event):
+            handed[self.agent_id].append(event)
+            super().append(event)
+
+    kernel._mail = {aid: Mail(aid) for aid in b.agents}
+
+    def watched(aid, handle):
+        def wrapper(event, ctx):
+            with guard:
+                depth[aid] += 1
+                if depth[aid] > 1:
+                    reentered.append(aid)
+                handled[aid].append(event)
+                workers.add(threading.current_thread().name)
+            try:
+                time.sleep(0)  # hand the interpreter to the other worker mid-handler
+                return list(handle(event, ctx))
+            finally:
+                with guard:
+                    depth[aid] -= 1
+
+        return wrapper
+
+    for aid, agent in b.agents.items():
+        agent.handle = watched(aid, agent.handle)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        r = kernel.run()
+    finally:
+        sys.setswitchinterval(interval)
+    assert reentered == []
+    assert handed.keys() == b.agents.keys()
+    for aid in b.agents:
+        assert [id(e) for e in handled[aid]] == [id(e) for e in handed[aid]], aid
+    assert workers == {"agent-worker-0", "agent-worker-1"}
+    assert r.all_done
 
 
 def test_concurrent_bookkeeping_holds_under_fast_thread_switching(flowshop_scenario):
-    # the agent threads and the clock thread share the heap, its sequence
+    # the workers and the clock share the heap, its sequence
     # numbers, the counter and the trace; a lost update breaks these counts
     from cnetsched.harness import kernel_config
     from oracle import stability_check

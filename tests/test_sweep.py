@@ -43,7 +43,7 @@ def test_random_scenarios_pass_the_oracles():
 # order -> completion (s) of the exhaustive per-order search, for every sweep
 # floor within its input limits; None where it finds no feasible schedule
 EXHAUSTIVE_COMPLETIONS = {
-    14: {"o01": 4320},
+    14: {"o01": 3780},
     94: {"o01": 30540, "o02": 39360},
     161: {"o01": 29220, "o02": 37380},
     179: None,
@@ -61,6 +61,17 @@ def test_exhaustive_schedule_of_the_sweep_floors_it_accepts():
         except OracleInfeasible:
             completions[seed] = None
     assert completions == EXHAUSTIVE_COMPLETIONS
+
+
+def test_no_negotiated_first_order_beats_the_exhaustive_one():
+    # the oracle plans o01 first on the floor as given and minimises its
+    # completion, so no negotiated schedule may finish it earlier
+    for seed, completions in EXHAUSTIVE_COMPLETIONS.items():
+        if completions is None:
+            continue
+        r = run_scenario(random_scenario(seed), mode="deterministic")
+        finish = max(c.end for c in r.commits if c.order_id == "o01")
+        assert finish >= completions["o01"], seed
 
 
 def test_a_proposal_reaching_a_failed_order_is_rejected():
