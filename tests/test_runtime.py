@@ -12,6 +12,8 @@ from cnetsched.runtime import ConcurrentKernel, KernelConfig, RunTimeout, run_ke
 from cnetsched.scenario import build_runtime, parse_scenario
 from cnetsched.timebase import hhmm
 
+from conftest import hold_check
+
 
 # ---------------------------------------------------------------------------
 # reference runs: the two bundled scenarios
@@ -97,6 +99,25 @@ def test_concurrent_mode_matches_deterministic_schedule():
     conc = run_scenario(s, "concurrent")
     assert det.all_done and conc.all_done
     assert gantt_rows(det) == gantt_rows(conc)
+
+
+@pytest.mark.parametrize(
+    "steps, stage",
+    [(["drilling", "forging"], 1), (["cutting", "drilling"], 2)],
+    ids=["stage-1", "stage-2"],
+)
+def test_an_operation_no_machine_offers_fails_the_order_not_the_load(steps, stage):
+    doc = single_responder_doc()
+    doc["products"][0]["steps"] = steps  # no machine offers drilling
+    r = run_scenario(parse_scenario(doc, source="t"), "deterministic")
+    assert r.status == {"o1": "failed"}
+    assert r.diagnostics["o1"] == f"stage {stage}: no capable production resource registered"
+    assert len(r.agents["o1"].committed) == stage - 1
+    # the abort closes the tail of the machine that still held the piece
+    assert {rid: s.open_tail_entries() for rid, s in r.schedules().items()} == {
+        rid: [] for rid in ("M1", "M2", "Buf1", "Crane1")
+    }
+    assert hold_check(r) == []
 
 
 def test_event_cap_raises_run_timeout(flowshop_scenario):
