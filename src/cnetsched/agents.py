@@ -25,6 +25,8 @@ from .calculus import (
 )
 from .protocol import (
     BUFFER,
+    DONE,
+    FAILED,
     PRODUCTION,
     TRANSPORT,
     AcceptProposal,
@@ -37,7 +39,6 @@ from .protocol import (
     LegRef,
     Message,
     OfferHold,
-    Phase,
     Proposal,
     RejectProposal,
     StageFailure,
@@ -839,16 +840,15 @@ class OrderAgent:
         return self._drive(StartStage(), ctx)
 
     def _drive(self, event, ctx) -> list[Message]:
-        if self.neg is None:
-            return []
-        out = advance_stage(self.neg, event, self, ctx)
         neg = self.neg
-        if neg is not None and neg.is_terminal():
-            if neg.phase is Phase.FAILED:
-                out.extend(self._on_stage_failed(ctx))
-            else:
-                # chains into the next stage (recursing through _start_stage)
-                out.extend(self._on_stage_done(ctx))
+        if neg is None:
+            return []
+        out = advance_stage(neg, event, self, ctx)
+        if neg.phase == FAILED:
+            out.extend(self._abort(ctx, f"stage {self.stage_index + 1}: {neg.failure_reason}"))
+        elif neg.phase == DONE:
+            # chains into the next stage (recursing through _start_stage)
+            out.extend(self._on_stage_done(ctx))
         return out
 
     def _on_stage_done(self, ctx) -> list[Message]:
@@ -859,10 +859,6 @@ class OrderAgent:
             self.neg = None
             return []
         return self._start_stage(ctx)
-
-    def _on_stage_failed(self, ctx) -> list[Message]:
-        reason = self.neg.failure_reason if self.neg else "unknown"
-        return self._abort(ctx, f"stage {self.stage_index + 1}: {reason}")
 
     def _abort(self, ctx, reason: str) -> list[Message]:
         self.status = "failed"
@@ -928,6 +924,15 @@ class OrderAgent:
         info = InformDeparture(self.agent_id, departure, loading_time, stay_on_machine)
         return _envelope(self.agent_id, resource, conv, [info])
 
+    @functools.cached_property
+    def rounds(self) -> tuple:
+        """A stage's CFP rounds, in the order they open (built on first use, not at setup)."""
+        return (
+            (PRODUCTION, self.plan_production),
+            (BUFFER, self.plan_buffer),
+            (TRANSPORT, self.plan_transport),
+        )
+
     def plan_production(self, neg: StageNegotiation, ctx) -> list[Message]:
         prev = self._prev
         es = self.arrival if prev is None else self._f_prev + self.params.t_transport_min
@@ -947,7 +952,7 @@ class OrderAgent:
             return []
         buffered = set()
         alternatives = []
-        for p in neg.proposals[PRODUCTION]:
+        for p in neg.of_kind(PRODUCTION):
             if p.resource_id == prev.resource_id:
                 continue  # stays on the machine, nothing to buffer
             if calculus.needs_buffering(
@@ -977,10 +982,10 @@ class OrderAgent:
             return []
         legs: list[TransportLeg] = []
         buffers_by_realizes: dict[str, list[Proposal]] = {}
-        for b in neg.proposals[BUFFER]:
+        for b in neg.of_kind(BUFFER):
             if b.connected_operations:
                 buffers_by_realizes.setdefault(b.connected_operations[0], []).append(b)
-        for p in neg.proposals[PRODUCTION]:
+        for p in neg.of_kind(PRODUCTION):
             if p.resource_id == prev.resource_id:
                 continue
             prod_slot = SlotCommitment(p.slot.start, p.slot.end, p.slack_after)
@@ -1020,7 +1025,7 @@ class OrderAgent:
             buffered=self._buffered,
         )
         ocs = build_ocs(
-            neg.proposals[PRODUCTION], neg.proposals[BUFFER], neg.proposals[TRANSPORT], sctx
+            neg.of_kind(PRODUCTION), neg.of_kind(BUFFER), neg.of_kind(TRANSPORT), sctx
         )
         selection = select(ocs)
         if selection is None:

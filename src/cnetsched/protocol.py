@@ -9,17 +9,17 @@ once per hop, and safe to hand to another worker thread without a copy.
 
 StageNegotiation is a deterministic state machine: feeding it the same event
 sequence always yields the same transitions and the same outgoing envelopes.
-The decision logic itself (which CFPs to send, what to select) is supplied by
-a planner object so the machine stays independent of agent internals.
+The decision logic itself is supplied by a planner object, so the machine
+stays independent of agent internals: the stage's CFP rounds as data (which
+kind each awaits, which CFPs it sends), and what to select once they close.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Protocol, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Protocol, Union
 
 from .calculus import StageWindows
 from .timebase import Seconds, Slack, TimeInterval
@@ -29,6 +29,11 @@ log = logging.getLogger(__name__)
 PRODUCTION = "production"
 BUFFER = "buffer"
 TRANSPORT = "transport"
+#: a stage's phase before its first round and after its last; while a round
+#: is open, the phase is that round's kind
+START = "start"
+DONE = "done"
+FAILED = "failed"
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +306,6 @@ class MessageCounter:
 # stage negotiation state machine
 
 
-class Phase(str, Enum):
-    QUERY_DIRECTORY = "query-directory"
-    AWAIT_PRODUCTION = "await-production"
-    AWAIT_BUFFER = "await-buffer"
-    AWAIT_TRANSPORT = "await-transport"
-    DONE = "done"
-    FAILED = "failed"
-
-
-_AWAIT_KIND = {
-    Phase.AWAIT_PRODUCTION: PRODUCTION,
-    Phase.AWAIT_BUFFER: BUFFER,
-    Phase.AWAIT_TRANSPORT: TRANSPORT,
-}
-
 #: the order a closed round's proposals are used in: by resource, then by offer
 _RANK = attrgetter("resource_id", "slot", "price", "alternative", "proposal_id")
 
@@ -340,43 +330,48 @@ class StageFailure:
 class StagePlanner(Protocol):
     """Decision logic a StageNegotiation delegates to (implemented by the order agent).
 
-    Each ``plan_*`` returns one round's CFP envelopes; the round awaits their
-    receivers, and an empty list skips it. ``decide`` returns the stage's
+    ``rounds`` lists a stage's CFP rounds in the order they open, as
+    ``(kind, plan)`` pairs. ``plan(neg, ctx)`` returns the round's CFP
+    envelopes; the round awaits their receivers and takes proposals of its
+    kind only, and an empty list skips it. ``decide`` returns the stage's
     commit envelopes in the order they are sent, or a StageFailure.
     """
 
-    def plan_production(self, neg: "StageNegotiation", ctx) -> list[Message]: ...
-
-    def plan_buffer(self, neg: "StageNegotiation", ctx) -> list[Message]: ...
-
-    def plan_transport(self, neg: "StageNegotiation", ctx) -> list[Message]: ...
+    rounds: tuple[tuple[str, Callable[["StageNegotiation", Any], list[Message]]], ...]
 
     def decide(self, neg: "StageNegotiation", ctx) -> Union[list[Message], StageFailure]: ...
 
 
 @dataclass
 class StageNegotiation:
-    """State of one stage-i negotiation run by one order agent."""
+    """State of one stage-i negotiation run by one order agent.
+
+    ``phase`` is START, the kind of the open round, DONE or FAILED;
+    ``proposals`` holds one list per opened round, in round order.
+    """
 
     order_id: str
     stage_index: int
-    phase: Phase = Phase.QUERY_DIRECTORY
+    phase: str = START
     awaiting: set[str] = field(default_factory=set)
-    proposals: dict[str, list[Proposal]] = field(
-        default_factory=lambda: {PRODUCTION: [], BUFFER: [], TRANSPORT: []}
-    )
+    proposals: list[list[Proposal]] = field(default_factory=list)
     deadline_token: Optional[int] = None
     failure_reason: Optional[str] = None
+    #: index into the planner's ``rounds`` of the next round to try
+    next_round: int = 0
 
     @property
     def conversation(self) -> str:
         return conversation_id(self.order_id, self.stage_index)
 
     def all_proposals(self) -> list[Proposal]:
-        return [p for kind in (PRODUCTION, BUFFER, TRANSPORT) for p in self.proposals[kind]]
+        return [p for round_ in self.proposals for p in round_]
+
+    def of_kind(self, kind: str) -> list[Proposal]:
+        return [p for round_ in self.proposals for p in round_ if p.kind == kind]
 
     def is_terminal(self) -> bool:
-        return self.phase in (Phase.DONE, Phase.FAILED)
+        return self.phase in (DONE, FAILED)
 
 
 def advance_stage(
@@ -395,18 +390,14 @@ def advance_stage(
         return reject_unused(neg.order_id, event)
 
     if isinstance(event, StartStage):
-        if neg.phase is not Phase.QUERY_DIRECTORY:
+        if neg.phase != START:
             log.warning("protocol violation: StartStage in phase %s", neg.phase)
             return []
-        neg.phase = Phase.AWAIT_PRODUCTION
-        msgs = planner.plan_production(neg, ctx)
-        if not msgs:
-            return _fail(neg, "no capable production resource registered")
-        return _await(neg, msgs, ctx)
+        return _advance_round(neg, planner, ctx)
 
     if isinstance(event, DeadlineExpired):
         if event.token != neg.deadline_token:
-            return []  # stale timer from an already-finished phase
+            return []  # stale timer from an already-closed round
         neg.awaiting.clear()
         return _advance_round(neg, planner, ctx)
 
@@ -421,7 +412,7 @@ def advance_stage(
                 neg.conversation,
             )
             return reject_unused(neg.order_id, event)
-        if neg.phase not in _AWAIT_KIND:
+        if neg.phase == START:
             log.warning(
                 "protocol violation: %s from %s arrived in phase %s",
                 event.variant,
@@ -429,7 +420,7 @@ def advance_stage(
                 neg.phase,
             )
             return reject_unused(neg.order_id, event)
-        expected = _AWAIT_KIND[neg.phase]
+        expected = neg.phase
         for part in event.parts:  # an envelope carries one payload kind
             if not isinstance(part, Proposal):
                 log.warning(
@@ -439,7 +430,7 @@ def advance_stage(
             if part.kind != expected:
                 log.debug("late reply: %s proposal during %s round", part.kind, expected)
                 return reject_unused(neg.order_id, event)
-        neg.proposals[expected].extend(event.parts)
+        neg.proposals[-1].extend(event.parts)
         neg.awaiting.discard(event.sender)
         if neg.awaiting:
             return []
@@ -481,43 +472,39 @@ def rejects(order_id: str, conv: str, proposals: Iterable[Proposal]) -> list[Mes
     ]
 
 
-def _await(neg: StageNegotiation, msgs: list[Message], ctx) -> list[Message]:
-    """Open a round: await the receivers of its CFPs under one armed deadline."""
-    neg.awaiting = {m.receiver for m in msgs}
-    neg.deadline_token = ctx.set_timer(ctx.cfp_deadline)
-    return msgs
-
-
 def _advance_round(neg: StageNegotiation, planner: StagePlanner, ctx) -> list[Message]:
-    """Close the finished round; open the next one the planner sends CFPs for, or select.
+    """Close the open round; open the next one the planner sends CFPs for, or decide.
 
-    The rounds run production, buffer, transport. The closed round's
-    proposals are ranked by resource first, so the order they arrived in
-    changes neither the next round's CFPs nor the decision.
+    The closed round's proposals are ranked by resource first, so the order
+    they arrived in changes neither the next round's CFPs nor the decision.
+    A stage cannot skip its production round: it fails when that round has
+    no receiver or receives no proposal.
     """
-    neg.deadline_token = None
-    neg.proposals[_AWAIT_KIND[neg.phase]].sort(key=_RANK)
-    if neg.phase is Phase.AWAIT_PRODUCTION:
-        if not neg.proposals[PRODUCTION]:
+    if neg.phase != START:
+        neg.deadline_token = None
+        neg.proposals[-1].sort(key=_RANK)
+        if neg.phase == PRODUCTION and not neg.proposals[-1]:
             return _fail(neg, "no production proposals received")
-        msgs = planner.plan_buffer(neg, ctx)
-        if msgs:
-            neg.phase = Phase.AWAIT_BUFFER
-            return _await(neg, msgs, ctx)
-    if neg.phase is not Phase.AWAIT_TRANSPORT:
-        msgs = planner.plan_transport(neg, ctx)
-        if msgs:
-            neg.phase = Phase.AWAIT_TRANSPORT
-            return _await(neg, msgs, ctx)
+    for kind, plan in planner.rounds[neg.next_round:]:
+        neg.next_round += 1
+        msgs = plan(neg, ctx)
+        if msgs:  # open the round: await its receivers under one armed deadline
+            neg.phase = kind
+            neg.proposals.append([])
+            neg.awaiting = {m.receiver for m in msgs}
+            neg.deadline_token = ctx.set_timer(ctx.cfp_deadline)
+            return msgs
+        if kind == PRODUCTION:
+            return _fail(neg, "no capable production resource registered")
     decision = planner.decide(neg, ctx)
     if isinstance(decision, StageFailure):
         return _fail(neg, decision.reason)
-    neg.phase = Phase.DONE
+    neg.phase = DONE
     return decision
 
 
 def _fail(neg: StageNegotiation, reason: str) -> list[Message]:
     """On failure no partial bookings may remain: reject every held offer."""
     neg.failure_reason = reason
-    neg.phase = Phase.FAILED
+    neg.phase = FAILED
     return rejects(neg.order_id, neg.conversation, neg.all_proposals())

@@ -106,9 +106,12 @@ def random_document(seed: int) -> dict:
     """A small random floor: <= 8 resources, <= 6 orders, whole-minute data.
 
     Deliberately rough around the edges — some machines cannot make some
-    products, floors may lack a capability a plan needs, releases may all
-    collide at tick zero.  Failed orders are a legal outcome; the invariants
-    must hold regardless.  ``random_scenario`` passes the document through
+    products, so a stage whose machines all lack the order's product fails
+    with "no production proposals received"; releases may all collide at
+    tick zero.  Every operation a plan names is offered by some machine
+    (machine i offers ``ops[i % len(ops)]``, and there are no more
+    operations than machines).  Failed orders are a legal outcome; the
+    invariants must hold regardless.  ``random_scenario`` passes the document through
     the validator like any scenario file.
     """
     rng = random.Random(seed)

@@ -4,7 +4,11 @@ from cnetsched.agents import StartOrder
 from cnetsched.calculus import InfeasibleWindow, SlotCommitment, StageWindows
 from cnetsched.protocol import (
     BUFFER,
+    DONE,
+    FAILED,
     PRODUCTION,
+    START,
+    TRANSPORT,
     AcceptProposal,
     Cfp,
     CfpAlternative,
@@ -16,7 +20,6 @@ from cnetsched.protocol import (
     Message,
     MessageCounter,
     OfferHold,
-    Phase,
     Proposal,
     RejectProposal,
     StageFailure,
@@ -48,9 +51,9 @@ def mk_proposal(pid, resource, kind=PRODUCTION, start=100, dur=60):
     )
 
 
-def mk_cfp():
+def mk_cfp(kind=PRODUCTION):
     return Cfp(
-        kind=PRODUCTION,
+        kind=kind,
         workpiece=WorkpieceInfo(order_id="o1", product="A"),
         operation="cutting",
         deadline=60,
@@ -76,27 +79,27 @@ class FakeCtx:
         return self._tokens
 
 
+def call(kind, *receivers):
+    """A round plan that sends one CFP of ``kind`` to each of ``receivers``."""
+
+    def plan(neg, ctx):
+        return [Message(neg.order_id, r, neg.conversation, (mk_cfp(kind),)) for r in receivers]
+
+    return plan
+
+
 class ScriptPlanner:
-    """Planner with scripted rounds; the default decision accepts the first
-    production proposal and rejects everything else."""
+    """Planner with scripted rounds, by default one production round to the
+    responders. The default decision accepts the first proposal and rejects
+    everything else; ``seen`` keeps the proposal ids it was given, per round."""
 
-    def __init__(self, responders=("M1", "M2"), fail=False):
-        self.responders = tuple(responders)
+    def __init__(self, responders=("M1", "M2"), fail=False, rounds=None):
+        self.rounds = rounds or ((PRODUCTION, call(PRODUCTION, *responders)),)
         self.fail = fail
-
-    def plan_production(self, neg, ctx):
-        return [
-            Message(neg.order_id, r, neg.conversation, (mk_cfp(),))
-            for r in self.responders
-        ]
-
-    def plan_buffer(self, neg, ctx):
-        return []
-
-    def plan_transport(self, neg, ctx):
-        return []
+        self.seen = None
 
     def decide(self, neg, ctx):
+        self.seen = [[p.proposal_id for p in round_] for round_ in neg.proposals]
         if self.fail:
             return StageFailure("scripted failure")
         props = neg.all_proposals()
@@ -269,7 +272,7 @@ def test_stage_happy_path_and_phase_history():
 
     out = advance_stage(neg, StartStage(), planner, ctx)
     assert [m.receiver for m in out] == ["M1", "M2"]
-    assert neg.phase is Phase.AWAIT_PRODUCTION
+    assert neg.phase == PRODUCTION
     assert neg.deadline_token == 1
     assert ctx.timers == [(1, ctx.cfp_deadline)]  # the round's deadline is armed
 
@@ -281,12 +284,44 @@ def test_stage_happy_path_and_phase_history():
     out = advance_stage(
         neg, proposal_msg("M2", "o1/s0", mk_proposal("M2#1", "M2", start=90)), planner, ctx
     )
-    assert neg.phase is Phase.DONE
+    assert neg.phase == DONE
     # commit completeness: every received proposal is accepted or rejected
     accepted = [p.proposal_id for m in out if m.variant == "AcceptProposal" for p in m.parts]
     rejected = [p.proposal_id for m in out if m.variant == "RejectProposal" for p in m.parts]
     assert sorted(accepted + rejected) == ["M1#1", "M2#1"]
     assert set(accepted).isdisjoint(rejected)
+
+
+def test_stage_walks_its_rounds_and_skips_one_that_sends_nothing():
+    rounds = (
+        (PRODUCTION, call(PRODUCTION, "M1", "M2")),
+        (BUFFER, call(BUFFER)),
+        (TRANSPORT, call(TRANSPORT, "T1")),
+    )
+    neg = StageNegotiation("o1", 0)
+    planner, ctx = ScriptPlanner(rounds=rounds), FakeCtx()
+    advance_stage(neg, StartStage(), planner, ctx)
+    advance_stage(neg, proposal_msg("M2", "o1/s0", mk_proposal("M2#1", "M2")), planner, ctx)
+    out = advance_stage(
+        neg, proposal_msg("M1", "o1/s0", mk_proposal("M1#1", "M1")), planner, ctx
+    )
+    assert [(m.receiver, m.parts[0].kind) for m in out] == [("T1", TRANSPORT)]
+    assert neg.phase == TRANSPORT
+    # one deadline per opened round; the skipped buffer round armed none
+    assert ctx.timers == [(1, ctx.cfp_deadline), (2, ctx.cfp_deadline)]
+    assert neg.deadline_token == 2
+
+    late = proposal_msg("B1", "o1/s0", mk_proposal("B#1", "B1", kind=BUFFER))
+    assert advance_stage(neg, late, planner, ctx) == [
+        Message("o1", "B1", "o1/s0", (RejectProposal("B#1"),))
+    ]
+    assert neg.awaiting == {"T1"}
+
+    transport = proposal_msg("T1", "o1/s0", mk_proposal("T#1", "T1", kind=TRANSPORT))
+    advance_stage(neg, transport, planner, ctx)
+    assert neg.phase == DONE
+    # each opened round's proposals, ranked by resource, in round order
+    assert planner.seen == [["M1#1", "M2#1"], ["T#1"]]
 
 
 def test_stage_deadline_closes_round_with_partial_answers():
@@ -296,7 +331,7 @@ def test_stage_deadline_closes_round_with_partial_answers():
     advance_stage(neg, proposal_msg("M1", "o1/s0", mk_proposal("M1#1", "M1")), planner, ctx)
 
     out = advance_stage(neg, DeadlineExpired(token=1), planner, ctx)
-    assert neg.phase is Phase.DONE  # absence of M2's answer counted as refusal
+    assert neg.phase == DONE  # absence of M2's answer counted as refusal
     assert any(m.variant == "AcceptProposal" for m in out)
 
 
@@ -305,7 +340,7 @@ def test_stage_stale_deadline_token_ignored():
     planner, ctx = ScriptPlanner(), FakeCtx()
     advance_stage(neg, StartStage(), planner, ctx)
     assert advance_stage(neg, DeadlineExpired(token=99), planner, ctx) == []
-    assert neg.phase is Phase.AWAIT_PRODUCTION
+    assert neg.phase == PRODUCTION
     assert neg.awaiting == {"M1", "M2"}
 
 
@@ -314,7 +349,7 @@ def test_stage_fails_without_any_production_proposal():
     planner, ctx = ScriptPlanner(), FakeCtx()
     advance_stage(neg, StartStage(), planner, ctx)
     out = advance_stage(neg, DeadlineExpired(token=1), planner, ctx)
-    assert neg.phase is Phase.FAILED
+    assert neg.phase == FAILED
     assert neg.failure_reason == "no production proposals received"
     assert out == []  # nothing was offered, nothing to reject
 
@@ -332,7 +367,7 @@ def test_stage_failure_rejects_every_held_offer():
     out = advance_stage(
         neg, proposal_msg("M2", "o1/s0", mk_proposal("M2#1", "M2")), planner, ctx
     )
-    assert neg.phase is Phase.FAILED
+    assert neg.phase == FAILED
     assert neg.failure_reason == "scripted failure"
     assert [m.receiver for m in out] == ["M1", "M2"]  # grouped, sorted
     assert all(m.variant == "RejectProposal" for m in out)
@@ -351,7 +386,7 @@ def test_stage_drops_out_of_phase_events():
     assert advance_stage(
         neg, proposal_msg("M1", "o1/s0", mk_proposal("M1#1", "M1")), planner, ctx
     ) == rejected("o1/s0", "M1#1")
-    assert neg.phase is Phase.QUERY_DIRECTORY
+    assert neg.phase == START
 
     advance_stage(neg, StartStage(), planner, ctx)
     # duplicate StartStage
@@ -365,7 +400,7 @@ def test_stage_drops_out_of_phase_events():
         neg, proposal_msg("M1", "o1/s0", mk_proposal("B#1", "B1", kind=BUFFER)), planner, ctx
     ) == rejected("o1/s0", "B#1")
     assert neg.awaiting == {"M1", "M2"}
-    assert neg.proposals[PRODUCTION] == []
+    assert neg.proposals == [[]]
 
 
 def test_terminal_stage_ignores_everything():

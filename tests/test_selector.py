@@ -85,9 +85,9 @@ def sent_rejects(ctx, production, buffers=(), transports=()):
                         Slack.UNBOUNDED)
         ]
     oa._buffered = ctx.buffered
+    # one proposal list per round, as the stage machine fills them
     neg = StageNegotiation("o1", len(oa.committed))
-    for kind, proposals in ((PRODUCTION, production), (BUFFER, buffers), (TRANSPORT, transports)):
-        neg.proposals[kind].extend(proposals)
+    neg.proposals = [list(production), list(buffers), list(transports)]
     return [
         (msg.receiver, part.proposal_id)
         for msg in oa.decide(neg, None)

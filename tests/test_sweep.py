@@ -1,14 +1,17 @@
 """Random whole scenarios judged by the oracles.
 
-``conftest.random_scenario`` builds small, rough floors: missing
-capabilities, colliding releases, pre-booked machines and maintenance. Failed
-orders are a legal outcome; a double-booked resource, a moved commitment or
-an offer still held after every order finished is not. The same runs widen the
-golden gate: one sha256 over every seed's deterministic GANTT and trace.
+``conftest.random_scenario`` builds small, rough floors: machines that
+cannot make some products, colliding releases, pre-booked machines and
+maintenance. Failed orders are a legal outcome; a double-booked resource, a
+moved commitment or an offer still held after every order finished is not.
+The same runs widen the golden gate: one sha256 over every seed's
+deterministic GANTT and trace, and a tally of the failed orders' diagnostics.
 """
 
 import hashlib
 import logging
+import re
+from collections import Counter
 from dataclasses import replace
 
 from cnetsched.agents import DirectoryService
@@ -25,9 +28,15 @@ SWEEP_DIGEST = "12d67d8dbf1db39f05eb7b913709e5df099c9827e4027e4d2a55fe66c826d883
 def test_random_scenarios_pass_the_oracles():
     problems = []
     digest = hashlib.sha256()
+    failures = Counter()
     for seed in range(200):
         r = run_scenario(random_scenario(seed), mode="deterministic")
         digest.update((render_gantt(r) + render_trace(r)).encode("utf-8"))
+        failures.update(
+            re.sub(r"^stage \d+: ", "", r.diagnostics[o])
+            for o, status in r.status.items()
+            if status == "failed"
+        )
         schedules = r.schedules()
         found = (
             occupancy_check(schedules, kinds=agent_kinds(r))
@@ -36,8 +45,13 @@ def test_random_scenarios_pass_the_oracles():
         )
         problems.extend(f"seed {seed}: {p}" for p in found)
     assert problems == []
-    # a refactor leaves every schedule and trace of the sweep as it is
+    # a refactor leaves every schedule and trace of the sweep as it is, and
+    # every failed order's diagnostic, which neither of them shows
     assert digest.hexdigest() == SWEEP_DIGEST
+    assert failures == {
+        "no production proposals received": 112,
+        "no feasible operation combination": 9,
+    }
 
 
 # order -> completion (s) of the exhaustive per-order search, for every sweep
