@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="negotiate all orders of a scenario")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--mode", choices=("det", "conc"), default="det",
-                       help="deterministic event kernel or concurrent threads (default: det)")
+                       help="deterministic tick clock or concurrent wall clock (default: det)")
     run_p.add_argument("--seed", type=int, default=0,
                        help="recorded in the metrics; the deterministic kernel itself is seed-free")
     run_p.add_argument("--gantt", metavar="PATH", help="write booking segments as CSV")

@@ -279,10 +279,9 @@ def hosting_sweep(
 
     ``message_latency_ms`` emulates middleware cost per hop.  In-process
     hand-off is otherwise so fast that coordination durations sink below the
-    thread-scheduling jitter and the per-order statistics become noise; a
-    couple of milliseconds per message restores the regime the interval
-    sweep is about, where coordination time is comparable to the hosting
-    interval.
+    host's timing jitter and the per-order statistics become noise; a couple
+    of milliseconds per message restores the regime the interval sweep is
+    about, where coordination time is comparable to the hosting interval.
     """
     runs = []
     for interval_ms in intervals_ms:

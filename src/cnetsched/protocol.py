@@ -5,7 +5,7 @@ RejectProposal, InformDeparture, InformFailure. An envelope (Message) carries
 one or more payloads of one kind to one receiver; aggregation is what keeps
 message growth linear in the number of contacted resources. Payloads and
 envelopes are immutable tuple records (``typing.NamedTuple``): cheap to build
-once per hop, and safe to hand to another worker thread without a copy.
+once per hop, and safe to hand from sender to receiver without a copy.
 
 StageNegotiation is a deterministic state machine: feeding it the same event
 sequence always yields the same transitions and the same outgoing envelopes.

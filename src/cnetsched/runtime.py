@@ -1,21 +1,19 @@
-"""Event kernels that drive the agents: deterministic replay and a worker pool.
+"""Event kernels that drive the agents: deterministic replay and a wall clock.
 
-The same agent objects run under either kernel, fed from one event heap. The
-deterministic kernel pops it in a single-threaded loop over a logical tick
-clock — equal inputs give byte-identical traces. The concurrent kernel pops it
-on the monotonic wall clock, which the order-release (hosting interval)
-experiments measure: the caller's thread hands each due event to its
-receiver's deque, and two worker threads run the agents that have mail, one
-event at a time and never one agent on both.
+The same agent objects run under either kernel, fed from one event heap that
+the caller's thread pops, one event at a time. The deterministic kernel pops
+it over a logical tick clock — equal inputs give byte-identical traces. The
+concurrent kernel pops it on the monotonic wall clock, sleeping until the
+head falls due, which the order-release (hosting interval) experiments
+measure: many orders negotiate at once, interleaved by when their messages
+and deadlines fall due.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -24,17 +22,9 @@ from .protocol import DeadlineExpired, Message, MessageCounter
 
 log = logging.getLogger(__name__)
 
-#: worker threads of the concurrent kernel: under the interpreter lock only one
-#: handler runs at a time, and a second takes the next ready agent while the
-#: first is switched out
-WORKERS = 2
-#: seconds the concurrent kernel waits, after the stop, for the messages in
-#: flight and the handlers still running, and then for each worker to exit
-DRAIN_LIMIT = 5.0
-
 
 class RunTimeout(RuntimeError):
-    """The concurrent kernel hit its wall-clock safety limit before all orders finished."""
+    """The deterministic kernel popped more than ``max_events`` events."""
 
 
 @dataclass(frozen=True)
@@ -143,15 +133,11 @@ class _Kernel:
 
     Every delivery — a message, a round deadline, an order release — is one
     heap entry ``(at, seq, receiver, event)``; the kernels differ only in
-    their clock and in who pops the heap. ``_lock`` guards the heap and the
-    bookkeeping: a plain lock under the deterministic kernel's one thread, a
-    Condition the concurrent kernel's clock waits on.
+    their clock and in when they stop popping it.
     """
 
     mode: str
     _hop: float = 1  # delay between sending a message and its delivery
-    _new_lock = threading.Lock
-    _clocked = False  # a clock waits on ``_lock`` for the heap's head
 
     def __init__(
         self,
@@ -170,26 +156,20 @@ class _Kernel:
         self.counter = MessageCounter()
         self.trace: list[str] = []
         self.commits: list[CommitRecord] = []
-        self._lock = self._new_lock()
         self._heap: list[tuple[float, int, str, Event]] = []
         self._seq = 0
-        with self._lock:
-            for release, order_id in sorted(releases):
-                self._schedule(release, order_id, StartOrder(order_id))
+        for release, order_id in sorted(releases):
+            self._schedule(release, order_id, StartOrder(order_id))
 
     def _schedule(self, at, receiver: str, event: Event) -> None:
-        """Deliver ``event`` to ``receiver`` at clock time ``at``; call under ``_lock``."""
+        """Deliver ``event`` to ``receiver`` at clock time ``at``."""
         self._seq += 1
-        entry = (at, self._seq, receiver, event)
-        heapq.heappush(self._heap, entry)
-        if self._clocked and self._heap[0] is entry:
-            self._lock.notify()  # the clock waits for the old head
+        heapq.heappush(self._heap, (at, self._seq, receiver, event))
 
     def set_timer(self, agent_id: str, delay) -> int:
-        with self._lock:
-            self._seq += 1
-            token = self._seq
-            self._schedule(self.now() + delay, agent_id, DeadlineExpired(token))
+        self._seq += 1
+        token = self._seq
+        self._schedule(self.now() + delay, agent_id, DeadlineExpired(token))
         return token
 
     def _line(self, t, kind: str, sender: str, receiver: str, detail: str) -> None:
@@ -199,35 +179,32 @@ class _Kernel:
         if msg.receiver not in self.agents:
             log.error("message to unknown agent %s dropped", msg.receiver)
             return
-        with self._lock:
-            now = self.now()
-            self.counter.count(msg)
-            self._line(now, msg.variant, msg.sender, msg.receiver,
-                       f" n={len(msg.parts)} {msg.conversation_id}")
-            self._schedule(now + self._hop, msg.receiver, msg)
+        now = self.now()
+        self.counter.count(msg)
+        self._line(now, msg.variant, msg.sender, msg.receiver,
+                   f" n={len(msg.parts)} {msg.conversation_id}")
+        self._schedule(now + self._hop, msg.receiver, msg)
 
     def _dispatch(self, receiver: str, event: Event) -> None:
         kind = _KERNEL_LINES.get(type(event))
         if kind is not None:
-            with self._lock:
-                self._line(self.now(), kind, "kernel", receiver, "")
+            self._line(self.now(), kind, "kernel", receiver, "")
         for msg in self.agents[receiver].handle(event, self._ctx[receiver]):
             self._post(msg)
 
     def record_commit(self, resource_id: str, entry) -> None:
         # the booked *core* is what stability protects: leading setup/travel may
         # be reshaped by later insertions, and open tails grow a load segment
-        with self._lock:
-            self.commits.append(
-                CommitRecord(
-                    at=self.now(),
-                    resource_id=resource_id,
-                    order_id=entry.order_id,
-                    step_label=entry.step_label,
-                    start=entry.core_start,
-                    end=entry.operation_end,
-                )
+        self.commits.append(
+            CommitRecord(
+                at=self.now(),
+                resource_id=resource_id,
+                order_id=entry.order_id,
+                step_label=entry.step_label,
+                start=entry.core_start,
+                end=entry.operation_end,
             )
+        )
 
     def _report(self, wall: float) -> RunReport:
         status, t_start, t_end, diag = {}, {}, {}, {}
@@ -287,26 +264,20 @@ class DeterministicKernel(_Kernel):
 
 
 class ConcurrentKernel(_Kernel):
-    """Actor kernel on the monotonic clock: a small worker pool runs the agents.
+    """Actor kernel on the monotonic clock, run on the caller's thread.
 
-    The caller's thread is the clock: it moves each heap entry onto its
-    receiver's deque once it falls due, and puts an agent with new mail on the
-    ready queue unless it is already scheduled. ``WORKERS`` threads take a
-    ready agent, run its oldest event and queue it again while it has mail, so
-    no agent runs on two workers at once: its handlers stay single-threaded
-    and see its events in heap-pop order. A run starts ``WORKERS`` threads
-    whatever the floor's size and however many deadlines are armed. Order
-    releases are heap entries at their configured wall-clock offsets — the
-    hosting-interval experiments feed on this — and
-    ``config.message_latency`` is the per-hop delivery delay.
+    ``run()`` pops the heap in ``(at, seq)`` order, sleeping until the head
+    falls due, and runs the receiver's handler to completion before the next
+    event: an agent's handlers never overlap and see its events in heap
+    order, and a run starts no thread whatever the floor's size and however
+    many deadlines are armed. Order releases are heap entries at their
+    configured wall-clock offsets — the hosting-interval experiments feed on
+    this — and ``config.message_latency`` is the per-hop delivery delay.
     """
 
     mode = "concurrent"
-    _new_lock = threading.Condition
-    _clocked = True
     _stopped = False
     _sealed = False  # stopped with orders still open: nothing new is delivered
-    _closed = False  # the clock has returned: workers take nothing more
 
     def __init__(
         self,
@@ -318,15 +289,7 @@ class ConcurrentKernel(_Kernel):
         super().__init__(directory, agents, releases, config or KernelConfig.concurrent())
         self._hop = self.config.message_latency
         self._last_release = max((at for at, _ in releases), default=0.0)
-        self._mail: dict[str, deque] = {aid: deque() for aid in agents}
-        self._ready: deque[str] = deque()  # agents with mail and on no worker
-        self._scheduled: set[str] = set()  # agents on the ready queue or on a worker
-        # the workers wait on this one for the ready queue, the clock on _lock
-        self._wake = threading.Condition(self._lock)
         self._t0 = 0.0
-        # events handed to a deque whose handler has not returned yet
-        self._busy = 0
-        self._error: Optional[Exception] = None
         self._open = {aid for aid, agent in agents.items() if isinstance(agent, OrderAgent)}
 
     def now(self) -> float:
@@ -343,115 +306,56 @@ class ConcurrentKernel(_Kernel):
         super()._schedule(at, receiver, event)
 
     def _stop(self) -> None:
-        """End the run: keep only the messages in flight; call under ``_lock``.
+        """End the run: keep only the messages in flight.
 
         Pending deadlines and releases are dropped. If every order has
         finished, messages sent from now on still land, because the rejects a
         finished order sends for proposals that reached it late are among
         them and free the holds they answer (resources answer none of them).
-        If orders are still open (the wall limit, or an agent error), nothing
-        sent from now on is delivered, so their negotiations cannot go on.
+        If orders are still open (the wall limit), nothing sent from now on
+        is delivered, so their negotiations cannot go on.
         """
         self._stopped = True
         self._sealed = bool(self._open)
         heap = self._heap
         heap[:] = [e for e in heap if isinstance(e[3], Message)]
         heapq.heapify(heap)
-        self._lock.notify()
-
-    def _clock(self, limit: float) -> None:
-        """Hand each heap entry to its receiver once it falls due; stop the run.
-
-        It calls ``_stop`` once every order has finished or ``limit`` seconds
-        have passed, then goes on until the heap is empty and every handler
-        has returned, so the last order's final accepts and departures reach
-        their calendars, but for no more than ``DRAIN_LIMIT`` seconds: a
-        handler that never returns cannot hold the run. After an agent error
-        it returns at once.
-        """
-        heap, mail, ready = self._heap, self._mail, self._ready
-        with self._lock:
-            while self._error is None:
-                now = self.now()
-                if not self._stopped and (not self._open or now >= limit):
-                    if self._open:
-                        log.error("concurrent run hit the wall limit of %.1fs", limit)
-                    self._stop()
-                    limit = now + DRAIN_LIMIT
-                if heap and heap[0][0] <= now:
-                    _at, _seq, receiver, event = heapq.heappop(heap)
-                    self._busy += 1
-                    mail[receiver].append(event)
-                    if receiver not in self._scheduled:
-                        self._scheduled.add(receiver)
-                        ready.append(receiver)
-                        self._wake.notify()
-                elif self._stopped and not heap and not self._busy:
-                    break
-                elif now >= limit:  # stopped: the stop moved limit on by DRAIN_LIMIT
-                    log.error("%d events still undelivered or in a handler %.1fs after the stop",
-                              self._busy + len(heap), DRAIN_LIMIT)
-                    break
-                else:
-                    self._lock.wait(min(heap[0][0], limit) - now if heap else limit - now)
-
-    def _work(self) -> None:
-        """Run ready agents one event at a time until the clock closes the pool."""
-        mail, ready = self._mail, self._ready
-        while True:
-            with self._lock:
-                while not ready and not self._closed:
-                    self._wake.wait()
-                if self._closed:
-                    return
-                agent_id = ready.popleft()
-                event = mail[agent_id].popleft()
-            try:
-                self._dispatch(agent_id, event)
-            except Exception as exc:  # re-raised by run() after teardown
-                with self._lock:
-                    self._error = self._error or exc
-                    self._lock.notify()
-                return
-            with self._lock:
-                self._busy -= 1
-                if mail[agent_id]:
-                    ready.append(agent_id)
-                else:
-                    self._scheduled.discard(agent_id)
-                if agent_id in self._open and self.agents[agent_id].status in ("done", "failed"):
-                    self._open.discard(agent_id)
-                    if not self._open:
-                        self._lock.notify()  # the clock stops the run
-                if self._stopped and not self._busy:
-                    self._lock.notify()  # the stopped clock may wait for this
 
     def run(self) -> RunReport:
+        """Deliver every event as it falls due until the run stops and the heap is empty.
+
+        The run stops once every order has finished or the wall limit has
+        passed; the messages still in flight then land, so the last order's
+        final accepts and departures reach their calendars. A handler runs
+        to completion: one that overruns the wall limit ends the run when it
+        returns, and one that never returns holds it, as under the
+        deterministic kernel. An agent's exception propagates from here.
+        """
         t_wall = time.perf_counter()
         limit = self.config.wall_limit
         if limit is None:
             # generous safety net: every stage can burn a full CFP deadline
             stages = 20 * max(1, len(self._open))
             limit = self._last_release + 60.0 + stages * self.config.cfp_deadline
-        workers = [
-            threading.Thread(target=self._work, name=f"agent-worker-{i}", daemon=True)
-            for i in range(WORKERS)
-        ]
+        heap, agents, open_orders = self._heap, self.agents, self._open
         self._t0 = time.monotonic()
-        for t in workers:
-            t.start()
-        try:
-            self._clock(limit)
-        finally:
-            with self._lock:
-                self._closed = True
-                self._wake.notify_all()
-            for t in workers:
-                t.join(timeout=DRAIN_LIMIT)
-        if self._error is not None:
-            raise self._error
-        with self._lock:
-            return self._report(time.perf_counter() - t_wall)
+        while True:
+            now = self.now()
+            if not self._stopped and (not open_orders or now >= limit):
+                if open_orders:
+                    log.error("concurrent run hit the wall limit of %.1fs", limit)
+                self._stop()
+            if heap and heap[0][0] <= now:
+                _at, _seq, receiver, event = heapq.heappop(heap)
+                self._dispatch(receiver, event)
+                if receiver in open_orders and agents[receiver].status in ("done", "failed"):
+                    open_orders.discard(receiver)
+            elif self._stopped and not heap:
+                break
+            else:
+                due = heap[0][0] if heap else limit
+                time.sleep((due if self._stopped else min(due, limit)) - now)
+        return self._report(time.perf_counter() - t_wall)
 
 
 def run_kernel(

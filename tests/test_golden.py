@@ -8,10 +8,18 @@ moves on purpose must still be a valid one.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
-from cnetsched.harness import build_shop_scenario, render_gantt, render_trace, run_scenario
+from cnetsched import runtime
+from cnetsched.harness import (
+    build_shop_scenario,
+    kernel_config,
+    render_gantt,
+    render_trace,
+    run_scenario,
+)
 from cnetsched.scenario import load_scenario
 
 from conftest import FLOWSHOP, JOBSHOP, agent_kinds, hold_check
@@ -61,3 +69,53 @@ def test_golden_runs_pass_the_oracles(make, digest, counts):
     assert occupancy_check(schedules, kinds=agent_kinds(r)) == []
     assert stability_check(r.commits, schedules) == []
     assert hold_check(r) == []
+
+
+class VirtualTime:
+    """The ``time`` functions the concurrent kernel reads; ``sleep`` advances the clock."""
+
+    def __init__(self) -> None:
+        self.t = 0.0
+
+    def monotonic(self) -> float:
+        return self.t
+
+    perf_counter = monotonic
+
+    def sleep(self, seconds: float) -> None:
+        self.t += seconds
+
+
+@pytest.mark.parametrize("make, digest, counts", GOLDEN)
+def test_concurrent_kernel_on_a_virtual_clock_gives_the_deterministic_run(
+    make, digest, counts, monkeypatch
+):
+    # one tick per hop and det's deadlines on a clock that only sleeping
+    # advances: both kernels pop the same heap in the same order, so they book
+    # the same schedule and write the same trace up to the concurrent stop;
+    # after it only messages land, where det also delivers stale deadlines
+    scenario = make()
+    det = run_scenario(scenario, mode="deterministic")
+    monkeypatch.setattr(runtime, "time", VirtualTime())
+    stops = []
+    stop = runtime.ConcurrentKernel._stop
+
+    def recorded_stop(kernel):
+        stops.append(len(kernel.trace))
+        stop(kernel)
+
+    monkeypatch.setattr(runtime.ConcurrentKernel, "_stop", recorded_stop)
+    config = replace(kernel_config(scenario, "deterministic"), message_latency=1, wall_limit=1e9)
+    conc = run_scenario(scenario, mode="concurrent", config=config)
+    assert conc.status == det.status
+    assert render_gantt(conc) == render_gantt(det)
+
+    def unstamped(lines):
+        return [line.split(" ", 1)[1] for line in lines]
+
+    (k,) = stops
+    assert unstamped(conc.trace[:k]) == unstamped(det.trace[:k])
+    assert unstamped(conc.trace[k:]) == [
+        line for line in unstamped(det.trace[k:]) if not line.endswith(" Deadline")
+    ]
+    assert hold_check(conc) == []

@@ -194,7 +194,8 @@ RECORDS = [
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
 def test_records_are_immutable_and_hash_as_their_fields(record):
-    # the concurrent kernel hands one Message to another thread without a copy
+    # the kernel hands the receiver the very Message its sender built, and an
+    # agent keeps the records it receives: neither side may change the other's
     for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))

@@ -1,14 +1,11 @@
-import sys
 import threading
 import time
-from collections import Counter, defaultdict, deque
 from dataclasses import replace
 
 import pytest
 
-from cnetsched import runtime
 from cnetsched.harness import render_gantt, render_trace, run_scenario
-from cnetsched.runtime import ConcurrentKernel, KernelConfig, RunTimeout, run_kernel
+from cnetsched.runtime import KernelConfig, RunTimeout, run_kernel
 from cnetsched.scenario import build_runtime, parse_scenario
 from cnetsched.timebase import hhmm
 
@@ -254,7 +251,8 @@ class Crash(Exception):
 
 @pytest.mark.parametrize("mode", ["deterministic", "concurrent"])
 def test_agent_exception_surfaces_from_run(mode, monkeypatch):
-    # a crashed handler must not turn into orders reported as merely stuck
+    # a crashed handler must not turn into orders reported as merely stuck:
+    # either kernel lets the exception propagate from run()
     s = parse_scenario(single_responder_doc(), source="t")
     b = build_runtime(s)
 
@@ -265,139 +263,75 @@ def test_agent_exception_surfaces_from_run(mode, monkeypatch):
     config = KernelConfig() if mode == "deterministic" else None
     with pytest.raises(Crash, match="M1 on Message"):
         run_kernel(mode, b.directory, b.agents, b.releases, config)
-    assert not [
-        t.name for t in threading.enumerate() if t.name == "clock" or t.name.startswith("agent-")
-    ]
 
 
-def test_concurrent_run_returns_when_a_handler_never_does(monkeypatch, flowshop_scenario):
-    # order-A's first handler blocks past the wall limit: run() still returns
-    # within the drain limit, and the blocked worker exits once released
-    drain, limit = 0.2, 0.3
-    monkeypatch.setattr(runtime, "DRAIN_LIMIT", drain)
+def test_concurrent_run_ends_after_a_handler_that_overruns_the_wall_limit(
+    monkeypatch, flowshop_scenario
+):
+    # order-A's first handler runs past the wall limit: the run stops when it
+    # returns, so order-B is never released and order-A's round never closes
+    overrun, limit = 0.5, 0.3
     s = staggered(flowshop_scenario, seconds=0.0)
     b = build_runtime(s)
-    release = threading.Event()
     handle = b.agents["order-A"].handle
 
-    def blocked(event, ctx):
-        release.wait(10)
+    def slow(event, ctx):
+        time.sleep(overrun)
         return handle(event, ctx)
 
-    monkeypatch.setattr(b.agents["order-A"], "handle", blocked)
-    try:
-        t0 = time.perf_counter()
-        r = run_kernel(
-            "concurrent", b.directory, b.agents, b.releases, KernelConfig.concurrent(wall_limit=limit)
-        )
-        # the drain, then the blocked worker's join; far below the block's 10 s
-        assert time.perf_counter() - t0 < limit + 2 * drain + 1.0
-        assert r.status["order-A"] == "stuck"
-    finally:
-        release.set()
-    for t in threading.enumerate():
-        if t.name.startswith("agent-"):
-            t.join(timeout=5)
-            assert not t.is_alive()
+    monkeypatch.setattr(b.agents["order-A"], "handle", slow)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name))
+    t0 = time.perf_counter()
+    r = run_kernel(
+        "concurrent", b.directory, b.agents, b.releases, KernelConfig.concurrent(wall_limit=limit)
+    )
+    assert overrun <= time.perf_counter() - t0 < overrun + 1.0
+    assert r.status == {"order-A": "stuck", "order-B": "stuck"}
+    assert started == []
 
 
 @pytest.mark.parametrize("floor", ["flowshop", "scaling-k32"])
-def test_concurrent_kernel_starts_two_workers_whatever_the_floor(
+def test_concurrent_kernel_runs_every_handler_on_the_calling_thread(
     floor, monkeypatch, flowshop_scenario
 ):
     # order-A's round deadlines are armed while order-B negotiates, and the
     # scaling floor has over 100 agents; neither may cost a thread
-    from cnetsched.harness import build_scaling_scenario
+    from cnetsched.harness import build_scaling_scenario, kernel_config
 
     s = flowshop_scenario if floor == "flowshop" else build_scaling_scenario(32, n_orders=2)
-    started = []
-    start = threading.Thread.start
-
-    def counting_start(thread):
-        started.append(thread.name)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    r = run_scenario(staggered(s), "concurrent")
-    assert r.all_done
-    assert len(r.agents) == {"flowshop": 12, "scaling-k32": 102}[floor]
-    assert sum(" Deadline" in line for line in r.trace) >= 2
-    assert started == ["agent-worker-0", "agent-worker-1"]
-
-
-def test_concurrent_workers_run_each_agent_alone_and_in_hand_over_order(flowshop_scenario):
-    # two workers share every agent: an agent's handler is never entered
-    # while it runs, and each agent handles its events in the order the clock
-    # handed them over, even with a thread switch after almost every bytecode
-    from cnetsched.harness import kernel_config
-
-    s = staggered(flowshop_scenario)
+    s = staggered(s)
     b = build_runtime(s)
-    kernel = ConcurrentKernel(
-        b.directory, b.agents, b.releases, replace(kernel_config(s, "concurrent"), wall_limit=60)
-    )
-    handed, handled = defaultdict(list), defaultdict(list)
-    depth, reentered, workers = Counter(), [], set()
-    guard = threading.Lock()
+    handlers = set()
 
-    class Mail(deque):
-        def __init__(self, agent_id):
-            super().__init__()
-            self.agent_id = agent_id
-
-        def append(self, event):
-            handed[self.agent_id].append(event)
-            super().append(event)
-
-    kernel._mail = {aid: Mail(aid) for aid in b.agents}
-
-    def watched(aid, handle):
+    def on_this_thread(handle):
         def wrapper(event, ctx):
-            with guard:
-                depth[aid] += 1
-                if depth[aid] > 1:
-                    reentered.append(aid)
-                handled[aid].append(event)
-                workers.add(threading.current_thread().name)
-            try:
-                time.sleep(0)  # hand the interpreter to the other worker mid-handler
-                return list(handle(event, ctx))
-            finally:
-                with guard:
-                    depth[aid] -= 1
+            handlers.add(threading.get_ident())
+            return handle(event, ctx)
 
         return wrapper
 
-    for aid, agent in b.agents.items():
-        agent.handle = watched(aid, agent.handle)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        r = kernel.run()
-    finally:
-        sys.setswitchinterval(interval)
-    assert reentered == []
-    assert handed.keys() == b.agents.keys()
-    for aid in b.agents:
-        assert [id(e) for e in handled[aid]] == [id(e) for e in handed[aid]], aid
-    assert workers == {"agent-worker-0", "agent-worker-1"}
+    for agent in b.agents.values():
+        agent.handle = on_this_thread(agent.handle)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name))
+    r = run_kernel("concurrent", b.directory, b.agents, b.releases, kernel_config(s, "concurrent"))
     assert r.all_done
+    assert len(r.agents) == {"flowshop": 12, "scaling-k32": 102}[floor]
+    assert sum(" Deadline" in line for line in r.trace) >= 2
+    assert started == []
+    assert handlers == {threading.get_ident()}
 
 
 def test_concurrent_bookkeeping_holds_under_fast_thread_switching(flowshop_scenario):
-    # the workers and the clock share the heap, its sequence
-    # numbers, the counter and the trace; a lost update breaks these counts
+    # two orders interleave on the wall clock with a 1-ms hop: every envelope
+    # counted has one trace line, and every commit still sits in its calendar
     from cnetsched.harness import kernel_config
     from oracle import stability_check
 
     s = staggered(flowshop_scenario)
     cfg = replace(kernel_config(s, "concurrent"), message_latency=0.001, wall_limit=60)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        r = run_scenario(s, "concurrent", config=cfg)
-    finally:
-        sys.setswitchinterval(interval)
+    r = run_scenario(s, "concurrent", config=cfg)
     assert r.all_done
     kinds = [ln.split()[2] for ln in r.trace]
     assert kinds.count("StartOrder") == len(r.status)
@@ -445,7 +379,7 @@ def test_concurrent_late_replies_leave_no_holds(cfp_deadline, latency, flowshop_
 def test_concurrent_wall_limit_ends_open_negotiations(flowshop_scenario):
     # at the wall limit only the messages already in flight land: what their
     # handlers send is written but not delivered, so no open order negotiates
-    # on, run() returns about one hop after the limit and no thread outlives it
+    # on, and run() returns about one hop after the limit
     from cnetsched.harness import kernel_config
 
     s = flowshop_scenario
@@ -458,6 +392,3 @@ def test_concurrent_wall_limit_ends_open_negotiations(flowshop_scenario):
     assert set(r.status.values()) == {"stuck"}
     assert r.wall_seconds < limit + hop + 0.2
     assert max(float(line.split()[0]) for line in r.trace) < limit + hop + 0.2
-    assert not [
-        t.name for t in threading.enumerate() if t.name == "clock" or t.name.startswith("agent-")
-    ]
