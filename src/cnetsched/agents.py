@@ -36,7 +36,6 @@ from .protocol import (
     HoldBook,
     InformDeparture,
     InformFailure,
-    LegRef,
     Message,
     OfferHold,
     Proposal,
@@ -561,7 +560,7 @@ class BufferAgent(_ResourceAgent):
                         unload_time=u_est,
                         price=0,
                         alternative=alt_idx,
-                        connected_operations=(alt.realizes,) if alt.realizes else (),
+                        realizes=alt.realizes,
                     )
                 )
                 break  # earliest feasible slot per alternative
@@ -657,7 +656,7 @@ class TransportAgent(_ResourceAgent):
         emitted_by_leg: dict[int, Proposal] = {}
         for leg_idx, leg, label, dur in legs:
             fx, tx = leg.from_location[0], leg.to_location[0]
-            plain = self._place_leg(leg, leg_idx, dur, table)
+            plain = self._place_leg(leg, dur, table)
             if plain is not None:
                 made = self._offer(ctx, conv, label, end_state=tx, **plain)
                 proposals.append(made)
@@ -666,7 +665,7 @@ class TransportAgent(_ResourceAgent):
             partner = emitted_by_leg.get(leg.chain_after)
             if partner is None or abs(cfp.legs[leg.chain_after].to_location[0] - fx) >= 1e-9:
                 continue
-            chained = self._place_leg(leg, leg_idx, dur, table, after=partner)
+            chained = self._place_leg(leg, dur, table, after=partner)
             # one equal to the plain placement is not offered: no hold, no id
             if chained is not None and (
                 plain is None
@@ -678,7 +677,6 @@ class TransportAgent(_ResourceAgent):
     def _place_leg(
         self,
         leg: TransportLeg,
-        leg_idx: int,
         dur: Seconds,
         table: list[GapRow],
         after: Optional[Proposal] = None,
@@ -729,7 +727,8 @@ class TransportAgent(_ResourceAgent):
                 unload_time=geom.unload_time,
                 price=proposal_price(dur, setup, ti_next),
                 alternative=0,
-                leg=LegRef(leg_idx, leg.from_resource, leg.to_resource, leg.realizes, leg.via),
+                realizes=leg.realizes,
+                via=leg.via,
                 required_operation=after.proposal_id if after is not None else None,
             )
         return None
@@ -784,10 +783,7 @@ class StageCommit:
 def _leg(frm, to: Proposal, windows: StageWindows, **fields) -> TransportLeg:
     """The movement from ``frm`` (a commit or a proposal) to the resource of
     ``to``, which it realizes."""
-    return TransportLeg(
-        frm.resource_id, to.resource_id, frm.location, to.location, windows, to.proposal_id,
-        **fields,
-    )
+    return TransportLeg(frm.location, to.location, windows, to.proposal_id, **fields)
 
 
 class OrderAgent:
@@ -806,6 +802,7 @@ class OrderAgent:
         self.t_start = None
         self.t_end = None
         self.diagnostic: Optional[str] = None
+        # the stage's production proposals ``plan_buffer`` asked buffer stays for
         self._buffered: frozenset[str] = frozenset()
 
     # -- kernel event entry -------------------------------------------------
@@ -836,7 +833,6 @@ class OrderAgent:
 
     def _start_stage(self, ctx) -> list[Message]:
         self.neg = StageNegotiation(order_id=self.agent_id, stage_index=self.stage_index)
-        self._buffered = frozenset()
         return self._drive(StartStage(), ctx)
 
     def _drive(self, event, ctx) -> list[Message]:
@@ -950,7 +946,6 @@ class OrderAgent:
         prev = self._prev
         if prev is None:
             return []
-        buffered = set()
         alternatives = []
         for p in neg.of_kind(PRODUCTION):
             if p.resource_id == prev.resource_id:
@@ -958,7 +953,6 @@ class OrderAgent:
             if calculus.needs_buffering(
                 self._f_prev, p.slot.start, self.params.t_transport_min, self.params
             ):
-                buffered.add(p.proposal_id)
                 try:
                     windows = calculus.buffer_windows(
                         self._f_prev,
@@ -966,10 +960,9 @@ class OrderAgent:
                         self.params,
                     )
                 except InfeasibleWindow:
-                    buffered.discard(p.proposal_id)
                     continue
                 alternatives.append(CfpAlternative(windows=windows, realizes=p.proposal_id))
-        self._buffered = frozenset(buffered)
+        self._buffered = frozenset(alt.realizes for alt in alternatives)
         if not alternatives:
             return []
         return self._call(
@@ -983,8 +976,7 @@ class OrderAgent:
         legs: list[TransportLeg] = []
         buffers_by_realizes: dict[str, list[Proposal]] = {}
         for b in neg.of_kind(BUFFER):
-            if b.connected_operations:
-                buffers_by_realizes.setdefault(b.connected_operations[0], []).append(b)
+            buffers_by_realizes.setdefault(b.realizes, []).append(b)
         for p in neg.of_kind(PRODUCTION):
             if p.resource_id == prev.resource_id:
                 continue
@@ -1019,11 +1011,7 @@ class OrderAgent:
     def decide(self, neg: StageNegotiation, ctx):
         conv = neg.conversation
         prev = self._prev
-        sctx = StageContext(
-            f_prev=self._f_prev,
-            prev_resource=prev.resource_id if prev else None,
-            buffered=self._buffered,
-        )
+        sctx = StageContext(f_prev=self._f_prev, prev_resource=prev.resource_id if prev else None)
         ocs = build_ocs(
             neg.of_kind(PRODUCTION), neg.of_kind(BUFFER), neg.of_kind(TRANSPORT), sctx
         )

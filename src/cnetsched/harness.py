@@ -389,34 +389,26 @@ def shop_compare(
 ) -> dict[str, Any]:
     """Flow shop vs job shop: mean coordination duration on matched runs.
 
-    Means are taken over completed orders; aborted orders terminate early and
-    would drag the average down without representing a finished coordination.
-    The two runs share the floor, the hosting interval, and the emulated
-    per-hop message latency, so the product mix is the only variable.
+    Each kind is one single-interval :func:`hosting_sweep` run, so the two
+    share the floor, the hosting interval and the emulated per-hop message
+    latency, and the product mix is the only variable. Means are taken over
+    the completed orders' rounded durations: aborted orders terminate early
+    and would drag the average down without representing a finished
+    coordination.
     """
     out: dict[str, Any] = {"preset": "shop-compare", "interval_ms": interval_ms, "orders": n_orders}
     means = {}
     for kind in ("flow", "job"):
-        scenario = build_shop_scenario(kind, n_orders, interval_ms / 1000.0)
-        config = replace(
-            kernel_config(scenario, "concurrent"),
-            message_latency=message_latency_ms / 1000.0,
-        )
-        report = run_scenario(scenario, mode="concurrent", config=config)
-        durations = [
-            report.lead_time(oid)
-            for oid, status in report.status.items()
-            if status == "done" and report.lead_time(oid) is not None
-        ]
-        mean = statistics.fmean(durations) if durations else None
-        means[kind] = mean
+        (run,) = hosting_sweep((interval_ms,), n_orders, kind, message_latency_ms)["runs"]
+        durations = sorted(run["coordination_ms"].values())
+        means[kind] = statistics.fmean(durations) if durations else None
         out[kind] = {
-            "all_done": report.all_done,
-            "status_counts": dict(Counter(report.status.values())),
-            "coordination_ms": sorted(round(d * 1000, 3) for d in durations),
-            "mean_coordination_ms": round(mean * 1000, 3) if mean is not None else None,
+            "all_done": run["all_done"],
+            "status_counts": run["status_counts"],
+            "coordination_ms": durations,
+            "mean_coordination_ms": round(means[kind], 3) if durations else None,
         }
-    if means.get("flow") is not None and means.get("job") is not None:
+    if None not in means.values():
         out["job_ge_flow"] = means["job"] >= means["flow"]
     return out
 

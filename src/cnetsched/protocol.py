@@ -65,13 +65,12 @@ class TransportLeg(NamedTuple):
 
     ``realizes`` names the proposal whose arrival this leg enables (a buffer
     proposal for inbound legs, a production proposal otherwise); ``via`` names
-    the buffer proposal the workpiece departs from, if any. ``chain_after``
-    points at the index of the leg this one may directly follow on the same
-    transport, enabling a reduced-price chained proposal.
+    the buffer proposal the workpiece departs from, if any. A crane echoes
+    both on its proposal. ``chain_after`` points at the index of the leg this
+    one may directly follow on the same transport, enabling a reduced-price
+    chained proposal.
     """
 
-    from_resource: str
-    to_resource: str
     from_location: tuple[float, float]
     to_location: tuple[float, float]
     windows: StageWindows
@@ -89,17 +88,13 @@ class Cfp(NamedTuple):
     deadline: Seconds = 0
 
 
-class LegRef(NamedTuple):
-    """Echo of the CFP leg a transport proposal answers."""
-
-    index: int
-    from_resource: str
-    to_resource: str
-    realizes: str
-    via: Optional[str] = None
-
-
 class Proposal(NamedTuple):
+    """One offered slot. ``realizes`` and ``via`` echo the CFP alternative or
+    leg it answers: the proposal a buffer stay or a crane movement serves, and
+    the buffer proposal a movement departs from. They are the only links
+    between a stage's proposals, so a route exists only where the order's
+    CFPs asked for one."""
+
     proposal_id: str
     kind: str
     resource_id: str
@@ -112,9 +107,9 @@ class Proposal(NamedTuple):
     unload_time: Seconds
     price: int
     alternative: int = 0
-    leg: Optional[LegRef] = None
+    realizes: Optional[str] = None
+    via: Optional[str] = None
     required_operation: Optional[str] = None
-    connected_operations: tuple[str, ...] = ()
 
 
 class AcceptProposal(NamedTuple):

@@ -3,10 +3,13 @@
 An operation combination (OC) is one production proposal plus every feasible
 way of getting the workpiece there: directly, through a buffer (two transport
 legs plus a buffer slot), or not at all when the workpiece already sits on the
-proposing machine. Selection is one rule over every route ``build_ocs`` admits:
-the minimum of (fulfillment, production price + route price, production
-resource id, production proposal id, route proposal ids). The brute-force
-enumerator in the test suite's oracle module ranks in the same order.
+proposing machine. Routes are wired from the ``realizes``/``via`` links the
+buffer and crane proposals echo from the order's CFPs, so the order decides
+which routes exist by what it asks for; this module only checks them.
+Selection is one rule over every route ``build_ocs`` admits: the minimum of
+(fulfillment, production price + route price, production resource id,
+production proposal id, route proposal ids). The brute-force enumerator in
+the test suite's oracle module ranks in the same order.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ class StageContext:
 
     f_prev: Seconds
     prev_resource: Optional[str]
-    buffered: frozenset[str]  # production proposal ids that require buffering
 
 
 class RouteCandidate(NamedTuple):
@@ -112,20 +114,16 @@ def build_ocs(
     ctx: StageContext,
 ) -> list[OperationCombination]:
     """Wire collected proposals into operation combinations with route candidates."""
-    # buffer proposals carry the production proposal they serve in
-    # connected_operations[0] (echoed from the CFP alternative's realizes tag)
-    buffers_for: dict[str, list[Proposal]] = {}
+    buffers_for: dict[Optional[str], list[Proposal]] = {}
     for b in buffers:
-        if b.connected_operations:
-            buffers_for.setdefault(b.connected_operations[0], []).append(b)
+        buffers_for.setdefault(b.realizes, []).append(b)
 
     # legs by (via, realizes): (None, buffer) inbound, (buffer, production)
     # outbound, (None, production) direct; proposal ids are unique across
     # resources, so the three kinds never share a key
-    legs: dict[tuple[Optional[str], str], list[Proposal]] = {}
+    legs: dict[tuple[Optional[str], Optional[str]], list[Proposal]] = {}
     for t in transports:
-        if t.leg is not None:
-            legs.setdefault((t.leg.via, t.leg.realizes), []).append(t)
+        legs.setdefault((t.via, t.realizes), []).append(t)
 
     ocs: list[OperationCombination] = []
     for p in sorted(production, key=lambda x: x.proposal_id):
@@ -135,18 +133,16 @@ def build_ocs(
             oc.routes.append(RouteCandidate(kind="entry"))
         elif p.resource_id == ctx.prev_resource:
             oc.routes.append(RouteCandidate(kind="stay-on-machine"))
-        elif p.proposal_id in ctx.buffered:
+        else:
+            # a route for every link the order's CFPs asked for: buffered, direct or both
             for b in buffers_for.get(p.proposal_id, []):
-                inbound = legs.get((None, b.proposal_id), [])
-                outbound = legs.get((b.proposal_id, p.proposal_id), [])
-                for leg_in in inbound:
-                    for leg_out in outbound:
+                for leg_in in legs.get((None, b.proposal_id), []):
+                    for leg_out in legs.get((b.proposal_id, p.proposal_id), []):
                         route = RouteCandidate(
                             kind="buffered", buffer=b, legs=(leg_in, leg_out)
                         )
                         if _route_ok(p, route, ctx):
                             oc.routes.append(route)
-        else:
             for leg in legs.get((None, p.proposal_id), []):
                 route = RouteCandidate(kind="direct", legs=(leg,))
                 if _route_ok(p, route, ctx):

@@ -252,42 +252,37 @@ def enumerate_combinations(
         if p.resource_id == ctx.prev_resource:
             admit(p, "stay-on-machine", (), None)
             continue
-        if p.proposal_id in ctx.buffered:
-            for b in buffers:
-                if not b.connected_operations or b.connected_operations[0] != p.proposal_id:
+        for b in buffers:
+            if b.realizes != p.proposal_id:
+                continue
+            b_latest = b.slack_after.bound_from(b.slot.end)
+            for leg_in in transports:
+                if leg_in.via is not None or leg_in.realizes != b.proposal_id:
                     continue
-                b_latest = b.slack_after.bound_from(b.slot.end)
-                for leg_in in transports:
-                    li = leg_in.leg
-                    if li is None or li.via is not None or li.realizes != b.proposal_id:
+                if leg_in.required_operation is not None:
+                    continue
+                if leg_in.slot.end < b.slot.start:
+                    continue
+                for leg_out in transports:
+                    if leg_out.via != b.proposal_id or leg_out.realizes != p.proposal_id:
                         continue
-                    if leg_in.required_operation is not None:
+                    if leg_out.required_operation is not None and (
+                        leg_out.required_operation != leg_in.proposal_id
+                    ):
                         continue
-                    if leg_in.slot.end < b.slot.start:
+                    if leg_out.slot.start < leg_in.slot.end:
                         continue
-                    for leg_out in transports:
-                        lo = leg_out.leg
-                        if lo is None or lo.via != b.proposal_id or lo.realizes != p.proposal_id:
-                            continue
-                        if leg_out.required_operation is not None and (
-                            leg_out.required_operation != leg_in.proposal_id
-                        ):
-                            continue
-                        if leg_out.slot.start < leg_in.slot.end:
-                            continue
-                        if b_latest is not None and leg_out.slot.start > b_latest:
-                            continue
-                        admit(p, "buffered", (leg_in, leg_out, b), leg_out.slot.end)
-        else:
-            for leg in transports:
-                lg = leg.leg
-                if lg is None or lg.via is not None or lg.realizes != p.proposal_id:
-                    continue
-                if leg.required_operation is not None:
-                    continue
-                if leg.slot.start < ctx.f_prev:
-                    continue
-                admit(p, "direct", (leg,), leg.slot.end)
+                    if b_latest is not None and leg_out.slot.start > b_latest:
+                        continue
+                    admit(p, "buffered", (leg_in, leg_out, b), leg_out.slot.end)
+        for leg in transports:
+            if leg.via is not None or leg.realizes != p.proposal_id:
+                continue
+            if leg.required_operation is not None:
+                continue
+            if leg.slot.start < ctx.f_prev:
+                continue
+            admit(p, "direct", (leg,), leg.slot.end)
 
     def rank(c: OracleChoice) -> tuple:
         return (c.fulfillment, c.price, c.production_id, c.route_ids)

@@ -343,7 +343,7 @@ def test_buffer_offers_earliest_slot_and_echoes_linkage():
     p = proposals_of(b.handle(envelope("Buf1", "o1", 1, buffer_cfp()), ctx))[0]
     assert p.kind == BUFFER
     assert p.slot == TimeInterval(1000, 2000)
-    assert p.connected_operations == ("P#1",)
+    assert p.realizes == "P#1"
     assert p.price == 0
     assert p.slack_after == Slack(4000)  # exit may slip to lf
 
@@ -405,16 +405,12 @@ def crane(agent_id="Crane1", initial_x=0.0, handling=600):
 
 def transport_cfp(order="o1", deadline=10**7):
     inbound = TransportLeg(
-        from_resource="M1",
-        to_resource="Buf1",
         from_location=(10.0, 5.0),
         to_location=(20.0, 15.0),
         windows=StageWindows(es=0, ef=1210),
         realizes="B#1",
     )
     outbound = TransportLeg(
-        from_resource="Buf1",
-        to_resource="M2",
         from_location=(20.0, 15.0),
         to_location=(40.0, 5.0),
         windows=StageWindows(es=2000, ef=2000),
@@ -441,7 +437,7 @@ def test_transport_labels_legs_and_offers_chained_variant():
     assert set(by_label) == {"T:1,B2", "T:B2,2"}
 
     (inbound,) = by_label["T:1,B2"]
-    assert inbound.leg.realizes == "B#1" and inbound.leg.via is None
+    assert inbound.realizes == "B#1" and inbound.via is None
     assert inbound.slot == TimeInterval(10, 1220)  # approach 0->10 then the run
     assert inbound.price == 1210 + 10
 
@@ -468,7 +464,7 @@ def test_transport_drops_a_chained_variant_equal_to_the_plain_one_without_holdin
 def test_transport_accept_books_travel_load_travel_unload():
     t, ctx = crane(), FakeCtx()
     props = proposals_of(t.handle(envelope("Crane1", "o1", 1, transport_cfp()), ctx))
-    inbound = next(p for p in props if p.leg.via is None)
+    inbound = next(p for p in props if p.via is None)
     assert t.handle(
         envelope("Crane1", "o1", 1, AcceptProposal(inbound.proposal_id, inbound.slot)), ctx
     ) == []
@@ -493,7 +489,7 @@ def test_transport_chained_accept_requires_committed_partner():
 def test_transport_chained_accept_in_one_envelope_with_partner():
     t, ctx = crane(), FakeCtx()
     props = proposals_of(t.handle(envelope("Crane1", "o1", 1, transport_cfp()), ctx))
-    inbound = next(p for p in props if p.leg.via is None)
+    inbound = next(p for p in props if p.via is None)
     chained = next(p for p in props if p.required_operation is not None)
     out = t.handle(
         envelope(
@@ -514,7 +510,7 @@ def test_transport_chained_accept_in_one_envelope_with_partner():
 def test_transport_linked_accepts_fail_as_a_unit():
     t, ctx = crane(), FakeCtx()
     props = proposals_of(t.handle(envelope("Crane1", "o1", 1, transport_cfp()), ctx))
-    inbound = next(p for p in props if p.leg.via is None)
+    inbound = next(p for p in props if p.via is None)
     out = t.handle(
         envelope(
             "Crane1", "o1", 1,
@@ -666,6 +662,47 @@ def test_production_round_windows_follow_previous_commit():
     cfp = msgs[0].parts[0]
     assert cfp.workpiece.location == (5.0, 5.0)
     assert cfp.alternatives[0].windows.es == 6000 + PARAMS.t_transport_min
+
+
+def offered_operation(pid, resource, x, start):
+    return Proposal(
+        pid, PRODUCTION, resource, (x, 5.0), TimeInterval(start, start + 600),
+        Slack(0), Slack.UNBOUNDED, 600, 600, 600, price=600,
+    )
+
+
+def legs_asked(with_buffer_offers):
+    """The legs an order on M1 (finished at 6000) asks for P#1, which needs
+    buffering, and P#2, which does not, from a floor of one buffer and one crane."""
+    from cnetsched.protocol import StageNegotiation
+
+    oa, ctx = order_agent(), FakeCtx()
+    ctx.directory.register(BUFFER, "Buf1")
+    ctx.directory.register(TRANSPORT, "Crane1")
+    oa.committed = [stage_commit("M1", 0, 6000)]
+    neg = StageNegotiation("o1", 1)
+    neg.proposals = [
+        [offered_operation("P#1", "M2", 30.0, 20_000), offered_operation("P#2", "M3", 40.0, 7260)]
+    ]
+    (buffer_call,) = oa.plan_buffer(neg, ctx)
+    assert [alt.realizes for alt in buffer_call.parts[0].alternatives] == ["P#1"]
+    offers = buffer_place().handle(buffer_call, ctx) if with_buffer_offers else []
+    neg.proposals.append([p for msg in offers for p in msg.parts])
+    (transport_call,) = oa.plan_transport(neg, ctx)
+    assert transport_call.receiver == "Crane1"
+    return [(leg.via, leg.realizes, leg.chain_after) for leg in transport_call.parts[0].legs]
+
+
+def test_order_asks_buffer_legs_for_a_buffered_proposal_and_a_direct_leg_otherwise():
+    assert legs_asked(with_buffer_offers=True) == [
+        (None, "Buf1#p1", None),  # into the buffer
+        ("Buf1#p1", "P#1", 0),  # out of it, chained onto the inbound leg
+        (None, "P#2", None),  # straight to the machine that needs no buffering
+    ]
+
+
+def test_order_asks_no_leg_for_a_buffered_proposal_without_a_buffer_offer():
+    assert legs_asked(with_buffer_offers=False) == [(None, "P#2", None)]
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +949,7 @@ def test_property_crane_skip_places_legs_like_the_full_walk(
         ls=None if ls_room is None else es + ls_room,
         lf=None if lf_room is None else ef + lf_room,
     )
-    leg = TransportLeg("Buf1", "M2", (fx, 5.0), (tx, 5.0), windows, realizes="P#1")
+    leg = TransportLeg((fx, 5.0), (tx, 5.0), windows, realizes="P#1")
     after = None
     if partner_slot is not None:
         start, length = partner_slot
@@ -927,7 +964,7 @@ def test_property_crane_skip_places_legs_like_the_full_walk(
     full = t.schedule.free_intervals(
         _ALL, extra_busy=t.holds.active_spans(exclude_conversation=conv)
     )
-    assert placed(t._place_leg(leg, 0, dur, bounded, after)) == full_walk_leg(
+    assert placed(t._place_leg(leg, dur, bounded, after)) == full_walk_leg(
         t, leg, dur, full, after
     )
 
@@ -946,11 +983,11 @@ def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretche
     )
     t._pickup_x[("s", "T")] = 0.0
     t.initial_x = 0.0
-    leg = TransportLeg("Buf1", "M2", (0.0, 5.0), (0.0, 5.0), StageWindows(es=140, ef=150), "P#1")
+    leg = TransportLeg((0.0, 5.0), (0.0, 5.0), StageWindows(es=140, ef=150), "P#1")
     conv = "o1/s1"
     free = t._free(conv, 140)
     assert free[0] == TimeInterval(0, 100)
-    fields = t._place_leg(leg, 0, 10, t.schedule.gap_table(free, 0.0, _crane_x))
+    fields = t._place_leg(leg, 10, t.schedule.gap_table(free, 0.0, _crane_x))
     assert fields["slot"] == TimeInterval(140, 150)
     assert fields["price"] == 10 + 0 - 60  # the successor's setup shrinks by 60 s
     assert fields["slack_after"] == Slack(10)

@@ -16,7 +16,6 @@ from cnetsched.protocol import (
     HoldBook,
     InformDeparture,
     InformFailure,
-    LegRef,
     Message,
     MessageCounter,
     OfferHold,
@@ -175,9 +174,8 @@ WINDOWS = StageWindows(0, 10, 20, 30)
 RECORDS = [
     WorkpieceInfo("o1", "A"),
     CfpAlternative(WINDOWS),
-    TransportLeg("M1", "M2", (0.0, 0.0), (5.0, 0.0), WINDOWS, "p1"),
+    TransportLeg((0.0, 0.0), (5.0, 0.0), WINDOWS, "p1"),
     mk_cfp(),
-    LegRef(0, "M1", "M2", "p1"),
     mk_proposal("p1", "M1"),
     AcceptProposal("p1", TimeInterval(0, 1)),
     RejectProposal("p1"),

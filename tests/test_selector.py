@@ -6,7 +6,6 @@ from cnetsched.protocol import (
     BUFFER,
     PRODUCTION,
     TRANSPORT,
-    LegRef,
     Proposal,
     StageNegotiation,
 )
@@ -44,7 +43,7 @@ def buf(pid, serves, start, end, resource="Buf1", slack=Slack.UNBOUNDED):
         load_time=10,
         unload_time=10,
         price=0,
-        connected_operations=(serves,),
+        realizes=serves,
     )
 
 
@@ -61,18 +60,17 @@ def leg(pid, start, end, realizes, via=None, required=None, resource="Crane1", p
         load_time=10,
         unload_time=10,
         price=price,
-        leg=LegRef(0, "from", "to", realizes, via),
+        realizes=realizes,
+        via=via,
         required_operation=required,
     )
 
 
-ENTRY = StageContext(f_prev=0, prev_resource=None, buffered=frozenset())
+ENTRY = StageContext(f_prev=0, prev_resource=None)
 
 
-def follow_up(buffered=(), f_prev=1000):
-    return StageContext(
-        f_prev=f_prev, prev_resource="M-prev", buffered=frozenset(buffered)
-    )
+def follow_up(f_prev=1000):
+    return StageContext(f_prev=f_prev, prev_resource="M-prev")
 
 
 def sent_rejects(ctx, production, buffers=(), transports=()):
@@ -84,7 +82,6 @@ def sent_rejects(ctx, production, buffers=(), transports=()):
             StageCommit(ctx.prev_resource, (0.0, 0.0), TimeInterval(0, ctx.f_prev),
                         Slack.UNBOUNDED)
         ]
-    oa._buffered = ctx.buffered
     # one proposal list per round, as the stage machine fills them
     neg = StageNegotiation("o1", len(oa.committed))
     neg.proposals = [list(production), list(buffers), list(transports)]
@@ -160,7 +157,7 @@ def test_production_latest_start_prunes_late_arrivals():
 
 
 def test_buffered_route_wiring_and_rules():
-    ctx = follow_up(buffered=("P#1",))
+    ctx = follow_up()
     p = prod("P#1", "M1", 3000)
     b = buf("B#1", "P#1", start=1100, end=2900, slack=Slack(100))
     ok_in = leg("T#in", 1000, 1200, realizes="B#1")
@@ -178,23 +175,28 @@ def test_buffered_route_wiring_and_rules():
     assert sel.accept_ids == ("P#1", "T#in", "T#out", "B#1")
 
 
-def test_buffering_requirement_is_exclusive_per_production_proposal():
-    ctx = follow_up(buffered=("P#1",))
+def test_a_proposal_handed_both_links_gets_both_routes():
+    # which routes exist is the order's CFPs' call: the selector wires every
+    # link it is handed, buffered and direct alike
+    ctx = follow_up()
     p1, p2 = prod("P#1", "M1", 3000), prod("P#2", "M2", 3000)
     b = buf("B#1", "P#1", 1000, 2950)
     parts = [
         leg("T#1", 1000, 1200, realizes="B#1"),
         leg("T#2", 2900, 3000, realizes="P#1", via="B#1"),
-        leg("T#3", 1000, 1200, realizes="P#1"),  # direct offer for a buffered op
+        leg("T#3", 1000, 1200, realizes="P#1"),
         leg("T#4", 1000, 1200, realizes="P#2"),
     ]
     ocs = {oc.production.proposal_id: oc for oc in build_ocs([p1, p2], [b], parts, ctx)}
-    assert [r.kind for r in ocs["P#1"].routes] == ["buffered"]
+    assert [(r.kind, r.proposal_ids) for r in ocs["P#1"].routes] == [
+        ("buffered", ("T#1", "T#2", "B#1")),
+        ("direct", ("T#3",)),
+    ]
     assert [r.kind for r in ocs["P#2"].routes] == ["direct"]
 
 
 def test_outbound_dependency_must_name_the_inbound_leg():
-    ctx = follow_up(buffered=("P#1",))
+    ctx = follow_up()
     p = prod("P#1", "M1", 3000)
     b = buf("B#1", "P#1", 1000, 2950)
     i1 = leg("T#i1", 1000, 1200, realizes="B#1")
@@ -227,7 +229,7 @@ def test_selection_prefers_fulfillment_then_price_then_ids():
 
 
 def test_buffered_selection_accepts_one_pair_per_buffer():
-    ctx = follow_up(buffered=("P#1",))
+    ctx = follow_up()
     p = prod("P#1", "M1", 4000)
     b = buf("B#1", "P#1", 1000, 3950)
     i_fast = leg("T#i1", 1000, 1100, realizes="B#1", price=10)
@@ -246,7 +248,7 @@ def test_buffered_selection_accepts_one_pair_per_buffer():
 def test_selection_ranks_every_feasible_buffered_pair():
     """The earliest-ending legs on their own (i1, o2) are no route, because o2
     is chained to i2; selection still finds the best of the feasible pairs."""
-    ctx = follow_up(buffered=("P#1",))
+    ctx = follow_up()
     p = prod("P#1", "M1", 4000)
     b = buf("B#1", "P#1", 1000, 3950)
     i1 = leg("T#i1", 1000, 1100, realizes="B#1")
@@ -263,7 +265,7 @@ def test_selection_ranks_every_feasible_buffered_pair():
 
 
 def test_accepts_and_rejects_partition_routed_proposals():
-    ctx = follow_up(buffered=("P#1",))
+    ctx = follow_up()
     production = [prod("P#1", "M1", 3000), prod("P#2", "M2", 2800)]
     buffers = [buf("B#1", "P#1", 1000, 2950)]
     transports = [
@@ -283,7 +285,7 @@ def test_accepts_and_rejects_partition_routed_proposals():
 
 
 def test_selection_is_input_order_independent():
-    ctx = follow_up(buffered=("P#1", "P#2"))
+    ctx = follow_up()
     production = [prod(f"P#{i}", f"M{i}", 3000 + 10 * i) for i in (1, 2, 3)]
     buffers = [
         buf("B#1", "P#1", 1000, 2950),
@@ -315,6 +317,6 @@ def test_selection_is_input_order_independent():
 
 def test_nothing_feasible_returns_none():
     assert select([]) is None
-    ctx = follow_up(buffered=("P#1",))
-    ocs = build_ocs([prod("P#1", "M1", 3000)], [], [], ctx)  # buffered but no buffer
+    ctx = follow_up()
+    ocs = build_ocs([prod("P#1", "M1", 3000)], [], [], ctx)  # no buffer, no leg
     assert select(ocs) is None
