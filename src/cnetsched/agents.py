@@ -442,7 +442,6 @@ class ProductionAgent(_ResourceAgent):
                         product,
                         location=self.location,
                         slot=TimeInterval(op_start, op_end),
-                        slack_before=Slack(block_start - gap_start),
                         slack_after=slack_after,
                         op_duration=op_dur,
                         load_time=load_est,
@@ -553,7 +552,6 @@ class BufferAgent(_ResourceAgent):
                         TimeInterval(max(0, start - u_est), end + l_est),
                         location=self.location,
                         slot=TimeInterval(start, end),
-                        slack_before=Slack(start - u_est - iv.start),
                         slack_after=slack_after,
                         op_duration=end - start,
                         load_time=l_est,
@@ -720,7 +718,6 @@ class TransportAgent(_ResourceAgent):
                 span=TimeInterval(max(0, load_start - setup), end),
                 location=(fx, leg.from_location[1]),
                 slot=TimeInterval(load_start, end),
-                slack_before=Slack(max(0, load_start - setup - gap_start)),
                 slack_after=slack_after,
                 op_duration=dur,
                 load_time=geom.load_time,
@@ -737,11 +734,7 @@ class TransportAgent(_ResourceAgent):
         p = hold.proposal
         booked = acc.booked_slot
         _check_booked(p, booked, "transport")
-        if (
-            p.required_operation is not None
-            and p.required_operation not in self._committed_pids
-            and p.required_operation not in acc.dependent_proposal_ids
-        ):
+        if p.required_operation is not None and p.required_operation not in self._committed_pids:
             raise _Refusal("required preceding movement was not committed")
 
         geom = self.geometry
@@ -909,15 +902,10 @@ class OrderAgent:
         ]
 
     def _depart(
-        self,
-        resource: str,
-        conv: str,
-        departure: Seconds,
-        loading_time: Seconds = 0,
-        stay_on_machine: bool = False,
+        self, resource: str, conv: str, departure: Seconds, loading_time: Seconds = 0
     ) -> Message:
         """The InformDeparture that frees ``resource`` from this workpiece."""
-        info = InformDeparture(self.agent_id, departure, loading_time, stay_on_machine)
+        info = InformDeparture(self.agent_id, departure, loading_time)
         return _envelope(self.agent_id, resource, conv, [info])
 
     @functools.cached_property
@@ -1031,8 +1019,7 @@ class OrderAgent:
             )
 
         for leg in legs:
-            dependent = (leg.required_operation,) if leg.required_operation else ()
-            accept(leg, leg.slot, dependent_proposal_ids=dependent)
+            accept(leg, leg.slot)
         if route.buffer is not None:
             leg_in, leg_out = legs
             accept(
@@ -1050,7 +1037,7 @@ class OrderAgent:
             departure = legs[0].slot.start + legs[0].load_time
             out.append(self._depart(prev.resource_id, conv, departure, legs[0].load_time))
         elif prev is not None:
-            out.append(self._depart(prev.resource_id, conv, op_start, stay_on_machine=True))
+            out.append(self._depart(prev.resource_id, conv, op_start))
         out += [
             _envelope(self.agent_id, rid, conv, parts) for rid, parts in sorted(by_resource.items())
         ]

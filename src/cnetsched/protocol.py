@@ -100,7 +100,6 @@ class Proposal(NamedTuple):
     resource_id: str
     location: tuple[float, float]
     slot: TimeInterval
-    slack_before: Slack
     slack_after: Slack
     op_duration: Seconds
     load_time: Seconds
@@ -116,15 +115,13 @@ class AcceptProposal(NamedTuple):
     """Binding commitment to (a possibly shifted variant of) an offered slot.
 
     ``actual_unload_time``/``actual_load_time`` replace the estimates used at
-    proposal time once the real transport choice is known; dependent proposal
-    ids travel along so linked offers commit or fail as a unit.
+    proposal time once the real transport choice is known.
     """
 
     proposal_id: str
     booked_slot: TimeInterval
     actual_unload_time: Seconds = 0
     actual_load_time: Seconds = 0
-    dependent_proposal_ids: tuple[str, ...] = ()
 
 
 class RejectProposal(NamedTuple):
@@ -135,7 +132,6 @@ class InformDeparture(NamedTuple):
     order_id: str
     departure: Seconds
     loading_time: Seconds
-    stay_on_machine: bool = False
 
 
 class InformFailure(NamedTuple):

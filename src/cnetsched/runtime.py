@@ -273,11 +273,10 @@ class ConcurrentKernel(_Kernel):
     many deadlines are armed. Order releases are heap entries at their
     configured wall-clock offsets — the hosting-interval experiments feed on
     this — and ``config.message_latency`` is the per-hop delivery delay.
+    The run stops at one heap cutoff, the newest entry that may still land.
     """
 
     mode = "concurrent"
-    _stopped = False
-    _sealed = False  # stopped with orders still open: nothing new is delivered
 
     def __init__(
         self,
@@ -299,35 +298,18 @@ class ConcurrentKernel(_Kernel):
     def _stamp(t) -> str:
         return f"{t:012.6f}"
 
-    def _schedule(self, at, receiver: str, event: Event) -> None:
-        # once the run stops, only the messages of a finished run still land
-        if self._stopped and (self._sealed or not isinstance(event, Message)):
-            return
-        super()._schedule(at, receiver, event)
-
-    def _stop(self) -> None:
-        """End the run: keep only the messages in flight.
-
-        Pending deadlines and releases are dropped. If every order has
-        finished, messages sent from now on still land, because the rejects a
-        finished order sends for proposals that reached it late are among
-        them and free the holds they answer (resources answer none of them).
-        If orders are still open (the wall limit), nothing sent from now on
-        is delivered, so their negotiations cannot go on.
-        """
-        self._stopped = True
-        self._sealed = bool(self._open)
-        heap = self._heap
-        heap[:] = [e for e in heap if isinstance(e[3], Message)]
-        heapq.heapify(heap)
-
     def run(self) -> RunReport:
         """Deliver every event as it falls due until the run stops and the heap is empty.
 
         The run stops once every order has finished or the wall limit has
-        passed; the messages still in flight then land, so the last order's
-        final accepts and departures reach their calendars. A handler runs
-        to completion: one that overruns the wall limit ends the run when it
+        passed. From then on ``last`` is the newest heap entry that may still
+        land, and pending deadlines and releases are dropped unseen. Once
+        every order has finished it is unbounded: the last order's final
+        accepts and departures reach their calendars, and the rejects it
+        sends for late proposals free the holds they answer. At the wall
+        limit it is the newest entry already queued, so only the messages in
+        flight land and open negotiations cannot go on. A handler runs to
+        completion: one that overruns the wall limit ends the run when it
         returns, and one that never returns holds it, as under the
         deterministic kernel. An agent's exception propagates from here.
         """
@@ -338,23 +320,28 @@ class ConcurrentKernel(_Kernel):
             stages = 20 * max(1, len(self._open))
             limit = self._last_release + 60.0 + stages * self.config.cfp_deadline
         heap, agents, open_orders = self._heap, self.agents, self._open
+        last = None  # the run is open
         self._t0 = time.monotonic()
         while True:
             now = self.now()
-            if not self._stopped and (not open_orders or now >= limit):
+            if last is None and (not open_orders or now >= limit):
                 if open_orders:
                     log.error("concurrent run hit the wall limit of %.1fs", limit)
-                self._stop()
-            if heap and heap[0][0] <= now:
+                last = self._seq if open_orders else float("inf")
+            if last is not None and heap and (
+                heap[0][1] > last or not isinstance(heap[0][3], Message)
+            ):
+                heapq.heappop(heap)
+            elif heap and heap[0][0] <= now:
                 _at, _seq, receiver, event = heapq.heappop(heap)
                 self._dispatch(receiver, event)
                 if receiver in open_orders and agents[receiver].status in ("done", "failed"):
                     open_orders.discard(receiver)
-            elif self._stopped and not heap:
+            elif last is not None and not heap:
                 break
             else:
                 due = heap[0][0] if heap else limit
-                time.sleep((due if self._stopped else min(due, limit)) - now)
+                time.sleep((due if last is not None else min(due, limit)) - now)
         return self._report(time.perf_counter() - t_wall)
 
 

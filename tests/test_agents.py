@@ -495,10 +495,7 @@ def test_transport_chained_accept_in_one_envelope_with_partner():
         envelope(
             "Crane1", "o1", 1,
             AcceptProposal(inbound.proposal_id, inbound.slot),
-            AcceptProposal(
-                chained.proposal_id, chained.slot,
-                dependent_proposal_ids=(inbound.proposal_id,),
-            ),
+            AcceptProposal(chained.proposal_id, chained.slot),
         ),
         ctx,
     )
@@ -667,7 +664,7 @@ def test_production_round_windows_follow_previous_commit():
 def offered_operation(pid, resource, x, start):
     return Proposal(
         pid, PRODUCTION, resource, (x, 5.0), TimeInterval(start, start + 600),
-        Slack(0), Slack.UNBOUNDED, 600, 600, 600, price=600,
+        Slack.UNBOUNDED, 600, 600, 600, price=600,
     )
 
 
@@ -808,7 +805,6 @@ def full_walk_machine(m, cfp, conv, ctx):
                     product,
                     location=m.location,
                     slot=TimeInterval(op_start, op_end),
-                    slack_before=Slack(block_start - gap_start),
                     slack_after=_slack_from(
                         gap_end,
                         op_end + load_est,
@@ -912,7 +908,6 @@ def full_walk_leg(t, leg, dur, free, after=None):
         return (
             TimeInterval(max(0, load_start - setup), end),
             TimeInterval(load_start, end),
-            Slack(max(0, load_start - setup - gap_start)),
             slack_after,
             proposal_price(dur, setup, ti_next),
         )
@@ -922,7 +917,7 @@ def full_walk_leg(t, leg, dur, free, after=None):
 def placed(fields):
     if fields is None:
         return None
-    keys = ("span", "slot", "slack_before", "slack_after", "price")
+    keys = ("span", "slot", "slack_after", "price")
     return tuple(fields[k] for k in keys)
 
 
@@ -955,7 +950,7 @@ def test_property_crane_skip_places_legs_like_the_full_walk(
         start, length = partner_slot
         after = Proposal(
             "Crane1#p0", TRANSPORT, "Crane1", (0.0, 5.0), TimeInterval(start, start + length),
-            Slack(0), Slack(0), length, 5, 5, price=length,
+            Slack(0), length, 5, 5, price=length,
         )
     conv = "o1/s1"
     # another leg of the CFP may start earlier and bound the list lower

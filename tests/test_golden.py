@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from cnetsched import runtime
+from cnetsched.agents import OrderAgent
 from cnetsched.harness import (
     build_shop_scenario,
     kernel_config,
@@ -98,13 +99,16 @@ def test_concurrent_kernel_on_a_virtual_clock_gives_the_deterministic_run(
     det = run_scenario(scenario, mode="deterministic")
     monkeypatch.setattr(runtime, "time", VirtualTime())
     stops = []
-    stop = runtime.ConcurrentKernel._stop
+    handle = OrderAgent.handle
 
-    def recorded_stop(kernel):
-        stops.append(len(kernel.trace))
-        stop(kernel)
+    def recorded_handle(self, event, ctx):
+        out = handle(self, event, ctx)
+        orders = [a for a in ctx.kernel.agents.values() if isinstance(a, OrderAgent)]
+        if not stops and all(a.status in ("done", "failed") for a in orders):
+            stops.append(len(ctx.kernel.trace) + len(out))  # out's lines follow
+        return out
 
-    monkeypatch.setattr(runtime.ConcurrentKernel, "_stop", recorded_stop)
+    monkeypatch.setattr(OrderAgent, "handle", recorded_handle)
     config = replace(kernel_config(scenario, "deterministic"), message_latency=1, wall_limit=1e9)
     conc = run_scenario(scenario, mode="concurrent", config=config)
     assert conc.status == det.status

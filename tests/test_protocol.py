@@ -41,7 +41,6 @@ def mk_proposal(pid, resource, kind=PRODUCTION, start=100, dur=60):
         resource_id=resource,
         location=(0.0, 0.0),
         slot=TimeInterval(start, start + dur),
-        slack_before=Slack(0),
         slack_after=Slack.UNBOUNDED,
         op_duration=dur,
         load_time=10,

@@ -323,7 +323,7 @@ def test_concurrent_kernel_runs_every_handler_on_the_calling_thread(
     assert handlers == {threading.get_ident()}
 
 
-def test_concurrent_bookkeeping_holds_under_fast_thread_switching(flowshop_scenario):
+def test_concurrent_bookkeeping_holds_when_two_orders_interleave_with_a_1ms_hop(flowshop_scenario):
     # two orders interleave on the wall clock with a 1-ms hop: every envelope
     # counted has one trace line, and every commit still sits in its calendar
     from cnetsched.harness import kernel_config

@@ -21,7 +21,6 @@ def prod(pid, resource, start, dur=100, price=None, slack=Slack.UNBOUNDED):
         resource_id=resource,
         location=(10.0, 5.0),
         slot=TimeInterval(start, start + dur),
-        slack_before=Slack(0),
         slack_after=slack,
         op_duration=dur,
         load_time=10,
@@ -37,7 +36,6 @@ def buf(pid, serves, start, end, resource="Buf1", slack=Slack.UNBOUNDED):
         resource_id=resource,
         location=(20.0, 12.0),
         slot=TimeInterval(start, end),
-        slack_before=Slack(0),
         slack_after=slack,
         op_duration=end - start,
         load_time=10,
@@ -54,7 +52,6 @@ def leg(pid, start, end, realizes, via=None, required=None, resource="Crane1", p
         resource_id=resource,
         location=(0.0, 0.0),
         slot=TimeInterval(start, end),
-        slack_before=Slack(0),
         slack_after=Slack.UNBOUNDED,
         op_duration=end - start,
         load_time=10,
