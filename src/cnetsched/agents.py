@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import calculus
 from .calculus import (
@@ -75,6 +76,7 @@ HORIZON: Seconds = 10**9
 _ALL = TimeInterval(0, HORIZON)
 #: a machine offers one slot per free gap, at most this many per CFP alternative
 MAX_SLOTS_PER_CFP = 2
+_iv_start = attrgetter("start")
 _iv_end = attrgetter("end")
 
 
@@ -107,6 +109,10 @@ def _envelope(sender: str, receiver: str, conv: str, parts: Sequence) -> Message
 
 def _failure(sender: str, receiver: str, conv: str, proposal_id: str, reason: str) -> Message:
     return _envelope(sender, receiver, conv, [InformFailure(proposal_id, reason)])
+
+
+def _no_setup(state: Any) -> Seconds:
+    return 0
 
 
 def _slack_from(
@@ -263,6 +269,41 @@ class _ResourceAgent:
         """
         return free[bisect.bisect_left(free, base - self._setup_bound, key=_iv_end):]
 
+    def _fits(
+        self, table: list[GapRow], end_state: Any, earliest: Seconds, dur: Seconds,
+        windows: StageWindows, setup_of: Callable[[Any], Seconds], handling: Seconds = 0,
+        tail: Seconds = 0,
+    ) -> Iterator[tuple[Seconds, Seconds, Seconds, Seconds, Slack]]:
+        """Every slot of ``dur`` a gap of ``table`` holds, earliest gap first.
+
+        A slot starts no earlier than ``earliest`` and than the gap's start
+        plus ``setup_of(from_state)`` and ``handling``; ``tail`` more must
+        fit behind it. The walk stops at the first slot that would start
+        after the latest start or end after the latest finish, since every
+        later gap's slot would too. Yields ``(start, end, setup, ti_next,
+        slack_after)``, the slack capped by the windows.
+        """
+        ls, lf = windows.ls, windows.lf
+        for gap_start, gap_end, from_state, ti_next in gaps_for(
+            self._usable(table, earliest), end_state, self._succ_setup
+        ):
+            setup = setup_of(from_state)
+            start = max(earliest, gap_start + setup + handling)
+            if ls is not None and start > ls:
+                return
+            end = start + dur
+            if lf is not None and end > lf:
+                return
+            if end + tail > gap_end:
+                continue
+            slack_after = _slack_from(
+                gap_end,
+                end + tail,
+                ls + dur + tail if ls is not None else None,
+                lf + tail if lf is not None else None,
+            )
+            yield start, end, setup, ti_next, slack_after
+
     def _offer(
         self, ctx, conv: str, step_label: str, span: TimeInterval, end_state="", **fields
     ) -> Proposal:
@@ -405,40 +446,23 @@ class ProductionAgent(_ResourceAgent):
         )
         # every alternative reads the same table: the new end state is the product
         table = self.schedule.gap_table(free, self.initial_state)
+        if tail is not None:
+            # the workpiece sits on this machine and can only wait in place:
+            # any slot beyond the next booking is unreachable
+            table = [row for row in table if row.start == tail.operation_end]
+        setup_of = functools.partial(self._setup, to_state=product)
         proposals: list[Proposal] = []
         for alt_idx, (alt, es) in enumerate(zip(cfp.alternatives, earliest)):
-            ls, lf = alt.windows.ls, alt.windows.lf
-            emitted = 0
-            for gap_start, gap_end, from_state, ti_next in gaps_for(
-                self._usable(table, es), product, self._succ_setup
+            slots = self._fits(table, product, es, op_dur, alt.windows, setup_of, unload, load_est)
+            for op_start, op_end, setup, ti_next, slack_after in itertools.islice(
+                slots, MAX_SLOTS_PER_CFP
             ):
-                if own and tail is not None and gap_start != tail.operation_end:
-                    # the workpiece sits on this machine and can only wait in
-                    # place: any slot beyond the next booking is unreachable
-                    continue
-                setup = self._setup(from_state, product)
-                prefix = setup + unload
-                op_start = max(es, gap_start + prefix)
-                if ls is not None and op_start > ls:
-                    break
-                op_end = op_start + op_dur
-                if lf is not None and op_end > lf:
-                    break
-                if op_end + load_est > gap_end:
-                    continue
-                slack_after = _slack_from(
-                    gap_end,
-                    op_end + load_est,
-                    ls + op_dur + load_est if ls is not None else None,
-                    lf + load_est if lf is not None else None,
-                )
-                block_start = op_start - prefix
                 proposals.append(
                     self._offer(
                         ctx,
                         conv,
                         str(step),
-                        TimeInterval(block_start, op_end + load_est),
+                        TimeInterval(op_start - setup - unload, op_end + load_est),
                         product,
                         location=self.location,
                         slot=TimeInterval(op_start, op_end),
@@ -450,29 +474,20 @@ class ProductionAgent(_ResourceAgent):
                         alternative=alt_idx,
                     )
                 )
-                emitted += 1
-                if emitted >= MAX_SLOTS_PER_CFP:
-                    break
         return proposals
 
     def _booking(self, hold: OfferHold, acc: AcceptProposal, order_id: str) -> BookingEntry:
         p = hold.proposal
         booked = acc.booked_slot
         _check_booked(p, booked, "operation")
-        # close our own tail first when the workpiece stays on this machine
-        tail = self.schedule.open_tail_for(order_id)
         unload = acc.actual_unload_time if p.unload_time else 0
+        # a piece staying here departed first (see OrderAgent.decide): every open tail blocks
         from_state = self.schedule.state_before(
-            booked.start,
-            self.initial_state,
-            assume_closed=frozenset({order_id}) if tail else frozenset(),
+            booked.start, self.initial_state, assume_closed=frozenset()
         )
         setup = self._setup(from_state, hold.end_state)
-        block_start = booked.start - unload - setup
-        if tail is not None:
-            self.schedule.close_open_tail(order_id, block_start, 0)
         segments: list[tuple[str, TimeInterval]] = []
-        t = block_start
+        t = booked.start - unload - setup
         if setup:
             segments.append(("setup", TimeInterval(t, t + setup)))
             t += setup
@@ -488,7 +503,7 @@ class ProductionAgent(_ResourceAgent):
         try:
             self.schedule.close_open_tail(info.order_id, info.departure, info.loading_time)
         except NoOpenTail:
-            pass  # e.g. a stay-on-machine accept already closed it
+            pass  # an abort departs again after the stage's own departure closed it
         except OverlapError as exc:
             log.warning("%s: departure rejected: %s", self.agent_id, exc)
             return []
@@ -589,14 +604,6 @@ class BufferAgent(_ResourceAgent):
 # transport agent
 
 
-def _crane_x(entry: BookingEntry) -> Optional[float]:
-    """The x-position a crane booking leaves the crane at; None when not numeric."""
-    try:
-        return float(entry.end_state)
-    except ValueError:
-        return None
-
-
 class TransportAgent(_ResourceAgent):
     """One crane/vehicle on a 1-D segment; prices setup travel explicitly."""
 
@@ -621,7 +628,7 @@ class TransportAgent(_ResourceAgent):
         pickup = self._pickup_x.get((succ.order_id, succ.step_label))
         if pickup is None:
             return succ.setup_interval.duration if succ.setup_interval else 0
-        return self.geometry.travel_seconds(float(new_state), pickup)
+        return self.geometry.travel_seconds(new_state, pickup)
 
     def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
         geom = self.geometry
@@ -649,7 +656,7 @@ class TransportAgent(_ResourceAgent):
         free = self._free(
             conv, min(max(leg.windows.es, leg.windows.ef - dur) for _, leg, _, dur in legs)
         )
-        table = self.schedule.gap_table(free, self.initial_x, _crane_x)
+        table = self.schedule.gap_table(free, self.initial_x)
         proposals: list[Proposal] = []
         emitted_by_leg: dict[int, Proposal] = {}
         for leg_idx, leg, label, dur in legs:
@@ -688,34 +695,20 @@ class TransportAgent(_ResourceAgent):
         geom = self.geometry
         w = leg.windows
         fx, tx = leg.from_location[0], leg.to_location[0]
-        base = after.slot.end if after is not None else max(w.es, w.ef - dur)
-        for gap_start, gap_end, from_state, ti_next in gaps_for(
-            self._usable(table, base), tx, self._succ_setup
+        earliest = max(w.es, w.ef - dur)
+        setup_of: Callable[[float], Seconds] = functools.partial(geom.travel_seconds, x_to=fx)
+        if after is not None:
+            # a chained leg loads where and when the partner unloads, with no
+            # approach; a gap that holds it and starts by the partner's start
+            # holds the partner's slot too
+            table = table[: bisect.bisect_right(table, after.slot.start, key=_iv_start)]
+            earliest = max(earliest, after.slot.end)
+            setup_of = _no_setup
+        for load_start, end, setup, ti_next, slack_after in self._fits(
+            table, tx, earliest, dur, w, setup_of
         ):
-            if after is not None:
-                if not (gap_start <= after.slot.start and after.slot.end <= gap_end):
-                    continue
-                setup = 0
-                floor = after.slot.end
-            else:
-                setup = geom.travel_seconds(from_state, fx)
-                floor = gap_start + setup
-            load_start = max(w.es, w.ef - dur, floor)
-            if w.ls is not None and load_start > w.ls:
-                break
-            end = load_start + dur
-            if w.lf is not None and end > w.lf:
-                break
-            if end > gap_end:
-                continue
-            slack_after = _slack_from(
-                gap_end,
-                end,
-                w.ls + dur if w.ls is not None else None,
-                w.lf,
-            )
             return dict(
-                span=TimeInterval(max(0, load_start - setup), end),
+                span=TimeInterval(load_start - setup, end),
                 location=(fx, leg.from_location[1]),
                 slot=TimeInterval(load_start, end),
                 slack_after=slack_after,
@@ -739,7 +732,7 @@ class TransportAgent(_ResourceAgent):
 
         geom = self.geometry
         pickup_x, drop_x = p.location[0], hold.end_state
-        pred_x = self.schedule.state_before(booked.start, self.initial_x, _crane_x)
+        pred_x = self.schedule.state_before(booked.start, self.initial_x)
         setup = geom.travel_seconds(pred_x, pickup_x)
         travel = geom.travel_seconds(pickup_x, drop_x)
         segments: list[tuple[str, TimeInterval]] = []
@@ -753,7 +746,7 @@ class TransportAgent(_ResourceAgent):
             segments.append(("travel", TimeInterval(t, t + travel)))
             t += travel
         segments.append(("unload", TimeInterval(t, t + geom.unload_time)))
-        return BookingEntry(order_id, hold.step_label, segments, end_state=f"{drop_x:g}")
+        return BookingEntry(order_id, hold.step_label, segments, end_state=drop_x)
 
     def _commit(self, hold: OfferHold, entry: BookingEntry, ctx) -> None:
         super()._commit(hold, entry, ctx)

@@ -242,7 +242,7 @@ class HoldBook:
         return iter(self._holds.values())
 
     def active_spans(self, exclude_conversation: Optional[str] = None) -> list[TimeInterval]:
-        """Spans other negotiations must treat as busy; purge expired holds first.
+        """Spans other negotiations must treat as busy; expired holds count until purged.
 
         Holds of the same conversation are excluded: alternatives offered to
         one order may overlap each other, the indecision problem is about two

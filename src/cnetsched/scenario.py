@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .agents import BufferAgent, DirectoryService, OrderAgent, ProductionAgent, TransportAgent
-from .calculus import ScheduleParams, TransportGeometry, derive_t_transport_min
+from .calculus import NoTransport, ScheduleParams, TransportGeometry, derive_t_transport_min
 from .protocol import BUFFER, TRANSPORT
 from .timebase import Seconds, minutes
 
@@ -44,13 +44,13 @@ class FixedBlock:
 
     Machines hold initial bookings and maintenance windows, cranes hold
     initial bookings; ``state`` is what the resource is left in: a machine
-    state, or a crane's position written as ``f"{x:g}"``.
+    state, or a crane's x-position as a float.
     """
 
     order_id: str
     start: Seconds
     end: Seconds
-    state: str
+    state: Any
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ class _Reader:
         key: str,
         path: str,
         spans: list[tuple[Seconds, Seconds, str]],
-        state: Callable[[Mapping, str], str],
+        state: Callable[[Mapping, str], Any],
         id_prefix: str,
         named: bool = True,
     ) -> tuple[FixedBlock, ...]:
@@ -396,11 +396,11 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         if not seg[0] <= initial_x <= seg[1]:
             r.fail(f"{path}.initial_x", f"{initial_x} lies outside segment {seg}")
 
-        def crane_state(bdoc: Mapping, bpath: str) -> str:
+        def crane_state(bdoc: Mapping, bpath: str) -> float:
             end_x = r.number(bdoc, "end_x", bpath, default=initial_x)
             if not seg[0] <= end_x <= seg[1]:
                 r.fail(f"{bpath}.end_x", f"{end_x} lies outside segment {seg}")
-            return f"{end_x:g}"
+            return float(end_x)
 
         spans = []
         crane_bookings = r.blocks(tdoc, "initial_bookings", path, spans, crane_state, f"{tid}-init")
@@ -460,10 +460,7 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
             )
         )
 
-    if r.problems:
-        raise ValidationError(r.problems)
-
-    return Scenario(
+    scenario = Scenario(
         name=name,
         params=ScenarioParams(
             t_buffer_min=t_buffer,
@@ -477,6 +474,18 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         products=tuple(products),
         orders=tuple(orders),
     )
+    # every window derivation needs a positive T_T,min, given or derived
+    try:
+        floor = scenario.t_transport_min
+    except (NoTransport, ValueError) as exc:
+        r.fail(f"{source}.params.t_transport_min", f"absent and cannot be derived: {exc}")
+    else:
+        if floor <= 0:
+            how = "given" if t_transport is not None else "derived"
+            r.fail(f"{source}.params.t_transport_min", f"must be positive, {how} as {floor} s")
+    if r.problems:
+        raise ValidationError(r.problems)
+    return scenario
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:

@@ -11,7 +11,9 @@ sits on top of two guarantees made here:
 
 A resource answers one CFP from one gap table
 (:meth:`ResourceSchedule.gap_table`): its free intervals, each with the state
-before it and the booking right after it, looked up once. :func:`gaps_for`
+before it and the booking right after it, looked up once. A state is the
+``end_state`` of the booking before, as the resource stored it: a machine's
+product, a crane's drop-off x as a number. :func:`gaps_for`
 turns the table into the gaps a booking of one end state sees, with no further
 calendar lookup, however many legs or alternatives the CFP carries.
 """
@@ -153,16 +155,16 @@ class BookingEntry:
     ``open_tail=True`` marks a production booking whose workpiece departure is
     still unknown; the resource stays blocked from the entry's start onwards
     until :meth:`ResourceSchedule.close_open_tail` attaches the real load
-    segment. ``end_state`` is the state tag the resource is left in (product
-    type for machines, drop x-position for transports) and drives successor
-    setup recomputation.
+    segment. ``end_state`` is what the resource is left in: a machine's
+    state (a product name) or a crane's drop-off x as a float. It drives
+    successor setup recomputation.
     """
 
     order_id: str
     step_label: str
     segments: list[tuple[str, TimeInterval]]
     open_tail: bool = False
-    end_state: str = ""
+    end_state: Any = ""
 
     def validate(self) -> None:
         if not self.segments:
@@ -214,13 +216,10 @@ class BookingEntry:
 
 # callback: (new predecessor end state, successor entry) -> required setup duration
 SetupFn = Callable[[Any, BookingEntry], Seconds]
-# callback: entry -> the state it leaves the resource in, None when it tells nothing
-StateFn = Callable[[BookingEntry], Any]
 
 _INF = None  # suffix sentinel of a busy span: (start, None) means [start, +inf)
 _span_start = attrgetter("span_start")
 _span_end = attrgetter("span_end")
-_end_state = attrgetter("end_state")
 
 
 class GapRow(NamedTuple):
@@ -349,9 +348,7 @@ class ResourceSchedule:
             free.append(TimeInterval(cursor, window.end))
         return free
 
-    def gap_table(
-        self, free: Iterable[TimeInterval], initial: Any, read: StateFn = _end_state
-    ) -> list[GapRow]:
+    def gap_table(self, free: Iterable[TimeInterval], initial: Any) -> list[GapRow]:
         """The intervals of ``free`` with their neighbours looked up once.
 
         ``free`` comes from :meth:`free_intervals`: sorted, free of entries,
@@ -377,11 +374,9 @@ class ResourceSchedule:
         for iv in free:
             if i < 0:
                 i = self.last_ending_by(iv.start) + 1
-                state = self._state_below(i, initial, read)
+                state = self._state_below(i, initial)
             while i < len(entries) and entries[i].span_end <= iv.start:
-                got = read(entries[i])
-                if got is not None:
-                    state = got
+                state = entries[i].end_state
                 i += 1
             succ = entries[i] if i < len(entries) else None
             if succ is not None and succ.span_start == iv.end:
@@ -404,27 +399,22 @@ class ResourceSchedule:
         self,
         t: Seconds,
         initial: Any,
-        read: StateFn = _end_state,
         assume_closed: Optional[frozenset[str] | set[str]] = None,
     ) -> Any:
         """The state the entries ending by ``t`` leave the resource in.
 
-        That is ``read`` of the last of them it gives a state for (``None``
-        skips an entry), else ``initial``. With ``assume_closed``, an open tail
-        of any other order hides itself and every later entry.
+        That is the ``end_state`` of the last of them, else ``initial``. With
+        ``assume_closed``, an open tail of any other order hides itself and
+        every later entry.
         """
         if assume_closed is not None:
             tails = self._tails.values()
             t = min([t] + [e.span_start for e in tails if e.order_id not in assume_closed])
-        return self._state_below(self.last_ending_by(t) + 1, initial, read)
+        return self._state_below(self.last_ending_by(t) + 1, initial)
 
-    def _state_below(self, i: int, initial: Any, read: StateFn) -> Any:
-        """``read`` of the last entry before index ``i`` that gives a state, else ``initial``."""
-        for j in range(i - 1, -1, -1):
-            state = read(self.entries[j])
-            if state is not None:
-                return state
-        return initial
+    def _state_below(self, i: int, initial: Any) -> Any:
+        """The ``end_state`` of the entry before index ``i``, else ``initial``."""
+        return self.entries[i - 1].end_state if i else initial
 
     # -- mutations -------------------------------------------------------
 

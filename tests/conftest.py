@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -12,8 +11,6 @@ from hypothesis import HealthCheck, settings
 from cnetsched.agents import BufferAgent, ProductionAgent, TransportAgent
 from cnetsched.harness import run_scenario
 from cnetsched.scenario import Scenario, load_scenario, parse_scenario
-
-_end_state = attrgetter("end_state")
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -74,7 +71,7 @@ def hold_check(report) -> list[str]:
     ]
 
 
-def full_gap_walk(schedule, free, new_end_state, setup_of, initial, read=_end_state):
+def full_gap_walk(schedule, free, new_end_state, setup_of, initial):
     """The successor-aware gap walk that asks the calendar afresh for every interval.
 
     The reference for ``ResourceSchedule.gap_table`` read through
@@ -91,7 +88,7 @@ def full_gap_walk(schedule, free, new_end_state, setup_of, initial, read=_end_st
             ti = new_setup - (setup_iv.duration if setup_iv is not None else 0)
             end = succ.core_start - new_setup
         if end > iv.start:
-            yield iv.start, end, schedule.state_before(iv.start, initial, read), ti
+            yield iv.start, end, schedule.state_before(iv.start, initial), ti
 
 
 # ---------------------------------------------------------------------------

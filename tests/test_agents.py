@@ -13,7 +13,6 @@ from cnetsched.agents import (
     ProductionAgent,
     StageCommit,
     TransportAgent,
-    _crane_x,
     _slack_from,
 )
 from cnetsched.calculus import ScheduleParams, proposal_price
@@ -35,7 +34,14 @@ from cnetsched.protocol import (
     WorkpieceInfo,
     conversation_id,
 )
-from cnetsched.scenario import BufferSpec, MachineSpec, OrderSpec, TransportSpec
+from cnetsched.scenario import (
+    BufferSpec,
+    MachineSpec,
+    OrderSpec,
+    TransportSpec,
+    build_runtime,
+    parse_scenario,
+)
 from cnetsched.timebase import BookingEntry, OverlapError, Slack, TimeInterval, minutes
 from conftest import full_gap_walk
 from oracle import find_entry
@@ -471,8 +477,41 @@ def test_transport_accept_books_travel_load_travel_unload():
     entry = find_entry(t.schedule, "o1", "T:1,B2")
     kinds = [k for k, _ in entry.segments]
     assert kinds == ["travel", "load", "travel", "unload"]
-    assert entry.end_state == "20"  # parked at the drop position
+    assert entry.end_state == 20.0  # parked at the drop position
     assert entry.span_end == inbound.slot.end
+
+
+def test_crane_charges_the_approach_from_its_exact_drop_off_position():
+    # the initial booking leaves the crane at x = 1000.0004, so the approach
+    # to 1002.0002 is 1.9998 m: 2 s at 1 m/s (3 s from a position rounded to 1000)
+    doc = {
+        "format_version": 1,
+        "params": {"t_buffer_min": 15},
+        "machines": [
+            {"id": "M1", "operation": "cutting", "location": [0, 0], "op_duration": {"A": 1}},
+            {"id": "M2", "operation": "forging", "location": [1010, 0], "op_duration": {"A": 1}},
+        ],
+        "transports": [
+            {
+                "id": "T1", "segment": [0, 2000], "speed": 60, "load": 0, "unload": 0,
+                "initial_bookings": [{"start": 0, "end": 1, "end_x": 1000.0004}],
+            }
+        ],
+        "products": [{"id": "A", "steps": ["cutting", "forging"]}],
+        "orders": [{"id": "o1", "product": "A"}],
+    }
+    t = build_runtime(parse_scenario(doc)).agents["T1"]
+    leg = TransportLeg((1002.0002, 0.0), (1010.0, 0.0), StageWindows(es=0, ef=0), "P#1")
+    cfp = Cfp(
+        kind=TRANSPORT,
+        workpiece=WorkpieceInfo("o1", "A", (0.0, 0.0)),
+        operation="transport",
+        legs=(leg,),
+        deadline=10**7,
+    )
+    (offer,) = proposals_of(t.handle(envelope("T1", "o1", 1, cfp), FakeCtx()))
+    assert offer.slot == TimeInterval(62, 70)  # 60 s booked, 2 s approach, 8 s run
+    assert offer.price == 8 + 2
 
 
 def test_transport_chained_accept_requires_committed_partner():
@@ -628,6 +667,21 @@ def test_abort_without_commits_sends_nothing():
         Message("M1", "o1", "o1/s0", (InformFailure("M1#p1", "hold expired"),)), ctx
     )
     assert oa.status == "failed" and out == []
+
+
+def test_decide_departs_a_stay_on_machine_piece_before_the_accept_lands():
+    # the piece stays on M1: the departure, which closes its tail there, must
+    # land before the accept; both kernels deliver to one receiver in post order
+    from cnetsched.protocol import StageNegotiation
+
+    oa, ctx = order_agent(plan=("cutting", "cutting", "forging")), FakeCtx()
+    oa.committed = [stage_commit("M1", 0, 6000)]
+    neg = StageNegotiation("o1", 1)
+    neg.proposals = [[offered_operation("M1#p1", "M1", 5.0, 6000)]]
+    out = oa.decide(neg, ctx)
+    to_m1 = [type(part).__name__ for msg in out if msg.receiver == "M1" for part in msg.parts]
+    assert to_m1 == ["InformDeparture", "AcceptProposal"]
+    assert out[0].parts[0] == InformDeparture("o1", 6000, 0)
 
 
 def test_terminal_order_ignores_further_events():
@@ -868,7 +922,7 @@ def crane_with_calendar(draw):
         segments = [("load", TimeInterval(start + setup, start + setup + dur))]
         if setup:
             segments.insert(0, ("travel", TimeInterval(start, start + setup)))
-        entry = BookingEntry(f"o{i}", "T", segments, end_state=f"{drop:g}")
+        entry = BookingEntry(f"o{i}", "T", segments, end_state=drop)
         try:
             t.schedule.insert_booking(entry, t._succ_setup)
         except OverlapError:
@@ -886,7 +940,7 @@ def full_walk_leg(t, leg, dur, free, after=None):
     w = leg.windows
     fx, tx = leg.from_location[0], leg.to_location[0]
     for gap_start, gap_end, from_state, ti_next in full_gap_walk(
-        t.schedule, free, tx, t._succ_setup, t.initial_x, _crane_x
+        t.schedule, free, tx, t._succ_setup, t.initial_x
     ):
         if after is not None:
             if not (gap_start <= after.slot.start and after.slot.end <= gap_end):
@@ -955,7 +1009,7 @@ def test_property_crane_skip_places_legs_like_the_full_walk(
     conv = "o1/s1"
     # another leg of the CFP may start earlier and bound the list lower
     base = after.slot.end if after is not None else max(es, ef - dur)
-    bounded = t.schedule.gap_table(t._free(conv, base - lower), t.initial_x, _crane_x)
+    bounded = t.schedule.gap_table(t._free(conv, base - lower), t.initial_x)
     full = t.schedule.free_intervals(
         _ALL, extra_busy=t.holds.active_spans(exclude_conversation=conv)
     )
@@ -982,7 +1036,7 @@ def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretche
     conv = "o1/s1"
     free = t._free(conv, 140)
     assert free[0] == TimeInterval(0, 100)
-    fields = t._place_leg(leg, 10, t.schedule.gap_table(free, 0.0, _crane_x))
+    fields = t._place_leg(leg, 10, t.schedule.gap_table(free, 0.0))
     assert fields["slot"] == TimeInterval(140, 150)
     assert fields["price"] == 10 + 0 - 60  # the successor's setup shrinks by 60 s
     assert fields["slack_after"] == Slack(10)

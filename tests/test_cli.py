@@ -35,10 +35,19 @@ def test_validate_accepts_both_bundled_scenarios(capsys):
 def test_malformed_scenario_exits_1(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text('{"format_version": 1, "machines": [')
-    assert main(["validate", str(broken)]) == 1
-    assert main(["run", str(broken)]) == 1
+    # valid JSON, but no transport to derive the transport floor from
+    craneless = tmp_path / "craneless.json"
+    doc = json.loads(FLOWSHOP.read_text())
+    del doc["transports"]
+    doc["params"].pop("t_transport_min", None)
+    craneless.write_text(json.dumps(doc))
+    for path in (broken, craneless):
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path)]) == 1
     assert main(["run", str(tmp_path / "missing.json")]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "craneless.json.params.t_transport_min: absent and cannot be derived" in err
 
 
 def test_order_no_machine_serves_exits_2(tmp_path, capsys):

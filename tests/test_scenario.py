@@ -68,6 +68,40 @@ def test_transport_floor_derived_from_distinct_locations():
     assert s.t_transport_min == minutes(10) + minutes(3) + minutes(10)
 
 
+def no_transports(doc):
+    del doc["transports"]
+
+
+def one_location(doc):
+    doc["machines"], doc["buffers"] = doc["machines"][:1], []
+
+
+def zero_floor(doc):
+    doc["params"]["t_transport_min"] = 0
+
+
+def co_located_without_handling(doc):
+    for place in doc["machines"] + doc["buffers"]:
+        place["location"][0] = 10
+    doc["transports"][0].update(load=0, unload=0)
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (no_transports,
+         "absent and cannot be derived: cannot derive a transport floor without transports"),
+        (one_location, "absent and cannot be derived: need at least two locations"),
+        (zero_floor, "must be positive, given as 0 s"),
+        (co_located_without_handling, "must be positive, derived as 0 s"),
+    ],
+)
+def test_a_transport_floor_that_is_not_positive_is_a_problem(edit, problem):
+    doc = minimal_doc()
+    edit(doc)
+    assert problems_of(doc) == (f"t.params.t_transport_min: {problem}",)
+
+
 def test_explicit_transport_floor_wins():
     doc = minimal_doc()
     doc["params"]["t_transport_min"] = 21
@@ -270,7 +304,7 @@ def test_build_runtime_materialises_calendars():
     assert maint.step_label == "maintenance" and maint.end_state == "A"
 
     crane = rt.agents["Crane1"]
-    assert crane.schedule.entries[0].end_state == "30"
+    assert crane.schedule.entries[0].end_state == 30.0
     assert float(crane.schedule.state_before(minutes(10), crane.initial_x)) == 30.0
 
 

@@ -523,7 +523,7 @@ def test_schedule_built_from_entries_indexes_their_open_tails():
 
 MACHINE_STATES = ("A", "B", "C")
 MACHINE_SETUP = {("A", "B"): 15, ("B", "A"): 30, ("A", "C"): 5, ("C", "B"): 25}
-CRANE_XS = ("0", "7", "12.5", "30", "")  # "" is a booking that leaves no position
+CRANE_XS = (0.0, 7.0, 12.5, 30.0)
 SCAN = TimeInterval(0, 10**9)
 
 
@@ -543,13 +543,6 @@ def crane_succ_setup(pickups):
         return travel(float(new_state), pickup)
 
     return setup_of
-
-
-def crane_x(entry):
-    try:
-        return float(entry.end_state)
-    except ValueError:
-        return None
 
 
 holds = st.lists(
@@ -726,13 +719,13 @@ def test_property_crane_gap_walk_matches_linear_scan(calendar, drop_x, extra):
     s, pickups, initial_x = calendar
     free = s.free_intervals(SCAN, extra_busy=extra)
     linear = linear_crane_gaps(s, pickups, initial_x, drop_x, extra)
-    table = s.gap_table(free, initial_x, crane_x)
+    table = s.gap_table(free, initial_x)
     assert list(gaps_for(table, drop_x, crane_succ_setup(pickups))) == linear
-    walk = full_gap_walk(s, free, drop_x, crane_succ_setup(pickups), initial_x, crane_x)
+    walk = full_gap_walk(s, free, drop_x, crane_succ_setup(pickups), initial_x)
     assert list(walk) == linear
     horizon = max((e.span_end for e in s.entries), default=0) + 5
     for t in range(horizon):
-        assert s.state_before(t, initial_x, crane_x) == linear_crane_x(s, t, initial_x)
+        assert s.state_before(t, initial_x) == linear_crane_x(s, t, initial_x)
 
 
 @given(
