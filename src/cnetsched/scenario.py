@@ -460,6 +460,9 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
             )
         )
 
+    if r.problems:
+        raise ValidationError(r.problems)
+
     scenario = Scenario(
         name=name,
         params=ScenarioParams(

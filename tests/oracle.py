@@ -310,7 +310,7 @@ class _Booking:
     start: Seconds  # block start, setup/approach included
     end: Seconds
     core_start: Seconds
-    state_after: str
+    state_after: Any  # a machine state, or a crane's x-position
     pickup_x: Optional[float] = None  # transports: where this leg loads
 
 
@@ -416,8 +416,8 @@ def exhaustive_schedule(scenario, max_nodes: int = 200_000) -> dict[str, Any]:
         assert transport is not None
         x = transport.initial_x
         for b in cal.entries(transport.id):
-            if b.end <= t and b.state_after:
-                x = float(b.state_after)
+            if b.end <= t:
+                x = b.state_after
         return x
 
     def try_leg(load_start: Seconds, from_x: float, to_x: float, order_id: str) -> Optional[_Booking]:
@@ -441,7 +441,7 @@ def exhaustive_schedule(scenario, max_nodes: int = 200_000) -> dict[str, Any]:
                 if end <= b.core_start - travel(to_x, b.pickup_x):
                     continue
             return None
-        return _Booking(transport.id, order_id, start, end, load_start, f"{to_x:g}", pickup_x=from_x)
+        return _Booking(transport.id, order_id, start, end, load_start, to_x, pickup_x=from_x)
 
     def machine_room_after(m, state: str, end: Seconds) -> bool:
         """Is [.., end) compatible with the next booking's changeover demand?"""

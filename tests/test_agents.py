@@ -1027,7 +1027,7 @@ def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretche
             "s",
             "T",
             [("travel", TimeInterval(100, 160)), ("load", TimeInterval(160, 165))],
-            end_state="0",
+            end_state=0.0,
         )
     )
     t._pickup_x[("s", "T")] = 0.0

@@ -41,13 +41,19 @@ def test_malformed_scenario_exits_1(tmp_path, capsys):
     del doc["transports"]
     doc["params"].pop("t_transport_min", None)
     craneless.write_text(json.dumps(doc))
-    for path in (broken, craneless):
+    # valid JSON, but a deadline that is not a number
+    undated = tmp_path / "undated.json"
+    doc = json.loads(FLOWSHOP.read_text())
+    doc["params"]["cfp_deadline"] = "soon"
+    undated.write_text(json.dumps(doc))
+    for path in (broken, craneless, undated):
         assert main(["validate", str(path)]) == 1
         assert main(["run", str(path)]) == 1
     assert main(["run", str(tmp_path / "missing.json")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
     assert "craneless.json.params.t_transport_min: absent and cannot be derived" in err
+    assert "undated.json.params.cfp_deadline: must be a positive number when given" in err
 
 
 def test_order_no_machine_serves_exits_2(tmp_path, capsys):

@@ -102,6 +102,21 @@ def test_a_transport_floor_that_is_not_positive_is_a_problem(edit, problem):
     assert problems_of(doc) == (f"t.params.t_transport_min: {problem}",)
 
 
+@pytest.mark.parametrize("key", ["cfp_deadline", "hold_deadline"])
+@pytest.mark.parametrize("value", ["soon", [], {}, True, 0])
+def test_a_deadline_that_is_not_a_positive_number_is_a_problem(key, value):
+    doc = minimal_doc()
+    doc["params"][key] = value
+    assert problems_of(doc) == (f"t.params.{key}: must be a positive number when given",)
+
+
+def test_a_document_with_problems_is_not_checked_for_a_transport_floor():
+    # the machine list fails to parse, so no floor is derived from its locations
+    doc = minimal_doc()
+    doc["machines"] = "M1"
+    assert not any("t_transport_min" in p for p in problems_of(doc))
+
+
 def test_explicit_transport_floor_wins():
     doc = minimal_doc()
     doc["params"]["t_transport_min"] = 21

@@ -629,10 +629,7 @@ def linear_crane_x(s, t, initial):
     x = initial
     for e in s.entries:
         if e.span_end <= t:
-            try:
-                x = float(e.end_state)
-            except ValueError:
-                pass
+            x = e.end_state
         else:
             break
     return x
