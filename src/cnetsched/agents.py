@@ -63,7 +63,7 @@ from .timebase import (
     Seconds,
     Slack,
     TimeInterval,
-    gaps_for,
+    min_bound,
 )
 
 if TYPE_CHECKING:  # scenario imports this module; its records are read by attribute
@@ -115,15 +115,12 @@ def _no_setup(state: Any) -> Seconds:
     return 0
 
 
-def _slack_from(
-    gap_end: Seconds, nominal_end: Seconds, *caps: Optional[Seconds]
-) -> Slack:
+def _slack_from(gap_end: Seconds, nominal_end: Seconds, cap: Optional[Seconds]) -> Slack:
     """Shift room for a slot ending at ``nominal_end`` in a gap ending at
-    ``gap_end``, window-capped; a gap reaching the scan horizon is unbounded."""
-    limits = [c for c in (gap_end if gap_end < HORIZON else None, *caps) if c is not None]
-    if not limits:
-        return Slack.UNBOUNDED
-    return Slack(max(0, min(limits) - nominal_end))
+    ``gap_end``, capped at ``cap`` (None: no cap); a gap reaching the scan
+    horizon does not bound it."""
+    limit = cap if gap_end >= HORIZON else gap_end if cap is None else min(gap_end, cap)
+    return Slack.UNBOUNDED if limit is None else Slack(max(0, limit - nominal_end))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +149,14 @@ class _ResourceAgent:
     with proposals whose spans it withholds from other orders, then commits or
     releases them as the order decides. A subclass says how it places
     proposals (``_propose``) and lays out an accepted booking (``_booking``).
+
+    A CFP is answered from one gap table (:meth:`_table`). The agent keeps the
+    last table it built while no other conversation held an offer, and
+    answers a later CFP from it as long as the calendar's ``version`` has not
+    moved, no other conversation holds an offer, no open tail is assumed
+    closed, and the CFP starts no earlier than the one the table was built
+    for. On a floor of many interchangeable machines most of them receive
+    CFP after CFP with nothing booked in between.
     """
 
     kind: str  # PRODUCTION | BUFFER | TRANSPORT
@@ -160,6 +165,9 @@ class _ResourceAgent:
     #: S, the largest setup (plus unload prefix) a gap's predecessor or
     #: successor can impose on this resource; set by each kind
     _setup_bound: Seconds = 0
+    #: (calendar version, ``after``, table) of the last table built with no
+    #: other conversation's hold and nothing assumed closed; None until then
+    _kept: Optional[tuple[int, Seconds, list[GapRow]]] = None
 
     def __init__(self, agent_id: str) -> None:
         self.agent_id = agent_id
@@ -222,7 +230,7 @@ class _ResourceAgent:
         now = ctx.now()
         if cfp.deadline and cfp.deadline <= now:
             return []  # answered too late to matter (e.g. drained after blocking)
-        # the one purge per CFP: _engaged_elsewhere and _free read live holds only
+        # the one purge per CFP: _engaged_elsewhere and _table read live holds only
         self.holds.purge(now)
         _order, stage = parse_conversation(msg.conversation_id)
         proposals = self._propose(msg, cfp, (stage or 0) + 1, ctx)
@@ -234,31 +242,42 @@ class _ResourceAgent:
         """Proposals for one CFP of the 1-based plan step ``step``, each held by ``_offer``."""
         raise NotImplementedError
 
-    def _free(
-        self, conv: str, base: Seconds, assume_closed: frozenset[str] = frozenset()
-    ) -> list[TimeInterval]:
-        """Free calendar intervals with other conversations' holds counted busy.
+    def _table(
+        self, conv: str, base: Seconds, initial: Any, assume_closed: frozenset[str] = frozenset()
+    ) -> list[GapRow]:
+        """The CFP's gap table, other conversations' holds counted busy.
 
         This conversation's holds are ignored, so the offers made for one CFP
-        never block each other and the list holds for the whole CFP. ``base``
-        is the earliest start of any slot the CFP asks for; intervals that
-        :meth:`_usable` would drop for it are not even listed. Machines and
-        cranes turn the list into one gap table per CFP right away
-        (``ResourceSchedule.gap_table``); buffers, whose stays impose no
-        setup, use the plain intervals.
+        never block each other and the table holds for the whole CFP.
+        ``base`` is the earliest start of any slot the CFP asks for; the
+        intervals :meth:`_usable` would drop for it are not even looked up.
+        ``initial`` is the state before the first booking. Machines, cranes
+        and buffers all read the rows; a buffer only their ``start`` and
+        ``end``.
+
+        A table kept under the conditions the class describes is exact for
+        this CFP: it was built for an ``after`` no later than this one, so its
+        extra rows all end by the new ``after`` and :meth:`_usable` drops
+        them, and every other row is the same maximal interval
+        (``ResourceSchedule.free_intervals``) with the same neighbours.
         """
-        return self.schedule.free_intervals(
-            _ALL,
-            extra_busy=self.holds.active_spans(exclude_conversation=conv),
-            assume_closed=assume_closed,
-            after=base - self._setup_bound - 1,
-        )
+        schedule = self.schedule
+        after = base - self._setup_bound - 1
+        busy = self.holds.active_spans(exclude_conversation=conv)
+        if busy or assume_closed:
+            free = schedule.free_intervals(_ALL, busy, assume_closed, after)
+            return schedule.gap_table(free, initial)
+        kept = self._kept
+        if kept is not None and kept[0] == schedule.version and kept[1] <= after:
+            return kept[2]
+        table = schedule.gap_table(schedule.free_intervals(_ALL, after=after), initial)
+        self._kept = (schedule.version, after, table)
+        return table
 
-    def _usable(self, free: list, base: Seconds) -> list:
-        """The intervals of ``free`` that may host a slot starting no earlier than ``base``.
+    def _usable(self, table: list[GapRow], base: Seconds) -> list[GapRow]:
+        """The rows of ``table`` that may host a slot starting no earlier than ``base``.
 
-        ``free`` is a list of free intervals or the rows of a gap table;
-        either way this is one bisect into the sorted interval ends.
+        This is one bisect into the sorted interval ends.
 
         In an interval with ``iv.end + S < base`` the predecessor's setup
         (at most S) ends before ``base``, so the slot starts at exactly
@@ -267,7 +286,7 @@ class _ResourceAgent:
         latest-finish break such a slot would trigger fires on the first
         interval kept as well, so dropping these intervals changes no offer.
         """
-        return free[bisect.bisect_left(free, base - self._setup_bound, key=_iv_end):]
+        return table[bisect.bisect_left(table, base - self._setup_bound, key=_iv_end):]
 
     def _fits(
         self, table: list[GapRow], end_state: Any, earliest: Seconds, dur: Seconds,
@@ -276,17 +295,34 @@ class _ResourceAgent:
     ) -> Iterator[tuple[Seconds, Seconds, Seconds, Seconds, Slack]]:
         """Every slot of ``dur`` a gap of ``table`` holds, earliest gap first.
 
-        A slot starts no earlier than ``earliest`` and than the gap's start
-        plus ``setup_of(from_state)`` and ``handling``; ``tail`` more must
-        fit behind it. The walk stops at the first slot that would start
-        after the latest start or end after the latest finish, since every
-        later gap's slot would too. Yields ``(start, end, setup, ti_next,
-        slack_after)``, the slack capped by the windows.
+        A row's gap is its free interval as a booking ending in
+        ``end_state`` sees it: with a successor, it ends where the
+        successor's setup, recomputed by ``_succ_setup``, has to begin, and
+        ``ti_next`` is the signed change of that setup. Empty gaps are
+        skipped. A slot starts no earlier than ``earliest`` and than the
+        gap's start plus ``setup_of(from_state)`` and ``handling``; ``tail``
+        more must fit behind it. The walk stops at the first slot that would
+        start after the latest start or end after the latest finish, since
+        every later gap's slot would too. Yields ``(start, end, setup,
+        ti_next, slack_after)``, the slack capped by the windows and by the
+        gap unless the gap reaches the scan horizon.
         """
         ls, lf = windows.ls, windows.lf
-        for gap_start, gap_end, from_state, ti_next in gaps_for(
-            self._usable(table, earliest), end_state, self._succ_setup
+        succ_setup = self._succ_setup
+        # the windows' cap on the slack, the same for every gap
+        cap = min_bound(
+            ls + dur + tail if ls is not None else None, lf + tail if lf is not None else None
+        )
+        for gap_start, gap_end, from_state, succ, core_start, old_setup in self._usable(
+            table, earliest
         ):
+            ti_next = 0
+            if succ is not None:
+                new_setup = succ_setup(end_state, succ)
+                ti_next = new_setup - old_setup
+                gap_end = core_start - new_setup
+            if gap_end <= gap_start:
+                continue
             setup = setup_of(from_state)
             start = max(earliest, gap_start + setup + handling)
             if ls is not None and start > ls:
@@ -296,13 +332,7 @@ class _ResourceAgent:
                 return
             if end + tail > gap_end:
                 continue
-            slack_after = _slack_from(
-                gap_end,
-                end + tail,
-                ls + dur + tail if ls is not None else None,
-                lf + tail if lf is not None else None,
-            )
-            yield start, end, setup, ti_next, slack_after
+            yield start, end, setup, ti_next, _slack_from(gap_end, end + tail, cap)
 
     def _offer(
         self, ctx, conv: str, step_label: str, span: TimeInterval, end_state="", **fields
@@ -381,7 +411,7 @@ class ProductionAgent(_ResourceAgent):
 
     @property
     def blocked(self) -> bool:
-        return bool(self.schedule.open_tail_entries())
+        return self.schedule.has_open_tail
 
     def _engaged_elsewhere(self, order_id: str) -> bool:
         """True while another order's negotiation could still claim this machine.
@@ -441,11 +471,10 @@ class ProductionAgent(_ResourceAgent):
         ]
         if not earliest:
             return []
-        free = self._free(
-            conv, min(earliest), frozenset({order_id}) if own else frozenset()
-        )
         # every alternative reads the same table: the new end state is the product
-        table = self.schedule.gap_table(free, self.initial_state)
+        table = self._table(
+            conv, min(earliest), self.initial_state, frozenset({order_id}) if own else frozenset()
+        )
         if tail is not None:
             # the workpiece sits on this machine and can only wait in place:
             # any slot beyond the next booking is unreachable
@@ -543,7 +572,8 @@ class BufferAgent(_ResourceAgent):
         u_est, l_est = self.unload_estimate, self.load_estimate
         if not cfp.alternatives:
             return []
-        free = self._free(conv, min(alt.windows.es for alt in cfp.alternatives))
+        # a stay imposes no setup: the rows are read as plain free intervals
+        free = self._table(conv, min(alt.windows.es for alt in cfp.alternatives), "")
         proposals: list[Proposal] = []
         for alt_idx, alt in enumerate(cfp.alternatives):
             w = alt.windows
@@ -653,10 +683,11 @@ class TransportAgent(_ResourceAgent):
         # a chained variant starts after its partner, which is placed no
         # earlier than its own leg's base; the table does not depend on where
         # a leg drops off, so every leg and chained variant reads it
-        free = self._free(
-            conv, min(max(leg.windows.es, leg.windows.ef - dur) for _, leg, _, dur in legs)
+        table = self._table(
+            conv,
+            min(max(leg.windows.es, leg.windows.ef - dur) for _, leg, _, dur in legs),
+            self.initial_x,
         )
-        table = self.schedule.gap_table(free, self.initial_x)
         proposals: list[Proposal] = []
         emitted_by_leg: dict[int, Proposal] = {}
         for leg_idx, leg, label, dur in legs:

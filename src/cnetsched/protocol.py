@@ -265,30 +265,26 @@ class HoldBook:
 class MessageCounter:
     """Append-only envelope counts keyed by (conversation, variant).
 
-    Conversation ids are parsed into their order only when the counts are
-    read per order.
+    The kernel bumps ``counts`` for every envelope it posts. Conversation ids
+    are parsed into their order only when the counts are read per order.
     """
 
     def __init__(self) -> None:
-        self._counts: dict[tuple[str, str], int] = {}
-
-    def count(self, msg: Message) -> None:
-        key = (msg.conversation_id, msg.variant)
-        self._counts[key] = self._counts.get(key, 0) + 1
+        self.counts: dict[tuple[str, str], int] = {}
 
     def total(self) -> int:
-        return sum(self._counts.values())
+        return sum(self.counts.values())
 
     def per_order(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for (conv, _variant), n in self._counts.items():
+        for (conv, _variant), n in self.counts.items():
             order_id = parse_conversation(conv)[0]
             out[order_id] = out.get(order_id, 0) + n
         return out
 
     def per_variant(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for (_conv, variant), n in self._counts.items():
+        for (_conv, variant), n in self.counts.items():
             out[variant] = out.get(variant, 0) + n
         return out
 
@@ -359,7 +355,8 @@ class StageNegotiation:
         return [p for round_ in self.proposals for p in round_]
 
     def of_kind(self, kind: str) -> list[Proposal]:
-        return [p for round_ in self.proposals for p in round_ if p.kind == kind]
+        """The proposals of ``kind``; a round takes one kind only (:func:`advance_stage`)."""
+        return [p for round_ in self.proposals if round_ and round_[0].kind == kind for p in round_]
 
     def is_terminal(self) -> bool:
         return self.phase in (DONE, FAILED)

@@ -172,23 +172,23 @@ class _Kernel:
         self._schedule(self.now() + delay, agent_id, DeadlineExpired(token))
         return token
 
-    def _line(self, t, kind: str, sender: str, receiver: str, detail: str) -> None:
-        self.trace.append(f"{self._stamp(t)} {sender}>{receiver} {kind}{detail}")
-
     def _post(self, msg: Message) -> None:
-        if msg.receiver not in self.agents:
-            log.error("message to unknown agent %s dropped", msg.receiver)
+        """Count ``msg``, write its trace line and queue its delivery one hop later."""
+        sender, receiver, conv, parts = msg
+        if receiver not in self.agents:
+            log.error("message to unknown agent %s dropped", receiver)
             return
         now = self.now()
-        self.counter.count(msg)
-        self._line(now, msg.variant, msg.sender, msg.receiver,
-                   f" n={len(msg.parts)} {msg.conversation_id}")
-        self._schedule(now + self._hop, msg.receiver, msg)
+        variant = type(parts[0]).__name__  # Message.variant, without the property call
+        counts, key = self.counter.counts, (conv, variant)
+        counts[key] = counts.get(key, 0) + 1
+        self.trace.append(f"{self._stamp(now)} {sender}>{receiver} {variant} n={len(parts)} {conv}")
+        self._schedule(now + self._hop, receiver, msg)
 
     def _dispatch(self, receiver: str, event: Event) -> None:
         kind = _KERNEL_LINES.get(type(event))
         if kind is not None:
-            self._line(self.now(), kind, "kernel", receiver, "")
+            self.trace.append(f"{self._stamp(self.now())} kernel>{receiver} {kind}")
         for msg in self.agents[receiver].handle(event, self._ctx[receiver]):
             self._post(msg)
 

@@ -296,9 +296,21 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         t_transport = r.duration(pdoc, "t_transport_min", f"{source}.params", minimum=0)
     cfp_deadline = pdoc.get("cfp_deadline")
     hold_deadline = pdoc.get("hold_deadline")
+    given = 0
     for key, value in (("cfp_deadline", cfp_deadline), ("hold_deadline", hold_deadline)):
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0):
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
             r.fail(f"{source}.params.{key}", "must be a positive number when given")
+        else:
+            given += 1
+    # a production offer is held from the moment it is sent, and its stage
+    # decides only after up to three rounds of one CFP deadline each
+    if given == 2 and hold_deadline <= 3 * cfp_deadline:
+        r.fail(
+            f"{source}.params.hold_deadline",
+            f"must exceed three CFP deadlines ({3 * cfp_deadline:g}), got {hold_deadline:g}",
+        )
 
     seen_ids: dict[str, str] = {}
 

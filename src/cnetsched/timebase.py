@@ -13,9 +13,16 @@ A resource answers one CFP from one gap table
 (:meth:`ResourceSchedule.gap_table`): its free intervals, each with the state
 before it and the booking right after it, looked up once. A state is the
 ``end_state`` of the booking before, as the resource stored it: a machine's
-product, a crane's drop-off x as a number. :func:`gaps_for`
-turns the table into the gaps a booking of one end state sees, with no further
-calendar lookup, however many legs or alternatives the CFP carries.
+product, a crane's drop-off x as a number. The resource's placement walk
+reads the gaps a booking of one end state sees straight off the table, with
+no further calendar lookup, however many legs or alternatives the CFP carries.
+
+Every edit of a calendar goes through :meth:`ResourceSchedule.insert_booking`
+or :meth:`ResourceSchedule.close_open_tail`, and each bumps the schedule's
+``version``. A table built at one version therefore stays exact until the
+next edit: a resource whose calendar did not change since its last CFP, and
+which holds no offer for another conversation, answers the next CFP from the
+table it already has (``agents._ResourceAgent._table``).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, ClassVar, Iterable, NamedTuple, Optional
 
 Seconds = int  # engine-wide unit: integer seconds from the scenario epoch
 
@@ -233,48 +240,29 @@ class GapRow(NamedTuple):
     setup: Seconds  # the successor's current setup length
 
 
-#: a free interval as a booking of a given end state sees it:
-#: (start, end where the successor's recomputed setup has to begin,
-#: from_state, signed successor setup change a booking there would cause)
-PlacementGap = tuple[Seconds, Seconds, Any, Seconds]
-
-
-def gaps_for(
-    rows: Iterable[GapRow], new_end_state: Any, setup_of: SetupFn
-) -> Iterator[PlacementGap]:
-    """The rows of a gap table as a booking ending in ``new_end_state`` sees them.
-
-    With a successor, the gap ends where the successor's setup, recomputed by
-    ``setup_of``, has to begin; that is all the work left per end state, as
-    the table already holds every calendar lookup. Empty gaps are skipped.
-    """
-    for start, end, from_state, succ, core_start, setup in rows:
-        ti = 0
-        if succ is not None:
-            new_setup = setup_of(new_end_state, succ)
-            ti = new_setup - setup
-            end = core_start - new_setup
-        if end > start:
-            yield start, end, from_state, ti
-
-
 class ResourceSchedule:
     """Time-sorted, pairwise disjoint booking calendar of one resource.
 
     Every entry ends at or before the next one starts, and no entry is empty,
     so both ``span_start`` and ``span_end`` never decrease along ``entries``.
     The lookups bisect the live list on these keys; code that edits
-    ``entries`` directly must keep it sorted and disjoint.
+    ``entries`` directly must keep it sorted and disjoint, and bump
+    ``version``.
 
     The open tails are also indexed by order (``_tails``), so the checks for
     them cost one lookup instead of a scan. :meth:`insert_booking` and
     :meth:`close_open_tail` keep the index; it is built from ``entries`` when
     a schedule is constructed, and :meth:`check_invariants` compares it with
     a scan.
+
+    ``version`` counts the edits: both mutations bump it, so anything derived
+    from the calendar at one version holds until it changes. A refused edit
+    changes nothing and bumps nothing.
     """
 
     def __init__(self, entries: Optional[list[BookingEntry]] = None) -> None:
         self.entries: list[BookingEntry] = [] if entries is None else entries
+        self.version = 0
         self._tails: dict[str, BookingEntry] = {}
         for e in self.entries:
             if e.open_tail:
@@ -285,9 +273,9 @@ class ResourceSchedule:
 
     # -- queries ---------------------------------------------------------
 
-    def open_tail_entries(self) -> list[BookingEntry]:
-        """The open-tail entries in time order."""
-        return sorted(self._tails.values(), key=_span_start)
+    @property
+    def has_open_tail(self) -> bool:
+        return bool(self._tails)
 
     def open_tail_for(self, order_id: str) -> Optional[BookingEntry]:
         return self._tails.get(order_id)
@@ -359,7 +347,8 @@ class ResourceSchedule:
         keeping each row's ``from_state`` equal to :meth:`state_before` of
         its start. A row's successor is the entry that starts where the
         interval ends; its setup is the one a new booking in front of it
-        recomputes (see :func:`gaps_for`).
+        recomputes, so the gap such a booking sees ends where the
+        successor's recomputed setup has to begin.
 
         A gap therefore ends at most the successor's old setup after its
         interval. When no setup on the resource exceeds ``S`` and a slot
@@ -474,6 +463,7 @@ class ResourceSchedule:
             else:
                 succ.segments.pop(0)  # setup shrank to zero
         self.entries.insert(idx, entry)
+        self.version += 1
         if entry.open_tail:
             self._tails[entry.order_id] = entry
 
@@ -515,6 +505,7 @@ class ResourceSchedule:
             entry.segments.append(("load", TimeInterval(loading_start, departure)))
         entry.open_tail = False
         del self._tails[order_id]
+        self.version += 1
         return entry
 
     # -- invariant helper (used heavily by tests) -------------------------

@@ -71,11 +71,34 @@ def hold_check(report) -> list[str]:
     ]
 
 
+def open_tails(schedule):
+    """The open-tail entries of ``schedule`` in time order, found by a scan."""
+    return [e for e in schedule.entries if e.open_tail]
+
+
+def table_gaps(rows, new_end_state, setup_of):
+    """The rows of a gap table as a booking ending in ``new_end_state`` sees them.
+
+    The rule ``agents._ResourceAgent._fits`` applies to each row before it
+    places a slot: with a successor, the gap ends where the successor's setup,
+    recomputed by ``setup_of``, has to begin. Yields ``(start, end,
+    from_state, ti_next)`` and skips empty gaps.
+    """
+    for start, end, from_state, succ, core_start, setup in rows:
+        ti = 0
+        if succ is not None:
+            new_setup = setup_of(new_end_state, succ)
+            ti = new_setup - setup
+            end = core_start - new_setup
+        if end > start:
+            yield start, end, from_state, ti
+
+
 def full_gap_walk(schedule, free, new_end_state, setup_of, initial):
     """The successor-aware gap walk that asks the calendar afresh for every interval.
 
     The reference for ``ResourceSchedule.gap_table`` read through
-    ``timebase.gaps_for``: for each interval of ``free`` one successor bisect
+    :func:`table_gaps`: for each interval of ``free`` one successor bisect
     and one ``state_before`` walk, each time it is called. Yields
     ``(start, end, from_state, ti_next)`` and skips empty gaps.
     """

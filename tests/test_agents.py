@@ -42,8 +42,15 @@ from cnetsched.scenario import (
     build_runtime,
     parse_scenario,
 )
-from cnetsched.timebase import BookingEntry, OverlapError, Slack, TimeInterval, minutes
-from conftest import full_gap_walk
+from cnetsched.timebase import (
+    BookingEntry,
+    OverlapError,
+    Slack,
+    TimeInterval,
+    min_bound,
+    minutes,
+)
+from conftest import full_gap_walk, open_tails
 from oracle import find_entry
 
 PARAMS = ScheduleParams(t_transport_min=minutes(21), t_buffer_min=minutes(15))
@@ -862,8 +869,10 @@ def full_walk_machine(m, cfp, conv, ctx):
                     slack_after=_slack_from(
                         gap_end,
                         op_end + load_est,
-                        ls + op_dur + load_est if ls is not None else None,
-                        lf + load_est if lf is not None else None,
+                        min_bound(
+                            ls + op_dur + load_est if ls is not None else None,
+                            lf + load_est if lf is not None else None,
+                        ),
                     ),
                     op_duration=op_dur,
                     load_time=load_est,
@@ -880,7 +889,7 @@ def full_walk_machine(m, cfp, conv, ctx):
 
 @st.composite
 def machine_cfp(draw, m):
-    tails = m.schedule.open_tail_entries()
+    tails = open_tails(m.schedule)
     order = tails[0].order_id if tails and draw(st.booleans()) else "new"
     alternatives = []
     for _ in range(draw(st.integers(1, 3))):
@@ -958,7 +967,9 @@ def full_walk_leg(t, leg, dur, free, after=None):
             break
         if end > gap_end:
             continue
-        slack_after = _slack_from(gap_end, end, w.ls + dur if w.ls is not None else None, w.lf)
+        slack_after = _slack_from(
+            gap_end, end, min_bound(w.ls + dur if w.ls is not None else None, w.lf)
+        )
         return (
             TimeInterval(max(0, load_start - setup), end),
             TimeInterval(load_start, end),
@@ -1009,7 +1020,7 @@ def test_property_crane_skip_places_legs_like_the_full_walk(
     conv = "o1/s1"
     # another leg of the CFP may start earlier and bound the list lower
     base = after.slot.end if after is not None else max(es, ef - dur)
-    bounded = t.schedule.gap_table(t._free(conv, base - lower), t.initial_x)
+    bounded = t._table(conv, base - lower, t.initial_x)
     full = t.schedule.free_intervals(
         _ALL, extra_busy=t.holds.active_spans(exclude_conversation=conv)
     )
@@ -1034,9 +1045,9 @@ def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretche
     t.initial_x = 0.0
     leg = TransportLeg((0.0, 5.0), (0.0, 5.0), StageWindows(es=140, ef=150), "P#1")
     conv = "o1/s1"
-    free = t._free(conv, 140)
-    assert free[0] == TimeInterval(0, 100)
-    fields = t._place_leg(leg, 10, t.schedule.gap_table(free, 0.0))
+    table = t._table(conv, 140, 0.0)
+    assert table[0][:2] == (0, 100)
+    fields = t._place_leg(leg, 10, table)
     assert fields["slot"] == TimeInterval(140, 150)
     assert fields["price"] == 10 + 0 - 60  # the successor's setup shrinks by 60 s
     assert fields["slack_after"] == Slack(10)
@@ -1091,32 +1102,27 @@ def test_crane_legs_walk_a_bounded_number_of_gaps(monkeypatch, n_orders):
     # calendars grow with the order count; the table rows a leg reads must
     # not (a walk from time 0 visits ~53 gaps per leg at 60 orders and ~105
     # at 120)
-    from cnetsched import agents
     from cnetsched.harness import build_shop_scenario, run_scenario
 
     counts = {"legs": 0, "rows": 0}
-    gaps, place = agents.gaps_for, TransportAgent._place_leg
+    usable, place = TransportAgent._usable, TransportAgent._place_leg
 
-    def counted_rows(rows):
-        for row in rows:
+    def counted_usable(self, table, base):
+        # the placement walk pulls the rows it reads from here, one by one
+        for row in usable(self, table, base):
             counts["rows"] += 1
             yield row
-
-    def counted_gaps(rows, new_end_state, setup_of):
-        if isinstance(getattr(setup_of, "__self__", None), TransportAgent):
-            rows = counted_rows(rows)
-        return gaps(rows, new_end_state, setup_of)
 
     def counted_place(self, *args, **kwargs):
         counts["legs"] += 1
         return place(self, *args, **kwargs)
 
-    monkeypatch.setattr(agents, "gaps_for", counted_gaps)
+    monkeypatch.setattr(TransportAgent, "_usable", counted_usable)
     monkeypatch.setattr(TransportAgent, "_place_leg", counted_place)
     report = run_scenario(build_shop_scenario("flow", n_orders, 100), mode="deterministic")
     assert list(report.status.values()).count("done") == n_orders
     assert counts["legs"] > n_orders
-    assert counts["rows"] <= 5 * counts["legs"]
+    assert 0 < counts["rows"] <= 5 * counts["legs"]
 
 
 def test_a_crane_cfp_looks_up_each_free_interval_once_whatever_its_legs(monkeypatch):
@@ -1125,7 +1131,7 @@ def test_a_crane_cfp_looks_up_each_free_interval_once_whatever_its_legs(monkeypa
     from cnetsched.harness import build_scaling_scenario, run_scenario
     from cnetsched.timebase import ResourceSchedule
 
-    cfps = []  # per crane CFP: [legs, usable free intervals, calendar lookups]
+    cfps = []  # per crane CFP: [legs, gap table rows, calendar lookups]
     current = []
 
     def counted(name):
@@ -1140,7 +1146,7 @@ def test_a_crane_cfp_looks_up_each_free_interval_once_whatever_its_legs(monkeypa
 
     for name in ("state_before", "entry_at_or_after", "last_ending_by"):
         counted(name)
-    propose, free = TransportAgent._propose, TransportAgent._free
+    propose, table_of = TransportAgent._propose, TransportAgent._table
 
     def counted_propose(self, msg, cfp, step, ctx):
         current.append([len(cfp.legs), 0, 0])
@@ -1149,15 +1155,144 @@ def test_a_crane_cfp_looks_up_each_free_interval_once_whatever_its_legs(monkeypa
         finally:
             cfps.append(current.pop())
 
-    def counted_free(self, *args, **kwargs):
-        intervals = free(self, *args, **kwargs)
-        current[-1][1] = len(intervals)
-        return intervals
+    def counted_table(self, *args, **kwargs):
+        table = table_of(self, *args, **kwargs)
+        current[-1][1] = len(table)
+        return table
 
     monkeypatch.setattr(TransportAgent, "_propose", counted_propose)
-    monkeypatch.setattr(TransportAgent, "_free", counted_free)
+    monkeypatch.setattr(TransportAgent, "_table", counted_table)
     report = run_scenario(build_scaling_scenario(32), mode="deterministic")
     assert report.all_done
+    assert cfps and all(intervals > 0 for _, intervals, _ in cfps)
     assert max(legs for legs, _, _ in cfps) >= 40
     assert any(legs > 5 * intervals > 0 for legs, intervals, _ in cfps)
     assert [(legs, intervals, n) for legs, intervals, n in cfps if n > intervals] == []
+
+
+# ---------------------------------------------------------------------------
+# the kept gap table
+
+calendar_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("book"),
+            st.integers(0, 600),
+            st.integers(1, 50),
+            st.sampled_from("ABC"),
+            st.integers(0, 3).map(lambda n: n == 0),
+        ),
+        st.tuples(st.just("close"), st.integers(0, 30)),
+        st.tuples(st.just("hold"), st.integers(0, 700), st.integers(1, 40)),
+        st.tuples(st.just("release")),
+    ),
+    max_size=14,
+)
+
+
+def fresh_table(m, conv, base, assume_closed):
+    """The gap table a CFP of ``conv`` from ``base`` gets when built from scratch."""
+    free = m.schedule.free_intervals(
+        _ALL,
+        extra_busy=m.holds.active_spans(exclude_conversation=conv),
+        assume_closed=assume_closed,
+        after=base - m._setup_bound - 1,
+    )
+    return m.schedule.gap_table(free, m.initial_state)
+
+
+#: the bases of the CFPs asked after each step, a later one often on the same calendar
+cfp_bases = st.lists(
+    st.lists(st.integers(0, 900), min_size=1, max_size=3), min_size=15, max_size=15
+)
+
+
+@given(calendar_steps, cfp_bases, st.booleans())
+def test_property_a_kept_table_is_the_fresh_table_with_rows_that_end_early(
+    steps, bases, assume_own
+):
+    # every step is followed by CFPs; the first ones meet an empty calendar
+    m, conv = small_machine(), "o1/s0"
+    edits = held = 0
+    for step, step_bases in zip([None, *steps], bases):
+        if step is None:
+            pass
+        elif step[0] == "book":
+            _, start, dur, state, open_tail = step
+            segments = [("operation", TimeInterval(start, start + dur))]
+            entry = BookingEntry(f"b{edits}", "1", segments, open_tail, end_state=state)
+            try:
+                m.schedule.insert_booking(entry, m._succ_setup)
+                edits += 1
+            except OverlapError:
+                pass
+        elif step[0] == "close":
+            tails = open_tails(m.schedule)
+            if tails:
+                try:
+                    m.schedule.close_open_tail(tails[0].order_id, tails[0].span_end + step[1], 4)
+                    edits += 1
+                except OverlapError:
+                    pass
+        elif step[0] == "hold":
+            _, start, dur = step
+            m.holds.add(OfferHold(f"x#{held}", TimeInterval(start, start + dur), "x/s9", 10**6))
+            held += 1
+        elif held:
+            held -= 1
+            m.holds.release(f"x#{held}")
+        assert m.schedule.version == edits
+        tails = open_tails(m.schedule)
+        assume = frozenset({tails[0].order_id}) if assume_own and tails else frozenset()
+        for base in step_bases:
+            table = m._table(conv, base, m.initial_state, assume)
+            fresh = fresh_table(m, conv, base, assume)
+            extra = len(table) - len(fresh)
+            assert extra >= 0 and table[extra:] == fresh
+            after = base - m._setup_bound - 1
+            assert all(row.end <= after for row in table[:extra])
+            assert m._usable(table, base) == m._usable(fresh, base)
+
+
+def test_a_machine_reuses_its_table_until_the_calendar_changes_or_another_order_holds():
+    m = small_machine()
+    first = m._table("o1/s0", 100, "A")
+    assert m._table("o2/s0", 200, "A") is first  # same calendar, a later base
+    earlier = m._table("o2/s0", 50, "A")
+    assert earlier is not first  # an earlier base needs rows the table lacks
+    assert m._table("o3/s0", 100, "A") is earlier
+    m.schedule.insert_booking(closed_block("x", 500, 600, end_state="A"))
+    assert m._table("o3/s0", 100, "A") is not earlier
+    hold_others(m, [(700, 10)])
+    assert m._table("o3/s0", 100, "A") is not m._table("o3/s0", 100, "A")
+
+
+def test_most_machine_cfps_on_a_wide_floor_reuse_the_kept_table(monkeypatch):
+    # k = 32 machines per capability: of the machines a production CFP
+    # reaches, all but the one that booked the last stage are unchanged
+    from cnetsched.harness import build_scaling_scenario, run_scenario
+    from cnetsched.timebase import ResourceSchedule
+
+    counts = {"cfps": 0, "built": 0}
+    inside: list[bool] = []
+    table_of, gap_table = ProductionAgent._table, ResourceSchedule.gap_table
+
+    def counted_table(self, *args, **kwargs):
+        counts["cfps"] += 1
+        inside.append(True)
+        try:
+            return table_of(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_gap_table(self, *args, **kwargs):
+        if inside:
+            counts["built"] += 1
+        return gap_table(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProductionAgent, "_table", counted_table)
+    monkeypatch.setattr(ResourceSchedule, "gap_table", counted_gap_table)
+    report = run_scenario(build_scaling_scenario(32), mode="deterministic")
+    assert report.all_done
+    assert counts["built"] > 0
+    assert counts["cfps"] - counts["built"] >= 0.8 * counts["cfps"]

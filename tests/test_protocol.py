@@ -251,10 +251,7 @@ def test_holdbook_active_spans_ignore_same_conversation():
 
 def test_message_counter_views():
     c = MessageCounter()
-    c.count(Message("o1", "M1", "o1/s0", (mk_cfp(),)))
-    c.count(Message("o1", "M2", "o1/s0", (mk_cfp(),)))
-    c.count(proposal_msg("M1", "o1/s0", mk_proposal("M1#1", "M1")))
-    c.count(Message("o2", "M1", "o2/s1", (mk_cfp(),)))
+    c.counts.update({("o1/s0", "Cfp"): 2, ("o1/s0", "Proposal"): 1, ("o2/s1", "Cfp"): 1})
     assert c.total() == 4
     assert c.per_order() == {"o1": 3, "o2": 1}
     assert c.per_variant() == {"Cfp": 3, "Proposal": 1}

@@ -110,6 +110,27 @@ def test_a_deadline_that_is_not_a_positive_number_is_a_problem(key, value):
     assert problems_of(doc) == (f"t.params.{key}: must be a positive number when given",)
 
 
+def test_a_hold_deadline_within_three_cfp_deadlines_is_a_problem():
+    # a production offer is held through up to three rounds before its stage decides
+    doc = minimal_doc()
+    doc["params"].update(cfp_deadline=599, hold_deadline=600)
+    assert problems_of(doc) == (
+        "t.params.hold_deadline: must exceed three CFP deadlines (1797), got 600",
+    )
+    doc["params"].update(cfp_deadline=200, hold_deadline=600)
+    assert problems_of(doc) == (
+        "t.params.hold_deadline: must exceed three CFP deadlines (600), got 600",
+    )
+
+
+@pytest.mark.parametrize("cfp, hold", [(5, 600), (0.25, 600), (200.5, 602)])
+def test_a_hold_deadline_beyond_three_cfp_deadlines_is_accepted(cfp, hold):
+    doc = minimal_doc()
+    doc["params"].update(cfp_deadline=cfp, hold_deadline=hold)
+    s = parse_scenario(doc, source="t")
+    assert (s.params.cfp_deadline, s.params.hold_deadline) == (cfp, hold)
+
+
 def test_a_document_with_problems_is_not_checked_for_a_transport_floor():
     # the machine list fails to parse, so no floor is derived from its locations
     doc = minimal_doc()

@@ -9,12 +9,11 @@ from cnetsched.timebase import (
     ResourceSchedule,
     Slack,
     TimeInterval,
-    gaps_for,
     hhmm,
     min_bound,
     minutes,
 )
-from conftest import full_gap_walk
+from conftest import full_gap_walk, open_tails, table_gaps
 
 
 def op_entry(order, start, end, step="1", end_state="", open_tail=False, setup=0):
@@ -355,9 +354,31 @@ def test_placement_gaps_respect_successor_setup():
     table = s.gap_table(s.free_intervals(TimeInterval(0, 1000)), initial="A")
     assert table[0].succ is s.entries[0] and table[0].setup == 20
     # start, end, from_state, ti_next: a 40s setup is now needed before 200
-    assert list(gaps_for(table, "B", setup_of))[0] == (0, 160, "A", 20)
+    assert list(table_gaps(table, "B", setup_of))[0] == (0, 160, "A", 20)
     # the setup shrinks and the gap stretches
-    assert list(gaps_for(table, "A", setup_of))[0] == (0, 190, "A", -10)
+    assert list(table_gaps(table, "A", setup_of))[0] == (0, 190, "A", -10)
+
+
+def test_version_counts_every_edit_of_the_calendar():
+    s = ResourceSchedule([op_entry("init", 0, 10)])
+    assert s.version == 0
+    s.insert_booking(op_entry("a", 100, 200, end_state="A", setup=10))
+    assert s.version == 1
+    # the insert shifts its successor's setup too: still one edit
+    s.insert_booking(op_entry("b", 50, 60, end_state="B"), successor_setup=lambda *_: 30)
+    assert s.entries[-1].setup_interval == TimeInterval(70, 100)
+    assert s.version == 2
+    s.insert_booking(op_entry("c", 300, 400, open_tail=True))
+    assert s.version == 3
+    with pytest.raises(OverlapError):
+        s.insert_booking(op_entry("d", 150, 160))
+    with pytest.raises(NoOpenTail):
+        s.close_open_tail("a", 500, 0)
+    with pytest.raises(OverlapError):
+        s.close_open_tail("c", 390, 0)
+    assert s.version == 3  # a refused edit changes nothing
+    s.close_open_tail("c", 500, 10)
+    assert s.version == 4
 
 
 def test_entry_at_or_after():
@@ -503,7 +524,7 @@ def test_property_open_tail_index_matches_a_scan(ops):
                 pass
         s.check_invariants()  # compares the index with a scan
         scan = [e for e in s.entries if e.open_tail]
-        assert [id(e) for e in s.open_tail_entries()] == [id(e) for e in scan]
+        assert s.has_open_tail == bool(scan)
         for order in "abcd":
             expected = next((e for e in scan if e.order_id == order), None)
             assert s.open_tail_for(order) is expected
@@ -572,7 +593,7 @@ def machine_calendar(draw):
             s.insert_booking(entry, machine_succ_setup)  # moves successor setups
         except OverlapError:
             pass
-    for e in s.open_tail_entries():
+    for e in open_tails(s):
         if draw(st.booleans()):
             wait = draw(st.integers(0, 40))
             try:
@@ -697,12 +718,12 @@ def test_property_indexed_lookups_match_linear_scans(s):
     st.booleans(),
 )
 def test_property_machine_gap_walk_matches_linear_scan(s, product, initial, extra, own):
-    tails = s.open_tail_entries()
+    tails = open_tails(s)
     assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
     free = s.free_intervals(SCAN, extra_busy=extra, assume_closed=assume)
     linear = linear_machine_gaps(s, product, initial, extra, assume)
     table = s.gap_table(free, initial)
-    assert list(gaps_for(table, product, machine_succ_setup)) == linear
+    assert list(table_gaps(table, product, machine_succ_setup)) == linear
     assert list(full_gap_walk(s, free, product, machine_succ_setup, initial)) == linear
     horizon = max((e.span_end for e in s.entries), default=0) + 5
     for t in range(horizon):
@@ -717,7 +738,7 @@ def test_property_crane_gap_walk_matches_linear_scan(calendar, drop_x, extra):
     free = s.free_intervals(SCAN, extra_busy=extra)
     linear = linear_crane_gaps(s, pickups, initial_x, drop_x, extra)
     table = s.gap_table(free, initial_x)
-    assert list(gaps_for(table, drop_x, crane_succ_setup(pickups))) == linear
+    assert list(table_gaps(table, drop_x, crane_succ_setup(pickups))) == linear
     walk = full_gap_walk(s, free, drop_x, crane_succ_setup(pickups), initial_x)
     assert list(walk) == linear
     horizon = max((e.span_end for e in s.entries), default=0) + 5
@@ -733,7 +754,7 @@ def test_property_crane_gap_walk_matches_linear_scan(calendar, drop_x, extra):
     st.sampled_from((SCAN, TimeInterval(0, 400), TimeInterval(90, 10**9))),
 )
 def test_property_free_intervals_after_is_the_filtered_full_query(s, extra, own, lo, window):
-    tails = s.open_tail_entries()
+    tails = open_tails(s)
     assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
     full = s.free_intervals(window, extra_busy=extra, assume_closed=assume)
     bounded = s.free_intervals(window, extra_busy=extra, assume_closed=assume, after=lo)
@@ -743,7 +764,7 @@ def test_property_free_intervals_after_is_the_filtered_full_query(s, extra, own,
 @given(machine_calendar(), holds, st.booleans(), st.integers(-5, 800))
 def test_property_gap_table_of_a_bounded_list_is_the_full_tables_tail(s, extra, own, lo):
     # the cursor starts with one bisect at the first interval it is given
-    tails = s.open_tail_entries()
+    tails = open_tails(s)
     assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
     full = s.free_intervals(SCAN, extra_busy=extra, assume_closed=assume)
     bounded = s.free_intervals(SCAN, extra_busy=extra, assume_closed=assume, after=lo)
