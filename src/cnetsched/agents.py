@@ -13,7 +13,7 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import calculus
@@ -63,7 +63,6 @@ from .timebase import (
     Seconds,
     Slack,
     TimeInterval,
-    min_bound,
 )
 
 if TYPE_CHECKING:  # scenario imports this module; its records are read by attribute
@@ -78,6 +77,8 @@ _ALL = TimeInterval(0, HORIZON)
 MAX_SLOTS_PER_CFP = 2
 _iv_start = attrgetter("start")
 _iv_end = attrgetter("end")
+#: the slot and the price among the proposal fields ``_place_leg`` returns
+_slot_and_price = itemgetter(1, 6)
 
 
 class StartOrder(NamedTuple):
@@ -310,9 +311,9 @@ class _ResourceAgent:
         ls, lf = windows.ls, windows.lf
         succ_setup = self._succ_setup
         # the windows' cap on the slack, the same for every gap
-        cap = min_bound(
-            ls + dur + tail if ls is not None else None, lf + tail if lf is not None else None
-        )
+        cap = ls + dur + tail if ls is not None else None
+        if lf is not None and (cap is None or lf + tail < cap):
+            cap = lf + tail
         for gap_start, gap_end, from_state, succ, core_start, old_setup in self._usable(
             table, earliest
         ):
@@ -335,21 +336,22 @@ class _ResourceAgent:
             yield start, end, setup, ti_next, _slack_from(gap_end, end + tail, cap)
 
     def _offer(
-        self, ctx, conv: str, step_label: str, span: TimeInterval, end_state="", **fields
+        self, ctx, conv: str, step_label: str, span: TimeInterval, end_state, *fields
     ) -> Proposal:
-        """Number a proposal and hold ``span`` for it until the hold deadline."""
+        """Number a proposal and hold ``span`` for it until the hold deadline.
+
+        ``fields`` are the proposal's fields after ``resource_id``, by position
+        in ``Proposal._fields`` order: location, slot, slack_after,
+        op_duration, load_time, unload_time, price, then optionally
+        alternative, realizes, via and required_operation. Every offer takes
+        this path, so nothing on it goes through keywords.
+        """
         self._seq += 1
         pid = f"{self.agent_id}#p{self._seq}"
-        proposal = Proposal(proposal_id=pid, kind=self.kind, resource_id=self.agent_id, **fields)
+        proposal = Proposal(pid, self.kind, self.agent_id, *fields)
         self.holds.add(
             OfferHold(
-                proposal_id=pid,
-                span=span,
-                conversation_id=conv,
-                deadline=ctx.now() + ctx.hold_deadline,
-                proposal=proposal,
-                step_label=step_label,
-                end_state=end_state,
+                pid, span, conv, ctx.now() + ctx.hold_deadline, proposal, step_label, end_state
             )
         )
         return proposal
@@ -488,19 +490,10 @@ class ProductionAgent(_ResourceAgent):
             ):
                 proposals.append(
                     self._offer(
-                        ctx,
-                        conv,
-                        str(step),
-                        TimeInterval(op_start - setup - unload, op_end + load_est),
-                        product,
-                        location=self.location,
-                        slot=TimeInterval(op_start, op_end),
-                        slack_after=slack_after,
-                        op_duration=op_dur,
-                        load_time=load_est,
-                        unload_time=unload,
-                        price=proposal_price(op_dur, setup, ti_next),
-                        alternative=alt_idx,
+                        ctx, conv, str(step),
+                        TimeInterval(op_start - setup - unload, op_end + load_est), product,
+                        self.location, TimeInterval(op_start, op_end), slack_after, op_dur,
+                        load_est, unload, proposal_price(op_dur, setup, ti_next), alt_idx,
                     )
                 )
         return proposals
@@ -591,19 +584,9 @@ class BufferAgent(_ResourceAgent):
                 )
                 proposals.append(
                     self._offer(
-                        ctx,
-                        conv,
-                        f"B{step}",
-                        TimeInterval(max(0, start - u_est), end + l_est),
-                        location=self.location,
-                        slot=TimeInterval(start, end),
-                        slack_after=slack_after,
-                        op_duration=end - start,
-                        load_time=l_est,
-                        unload_time=u_est,
-                        price=0,
-                        alternative=alt_idx,
-                        realizes=alt.realizes,
+                        ctx, conv, f"B{step}", TimeInterval(max(0, start - u_est), end + l_est), "",
+                        self.location, TimeInterval(start, end), slack_after, end - start,
+                        l_est, u_est, 0, alt_idx, alt.realizes,
                     )
                 )
                 break  # earliest feasible slot per alternative
@@ -694,7 +677,7 @@ class TransportAgent(_ResourceAgent):
             fx, tx = leg.from_location[0], leg.to_location[0]
             plain = self._place_leg(leg, dur, table)
             if plain is not None:
-                made = self._offer(ctx, conv, label, end_state=tx, **plain)
+                made = self._offer(ctx, conv, label, plain[0], tx, *plain[1])
                 proposals.append(made)
                 emitted_by_leg[leg_idx] = made
             # chained variant: departing right where a partner leg drops off
@@ -704,10 +687,9 @@ class TransportAgent(_ResourceAgent):
             chained = self._place_leg(leg, dur, table, after=partner)
             # one equal to the plain placement is not offered: no hold, no id
             if chained is not None and (
-                plain is None
-                or (chained["slot"], chained["price"]) != (plain["slot"], plain["price"])
+                plain is None or _slot_and_price(chained[1]) != _slot_and_price(plain[1])
             ):
-                proposals.append(self._offer(ctx, conv, label, end_state=tx, **chained))
+                proposals.append(self._offer(ctx, conv, label, chained[0], tx, *chained[1]))
         return proposals
 
     def _place_leg(
@@ -716,8 +698,9 @@ class TransportAgent(_ResourceAgent):
         dur: Seconds,
         table: list[GapRow],
         after: Optional[Proposal] = None,
-    ) -> Optional[dict]:
-        """Where ``leg`` fits first, as ``_offer`` arguments: the span and the proposal's fields.
+    ) -> Optional[tuple[TimeInterval, tuple]]:
+        """Where ``leg`` fits first: the span to hold and the proposal's fields
+        after ``resource_id``, in the order ``_offer`` takes them.
 
         ``after`` places the chained variant, which loads where and when the
         partner proposal ``after`` unloads. None when the leg fits nowhere.
@@ -738,19 +721,10 @@ class TransportAgent(_ResourceAgent):
         for load_start, end, setup, ti_next, slack_after in self._fits(
             table, tx, earliest, dur, w, setup_of
         ):
-            return dict(
-                span=TimeInterval(load_start - setup, end),
-                location=(fx, leg.from_location[1]),
-                slot=TimeInterval(load_start, end),
-                slack_after=slack_after,
-                op_duration=dur,
-                load_time=geom.load_time,
-                unload_time=geom.unload_time,
-                price=proposal_price(dur, setup, ti_next),
-                alternative=0,
-                realizes=leg.realizes,
-                via=leg.via,
-                required_operation=after.proposal_id if after is not None else None,
+            return TimeInterval(load_start - setup, end), (
+                (fx, leg.from_location[1]), TimeInterval(load_start, end), slack_after, dur,
+                geom.load_time, geom.unload_time, proposal_price(dur, setup, ti_next),
+                0, leg.realizes, leg.via, after.proposal_id if after is not None else None,
             )
         return None
 

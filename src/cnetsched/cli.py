@@ -48,11 +48,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _os_error(verb: str, path: str, exc: OSError) -> int:
+    """Report I/O trouble as one line; the exit code is 1."""
+    print(f"error: cannot {verb} {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
+
+
 def _load(path: str) -> "object | None":
     try:
         return load_scenario(path)
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
+    except OSError as exc:  # missing, a directory, unreadable
+        _os_error("read", path, exc)
     except ValidationError as exc:
         print(f"error: {path} is not a valid scenario:", file=sys.stderr)
         for problem in exc.problems:
@@ -93,15 +99,18 @@ def _cmd_run(args) -> int:
     print(f"messages: {report.counter.total()}, events: {report.events}, "
           f"wall: {report.wall_seconds:.3f}s")
 
-    if args.gantt:
-        export_gantt(report, args.gantt)
-        print(f"gantt -> {args.gantt}")
-    if args.metrics:
-        export_metrics(report, args.metrics, scenario=scenario, seed=args.seed)
-        print(f"metrics -> {args.metrics}")
-    if args.trace:
-        export_trace(report, args.trace)
-        print(f"trace -> {args.trace}")
+    try:
+        if args.gantt:
+            export_gantt(report, args.gantt)
+            print(f"gantt -> {args.gantt}")
+        if args.metrics:
+            export_metrics(report, args.metrics, scenario=scenario, seed=args.seed)
+            print(f"metrics -> {args.metrics}")
+        if args.trace:
+            export_trace(report, args.trace)
+            print(f"trace -> {args.trace}")
+    except OSError as exc:
+        return _os_error("write", exc.filename, exc)
 
     if report.all_done:
         return 0
@@ -121,7 +130,10 @@ def _cmd_experiment(args) -> int:
     text = json.dumps(result, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            return _os_error("write", args.out, exc)
         print(f"result -> {args.out}", file=sys.stderr)
     return 0
 

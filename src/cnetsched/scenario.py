@@ -508,7 +508,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     with path.open("r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise ValidationError([f"{path}: not valid JSON ({exc})"]) from exc
     return parse_scenario(doc, source=path.name)
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import pytest
 from hypothesis import given
@@ -474,6 +475,128 @@ def test_transport_drops_a_chained_variant_equal_to_the_plain_one_without_holdin
     assert [p.proposal_id for p in props] == ["Crane1#p1", "Crane1#p2"]
 
 
+def hold_fields(agent, p):
+    (hold,) = [h for h in agent.holds if h.proposal_id == p.proposal_id]
+    return {f.name: getattr(hold, f.name) for f in dataclasses.fields(hold)}
+
+
+def test_every_offer_field_lands_in_its_named_place():
+    # every number is distinct (load 13 / unload 11 on a machine and a buffer,
+    # load 3 / unload 4 on the crane), so two fields swapped on the way from
+    # the placement to the Proposal or the OfferHold show up by name
+    ctx = FakeCtx(now=5)
+    deadline = 5 + ctx.hold_deadline
+
+    m = ProductionAgent(
+        machine_spec({"A": 50}, {"B": {"A": 7}}, initial_state="B"),
+        unload_estimate=11,
+        load_estimate=13,
+    )
+    cfp = Cfp(
+        kind=PRODUCTION,
+        workpiece=WorkpieceInfo("o1", "A", (10.0, 5.0)),
+        operation="cutting",
+        alternatives=(
+            CfpAlternative(StageWindows(es=100, ef=100, ls=200, lf=400)),
+            CfpAlternative(StageWindows(es=300, ef=300)),
+        ),
+        deadline=10**7,
+    )
+    first, second = proposals_of(m.handle(envelope("M1", "o1", 0, cfp), ctx))
+    assert first._asdict() == dict(
+        proposal_id="M1#p1", kind=PRODUCTION, resource_id="M1", location=(5.0, 5.0),
+        slot=TimeInterval(100, 150), slack_after=Slack(100), op_duration=50, load_time=13,
+        unload_time=11, price=50 + 7, alternative=0, realizes=None, via=None,
+        required_operation=None,
+    )
+    assert second._asdict() == dict(
+        first._asdict(), proposal_id="M1#p2", slot=TimeInterval(300, 350),
+        slack_after=Slack.UNBOUNDED, alternative=1,
+    )
+    assert hold_fields(m, first) == dict(
+        proposal_id="M1#p1", span=TimeInterval(100 - 7 - 11, 150 + 13), conversation_id="o1/s0",
+        deadline=deadline, proposal=first, step_label="1", end_state="A",
+    )
+    assert hold_fields(m, second)["span"] == TimeInterval(300 - 7 - 11, 350 + 13)
+
+    b = BufferAgent(
+        BufferSpec(id="Buf1", location=(20.0, 15.0)), unload_estimate=11, load_estimate=13
+    )
+    cfp = Cfp(
+        kind=BUFFER,
+        workpiece=WorkpieceInfo("o1", "A", (5.0, 5.0)),
+        operation="buffer",
+        alternatives=(
+            CfpAlternative(StageWindows(es=1000, ef=2000, ls=5000, lf=6000), realizes="P#1"),
+            CfpAlternative(StageWindows(es=3000, ef=3500), realizes="P#2"),
+        ),
+        deadline=10**7,
+    )
+    first, second = proposals_of(b.handle(envelope("Buf1", "o1", 1, cfp), ctx))
+    assert first._asdict() == dict(
+        proposal_id="Buf1#p1", kind=BUFFER, resource_id="Buf1", location=(20.0, 15.0),
+        slot=TimeInterval(1000, 2000), slack_after=Slack(6013 - 2013), op_duration=1000,
+        load_time=13, unload_time=11, price=0, alternative=0, realizes="P#1", via=None,
+        required_operation=None,
+    )
+    assert second._asdict() == dict(
+        first._asdict(), proposal_id="Buf1#p2", slot=TimeInterval(3000, 3500),
+        slack_after=Slack.UNBOUNDED, op_duration=500, alternative=1, realizes="P#2",
+    )
+    assert hold_fields(b, first) == dict(
+        proposal_id="Buf1#p1", span=TimeInterval(1000 - 11, 2000 + 13), conversation_id="o1/s1",
+        deadline=deadline, proposal=first, step_label="B2", end_state="",
+    )
+
+    t = TransportAgent(
+        TransportSpec(id="Crane1", segment=(0.0, 60.0), speed=60.0, load=3, unload=4)
+    )
+    inbound = TransportLeg((10.0, 5.0), (20.0, 15.0), StageWindows(es=0, ef=1210, lf=1300), "B#1")
+    outbound = TransportLeg(
+        (20.0, 15.0), (40.0, 5.0), StageWindows(es=2000, ef=2000, ls=2100, lf=2200), "P#1",
+        via="B#1", chain_after=0,
+    )
+    cfp = Cfp(
+        kind=TRANSPORT,
+        workpiece=WorkpieceInfo("o1", "A", (10.0, 5.0)),
+        operation="transport",
+        legs=(inbound, outbound),
+        deadline=10**7,
+    )
+    into, plain, chained = proposals_of(t.handle(envelope("Crane1", "o1", 1, cfp), ctx))
+    # 3 s load + 10 s run + 4 s unload, after a 10-s approach from x = 0
+    assert into._asdict() == dict(
+        proposal_id="Crane1#p1", kind=TRANSPORT, resource_id="Crane1", location=(10.0, 5.0),
+        slot=TimeInterval(1193, 1210), slack_after=Slack(1300 - 1210), op_duration=17,
+        load_time=3, unload_time=4, price=17 + 10, alternative=0, realizes="B#1", via=None,
+        required_operation=None,
+    )
+    assert hold_fields(t, into) == dict(
+        proposal_id="Crane1#p1", span=TimeInterval(1183, 1210), conversation_id="o1/s1",
+        deadline=deadline, proposal=into, step_label="T:1,B2", end_state=20.0,
+    )
+    # 3 s load + 20 s run + 4 s unload; the plain leg approaches 20 s from x = 0
+    assert plain._asdict() == dict(
+        proposal_id="Crane1#p2", kind=TRANSPORT, resource_id="Crane1", location=(20.0, 15.0),
+        slot=TimeInterval(2000, 2027), slack_after=Slack(2127 - 2027), op_duration=27,
+        load_time=3, unload_time=4, price=27 + 20, alternative=0, realizes="P#1", via="B#1",
+        required_operation=None,
+    )
+    assert hold_fields(t, plain) == dict(
+        proposal_id="Crane1#p2", span=TimeInterval(1980, 2027), conversation_id="o1/s1",
+        deadline=deadline, proposal=plain, step_label="T:B2,2", end_state=40.0,
+    )
+    # the chained variant loads where the inbound leg drops off: no approach
+    assert chained._asdict() == dict(
+        plain._asdict(), proposal_id="Crane1#p3", price=27,
+        required_operation="Crane1#p1",
+    )
+    assert hold_fields(t, chained) == dict(
+        hold_fields(t, plain), proposal_id="Crane1#p3", span=TimeInterval(2000, 2027),
+        proposal=chained,
+    )
+
+
 def test_transport_accept_books_travel_load_travel_unload():
     t, ctx = crane(), FakeCtx()
     props = proposals_of(t.handle(envelope("Crane1", "o1", 1, transport_cfp()), ctx))
@@ -864,9 +987,9 @@ def full_walk_machine(m, cfp, conv, ctx):
                     "1",
                     TimeInterval(block_start, op_end + load_est),
                     product,
-                    location=m.location,
-                    slot=TimeInterval(op_start, op_end),
-                    slack_after=_slack_from(
+                    m.location,
+                    TimeInterval(op_start, op_end),
+                    _slack_from(
                         gap_end,
                         op_end + load_est,
                         min_bound(
@@ -874,11 +997,11 @@ def full_walk_machine(m, cfp, conv, ctx):
                             lf + load_est if lf is not None else None,
                         ),
                     ),
-                    op_duration=op_dur,
-                    load_time=load_est,
-                    unload_time=unload,
-                    price=proposal_price(op_dur, setup, ti_next),
-                    alternative=alt_idx,
+                    op_dur,
+                    load_est,
+                    unload,
+                    proposal_price(op_dur, setup, ti_next),
+                    alt_idx,
                 )
             )
             emitted += 1
@@ -979,11 +1102,12 @@ def full_walk_leg(t, leg, dur, free, after=None):
     return None
 
 
-def placed(fields):
-    if fields is None:
+def placed(leg):
+    if leg is None:
         return None
-    keys = ("span", "slot", "slack_after", "price")
-    return tuple(fields[k] for k in keys)
+    span, fields = leg
+    proposal = Proposal("-", TRANSPORT, "-", *fields)
+    return span, proposal.slot, proposal.slack_after, proposal.price
 
 
 @given(
@@ -1047,10 +1171,11 @@ def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretche
     conv = "o1/s1"
     table = t._table(conv, 140, 0.0)
     assert table[0][:2] == (0, 100)
-    fields = t._place_leg(leg, 10, table)
-    assert fields["slot"] == TimeInterval(140, 150)
-    assert fields["price"] == 10 + 0 - 60  # the successor's setup shrinks by 60 s
-    assert fields["slack_after"] == Slack(10)
+    _span, fields = t._place_leg(leg, 10, table)
+    proposal = Proposal("-", TRANSPORT, "Crane1", *fields)
+    assert proposal.slot == TimeInterval(140, 150)
+    assert proposal.price == 10 + 0 - 60  # the successor's setup shrinks by 60 s
+    assert proposal.slack_after == Slack(10)
 
 
 def machine_with(setup, unload):

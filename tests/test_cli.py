@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cnetsched.cli import main
+from cnetsched.scenario import ValidationError, load_scenario
 
 from conftest import FLOWSHOP, JOBSHOP
 
@@ -54,6 +55,43 @@ def test_malformed_scenario_exits_1(tmp_path, capsys):
     assert "error:" in err
     assert "craneless.json.params.t_transport_min: absent and cannot be derived" in err
     assert "undated.json.params.cfp_deadline: must be a positive number when given" in err
+
+
+def test_load_scenario_reports_a_file_that_is_not_utf8_as_invalid(tmp_path):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"name": "Fräse"}'.encode("latin-1"))
+    with pytest.raises(ValidationError) as caught:
+        load_scenario(latin)
+    assert caught.value.problems[0].startswith(f"{latin}: not valid JSON (")
+
+
+def test_an_unreadable_scenario_is_one_error_line_and_exit_1(tmp_path, capsys):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{}")
+    for command in ("validate", "run"):
+        assert main([command, str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
+        assert main([command, str(latin)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {latin} is not a valid scenario:\n")
+        assert "'utf-8' codec can't decode" in err
+
+
+@pytest.mark.parametrize("flag", ["--gantt", "--metrics", "--trace"])
+def test_run_into_a_missing_directory_is_one_error_line_and_exit_1(tmp_path, capsys, flag):
+    target = tmp_path / "absent" / "out"
+    assert main(["run", str(FLOWSHOP), flag, str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+    assert "order-A: done" in captured.out  # the run itself finished
+    assert not target.parent.exists()
+
+
+def test_experiment_into_a_missing_directory_is_one_error_line_and_exit_1(tmp_path, capsys):
+    target = tmp_path / "absent" / "result.json"
+    assert main(["experiment", "scaling-sweep", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 def test_order_no_machine_serves_exits_2(tmp_path, capsys):
