@@ -54,6 +54,7 @@ from .protocol import (
 )
 from .selector import StageContext, build_ocs, select
 from .timebase import (
+    HORIZON,
     BookingEntry,
     GapRow,
     NoOpenTail,
@@ -70,9 +71,6 @@ if TYPE_CHECKING:  # scenario imports this module; its records are read by attri
 
 log = logging.getLogger(__name__)
 
-#: upper edge of every placement scan; a gap reaching it counts as unbounded
-HORIZON: Seconds = 10**9
-_ALL = TimeInterval(0, HORIZON)
 #: a machine offers one slot per free gap, at most this many per CFP alternative
 MAX_SLOTS_PER_CFP = 2
 _iv_start = attrgetter("start")
@@ -151,13 +149,12 @@ class _ResourceAgent:
     releases them as the order decides. A subclass says how it places
     proposals (``_propose``) and lays out an accepted booking (``_booking``).
 
-    A CFP is answered from one gap table (:meth:`_table`). The agent keeps the
-    last table it built while no other conversation held an offer, and
-    answers a later CFP from it as long as the calendar's ``version`` has not
-    moved, no other conversation holds an offer, no open tail is assumed
-    closed, and the CFP starts no earlier than the one the table was built
-    for. On a floor of many interchangeable machines most of them receive
-    CFP after CFP with nothing booked in between.
+    A CFP is answered from one gap table (:meth:`_table`). While no other
+    conversation holds an offer and no open tail is assumed closed, that is
+    the table the calendar keeps until its next edit
+    (``ResourceSchedule.gap_table``): on a floor of many interchangeable
+    machines most of them receive CFP after CFP with nothing booked in
+    between.
     """
 
     kind: str  # PRODUCTION | BUFFER | TRANSPORT
@@ -166,13 +163,10 @@ class _ResourceAgent:
     #: S, the largest setup (plus unload prefix) a gap's predecessor or
     #: successor can impose on this resource; set by each kind
     _setup_bound: Seconds = 0
-    #: (calendar version, ``after``, table) of the last table built with no
-    #: other conversation's hold and nothing assumed closed; None until then
-    _kept: Optional[tuple[int, Seconds, list[GapRow]]] = None
 
-    def __init__(self, agent_id: str) -> None:
+    def __init__(self, agent_id: str, initial: Any = "") -> None:
         self.agent_id = agent_id
-        self.schedule = ResourceSchedule()
+        self.schedule = ResourceSchedule(initial=initial)
         self.holds = HoldBook()
         self._seq = 0
 
@@ -222,7 +216,12 @@ class _ResourceAgent:
         return []
 
     def _drain(self, ctx) -> list[Message]:
-        """Answer CFPs queued while engaged; only a machine queues any."""
+        """Answer CFPs queued while engaged; only a machine queues any.
+
+        It runs after a ``RejectProposal`` (:meth:`handle`) and after a
+        departure (``ProductionAgent._on_departure``); nothing drains when a
+        hold expires.
+        """
         return []
 
     # -- offers -----------------------------------------------------------
@@ -244,36 +243,20 @@ class _ResourceAgent:
         raise NotImplementedError
 
     def _table(
-        self, conv: str, base: Seconds, initial: Any, assume_closed: frozenset[str] = frozenset()
+        self, conv: str, base: Seconds, assume_closed: frozenset[str] = frozenset()
     ) -> list[GapRow]:
         """The CFP's gap table, other conversations' holds counted busy.
 
         This conversation's holds are ignored, so the offers made for one CFP
         never block each other and the table holds for the whole CFP.
         ``base`` is the earliest start of any slot the CFP asks for; the
-        intervals :meth:`_usable` would drop for it are not even looked up.
-        ``initial`` is the state before the first booking. Machines, cranes
-        and buffers all read the rows; a buffer only their ``start`` and
-        ``end``.
-
-        A table kept under the conditions the class describes is exact for
-        this CFP: it was built for an ``after`` no later than this one, so its
-        extra rows all end by the new ``after`` and :meth:`_usable` drops
-        them, and every other row is the same maximal interval
-        (``ResourceSchedule.free_intervals``) with the same neighbours.
+        intervals :meth:`_usable` would drop for it are not even looked up,
+        and a kept table's extra rows are among those it drops. Machines,
+        cranes and buffers all read the rows; a buffer only their ``start``
+        and ``end``.
         """
-        schedule = self.schedule
-        after = base - self._setup_bound - 1
         busy = self.holds.active_spans(exclude_conversation=conv)
-        if busy or assume_closed:
-            free = schedule.free_intervals(_ALL, busy, assume_closed, after)
-            return schedule.gap_table(free, initial)
-        kept = self._kept
-        if kept is not None and kept[0] == schedule.version and kept[1] <= after:
-            return kept[2]
-        table = schedule.gap_table(schedule.free_intervals(_ALL, after=after), initial)
-        self._kept = (schedule.version, after, table)
-        return table
+        return self.schedule.gap_table(base - self._setup_bound - 1, busy, assume_closed)
 
     def _usable(self, table: list[GapRow], base: Seconds) -> list[GapRow]:
         """The rows of ``table`` that may host a slot starting no earlier than ``base``.
@@ -396,11 +379,10 @@ class ProductionAgent(_ResourceAgent):
     kind = PRODUCTION
 
     def __init__(self, spec: MachineSpec, unload_estimate: Seconds = 0, load_estimate: Seconds = 0):
-        super().__init__(spec.id)
+        super().__init__(spec.id, spec.initial_state)
         self.location = spec.location
         self.op_duration = spec.op_duration
         self.setup = spec.setup
-        self.initial_state = spec.initial_state
         self.unload_estimate = unload_estimate
         self.load_estimate = load_estimate
         self._deferred: list[Message] = []
@@ -451,8 +433,8 @@ class ProductionAgent(_ResourceAgent):
     def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
         order_id = cfp.workpiece.order_id
         if self._engaged_elsewhere(order_id):
-            # blocked for further negotiations: queue, answer after the
-            # engagement resolves (departure, rejection, or hold expiry)
+            # blocked for further negotiations: queue; _drain answers it
+            # after the next rejection or departure, not when a hold expires
             self._deferred.append(msg)
             return []
         product = cfp.workpiece.product
@@ -474,9 +456,7 @@ class ProductionAgent(_ResourceAgent):
         if not earliest:
             return []
         # every alternative reads the same table: the new end state is the product
-        table = self._table(
-            conv, min(earliest), self.initial_state, frozenset({order_id}) if own else frozenset()
-        )
+        table = self._table(conv, min(earliest), frozenset({order_id}) if own else frozenset())
         if tail is not None:
             # the workpiece sits on this machine and can only wait in place:
             # any slot beyond the next booking is unreachable
@@ -503,10 +483,8 @@ class ProductionAgent(_ResourceAgent):
         booked = acc.booked_slot
         _check_booked(p, booked, "operation")
         unload = acc.actual_unload_time if p.unload_time else 0
-        # a piece staying here departed first (see OrderAgent.decide): every open tail blocks
-        from_state = self.schedule.state_before(
-            booked.start, self.initial_state, assume_closed=frozenset()
-        )
+        # a piece staying here departed first (see OrderAgent.decide)
+        from_state = self.schedule.state_before(booked.start)
         setup = self._setup(from_state, hold.end_state)
         segments: list[tuple[str, TimeInterval]] = []
         t = booked.start - unload - setup
@@ -566,7 +544,7 @@ class BufferAgent(_ResourceAgent):
         if not cfp.alternatives:
             return []
         # a stay imposes no setup: the rows are read as plain free intervals
-        free = self._table(conv, min(alt.windows.es for alt in cfp.alternatives), "")
+        free = self._table(conv, min(alt.windows.es for alt in cfp.alternatives))
         proposals: list[Proposal] = []
         for alt_idx, alt in enumerate(cfp.alternatives):
             w = alt.windows
@@ -623,9 +601,8 @@ class TransportAgent(_ResourceAgent):
     kind = TRANSPORT
 
     def __init__(self, spec: TransportSpec):
-        super().__init__(spec.id)
+        super().__init__(spec.id, spec.initial_x)
         self.geometry = geom = spec.geometry()
-        self.initial_x = spec.initial_x
         self._pickup_x: dict[tuple[str, str], float] = {}
         self._committed_pids: set[str] = set()
         # every setup is travel inside the crane's own segment
@@ -667,9 +644,7 @@ class TransportAgent(_ResourceAgent):
         # earlier than its own leg's base; the table does not depend on where
         # a leg drops off, so every leg and chained variant reads it
         table = self._table(
-            conv,
-            min(max(leg.windows.es, leg.windows.ef - dur) for _, leg, _, dur in legs),
-            self.initial_x,
+            conv, min(max(leg.windows.es, leg.windows.ef - dur) for _, leg, _, dur in legs)
         )
         proposals: list[Proposal] = []
         emitted_by_leg: dict[int, Proposal] = {}
@@ -737,7 +712,7 @@ class TransportAgent(_ResourceAgent):
 
         geom = self.geometry
         pickup_x, drop_x = p.location[0], hold.end_state
-        pred_x = self.schedule.state_before(booked.start, self.initial_x)
+        pred_x = self.schedule.state_before(booked.start)
         setup = geom.travel_seconds(pred_x, pickup_x)
         travel = geom.travel_seconds(pickup_x, drop_x)
         segments: list[tuple[str, TimeInterval]] = []

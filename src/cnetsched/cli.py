@@ -32,8 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--mode", choices=("det", "conc"), default="det",
                        help="deterministic tick clock or concurrent wall clock (default: det)")
-    run_p.add_argument("--seed", type=int, default=0,
-                       help="recorded in the metrics; the deterministic kernel itself is seed-free")
     run_p.add_argument("--gantt", metavar="PATH", help="write booking segments as CSV")
     run_p.add_argument("--metrics", metavar="PATH", help="write run metrics as JSON")
     run_p.add_argument("--trace", metavar="PATH", help="write the message trace")
@@ -104,7 +102,7 @@ def _cmd_run(args) -> int:
             export_gantt(report, args.gantt)
             print(f"gantt -> {args.gantt}")
         if args.metrics:
-            export_metrics(report, args.metrics, scenario=scenario, seed=args.seed)
+            export_metrics(report, args.metrics, scenario=scenario)
             print(f"metrics -> {args.metrics}")
         if args.trace:
             export_trace(report, args.trace)

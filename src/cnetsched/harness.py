@@ -86,9 +86,7 @@ def export_trace(report: RunReport, path: Union[str, Path]) -> None:
     Path(path).write_text(render_trace(report), encoding="utf-8")
 
 
-def build_metrics(
-    report: RunReport, scenario: Optional[Scenario] = None, seed: Optional[int] = None
-) -> dict[str, Any]:
+def build_metrics(report: RunReport, scenario: Optional[Scenario] = None) -> dict[str, Any]:
     orders = {}
     for order_id, status in sorted(report.status.items()):
         orders[order_id] = {
@@ -116,18 +114,13 @@ def build_metrics(
         doc["scenario"] = scenario.name
         doc["t_transport_min_s"] = scenario.t_transport_min
         doc["t_buffer_min_s"] = scenario.params.t_buffer_min
-    if seed is not None:
-        doc["seed"] = seed
     return doc
 
 
 def export_metrics(
-    report: RunReport,
-    path: Union[str, Path],
-    scenario: Optional[Scenario] = None,
-    seed: Optional[int] = None,
+    report: RunReport, path: Union[str, Path], scenario: Optional[Scenario] = None
 ) -> None:
-    doc = build_metrics(report, scenario=scenario, seed=seed)
+    doc = build_metrics(report, scenario=scenario)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

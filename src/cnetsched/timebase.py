@@ -18,11 +18,10 @@ reads the gaps a booking of one end state sees straight off the table, with
 no further calendar lookup, however many legs or alternatives the CFP carries.
 
 Every edit of a calendar goes through :meth:`ResourceSchedule.insert_booking`
-or :meth:`ResourceSchedule.close_open_tail`, and each bumps the schedule's
-``version``. A table built at one version therefore stays exact until the
-next edit: a resource whose calendar did not change since its last CFP, and
-which holds no offer for another conversation, answers the next CFP from the
-table it already has (``agents._ResourceAgent._table``).
+or :meth:`ResourceSchedule.close_open_tail`, and each drops the table the
+schedule keeps. Until the next edit, a resource that holds no offer for
+another conversation and assumes no open tail closed answers CFP after CFP
+from that one kept table.
 """
 
 from __future__ import annotations
@@ -30,9 +29,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, ClassVar, Iterable, NamedTuple, Optional
+from typing import Any, Callable, ClassVar, Iterable, NamedTuple, Optional, Sequence
 
 Seconds = int  # engine-wide unit: integer seconds from the scenario epoch
+
+#: upper edge of every calendar query; a gap reaching it counts as unbounded
+HORIZON: Seconds = 10**9
 
 #: segment kinds a booking entry may be composed of
 SEGMENT_KINDS = frozenset(
@@ -245,24 +247,25 @@ class ResourceSchedule:
 
     Every entry ends at or before the next one starts, and no entry is empty,
     so both ``span_start`` and ``span_end`` never decrease along ``entries``.
-    The lookups bisect the live list on these keys; code that edits
-    ``entries`` directly must keep it sorted and disjoint, and bump
-    ``version``.
+    The lookups bisect the live list on these keys, so ``entries`` is edited
+    only through :meth:`insert_booking` and :meth:`close_open_tail`.
+    ``initial`` is the state before the first booking.
 
     The open tails are also indexed by order (``_tails``), so the checks for
-    them cost one lookup instead of a scan. :meth:`insert_booking` and
-    :meth:`close_open_tail` keep the index; it is built from ``entries`` when
-    a schedule is constructed, and :meth:`check_invariants` compares it with
-    a scan.
+    them cost one lookup instead of a scan. Both edits keep the index; it is
+    built from ``entries`` when a schedule is constructed, and
+    :meth:`check_invariants` compares it with a scan.
 
-    ``version`` counts the edits: both mutations bump it, so anything derived
-    from the calendar at one version holds until it changes. A refused edit
-    changes nothing and bumps nothing.
+    The schedule also keeps the last gap table it built with no extra busy
+    span and nothing assumed closed (:meth:`gap_table`). Both edits drop it
+    on success; a refused edit changes nothing and keeps it.
     """
 
-    def __init__(self, entries: Optional[list[BookingEntry]] = None) -> None:
+    def __init__(self, entries: Optional[list[BookingEntry]] = None, initial: Any = "") -> None:
         self.entries: list[BookingEntry] = [] if entries is None else entries
-        self.version = 0
+        self.initial = initial
+        #: (``after``, rows) of the kept gap table; None until built, and after each edit
+        self._kept: Optional[tuple[Seconds, list[GapRow]]] = None
         self._tails: dict[str, BookingEntry] = {}
         for e in self.entries:
             if e.open_tail:
@@ -282,18 +285,17 @@ class ResourceSchedule:
 
     def free_intervals(
         self,
-        window: TimeInterval,
         extra_busy: Iterable[TimeInterval] = (),
         assume_closed: frozenset[str] | set[str] = frozenset(),
         after: Seconds = -1,
     ) -> list[TimeInterval]:
-        """Maximal free intervals intersected with ``window``, sorted.
+        """Maximal free intervals of ``[0, HORIZON)``, sorted.
 
         Open-tail entries block from their span start to +infinity;
         ``assume_closed`` names orders whose open tail counts as ending at its
         operation end (a resource reasoning about the follow-up operation of
         the workpiece it holds). The union of the result and the busy spans
-        partitions the window exactly.
+        partitions ``[0, HORIZON)`` exactly.
 
         Only the intervals ending after ``after`` are returned (the default
         keeps all), and they are not clipped: each is the same maximal
@@ -306,12 +308,12 @@ class ResourceSchedule:
         """
         entries = self.entries
         first = bisect.bisect_right(entries, after, key=_span_end)
-        cursor = window.start
+        cursor = 0
         if first:
             for e in self._tails.values():
                 if e.span_end <= after and e.order_id not in assume_closed:
                     return []
-            cursor = max(cursor, entries[first - 1].span_end)
+            cursor = entries[first - 1].span_end
         blocked: list[tuple[Seconds, Optional[Seconds]]] = [
             (e.span_start, _INF if e.open_tail and e.order_id not in assume_closed else e.span_end)
             for e in entries[first:]
@@ -323,47 +325,65 @@ class ResourceSchedule:
         for start, end in blocked:
             if end is not None and end <= cursor:
                 continue
-            if start >= window.end:
+            if start >= HORIZON:
                 break
-            if start > cursor and min(start, window.end) > after:
-                free.append(TimeInterval(cursor, min(start, window.end)))
+            if start > cursor and start > after:
+                free.append(TimeInterval(cursor, start))
             if end is None:
                 return free  # everything after an open tail is blocked
             cursor = max(cursor, end)
-            if cursor >= window.end:
+            if cursor >= HORIZON:
                 return free
-        if cursor < window.end and window.end > after:
-            free.append(TimeInterval(cursor, window.end))
+        if cursor < HORIZON and after < HORIZON:
+            free.append(TimeInterval(cursor, HORIZON))
         return free
 
-    def gap_table(self, free: Iterable[TimeInterval], initial: Any) -> list[GapRow]:
-        """The intervals of ``free`` with their neighbours looked up once.
+    def gap_table(
+        self,
+        after: Seconds = -1,
+        extra_busy: Sequence[TimeInterval] = (),
+        assume_closed: frozenset[str] | set[str] = frozenset(),
+    ) -> list[GapRow]:
+        """The free intervals ending after ``after``, with their neighbours looked up once.
 
-        ``free`` comes from :meth:`free_intervals`: sorted, free of entries,
-        and before any open tail that blocks. So the entries ending by an
-        interval's start are exactly those before it, and the next entry
-        starts at or after its end. One bisect finds the first interval's
-        place; a cursor then walks the entries once for the whole table,
-        keeping each row's ``from_state`` equal to :meth:`state_before` of
-        its start. A row's successor is the entry that starts where the
-        interval ends; its setup is the one a new booking in front of it
-        recomputes, so the gap such a booking sees ends where the
-        successor's recomputed setup has to begin.
+        The intervals are those of :meth:`free_intervals` for the same
+        arguments: sorted, free of entries, and before any open tail that
+        blocks. So the entries ending by an interval's start are exactly
+        those before it, and the next entry starts at or after its end. One
+        bisect finds the first interval's place; a cursor then walks the
+        entries once for the whole table, keeping each row's ``from_state``
+        equal to :meth:`state_before` of its start. A row's successor is the
+        entry that starts where the interval ends; its setup is the one a new
+        booking in front of it recomputes, so the gap such a booking sees
+        ends where the successor's recomputed setup has to begin.
 
         A gap therefore ends at most the successor's old setup after its
         interval. When no setup on the resource exceeds ``S`` and a slot
         cannot start before ``base``, a gap of an interval with
         ``iv.end + S < base`` starts its slot at exactly ``base`` and cannot
-        hold it, so callers may drop those intervals first (and ask
-        :meth:`free_intervals` only for those ending after ``base - S - 1``).
+        hold it, so callers may drop those intervals first (and ask only for
+        those ending after ``base - S - 1``).
+
+        With no extra busy span and nothing assumed closed, the table is
+        kept, and a later such query whose ``after`` is no earlier gets the
+        same list back until an edit drops it. Its rows that end after the
+        new ``after`` are exactly the ones a fresh table would hold: the
+        calendar is unchanged, so each is the same maximal interval with the
+        same neighbours. Its other rows all end by the new ``after``, so a
+        caller that drops those rows (as the slot search does with ``base``)
+        sees no difference.
         """
+        plain = not extra_busy and not assume_closed
+        kept = self._kept
+        if plain and kept is not None and kept[0] <= after:
+            return kept[1]
         entries = self.entries
         rows: list[GapRow] = []
         i = -1  # cursor: the first entry not ending by the current interval's start
-        for iv in free:
+        for iv in self.free_intervals(extra_busy, assume_closed, after):
             if i < 0:
                 i = self.last_ending_by(iv.start) + 1
-                state = self._state_below(i, initial)
+                state = entries[i - 1].end_state if i else self.initial
             while i < len(entries) and entries[i].span_end <= iv.start:
                 state = entries[i].end_state
                 i += 1
@@ -374,6 +394,8 @@ class ResourceSchedule:
                 rows.append(GapRow(iv.start, iv.end, state, succ, succ.core_start, setup))
             else:
                 rows.append(GapRow(iv.start, iv.end, state, None, iv.end, 0))
+        if plain:
+            self._kept = (after, rows)
         return rows
 
     def entry_at_or_after(self, t: Seconds) -> Optional[BookingEntry]:
@@ -384,26 +406,10 @@ class ResourceSchedule:
         """Index of the last entry that ends at or before ``t``; -1 when none does."""
         return bisect.bisect_right(self.entries, t, key=_span_end) - 1
 
-    def state_before(
-        self,
-        t: Seconds,
-        initial: Any,
-        assume_closed: Optional[frozenset[str] | set[str]] = None,
-    ) -> Any:
-        """The state the entries ending by ``t`` leave the resource in.
-
-        That is the ``end_state`` of the last of them, else ``initial``. With
-        ``assume_closed``, an open tail of any other order hides itself and
-        every later entry.
-        """
-        if assume_closed is not None:
-            tails = self._tails.values()
-            t = min([t] + [e.span_start for e in tails if e.order_id not in assume_closed])
-        return self._state_below(self.last_ending_by(t) + 1, initial)
-
-    def _state_below(self, i: int, initial: Any) -> Any:
-        """The ``end_state`` of the entry before index ``i``, else ``initial``."""
-        return self.entries[i - 1].end_state if i else initial
+    def state_before(self, t: Seconds) -> Any:
+        """The ``end_state`` of the last entry ending by ``t``, else ``initial``."""
+        i = self.last_ending_by(t)
+        return self.entries[i].end_state if i >= 0 else self.initial
 
     # -- mutations -------------------------------------------------------
 
@@ -463,7 +469,7 @@ class ResourceSchedule:
             else:
                 succ.segments.pop(0)  # setup shrank to zero
         self.entries.insert(idx, entry)
-        self.version += 1
+        self._kept = None
         if entry.open_tail:
             self._tails[entry.order_id] = entry
 
@@ -505,7 +511,7 @@ class ResourceSchedule:
             entry.segments.append(("load", TimeInterval(loading_start, departure)))
         entry.open_tail = False
         del self._tails[order_id]
-        self.version += 1
+        self._kept = None
         return entry
 
     # -- invariant helper (used heavily by tests) -------------------------

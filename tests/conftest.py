@@ -94,7 +94,7 @@ def table_gaps(rows, new_end_state, setup_of):
             yield start, end, from_state, ti
 
 
-def full_gap_walk(schedule, free, new_end_state, setup_of, initial):
+def full_gap_walk(schedule, free, new_end_state, setup_of):
     """The successor-aware gap walk that asks the calendar afresh for every interval.
 
     The reference for ``ResourceSchedule.gap_table`` read through
@@ -111,7 +111,7 @@ def full_gap_walk(schedule, free, new_end_state, setup_of, initial):
             ti = new_setup - (setup_iv.duration if setup_iv is not None else 0)
             end = succ.core_start - new_setup
         if end > iv.start:
-            yield iv.start, end, schedule.state_before(iv.start, initial), ti
+            yield iv.start, end, schedule.state_before(iv.start), ti
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cnetsched.agents import (
-    _ALL,
     MAX_SLOTS_PER_CFP,
     BufferAgent,
     DirectoryService,
@@ -46,6 +45,7 @@ from cnetsched.scenario import (
 from cnetsched.timebase import (
     BookingEntry,
     OverlapError,
+    ResourceSchedule,
     Slack,
     TimeInterval,
     min_bound,
@@ -955,7 +955,6 @@ def full_walk_machine(m, cfp, conv, ctx):
     unload = 0 if (cfp.workpiece.location is None or own) else m.unload_estimate
     load_est = m.load_estimate
     free = m.schedule.free_intervals(
-        _ALL,
         extra_busy=m.holds.active_spans(exclude_conversation=conv),
         assume_closed=frozenset({order_id}) if own else frozenset(),
     )
@@ -965,7 +964,7 @@ def full_walk_machine(m, cfp, conv, ctx):
         ls, lf = alt.windows.ls, alt.windows.lf
         emitted = 0
         for gap_start, gap_end, from_state, ti_next in full_gap_walk(
-            m.schedule, free, product, m._succ_setup, "A"
+            m.schedule, free, product, m._succ_setup
         ):
             if own and gap_start != tail.operation_end:
                 continue
@@ -1072,7 +1071,7 @@ def full_walk_leg(t, leg, dur, free, after=None):
     w = leg.windows
     fx, tx = leg.from_location[0], leg.to_location[0]
     for gap_start, gap_end, from_state, ti_next in full_gap_walk(
-        t.schedule, free, tx, t._succ_setup, t.initial_x
+        t.schedule, free, tx, t._succ_setup
     ):
         if after is not None:
             if not (gap_start <= after.slot.start and after.slot.end <= gap_end):
@@ -1144,10 +1143,8 @@ def test_property_crane_skip_places_legs_like_the_full_walk(
     conv = "o1/s1"
     # another leg of the CFP may start earlier and bound the list lower
     base = after.slot.end if after is not None else max(es, ef - dur)
-    bounded = t._table(conv, base - lower, t.initial_x)
-    full = t.schedule.free_intervals(
-        _ALL, extra_busy=t.holds.active_spans(exclude_conversation=conv)
-    )
+    bounded = t._table(conv, base - lower)
+    full = t.schedule.free_intervals(extra_busy=t.holds.active_spans(exclude_conversation=conv))
     assert placed(t._place_leg(leg, dur, bounded, after)) == full_walk_leg(
         t, leg, dur, full, after
     )
@@ -1156,7 +1153,7 @@ def test_property_crane_skip_places_legs_like_the_full_walk(
 def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretches():
     # the successor's 60-s approach from x=60 shrinks to 0 after a drop at x=0,
     # so the gap reaches 160 although its free interval ends at 100
-    t = small_crane()
+    t = crane(initial_x=0.0, handling=5)
     t.schedule.insert_booking(
         BookingEntry(
             "s",
@@ -1166,10 +1163,9 @@ def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretche
         )
     )
     t._pickup_x[("s", "T")] = 0.0
-    t.initial_x = 0.0
     leg = TransportLeg((0.0, 5.0), (0.0, 5.0), StageWindows(es=140, ef=150), "P#1")
     conv = "o1/s1"
-    table = t._table(conv, 140, 0.0)
+    table = t._table(conv, 140)
     assert table[0][:2] == (0, 100)
     _span, fields = t._place_leg(leg, 10, table)
     proposal = Proposal("-", TRANSPORT, "Crane1", *fields)
@@ -1254,7 +1250,6 @@ def test_a_crane_cfp_looks_up_each_free_interval_once_whatever_its_legs(monkeypa
     # k = 32 machines per capability: a transport CFP carries dozens of legs,
     # and each leg reads the CFP's gap table instead of the calendar
     from cnetsched.harness import build_scaling_scenario, run_scenario
-    from cnetsched.timebase import ResourceSchedule
 
     cfps = []  # per crane CFP: [legs, gap table rows, calendar lookups]
     current = []
@@ -1316,14 +1311,12 @@ calendar_steps = st.lists(
 
 
 def fresh_table(m, conv, base, assume_closed):
-    """The gap table a CFP of ``conv`` from ``base`` gets when built from scratch."""
-    free = m.schedule.free_intervals(
-        _ALL,
-        extra_busy=m.holds.active_spans(exclude_conversation=conv),
-        assume_closed=assume_closed,
-        after=base - m._setup_bound - 1,
+    """The gap table a CFP of ``conv`` from ``base`` gets when built from scratch:
+    on a copy of the calendar, which keeps no table."""
+    calendar = ResourceSchedule(list(m.schedule.entries), initial=m.schedule.initial)
+    return calendar.gap_table(
+        base - m._setup_bound - 1, m.holds.active_spans(exclude_conversation=conv), assume_closed
     )
-    return m.schedule.gap_table(free, m.initial_state)
 
 
 #: the bases of the CFPs asked after each step, a later one often on the same calendar
@@ -1366,11 +1359,10 @@ def test_property_a_kept_table_is_the_fresh_table_with_rows_that_end_early(
         elif held:
             held -= 1
             m.holds.release(f"x#{held}")
-        assert m.schedule.version == edits
         tails = open_tails(m.schedule)
         assume = frozenset({tails[0].order_id}) if assume_own and tails else frozenset()
         for base in step_bases:
-            table = m._table(conv, base, m.initial_state, assume)
+            table = m._table(conv, base, assume)
             fresh = fresh_table(m, conv, base, assume)
             extra = len(table) - len(fresh)
             assert extra >= 0 and table[extra:] == fresh
@@ -1381,26 +1373,25 @@ def test_property_a_kept_table_is_the_fresh_table_with_rows_that_end_early(
 
 def test_a_machine_reuses_its_table_until_the_calendar_changes_or_another_order_holds():
     m = small_machine()
-    first = m._table("o1/s0", 100, "A")
-    assert m._table("o2/s0", 200, "A") is first  # same calendar, a later base
-    earlier = m._table("o2/s0", 50, "A")
+    first = m._table("o1/s0", 100)
+    assert m._table("o2/s0", 200) is first  # same calendar, a later base
+    earlier = m._table("o2/s0", 50)
     assert earlier is not first  # an earlier base needs rows the table lacks
-    assert m._table("o3/s0", 100, "A") is earlier
+    assert m._table("o3/s0", 100) is earlier
     m.schedule.insert_booking(closed_block("x", 500, 600, end_state="A"))
-    assert m._table("o3/s0", 100, "A") is not earlier
+    assert m._table("o3/s0", 100) is not earlier
     hold_others(m, [(700, 10)])
-    assert m._table("o3/s0", 100, "A") is not m._table("o3/s0", 100, "A")
+    assert m._table("o3/s0", 100) is not m._table("o3/s0", 100)
 
 
 def test_most_machine_cfps_on_a_wide_floor_reuse_the_kept_table(monkeypatch):
     # k = 32 machines per capability: of the machines a production CFP
     # reaches, all but the one that booked the last stage are unchanged
     from cnetsched.harness import build_scaling_scenario, run_scenario
-    from cnetsched.timebase import ResourceSchedule
 
     counts = {"cfps": 0, "built": 0}
     inside: list[bool] = []
-    table_of, gap_table = ProductionAgent._table, ResourceSchedule.gap_table
+    table_of, free_intervals = ProductionAgent._table, ResourceSchedule.free_intervals
 
     def counted_table(self, *args, **kwargs):
         counts["cfps"] += 1
@@ -1410,13 +1401,13 @@ def test_most_machine_cfps_on_a_wide_floor_reuse_the_kept_table(monkeypatch):
         finally:
             inside.pop()
 
-    def counted_gap_table(self, *args, **kwargs):
-        if inside:
+    def counted_free_intervals(self, *args, **kwargs):
+        if inside:  # one call per table built
             counts["built"] += 1
-        return gap_table(self, *args, **kwargs)
+        return free_intervals(self, *args, **kwargs)
 
     monkeypatch.setattr(ProductionAgent, "_table", counted_table)
-    monkeypatch.setattr(ResourceSchedule, "gap_table", counted_gap_table)
+    monkeypatch.setattr(ResourceSchedule, "free_intervals", counted_free_intervals)
     report = run_scenario(build_scaling_scenario(32), mode="deterministic")
     assert report.all_done
     assert counts["built"] > 0

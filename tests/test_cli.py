@@ -27,6 +27,17 @@ def test_run_writes_gantt_metrics_and_trace(tmp_path, capsys):
     assert "StartOrder" in trace.read_text()
 
 
+def test_run_takes_no_seed_and_its_metrics_carry_none(tmp_path, capsys):
+    # the deterministic kernel draws no random numbers, so there is no seed to record
+    metrics = tmp_path / "m.json"
+    assert main(["run", str(FLOWSHOP), "--metrics", str(metrics)]) == 0
+    assert "seed" not in json.loads(metrics.read_text())
+    with pytest.raises(SystemExit) as caught:
+        main(["run", str(FLOWSHOP), "--seed", "0"])
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_validate_accepts_both_bundled_scenarios(capsys):
     assert main(["validate", str(FLOWSHOP)]) == 0
     assert main(["validate", str(JOBSHOP)]) == 0

@@ -341,7 +341,7 @@ def test_build_runtime_materialises_calendars():
 
     crane = rt.agents["Crane1"]
     assert crane.schedule.entries[0].end_state == 30.0
-    assert float(crane.schedule.state_before(minutes(10), crane.initial_x)) == 30.0
+    assert float(crane.schedule.state_before(minutes(10))) == 30.0
 
 
 def test_build_runtime_sorts_releases():

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cnetsched.timebase import (
+    HORIZON,
     BookingEntry,
     NoOpenTail,
     OverlapError,
@@ -290,68 +291,62 @@ def test_close_open_tail_cannot_run_into_successor():
 # free intervals and gaps
 
 
-def test_free_intervals_simple_and_windowed():
+def test_free_intervals_simple():
     s = ResourceSchedule()
     s.insert_booking(op_entry("a", 100, 200))
     s.insert_booking(op_entry("b", 300, 400))
-    assert s.free_intervals(TimeInterval(0, 500)) == [
+    assert s.free_intervals() == [
         TimeInterval(0, 100),
         TimeInterval(200, 300),
-        TimeInterval(400, 500),
+        TimeInterval(400, HORIZON),
     ]
-    assert s.free_intervals(TimeInterval(150, 350)) == [TimeInterval(200, 300)]
 
 
 def test_free_intervals_open_tail_blocks_suffix():
     s = ResourceSchedule()
     s.insert_booking(op_entry("a", 100, 200, open_tail=True))
-    assert s.free_intervals(TimeInterval(0, 10_000)) == [TimeInterval(0, 100)]
+    assert s.free_intervals() == [TimeInterval(0, 100)]
     # ... unless the reasoning assumes that workpiece departs at operation end
-    assert s.free_intervals(
-        TimeInterval(0, 10_000), assume_closed={"a"}
-    ) == [TimeInterval(0, 100), TimeInterval(200, 10_000)]
+    assert s.free_intervals(assume_closed={"a"}) == [
+        TimeInterval(0, 100), TimeInterval(200, HORIZON)
+    ]
 
 
 def test_free_intervals_extra_busy():
     s = ResourceSchedule()
-    free = s.free_intervals(
-        TimeInterval(0, 100), extra_busy=[TimeInterval(20, 30), TimeInterval(30, 40)]
-    )
-    assert free == [TimeInterval(0, 20), TimeInterval(40, 100)]
+    free = s.free_intervals(extra_busy=[TimeInterval(20, 30), TimeInterval(30, 40)])
+    assert free == [TimeInterval(0, 20), TimeInterval(40, HORIZON)]
 
 
 def test_free_intervals_after_keeps_whole_intervals_ending_later():
     s = ResourceSchedule()
     s.insert_booking(op_entry("a", 100, 200))
     s.insert_booking(op_entry("b", 300, 400))
-    window = TimeInterval(0, 500)
     # [200, 300) ends after 250 and keeps its start; [0, 100) ends too early
-    assert s.free_intervals(window, after=250) == [TimeInterval(200, 300), TimeInterval(400, 500)]
-    assert s.free_intervals(window, after=99) == s.free_intervals(window)
-    assert s.free_intervals(window, after=100) == s.free_intervals(window)[1:]
+    assert s.free_intervals(after=250) == [TimeInterval(200, 300), TimeInterval(400, HORIZON)]
+    assert s.free_intervals(after=99) == s.free_intervals()
+    assert s.free_intervals(after=100) == s.free_intervals()[1:]
     # a hold that starts before the walk's first entry end still counts
-    held = s.free_intervals(window, extra_busy=[TimeInterval(150, 250)], after=260)
-    assert held == [TimeInterval(250, 300), TimeInterval(400, 500)]
+    held = s.free_intervals(extra_busy=[TimeInterval(150, 250)], after=260)
+    assert held == [TimeInterval(250, 300), TimeInterval(400, HORIZON)]
 
 
 def test_free_intervals_after_an_earlier_open_tail_is_empty():
     s = ResourceSchedule()
     s.insert_booking(op_entry("a", 100, 200, open_tail=True))
-    assert s.free_intervals(TimeInterval(0, 10_000), after=500) == []
+    assert s.free_intervals(after=500) == []
     # a tail whose operation ends exactly at ``after`` is among the earlier entries
-    assert s.free_intervals(TimeInterval(0, 10_000), after=200) == []
-    assert s.free_intervals(TimeInterval(0, 10_000), assume_closed={"a"}, after=500) == [
-        TimeInterval(200, 10_000)
-    ]
+    assert s.free_intervals(after=200) == []
+    assert s.free_intervals(assume_closed={"a"}, after=500) == [TimeInterval(200, HORIZON)]
 
 
 def test_placement_gaps_respect_successor_setup():
     def setup_of(end_state, succ):
         return 40 if end_state == "B" else 10
 
-    s = ResourceSchedule()
+    s = ResourceSchedule(initial="A")
     s.insert_booking(op_entry("later", 200, 300, setup=20))  # setup [180, 200)
-    table = s.gap_table(s.free_intervals(TimeInterval(0, 1000)), initial="A")
+    table = s.gap_table()
     assert table[0].succ is s.entries[0] and table[0].setup == 20
     # start, end, from_state, ti_next: a 40s setup is now needed before 200
     assert list(table_gaps(table, "B", setup_of))[0] == (0, 160, "A", 20)
@@ -359,26 +354,36 @@ def test_placement_gaps_respect_successor_setup():
     assert list(table_gaps(table, "A", setup_of))[0] == (0, 190, "A", -10)
 
 
-def test_version_counts_every_edit_of_the_calendar():
+def test_the_kept_table_is_dropped_at_every_edit_of_the_calendar():
     s = ResourceSchedule([op_entry("init", 0, 10)])
-    assert s.version == 0
+    kept = s.gap_table()
+    assert s.gap_table() is kept
+
+    def rebuilt():
+        """A new table after an edit, equal to one built on a copy of the calendar."""
+        nonlocal kept
+        table = s.gap_table()
+        assert table is not kept
+        assert table == ResourceSchedule(list(s.entries)).gap_table()
+        kept = table
+
     s.insert_booking(op_entry("a", 100, 200, end_state="A", setup=10))
-    assert s.version == 1
-    # the insert shifts its successor's setup too: still one edit
+    rebuilt()
+    # the insert shifts its successor's setup too: the table goes all the same
     s.insert_booking(op_entry("b", 50, 60, end_state="B"), successor_setup=lambda *_: 30)
     assert s.entries[-1].setup_interval == TimeInterval(70, 100)
-    assert s.version == 2
+    rebuilt()
     s.insert_booking(op_entry("c", 300, 400, open_tail=True))
-    assert s.version == 3
+    rebuilt()
     with pytest.raises(OverlapError):
         s.insert_booking(op_entry("d", 150, 160))
     with pytest.raises(NoOpenTail):
         s.close_open_tail("a", 500, 0)
     with pytest.raises(OverlapError):
         s.close_open_tail("c", 390, 0)
-    assert s.version == 3  # a refused edit changes nothing
+    assert s.gap_table() is kept  # a refused edit changes nothing
     s.close_open_tail("c", 500, 10)
-    assert s.version == 4
+    rebuilt()
 
 
 def test_entry_at_or_after():
@@ -452,38 +457,40 @@ def prebuilt_schedule(draw):
     return ResourceSchedule(entries)
 
 
-@given(prebuilt_schedule(), st.integers(0, 50), st.integers(400, 700))
-def test_property_free_intervals_match_per_second_scan(s, w_start, w_end):
-    free = s.free_intervals(TimeInterval(w_start, w_end))
+@given(prebuilt_schedule(), st.integers(400, 700))
+def test_property_free_intervals_match_per_second_scan(s, scan_end):
+    free = s.free_intervals()
     got = set()
     for iv in free:
-        got.update(range(iv.start, iv.end))
+        got.update(range(iv.start, min(iv.end, scan_end)))
     busy = set()
     for e in s.entries:
-        busy.update(range(e.span_start, w_end if e.open_tail else min(e.span_end, w_end)))
-    expected = set(range(w_start, w_end)) - busy
+        busy.update(range(e.span_start, scan_end if e.open_tail else min(e.span_end, scan_end)))
+    expected = set(range(scan_end)) - busy
     assert got == expected
     # free intervals are maximal: sorted with busy time strictly between them
     for a, b in zip(free, free[1:]):
         assert a.end < b.start
+    # the last one reaches the horizon unless an open tail blocks the rest
+    assert bool(free and free[-1].end == HORIZON) != s.has_open_tail
 
 
 @given(prebuilt_schedule(), st.integers(0, 600), st.integers(1, 50))
 def test_property_insert_with_zero_ti_only_removes_its_own_span(s, start, dur):
-    window = TimeInterval(0, 1000)
-    before = s.free_intervals(window)
+    scan_end = 1000
+    before = s.free_intervals()
     entry = op_entry("new", start, start + dur)
     try:
         s.insert_booking(entry)
     except OverlapError:
         return
-    after = s.free_intervals(window)
+    after = s.free_intervals()
     before_secs = set()
     for iv in before:
-        before_secs.update(range(iv.start, iv.end))
+        before_secs.update(range(iv.start, min(iv.end, scan_end)))
     after_secs = set()
     for iv in after:
-        after_secs.update(range(iv.start, iv.end))
+        after_secs.update(range(iv.start, min(iv.end, scan_end)))
     assert after_secs == before_secs - set(range(start, start + dur))
 
 
@@ -545,7 +552,6 @@ def test_schedule_built_from_entries_indexes_their_open_tails():
 MACHINE_STATES = ("A", "B", "C")
 MACHINE_SETUP = {("A", "B"): 15, ("B", "A"): 30, ("A", "C"): 5, ("C", "B"): 25}
 CRANE_XS = (0.0, 7.0, 12.5, 30.0)
-SCAN = TimeInterval(0, 10**9)
 
 
 def machine_succ_setup(new_state, succ):
@@ -607,7 +613,8 @@ def machine_calendar(draw):
 @st.composite
 def crane_calendar(draw):
     """A crane calendar, its recorded pickups and its initial position."""
-    s = ResourceSchedule()
+    initial_x = draw(st.sampled_from((0.0, 30.0)))
+    s = ResourceSchedule(initial=initial_x)
     pickups: dict[tuple[str, str], float] = {}
     for i in range(draw(st.integers(0, 14))):
         start, dur = draw(st.integers(0, 600)), draw(st.integers(1, 60))
@@ -623,7 +630,7 @@ def crane_calendar(draw):
         if draw(st.booleans()):
             pickups[(entry.order_id, "T")] = draw(st.sampled_from((0.0, 7.0, 20.0, 30.0)))
     s.check_invariants()
-    return s, pickups, draw(st.sampled_from((0.0, 30.0)))
+    return s, pickups, initial_x
 
 
 def linear_at_or_after(s, t):
@@ -646,20 +653,20 @@ def linear_machine_state(s, t, initial, assume_closed):
     return state
 
 
-def linear_crane_x(s, t, initial):
-    x = initial
+def linear_state(s, t, initial):
+    state = initial
     for e in s.entries:
         if e.span_end <= t:
-            x = e.end_state
+            state = e.end_state
         else:
             break
-    return x
+    return state
 
 
 def linear_machine_gaps(s, product, initial, extra, assume_closed):
     """The per-agent machine gap scan the indexed walk replaced."""
     out = []
-    for iv in s.free_intervals(SCAN, extra_busy=extra, assume_closed=assume_closed):
+    for iv in s.free_intervals(extra_busy=extra, assume_closed=assume_closed):
         succ = linear_at_or_after(s, iv.end)
         end, ti = iv.end, 0
         if succ is not None:
@@ -682,7 +689,7 @@ def linear_machine_gaps(s, product, initial, extra, assume_closed):
 def linear_crane_gaps(s, pickups, initial_x, drop_x, extra):
     """The per-agent crane gap scan, with the position lookup it was used with."""
     out = []
-    for iv in s.free_intervals(SCAN, extra_busy=extra):
+    for iv in s.free_intervals(extra_busy=extra):
         succ = linear_at_or_after(s, iv.end)
         end, ti = iv.end, 0
         boundary = succ is not None and (
@@ -698,7 +705,7 @@ def linear_crane_gaps(s, pickups, initial_x, drop_x, extra):
                 end = succ.core_start - new_setup
         if end <= iv.start:
             continue
-        out.append((iv.start, end, linear_crane_x(s, iv.start, initial_x), ti))
+        out.append((iv.start, end, linear_state(s, iv.start, initial_x), ti))
     return out
 
 
@@ -718,46 +725,39 @@ def test_property_indexed_lookups_match_linear_scans(s):
     st.booleans(),
 )
 def test_property_machine_gap_walk_matches_linear_scan(s, product, initial, extra, own):
+    s = ResourceSchedule(s.entries, initial=initial)
     tails = open_tails(s)
     assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
-    free = s.free_intervals(SCAN, extra_busy=extra, assume_closed=assume)
+    free = s.free_intervals(extra_busy=extra, assume_closed=assume)
     linear = linear_machine_gaps(s, product, initial, extra, assume)
-    table = s.gap_table(free, initial)
+    table = s.gap_table(extra_busy=extra, assume_closed=assume)
     assert list(table_gaps(table, product, machine_succ_setup)) == linear
-    assert list(full_gap_walk(s, free, product, machine_succ_setup, initial)) == linear
+    assert list(full_gap_walk(s, free, product, machine_succ_setup)) == linear
     horizon = max((e.span_end for e in s.entries), default=0) + 5
     for t in range(horizon):
-        assert s.state_before(t, initial, assume_closed=assume) == (
-            linear_machine_state(s, t, initial, assume)
-        )
+        assert s.state_before(t) == linear_state(s, t, initial)
 
 
 @given(crane_calendar(), st.sampled_from((0.0, 12.5, 30.0)), holds)
 def test_property_crane_gap_walk_matches_linear_scan(calendar, drop_x, extra):
     s, pickups, initial_x = calendar
-    free = s.free_intervals(SCAN, extra_busy=extra)
+    free = s.free_intervals(extra_busy=extra)
     linear = linear_crane_gaps(s, pickups, initial_x, drop_x, extra)
-    table = s.gap_table(free, initial_x)
+    table = s.gap_table(extra_busy=extra)
     assert list(table_gaps(table, drop_x, crane_succ_setup(pickups))) == linear
-    walk = full_gap_walk(s, free, drop_x, crane_succ_setup(pickups), initial_x)
+    walk = full_gap_walk(s, free, drop_x, crane_succ_setup(pickups))
     assert list(walk) == linear
     horizon = max((e.span_end for e in s.entries), default=0) + 5
     for t in range(horizon):
-        assert s.state_before(t, initial_x) == linear_crane_x(s, t, initial_x)
+        assert s.state_before(t) == linear_state(s, t, initial_x)
 
 
-@given(
-    machine_calendar(),
-    holds,
-    st.booleans(),
-    st.integers(-5, 800),
-    st.sampled_from((SCAN, TimeInterval(0, 400), TimeInterval(90, 10**9))),
-)
-def test_property_free_intervals_after_is_the_filtered_full_query(s, extra, own, lo, window):
+@given(machine_calendar(), holds, st.booleans(), st.integers(-5, 800))
+def test_property_free_intervals_after_is_the_filtered_full_query(s, extra, own, lo):
     tails = open_tails(s)
     assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
-    full = s.free_intervals(window, extra_busy=extra, assume_closed=assume)
-    bounded = s.free_intervals(window, extra_busy=extra, assume_closed=assume, after=lo)
+    full = s.free_intervals(extra_busy=extra, assume_closed=assume)
+    bounded = s.free_intervals(extra_busy=extra, assume_closed=assume, after=lo)
     assert bounded == [iv for iv in full if iv.end > lo]
 
 
@@ -766,11 +766,11 @@ def test_property_gap_table_of_a_bounded_list_is_the_full_tables_tail(s, extra, 
     # the cursor starts with one bisect at the first interval it is given
     tails = open_tails(s)
     assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
-    full = s.free_intervals(SCAN, extra_busy=extra, assume_closed=assume)
-    bounded = s.free_intervals(SCAN, extra_busy=extra, assume_closed=assume, after=lo)
-    table = s.gap_table(bounded, "A")
-    assert table == [row for row in s.gap_table(full, "A") if row.end > lo]
+    table = s.gap_table(lo, extra, assume)
+    # built on a copy of the calendar, which keeps no table
+    full = ResourceSchedule(list(s.entries)).gap_table(-1, extra, assume)
+    assert table == [row for row in full if row.end > lo]
     for row in table:
-        assert row.from_state == s.state_before(row.start, "A")
+        assert row.from_state == s.state_before(row.start)
         succ = linear_at_or_after(s, row.end)
         assert row.succ is (succ if succ is not None and succ.span_start == row.end else None)
