@@ -146,8 +146,12 @@ class _ResourceAgent:
 
     Each owns a private calendar and a book of held offers: it answers a CFP
     with proposals whose spans it withholds from other orders, then commits or
-    releases them as the order decides. A subclass says how it places
-    proposals (``_propose``) and lays out an accepted booking (``_booking``).
+    releases them as the order decides. Engagement lives here too: while
+    another order could still claim the resource, a CFP waits in
+    ``_deferred`` and :meth:`_drain` answers it once a reject or a departure
+    resolves the engagement. A kind supplies only how it places proposals
+    (``_propose``) and lays out an accepted booking (``_booking``), and where
+    it needs them ``_succ_setup`` and ``_commit``.
 
     A CFP is answered from one gap table (:meth:`_table`). While no other
     conversation holds an offer and no open tail is assumed closed, that is
@@ -158,6 +162,9 @@ class _ResourceAgent:
     """
 
     kind: str  # PRODUCTION | BUFFER | TRANSPORT
+    #: a booking keeps its workpiece here until the order negotiates the
+    #: departure, so another order's live offer engages the resource too
+    _keeps_workpiece = False
     #: successor setup callback for ``insert_booking``; None keeps it as booked
     _succ_setup = None
     #: S, the largest setup (plus unload prefix) a gap's predecessor or
@@ -169,6 +176,7 @@ class _ResourceAgent:
         self.schedule = ResourceSchedule(initial=initial)
         self.holds = HoldBook()
         self._seq = 0
+        self._deferred: list[Message] = []
 
     def _book_fixed(self, block: FixedBlock, label: str, kind: str) -> None:
         """Book a scenario's fixed block before any negotiation."""
@@ -212,17 +220,46 @@ class _ResourceAgent:
         return out
 
     def _on_other(self, part, ctx) -> list[Message]:
+        if isinstance(part, InformDeparture):
+            return self._on_departure(part, ctx)
         log.warning("%s: unexpected %s", self.agent_id, type(part).__name__)
         return []
 
-    def _drain(self, ctx) -> list[Message]:
-        """Answer CFPs queued while engaged; only a machine queues any.
+    # -- engagement -------------------------------------------------------
 
-        It runs after a ``RejectProposal`` (:meth:`handle`) and after a
-        departure (``ProductionAgent._on_departure``); nothing drains when a
-        hold expires.
-        """
-        return []
+    def _engaged_elsewhere(self, order_id: str) -> bool:
+        """True while another order could still claim this resource: its booked
+        workpiece waits here for its departure or, where a booking keeps its
+        workpiece, its live offer may yet become such a booking."""
+        if self.schedule.has_open_tail and self.schedule.open_tail_for(order_id) is None:
+            return True
+        return self._keeps_workpiece and any(
+            parse_conversation(h.conversation_id)[0] != order_id for h in self.holds
+        )
+
+    def _on_departure(self, info: InformDeparture, ctx) -> list[Message]:
+        try:
+            self.schedule.close_open_tail(info.order_id, info.departure, info.loading_time)
+        except NoOpenTail:
+            pass  # an abort departs again after the stage's own departure closed it
+        except OverlapError as exc:
+            log.warning("%s: departure rejected: %s", self.agent_id, exc)
+            return []
+        return self._drain(ctx)
+
+    def _drain(self, ctx) -> list[Message]:
+        """Re-run the queued CFPs in arrival order after a reject (:meth:`handle`)
+        or a departure, not when a hold expires; once one of them holds offers,
+        the later ones from other orders queue again behind it."""
+        if not self._deferred or self.schedule.has_open_tail:
+            return []
+        pending, self._deferred = self._deferred, []
+        out: list[Message] = []
+        for queued in pending:
+            for part in queued.parts:
+                if isinstance(part, Cfp):
+                    out.extend(self._on_cfp(queued, part, ctx))
+        return out
 
     # -- offers -----------------------------------------------------------
 
@@ -232,6 +269,10 @@ class _ResourceAgent:
             return []  # answered too late to matter (e.g. drained after blocking)
         # the one purge per CFP: _engaged_elsewhere and _table read live holds only
         self.holds.purge(now)
+        if self._engaged_elsewhere(cfp.workpiece.order_id):
+            # queue: _drain answers it after the next reject or departure
+            self._deferred.append(msg)
+            return []
         _order, stage = parse_conversation(msg.conversation_id)
         proposals = self._propose(msg, cfp, (stage or 0) + 1, ctx)
         if not proposals:
@@ -374,9 +415,10 @@ class _ResourceAgent:
 
 
 class ProductionAgent(_ResourceAgent):
-    """Owns one machine calendar; proposes, commits, blocks, defers."""
+    """Owns one machine calendar; places operation slots and books them with an open tail."""
 
     kind = PRODUCTION
+    _keeps_workpiece = True
 
     def __init__(self, spec: MachineSpec, unload_estimate: Seconds = 0, load_estimate: Seconds = 0):
         super().__init__(spec.id, spec.initial_state)
@@ -385,29 +427,10 @@ class ProductionAgent(_ResourceAgent):
         self.setup = spec.setup
         self.unload_estimate = unload_estimate
         self.load_estimate = load_estimate
-        self._deferred: list[Message] = []
         for b in spec.initial_bookings:
             self._book_fixed(b, "init", "operation")
         for w in spec.maintenance:
             self._book_fixed(w, "maintenance", "maintenance")
-
-    # -- state ------------------------------------------------------------
-
-    @property
-    def blocked(self) -> bool:
-        return self.schedule.has_open_tail
-
-    def _engaged_elsewhere(self, order_id: str) -> bool:
-        """True while another order's negotiation could still claim this machine.
-
-        A booked workpiece blocks the machine until its departure is known,
-        and an outstanding offer may yet turn into such a booking whose tail
-        would run into anything promised after it.  Either way the machine
-        serves one order at a time and queues the rest.
-        """
-        if self.blocked and self.schedule.open_tail_for(order_id) is None:
-            return True
-        return any(parse_conversation(h.conversation_id)[0] != order_id for h in self.holds)
 
     def _setup(self, from_state: str, to_state: str) -> Seconds:
         return self.setup.get(from_state, {}).get(to_state, 0)
@@ -423,20 +446,8 @@ class ProductionAgent(_ResourceAgent):
         # finishing in the wrong state in front of one costs a changeover too
         return self._setup(new_state, succ.end_state)
 
-    # -- event handling ----------------------------------------------------
-
-    def _on_other(self, part, ctx) -> list[Message]:
-        if isinstance(part, InformDeparture):
-            return self._on_departure(part, ctx)
-        return super()._on_other(part, ctx)
-
     def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
         order_id = cfp.workpiece.order_id
-        if self._engaged_elsewhere(order_id):
-            # blocked for further negotiations: queue; _drain answers it
-            # after the next rejection or departure, not when a hold expires
-            self._deferred.append(msg)
-            return []
         product = cfp.workpiece.product
         op_dur = self.op_duration.get(product)
         if op_dur is None:
@@ -498,28 +509,6 @@ class ProductionAgent(_ResourceAgent):
         return BookingEntry(
             order_id, hold.step_label, segments, open_tail=True, end_state=hold.end_state
         )
-
-    def _on_departure(self, info: InformDeparture, ctx) -> list[Message]:
-        try:
-            self.schedule.close_open_tail(info.order_id, info.departure, info.loading_time)
-        except NoOpenTail:
-            pass  # an abort departs again after the stage's own departure closed it
-        except OverlapError as exc:
-            log.warning("%s: departure rejected: %s", self.agent_id, exc)
-            return []
-        return self._drain(ctx)
-
-    def _drain(self, ctx) -> list[Message]:
-        """Re-run queued calls once an engagement resolves; still-engaged ones requeue."""
-        if self.blocked or not self._deferred:
-            return []
-        pending, self._deferred = self._deferred, []
-        out: list[Message] = []
-        for queued in pending:
-            for part in queued.parts:
-                if isinstance(part, Cfp):
-                    out.extend(self._on_cfp(queued, part, ctx))
-        return out
 
 
 # ---------------------------------------------------------------------------

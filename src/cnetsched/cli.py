@@ -12,7 +12,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .harness import MODE_NAMES, PRESETS, build_metrics, export_gantt, export_metrics, export_trace, run_scenario
+from .harness import MODE_NAMES, PRESETS, export_gantt, export_metrics, export_trace, run_scenario
 from .runtime import RunTimeout
 from .scenario import ValidationError, load_scenario
 from .timebase import hhmm

@@ -226,7 +226,7 @@ def test_cfp_deferred_while_tail_open_drained_on_departure():
     assert m.handle(
         envelope("M1", "o1", 0, AcceptProposal(offer.proposal_id, offer.slot)), ctx
     ) == []
-    assert m.blocked
+    assert m.schedule.has_open_tail
 
     assert m.handle(envelope("M1", "o2", 0, production_cfp(order="o2")), ctx) == []
     assert len(m._deferred) == 1
@@ -235,7 +235,7 @@ def test_cfp_deferred_while_tail_open_drained_on_departure():
         envelope("M1", "o1", 0, InformDeparture("o1", departure=6600, loading_time=600)),
         ctx,
     )
-    assert not m.blocked
+    assert not m.schedule.has_open_tail
     assert out[0].receiver == "o2"
     assert proposals_of(out)[0].slot.start >= 6600
 
@@ -744,6 +744,34 @@ def test_reject_frees_the_held_span_for_the_next_cfp(kind):
 
 
 @pytest.mark.parametrize("kind", RESOURCES)
+def test_only_a_machine_defers_while_another_orders_offer_is_held(kind):
+    agent, ctx = resource(kind), FakeCtx()
+    assert proposals_of(ask(kind, agent, ctx, "o1"))
+    out = ask(kind, agent, ctx, "o2")
+    if kind == "machine":
+        # the offer may yet become a booking whose workpiece stays on the machine
+        assert out == [] and len(agent._deferred) == 1
+    else:
+        assert proposals_of(out) and agent._deferred == []
+
+
+def test_drain_answers_one_order_and_requeues_the_ones_it_engages_the_machine_for():
+    m, ctx = machine(), FakeCtx()
+    first = proposals_of(ask("machine", m, ctx, "o1"))
+    assert ask("machine", m, ctx, "o2") == [] and ask("machine", m, ctx, "o3") == []
+    assert len(m._deferred) == 2
+
+    out = m.handle(envelope("M1", "o1", 1, *[RejectProposal(p.proposal_id) for p in first]), ctx)
+    assert [msg.receiver for msg in out] == ["o2"]
+    assert [q.sender for q in m._deferred] == ["o3"]  # queued behind o2's new hold
+
+    second = proposals_of(out)
+    out = m.handle(envelope("M1", "o2", 1, *[RejectProposal(p.proposal_id) for p in second]), ctx)
+    assert [msg.receiver for msg in out] == ["o3"]
+    assert m._deferred == []
+
+
+@pytest.mark.parametrize("kind", RESOURCES)
 def test_cfp_past_its_deadline_gets_no_answer(kind):
     agent, ctx = resource(kind), FakeCtx(now=100)
     assert ask(kind, agent, ctx, "o1", deadline=100) == []
@@ -1038,7 +1066,8 @@ def test_property_machine_skip_makes_the_full_walks_offers(data):
     hold_others(m, data.draw(other_holds), cfp.workpiece.order_id)
     msg = envelope("M1", cfp.workpiece.order_id, 0, cfp)
     ref, ctx = copy.deepcopy(m), FakeCtx()
-    assert m._propose(msg, cfp, 1, ctx) == full_walk_machine(ref, cfp, msg.conversation_id, ctx)
+    made = [p for out in m._on_cfp(msg, cfp, ctx) for p in out.parts]
+    assert made == full_walk_machine(ref, cfp, msg.conversation_id, ctx)
     assert list(m.holds) == list(ref.holds)
 
 
