@@ -6,7 +6,8 @@ it over a logical tick clock — equal inputs give byte-identical traces. The
 concurrent kernel pops it on the monotonic wall clock, sleeping until the
 head falls due, which the order-release (hosting interval) experiments
 measure: many orders negotiate at once, interleaved by when their messages
-and deadlines fall due.
+and deadlines fall due. Either kernel is itself the context its handlers
+are given (:class:`_Kernel`).
 """
 
 from __future__ import annotations
@@ -97,43 +98,18 @@ Event = Union[Message, StartOrder, DeadlineExpired]
 _KERNEL_LINES = {StartOrder: "StartOrder", DeadlineExpired: "Deadline"}
 
 
-class _Ctx:
-    """What an agent may ask of the kernel while handling an event; one per agent."""
-
-    __slots__ = ("kernel", "agent_id")
-
-    def __init__(self, kernel, agent_id: str):
-        self.kernel = kernel
-        self.agent_id = agent_id
-
-    @property
-    def directory(self):
-        return self.kernel.directory
-
-    @property
-    def cfp_deadline(self):
-        return self.kernel.config.cfp_deadline
-
-    @property
-    def hold_deadline(self):
-        return self.kernel.config.hold_deadline
-
-    def now(self):
-        return self.kernel.now()
-
-    def set_timer(self, delay) -> int:
-        return self.kernel.set_timer(self.agent_id, delay)
-
-    def record_commit(self, resource_id: str, entry) -> None:
-        self.kernel.record_commit(resource_id, entry)
-
-
 class _Kernel:
     """What both kernels share: one event heap, message counts, trace and commit log.
 
     Every delivery — a message, a round deadline, an order release — is one
     heap entry ``(at, seq, receiver, event)``; the kernels differ only in
     their clock and in when they stop popping it.
+
+    The kernel is also the context each handler is given: an agent reads
+    ``directory``, ``cfp_deadline``, ``hold_deadline`` and ``now()``, arms
+    a deadline for itself with ``set_timer(delay)`` and logs a booking with
+    ``record_commit``. One handler runs at a time, so ``set_timer`` arms
+    the deadline for the receiver :meth:`_dispatch` is running.
     """
 
     mode: str
@@ -151,8 +127,10 @@ class _Kernel:
             raise ValueError(f"releases for unknown agents {unknown}")
         self.directory = directory
         self.agents = agents
-        self._ctx = {aid: _Ctx(self, aid) for aid in agents}
         self.config = config or KernelConfig()
+        self.cfp_deadline = self.config.cfp_deadline
+        self.hold_deadline = self.config.hold_deadline
+        self._receiver = ""  # the agent whose handler runs
         self.counter = MessageCounter()
         self.trace: list[str] = []
         self.commits: list[CommitRecord] = []
@@ -166,10 +144,11 @@ class _Kernel:
         self._seq += 1
         heapq.heappush(self._heap, (at, self._seq, receiver, event))
 
-    def set_timer(self, agent_id: str, delay) -> int:
+    def set_timer(self, delay) -> int:
+        """Arm a deadline ``delay`` from now for the running handler's agent; its token."""
         self._seq += 1
         token = self._seq
-        self._schedule(self.now() + delay, agent_id, DeadlineExpired(token))
+        self._schedule(self.now() + delay, self._receiver, DeadlineExpired(token))
         return token
 
     def _post(self, msg: Message) -> None:
@@ -189,7 +168,8 @@ class _Kernel:
         kind = _KERNEL_LINES.get(type(event))
         if kind is not None:
             self.trace.append(f"{self._stamp(self.now())} kernel>{receiver} {kind}")
-        for msg in self.agents[receiver].handle(event, self._ctx[receiver]):
+        self._receiver = receiver
+        for msg in self.agents[receiver].handle(event, self):
             self._post(msg)
 
     def record_commit(self, resource_id: str, entry) -> None:

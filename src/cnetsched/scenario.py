@@ -14,6 +14,7 @@ violation with its field path, because scenario files are written by hand.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
@@ -151,6 +152,11 @@ class Scenario:
 _MISSING = object()
 
 
+def _finite(value: Any) -> bool:
+    """Whether a JSON value is a finite number: ``json`` also reads NaN and Infinity."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 class _Reader:
     """Walks a parsed JSON tree collecting problems instead of failing fast."""
 
@@ -198,8 +204,8 @@ class _Reader:
                 return default
             self.fail(f"{path}.{key}", "required field is missing")
             return 0.0
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(f"{path}.{key}", "expected a number")
+        if not _finite(value):
+            self.fail(f"{path}.{key}", "expected a finite number")
             return 0.0
         if minimum is not None and value < minimum:
             self.fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
@@ -214,19 +220,17 @@ class _Reader:
             return minutes(raw)
         except ValueError as exc:
             self.fail(f"{path}.{key}", str(exc))
-            return 0
+        except OverflowError:
+            self.fail(f"{path}.{key}", f"{raw} minutes is too long to count in seconds")
+        return 0
 
     def xy(self, parent: Mapping, key: str, path: str) -> tuple[float, float]:
         value = parent.get(key, _MISSING)
         if value is _MISSING:
             self.fail(f"{path}.{key}", "required field is missing")
             return (0.0, 0.0)
-        if (
-            not isinstance(value, list)
-            or len(value) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-        ):
-            self.fail(f"{path}.{key}", "expected [x, y] numbers")
+        if not isinstance(value, list) or len(value) != 2 or not all(map(_finite, value)):
+            self.fail(f"{path}.{key}", "expected [x, y] finite numbers")
             return (0.0, 0.0)
         return (float(value[0]), float(value[1]))
 
@@ -300,7 +304,7 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
     for key, value in (("cfp_deadline", cfp_deadline), ("hold_deadline", hold_deadline)):
         if value is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+        if not _finite(value) or value <= 0:
             r.fail(f"{source}.params.{key}", "must be a positive number when given")
         else:
             given += 1
@@ -392,13 +396,9 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         tid = r.string(tdoc, "id", path)
         claim_id("transport", tid, f"{path}.id")
         seg = tdoc.get("segment")
-        if (
-            not isinstance(seg, list)
-            or len(seg) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in seg)
-            or seg[1] < seg[0]
-        ):
-            r.fail(f"{path}.segment", "expected [lo, hi] with lo <= hi")
+        pair = isinstance(seg, list) and len(seg) == 2 and all(map(_finite, seg))
+        if not pair or seg[1] < seg[0]:
+            r.fail(f"{path}.segment", "expected [lo, hi] finite numbers with lo <= hi")
             seg = [0.0, 0.0]
         speed = r.number(tdoc, "speed", path)
         if speed <= 0:

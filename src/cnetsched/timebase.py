@@ -11,7 +11,8 @@ sits on top of two guarantees made here:
 
 A resource answers one CFP from one gap table
 (:meth:`ResourceSchedule.gap_table`): its free intervals, each with the state
-before it and the booking right after it, looked up once. A state is the
+before it and the booking right after it, all found in one walk of the
+calendar (:meth:`ResourceSchedule.free_intervals`). A state is the
 ``end_state`` of the booking before, as the resource stored it: a machine's
 product, a crane's drop-off x as a number. The resource's placement walk
 reads the gaps a booking of one end state sees straight off the table, with
@@ -29,7 +30,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, ClassVar, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Seconds = int  # engine-wide unit: integer seconds from the scenario epoch
 
@@ -226,7 +227,6 @@ class BookingEntry:
 # callback: (new predecessor end state, successor entry) -> required setup duration
 SetupFn = Callable[[Any, BookingEntry], Seconds]
 
-_INF = None  # suffix sentinel of a busy span: (start, None) means [start, +inf)
 _span_start = attrgetter("span_start")
 _span_end = attrgetter("span_end")
 
@@ -249,7 +249,8 @@ class ResourceSchedule:
     so both ``span_start`` and ``span_end`` never decrease along ``entries``.
     The lookups bisect the live list on these keys, so ``entries`` is edited
     only through :meth:`insert_booking` and :meth:`close_open_tail`.
-    ``initial`` is the state before the first booking.
+    ``initial`` is the state before the first booking. A gap table takes one
+    bisect and one walk of the entries after it (:meth:`free_intervals`).
 
     The open tails are also indexed by order (``_tails``), so the checks for
     them cost one lookup instead of a scan. Both edits keep the index; it is
@@ -288,55 +289,75 @@ class ResourceSchedule:
         extra_busy: Iterable[TimeInterval] = (),
         assume_closed: frozenset[str] | set[str] = frozenset(),
         after: Seconds = -1,
-    ) -> list[TimeInterval]:
-        """Maximal free intervals of ``[0, HORIZON)``, sorted.
+    ) -> list[GapRow]:
+        """The maximal free intervals of ``[0, HORIZON)`` as gap rows, sorted.
 
         Open-tail entries block from their span start to +infinity;
         ``assume_closed`` names orders whose open tail counts as ending at its
         operation end (a resource reasoning about the follow-up operation of
-        the workpiece it holds). The union of the result and the busy spans
-        partitions ``[0, HORIZON)`` exactly.
+        the workpiece it holds). The union of the rows' intervals and the busy
+        spans partitions ``[0, HORIZON)`` exactly.
 
         Only the intervals ending after ``after`` are returned (the default
         keeps all), and they are not clipped: each is the same maximal
         interval the full query gives, so its start and everything derived
         from it stay put. The walk starts at the end of the last entry ending
         by ``after``, the instant after which only the later entries and
-        ``extra_busy`` can block, so only those are merged. An open tail among
-        the earlier entries (one ending by ``after``) still blocks everything
-        after it.
+        ``extra_busy`` can block. An open tail among the earlier entries (one
+        ending by ``after``) still blocks everything after it.
+
+        From there one walk merges the later entries with the sorted held
+        spans in start order, an entry first on a tie. A row's
+        ``from_state`` is the ``end_state`` of the last entry passed, which
+        is :meth:`state_before` of its start: every entry passed ends by the
+        interval's start, and every other one starts at or after its end.
+        Its successor is the entry whose start ends the interval, so a held
+        span ends an interval without one unless an entry starts with it.
+        The walk clips at ``HORIZON``, where only an entry starting exactly
+        there is a successor.
         """
         entries = self.entries
         first = bisect.bisect_right(entries, after, key=_span_end)
-        cursor = 0
+        cursor, state = 0, self.initial
         if first:
             for e in self._tails.values():
                 if e.span_end <= after and e.order_id not in assume_closed:
                     return []
-            cursor = entries[first - 1].span_end
-        blocked: list[tuple[Seconds, Optional[Seconds]]] = [
-            (e.span_start, _INF if e.open_tail and e.order_id not in assume_closed else e.span_end)
-            for e in entries[first:]
-        ]
-        blocked.extend((iv.start, iv.end) for iv in extra_busy if not iv.is_empty())
-        blocked.sort(key=lambda s: (s[0], s[1] is not None, s[1] or 0))
+            cursor, state = entries[first - 1].span_end, entries[first - 1].end_state
+        holds = sorted(iv for iv in extra_busy if not iv.is_empty())
 
-        free: list[TimeInterval] = []
-        for start, end in blocked:
-            if end is not None and end <= cursor:
-                continue
-            if start >= HORIZON:
-                break
+        def blockers() -> Iterator[tuple[Seconds, Optional[Seconds], Optional[BookingEntry]]]:
+            # (start, end, entry); a held span has no entry, and a blocking
+            # open tail and the closing HORIZON have no end
+            h = 0
+            for e in entries[first:]:
+                segments = e.segments
+                start = segments[0][1].start
+                while h < len(holds) and holds[h].start < start:
+                    yield (*holds[h], None)
+                    h += 1
+                blocks = e.open_tail and e.order_id not in assume_closed
+                yield start, None if blocks else segments[-1][1].end, e
+            for iv in holds[h:]:
+                yield (*iv, None)
+            yield HORIZON, None, None
+
+        rows: list[GapRow] = []
+        for start, end, entry in blockers():
+            if start > HORIZON:
+                start, entry = HORIZON, None  # clipped: no entry starts where the row ends
             if start > cursor and start > after:
-                free.append(TimeInterval(cursor, start))
-            if end is None:
-                return free  # everything after an open tail is blocked
+                setup = entry.setup_interval if entry is not None else None
+                if setup is None:
+                    rows.append(GapRow(cursor, start, state, entry, start, 0))
+                else:
+                    rows.append(GapRow(cursor, start, state, entry, setup.end, setup.duration))
+            if end is None or start == HORIZON:
+                break  # an open tail or the horizon blocks everything after it
+            if entry is not None:
+                state = entry.end_state
             cursor = max(cursor, end)
-            if cursor >= HORIZON:
-                return free
-        if cursor < HORIZON and after < HORIZON:
-            free.append(TimeInterval(cursor, HORIZON))
-        return free
+        return rows
 
     def gap_table(
         self,
@@ -344,25 +365,17 @@ class ResourceSchedule:
         extra_busy: Sequence[TimeInterval] = (),
         assume_closed: frozenset[str] | set[str] = frozenset(),
     ) -> list[GapRow]:
-        """The free intervals ending after ``after``, with their neighbours looked up once.
+        """The rows of :meth:`free_intervals`, kept while they stay exact.
 
-        The intervals are those of :meth:`free_intervals` for the same
-        arguments: sorted, free of entries, and before any open tail that
-        blocks. So the entries ending by an interval's start are exactly
-        those before it, and the next entry starts at or after its end. One
-        bisect finds the first interval's place; a cursor then walks the
-        entries once for the whole table, keeping each row's ``from_state``
-        equal to :meth:`state_before` of its start. A row's successor is the
-        entry that starts where the interval ends; its setup is the one a new
-        booking in front of it recomputes, so the gap such a booking sees
-        ends where the successor's recomputed setup has to begin.
-
-        A gap therefore ends at most the successor's old setup after its
-        interval. When no setup on the resource exceeds ``S`` and a slot
-        cannot start before ``base``, a gap of an interval with
-        ``iv.end + S < base`` starts its slot at exactly ``base`` and cannot
-        hold it, so callers may drop those intervals first (and ask only for
-        those ending after ``base - S - 1``).
+        A row's setup is the one a new booking in front of its successor
+        recomputes, so the gap such a booking sees ends where the
+        successor's recomputed setup has to begin. A gap therefore ends at
+        most the successor's old setup after its interval. When no setup on
+        the resource exceeds ``S`` and a slot cannot start before ``base``, a
+        gap of an interval with ``iv.end + S < base`` starts its slot at
+        exactly ``base`` and cannot hold it, so callers may drop those
+        intervals first (and ask only for those ending after
+        ``base - S - 1``).
 
         With no extra busy span and nothing assumed closed, the table is
         kept, and a later such query whose ``after`` is no earlier gets the
@@ -377,23 +390,7 @@ class ResourceSchedule:
         kept = self._kept
         if plain and kept is not None and kept[0] <= after:
             return kept[1]
-        entries = self.entries
-        rows: list[GapRow] = []
-        i = -1  # cursor: the first entry not ending by the current interval's start
-        for iv in self.free_intervals(extra_busy, assume_closed, after):
-            if i < 0:
-                i = self.last_ending_by(iv.start) + 1
-                state = entries[i - 1].end_state if i else self.initial
-            while i < len(entries) and entries[i].span_end <= iv.start:
-                state = entries[i].end_state
-                i += 1
-            succ = entries[i] if i < len(entries) else None
-            if succ is not None and succ.span_start == iv.end:
-                setup_iv = succ.setup_interval
-                setup = setup_iv.duration if setup_iv is not None else 0
-                rows.append(GapRow(iv.start, iv.end, state, succ, succ.core_start, setup))
-            else:
-                rows.append(GapRow(iv.start, iv.end, state, None, iv.end, 0))
+        rows = self.free_intervals(extra_busy, assume_closed, after)
         if plain:
             self._kept = (after, rows)
         return rows
@@ -402,14 +399,10 @@ class ResourceSchedule:
         i = bisect.bisect_left(self.entries, t, key=_span_start)
         return self.entries[i] if i < len(self.entries) else None
 
-    def last_ending_by(self, t: Seconds) -> int:
-        """Index of the last entry that ends at or before ``t``; -1 when none does."""
-        return bisect.bisect_right(self.entries, t, key=_span_end) - 1
-
     def state_before(self, t: Seconds) -> Any:
         """The ``end_state`` of the last entry ending by ``t``, else ``initial``."""
-        i = self.last_ending_by(t)
-        return self.entries[i].end_state if i >= 0 else self.initial
+        i = bisect.bisect_right(self.entries, t, key=_span_end)
+        return self.entries[i - 1].end_state if i else self.initial
 
     # -- mutations -------------------------------------------------------
 

@@ -1293,7 +1293,7 @@ def test_a_crane_cfp_looks_up_each_free_interval_once_whatever_its_legs(monkeypa
 
         monkeypatch.setattr(ResourceSchedule, name, wrapper)
 
-    for name in ("state_before", "entry_at_or_after", "last_ending_by"):
+    for name in ("state_before", "entry_at_or_after"):
         counted(name)
     propose, table_of = TransportAgent._propose, TransportAgent._table
 

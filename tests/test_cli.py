@@ -68,6 +68,38 @@ def test_malformed_scenario_exits_1(tmp_path, capsys):
     assert "undated.json.params.cfp_deadline: must be a positive number when given" in err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("orders", 0, "release"), float("inf")),
+    (("orders", 0, "release"), float("nan")),
+    (("params", "cfp_deadline"), float("nan")),
+    (("params", "hold_deadline"), float("inf")),
+    (("machines", 0, "location"), [float("nan"), 1]),
+    (("transports", 0, "speed"), float("inf")),
+    (("transports", 0, "segment"), [0, float("inf")]),
+    (("machines", 0, "op_duration", "A"), 1e307),
+], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+def test_a_number_json_reads_but_cannot_count_is_a_problem_at_its_path(
+    tmp_path, capsys, path, value
+):
+    # json reads NaN and Infinity although JSON has neither
+    doc = json.loads(FLOWSHOP.read_text())
+    *parents, key = path
+    owner = doc
+    for step in parents:
+        owner = owner[step]
+    owner[key] = value
+    scenario = tmp_path / "unbounded.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["validate", str(scenario)]) == 1
+    assert main(["run", str(scenario)]) == 1
+    out, err = capsys.readouterr()
+    field = "unbounded.json." + "".join(
+        f"[{step}]" if isinstance(step, int) else f".{step}" for step in path
+    ).lstrip(".")
+    assert f"  {field}: " in err
+    assert "OK" not in out and "Traceback" not in err
+
+
 def test_load_scenario_reports_a_file_that_is_not_utf8_as_invalid(tmp_path):
     latin = tmp_path / "latin.json"
     latin.write_bytes('{"name": "Fräse"}'.encode("latin-1"))

@@ -103,9 +103,9 @@ def test_concurrent_kernel_on_a_virtual_clock_gives_the_deterministic_run(
 
     def recorded_handle(self, event, ctx):
         out = handle(self, event, ctx)
-        orders = [a for a in ctx.kernel.agents.values() if isinstance(a, OrderAgent)]
+        orders = [a for a in ctx.agents.values() if isinstance(a, OrderAgent)]
         if not stops and all(a.status in ("done", "failed") for a in orders):
-            stops.append(len(ctx.kernel.trace) + len(out))  # out's lines follow
+            stops.append(len(ctx.trace) + len(out))  # out's lines follow
         return out
 
     monkeypatch.setattr(OrderAgent, "handle", recorded_handle)

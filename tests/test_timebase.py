@@ -25,6 +25,11 @@ def op_entry(order, start, end, step="1", end_state="", open_tail=False, setup=0
     return BookingEntry(order, step, segments, open_tail=open_tail, end_state=end_state)
 
 
+def spans(rows):
+    """The free intervals of gap rows, without their neighbours."""
+    return [TimeInterval(row.start, row.end) for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # units
 
@@ -295,7 +300,7 @@ def test_free_intervals_simple():
     s = ResourceSchedule()
     s.insert_booking(op_entry("a", 100, 200))
     s.insert_booking(op_entry("b", 300, 400))
-    assert s.free_intervals() == [
+    assert spans(s.free_intervals()) == [
         TimeInterval(0, 100),
         TimeInterval(200, 300),
         TimeInterval(400, HORIZON),
@@ -305,9 +310,9 @@ def test_free_intervals_simple():
 def test_free_intervals_open_tail_blocks_suffix():
     s = ResourceSchedule()
     s.insert_booking(op_entry("a", 100, 200, open_tail=True))
-    assert s.free_intervals() == [TimeInterval(0, 100)]
+    assert spans(s.free_intervals()) == [TimeInterval(0, 100)]
     # ... unless the reasoning assumes that workpiece departs at operation end
-    assert s.free_intervals(assume_closed={"a"}) == [
+    assert spans(s.free_intervals(assume_closed={"a"})) == [
         TimeInterval(0, 100), TimeInterval(200, HORIZON)
     ]
 
@@ -315,7 +320,7 @@ def test_free_intervals_open_tail_blocks_suffix():
 def test_free_intervals_extra_busy():
     s = ResourceSchedule()
     free = s.free_intervals(extra_busy=[TimeInterval(20, 30), TimeInterval(30, 40)])
-    assert free == [TimeInterval(0, 20), TimeInterval(40, HORIZON)]
+    assert spans(free) == [TimeInterval(0, 20), TimeInterval(40, HORIZON)]
 
 
 def test_free_intervals_after_keeps_whole_intervals_ending_later():
@@ -323,12 +328,14 @@ def test_free_intervals_after_keeps_whole_intervals_ending_later():
     s.insert_booking(op_entry("a", 100, 200))
     s.insert_booking(op_entry("b", 300, 400))
     # [200, 300) ends after 250 and keeps its start; [0, 100) ends too early
-    assert s.free_intervals(after=250) == [TimeInterval(200, 300), TimeInterval(400, HORIZON)]
+    assert spans(s.free_intervals(after=250)) == [
+        TimeInterval(200, 300), TimeInterval(400, HORIZON)
+    ]
     assert s.free_intervals(after=99) == s.free_intervals()
     assert s.free_intervals(after=100) == s.free_intervals()[1:]
     # a hold that starts before the walk's first entry end still counts
     held = s.free_intervals(extra_busy=[TimeInterval(150, 250)], after=260)
-    assert held == [TimeInterval(250, 300), TimeInterval(400, HORIZON)]
+    assert spans(held) == [TimeInterval(250, 300), TimeInterval(400, HORIZON)]
 
 
 def test_free_intervals_after_an_earlier_open_tail_is_empty():
@@ -337,7 +344,41 @@ def test_free_intervals_after_an_earlier_open_tail_is_empty():
     assert s.free_intervals(after=500) == []
     # a tail whose operation ends exactly at ``after`` is among the earlier entries
     assert s.free_intervals(after=200) == []
-    assert s.free_intervals(assume_closed={"a"}, after=500) == [TimeInterval(200, HORIZON)]
+    assert spans(s.free_intervals(assume_closed={"a"}, after=500)) == [TimeInterval(200, HORIZON)]
+
+
+def tie_calendar():
+    s = ResourceSchedule()
+    s.insert_booking(op_entry("a", 100, 200, end_state="A"))
+    s.insert_booking(op_entry("b", 320, 400, end_state="B", setup=20))  # setup [300, 320)
+    return s
+
+
+def test_an_entry_ends_the_interval_before_a_hold_that_starts_with_it():
+    s = tie_calendar()
+    b = s.entries[1]
+    rows = s.gap_table(extra_busy=[TimeInterval(300, 350)])
+    assert tuple(rows[1]) == (200, 300, "A", b, 320, 20)
+
+
+def test_a_hold_that_ends_an_interval_alone_leaves_it_without_successor():
+    s = tie_calendar()
+    rows = s.gap_table(extra_busy=[TimeInterval(250, 300)])
+    assert tuple(rows[1]) == (200, 250, "A", None, 250, 0)
+    assert rows[2].start == 400 and rows[2].from_state == "B"
+
+
+@pytest.mark.parametrize("at, last_end, kept", [
+    (HORIZON - 10, HORIZON - 10, True),
+    (HORIZON, HORIZON, True),
+    (HORIZON + 5, HORIZON, False),
+])
+def test_the_last_row_ends_at_the_first_of_the_entry_and_the_horizon(at, last_end, kept):
+    s = ResourceSchedule([op_entry("a", 100, 200, end_state="A"), op_entry("z", at, at + 20)])
+    last = s.gap_table()[-1]
+    assert (last.start, last.end, last.from_state) == (200, last_end, "A")
+    assert last.succ is (s.entries[1] if kept else None)
+    assert last.core_start == last_end and last.setup == 0
 
 
 def test_placement_gaps_respect_successor_setup():
@@ -637,10 +678,6 @@ def linear_at_or_after(s, t):
     return next((e for e in s.entries if e.span_start >= t), None)
 
 
-def linear_last_ending_by(s, t):
-    return max((i for i, e in enumerate(s.entries) if e.span_end <= t), default=-1)
-
-
 def linear_machine_state(s, t, initial, assume_closed):
     state = initial
     for e in s.entries:
@@ -714,7 +751,7 @@ def test_property_indexed_lookups_match_linear_scans(s):
     horizon = max((e.span_end for e in s.entries), default=0) + 5
     for t in range(horizon):
         assert s.entry_at_or_after(t) is linear_at_or_after(s, t)
-        assert s.last_ending_by(t) == linear_last_ending_by(s, t)
+        assert s.state_before(t) == linear_state(s, t, s.initial)
 
 
 @given(
