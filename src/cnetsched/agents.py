@@ -90,12 +90,19 @@ class DirectoryService:
 
     def __init__(self) -> None:
         self._by_capability: dict[str, set[str]] = {}
+        #: capability -> its agents, sorted; filled by ``search``, dropped by ``register``
+        self._sorted: dict[str, tuple[str, ...]] = {}
 
     def register(self, capability: str, agent_id: str) -> None:
         self._by_capability.setdefault(capability, set()).add(agent_id)
+        self._sorted.pop(capability, None)
 
     def search(self, capability: str) -> tuple[str, ...]:
-        return tuple(sorted(self._by_capability.get(capability, ())))
+        found = self._sorted.get(capability)
+        if found is None:
+            found = tuple(sorted(self._by_capability.get(capability, ())))
+            self._sorted[capability] = found
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -610,14 +617,24 @@ class TransportAgent(_ResourceAgent):
         return self.geometry.travel_seconds(new_state, pickup)
 
     def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
+        """One proposal per leg this crane covers, plus the chained variants.
+
+        A plain placement reads only the CFP's gap table and the leg's
+        from-location, drop-off x and windows (duration, approach, successor
+        setup and bounds), so legs equal in these share one ``_fits`` walk.
+        Each leg still gets its own offer: its own id, hold and ``realizes``
+        and ``via`` echo. A chained variant reads its partner too: not shared.
+        """
         geom = self.geometry
         conv = msg.conversation_id
         # legs that some other leg chains onto head into a buffer
         chain_targets = {leg.chain_after for leg in cfp.legs if leg.chain_after is not None}
-        legs: list[tuple[int, TransportLeg, str, Seconds]] = []
+        legs: list[tuple[int, TransportLeg, str, tuple]] = []
+        #: placement key -> the first leg with it and its duration
+        distinct: dict[tuple, tuple[TransportLeg, Seconds]] = {}
         for leg_idx, leg in enumerate(cfp.legs):
-            fx, tx = leg.from_location[0], leg.to_location[0]
-            if not (geom.covers(fx) and geom.covers(tx)):
+            frm, to = leg.from_location, leg.to_location
+            if not (geom.covers(frm[0]) and geom.covers(to[0])):
                 continue
             if leg.via is not None:
                 label = f"T:B{step},{step}"
@@ -625,35 +642,40 @@ class TransportAgent(_ResourceAgent):
                 label = f"T:{step - 1},B{step}"
             else:
                 label = f"T:{step - 1},{step}"
-            dur = calculus.transport_duration(leg.from_location, leg.to_location, geom)
-            legs.append((leg_idx, leg, label, dur))
+            key = (frm, to[0], leg.windows)
+            if key not in distinct:
+                distinct[key] = leg, calculus.transport_duration(frm, to, geom)
+            legs.append((leg_idx, leg, label, key))
         if not legs:
             return []  # outside this crane's segment: silent, no calendar walk
         # a chained variant starts after its partner, which is placed no
         # earlier than its own leg's base; the table does not depend on where
         # a leg drops off, so every leg and chained variant reads it
         table = self._table(
-            conv, min(max(leg.windows.es, leg.windows.ef - dur) for _, leg, _, dur in legs)
+            conv, min(max(leg.windows.es, leg.windows.ef - dur) for leg, dur in distinct.values())
         )
+        placed = {key: self._place_leg(leg, dur, table) for key, (leg, dur) in distinct.items()}
         proposals: list[Proposal] = []
         emitted_by_leg: dict[int, Proposal] = {}
-        for leg_idx, leg, label, dur in legs:
+        for leg_idx, leg, label, key in legs:
             fx, tx = leg.from_location[0], leg.to_location[0]
-            plain = self._place_leg(leg, dur, table)
+            echo = 0, leg.realizes, leg.via  # alternative, realizes, via: the leg's own
+            plain = placed[key]
             if plain is not None:
-                made = self._offer(ctx, conv, label, plain[0], tx, *plain[1])
+                made = self._offer(ctx, conv, label, plain[0], tx, *plain[1], *echo)
                 proposals.append(made)
                 emitted_by_leg[leg_idx] = made
             # chained variant: departing right where a partner leg drops off
             partner = emitted_by_leg.get(leg.chain_after)
             if partner is None or abs(cfp.legs[leg.chain_after].to_location[0] - fx) >= 1e-9:
                 continue
-            chained = self._place_leg(leg, dur, table, after=partner)
+            chained = self._place_leg(leg, distinct[key][1], table, after=partner)
             # one equal to the plain placement is not offered: no hold, no id
             if chained is not None and (
                 plain is None or _slot_and_price(chained[1]) != _slot_and_price(plain[1])
             ):
-                proposals.append(self._offer(ctx, conv, label, chained[0], tx, *chained[1]))
+                fields = (*chained[1], *echo, partner.proposal_id)
+                proposals.append(self._offer(ctx, conv, label, chained[0], tx, *fields))
         return proposals
 
     def _place_leg(
@@ -664,7 +686,7 @@ class TransportAgent(_ResourceAgent):
         after: Optional[Proposal] = None,
     ) -> Optional[tuple[TimeInterval, tuple]]:
         """Where ``leg`` fits first: the span to hold and the proposal's fields
-        after ``resource_id``, in the order ``_offer`` takes them.
+        from location to price, in the order ``_offer`` takes them.
 
         ``after`` places the chained variant, which loads where and when the
         partner proposal ``after`` unloads. None when the leg fits nowhere.
@@ -674,7 +696,8 @@ class TransportAgent(_ResourceAgent):
         w = leg.windows
         fx, tx = leg.from_location[0], leg.to_location[0]
         earliest = max(w.es, w.ef - dur)
-        setup_of: Callable[[float], Seconds] = functools.partial(geom.travel_seconds, x_to=fx)
+        # travel is symmetric: from a gap's predecessor state to the pickup x
+        setup_of: Callable[[float], Seconds] = functools.partial(geom.travel_seconds, fx)
         if after is not None:
             # a chained leg loads where and when the partner unloads, with no
             # approach; a gap that holds it and starts by the partner's start
@@ -686,9 +709,8 @@ class TransportAgent(_ResourceAgent):
             table, tx, earliest, dur, w, setup_of
         ):
             return TimeInterval(load_start - setup, end), (
-                (fx, leg.from_location[1]), TimeInterval(load_start, end), slack_after, dur,
+                leg.from_location, TimeInterval(load_start, end), slack_after, dur,
                 geom.load_time, geom.unload_time, proposal_price(dur, setup, ti_next),
-                0, leg.realizes, leg.via, after.proposal_id if after is not None else None,
             )
         return None
 
@@ -852,16 +874,16 @@ class OrderAgent:
     ) -> list[Message]:
         """One CFP round: the same CFP, whose operation is ``capability``, to
         every agent registered for it; empty when nobody is."""
-        cfp = Cfp(
-            workpiece=WorkpieceInfo(self.agent_id, self.product, location),
-            operation=capability,
-            deadline=ctx.now() + ctx.cfp_deadline,
-            **cfp_fields,
+        parts = (
+            Cfp(
+                workpiece=WorkpieceInfo(self.agent_id, self.product, location),
+                operation=capability,
+                deadline=ctx.now() + ctx.cfp_deadline,
+                **cfp_fields,
+            ),
         )
-        return [
-            _envelope(self.agent_id, rid, neg.conversation, [cfp])
-            for rid in ctx.directory.search(capability)
-        ]
+        sender, conv = self.agent_id, neg.conversation
+        return [Message(sender, rid, conv, parts) for rid in ctx.directory.search(capability)]
 
     def _depart(
         self, resource: str, conv: str, departure: Seconds, loading_time: Seconds = 0
@@ -923,6 +945,7 @@ class OrderAgent:
         prev = self._prev
         if prev is None:
             return []
+        f_prev, st_prev, params = self._f_prev, self._st_prev, self.params
         legs: list[TransportLeg] = []
         buffers_by_realizes: dict[str, list[Proposal]] = {}
         for b in neg.of_kind(BUFFER):
@@ -936,10 +959,10 @@ class OrderAgent:
                     buf_slot = SlotCommitment(b.slot.start, b.slot.end, b.slack_after)
                     try:
                         w_in = calculus.transport_to_buffer_windows(
-                            self._f_prev, self._st_prev, buf_slot, prod_slot, self.params
+                            f_prev, st_prev, buf_slot, prod_slot, params
                         )
                         w_out = calculus.transport_from_buffer_windows(
-                            self._f_prev, buf_slot, prod_slot, self.params
+                            f_prev, buf_slot, prod_slot, params
                         )
                     except InfeasibleWindow:
                         continue
@@ -948,9 +971,7 @@ class OrderAgent:
                     legs.append(_leg(b, p, w_out, via=b.proposal_id, chain_after=inbound_idx))
             else:
                 try:
-                    w = calculus.transport_direct_windows(
-                        self._f_prev, self._st_prev, prod_slot, self.params
-                    )
+                    w = calculus.transport_direct_windows(f_prev, st_prev, prod_slot, params)
                 except InfeasibleWindow:
                     continue
                 legs.append(_leg(prev, p, w))

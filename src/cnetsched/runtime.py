@@ -136,6 +136,7 @@ class _Kernel:
         self.commits: list[CommitRecord] = []
         self._heap: list[tuple[float, int, str, Event]] = []
         self._seq = 0
+        self._stamped: tuple = (None, "")  # the clock time last stamped, and its stamp
         for release, order_id in sorted(releases):
             self._schedule(release, order_id, StartOrder(order_id))
 
@@ -161,13 +162,21 @@ class _Kernel:
         variant = type(parts[0]).__name__  # Message.variant, without the property call
         counts, key = self.counter.counts, (conv, variant)
         counts[key] = counts.get(key, 0) + 1
-        self.trace.append(f"{self._stamp(now)} {sender}>{receiver} {variant} n={len(parts)} {conv}")
+        self.trace.append(
+            f"{self._stamp_of(now)} {sender}>{receiver} {variant} n={len(parts)} {conv}"
+        )
         self._schedule(now + self._hop, receiver, msg)
+
+    def _stamp_of(self, now) -> str:
+        """``_stamp(now)``, formatted once per tick: a tick's trace lines share it."""
+        if now != self._stamped[0]:
+            self._stamped = (now, self._stamp(now))
+        return self._stamped[1]
 
     def _dispatch(self, receiver: str, event: Event) -> None:
         kind = _KERNEL_LINES.get(type(event))
         if kind is not None:
-            self.trace.append(f"{self._stamp(self.now())} kernel>{receiver} {kind}")
+            self.trace.append(f"{self._stamp_of(self.now())} kernel>{receiver} {kind}")
         self._receiver = receiver
         for msg in self.agents[receiver].handle(event, self):
             self._post(msg)

@@ -61,13 +61,6 @@ class OperationCombination:
     production: Proposal
     routes: list[RouteCandidate] = field(default_factory=list)
 
-    def fulfillment(self, route: RouteCandidate) -> Seconds:
-        """Planned finish of the production operation via this route."""
-        start = self.production.slot.start
-        if route.arrival is not None:
-            start = max(start, route.arrival)
-        return start + self.production.op_duration
-
 
 def _within_latest_start(p: Proposal, start: Seconds) -> bool:
     latest = p.slack_after.bound_from(p.slot.start)
@@ -159,26 +152,28 @@ class Selection(NamedTuple):
 
 
 def select(ocs: Sequence[OperationCombination]) -> Optional[Selection]:
-    """The best route over every combination; None when no route is feasible."""
+    """The best route over every combination; None when no route is feasible.
 
-    def key(choice: tuple[OperationCombination, RouteCandidate]) -> tuple:
-        oc, route = choice
+    The one ranking rule: the least (fulfillment, production price + route
+    price, production resource id, production proposal id, route proposal
+    ids), the first on a full tie; the route ids are compared only then.
+    """
+    best: Optional[tuple] = None  # (the rule's first four, combination, route)
+    for oc in ocs:
         p = oc.production
-        return (
-            oc.fulfillment(route),
-            p.price + route.price,
-            p.resource_id,
-            p.proposal_id,
-            route.proposal_ids,
-        )
-
-    choices = [(oc, route) for oc in ocs for route in oc.routes]
-    if not choices:
+        for route in oc.routes:
+            start = max(p.slot.start, route.legs[-1].slot.end) if route.legs else p.slot.start
+            key = (start + p.op_duration, p.price + route.price, p.resource_id, p.proposal_id)
+            if best is None or key < best[0] or (
+                key == best[0] and route.proposal_ids < best[2].proposal_ids
+            ):
+                best = key, oc, route
+    if best is None:
         return None
-    oc, route = min(choices, key=key)
+    key, oc, route = best
     return Selection(
         winner=oc,
         route=route,
-        fulfillment=oc.fulfillment(route),
+        fulfillment=key[0],
         accept_ids=(oc.production.proposal_id,) + route.proposal_ids,
     )

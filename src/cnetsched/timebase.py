@@ -105,9 +105,6 @@ class TimeInterval(_TimeInterval):
     def is_empty(self) -> bool:
         return self.end == self.start
 
-    def shift(self, delta: Seconds) -> "TimeInterval":
-        return TimeInterval(self.start + delta, self.end + delta)
-
     def __str__(self) -> str:  # pragma: no cover - debugging sugar
         return f"[{hhmm(self.start)}; {hhmm(self.end)})"
 
@@ -254,8 +251,7 @@ class ResourceSchedule:
 
     The open tails are also indexed by order (``_tails``), so the checks for
     them cost one lookup instead of a scan. Both edits keep the index; it is
-    built from ``entries`` when a schedule is constructed, and
-    :meth:`check_invariants` compares it with a scan.
+    built from ``entries`` when a schedule is constructed.
 
     The schedule also keeps the last gap table it built with no extra busy
     span and nothing assumed closed (:meth:`gap_table`). Both edits drop it
@@ -506,27 +502,3 @@ class ResourceSchedule:
         del self._tails[order_id]
         self._kept = None
         return entry
-
-    # -- invariant helper (used heavily by tests) -------------------------
-
-    def check_invariants(self) -> None:
-        prev: Optional[BookingEntry] = None
-        open_orders: set[str] = set()
-        for e in self.entries:
-            e.validate()
-            if prev is not None:
-                if e.span_start < prev.span_end:
-                    raise ScheduleError(
-                        f"entries {prev.order_id}/{prev.step_label} and "
-                        f"{e.order_id}/{e.step_label} overlap"
-                    )
-            if e.open_tail:
-                if e.order_id in open_orders:
-                    raise ScheduleError(
-                        f"two open tails for order {e.order_id}"
-                    )
-                open_orders.add(e.order_id)
-            prev = e
-        indexed = {o: id(e) for o, e in self._tails.items()}
-        if indexed != {e.order_id: id(e) for e in self.entries if e.open_tail}:
-            raise ScheduleError("the open-tail index disagrees with the entries")

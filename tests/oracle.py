@@ -16,7 +16,7 @@ import numpy as np
 
 from cnetsched.protocol import Proposal
 from cnetsched.selector import StageContext
-from cnetsched.timebase import BookingEntry, ResourceSchedule, Seconds
+from cnetsched.timebase import BookingEntry, ResourceSchedule, ScheduleError, Seconds
 
 log = logging.getLogger(__name__)
 
@@ -178,6 +178,38 @@ def stability_check(commits: Sequence, schedules: Mapping[str, ResourceSchedule]
                 f"[{rec.start}, {rec.end}) to [{entry.core_start}, {entry.operation_end})"
             )
     return problems
+
+
+# ---------------------------------------------------------------------------
+# calendar invariants
+
+
+def check_invariants(schedule: ResourceSchedule) -> None:
+    """Raise ``ScheduleError`` unless ``schedule`` is a well-formed calendar.
+
+    Read through its public reads only: every entry is valid, the entries are
+    time-sorted and pairwise disjoint, an order has at most one open tail,
+    and ``open_tail_for`` and ``has_open_tail`` agree with a scan of them.
+    """
+    prev: Optional[BookingEntry] = None
+    tails: dict[str, BookingEntry] = {}
+    for e in schedule.entries:
+        e.validate()
+        if prev is not None and e.span_start < prev.span_end:
+            raise ScheduleError(
+                f"entries {prev.order_id}/{prev.step_label} and "
+                f"{e.order_id}/{e.step_label} overlap"
+            )
+        if e.open_tail:
+            if e.order_id in tails:
+                raise ScheduleError(f"two open tails for order {e.order_id}")
+            tails[e.order_id] = e
+        prev = e
+    for order_id in {e.order_id for e in schedule.entries}:
+        if schedule.open_tail_for(order_id) is not tails.get(order_id):
+            raise ScheduleError(f"the open-tail index disagrees with the entries for {order_id}")
+    if schedule.has_open_tail != bool(tails):
+        raise ScheduleError("the open-tail index disagrees with the entries")
 
 
 # ---------------------------------------------------------------------------

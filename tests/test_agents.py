@@ -52,9 +52,13 @@ from cnetsched.timebase import (
     minutes,
 )
 from conftest import full_gap_walk, open_tails
-from oracle import find_entry
+from oracle import check_invariants, find_entry
 
 PARAMS = ScheduleParams(t_transport_min=minutes(21), t_buffer_min=minutes(15))
+
+
+def shifted(iv: TimeInterval, delta) -> TimeInterval:
+    return TimeInterval(iv.start + delta, iv.end + delta)
 
 
 class FakeCtx:
@@ -249,7 +253,7 @@ def test_own_order_negotiates_past_the_open_tail():
     tail.open_tail = False
     m.schedule.insert_booking(closed_block("pre", 30_000, 40_000, end_state="A"))
     tail.open_tail = True
-    m.schedule.check_invariants()
+    check_invariants(m.schedule)
 
     out = m.handle(
         envelope("M1", "o1", 1, production_cfp(order="o1", entry=False, es=0)), ctx
@@ -287,14 +291,14 @@ def test_accept_revalidates_duration_start_and_slack():
 
     m, ctx, p = fresh_offer()
     out = m.handle(
-        envelope("M1", "o1", 0, AcceptProposal(p.proposal_id, p.slot.shift(-1800))), ctx
+        envelope("M1", "o1", 0, AcceptProposal(p.proposal_id, shifted(p.slot, -1800))), ctx
     )
     assert "earlier than offered" in out[0].parts[0].reason
 
     m, ctx, p = fresh_offer()
     latest = p.slack_after.bound_from(p.slot.start)
     out = m.handle(
-        envelope("M1", "o1", 0, AcceptProposal(p.proposal_id, p.slot.shift(latest - p.slot.start + 60))),
+        envelope("M1", "o1", 0, AcceptProposal(p.proposal_id, shifted(p.slot, latest - p.slot.start + 60))),
         ctx,
     )
     assert "outside the offered slack" in out[0].parts[0].reason
@@ -304,7 +308,7 @@ def test_accept_revalidates_duration_start_and_slack():
 def test_accept_books_shifted_slot_within_slack_and_records_commit():
     m, ctx = machine(), FakeCtx()
     p = proposals_of(m.handle(envelope("M1", "o1", 0, production_cfp()), ctx))[0]
-    booked = p.slot.shift(1200)
+    booked = shifted(p.slot, 1200)
     assert m.handle(envelope("M1", "o1", 0, AcceptProposal(p.proposal_id, booked)), ctx) == []
     entry = find_entry(m.schedule, "o1", "1")
     assert entry.segment("operation") == booked
@@ -320,7 +324,7 @@ def test_departure_that_collides_is_refused_not_applied():
     tail.open_tail = False
     m.schedule.insert_booking(closed_block("pre", 6100, 7000))
     tail.open_tail = True
-    m.schedule.check_invariants()
+    check_invariants(m.schedule)
 
     out = m.handle(
         envelope("M1", "o1", 0, InformDeparture("o1", departure=6500, loading_time=300)), ctx
@@ -669,7 +673,7 @@ def test_transport_chained_accept_in_one_envelope_with_partner():
         ctx,
     )
     assert out == []
-    t.schedule.check_invariants()
+    check_invariants(t.schedule)
     assert len(t.schedule.entries) == 2
 
 
@@ -700,6 +704,105 @@ RESOURCES = {
     "buffer": (buffer_place, lambda order, deadline: buffer_cfp(order=order, deadline=deadline)),
     "crane": (crane, transport_cfp),
 }
+
+
+def crane_cfp(*legs, order="o1"):
+    return Cfp(
+        kind=TRANSPORT,
+        workpiece=WorkpieceInfo(order, "A", (10.0, 5.0)),
+        operation="transport",
+        legs=legs,
+        deadline=10**7,
+    )
+
+
+def repeated_legs():
+    """Three legs alike but for their y and links, one leg apart, two more
+    alike, and one that differs from the first three in its windows only."""
+    w = StageWindows(es=500, ef=2000)
+    return (
+        TransportLeg((10.0, 5.0), (40.0, 5.0), w, "P#1"),
+        TransportLeg((10.0, 5.0), (40.0, 15.0), w, "P#2"),
+        TransportLeg((10.0, 5.0), (50.0, 5.0), w, "P#3"),
+        TransportLeg((10.0, 5.0), (40.0, 25.0), w, "P#4"),
+        TransportLeg((20.0, 15.0), (40.0, 5.0), StageWindows(es=3000, ef=3000), "P#5", via="B#1"),
+        TransportLeg((20.0, 15.0), (40.0, 15.0), StageWindows(es=3000, ef=3000), "P#6", via="B#2"),
+        TransportLeg((10.0, 5.0), (40.0, 5.0), StageWindows(es=4000, ef=5000), "P#7"),
+    )
+
+
+def busy_crane():
+    t = crane()
+    t.schedule.insert_booking(closed_block("x", 100, 900, end_state=30.0))
+    hold_others(t, [(2500, 2700)])
+    return t
+
+
+def test_repeated_crane_legs_get_one_shared_placement_and_offers_of_their_own():
+    legs = repeated_legs()
+    t, ctx = busy_crane(), FakeCtx()
+    props = proposals_of(t.handle(envelope("Crane1", "o1", 1, crane_cfp(*legs)), ctx))
+    assert [(p.realizes, p.via) for p in props] == [(leg.realizes, leg.via) for leg in legs]
+    assert len({p.proposal_id for p in props}) == len(legs)
+    holds = {h.proposal_id: h for h in t.holds if h.conversation_id == conversation_id("o1", 1)}
+    assert set(holds) == {p.proposal_id for p in props}
+    assert all(holds[p.proposal_id].proposal is p for p in props)
+    # each offer is the one the leg gets when it is asked for alone
+    for leg, p in zip(legs, props):
+        alone = busy_crane()
+        (single,) = proposals_of(alone.handle(envelope("Crane1", "o1", 1, crane_cfp(leg)), ctx))
+        assert single._replace(proposal_id=p.proposal_id) == p
+    placement = [(p.location, p.slot, p.slack_after, p.price) for p in props]
+    assert placement[0] == placement[1] == placement[3] != placement[2]
+    assert placement[4] == placement[5]
+    assert placement[6] != placement[0]
+
+
+def test_a_crane_walks_its_table_once_per_distinct_leg(monkeypatch):
+    fits, entered = TransportAgent._fits, []
+
+    def counted(self, *args, **kwargs):
+        entered.append(args[2])  # the walk's earliest start
+        return fits(self, *args, **kwargs)
+
+    monkeypatch.setattr(TransportAgent, "_fits", counted)
+    out = busy_crane().handle(envelope("Crane1", "o1", 1, crane_cfp(*repeated_legs())), FakeCtx())
+    assert len(proposals_of(out)) == 7
+    assert len(entered) == 4  # (10 -> 40) twice, with other windows, (10 -> 50) and (20 -> 40)
+
+
+def test_a_chained_variant_is_placed_against_its_own_partner():
+    # two outbound legs share a placement key, but each chains onto another
+    # inbound leg, and the later partner pushes its variant back
+    inbound_a = TransportLeg((10.0, 5.0), (20.0, 15.0), StageWindows(es=0, ef=1210), "B#1")
+    inbound_b = TransportLeg((0.0, 5.0), (20.0, 15.0), StageWindows(es=3000, ef=4220), "B#2")
+    w_out = StageWindows(es=2000, ef=2000)
+    out_a = TransportLeg((20.0, 15.0), (40.0, 5.0), w_out, "P#1", via="B#1", chain_after=0)
+    out_b = TransportLeg((20.0, 15.0), (40.0, 5.0), w_out, "P#2", via="B#2", chain_after=1)
+    t, ctx = crane(), FakeCtx()
+    cfp = crane_cfp(inbound_a, inbound_b, out_a, out_b)
+    props = proposals_of(t.handle(envelope("Crane1", "o1", 1, cfp), ctx))
+    partner_a, partner_b = props[0], props[1]
+    assert (partner_a.slot, partner_b.slot) == (TimeInterval(10, 1220), TimeInterval(3000, 4220))
+    plain = [p for p in props[2:] if p.required_operation is None]
+    chained = [p for p in props[2:] if p.required_operation is not None]
+    assert [p.realizes for p in plain] == ["P#1", "P#2"]
+    assert plain[0].slot == plain[1].slot == TimeInterval(2000, 3220)
+    assert [(p.realizes, p.required_operation, p.slot, p.price) for p in chained] == [
+        ("P#1", partner_a.proposal_id, TimeInterval(2000, 3220), 1220),
+        ("P#2", partner_b.proposal_id, TimeInterval(4220, 5440), 1220),
+    ]
+
+
+def test_directory_search_stays_sorted_when_a_register_follows_a_search():
+    d = DirectoryService()
+    d.register("cutting", "M2")
+    assert d.search("cutting") == ("M2",)
+    assert d.search("forging") == ()
+    d.register("cutting", "M1")
+    d.register("forging", "F1")
+    assert d.search("cutting") == ("M1", "M2")
+    assert d.search("forging") == ("F1",)
 
 
 def ask(kind, agent, ctx, order, deadline=10**7):
@@ -967,7 +1070,7 @@ def machine_with_calendar(draw):
             m.schedule.insert_booking(entry, m._succ_setup)
         except OverlapError:
             pass
-    m.schedule.check_invariants()
+    check_invariants(m.schedule)
     return m
 
 
@@ -1090,7 +1193,7 @@ def crane_with_calendar(draw):
         if draw(st.booleans()):
             t._pickup_x[(entry.order_id, "T")] = pickup
     hold_others(t, draw(other_holds))
-    t.schedule.check_invariants()
+    check_invariants(t.schedule)
     return t
 
 

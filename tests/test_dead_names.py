@@ -19,8 +19,6 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 EXEMPT = {
     "_make": "NamedTuple's _replace builds through it",
     "entry_at_or_after": "perfbench/layers.py wraps it by name",
-    "check_invariants": "the tests check calendars with it",
-    "TimeInterval.shift": "only the tests use it",
 }
 
 

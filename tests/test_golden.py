@@ -15,6 +15,7 @@ import pytest
 from cnetsched import runtime
 from cnetsched.agents import OrderAgent
 from cnetsched.harness import (
+    build_scaling_scenario,
     build_shop_scenario,
     kernel_config,
     render_gantt,
@@ -50,6 +51,12 @@ GOLDEN = [
         "41013fe7d479318171871fe52feb125b649cffeac277f5325aaf94d305eeba04",
         (10, 5),
         id="job-15x100",
+    ),
+    pytest.param(
+        lambda: build_scaling_scenario(32),
+        "b9b4377e56a2fa763a5f4220b5cba0cde992905be26bb61a55ad3975c3e15f32",
+        (6, 0),
+        id="scaling-k32",
     ),
 ]
 

@@ -10,6 +10,7 @@ from cnetsched.scenario import build_runtime, parse_scenario
 from cnetsched.timebase import hhmm
 
 from conftest import hold_check
+from oracle import check_invariants
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +188,7 @@ def test_lead_time_and_schedules_views(flowshop_report):
     scheds = r.schedules()
     assert set(scheds) >= {"Cutting", "Forging", "Buffer1", "Crane1"}
     for sched in scheds.values():
-        sched.check_invariants()
+        check_invariants(sched)
 
 
 def test_commit_log_matches_final_calendars(flowshop_report):

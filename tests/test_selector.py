@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from cnetsched.agents import OrderAgent, StageCommit
 from cnetsched.calculus import ScheduleParams
 from cnetsched.protocol import (
@@ -10,7 +13,13 @@ from cnetsched.protocol import (
     StageNegotiation,
 )
 from cnetsched.scenario import OrderSpec
-from cnetsched.selector import StageContext, build_ocs, select
+from cnetsched.selector import (
+    OperationCombination,
+    RouteCandidate,
+    StageContext,
+    build_ocs,
+    select,
+)
 from cnetsched.timebase import Slack, TimeInterval
 
 
@@ -317,3 +326,59 @@ def test_nothing_feasible_returns_none():
     ctx = follow_up()
     ocs = build_ocs([prod("P#1", "M1", 3000)], [], [], ctx)  # no buffer, no leg
     assert select(ocs) is None
+
+
+# small value ranges force ties on fulfillment, price, resource and ids
+tied_ids = st.sampled_from(("a", "b"))
+small = st.integers(0, 1)
+
+
+@st.composite
+def route_sets(draw):
+    ocs = []
+    for _ in range(draw(st.integers(0, 4))):
+        p = prod(
+            draw(tied_ids), draw(st.sampled_from(("M1", "M2"))), draw(st.integers(0, 3)),
+            dur=draw(st.integers(1, 2)), price=draw(small),
+        )
+        routes = []
+        for _ in range(draw(st.integers(0, 3))):
+            n = draw(st.integers(0, 2))
+            legs = tuple(
+                leg(draw(tied_ids), 0, draw(st.integers(0, 3)), p.proposal_id, price=draw(small))
+                for _ in range(n)
+            )
+            b = None
+            if n == 2 and draw(st.booleans()):
+                b = buf(draw(tied_ids), p.proposal_id, 0, 1)._replace(price=draw(small))
+            kind = "buffered" if b is not None else "direct" if n else "entry"
+            routes.append(RouteCandidate(kind, b, legs))
+        ocs.append(OperationCombination(p, routes))
+    return ocs
+
+
+def ranking_key(choice):
+    """The ranking rule as a 5-tuple, for ``min`` over every (combination, route)."""
+    oc, route = choice
+    p = oc.production
+    start = max(p.slot.start, route.legs[-1].slot.end) if route.legs else p.slot.start
+    return (
+        start + p.op_duration,
+        p.price + route.price,
+        p.resource_id,
+        p.proposal_id,
+        route.proposal_ids,
+    )
+
+
+@given(route_sets())
+def test_property_select_picks_the_least_route_by_the_ranking_key(ocs):
+    choices = [(oc, route) for oc in ocs for route in oc.routes]
+    sel = select(ocs)
+    if not choices:
+        assert sel is None
+        return
+    oc, route = min(choices, key=ranking_key)
+    assert sel.winner is oc and sel.route is route
+    assert sel.fulfillment == ranking_key((oc, route))[0]
+    assert sel.accept_ids == (oc.production.proposal_id,) + route.proposal_ids

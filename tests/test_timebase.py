@@ -8,6 +8,7 @@ from cnetsched.timebase import (
     NoOpenTail,
     OverlapError,
     ResourceSchedule,
+    ScheduleError,
     Slack,
     TimeInterval,
     hhmm,
@@ -15,6 +16,7 @@ from cnetsched.timebase import (
     minutes,
 )
 from conftest import full_gap_walk, open_tails, table_gaps
+from oracle import check_invariants
 
 
 def op_entry(order, start, end, step="1", end_state="", open_tail=False, setup=0):
@@ -67,7 +69,6 @@ def test_interval_validation():
 def test_interval_relations():
     a = TimeInterval(10, 20)
     assert a.duration == 10
-    assert a.shift(5) == TimeInterval(15, 25)
 
 
 @pytest.mark.parametrize(
@@ -183,7 +184,7 @@ def test_insert_keeps_time_order():
     s.insert_booking(op_entry("a", 0, 50))
     s.insert_booking(op_entry("c", 300, 400))
     assert [e.order_id for e in s.entries] == ["a", "b", "c"]
-    s.check_invariants()
+    check_invariants(s)
 
 
 def test_insert_rejects_overlap_with_predecessor_and_successor():
@@ -194,7 +195,7 @@ def test_insert_rejects_overlap_with_predecessor_and_successor():
     with pytest.raises(OverlapError):
         s.insert_booking(op_entry("x", 50, 101))
     s.insert_booking(op_entry("x", 50, 100))  # flush fit is fine
-    s.check_invariants()
+    check_invariants(s)
 
 
 def test_insert_after_open_tail_rejected():
@@ -224,7 +225,7 @@ def test_successor_setup_reshaped_on_insert():
     s.insert_booking(op_entry("now", 0, 170, end_state="A"), setup_of)
     assert succ.setup_interval is None  # shrank to nothing
     assert succ.segments[0] == ("operation", TimeInterval(200, 300))
-    s.check_invariants()
+    check_invariants(s)
 
 
 def test_insert_rejected_when_successor_setup_no_longer_fits():
@@ -247,7 +248,7 @@ def test_insert_accounts_for_unmaterialized_successor_setup():
     with pytest.raises(OverlapError):
         s.insert_booking(op_entry("now", 0, 190, end_state="B"), setup_of)
     s.insert_booking(op_entry("now", 0, 180, end_state="B"), setup_of)
-    s.check_invariants()
+    check_invariants(s)
 
 
 def test_close_open_tail_adds_hold_and_load():
@@ -259,7 +260,7 @@ def test_close_open_tail_adds_hold_and_load():
     assert entry.segment("load") == TimeInterval(150, 160)
     assert entry.span_end == 160
     assert entry.operation_end == 100
-    s.check_invariants()
+    check_invariants(s)
 
 
 def test_close_open_tail_immediate_departure_has_no_hold():
@@ -287,7 +288,7 @@ def test_close_open_tail_cannot_run_into_successor():
     tail.open_tail = False
     s.insert_booking(op_entry("b", 120, 200))
     tail.open_tail = True
-    s.check_invariants()  # the flag is back, so the open-tail index holds again
+    check_invariants(s)  # the flag is back, so the open-tail index holds again
     with pytest.raises(OverlapError):
         s.close_open_tail("a", departure=130, load_time=5)
 
@@ -455,7 +456,7 @@ def test_property_entries_stay_pairwise_disjoint(tries):
             s.insert_booking(e)
         except OverlapError:
             continue
-    s.check_invariants()
+    check_invariants(s)
     spans = [e.span for e in s.entries]
     for a, b in zip(spans, spans[1:]):
         assert a.end <= b.start
@@ -570,7 +571,7 @@ def test_property_open_tail_index_matches_a_scan(ops):
                 s.close_open_tail(order, departure, load)
             except (NoOpenTail, OverlapError):
                 pass
-        s.check_invariants()  # compares the index with a scan
+        check_invariants(s)  # compares the index with a scan
         scan = [e for e in s.entries if e.open_tail]
         assert s.has_open_tail == bool(scan)
         for order in "abcd":
@@ -581,10 +582,25 @@ def test_property_open_tail_index_matches_a_scan(ops):
 def test_schedule_built_from_entries_indexes_their_open_tails():
     entries = [op_entry("a", 0, 10), op_entry("b", 20, 30, open_tail=True)]
     s = ResourceSchedule(entries)
-    s.check_invariants()
+    check_invariants(s)
     assert s.open_tail_for("b") is entries[1]
     with pytest.raises(OverlapError):
         s.insert_booking(op_entry("b", 5, 8, open_tail=True))
+
+
+def test_the_calendar_check_finds_an_overlap_a_second_tail_and_a_stale_index():
+    overlapping = ResourceSchedule([op_entry("a", 0, 10), op_entry("b", 5, 15)])
+    with pytest.raises(ScheduleError, match="overlap"):
+        check_invariants(overlapping)
+    two_tails = ResourceSchedule(
+        [op_entry("a", 0, 10, open_tail=True), op_entry("a", 20, 30, "2", open_tail=True)]
+    )
+    with pytest.raises(ScheduleError, match="two open tails"):
+        check_invariants(two_tails)
+    stale = ResourceSchedule([op_entry("a", 0, 10, open_tail=True)])
+    stale.entries[0].open_tail = False  # closed behind the index's back
+    with pytest.raises(ScheduleError, match="index disagrees"):
+        check_invariants(stale)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +663,7 @@ def machine_calendar(draw):
                 s.close_open_tail(e.order_id, e.span_end + wait, draw(st.integers(0, wait)))
             except OverlapError:
                 pass
-    s.check_invariants()
+    check_invariants(s)
     return s
 
 
@@ -670,7 +686,7 @@ def crane_calendar(draw):
             continue
         if draw(st.booleans()):
             pickups[(entry.order_id, "T")] = draw(st.sampled_from((0.0, 7.0, 20.0, 30.0)))
-    s.check_invariants()
+    check_invariants(s)
     return s, pickups, initial_x
 
 
