@@ -240,9 +240,9 @@ class _ResourceAgent:
         workpiece, its live offer may yet become such a booking."""
         if self.schedule.has_open_tail and self.schedule.open_tail_for(order_id) is None:
             return True
-        return self._keeps_workpiece and any(
-            parse_conversation(h.conversation_id)[0] != order_id for h in self.holds
-        )
+        if not self._keeps_workpiece or not self.holds:
+            return False
+        return any(parse_conversation(h.conversation_id)[0] != order_id for h in self.holds)
 
     def _on_departure(self, info: InformDeparture, ctx) -> list[Message]:
         try:
@@ -274,8 +274,10 @@ class _ResourceAgent:
         now = ctx.now()
         if cfp.deadline and cfp.deadline <= now:
             return []  # answered too late to matter (e.g. drained after blocking)
-        # the one purge per CFP: _engaged_elsewhere and _table read live holds only
-        self.holds.purge(now)
+        # the one purge per CFP: _engaged_elsewhere and _table read live holds
+        # only; an empty book, as on most of a wide floor, has nothing to purge
+        if self.holds:
+            self.holds.purge(now)
         if self._engaged_elsewhere(cfp.workpiece.order_id):
             # queue: _drain answers it after the next reject or departure
             self._deferred.append(msg)
@@ -303,7 +305,7 @@ class _ResourceAgent:
         cranes and buffers all read the rows; a buffer only their ``start``
         and ``end``.
         """
-        busy = self.holds.active_spans(exclude_conversation=conv)
+        busy = self.holds.active_spans(exclude_conversation=conv) if self.holds else ()
         return self.schedule.gap_table(base - self._setup_bound - 1, busy, assume_closed)
 
     def _usable(self, table: list[GapRow], base: Seconds) -> list[GapRow]:
@@ -479,7 +481,11 @@ class ProductionAgent(_ResourceAgent):
             # the workpiece sits on this machine and can only wait in place:
             # any slot beyond the next booking is unreachable
             table = [row for row in table if row.start == tail.operation_end]
-        setup_of = functools.partial(self._setup, to_state=product)
+        setups = self.setup
+
+        def setup_of(from_state: str) -> Seconds:  # the lookup of self._setup
+            return setups.get(from_state, {}).get(product, 0)
+
         proposals: list[Proposal] = []
         for alt_idx, (alt, es) in enumerate(zip(cfp.alternatives, earliest)):
             slots = self._fits(table, product, es, op_dur, alt.windows, setup_of, unload, load_est)
@@ -629,6 +635,9 @@ class TransportAgent(_ResourceAgent):
         conv = msg.conversation_id
         # legs that some other leg chains onto head into a buffer
         chain_targets = {leg.chain_after for leg in cfp.legs if leg.chain_after is not None}
+        from_buffer, to_buffer, direct = (
+            f"T:B{step},{step}", f"T:{step - 1},B{step}", f"T:{step - 1},{step}"
+        )
         legs: list[tuple[int, TransportLeg, str, tuple]] = []
         #: placement key -> the first leg with it and its duration
         distinct: dict[tuple, tuple[TransportLeg, Seconds]] = {}
@@ -637,11 +646,11 @@ class TransportAgent(_ResourceAgent):
             if not (geom.covers(frm[0]) and geom.covers(to[0])):
                 continue
             if leg.via is not None:
-                label = f"T:B{step},{step}"
+                label = from_buffer
             elif leg_idx in chain_targets:
-                label = f"T:{step - 1},B{step}"
+                label = to_buffer
             else:
-                label = f"T:{step - 1},{step}"
+                label = direct
             key = (frm, to[0], leg.windows)
             if key not in distinct:
                 distinct[key] = leg, calculus.transport_duration(frm, to, geom)
@@ -787,25 +796,23 @@ class OrderAgent:
     def handle(self, event, ctx) -> list[Message]:
         if self.status in ("done", "failed"):
             return reject_unused(self.agent_id, event)
+        if isinstance(event, Message):
+            part = event.parts[0]  # an envelope carries one payload kind
+            if isinstance(part, InformFailure):
+                _, failed_stage = parse_conversation(event.conversation_id)
+                if failed_stage is not None and len(self.committed) > failed_stage:
+                    # that stage's decision was recorded before the refusal
+                    # came back; drop it (and anything chained on top) so
+                    # the abort frees the machine actually holding the piece
+                    del self.committed[failed_stage:]
+                return self._abort(ctx, f"commit refused by {event.sender}: {part.reason}")
+            return self._drive(event, ctx)
+        if isinstance(event, DeadlineExpired):
+            return self._drive(event, ctx)
         if isinstance(event, StartOrder):
             self.status = "running"
             self.t_start = ctx.now()
             return self._start_stage(ctx)
-        if isinstance(event, DeadlineExpired):
-            return self._drive(event, ctx)
-        if isinstance(event, Message):
-            for part in event.parts:
-                if isinstance(part, InformFailure):
-                    _, failed_stage = parse_conversation(event.conversation_id)
-                    if failed_stage is not None and len(self.committed) > failed_stage:
-                        # that stage's decision was recorded before the refusal
-                        # came back; drop it (and anything chained on top) so
-                        # the abort frees the machine actually holding the piece
-                        del self.committed[failed_stage:]
-                    return self._abort(
-                        ctx, f"commit refused by {event.sender}: {part.reason}"
-                    )
-            return self._drive(event, ctx)
         return []
 
     def _start_stage(self, ctx) -> list[Message]:
@@ -918,18 +925,15 @@ class OrderAgent:
         prev = self._prev
         if prev is None:
             return []
+        f_prev, params = self._f_prev, self.params
         alternatives = []
         for p in neg.of_kind(PRODUCTION):
             if p.resource_id == prev.resource_id:
                 continue  # stays on the machine, nothing to buffer
-            if calculus.needs_buffering(
-                self._f_prev, p.slot.start, self.params.t_transport_min, self.params
-            ):
+            if calculus.needs_buffering(f_prev, p.slot.start, params.t_transport_min, params):
                 try:
                     windows = calculus.buffer_windows(
-                        self._f_prev,
-                        SlotCommitment(p.slot.start, p.slot.end, p.slack_after),
-                        self.params,
+                        f_prev, SlotCommitment(p.slot.start, p.slot.end, p.slack_after), params
                     )
                 except InfeasibleWindow:
                     continue

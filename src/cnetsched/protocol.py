@@ -335,10 +335,12 @@ class StageNegotiation:
 
     ``phase`` is START, the kind of the open round, DONE or FAILED;
     ``proposals`` holds one list per opened round, in round order.
+    ``conversation`` is the stage's conversation id, set at construction.
     """
 
     order_id: str
     stage_index: int
+    conversation: str = field(init=False)
     phase: str = START
     awaiting: set[str] = field(default_factory=set)
     proposals: list[list[Proposal]] = field(default_factory=list)
@@ -347,9 +349,8 @@ class StageNegotiation:
     #: index into the planner's ``rounds`` of the next round to try
     next_round: int = 0
 
-    @property
-    def conversation(self) -> str:
-        return conversation_id(self.order_id, self.stage_index)
+    def __post_init__(self) -> None:
+        self.conversation = conversation_id(self.order_id, self.stage_index)
 
     def all_proposals(self) -> list[Proposal]:
         return [p for round_ in self.proposals for p in round_]
@@ -358,8 +359,9 @@ class StageNegotiation:
         """The proposals of ``kind``; a round takes one kind only (:func:`advance_stage`)."""
         return [p for round_ in self.proposals if round_ and round_[0].kind == kind for p in round_]
 
-    def is_terminal(self) -> bool:
-        return self.phase in (DONE, FAILED)
+
+#: the phases in which no round is open to take proposals
+_NO_ROUND = (START, DONE, FAILED)
 
 
 def advance_stage(
@@ -373,15 +375,28 @@ def advance_stage(
     dropped with a log line, never an exception: DEBUG for a proposal that
     missed its round, WARNING for a protocol violation; proposals among them
     are rejected (:func:`reject_unused`).
+
+    The common event is tested first: a proposal envelope of the open
+    round's conversation and kind.
     """
-    if neg.is_terminal():
+    phase = neg.phase
+    if isinstance(event, Message):
+        parts = event.parts
+        if event.conversation_id == neg.conversation and phase not in _NO_ROUND:
+            for part in parts:  # an envelope carries one payload kind
+                if not isinstance(part, Proposal) or part.kind != phase:
+                    break
+            else:
+                neg.proposals[-1].extend(parts)
+                neg.awaiting.discard(event.sender)
+                if neg.awaiting:
+                    return []
+                return _advance_round(neg, planner, ctx)
+        _log_unused(neg, event)
         return reject_unused(neg.order_id, event)
 
-    if isinstance(event, StartStage):
-        if neg.phase != START:
-            log.warning("protocol violation: StartStage in phase %s", neg.phase)
-            return []
-        return _advance_round(neg, planner, ctx)
+    if phase in (DONE, FAILED):
+        return []
 
     if isinstance(event, DeadlineExpired):
         if event.token != neg.deadline_token:
@@ -389,43 +404,39 @@ def advance_stage(
         neg.awaiting.clear()
         return _advance_round(neg, planner, ctx)
 
-    if isinstance(event, Message):
-        # a proposal that misses its round's deadline is a legal outcome of the
-        # deadline-driven protocol, not a violation: it lands on a later
-        # conversation or during a later round, and is rejected
-        if event.conversation_id != neg.conversation:
-            log.debug(
-                "late reply: stray conversation %s in %s",
-                event.conversation_id,
-                neg.conversation,
-            )
-            return reject_unused(neg.order_id, event)
-        if neg.phase == START:
-            log.warning(
-                "protocol violation: %s from %s arrived in phase %s",
-                event.variant,
-                event.sender,
-                neg.phase,
-            )
-            return reject_unused(neg.order_id, event)
-        expected = neg.phase
-        for part in event.parts:  # an envelope carries one payload kind
-            if not isinstance(part, Proposal):
-                log.warning(
-                    "protocol violation: %s inside a proposal round", type(part).__name__
-                )
-                return []
-            if part.kind != expected:
-                log.debug("late reply: %s proposal during %s round", part.kind, expected)
-                return reject_unused(neg.order_id, event)
-        neg.proposals[-1].extend(event.parts)
-        neg.awaiting.discard(event.sender)
-        if neg.awaiting:
+    if isinstance(event, StartStage):
+        if phase != START:
+            log.warning("protocol violation: StartStage in phase %s", phase)
             return []
         return _advance_round(neg, planner, ctx)
 
     log.warning("protocol violation: unknown event %r", event)
     return []
+
+
+def _log_unused(neg: StageNegotiation, msg: Message) -> None:
+    """Log why the open round does not take ``msg``; a closed stage logs nothing.
+
+    A proposal that misses its round's deadline is a legal outcome of the
+    deadline-driven protocol, not a violation: it lands on a later
+    conversation or during a later round.
+    """
+    phase = neg.phase
+    if phase in (DONE, FAILED):
+        return
+    if msg.conversation_id != neg.conversation:
+        log.debug(
+            "late reply: stray conversation %s in %s", msg.conversation_id, neg.conversation
+        )
+    elif phase == START:
+        log.warning(
+            "protocol violation: %s from %s arrived in phase %s", msg.variant, msg.sender, phase
+        )
+    elif not isinstance(msg.parts[0], Proposal):
+        log.warning("protocol violation: %s inside a proposal round", msg.variant)
+    else:
+        kind = next(p.kind for p in msg.parts if p.kind != phase)
+        log.debug("late reply: %s proposal during %s round", kind, phase)
 
 
 def reject_unused(order_id: str, event) -> list[Message]:

@@ -1,13 +1,15 @@
 """Event kernels that drive the agents: deterministic replay and a wall clock.
 
-The same agent objects run under either kernel, fed from one event heap that
-the caller's thread pops, one event at a time. The deterministic kernel pops
-it over a logical tick clock — equal inputs give byte-identical traces. The
-concurrent kernel pops it on the monotonic wall clock, sleeping until the
-head falls due, which the order-release (hosting interval) experiments
-measure: many orders negotiate at once, interleaved by when their messages
-and deadlines fall due. Either kernel is itself the context its handlers
-are given (:class:`_Kernel`).
+The same agent objects run under either kernel, fed one event at a time on
+the caller's thread from two queues: envelopes wait in a FIFO, round
+deadlines and order releases in a heap, and the earlier head by ``(at,
+seq)`` goes first. The deterministic kernel delivers over a logical tick
+clock — equal inputs give byte-identical traces. The concurrent kernel
+delivers on the monotonic wall clock, sleeping until the next event falls
+due, which the order-release (hosting interval) experiments measure: many
+orders negotiate at once, interleaved by when their messages and deadlines
+fall due. Either kernel is itself the context its handlers are given
+(:class:`_Kernel`).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import heapq
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -99,11 +102,18 @@ _KERNEL_LINES = {StartOrder: "StartOrder", DeadlineExpired: "Deadline"}
 
 
 class _Kernel:
-    """What both kernels share: one event heap, message counts, trace and commit log.
+    """What both kernels share: the event queues, message counts, trace and commit log.
 
     Every delivery — a message, a round deadline, an order release — is one
-    heap entry ``(at, seq, receiver, event)``; the kernels differ only in
-    their clock and in when they stop popping it.
+    entry ``(at, seq, receiver, event)``, numbered in the order it is made,
+    and the run delivers them in ``(at, seq)`` order. Envelopes go into a
+    FIFO, deadlines and releases into a heap. A FIFO is enough because
+    posting order is delivery order: the clock never runs backwards (no
+    deadline is armed in the past), every envelope is due one constant hop
+    after it was posted, and ``seq`` only grows, so each envelope sorts
+    after every one posted before it. Delivery takes whichever head is
+    earlier. The kernels differ only in their clock and in when they stop
+    delivering.
 
     The kernel is also the context each handler is given: an agent reads
     ``directory``, ``cfp_deadline``, ``hold_deadline`` and ``now()``, arms
@@ -134,19 +144,20 @@ class _Kernel:
         self.counter = MessageCounter()
         self.trace: list[str] = []
         self.commits: list[CommitRecord] = []
-        self._heap: list[tuple[float, int, str, Event]] = []
+        self._fifo: deque[tuple[float, int, str, Message]] = deque()  # envelopes
+        self._heap: list[tuple[float, int, str, Event]] = []  # deadlines and releases
         self._seq = 0
         self._stamped: tuple = (None, "")  # the clock time last stamped, and its stamp
         for release, order_id in sorted(releases):
             self._schedule(release, order_id, StartOrder(order_id))
 
     def _schedule(self, at, receiver: str, event: Event) -> None:
-        """Deliver ``event`` to ``receiver`` at clock time ``at``."""
+        """Deliver the deadline or release ``event`` to ``receiver`` at clock time ``at``."""
         self._seq += 1
         heapq.heappush(self._heap, (at, self._seq, receiver, event))
 
     def set_timer(self, delay) -> int:
-        """Arm a deadline ``delay`` from now for the running handler's agent; its token."""
+        """Arm a deadline ``delay >= 0`` from now for the running handler's agent; its token."""
         self._seq += 1
         token = self._seq
         self._schedule(self.now() + delay, self._receiver, DeadlineExpired(token))
@@ -165,7 +176,8 @@ class _Kernel:
         self.trace.append(
             f"{self._stamp_of(now)} {sender}>{receiver} {variant} n={len(parts)} {conv}"
         )
-        self._schedule(now + self._hop, receiver, msg)
+        self._seq += 1
+        self._fifo.append((now + self._hop, self._seq, receiver, msg))
 
     def _stamp_of(self, now) -> str:
         """``_stamp(now)``, formatted once per tick: a tick's trace lines share it."""
@@ -242,12 +254,15 @@ class DeterministicKernel(_Kernel):
 
     def run(self) -> RunReport:
         t0 = time.perf_counter()
-        heap, cap, popped = self._heap, self.config.max_events, 0
-        while heap:
+        fifo, heap, cap, popped = self._fifo, self._heap, self.config.max_events, 0
+        while fifo or heap:
             popped += 1
             if popped > cap:
                 raise RunTimeout(f"event cap {cap} exceeded")
-            self._now, _seq, receiver, event = heapq.heappop(heap)
+            if heap and (not fifo or heap[0] < fifo[0]):
+                self._now, _seq, receiver, event = heapq.heappop(heap)
+            else:
+                self._now, _seq, receiver, event = fifo.popleft()
             self._dispatch(receiver, event)
         return self._report(time.perf_counter() - t0)
 
@@ -255,14 +270,15 @@ class DeterministicKernel(_Kernel):
 class ConcurrentKernel(_Kernel):
     """Actor kernel on the monotonic clock, run on the caller's thread.
 
-    ``run()`` pops the heap in ``(at, seq)`` order, sleeping until the head
-    falls due, and runs the receiver's handler to completion before the next
-    event: an agent's handlers never overlap and see its events in heap
-    order, and a run starts no thread whatever the floor's size and however
-    many deadlines are armed. Order releases are heap entries at their
-    configured wall-clock offsets — the hosting-interval experiments feed on
-    this — and ``config.message_latency`` is the per-hop delivery delay.
-    The run stops at one heap cutoff, the newest entry that may still land.
+    ``run()`` delivers events in ``(at, seq)`` order, sleeping until the
+    next one falls due, and runs the receiver's handler to completion before
+    the next event: an agent's handlers never overlap and see its events in
+    that order, and a run starts no thread whatever the floor's size and
+    however many deadlines are armed. Order releases are heap entries at
+    their configured wall-clock offsets — the hosting-interval experiments
+    feed on this — and ``config.message_latency`` is the per-hop delivery
+    delay. The run stops at one cutoff, the newest envelope that may still
+    land.
     """
 
     mode = "concurrent"
@@ -288,16 +304,17 @@ class ConcurrentKernel(_Kernel):
         return f"{t:012.6f}"
 
     def run(self) -> RunReport:
-        """Deliver every event as it falls due until the run stops and the heap is empty.
+        """Deliver every event as it falls due until the run stops and its envelopes are in.
 
         The run stops once every order has finished or the wall limit has
-        passed. From then on ``last`` is the newest heap entry that may still
-        land, and pending deadlines and releases are dropped unseen. Once
-        every order has finished it is unbounded: the last order's final
-        accepts and departures reach their calendars, and the rejects it
-        sends for late proposals free the holds they answer. At the wall
-        limit it is the newest entry already queued, so only the messages in
-        flight land and open negotiations cannot go on. A handler runs to
+        passed. From then on ``last`` is the newest envelope that may still
+        land: the heap is dropped, so pending deadlines and releases go
+        unseen, and the FIFO is delivered up to ``last``. Once every order
+        has finished it is unbounded: the last order's final accepts and
+        departures reach their calendars, and the rejects it sends for late
+        proposals free the holds they answer. At the wall limit it is the
+        newest envelope already posted, so only the messages in flight land
+        and open negotiations cannot go on. A handler runs to
         completion: one that overruns the wall limit ends the run when it
         returns, and one that never returns holds it, as under the
         deterministic kernel. An agent's exception propagates from here.
@@ -308,7 +325,7 @@ class ConcurrentKernel(_Kernel):
             # generous safety net: every stage can burn a full CFP deadline
             stages = 20 * max(1, len(self._open))
             limit = self._last_release + 60.0 + stages * self.config.cfp_deadline
-        heap, agents, open_orders = self._heap, self.agents, self._open
+        fifo, heap, agents, open_orders = self._fifo, self._heap, self.agents, self._open
         last = None  # the run is open
         self._t0 = time.monotonic()
         while True:
@@ -317,19 +334,23 @@ class ConcurrentKernel(_Kernel):
                 if open_orders:
                     log.error("concurrent run hit the wall limit of %.1fs", limit)
                 last = self._seq if open_orders else float("inf")
-            if last is not None and heap and (
-                heap[0][1] > last or not isinstance(heap[0][3], Message)
-            ):
-                heapq.heappop(heap)
-            elif heap and heap[0][0] <= now:
-                _at, _seq, receiver, event = heapq.heappop(heap)
+                heap.clear()  # deadlines and releases: those armed from now on go unread too
+            if last is not None:
+                if not fifo or fifo[0][1] > last:
+                    break
+                queue = fifo
+            elif heap and (not fifo or heap[0] < fifo[0]):
+                queue = heap
+            else:
+                queue = fifo
+            if queue and queue[0][0] <= now:
+                entry = fifo.popleft() if queue is fifo else heapq.heappop(heap)
+                _at, _seq, receiver, event = entry
                 self._dispatch(receiver, event)
                 if receiver in open_orders and agents[receiver].status in ("done", "failed"):
                     open_orders.discard(receiver)
-            elif last is not None and not heap:
-                break
             else:
-                due = heap[0][0] if heap else limit
+                due = queue[0][0] if queue else limit
                 time.sleep((due if last is not None else min(due, limit)) - now)
         return self._report(time.perf_counter() - t_wall)
 

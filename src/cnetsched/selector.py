@@ -15,10 +15,14 @@ the test suite's oracle module ranks in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .protocol import Proposal
 from .timebase import Seconds
+
+
+_proposal_id = attrgetter("proposal_id")
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ def build_ocs(
         legs.setdefault((t.via, t.realizes), []).append(t)
 
     ocs: list[OperationCombination] = []
-    for p in sorted(production, key=lambda x: x.proposal_id):
+    for p in sorted(production, key=_proposal_id):
         oc = OperationCombination(production=p)
         if ctx.prev_resource is None:
             # system entry: the first operation needs no transport at all

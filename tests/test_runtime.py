@@ -1,11 +1,16 @@
+import heapq
 import threading
 import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cnetsched.agents import StartOrder
 from cnetsched.harness import render_gantt, render_trace, run_scenario
-from cnetsched.runtime import KernelConfig, RunTimeout, run_kernel
+from cnetsched.protocol import DeadlineExpired, Message, RejectProposal
+from cnetsched.runtime import DeterministicKernel, KernelConfig, RunTimeout, run_kernel
 from cnetsched.scenario import build_runtime, parse_scenario
 from cnetsched.timebase import hhmm
 
@@ -68,6 +73,108 @@ def test_deterministic_runs_are_byte_identical(flowshop_scenario):
 
 # ---------------------------------------------------------------------------
 # kernel mechanics
+
+
+#: one handler's work: the delays of the deadlines it arms, in arming order,
+#: then the receivers of the envelopes it sends, in sending order
+Step = tuple[tuple[int, ...], tuple[str, ...]]
+NAMES = ("a", "b", "c")
+
+
+class ScriptedAgent:
+    """Logs each event it is given as ``(tick, name, label)`` and runs the next
+    step of a script that all agents share.
+
+    Deadlines and envelopes are labelled ``t<n>`` and ``m<n>`` in the order
+    they are made, so a run that delivered in another order would make and
+    log other labels.
+    """
+
+    def __init__(self, name: str, script: list[Step], log: list, made: list):
+        self.name, self.script, self.log, self.made = name, script, log, made
+        self.tokens: dict[int, str] = {}
+
+    def handle(self, event, ctx) -> list[Message]:
+        if isinstance(event, StartOrder):
+            label = "start"
+        elif isinstance(event, DeadlineExpired):
+            label = self.tokens[event.token]
+        else:
+            label = event.parts[0].proposal_id
+        self.log.append((ctx.now(), self.name, label))
+        delays, receivers = self.script.pop(0) if self.script else ((), ())
+        for delay in delays:
+            self.made.append(None)
+            self.tokens[ctx.set_timer(delay)] = f"t{len(self.made)}"
+        out = []
+        for receiver in receivers:
+            self.made.append(None)
+            label = f"m{len(self.made)}"
+            out.append(Message(self.name, receiver, "c/s0", (RejectProposal(label),)))
+        return out
+
+
+def kernel_order(releases, script) -> list[tuple]:
+    """What the deterministic kernel delivers, in delivery order."""
+    log, made, script = [], [], list(script)
+    agents = {name: ScriptedAgent(name, script, log, made) for name in NAMES}
+    DeterministicKernel(None, agents, releases, KernelConfig()).run()
+    return log
+
+
+def heap_order(releases, script) -> list[tuple]:
+    """The same script delivered from one heap ordered by ``(at, seq)``."""
+    heap, seq, made, log, script = [], 0, 0, [], list(script)
+    for at, name in sorted(releases):
+        seq += 1
+        heapq.heappush(heap, (at, seq, name, "start"))
+    while heap:
+        now, _seq, name, label = heapq.heappop(heap)
+        log.append((now, name, label))
+        delays, receivers = script.pop(0) if script else ((), ())
+        for delay in delays:
+            seq, made = seq + 1, made + 1
+            heapq.heappush(heap, (now + delay, seq, name, f"t{made}"))
+        for receiver in receivers:
+            seq, made = seq + 1, made + 1
+            heapq.heappush(heap, (now + 1, seq, receiver, f"m{made}"))
+    return log
+
+
+steps = st.tuples(
+    st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    st.lists(st.sampled_from(NAMES), max_size=3).map(tuple),
+)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.sampled_from(NAMES)), min_size=1, max_size=4),
+    st.lists(steps, max_size=25),
+)
+def test_kernel_delivers_in_the_order_of_one_heap_over_at_and_seq(releases, script):
+    # envelopes, deadlines (delay 0 and deadlines due on an envelope's tick
+    # among them) and releases on equal ticks: the kernel's delivery order is
+    # that of a single heap keyed by when each event falls due, then by when
+    # it was made
+    assert kernel_order(releases, script) == heap_order(releases, script)
+
+
+def test_a_deadline_and_an_envelope_due_on_the_same_tick_go_in_the_order_they_were_made():
+    # a's handler arms a 1-tick deadline, then sends to b: both fall due on
+    # tick 1 and the deadline, made first, goes first; c, released after a
+    # on tick 0, does the same, so a's envelope goes before c's deadline
+    releases = [(0, "a"), (0, "c")]
+    script = [((1,), ("b",)), ((1,), ("b",))]
+    expected = [
+        (0, "a", "start"),
+        (0, "c", "start"),
+        (1, "a", "t1"),
+        (1, "b", "m2"),
+        (1, "c", "t3"),
+        (1, "b", "m4"),
+    ]
+    assert kernel_order(releases, script) == expected
+    assert heap_order(releases, script) == expected
 
 
 def single_responder_doc():
