@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import threading
 import time
 from dataclasses import replace
@@ -90,7 +91,7 @@ class ScriptedAgent:
     log other labels.
     """
 
-    def __init__(self, name: str, script: list[Step], log: list, made: list):
+    def __init__(self, name: str, script: list[Step], log: list, made: itertools.count):
         self.name, self.script, self.log, self.made = name, script, log, made
         self.tokens: dict[int, str] = {}
 
@@ -104,19 +105,16 @@ class ScriptedAgent:
         self.log.append((ctx.now(), self.name, label))
         delays, receivers = self.script.pop(0) if self.script else ((), ())
         for delay in delays:
-            self.made.append(None)
-            self.tokens[ctx.set_timer(delay)] = f"t{len(self.made)}"
-        out = []
-        for receiver in receivers:
-            self.made.append(None)
-            label = f"m{len(self.made)}"
-            out.append(Message(self.name, receiver, "c/s0", (RejectProposal(label),)))
-        return out
+            self.tokens[ctx.set_timer(delay)] = f"t{next(self.made)}"
+        return [
+            Message(self.name, receiver, "c/s0", (RejectProposal(f"m{next(self.made)}"),))
+            for receiver in receivers
+        ]
 
 
 def kernel_order(releases, script) -> list[tuple]:
     """What the deterministic kernel delivers, in delivery order."""
-    log, made, script = [], [], list(script)
+    log, made, script = [], itertools.count(1), list(script)
     agents = {name: ScriptedAgent(name, script, log, made) for name in NAMES}
     DeterministicKernel(None, agents, releases, KernelConfig()).run()
     return log
@@ -124,20 +122,18 @@ def kernel_order(releases, script) -> list[tuple]:
 
 def heap_order(releases, script) -> list[tuple]:
     """The same script delivered from one heap ordered by ``(at, seq)``."""
-    heap, seq, made, log, script = [], 0, 0, [], list(script)
+    heap, log, script = [], [], list(script)
+    seq, made = itertools.count(1), itertools.count(1)
     for at, name in sorted(releases):
-        seq += 1
-        heapq.heappush(heap, (at, seq, name, "start"))
+        heapq.heappush(heap, (at, next(seq), name, "start"))
     while heap:
         now, _seq, name, label = heapq.heappop(heap)
         log.append((now, name, label))
         delays, receivers = script.pop(0) if script else ((), ())
         for delay in delays:
-            seq, made = seq + 1, made + 1
-            heapq.heappush(heap, (now + delay, seq, name, f"t{made}"))
+            heapq.heappush(heap, (now + delay, next(seq), name, f"t{next(made)}"))
         for receiver in receivers:
-            seq, made = seq + 1, made + 1
-            heapq.heappush(heap, (now + 1, seq, receiver, f"m{made}"))
+            heapq.heappush(heap, (now + 1, next(seq), receiver, f"m{next(made)}"))
     return log
 
 
