@@ -77,6 +77,11 @@ _iv_start = attrgetter("start")
 _iv_end = attrgetter("end")
 #: the slot and the price among the proposal fields ``_place_leg`` returns
 _slot_and_price = itemgetter(1, 6)
+#: Proposal's trailing defaults, in field order: ``_offer`` adds those not given
+_PROPOSAL_DEFAULTS = tuple(Proposal._field_defaults.values())
+#: the fields an ``_offer`` caller must give: all but the three ``_offer``
+#: fills in itself and the defaulted ones
+_OFFER_REQUIRED = len(Proposal._fields) - 3 - len(_PROPOSAL_DEFAULTS)
 
 
 class StartOrder(NamedTuple):
@@ -110,7 +115,7 @@ class DirectoryService:
 
 
 def _envelope(sender: str, receiver: str, conv: str, parts: Sequence) -> Message:
-    return Message(sender=sender, receiver=receiver, conversation_id=conv, parts=tuple(parts))
+    return Message(sender, receiver, conv, tuple(parts))
 
 
 def _failure(sender: str, receiver: str, conv: str, proposal_id: str, reason: str) -> Message:
@@ -195,12 +200,20 @@ class _ResourceAgent:
     def handle(self, event, ctx) -> list[Message]:
         if not isinstance(event, Message):
             return []
+        parts = event.parts
+        kind = type(parts[0])  # an envelope carries one payload kind
+        if kind is RejectProposal:
+            release = self.holds.release
+            for part in parts:
+                release(part.proposal_id)
+            return self._drain(ctx)
         out: list[Message] = []
-        accept_failed = released = False
-        for part in event.parts:
-            if isinstance(part, Cfp):
+        if kind is Cfp:
+            for part in parts:
                 out.extend(self._on_cfp(event, part, ctx))
-            elif isinstance(part, AcceptProposal):
+        elif kind is AcceptProposal:
+            accept_failed = False
+            for part in parts:
                 if accept_failed:
                     # linked accepts in one envelope commit or fail as a unit
                     self.holds.release(part.proposal_id)
@@ -215,15 +228,11 @@ class _ResourceAgent:
                     )
                     continue
                 failures = self._on_accept(event, part, ctx)
-                accept_failed = accept_failed or bool(failures)
+                accept_failed = bool(failures)
                 out.extend(failures)
-            elif isinstance(part, RejectProposal):
-                self.holds.release(part.proposal_id)
-                released = True
-            else:
+        else:
+            for part in parts:
                 out.extend(self._on_other(part, ctx))
-        if released:
-            out.extend(self._drain(ctx))
         return out
 
     def _on_other(self, part, ctx) -> list[Message]:
@@ -234,13 +243,16 @@ class _ResourceAgent:
 
     # -- engagement -------------------------------------------------------
 
-    def _engaged_elsewhere(self, order_id: str) -> bool:
+    def _engaged_elsewhere(self, order_id: str, held: bool = True) -> bool:
         """True while another order could still claim this resource: its booked
         workpiece waits here for its departure or, where a booking keeps its
-        workpiece, its live offer may yet become such a booking."""
+        workpiece, its live offer may yet become such a booking.
+
+        ``held`` False says the hold book is known to be empty.
+        """
         if self.schedule.has_open_tail and self.schedule.open_tail_for(order_id) is None:
             return True
-        if not self._keeps_workpiece or not self.holds:
+        if not (self._keeps_workpiece and held):
             return False
         return any(parse_conversation(h.conversation_id)[0] != order_id for h in self.holds)
 
@@ -262,10 +274,9 @@ class _ResourceAgent:
             return []
         pending, self._deferred = self._deferred, []
         out: list[Message] = []
-        for queued in pending:
+        for queued in pending:  # only CFP envelopes are queued
             for part in queued.parts:
-                if isinstance(part, Cfp):
-                    out.extend(self._on_cfp(queued, part, ctx))
+                out.extend(self._on_cfp(queued, part, ctx))
         return out
 
     # -- offers -----------------------------------------------------------
@@ -274,26 +285,34 @@ class _ResourceAgent:
         now = ctx.now()
         if cfp.deadline and cfp.deadline <= now:
             return []  # answered too late to matter (e.g. drained after blocking)
-        # the one purge per CFP: _engaged_elsewhere and _table read live holds
-        # only; an empty book, as on most of a wide floor, has nothing to purge
-        if self.holds:
-            self.holds.purge(now)
-        if self._engaged_elsewhere(cfp.workpiece.order_id):
+        # the one read of the book's size per CFP, passed down to
+        # _engaged_elsewhere and _table; an empty book, as on most of a wide
+        # floor, has nothing to purge. A book the purge empties still reads
+        # as held, which changes no answer: both then find no live hold
+        held = bool(self.holds)
+        if held:
+            self.holds.purge(now)  # the one purge per CFP: the rest reads live holds only
+        if self._engaged_elsewhere(cfp.workpiece.order_id, held):
             # queue: _drain answers it after the next reject or departure
             self._deferred.append(msg)
             return []
-        _order, stage = parse_conversation(msg.conversation_id)
-        proposals = self._propose(msg, cfp, (stage or 0) + 1, ctx)
+        conv = msg.conversation_id
+        _order, stage = parse_conversation(conv)
+        proposals = self._propose(msg, cfp, (stage or 0) + 1, now + ctx.hold_deadline, held)
         if not proposals:
             return []  # absence is refusal; the order's deadline handles it
-        return [_envelope(self.agent_id, msg.sender, msg.conversation_id, proposals)]
+        return [Message(self.agent_id, msg.sender, conv, tuple(proposals))]
 
-    def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
-        """Proposals for one CFP of the 1-based plan step ``step``, each held by ``_offer``."""
+    def _propose(
+        self, msg: Message, cfp: Cfp, step: int, until: Seconds, held: bool
+    ) -> list[Proposal]:
+        """Proposals for one CFP of the 1-based plan step ``step``, each held
+        by ``_offer`` until ``until``; ``held`` is passed on to :meth:`_table`."""
         raise NotImplementedError
 
     def _table(
-        self, conv: str, base: Seconds, assume_closed: frozenset[str] = frozenset()
+        self, conv: str, base: Seconds, assume_closed: frozenset[str] = frozenset(),
+        held: bool = True,
     ) -> list[GapRow]:
         """The CFP's gap table, other conversations' holds counted busy.
 
@@ -303,9 +322,9 @@ class _ResourceAgent:
         intervals :meth:`_usable` would drop for it are not even looked up,
         and a kept table's extra rows are among those it drops. Machines,
         cranes and buffers all read the rows; a buffer only their ``start``
-        and ``end``.
+        and ``end``. ``held`` False says the hold book is known to be empty.
         """
-        busy = self.holds.active_spans(exclude_conversation=conv) if self.holds else ()
+        busy = self.holds.active_spans(exclude_conversation=conv) if held else ()
         return self.schedule.gap_table(base - self._setup_bound - 1, busy, assume_closed)
 
     def _usable(self, table: list[GapRow], base: Seconds) -> list[GapRow]:
@@ -369,24 +388,26 @@ class _ResourceAgent:
             yield start, end, setup, ti_next, _slack_from(gap_end, end + tail, cap)
 
     def _offer(
-        self, ctx, conv: str, step_label: str, span: TimeInterval, end_state, *fields
+        self, until: Seconds, conv: str, step_label: str, span: TimeInterval, end_state, *fields
     ) -> Proposal:
-        """Number a proposal and hold ``span`` for it until the hold deadline.
+        """Number a proposal and hold ``span`` for it until ``until``, the hold deadline.
 
         ``fields`` are the proposal's fields after ``resource_id``, by position
         in ``Proposal._fields`` order: location, slot, slack_after,
         op_duration, load_time, unload_time, price, then optionally
         alternative, realizes, via and required_operation. Every offer takes
-        this path, so nothing on it goes through keywords.
+        this path, so the Proposal is built as one tuple, with the defaults
+        of the fields not given, and checks nothing, as its constructor
+        would not either.
         """
         self._seq += 1
         pid = f"{self.agent_id}#p{self._seq}"
-        proposal = Proposal(pid, self.kind, self.agent_id, *fields)
-        self.holds.add(
-            OfferHold(
-                pid, span, conv, ctx.now() + ctx.hold_deadline, proposal, step_label, end_state
-            )
+        proposal = tuple.__new__(
+            Proposal,
+            (pid, self.kind, self.agent_id, *fields,
+             *_PROPOSAL_DEFAULTS[len(fields) - _OFFER_REQUIRED:]),
         )
+        self.holds.add(OfferHold(pid, span, conv, until, proposal, step_label, end_state))
         return proposal
 
     # -- commitment -------------------------------------------------------
@@ -455,7 +476,9 @@ class ProductionAgent(_ResourceAgent):
         # finishing in the wrong state in front of one costs a changeover too
         return self._setup(new_state, succ.end_state)
 
-    def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
+    def _propose(
+        self, msg: Message, cfp: Cfp, step: int, until: Seconds, held: bool
+    ) -> list[Proposal]:
         order_id = cfp.workpiece.order_id
         product = cfp.workpiece.product
         op_dur = self.op_duration.get(product)
@@ -476,7 +499,9 @@ class ProductionAgent(_ResourceAgent):
         if not earliest:
             return []
         # every alternative reads the same table: the new end state is the product
-        table = self._table(conv, min(earliest), frozenset({order_id}) if own else frozenset())
+        table = self._table(
+            conv, min(earliest), frozenset({order_id}) if own else frozenset(), held
+        )
         if tail is not None:
             # the workpiece sits on this machine and can only wait in place:
             # any slot beyond the next booking is unreachable
@@ -486,6 +511,7 @@ class ProductionAgent(_ResourceAgent):
         def setup_of(from_state: str) -> Seconds:  # the lookup of self._setup
             return setups.get(from_state, {}).get(product, 0)
 
+        label = str(step)
         proposals: list[Proposal] = []
         for alt_idx, (alt, es) in enumerate(zip(cfp.alternatives, earliest)):
             slots = self._fits(table, product, es, op_dur, alt.windows, setup_of, unload, load_est)
@@ -494,7 +520,7 @@ class ProductionAgent(_ResourceAgent):
             ):
                 proposals.append(
                     self._offer(
-                        ctx, conv, str(step),
+                        until, conv, label,
                         TimeInterval(op_start - setup - unload, op_end + load_est), product,
                         self.location, TimeInterval(op_start, op_end), slack_after, op_dur,
                         load_est, unload, proposal_price(op_dur, setup, ti_next), alt_idx,
@@ -540,13 +566,16 @@ class BufferAgent(_ResourceAgent):
         self.load_estimate = load_estimate
         self._setup_bound = unload_estimate
 
-    def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
+    def _propose(
+        self, msg: Message, cfp: Cfp, step: int, until: Seconds, held: bool
+    ) -> list[Proposal]:
         conv = msg.conversation_id
         u_est, l_est = self.unload_estimate, self.load_estimate
         if not cfp.alternatives:
             return []
         # a stay imposes no setup: the rows are read as plain free intervals
-        free = self._table(conv, min(alt.windows.es for alt in cfp.alternatives))
+        free = self._table(conv, min(alt.windows.es for alt in cfp.alternatives), held=held)
+        label = f"B{step}"
         proposals: list[Proposal] = []
         for alt_idx, alt in enumerate(cfp.alternatives):
             w = alt.windows
@@ -564,7 +593,7 @@ class BufferAgent(_ResourceAgent):
                 )
                 proposals.append(
                     self._offer(
-                        ctx, conv, f"B{step}", TimeInterval(max(0, start - u_est), end + l_est), "",
+                        until, conv, label, TimeInterval(max(0, start - u_est), end + l_est), "",
                         self.location, TimeInterval(start, end), slack_after, end - start,
                         l_est, u_est, 0, alt_idx, alt.realizes,
                     )
@@ -622,7 +651,9 @@ class TransportAgent(_ResourceAgent):
             return succ.setup_interval.duration if succ.setup_interval else 0
         return self.geometry.travel_seconds(new_state, pickup)
 
-    def _propose(self, msg: Message, cfp: Cfp, step: int, ctx) -> list[Proposal]:
+    def _propose(
+        self, msg: Message, cfp: Cfp, step: int, until: Seconds, held: bool
+    ) -> list[Proposal]:
         """One proposal per leg this crane covers, plus the chained variants.
 
         A plain placement reads only the CFP's gap table and the leg's
@@ -632,6 +663,7 @@ class TransportAgent(_ResourceAgent):
         and ``via`` echo. A chained variant reads its partner too: not shared.
         """
         geom = self.geometry
+        x_min, x_max = geom.x_min, geom.x_max  # geom.covers, inlined: it runs for every leg
         conv = msg.conversation_id
         # legs that some other leg chains onto head into a buffer
         chain_targets = {leg.chain_after for leg in cfp.legs if leg.chain_after is not None}
@@ -643,7 +675,7 @@ class TransportAgent(_ResourceAgent):
         distinct: dict[tuple, tuple[TransportLeg, Seconds]] = {}
         for leg_idx, leg in enumerate(cfp.legs):
             frm, to = leg.from_location, leg.to_location
-            if not (geom.covers(frm[0]) and geom.covers(to[0])):
+            if not (x_min <= frm[0] <= x_max and x_min <= to[0] <= x_max):
                 continue
             if leg.via is not None:
                 label = from_buffer
@@ -661,7 +693,9 @@ class TransportAgent(_ResourceAgent):
         # earlier than its own leg's base; the table does not depend on where
         # a leg drops off, so every leg and chained variant reads it
         table = self._table(
-            conv, min(max(leg.windows.es, leg.windows.ef - dur) for leg, dur in distinct.values())
+            conv,
+            min(max(leg.windows.es, leg.windows.ef - dur) for leg, dur in distinct.values()),
+            held=held,
         )
         placed = {key: self._place_leg(leg, dur, table) for key, (leg, dur) in distinct.items()}
         proposals: list[Proposal] = []
@@ -671,7 +705,7 @@ class TransportAgent(_ResourceAgent):
             echo = 0, leg.realizes, leg.via  # alternative, realizes, via: the leg's own
             plain = placed[key]
             if plain is not None:
-                made = self._offer(ctx, conv, label, plain[0], tx, *plain[1], *echo)
+                made = self._offer(until, conv, label, plain[0], tx, *plain[1], *echo)
                 proposals.append(made)
                 emitted_by_leg[leg_idx] = made
             # chained variant: departing right where a partner leg drops off
@@ -684,7 +718,7 @@ class TransportAgent(_ResourceAgent):
                 plain is None or _slot_and_price(chained[1]) != _slot_and_price(plain[1])
             ):
                 fields = (*chained[1], *echo, partner.proposal_id)
-                proposals.append(self._offer(ctx, conv, label, chained[0], tx, *fields))
+                proposals.append(self._offer(until, conv, label, chained[0], tx, *fields))
         return proposals
 
     def _place_leg(
@@ -766,10 +800,13 @@ class StageCommit:
     slack_after: Slack
 
 
-def _leg(frm, to: Proposal, windows: StageWindows, **fields) -> TransportLeg:
+def _leg(
+    frm, to: Proposal, windows: StageWindows, via: Optional[str] = None,
+    chain_after: Optional[int] = None,
+) -> TransportLeg:
     """The movement from ``frm`` (a commit or a proposal) to the resource of
     ``to``, which it realizes."""
-    return TransportLeg(frm.location, to.location, windows, to.proposal_id, **fields)
+    return TransportLeg(frm.location, to.location, windows, to.proposal_id, via, chain_after)
 
 
 class OrderAgent:
@@ -889,8 +926,9 @@ class OrderAgent:
                 **cfp_fields,
             ),
         )
-        sender, conv = self.agent_id, neg.conversation
-        return [Message(sender, rid, conv, parts) for rid in ctx.directory.search(capability)]
+        return Message.fanout(
+            self.agent_id, ctx.directory.search(capability), neg.conversation, parts
+        )
 
     def _depart(
         self, resource: str, conv: str, departure: Seconds, loading_time: Seconds = 0
@@ -972,7 +1010,7 @@ class OrderAgent:
                         continue
                     inbound_idx = len(legs)
                     legs.append(_leg(prev, b, w_in))
-                    legs.append(_leg(b, p, w_out, via=b.proposal_id, chain_after=inbound_idx))
+                    legs.append(_leg(b, p, w_out, b.proposal_id, inbound_idx))
             else:
                 try:
                     w = calculus.transport_direct_windows(f_prev, st_prev, prod_slot, params)

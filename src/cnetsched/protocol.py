@@ -5,7 +5,11 @@ RejectProposal, InformDeparture, InformFailure. An envelope (Message) carries
 one or more payloads of one kind to one receiver; aggregation is what keeps
 message growth linear in the number of contacted resources. Payloads and
 envelopes are immutable tuple records (``typing.NamedTuple``): cheap to build
-once per hop, and safe to hand from sender to receiver without a copy.
+once per hop, and safe to hand from sender to receiver without a copy. A
+record that checks nothing is built as one positional tuple where it is built
+most (each resource's ``_offer``, :func:`rejects`); one that checks its fields
+checks them at every construction, and :meth:`Message.fanout` checks a CFP
+round's shared parts once for all its envelopes.
 
 StageNegotiation is a deterministic state machine: feeding it the same event
 sequence always yields the same transitions and the same outgoing envelopes.
@@ -19,7 +23,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Protocol, Union
+from typing import (
+    Any, Callable, Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence, Union,
+)
 
 from .calculus import StageWindows
 from .timebase import Seconds, Slack, TimeInterval
@@ -93,7 +99,11 @@ class Proposal(NamedTuple):
     leg it answers: the proposal a buffer stay or a crane movement serves, and
     the buffer proposal a movement departs from. They are the only links
     between a stage's proposals, so a route exists only where the order's
-    CFPs asked for one."""
+    CFPs asked for one.
+
+    A resource's ``_offer`` builds every offer positionally, as one tuple in
+    ``_fields`` order with the trailing defaults from ``_field_defaults``.
+    """
 
     proposal_id: str
     kind: str
@@ -173,6 +183,23 @@ class Message(_Message):
     @classmethod
     def _make(cls, iterable: Iterable) -> "Message":
         return cls(*iterable)  # ``_replace`` builds through here too: checked
+
+    @classmethod
+    def fanout(
+        cls, sender: str, receivers: Sequence[str], conversation_id: str,
+        parts: tuple[Payload, ...],
+    ) -> list["Message"]:
+        """One envelope of the shared ``parts`` to each of ``receivers``.
+
+        The first envelope is built through :meth:`__new__`, which checks
+        ``parts``; the others carry the very same tuple, so they skip that
+        check. No receiver, no envelope.
+        """
+        if not receivers:
+            return []
+        first = cls(sender, receivers[0], conversation_id, parts)
+        new = tuple.__new__
+        return [first] + [new(cls, (sender, r, conversation_id, parts)) for r in receivers[1:]]
 
     @property
     def variant(self) -> str:
@@ -462,10 +489,14 @@ def reject_unused(order_id: str, event) -> list[Message]:
 
 
 def rejects(order_id: str, conv: str, proposals: Iterable[Proposal]) -> list[Message]:
-    """One RejectProposal envelope per resource, in resource order."""
+    """One RejectProposal envelope per resource, in resource order.
+
+    A RejectProposal checks nothing, so each is built as its one-field tuple.
+    """
     by_resource: dict[str, list[RejectProposal]] = {}
+    new = tuple.__new__
     for p in proposals:
-        by_resource.setdefault(p.resource_id, []).append(RejectProposal(p.proposal_id))
+        by_resource.setdefault(p.resource_id, []).append(new(RejectProposal, (p.proposal_id,)))
     return [
         Message(order_id, rid, conv, tuple(parts)) for rid, parts in sorted(by_resource.items())
     ]

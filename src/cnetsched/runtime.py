@@ -19,7 +19,7 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .agents import OrderAgent, StartOrder
 from .protocol import DeadlineExpired, Message, MessageCounter
@@ -51,8 +51,7 @@ class KernelConfig:
         return cls(cfp_deadline=cfp_deadline, hold_deadline=hold_deadline, **kw)
 
 
-@dataclass(frozen=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     """One booking as it became binding, in commit order."""
 
     at: float
@@ -115,11 +114,19 @@ class _Kernel:
     earlier. The kernels differ only in their clock and in when they stop
     delivering.
 
+    A deadline or release popped from the heap goes through
+    :meth:`_dispatch`, which writes its kernel trace line first; an envelope
+    popped from the FIFO goes to :meth:`_deliver` directly. ``_deliver``
+    runs the receiver's handler, then reads the clock and formats its stamp
+    once for every envelope the handler returned: they are all posted at the
+    instant the handler returned. Under the deterministic kernel the clock
+    stands still during a handler, so this is the instant it was called.
+
     The kernel is also the context each handler is given: an agent reads
     ``directory``, ``cfp_deadline``, ``hold_deadline`` and ``now()``, arms
     a deadline for itself with ``set_timer(delay)`` and logs a booking with
     ``record_commit``. One handler runs at a time, so ``set_timer`` arms
-    the deadline for the receiver :meth:`_dispatch` is running.
+    the deadline for the receiver :meth:`_deliver` is running.
     """
 
     mode: str
@@ -163,19 +170,17 @@ class _Kernel:
         self._schedule(self.now() + delay, self._receiver, DeadlineExpired(token))
         return token
 
-    def _post(self, msg: Message) -> None:
-        """Count ``msg``, write its trace line and queue its delivery one hop later."""
+    def _post(self, msg: Message, now, stamp: str) -> None:
+        """Count ``msg``, write its trace line stamped ``stamp`` and queue its
+        delivery one hop after ``now``."""
         sender, receiver, conv, parts = msg
         if receiver not in self.agents:
             log.error("message to unknown agent %s dropped", receiver)
             return
-        now = self.now()
         variant = type(parts[0]).__name__  # Message.variant, without the property call
         counts, key = self.counter.counts, (conv, variant)
         counts[key] = counts.get(key, 0) + 1
-        self.trace.append(
-            f"{self._stamp_of(now)} {sender}>{receiver} {variant} n={len(parts)} {conv}"
-        )
+        self.trace.append(f"{stamp} {sender}>{receiver} {variant} n={len(parts)} {conv}")
         self._seq += 1
         self._fifo.append((now + self._hop, self._seq, receiver, msg))
 
@@ -185,25 +190,29 @@ class _Kernel:
             self._stamped = (now, self._stamp(now))
         return self._stamped[1]
 
-    def _dispatch(self, receiver: str, event: Event) -> None:
-        kind = _KERNEL_LINES.get(type(event))
-        if kind is not None:
-            self.trace.append(f"{self._stamp_of(self.now())} kernel>{receiver} {kind}")
+    def _dispatch(self, receiver: str, event: Union[StartOrder, DeadlineExpired]) -> None:
+        """Write the kernel line of a deadline or release, then deliver it."""
+        kind = _KERNEL_LINES[type(event)]
+        self.trace.append(f"{self._stamp_of(self.now())} kernel>{receiver} {kind}")
+        self._deliver(receiver, event)
+
+    def _deliver(self, receiver: str, event: Event) -> None:
+        """Run the receiver's handler and post what it returns, stamped once."""
         self._receiver = receiver
-        for msg in self.agents[receiver].handle(event, self):
-            self._post(msg)
+        out = self.agents[receiver].handle(event, self)
+        if out:
+            now = self.now()
+            stamp = self._stamp_of(now)
+            for msg in out:
+                self._post(msg, now, stamp)
 
     def record_commit(self, resource_id: str, entry) -> None:
         # the booked *core* is what stability protects: leading setup/travel may
         # be reshaped by later insertions, and open tails grow a load segment
         self.commits.append(
             CommitRecord(
-                at=self.now(),
-                resource_id=resource_id,
-                order_id=entry.order_id,
-                step_label=entry.step_label,
-                start=entry.core_start,
-                end=entry.operation_end,
+                self.now(), resource_id, entry.order_id, entry.step_label, entry.core_start,
+                entry.operation_end,
             )
         )
 
@@ -261,9 +270,10 @@ class DeterministicKernel(_Kernel):
                 raise RunTimeout(f"event cap {cap} exceeded")
             if heap and (not fifo or heap[0] < fifo[0]):
                 self._now, _seq, receiver, event = heapq.heappop(heap)
+                self._dispatch(receiver, event)
             else:
                 self._now, _seq, receiver, event = fifo.popleft()
-            self._dispatch(receiver, event)
+                self._deliver(receiver, event)
         return self._report(time.perf_counter() - t0)
 
 
@@ -344,9 +354,12 @@ class ConcurrentKernel(_Kernel):
             else:
                 queue = fifo
             if queue and queue[0][0] <= now:
-                entry = fifo.popleft() if queue is fifo else heapq.heappop(heap)
-                _at, _seq, receiver, event = entry
-                self._dispatch(receiver, event)
+                if queue is fifo:
+                    _at, _seq, receiver, event = fifo.popleft()
+                    self._deliver(receiver, event)
+                else:
+                    _at, _seq, receiver, event = heapq.heappop(heap)
+                    self._dispatch(receiver, event)
                 if receiver in open_orders and agents[receiver].status in ("done", "failed"):
                     open_orders.discard(receiver)
             else:

@@ -127,21 +127,19 @@ def build_ocs(
         oc = OperationCombination(production=p)
         if ctx.prev_resource is None:
             # system entry: the first operation needs no transport at all
-            oc.routes.append(RouteCandidate(kind="entry"))
+            oc.routes.append(RouteCandidate("entry"))
         elif p.resource_id == ctx.prev_resource:
-            oc.routes.append(RouteCandidate(kind="stay-on-machine"))
+            oc.routes.append(RouteCandidate("stay-on-machine"))
         else:
             # a route for every link the order's CFPs asked for: buffered, direct or both
             for b in buffers_for.get(p.proposal_id, []):
                 for leg_in in legs.get((None, b.proposal_id), []):
                     for leg_out in legs.get((b.proposal_id, p.proposal_id), []):
-                        route = RouteCandidate(
-                            kind="buffered", buffer=b, legs=(leg_in, leg_out)
-                        )
+                        route = RouteCandidate("buffered", b, (leg_in, leg_out))
                         if _route_ok(p, route, ctx):
                             oc.routes.append(route)
             for leg in legs.get((None, p.proposal_id), []):
-                route = RouteCandidate(kind="direct", legs=(leg,))
+                route = RouteCandidate("direct", None, (leg,))
                 if _route_ok(p, route, ctx):
                     oc.routes.append(route)
         ocs.append(oc)

@@ -522,6 +522,7 @@ def test_every_offer_field_lands_in_its_named_place():
         deadline=deadline, proposal=first, step_label="1", end_state="A",
     )
     assert hold_fields(m, second)["span"] == TimeInterval(300 - 7 - 11, 350 + 13)
+    offers = [first, second]
 
     b = BufferAgent(
         BufferSpec(id="Buf1", location=(20.0, 15.0)), unload_estimate=11, load_estimate=13
@@ -551,6 +552,7 @@ def test_every_offer_field_lands_in_its_named_place():
         proposal_id="Buf1#p1", span=TimeInterval(1000 - 11, 2000 + 13), conversation_id="o1/s1",
         deadline=deadline, proposal=first, step_label="B2", end_state="",
     )
+    offers += [first, second]
 
     t = TransportAgent(
         TransportSpec(id="Crane1", segment=(0.0, 60.0), speed=60.0, load=3, unload=4)
@@ -599,6 +601,13 @@ def test_every_offer_field_lands_in_its_named_place():
         hold_fields(t, plain), proposal_id="Crane1#p3", span=TimeInterval(2000, 2027),
         proposal=chained,
     )
+    offers += [into, plain, chained]
+
+    # _offer builds each offer positionally, defaults filled in: it must be
+    # the keyword build, with every field, whatever fields Proposal has
+    for p in offers:
+        assert type(p) is Proposal and len(p) == len(Proposal._fields)
+        assert p == Proposal(**p._asdict())
 
 
 def test_transport_accept_books_travel_load_travel_unload():
@@ -1112,7 +1121,7 @@ def full_walk_machine(m, cfp, conv, ctx):
             block_start = op_start - prefix
             out.append(
                 m._offer(
-                    ctx,
+                    ctx.now() + ctx.hold_deadline,
                     conv,
                     "1",
                     TimeInterval(block_start, op_end + load_est),
@@ -1400,10 +1409,10 @@ def test_a_crane_cfp_looks_up_each_free_interval_once_whatever_its_legs(monkeypa
         counted(name)
     propose, table_of = TransportAgent._propose, TransportAgent._table
 
-    def counted_propose(self, msg, cfp, step, ctx):
+    def counted_propose(self, msg, cfp, *args):
         current.append([len(cfp.legs), 0, 0])
         try:
-            return propose(self, msg, cfp, step, ctx)
+            return propose(self, msg, cfp, *args)
         finally:
             cfps.append(current.pop())
 

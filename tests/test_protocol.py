@@ -148,6 +148,19 @@ def test_envelope_rejects_empty_and_mixed_parts():
     assert m._replace(receiver="c").receiver == "c"
 
 
+def test_fanout_checks_the_shared_parts_and_builds_what_message_builds():
+    parts = (RejectProposal("p"), RejectProposal("q"))
+    receivers = ("b", "c", "d")
+    out = Message.fanout("a", receivers, "o1/s0", parts)
+    assert out == [Message("a", r, "o1/s0", parts) for r in receivers]
+    assert all(type(m) is Message and m.parts is parts for m in out)
+    assert Message.fanout("a", (), "o1/s0", parts) == []
+    for bad in ((), (RejectProposal("p"), InformFailure("q", "gone"))):
+        for some in (receivers[:1], receivers):
+            with pytest.raises(ValueError):
+                Message.fanout("a", some, "o1/s0", bad)
+
+
 def test_message_parts_share_one_type_not_one_shape():
     # a RejectProposal and a DeadlineExpired are both 1-tuples; kinds go by type
     with pytest.raises(ValueError):
@@ -440,6 +453,11 @@ def test_stage_failure_rejects_every_held_offer():
     assert all(m.variant == "RejectProposal" for m in out)
     rejected = sorted(p.proposal_id for m in out for p in m.parts)
     assert rejected == ["M1#1", "M1#2", "M2#1"]
+    # each RejectProposal is built as its one-field tuple: what the constructor builds
+    assert [m.parts for m in out] == [
+        (RejectProposal("M1#1"), RejectProposal("M1#2")), (RejectProposal("M2#1"),)
+    ]
+    assert all(type(p) is RejectProposal for m in out for p in m.parts)
 
 
 def test_stage_drops_out_of_phase_events():

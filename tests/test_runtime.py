@@ -2,16 +2,24 @@ import heapq
 import itertools
 import threading
 import time
+from collections import deque
 from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cnetsched import runtime
 from cnetsched.agents import StartOrder
 from cnetsched.harness import render_gantt, render_trace, run_scenario
 from cnetsched.protocol import DeadlineExpired, Message, RejectProposal
-from cnetsched.runtime import DeterministicKernel, KernelConfig, RunTimeout, run_kernel
+from cnetsched.runtime import (
+    ConcurrentKernel,
+    DeterministicKernel,
+    KernelConfig,
+    RunTimeout,
+    run_kernel,
+)
 from cnetsched.scenario import build_runtime, parse_scenario
 from cnetsched.timebase import hhmm
 
@@ -248,6 +256,67 @@ def test_concurrent_kernel_with_latency_completes():
     assert report.all_done
     assert report.agents["o1"].committed[-1].resource_id == "M2"
     assert report.wall_seconds > 0
+
+
+class TickingClock:
+    """The ``time`` functions the concurrent kernel reads; every clock read
+    advances the clock by a millisecond, ``sleep`` by what it is asked."""
+
+    def __init__(self) -> None:
+        self.t = 0.0
+
+    def monotonic(self) -> float:
+        self.t += 0.001
+        return self.t
+
+    perf_counter = monotonic
+
+    def sleep(self, seconds: float) -> None:
+        self.t += max(0.0, seconds)
+
+
+def test_concurrent_envelopes_of_one_handler_share_its_stamp_and_due_time(monkeypatch):
+    # o1's release handler returns three envelopes: posted at the instant the
+    # handler returned, they get one stamp and one due time, even on a clock
+    # that moves at every read, and land in the order they were posted
+    b = build_runtime(parse_scenario(single_responder_doc(), source="t"))
+    order, delivered = b.agents["o1"], []
+
+    def send_three(event, ctx):
+        order.status = "done"
+        return [
+            Message("o1", receiver, "o1/s0", (RejectProposal(f"m{i}"),))
+            for i, receiver in enumerate(("M1", "M2", "M1"))
+        ]
+
+    def recorder(name):
+        def handle(event, ctx):
+            delivered.append((name, event.parts[0].proposal_id))
+            return []
+
+        return handle
+
+    monkeypatch.setattr(order, "handle", send_three)
+    for name in ("M1", "M2"):
+        monkeypatch.setattr(b.agents[name], "handle", recorder(name))
+    monkeypatch.setattr(runtime, "time", TickingClock())
+    kernel = ConcurrentKernel(
+        b.directory, b.agents, b.releases, KernelConfig.concurrent(message_latency=0.005)
+    )
+    posted = []
+
+    class LoggedFifo(deque):
+        def append(self, entry):
+            posted.append(entry)
+            super().append(entry)
+
+    kernel._fifo = LoggedFifo()
+    report = kernel.run()
+    stamps = {line.split(" ", 1)[0] for line in report.trace if "RejectProposal" in line}
+    assert len(stamps) == 1
+    assert len({at for at, _seq, _receiver, _msg in posted}) == 1
+    assert [receiver for _at, _seq, receiver, _msg in posted] == ["M1", "M2", "M1"]
+    assert delivered == [("M1", "m0"), ("M2", "m1"), ("M1", "m2")]
 
 
 def staggered(scenario, seconds=0.3):
