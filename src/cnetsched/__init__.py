@@ -9,7 +9,6 @@ later negotiations may surround but never move.
 from .calculus import (
     InfeasibleWindow,
     ScheduleParams,
-    SlotCommitment,
     StageWindows,
     TransportGeometry,
     buffer_windows,
@@ -69,7 +68,6 @@ __all__ = [
     "RunTimeout",
     "Scenario",
     "ScheduleParams",
-    "SlotCommitment",
     "Slack",
     "StageContext",
     "StageWindows",

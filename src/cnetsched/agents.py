@@ -20,7 +20,6 @@ from . import calculus
 from .calculus import (
     InfeasibleWindow,
     ScheduleParams,
-    SlotCommitment,
     StageWindows,
     proposal_price,
 )
@@ -114,12 +113,8 @@ class DirectoryService:
 # shared helpers
 
 
-def _envelope(sender: str, receiver: str, conv: str, parts: Sequence) -> Message:
-    return Message(sender, receiver, conv, tuple(parts))
-
-
 def _failure(sender: str, receiver: str, conv: str, proposal_id: str, reason: str) -> Message:
-    return _envelope(sender, receiver, conv, [InformFailure(proposal_id, reason)])
+    return Message(sender, receiver, conv, (InformFailure(proposal_id, reason),))
 
 
 def _no_setup(state: Any) -> Seconds:
@@ -243,16 +238,13 @@ class _ResourceAgent:
 
     # -- engagement -------------------------------------------------------
 
-    def _engaged_elsewhere(self, order_id: str, held: bool = True) -> bool:
+    def _engaged_elsewhere(self, order_id: str) -> bool:
         """True while another order could still claim this resource: its booked
         workpiece waits here for its departure or, where a booking keeps its
-        workpiece, its live offer may yet become such a booking.
-
-        ``held`` False says the hold book is known to be empty.
-        """
+        workpiece, its live offer may yet become such a booking."""
         if self.schedule.has_open_tail and self.schedule.open_tail_for(order_id) is None:
             return True
-        if not (self._keeps_workpiece and held):
+        if not (self._keeps_workpiece and self.holds):
             return False
         return any(parse_conversation(h.conversation_id)[0] != order_id for h in self.holds)
 
@@ -285,34 +277,26 @@ class _ResourceAgent:
         now = ctx.now()
         if cfp.deadline and cfp.deadline <= now:
             return []  # answered too late to matter (e.g. drained after blocking)
-        # the one read of the book's size per CFP, passed down to
-        # _engaged_elsewhere and _table; an empty book, as on most of a wide
-        # floor, has nothing to purge. A book the purge empties still reads
-        # as held, which changes no answer: both then find no live hold
-        held = bool(self.holds)
-        if held:
+        if self.holds:
             self.holds.purge(now)  # the one purge per CFP: the rest reads live holds only
-        if self._engaged_elsewhere(cfp.workpiece.order_id, held):
+        if self._engaged_elsewhere(cfp.workpiece.order_id):
             # queue: _drain answers it after the next reject or departure
             self._deferred.append(msg)
             return []
         conv = msg.conversation_id
         _order, stage = parse_conversation(conv)
-        proposals = self._propose(msg, cfp, (stage or 0) + 1, now + ctx.hold_deadline, held)
+        proposals = self._propose(msg, cfp, (stage or 0) + 1, now + ctx.hold_deadline)
         if not proposals:
             return []  # absence is refusal; the order's deadline handles it
         return [Message(self.agent_id, msg.sender, conv, tuple(proposals))]
 
-    def _propose(
-        self, msg: Message, cfp: Cfp, step: int, until: Seconds, held: bool
-    ) -> list[Proposal]:
+    def _propose(self, msg: Message, cfp: Cfp, step: int, until: Seconds) -> list[Proposal]:
         """Proposals for one CFP of the 1-based plan step ``step``, each held
-        by ``_offer`` until ``until``; ``held`` is passed on to :meth:`_table`."""
+        by ``_offer`` until ``until``."""
         raise NotImplementedError
 
     def _table(
-        self, conv: str, base: Seconds, assume_closed: frozenset[str] = frozenset(),
-        held: bool = True,
+        self, conv: str, base: Seconds, assume_closed: frozenset[str] = frozenset()
     ) -> list[GapRow]:
         """The CFP's gap table, other conversations' holds counted busy.
 
@@ -322,9 +306,9 @@ class _ResourceAgent:
         intervals :meth:`_usable` would drop for it are not even looked up,
         and a kept table's extra rows are among those it drops. Machines,
         cranes and buffers all read the rows; a buffer only their ``start``
-        and ``end``. ``held`` False says the hold book is known to be empty.
+        and ``end``.
         """
-        busy = self.holds.active_spans(exclude_conversation=conv) if held else ()
+        busy = self.holds.active_spans(exclude_conversation=conv) if self.holds else ()
         return self.schedule.gap_table(base - self._setup_bound - 1, busy, assume_closed)
 
     def _usable(self, table: list[GapRow], base: Seconds) -> list[GapRow]:
@@ -476,9 +460,7 @@ class ProductionAgent(_ResourceAgent):
         # finishing in the wrong state in front of one costs a changeover too
         return self._setup(new_state, succ.end_state)
 
-    def _propose(
-        self, msg: Message, cfp: Cfp, step: int, until: Seconds, held: bool
-    ) -> list[Proposal]:
+    def _propose(self, msg: Message, cfp: Cfp, step: int, until: Seconds) -> list[Proposal]:
         order_id = cfp.workpiece.order_id
         product = cfp.workpiece.product
         op_dur = self.op_duration.get(product)
@@ -499,9 +481,7 @@ class ProductionAgent(_ResourceAgent):
         if not earliest:
             return []
         # every alternative reads the same table: the new end state is the product
-        table = self._table(
-            conv, min(earliest), frozenset({order_id}) if own else frozenset(), held
-        )
+        table = self._table(conv, min(earliest), frozenset({order_id}) if own else frozenset())
         if tail is not None:
             # the workpiece sits on this machine and can only wait in place:
             # any slot beyond the next booking is unreachable
@@ -566,15 +546,13 @@ class BufferAgent(_ResourceAgent):
         self.load_estimate = load_estimate
         self._setup_bound = unload_estimate
 
-    def _propose(
-        self, msg: Message, cfp: Cfp, step: int, until: Seconds, held: bool
-    ) -> list[Proposal]:
+    def _propose(self, msg: Message, cfp: Cfp, step: int, until: Seconds) -> list[Proposal]:
         conv = msg.conversation_id
         u_est, l_est = self.unload_estimate, self.load_estimate
         if not cfp.alternatives:
             return []
         # a stay imposes no setup: the rows are read as plain free intervals
-        free = self._table(conv, min(alt.windows.es for alt in cfp.alternatives), held=held)
+        free = self._table(conv, min(alt.windows.es for alt in cfp.alternatives))
         label = f"B{step}"
         proposals: list[Proposal] = []
         for alt_idx, alt in enumerate(cfp.alternatives):
@@ -651,9 +629,7 @@ class TransportAgent(_ResourceAgent):
             return succ.setup_interval.duration if succ.setup_interval else 0
         return self.geometry.travel_seconds(new_state, pickup)
 
-    def _propose(
-        self, msg: Message, cfp: Cfp, step: int, until: Seconds, held: bool
-    ) -> list[Proposal]:
+    def _propose(self, msg: Message, cfp: Cfp, step: int, until: Seconds) -> list[Proposal]:
         """One proposal per leg this crane covers, plus the chained variants.
 
         A plain placement reads only the CFP's gap table and the leg's
@@ -693,9 +669,7 @@ class TransportAgent(_ResourceAgent):
         # earlier than its own leg's base; the table does not depend on where
         # a leg drops off, so every leg and chained variant reads it
         table = self._table(
-            conv,
-            min(max(leg.windows.es, leg.windows.ef - dur) for leg, dur in distinct.values()),
-            held=held,
+            conv, min(max(leg.windows.es, leg.windows.ef - dur) for leg, dur in distinct.values())
         )
         placed = {key: self._place_leg(leg, dur, table) for key, (leg, dur) in distinct.items()}
         proposals: list[Proposal] = []
@@ -935,7 +909,7 @@ class OrderAgent:
     ) -> Message:
         """The InformDeparture that frees ``resource`` from this workpiece."""
         info = InformDeparture(self.agent_id, departure, loading_time)
-        return _envelope(self.agent_id, resource, conv, [info])
+        return Message(self.agent_id, resource, conv, (info,))
 
     @functools.cached_property
     def rounds(self) -> tuple:
@@ -968,11 +942,9 @@ class OrderAgent:
         for p in neg.of_kind(PRODUCTION):
             if p.resource_id == prev.resource_id:
                 continue  # stays on the machine, nothing to buffer
-            if calculus.needs_buffering(f_prev, p.slot.start, params.t_transport_min, params):
+            if calculus.needs_buffering(f_prev, p.slot.start, params):
                 try:
-                    windows = calculus.buffer_windows(
-                        f_prev, SlotCommitment(p.slot.start, p.slot.end, p.slack_after), params
-                    )
+                    windows = calculus.buffer_windows(f_prev, p, params)
                 except InfeasibleWindow:
                     continue
                 alternatives.append(CfpAlternative(windows=windows, realizes=p.proposal_id))
@@ -995,17 +967,11 @@ class OrderAgent:
         for p in neg.of_kind(PRODUCTION):
             if p.resource_id == prev.resource_id:
                 continue
-            prod_slot = SlotCommitment(p.slot.start, p.slot.end, p.slack_after)
             if p.proposal_id in self._buffered:
                 for b in buffers_by_realizes.get(p.proposal_id, []):
-                    buf_slot = SlotCommitment(b.slot.start, b.slot.end, b.slack_after)
                     try:
-                        w_in = calculus.transport_to_buffer_windows(
-                            f_prev, st_prev, buf_slot, prod_slot, params
-                        )
-                        w_out = calculus.transport_from_buffer_windows(
-                            f_prev, buf_slot, prod_slot, params
-                        )
+                        w_in = calculus.transport_to_buffer_windows(f_prev, st_prev, b, p, params)
+                        w_out = calculus.transport_from_buffer_windows(f_prev, b, p, params)
                     except InfeasibleWindow:
                         continue
                     inbound_idx = len(legs)
@@ -1013,7 +979,7 @@ class OrderAgent:
                     legs.append(_leg(b, p, w_out, b.proposal_id, inbound_idx))
             else:
                 try:
-                    w = calculus.transport_direct_windows(f_prev, st_prev, prod_slot, params)
+                    w = calculus.transport_direct_windows(f_prev, st_prev, p, params)
                 except InfeasibleWindow:
                     continue
                 legs.append(_leg(prev, p, w))
@@ -1064,7 +1030,8 @@ class OrderAgent:
         elif prev is not None:
             out.append(self._depart(prev.resource_id, conv, op_start))
         out += [
-            _envelope(self.agent_id, rid, conv, parts) for rid, parts in sorted(by_resource.items())
+            Message(self.agent_id, rid, conv, tuple(parts))
+            for rid, parts in sorted(by_resource.items())
         ]
         accepted = set(selection.accept_ids)
         out += rejects(

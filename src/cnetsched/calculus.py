@@ -2,18 +2,23 @@
 
 Every stage-i negotiation starts from the committed finish of stage i-1 and the
 already-proposed slot of stage i+1(-ish) and derives earliest/latest bounds for
-the activities in between. All functions here are pure: agents feed committed
-or proposed slots in, CFP window sets come out. Unbounded slack terms simply
-drop out of minima; an empty candidate set leaves the bound unbounded.
+the activities in between. All functions here are pure: the order agent feeds
+each offer in as it came (any record with a ``slot`` interval and a
+``slack_after``, in practice a :class:`~cnetsched.protocol.Proposal`), CFP
+window sets come out. Unbounded slack terms simply drop out of minima; an
+empty candidate set leaves the bound unbounded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .timebase import Seconds, Slack, min_bound
+
+if TYPE_CHECKING:  # protocol imports this module; an offer is read by attribute
+    from .protocol import Proposal
 
 
 class CalculusError(Exception):
@@ -76,29 +81,6 @@ class StageWindows(_StageWindows):
     @classmethod
     def _make(cls, iterable: Iterable[Optional[Seconds]]) -> "StageWindows":
         return cls(*iterable)  # ``_replace`` builds through here too: checked
-
-
-class _SlotCommitment(NamedTuple):
-    start: Seconds
-    finish: Seconds
-    slack_after: Slack = Slack.UNBOUNDED
-
-
-class SlotCommitment(_SlotCommitment):
-    """A committed or proposed slot another stage hangs its windows on."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, start: Seconds, finish: Seconds, slack_after: Slack = Slack.UNBOUNDED
-    ) -> "SlotCommitment":
-        if finish < start:
-            raise ValueError("slot finish precedes start")
-        return tuple.__new__(cls, (start, finish, slack_after))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "SlotCommitment":
-        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -166,18 +148,17 @@ def transport_duration(
     return geom.load_time + geom.travel_seconds(frm[0], to[0]) + geom.unload_time
 
 
-def buffer_windows(
-    f_prev: Seconds, prod: SlotCommitment, params: ScheduleParams
-) -> StageWindows:
+def buffer_windows(f_prev: Seconds, prod: Proposal, params: ScheduleParams) -> StageWindows:
     """Entry/exit windows for buffering between a finished step and a proposed next step.
 
-    Entry may happen in [ES_B, LS_B]; the workpiece must be taken for onward
-    transport within [EF_B, LF_B] = [S_next - T_T,min, EF_B + ST_next], with
-    LS_B = LF_B - T_B,min. An unbounded next-step slack leaves the late bounds
-    unbounded.
+    ``prod`` is the next step's machine offer, read for its ``slot.start`` and
+    ``slack_after``. Entry may happen in [ES_B, LS_B]; the workpiece must be
+    taken for onward transport within [EF_B, LF_B] = [S_next - T_T,min,
+    EF_B + ST_next], with LS_B = LF_B - T_B,min. An unbounded next-step slack
+    leaves the late bounds unbounded.
     """
     es = f_prev
-    ef = prod.start - params.t_transport_min
+    ef = prod.slot.start - params.t_transport_min
     if ef < es:
         raise InfeasibleWindow(
             "next operation starts too early to leave room for buffering"
@@ -190,26 +171,28 @@ def buffer_windows(
 def transport_to_buffer_windows(
     f_prev: Seconds,
     prev_slack: Slack,
-    buf: SlotCommitment,
-    prod: SlotCommitment,
+    buf: Proposal,
+    prod: Proposal,
     params: ScheduleParams,
 ) -> StageWindows:
     """Windows for the leg bringing a workpiece from resource i-1 into a buffer.
 
-    LS is the tightest of: the previous commitment's latest finish, the
-    buffer's latest entry, and the next operation's latest start minus the two
-    remaining minimal transports and the minimal buffering. LF tracks LS by
-    the minimal transport duration.
+    ``buf`` and ``prod`` are the buffer's and the next step's offers; each is
+    read for its ``slot.start`` and ``slack_after``. LS is the tightest of:
+    the previous commitment's latest finish, the buffer's latest entry, and
+    the next operation's latest start minus the two remaining minimal
+    transports and the minimal buffering. LF tracks LS by the minimal
+    transport duration.
     """
     es = f_prev
-    ef = max(f_prev, buf.start)
+    ef = max(f_prev, buf.slot.start)
     ls = min_bound(
         prev_slack.bound_from(f_prev),
         None
-        if (b := buf.slack_after.bound_from(buf.start)) is None
+        if (b := buf.slack_after.bound_from(buf.slot.start)) is None
         else b - params.t_transport_min,
         None
-        if (p := prod.slack_after.bound_from(prod.start)) is None
+        if (p := prod.slack_after.bound_from(prod.slot.start)) is None
         else p - 2 * params.t_transport_min - params.t_buffer_min,
     )
     if ls is not None and ls < es:
@@ -220,27 +203,29 @@ def transport_to_buffer_windows(
 
 def transport_from_buffer_windows(
     f_prev: Seconds,
-    buf: SlotCommitment,
-    prod: SlotCommitment,
+    buf: Proposal,
+    prod: Proposal,
     params: ScheduleParams,
 ) -> StageWindows:
     """Windows for the leg taking a workpiece out of a buffer to resource i.
 
-    ES leaves room for the minimal inbound transport and minimal buffering
-    after f_prev; the leg must finish exactly when the next operation can
-    start, i.e. within [S_next, S_next + ST_next].
+    ``buf`` is the buffer's offer, read for its ``slot.end`` and
+    ``slack_after``; ``prod`` is the next step's offer, read for its
+    ``slot.start`` and ``slack_after``. ES leaves room for the minimal inbound
+    transport and minimal buffering after f_prev; the leg must finish exactly
+    when the next operation can start, i.e. within [S_next, S_next + ST_next].
     """
     es = f_prev + params.t_transport_min + params.t_buffer_min
-    ef = prod.start
+    ef = prod.slot.start
     ls = min_bound(
-        buf.slack_after.bound_from(buf.finish),
+        buf.slack_after.bound_from(buf.slot.end),
         None
-        if (p := prod.slack_after.bound_from(prod.start)) is None
+        if (p := prod.slack_after.bound_from(prod.slot.start)) is None
         else p - params.t_transport_min,
     )
     if ls is not None and ls < es:
         raise InfeasibleWindow("buffer exit window closes before the leg can start")
-    lf = prod.slack_after.bound_from(prod.start)
+    lf = prod.slack_after.bound_from(prod.slot.start)
     if lf is not None and lf < ef:
         raise InfeasibleWindow("next operation window closes before arrival")
     return StageWindows(es=es, ef=ef, ls=ls, lf=lf)
@@ -249,21 +234,24 @@ def transport_from_buffer_windows(
 def transport_direct_windows(
     f_prev: Seconds,
     prev_slack: Slack,
-    prod: SlotCommitment,
+    prod: Proposal,
     params: ScheduleParams,
 ) -> StageWindows:
-    """Windows for a direct resource-to-resource leg (no buffering in between)."""
+    """Windows for a direct resource-to-resource leg (no buffering in between).
+
+    ``prod`` is the next step's offer, read for its ``slot.start`` and ``slack_after``.
+    """
     es = f_prev
-    ef = prod.start
+    ef = prod.slot.start
     ls = min_bound(
         prev_slack.bound_from(f_prev),
         None
-        if (p := prod.slack_after.bound_from(prod.start)) is None
+        if (p := prod.slack_after.bound_from(prod.slot.start)) is None
         else p - params.t_transport_min,
     )
     if ls is not None and ls < es:
         raise InfeasibleWindow("direct leg window closes before the workpiece is free")
-    lf = prod.slack_after.bound_from(prod.start)
+    lf = prod.slack_after.bound_from(prod.slot.start)
     if lf is not None and lf < ef:
         raise InfeasibleWindow("next operation window closes before arrival")
     return StageWindows(es=es, ef=ef, ls=ls, lf=lf)
@@ -274,15 +262,11 @@ def proposal_price(op_duration: Seconds, setup: Seconds, ti_next: Seconds = 0) -
     return int(op_duration) + int(setup) + int(ti_next)
 
 
-def needs_buffering(
-    f_prev: Seconds,
-    s_next: Seconds,
-    direct_transport: Seconds,
-    params: ScheduleParams,
-) -> bool:
+def needs_buffering(f_prev: Seconds, s_next: Seconds, params: ScheduleParams) -> bool:
     """True when the idle gap after a direct transport would exceed the buffering floor.
 
-    Strictly greater: a gap of exactly t_buffer_min stays on the machine /
-    transport chain rather than paying two extra handling operations.
+    The transport is taken at its floor, ``params.t_transport_min``. Strictly
+    greater: a gap of exactly t_buffer_min stays on the machine / transport
+    chain rather than paying two extra handling operations.
     """
-    return (s_next - (f_prev + direct_transport)) > params.t_buffer_min
+    return (s_next - (f_prev + params.t_transport_min)) > params.t_buffer_min

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from cnetsched.calculus import (
     NoTransport,
     OutOfSegment,
     ScheduleParams,
-    SlotCommitment,
     StageWindows,
     TransportGeometry,
     buffer_windows,
@@ -19,9 +20,22 @@ from cnetsched.calculus import (
     transport_from_buffer_windows,
     transport_to_buffer_windows,
 )
-from cnetsched.timebase import Slack, hhmm, minutes
+from cnetsched.protocol import BUFFER, PRODUCTION, Proposal
+from cnetsched.timebase import Slack, TimeInterval, hhmm, minutes
 
 PARAMS = ScheduleParams(t_transport_min=minutes(21), t_buffer_min=minutes(15))
+
+
+class Offer(NamedTuple):
+    """Stand-in for an offer: the window functions read only these two fields."""
+
+    slot: TimeInterval
+    slack_after: Slack
+
+
+def offer(start, finish, slack_after=Slack.UNBOUNDED):
+    return Offer(TimeInterval(start, finish), slack_after)
+
 
 CRANE = TransportGeometry(
     speed=5 / 60.0, load_time=minutes(10), unload_time=minutes(10), x_min=0.0, x_max=60.0
@@ -46,7 +60,7 @@ FLOOR = [
 
 def test_buffered_hop_reference_vector():
     f_prev = minutes(18 * 60)  # previous step finishes 18:00
-    prod = SlotCommitment(  # next step offered at 19:10 with 100 min slack
+    prod = offer(  # next step offered at 19:10 with 100 min slack
         start=minutes(19 * 60 + 10),
         finish=minutes(19 * 60 + 10) + minutes(150),
         slack_after=Slack(minutes(100)),
@@ -59,14 +73,14 @@ def test_buffered_hop_reference_vector():
     assert hhmm(w_b.lf) == "20:29"
 
     # inbound leg measures against the buffer's entry window
-    entry = SlotCommitment(w_b.es, w_b.ef, Slack(w_b.ls - w_b.es))
+    entry = offer(w_b.es, w_b.ef, Slack(w_b.ls - w_b.es))
     w_in = transport_to_buffer_windows(f_prev, Slack.UNBOUNDED, entry, prod, PARAMS)
     assert hhmm(w_in.es) == "18:00"
     assert hhmm(w_in.ls) == "19:53"
     assert hhmm(w_in.lf) == "20:14"
 
     # outbound leg measures against the buffer's exit window
-    exit_c = SlotCommitment(w_b.es, w_b.ef, Slack(w_b.lf - w_b.ef))
+    exit_c = offer(w_b.es, w_b.ef, Slack(w_b.lf - w_b.ef))
     w_out = transport_from_buffer_windows(f_prev, exit_c, prod, PARAMS)
     assert hhmm(w_out.es) == "18:36"
     assert hhmm(w_out.ef) == "19:10"
@@ -75,7 +89,7 @@ def test_buffered_hop_reference_vector():
 
 
 def test_buffer_windows_unbounded_next_slack():
-    w = buffer_windows(0, SlotCommitment(minutes(30), minutes(60)), PARAMS)
+    w = buffer_windows(0, offer(minutes(30), minutes(60)), PARAMS)
     assert w.es == 0
     assert w.ef == minutes(9)
     assert w.ls is None and w.lf is None
@@ -83,14 +97,14 @@ def test_buffer_windows_unbounded_next_slack():
 
 def test_buffer_windows_infeasible_when_next_step_too_close():
     with pytest.raises(InfeasibleWindow):
-        buffer_windows(minutes(100), SlotCommitment(minutes(110), minutes(200)), PARAMS)
+        buffer_windows(minutes(100), offer(minutes(110), minutes(200)), PARAMS)
 
 
 def test_direct_windows():
     w = transport_direct_windows(
         minutes(60),
         Slack(minutes(5)),
-        SlotCommitment(minutes(90), minutes(120), Slack(minutes(200))),
+        offer(minutes(90), minutes(120), Slack(minutes(200))),
         PARAMS,
     )
     assert w.es == minutes(60)
@@ -104,7 +118,7 @@ def test_direct_windows_infeasible():
         transport_direct_windows(
             minutes(100),
             Slack(0),
-            SlotCommitment(minutes(300), minutes(400), Slack(0)),
+            offer(minutes(300), minutes(400), Slack(0)),
             ScheduleParams(minutes(300), minutes(15)),
         )
 
@@ -113,8 +127,8 @@ def test_from_buffer_windows_infeasible_exit():
     with pytest.raises(InfeasibleWindow):
         transport_from_buffer_windows(
             minutes(100),
-            SlotCommitment(minutes(100), minutes(105), Slack(0)),
-            SlotCommitment(minutes(500), minutes(600), Slack.UNBOUNDED),
+            offer(minutes(100), minutes(105), Slack(0)),
+            offer(minutes(500), minutes(600), Slack.UNBOUNDED),
             PARAMS,
         )
 
@@ -190,22 +204,22 @@ def _ge(after, before):
 def test_property_windows_monotone_in_next_step_slack(f_prev_m, gap_m, slack_m, extra_m):
     f_prev = minutes(f_prev_m)
     start = f_prev + minutes(gap_m)
-    tight = SlotCommitment(start, start + minutes(30), Slack(minutes(slack_m)))
-    loose = SlotCommitment(start, start + minutes(30), Slack(minutes(slack_m + extra_m)))
+    tight = offer(start, start + minutes(30), Slack(minutes(slack_m)))
+    loose = offer(start, start + minutes(30), Slack(minutes(slack_m + extra_m)))
 
     derivations = [
         lambda prod: buffer_windows(f_prev, prod, PARAMS),
         lambda prod: transport_direct_windows(f_prev, Slack.UNBOUNDED, prod, PARAMS),
         lambda prod: transport_from_buffer_windows(
             f_prev,
-            SlotCommitment(f_prev, f_prev + minutes(36), Slack.UNBOUNDED),
+            offer(f_prev, f_prev + minutes(36), Slack.UNBOUNDED),
             prod,
             PARAMS,
         ),
         lambda prod: transport_to_buffer_windows(
             f_prev,
             Slack.UNBOUNDED,
-            SlotCommitment(f_prev, f_prev, Slack.UNBOUNDED),
+            offer(f_prev, f_prev, Slack.UNBOUNDED),
             prod,
             PARAMS,
         ),
@@ -223,15 +237,79 @@ def test_property_windows_monotone_in_next_step_slack(f_prev_m, gap_m, slack_m, 
 
 
 # ---------------------------------------------------------------------------
+# the window functions read an offer's slot and slack, nothing else
+
+
+def _proposal(kind, resource, iv, slack):
+    return Proposal(
+        f"{resource}#1", kind, resource, (30.0, 5.0), iv, slack,
+        iv.duration, minutes(10), minutes(10), iv.duration,
+    )
+
+
+def _windows_or_infeasible(derive, *args):
+    try:
+        return derive(*args)
+    except InfeasibleWindow as exc:
+        return str(exc)
+
+
+slacks = st.one_of(st.just(Slack.UNBOUNDED), st.integers(0, 500).map(minutes).map(Slack))
+
+
+@given(
+    st.integers(0, 500),
+    st.integers(0, 1000),
+    st.integers(0, 300),
+    st.integers(0, 600),
+    st.integers(0, 300),
+    slacks,
+    slacks,
+    slacks,
+)
+def test_property_windows_read_only_an_offers_slot_and_slack(
+    f_prev_m, gap_m, dur_m, buf_at_m, buf_dur_m, prod_slack, buf_slack, prev_slack
+):
+    f_prev = minutes(f_prev_m)
+    prod_iv = TimeInterval(f_prev + minutes(gap_m), f_prev + minutes(gap_m + dur_m))
+    buf_iv = TimeInterval(minutes(buf_at_m), minutes(buf_at_m + buf_dur_m))
+    prod = _proposal(PRODUCTION, "M1", prod_iv, prod_slack)
+    buf = _proposal(BUFFER, "B1", buf_iv, buf_slack)
+    prod_s, buf_s = Offer(prod_iv, prod_slack), Offer(buf_iv, buf_slack)
+    calls = [
+        (buffer_windows, (f_prev, prod, PARAMS), (f_prev, prod_s, PARAMS)),
+        (
+            transport_to_buffer_windows,
+            (f_prev, prev_slack, buf, prod, PARAMS),
+            (f_prev, prev_slack, buf_s, prod_s, PARAMS),
+        ),
+        (
+            transport_from_buffer_windows,
+            (f_prev, buf, prod, PARAMS),
+            (f_prev, buf_s, prod_s, PARAMS),
+        ),
+        (
+            transport_direct_windows,
+            (f_prev, prev_slack, prod, PARAMS),
+            (f_prev, prev_slack, prod_s, PARAMS),
+        ),
+    ]
+    for derive, with_proposals, with_stand_ins in calls:
+        assert _windows_or_infeasible(derive, *with_proposals) == _windows_or_infeasible(
+            derive, *with_stand_ins
+        )
+
+
+# ---------------------------------------------------------------------------
 # decision helpers and validation
 
 
 def test_needs_buffering_is_strict_at_the_floor():
-    f_prev, direct = minutes(60), minutes(22)
+    f_prev, direct = minutes(60), PARAMS.t_transport_min
     at_floor = f_prev + direct + PARAMS.t_buffer_min
-    assert not needs_buffering(f_prev, at_floor, direct, PARAMS)
-    assert needs_buffering(f_prev, at_floor + 1, direct, PARAMS)
-    assert not needs_buffering(f_prev, f_prev + direct, direct, PARAMS)
+    assert not needs_buffering(f_prev, at_floor, PARAMS)
+    assert needs_buffering(f_prev, at_floor + 1, PARAMS)
+    assert not needs_buffering(f_prev, f_prev + direct, PARAMS)
 
 
 def test_proposal_price_sums_signed_increment():
@@ -244,11 +322,6 @@ def test_stage_windows_validation():
         StageWindows(es=100, ef=200, ls=99)
     with pytest.raises(InfeasibleWindow):
         StageWindows(es=100, ef=200, lf=199)
-
-
-def test_slot_commitment_validation():
-    with pytest.raises(ValueError):
-        SlotCommitment(100, 99)
 
 
 def test_schedule_params_positive():

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cnetsched.agents import BufferAgent, ProductionAgent, StartOrder
-from cnetsched.calculus import InfeasibleWindow, SlotCommitment, StageWindows
+from cnetsched.calculus import InfeasibleWindow, StageWindows
 from cnetsched.protocol import (
     BUFFER,
     DONE,
@@ -174,9 +174,6 @@ def test_message_parts_share_one_type_not_one_shape():
         (lambda: StageWindows(10, 20, lf=15), InfeasibleWindow),
         (lambda: StageWindows._make((10, 10, 5, None)), InfeasibleWindow),
         (lambda: StageWindows(10, 20)._replace(lf=15), InfeasibleWindow),
-        (lambda: SlotCommitment(10, 5), ValueError),
-        (lambda: SlotCommitment._make((10, 5, Slack.UNBOUNDED)), ValueError),
-        (lambda: SlotCommitment(0, 5)._replace(finish=-1), ValueError),
     ],
 )
 def test_windows_and_slots_check_every_way_they_are_built(build, error):
@@ -200,7 +197,6 @@ RECORDS = [
     DeadlineExpired(3),
     StartOrder("o1"),
     WINDOWS,
-    SlotCommitment(0, 10),
     RouteCandidate(kind="direct", legs=(mk_proposal("t1", "Crane1"),)),
 ]
 
