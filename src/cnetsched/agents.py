@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import logging
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 
 from . import calculus
 from .calculus import (
@@ -117,10 +116,6 @@ def _failure(sender: str, receiver: str, conv: str, proposal_id: str, reason: st
     return Message(sender, receiver, conv, (InformFailure(proposal_id, reason),))
 
 
-def _no_setup(state: Any) -> Seconds:
-    return 0
-
-
 def _slack_from(gap_end: Seconds, nominal_end: Seconds, cap: Optional[Seconds]) -> Slack:
     """Shift room for a slot ending at ``nominal_end`` in a gap ending at
     ``gap_end``, capped at ``cap`` (None: no cap); a gap reaching the scan
@@ -158,7 +153,12 @@ class _ResourceAgent:
     ``_deferred`` and :meth:`_drain` answers it once a reject or a departure
     resolves the engagement. A kind supplies only how it places proposals
     (``_propose``) and lays out an accepted booking (``_booking``), and where
-    it needs them ``_succ_setup`` and ``_commit``.
+    it needs them ``_changeover`` and ``_commit``.
+
+    A booking records the state it needs at its start (``start_state``), so
+    one rule serves both the placement walk and the calendar: a booking in
+    front of another costs it ``_changeover(end state, its start state)``,
+    and nothing new when that start state is unknown.
 
     A CFP is answered from one gap table (:meth:`_table`). While no other
     conversation holds an offer and no open tail is assumed closed, that is
@@ -172,8 +172,6 @@ class _ResourceAgent:
     #: a booking keeps its workpiece here until the order negotiates the
     #: departure, so another order's live offer engages the resource too
     _keeps_workpiece = False
-    #: successor setup callback for ``insert_booking``; None keeps it as booked
-    _succ_setup = None
     #: S, the largest setup (plus unload prefix) a gap's predecessor or
     #: successor can impose on this resource; set by each kind
     _setup_bound: Seconds = 0
@@ -185,12 +183,29 @@ class _ResourceAgent:
         self._seq = 0
         self._deferred: list[Message] = []
 
-    def _book_fixed(self, block: FixedBlock, label: str, kind: str) -> None:
+    def _book_fixed(
+        self, block: FixedBlock, label: str, kind: str, start_state: Any = None
+    ) -> None:
         """Book a scenario's fixed block before any negotiation."""
         segments = [(kind, TimeInterval(block.start, block.end))]
         self.schedule.insert_booking(
-            BookingEntry(block.order_id, label, segments, end_state=block.state)
+            BookingEntry(
+                block.order_id, label, segments, end_state=block.state, start_state=start_state
+            )
         )
+
+    def _changeover(self, from_state: Any, to_state: Any) -> Seconds:
+        """The setup between a booking ending in ``from_state`` and one
+        starting in ``to_state``; each kind with setups supplies it."""
+        raise NotImplementedError
+
+    def _succ_setup(self, new_state: Any, succ: BookingEntry) -> Seconds:
+        """``insert_booking``'s successor setup: the changeover from
+        ``new_state`` to what ``succ`` needs at its start, or as booked when
+        that is unknown."""
+        if succ.start_state is None:
+            return succ.core_start - succ.span_start
+        return self._changeover(new_state, succ.start_state)
 
     def handle(self, event, ctx) -> list[Message]:
         if not isinstance(event, Message):
@@ -303,7 +318,7 @@ class _ResourceAgent:
         This conversation's holds are ignored, so the offers made for one CFP
         never block each other and the table holds for the whole CFP.
         ``base`` is the earliest start of any slot the CFP asks for; the
-        intervals :meth:`_usable` would drop for it are not even looked up,
+        intervals :meth:`_usable` would skip for it are not even looked up,
         and a kept table's extra rows are among those it drops. Machines,
         cranes and buffers all read the rows; a buffer only their ``start``
         and ``end``.
@@ -311,8 +326,9 @@ class _ResourceAgent:
         busy = self.holds.active_spans(exclude_conversation=conv) if self.holds else ()
         return self.schedule.gap_table(base - self._setup_bound - 1, busy, assume_closed)
 
-    def _usable(self, table: list[GapRow], base: Seconds) -> list[GapRow]:
-        """The rows of ``table`` that may host a slot starting no earlier than ``base``.
+    def _usable(self, table: list[GapRow], base: Seconds) -> int:
+        """The index of the first row of ``table`` that may host a slot
+        starting no earlier than ``base``; every later row may too.
 
         This is one bisect into the sorted interval ends.
 
@@ -323,53 +339,60 @@ class _ResourceAgent:
         latest-finish break such a slot would trigger fires on the first
         interval kept as well, so dropping these intervals changes no offer.
         """
-        return table[bisect.bisect_left(table, base - self._setup_bound, key=_iv_end):]
+        return bisect.bisect_left(table, base - self._setup_bound, key=_iv_end)
 
     def _fits(
-        self, table: list[GapRow], end_state: Any, earliest: Seconds, dur: Seconds,
-        windows: StageWindows, setup_of: Callable[[Any], Seconds], handling: Seconds = 0,
-        tail: Seconds = 0,
-    ) -> Iterator[tuple[Seconds, Seconds, Seconds, Seconds, Slack]]:
-        """Every slot of ``dur`` a gap of ``table`` holds, earliest gap first.
+        self, table: list[GapRow], need: Any, end_state: Any, earliest: Seconds, dur: Seconds,
+        windows: StageWindows, limit: int, handling: Seconds = 0, tail: Seconds = 0,
+    ) -> list[tuple[Seconds, Seconds, Seconds, Seconds, Slack]]:
+        """The first ``limit`` slots of ``dur`` the gaps of ``table`` hold,
+        earliest gap first, for a booking that starts in state ``need`` and
+        ends in ``end_state``.
 
-        A row's gap is its free interval as a booking ending in
-        ``end_state`` sees it: with a successor, it ends where the
-        successor's setup, recomputed by ``_succ_setup``, has to begin, and
+        A row's gap is its free interval as such a booking sees it: with a
+        successor whose start state is known, it ends where the successor's
+        setup, ``_changeover(end_state, start state)``, has to begin, and
         ``ti_next`` is the signed change of that setup. Empty gaps are
         skipped. A slot starts no earlier than ``earliest`` and than the
-        gap's start plus ``setup_of(from_state)`` and ``handling``; ``tail``
-        more must fit behind it. The walk stops at the first slot that would
-        start after the latest start or end after the latest finish, since
-        every later gap's slot would too. Yields ``(start, end, setup,
-        ti_next, slack_after)``, the slack capped by the windows and by the
-        gap unless the gap reaches the scan horizon.
+        gap's start plus ``_changeover(from_state, need)`` (nothing when
+        ``need`` is None) and ``handling``; ``tail`` more must fit behind it.
+        The walk stops at the first slot that would start after the latest
+        start or end after the latest finish, since every later gap's slot
+        would too. Each slot is ``(start, end, setup, ti_next,
+        slack_after)``, the slack capped by the windows and by the gap unless
+        the gap reaches the scan horizon.
         """
         ls, lf = windows.ls, windows.lf
-        succ_setup = self._succ_setup
+        changeover = self._changeover
         # the windows' cap on the slack, the same for every gap
         cap = ls + dur + tail if ls is not None else None
         if lf is not None and (cap is None or lf + tail < cap):
             cap = lf + tail
-        for gap_start, gap_end, from_state, succ, core_start, old_setup in self._usable(
-            table, earliest
-        ):
+        slots: list[tuple[Seconds, Seconds, Seconds, Seconds, Slack]] = []
+        for i in range(self._usable(table, earliest), len(table)):
+            gap_start, gap_end, from_state, succ, core_start, old_setup = table[i]
             ti_next = 0
-            if succ is not None:
-                new_setup = succ_setup(end_state, succ)
+            if succ is not None and succ.start_state is not None:
+                new_setup = changeover(end_state, succ.start_state)
                 ti_next = new_setup - old_setup
                 gap_end = core_start - new_setup
             if gap_end <= gap_start:
                 continue
-            setup = setup_of(from_state)
-            start = max(earliest, gap_start + setup + handling)
+            setup = 0 if need is None else changeover(from_state, need)
+            start = gap_start + setup + handling
+            if start < earliest:
+                start = earliest
             if ls is not None and start > ls:
-                return
+                break
             end = start + dur
             if lf is not None and end > lf:
-                return
+                break
             if end + tail > gap_end:
                 continue
-            yield start, end, setup, ti_next, _slack_from(gap_end, end + tail, cap)
+            slots.append((start, end, setup, ti_next, _slack_from(gap_end, end + tail, cap)))
+            if len(slots) == limit:
+                break
+        return slots
 
     def _offer(
         self, until: Seconds, conv: str, step_label: str, span: TimeInterval, end_state, *fields
@@ -441,24 +464,22 @@ class ProductionAgent(_ResourceAgent):
         self.setup = spec.setup
         self.unload_estimate = unload_estimate
         self.load_estimate = load_estimate
+        # a maintenance window demands its state just like a job does, so
+        # finishing in the wrong state in front of one costs a changeover too
         for b in spec.initial_bookings:
-            self._book_fixed(b, "init", "operation")
+            self._book_fixed(b, "init", "operation", b.state)
         for w in spec.maintenance:
-            self._book_fixed(w, "maintenance", "maintenance")
+            self._book_fixed(w, "maintenance", "maintenance", w.state)
 
-    def _setup(self, from_state: str, to_state: str) -> Seconds:
-        return self.setup.get(from_state, {}).get(to_state, 0)
+    def _changeover(self, from_state: str, to_state: str) -> Seconds:
+        row = self.setup.get(from_state)
+        return row.get(to_state, 0) if row else 0
 
     @functools.cached_property
     def _setup_bound(self) -> Seconds:
         # worked out at the first CFP, not for every machine a run builds
         setups = [d for row in self.setup.values() for d in row.values()]
         return max(setups, default=0) + self.unload_estimate
-
-    def _succ_setup(self, new_state: str, succ: BookingEntry) -> Seconds:
-        # a maintenance window demands its end_state just like a job does, so
-        # finishing in the wrong state in front of one costs a changeover too
-        return self._setup(new_state, succ.end_state)
 
     def _propose(self, msg: Message, cfp: Cfp, step: int, until: Seconds) -> list[Proposal]:
         order_id = cfp.workpiece.order_id
@@ -486,17 +507,12 @@ class ProductionAgent(_ResourceAgent):
             # the workpiece sits on this machine and can only wait in place:
             # any slot beyond the next booking is unreachable
             table = [row for row in table if row.start == tail.operation_end]
-        setups = self.setup
-
-        def setup_of(from_state: str) -> Seconds:  # the lookup of self._setup
-            return setups.get(from_state, {}).get(product, 0)
-
         label = str(step)
         proposals: list[Proposal] = []
         for alt_idx, (alt, es) in enumerate(zip(cfp.alternatives, earliest)):
-            slots = self._fits(table, product, es, op_dur, alt.windows, setup_of, unload, load_est)
-            for op_start, op_end, setup, ti_next, slack_after in itertools.islice(
-                slots, MAX_SLOTS_PER_CFP
+            for op_start, op_end, setup, ti_next, slack_after in self._fits(
+                table, product, product, es, op_dur, alt.windows, MAX_SLOTS_PER_CFP,
+                unload, load_est,
             ):
                 proposals.append(
                     self._offer(
@@ -514,8 +530,8 @@ class ProductionAgent(_ResourceAgent):
         _check_booked(p, booked, "operation")
         unload = acc.actual_unload_time if p.unload_time else 0
         # a piece staying here departed first (see OrderAgent.decide)
-        from_state = self.schedule.state_before(booked.start)
-        setup = self._setup(from_state, hold.end_state)
+        product = hold.end_state
+        setup = self._changeover(self.schedule.state_before(booked.start), product)
         segments: list[tuple[str, TimeInterval]] = []
         t = booked.start - unload - setup
         if setup:
@@ -526,7 +542,8 @@ class ProductionAgent(_ResourceAgent):
             t += unload
         segments.append(("operation", booked))
         return BookingEntry(
-            order_id, hold.step_label, segments, open_tail=True, end_state=hold.end_state
+            order_id, hold.step_label, segments, open_tail=True, end_state=product,
+            start_state=product,
         )
 
 
@@ -557,7 +574,7 @@ class BufferAgent(_ResourceAgent):
         proposals: list[Proposal] = []
         for alt_idx, alt in enumerate(cfp.alternatives):
             w = alt.windows
-            for iv in self._usable(free, w.es):
+            for iv in free[self._usable(free, w.es):]:
                 start = max(w.es, iv.start + u_est)
                 if w.ls is not None and start > w.ls:
                     break
@@ -612,22 +629,13 @@ class TransportAgent(_ResourceAgent):
     def __init__(self, spec: TransportSpec):
         super().__init__(spec.id, spec.initial_x)
         self.geometry = geom = spec.geometry()
-        self._pickup_x: dict[tuple[str, str], float] = {}
         self._committed_pids: set[str] = set()
-        # every setup is travel inside the crane's own segment
+        # a changeover is empty travel from a drop-off x to a pickup x, always
+        # inside the crane's own segment
+        self._changeover = geom.travel_seconds
         self._setup_bound = geom.travel_seconds(geom.x_min, geom.x_max)
         for b in spec.initial_bookings:
-            self._book_fixed(b, "init", "operation")
-
-    def _succ_setup(self, new_state, succ: BookingEntry) -> Seconds:
-        """Travel from ``new_state`` (a drop-off x) to the successor's pickup.
-
-        A booking whose pickup this crane never recorded keeps its setup.
-        """
-        pickup = self._pickup_x.get((succ.order_id, succ.step_label))
-        if pickup is None:
-            return succ.setup_interval.duration if succ.setup_interval else 0
-        return self.geometry.travel_seconds(new_state, pickup)
+            self._book_fixed(b, "init", "operation")  # its pickup is not known
 
     def _propose(self, msg: Message, cfp: Cfp, step: int, until: Seconds) -> list[Proposal]:
         """One proposal per leg this crane covers, plus the chained variants.
@@ -639,7 +647,8 @@ class TransportAgent(_ResourceAgent):
         and ``via`` echo. A chained variant reads its partner too: not shared.
         """
         geom = self.geometry
-        x_min, x_max = geom.x_min, geom.x_max  # geom.covers, inlined: it runs for every leg
+        x_min, x_max = geom.x_min, geom.x_max
+        handling, travel = geom.load_time + geom.unload_time, geom.travel_seconds
         conv = msg.conversation_id
         # legs that some other leg chains onto head into a buffer
         chain_targets = {leg.chain_after for leg in cfp.legs if leg.chain_after is not None}
@@ -650,18 +659,18 @@ class TransportAgent(_ResourceAgent):
         #: placement key -> the first leg with it and its duration
         distinct: dict[tuple, tuple[TransportLeg, Seconds]] = {}
         for leg_idx, leg in enumerate(cfp.legs):
-            frm, to = leg.from_location, leg.to_location
-            if not (x_min <= frm[0] <= x_max and x_min <= to[0] <= x_max):
-                continue
+            frm, tx = leg.from_location, leg.to_location[0]
+            if not (x_min <= frm[0] <= x_max and x_min <= tx <= x_max):
+                continue  # the one check that the crane's segment covers the leg
             if leg.via is not None:
                 label = from_buffer
             elif leg_idx in chain_targets:
                 label = to_buffer
             else:
                 label = direct
-            key = (frm, to[0], leg.windows)
+            key = (frm, tx, leg.windows)
             if key not in distinct:
-                distinct[key] = leg, calculus.transport_duration(frm, to, geom)
+                distinct[key] = leg, handling + travel(frm[0], tx)
             legs.append((leg_idx, leg, label, key))
         if not legs:
             return []  # outside this crane's segment: silent, no calendar walk
@@ -711,25 +720,23 @@ class TransportAgent(_ResourceAgent):
         """
         geom = self.geometry
         w = leg.windows
-        fx, tx = leg.from_location[0], leg.to_location[0]
         earliest = max(w.es, w.ef - dur)
-        # travel is symmetric: from a gap's predecessor state to the pickup x
-        setup_of: Callable[[float], Seconds] = functools.partial(geom.travel_seconds, fx)
+        pickup: Optional[float] = leg.from_location[0]  # the approach ends here
         if after is not None:
             # a chained leg loads where and when the partner unloads, with no
             # approach; a gap that holds it and starts by the partner's start
             # holds the partner's slot too
             table = table[: bisect.bisect_right(table, after.slot.start, key=_iv_start)]
             earliest = max(earliest, after.slot.end)
-            setup_of = _no_setup
-        for load_start, end, setup, ti_next, slack_after in self._fits(
-            table, tx, earliest, dur, w, setup_of
-        ):
-            return TimeInterval(load_start - setup, end), (
-                leg.from_location, TimeInterval(load_start, end), slack_after, dur,
-                geom.load_time, geom.unload_time, proposal_price(dur, setup, ti_next),
-            )
-        return None
+            pickup = None
+        slots = self._fits(table, pickup, leg.to_location[0], earliest, dur, w, 1)
+        if not slots:
+            return None
+        load_start, end, setup, ti_next, slack_after = slots[0]
+        return TimeInterval(load_start - setup, end), (
+            leg.from_location, TimeInterval(load_start, end), slack_after, dur,
+            geom.load_time, geom.unload_time, proposal_price(dur, setup, ti_next),
+        )
 
     def _booking(self, hold: OfferHold, acc: AcceptProposal, order_id: str) -> BookingEntry:
         p = hold.proposal
@@ -754,11 +761,12 @@ class TransportAgent(_ResourceAgent):
             segments.append(("travel", TimeInterval(t, t + travel)))
             t += travel
         segments.append(("unload", TimeInterval(t, t + geom.unload_time)))
-        return BookingEntry(order_id, hold.step_label, segments, end_state=drop_x)
+        return BookingEntry(
+            order_id, hold.step_label, segments, end_state=drop_x, start_state=pickup_x
+        )
 
     def _commit(self, hold: OfferHold, entry: BookingEntry, ctx) -> None:
         super()._commit(hold, entry, ctx)
-        self._pickup_x[(entry.order_id, entry.step_label)] = hold.proposal.location[0]
         self._committed_pids.add(hold.proposal_id)
 
 

@@ -33,10 +33,6 @@ class NoTransport(CalculusError):
     """Parameter derivation needs at least one transport resource."""
 
 
-class OutOfSegment(CalculusError):
-    """A transport was asked to travel outside its reachable segment."""
-
-
 @dataclass(frozen=True)
 class ScheduleParams:
     """System-wide scheduling floors: minimal transport and buffer durations."""
@@ -99,9 +95,6 @@ class TransportGeometry:
         if self.x_max < self.x_min:
             raise ValueError("segment upper bound below lower bound")
 
-    def covers(self, x: float) -> bool:
-        return self.x_min <= x <= self.x_max
-
     def travel_seconds(self, x_from: float, x_to: float) -> Seconds:
         """Pure x-direction travel time, rounded up to whole seconds."""
         return math.ceil(abs(x_to - x_from) / self.speed - 1e-9)
@@ -134,18 +127,6 @@ def derive_t_transport_min(
     ]
     travel = math.ceil(min(deltas) / top_speed - 1e-9) if deltas else 0
     return handling + travel
-
-
-def transport_duration(
-    frm: tuple[float, float], to: tuple[float, float], geom: TransportGeometry
-) -> Seconds:
-    """load + x-travel + unload for one concrete leg of one transport."""
-    for x in (frm[0], to[0]):
-        if not geom.covers(x):
-            raise OutOfSegment(
-                f"x={x} outside segment [{geom.x_min}; {geom.x_max}]"
-            )
-    return geom.load_time + geom.travel_seconds(frm[0], to[0]) + geom.unload_time
 
 
 def buffer_windows(f_prev: Seconds, prod: Proposal, params: ScheduleParams) -> StageWindows:

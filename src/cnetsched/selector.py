@@ -34,23 +34,18 @@ class StageContext:
 
 
 class RouteCandidate(NamedTuple):
-    """One feasible way to realize a production proposal."""
+    """One feasible way to realize a production proposal.
+
+    ``arrival`` (when the last leg unloads at the production resource; None
+    without a leg) and ``price`` (the legs' and the buffer stay's prices)
+    are worked out once, by :func:`build_ocs`, which reads them off the slots.
+    """
 
     kind: str  # "entry" | "stay-on-machine" | "direct" | "buffered"
-    buffer: Optional[Proposal] = None
-    legs: tuple[Proposal, ...] = ()
-
-    @property
-    def arrival(self) -> Optional[Seconds]:
-        """Arrival time at the production resource (None for stay-on-machine)."""
-        return self.legs[-1].slot.end if self.legs else None
-
-    @property
-    def price(self) -> int:
-        total = sum(leg.price for leg in self.legs)
-        if self.buffer is not None:
-            total += self.buffer.price
-        return total
+    buffer: Optional[Proposal]
+    legs: tuple[Proposal, ...]
+    arrival: Optional[Seconds]
+    price: int
 
     @property
     def proposal_ids(self) -> tuple[str, ...]:
@@ -66,42 +61,10 @@ class OperationCombination:
     routes: list[RouteCandidate] = field(default_factory=list)
 
 
-def _within_latest_start(p: Proposal, start: Seconds) -> bool:
-    latest = p.slack_after.bound_from(p.slot.start)
-    return latest is None or start <= latest
-
-
-def _route_ok(production: Proposal, route: RouteCandidate, ctx: StageContext) -> bool:
-    """Temporal consistency of a candidate chain."""
-    arrival = route.arrival
-    if arrival is None:
-        return True
-    if not _within_latest_start(production, max(production.slot.start, arrival)):
-        return False
-    if route.kind == "buffered":
-        leg_in, leg_out = route.legs
-        buf = route.buffer
-        assert buf is not None
-        if leg_out.slot.start < leg_in.slot.end:
-            return False  # picked up before it arrived
-        if leg_in.slot.end < buf.slot.start:
-            return False  # buffer not yet available on arrival
-        buf_latest = buf.slack_after.bound_from(buf.slot.end)
-        if buf_latest is not None and leg_out.slot.start > buf_latest:
-            return False
-        if leg_out.required_operation is not None and (
-            leg_out.required_operation != leg_in.proposal_id
-        ):
-            return False
-        if leg_in.required_operation is not None:
-            return False  # inbound legs never depend on a later movement
-    else:
-        (leg,) = route.legs
-        if leg.required_operation is not None:
-            return False
-        if leg.slot.start < ctx.f_prev:
-            return False
-    return True
+def _latest(p: Proposal, point: Seconds) -> Optional[Seconds]:
+    """``point`` plus ``p``'s slack, or None when that slack is unbounded."""
+    slack = p.slack_after.seconds
+    return None if slack is None else point + slack
 
 
 def build_ocs(
@@ -110,7 +73,16 @@ def build_ocs(
     transports: Sequence[Proposal],
     ctx: StageContext,
 ) -> list[OperationCombination]:
-    """Wire collected proposals into operation combinations with route candidates."""
+    """Wire collected proposals into operation combinations with route candidates.
+
+    A route is kept when its timing holds, read straight off the slots: the
+    workpiece arrives by the production proposal's latest start; a direct
+    leg loads no earlier than the previous operation's finish and depends on
+    no other movement; a buffered route's inbound leg depends on none,
+    arrives once the stay has begun, and the outbound leg loads after that
+    arrival, within the stay's slack, and depends on nothing but that
+    inbound leg.
+    """
     buffers_for: dict[Optional[str], list[Proposal]] = {}
     for b in buffers:
         buffers_for.setdefault(b.realizes, []).append(b)
@@ -122,26 +94,53 @@ def build_ocs(
     for t in transports:
         legs.setdefault((t.via, t.realizes), []).append(t)
 
+    f_prev, prev_resource = ctx.f_prev, ctx.prev_resource
     ocs: list[OperationCombination] = []
     for p in sorted(production, key=_proposal_id):
         oc = OperationCombination(production=p)
-        if ctx.prev_resource is None:
+        routes = oc.routes
+        pid = p.proposal_id
+        if prev_resource is None:
             # system entry: the first operation needs no transport at all
-            oc.routes.append(RouteCandidate("entry"))
-        elif p.resource_id == ctx.prev_resource:
-            oc.routes.append(RouteCandidate("stay-on-machine"))
+            routes.append(RouteCandidate("entry", None, (), None, 0))
+        elif p.resource_id == prev_resource:
+            routes.append(RouteCandidate("stay-on-machine", None, (), None, 0))
         else:
-            # a route for every link the order's CFPs asked for: buffered, direct or both
-            for b in buffers_for.get(p.proposal_id, []):
-                for leg_in in legs.get((None, b.proposal_id), []):
-                    for leg_out in legs.get((b.proposal_id, p.proposal_id), []):
-                        route = RouteCandidate("buffered", b, (leg_in, leg_out))
-                        if _route_ok(p, route, ctx):
-                            oc.routes.append(route)
-            for leg in legs.get((None, p.proposal_id), []):
-                route = RouteCandidate("direct", None, (leg,))
-                if _route_ok(p, route, ctx):
-                    oc.routes.append(route)
+            # a route for every link the order's CFPs asked for: buffered,
+            # direct or both; arriving by the latest start is arriving by
+            # max(slot start, arrival), since the slack is never negative
+            latest = _latest(p, p.slot.start)
+            for b in buffers_for.get(pid, ()):
+                bid = b.proposal_id
+                outbound = legs.get((bid, pid), ())
+                stay_start, pickup_by = b.slot.start, _latest(b, b.slot.end)
+                for leg_in in legs.get((None, bid), ()):
+                    dropped = leg_in.slot.end
+                    if leg_in.required_operation is not None or dropped < stay_start:
+                        continue
+                    for leg_out in outbound:
+                        picked, arrival = leg_out.slot
+                        required = leg_out.required_operation
+                        if (
+                            picked >= dropped
+                            and (pickup_by is None or picked <= pickup_by)
+                            and (required is None or required == leg_in.proposal_id)
+                            and (latest is None or arrival <= latest)
+                        ):
+                            routes.append(
+                                RouteCandidate(
+                                    "buffered", b, (leg_in, leg_out), arrival,
+                                    leg_in.price + leg_out.price + b.price,
+                                )
+                            )
+            for leg in legs.get((None, pid), ()):
+                picked, arrival = leg.slot
+                if (
+                    leg.required_operation is None
+                    and picked >= f_prev
+                    and (latest is None or arrival <= latest)
+                ):
+                    routes.append(RouteCandidate("direct", None, (leg,), arrival, leg.price))
         ocs.append(oc)
     return ocs
 
@@ -163,9 +162,11 @@ def select(ocs: Sequence[OperationCombination]) -> Optional[Selection]:
     best: Optional[tuple] = None  # (the rule's first four, combination, route)
     for oc in ocs:
         p = oc.production
+        start, dur, price = p.slot.start, p.op_duration, p.price
         for route in oc.routes:
-            start = max(p.slot.start, route.legs[-1].slot.end) if route.legs else p.slot.start
-            key = (start + p.op_duration, p.price + route.price, p.resource_id, p.proposal_id)
+            arrival = route.arrival
+            finish = (start if arrival is None or arrival < start else arrival) + dur
+            key = (finish, price + route.price, p.resource_id, p.proposal_id)
             if best is None or key < best[0] or (
                 key == best[0] and route.proposal_ids < best[2].proposal_ids
             ):

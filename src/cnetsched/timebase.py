@@ -14,9 +14,10 @@ A resource answers one CFP from one gap table
 before it and the booking right after it, all found in one walk of the
 calendar (:meth:`ResourceSchedule.free_intervals`). A state is the
 ``end_state`` of the booking before, as the resource stored it: a machine's
-product, a crane's drop-off x as a number. The resource's placement walk
-reads the gaps a booking of one end state sees straight off the table, with
-no further calendar lookup, however many legs or alternatives the CFP carries.
+product, a crane's drop-off x as a number; the booking after records the
+state it needs at its start. The resource's placement walk reads the gaps a
+booking of one end state sees straight off the table, with no further
+calendar lookup, however many legs or alternatives the CFP carries.
 
 Every edit of a calendar goes through :meth:`ResourceSchedule.insert_booking`
 or :meth:`ResourceSchedule.close_open_tail`, and each drops the table the
@@ -163,8 +164,12 @@ class BookingEntry:
     still unknown; the resource stays blocked from the entry's start onwards
     until :meth:`ResourceSchedule.close_open_tail` attaches the real load
     segment. ``end_state`` is what the resource is left in: a machine's
-    state (a product name) or a crane's drop-off x as a float. It drives
-    successor setup recomputation.
+    state (a product name) or a crane's drop-off x as a float.
+    ``start_state`` is what the booking needs at its start: a machine's
+    product, a crane's pickup x. A booking in front of it recomputes its
+    setup as the changeover from its own ``end_state`` to that state; with
+    None (a block the scenario fixed without a known pickup) the setup stays
+    as booked.
     """
 
     order_id: str
@@ -172,6 +177,7 @@ class BookingEntry:
     segments: list[tuple[str, TimeInterval]]
     open_tail: bool = False
     end_state: Any = ""
+    start_state: Any = None
 
     def validate(self) -> None:
         if not self.segments:

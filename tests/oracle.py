@@ -9,6 +9,7 @@ with the engine whenever the engine is wrong.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -177,6 +178,135 @@ def stability_check(commits: Sequence, schedules: Mapping[str, ResourceSchedule]
                 f"{rec.resource_id}: core of {rec.order_id}/{rec.step_label} moved from "
                 f"[{rec.start}, {rec.end}) to [{entry.core_start}, {entry.operation_end})"
             )
+    return problems
+
+
+# ---------------------------------------------------------------------------
+# physics: the bookings against the scenario document
+
+
+def _bookings_in_time(rows: Iterable[tuple]) -> dict[str, list[tuple[str, str, list]]]:
+    """resource -> its bookings in time order, each ``(order, label, segments)``
+    with ``segments`` a list of ``(kind, start, end)``. A booking is a run of
+    contiguous rows of one order and label."""
+    out: dict[str, list[tuple[str, str, list]]] = {}
+    for rid, order, label, kind, start, end in sorted(rows, key=lambda r: (r[0], r[4], r[5])):
+        bookings = out.setdefault(rid, [])
+        last = bookings[-1] if bookings else None
+        if last is None or last[:2] != (order, label) or last[2][-1][2] != start:
+            bookings.append((order, label, []))
+        bookings[-1][2].append((kind, start, end))
+    return out
+
+
+def _seconds(value: float) -> int:
+    return int(round(value * 60))
+
+
+def physics_check(doc: Mapping, rows: Iterable[tuple]) -> list[str]:
+    """Machine setups and crane travel judged against the scenario document.
+
+    Reads only ``doc`` (a scenario document, minutes and metres per minute)
+    and the GANTT rows of ``harness.gantt_rows``. On a machine, a negotiated
+    booking starts with a setup segment exactly when the document's setup
+    from the state before it to the order's product is not zero, and that
+    segment lasts that long. The state before is the machine's
+    ``initial_state``, the previous booking's product, an initial booking's
+    ``end_state`` or a maintenance window's ``state``. A crane movement's
+    empty travel (before its load) and loaded travel (between load and
+    unload) are each present exactly when the document's travel time for it
+    is not zero, and last that long: empty from the crane's previous drop-off
+    (its ``initial_x``, or an initial booking's ``end_x``) to the pickup,
+    loaded from the pickup to the drop-off. A movement labelled ``T:a,b``
+    picks up where the order's booking labelled ``a`` sits and drops off
+    where the one labelled ``b`` sits. Returns one line per violation; a
+    setup or travel the document asks for and the booking lacks reads
+    "... not recorded ...".
+    """
+    problems: list[str] = []
+    product_of = {
+        o.get("id", f"order-{i + 1}"): o["product"] for i, o in enumerate(doc["orders"])
+    }
+    bookings = _bookings_in_time(rows)
+    cranes = {t["id"]: t for t in doc.get("transports", [])}
+    x_of = {r["id"]: r["location"][0] for r in doc["machines"] + doc.get("buffers", [])}
+    served = {
+        (order, label): rid
+        for rid, booked in bookings.items()
+        if rid not in cranes
+        for order, label, _ in booked
+    }
+    for machine in doc["machines"]:
+        rid, setup = machine["id"], machine.get("setup", {})
+        fixed = {
+            _seconds(b["start"]): b.get("end_state", "")
+            for b in machine.get("initial_bookings", [])
+        }
+        fixed.update(
+            (_seconds(w["start"]), w.get("state", "")) for w in machine.get("maintenance", [])
+        )
+        state = machine.get("initial_state", "")
+        for order, label, segments in bookings.get(rid, []):
+            if label in ("init", "maintenance"):
+                state = fixed[segments[0][1]]
+                continue
+            product = product_of[order]
+            want = _seconds(setup.get(state, {}).get(product, 0))
+            found = [end - start for kind, start, end in segments if kind == "setup"]
+            if want and not found:
+                problems.append(
+                    f"{rid} {order}/{label}: setup not recorded, the document gives {want} s "
+                    f"after state {state!r}"
+                )
+            elif found != ([want] if want else []) or (want and segments[0][0] != "setup"):
+                problems.append(
+                    f"{rid} {order}/{label}: setup segments {found} after state {state!r}, "
+                    f"the document gives {want} s"
+                )
+            state = product
+    for rid, crane in cranes.items():
+        metres_per_s = crane["speed"] / 60
+
+        def travel(a: float, b: float) -> int:
+            return math.ceil(abs(b - a) / metres_per_s - 1e-9)
+
+        initial_x = crane.get("initial_x", crane["segment"][0])
+        fixed = {
+            _seconds(b["start"]): b.get("end_x", initial_x)
+            for b in crane.get("initial_bookings", [])
+        }
+        x = initial_x
+        for order, label, segments in bookings.get(rid, []):
+            if label == "init":
+                x = fixed[segments[0][1]]
+                continue
+            ends = label[2:].split(",") if label.startswith("T:") else []
+            where = [served.get((order, end)) for end in ends]
+            if len(where) != 2 or None in where:
+                problems.append(f"{rid} {order}/{label}: cannot find the bookings it serves")
+                continue
+            pickup, drop = (x_of[w] for w in where)
+            kinds = [kind for kind, _, _ in segments]
+            if "load" not in kinds or "unload" not in kinds:
+                problems.append(f"{rid} {order}/{label}: no load or no unload")
+                continue
+            loaded_at = kinds.index("load")
+            empty = [e - s for kind, s, e in segments[:loaded_at] if kind == "travel"]
+            loaded = [e - s for kind, s, e in segments[loaded_at:] if kind == "travel"]
+            for what, got, want in (
+                ("empty", empty, travel(x, pickup)), ("loaded", loaded, travel(pickup, drop))
+            ):
+                if want and not got:
+                    problems.append(
+                        f"{rid} {order}/{label}: {what} travel not recorded, the document "
+                        f"gives {want} s"
+                    )
+                elif got != ([want] if want else []):
+                    problems.append(
+                        f"{rid} {order}/{label}: {what} travel segments {got}, the document "
+                        f"gives {want} s"
+                    )
+            x = drop
     return problems
 
 
@@ -458,7 +588,9 @@ def exhaustive_schedule(scenario, max_nodes: int = 200_000) -> dict[str, Any]:
         The approach run of the next booked leg is reshaped when its pickup
         point is known, exactly like live bookings behave.
         """
-        if geometry is None or not (geometry.covers(from_x) and geometry.covers(to_x)):
+        if geometry is None or not (
+            geometry.x_min <= from_x <= geometry.x_max and geometry.x_min <= to_x <= geometry.x_max
+        ):
             return None
         approach = travel(crane_x_before(load_start), from_x)
         dur = geometry.load_time + travel(from_x, to_x) + geometry.unload_time

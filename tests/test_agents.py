@@ -1,3 +1,4 @@
+import bisect
 import copy
 import dataclasses
 
@@ -36,6 +37,7 @@ from cnetsched.protocol import (
 )
 from cnetsched.scenario import (
     BufferSpec,
+    FixedBlock,
     MachineSpec,
     OrderSpec,
     TransportSpec,
@@ -163,15 +165,11 @@ def test_machine_prices_changeover_and_shifts_start():
 
 
 def test_machine_respects_maintenance_state_demand():
-    m, ctx = machine(initial_state="A"), FakeCtx()
-    m.schedule.insert_booking(
-        BookingEntry(
-            "M1-maint-0",
-            "maintenance",
-            [("maintenance", TimeInterval(20_000, 25_000))],
-            end_state="B",
-        )
+    spec = dataclasses.replace(
+        machine_spec({"A": 6000, "B": 6000}, {"A": {"B": 900}, "B": {"A": 1800}}),
+        maintenance=(FixedBlock("M1-maint-0", 20_000, 25_000, "B"),),
     )
+    m, ctx = ProductionAgent(spec, unload_estimate=600, load_estimate=600), FakeCtx()
     out = m.handle(envelope("M1", "o1", 0, production_cfp(product="A")), ctx)
     before, after = proposals_of(out)
     # finishing as product A in front of a window that demands state B costs
@@ -771,13 +769,40 @@ def test_a_crane_walks_its_table_once_per_distinct_leg(monkeypatch):
     fits, entered = TransportAgent._fits, []
 
     def counted(self, *args, **kwargs):
-        entered.append(args[2])  # the walk's earliest start
+        entered.append(args[3])  # the walk's earliest start
         return fits(self, *args, **kwargs)
 
     monkeypatch.setattr(TransportAgent, "_fits", counted)
     out = busy_crane().handle(envelope("Crane1", "o1", 1, crane_cfp(*repeated_legs())), FakeCtx())
     assert len(proposals_of(out)) == 7
     assert len(entered) == 4  # (10 -> 40) twice, with other windows, (10 -> 50) and (20 -> 40)
+
+
+def test_a_crane_offers_a_leg_that_lasts_load_travel_and_unload():
+    # 5 m/min with 10-min load and unload between positions of the bundled flow shop
+    t = TransportAgent(
+        TransportSpec(id="Crane1", segment=(0.0, 60.0), speed=5.0, load=minutes(10),
+                      unload=minutes(10), initial_x=5.0)
+    )
+    w = StageWindows(es=0, ef=0)
+    legs = (
+        TransportLeg((5.0, 5.0), (15.0, 15.0), w, "P#1"),
+        TransportLeg((15.0, 15.0), (10.0, 11.0), w, "P#2"),
+    )
+    props = proposals_of(t.handle(envelope("Crane1", "o1", 1, crane_cfp(*legs)), FakeCtx()))
+    assert [p.op_duration for p in props] == [minutes(22), minutes(21)]
+
+
+def test_a_crane_offers_nothing_for_a_leg_outside_its_segment():
+    t = TransportAgent(
+        TransportSpec(id="Crane1", segment=(0.0, 10.0), speed=60.0, load=60, unload=60)
+    )
+    w = StageWindows(es=0, ef=0)
+    outside = TransportLeg((5.0, 0.0), (15.0, 0.0), w, "P#1")
+    assert t.handle(envelope("Crane1", "o1", 1, crane_cfp(outside)), FakeCtx()) == []
+    inside = TransportLeg((5.0, 0.0), (10.0, 0.0), w, "P#2")
+    out = t.handle(envelope("Crane1", "o1", 1, crane_cfp(outside, inside)), FakeCtx())
+    assert [p.realizes for p in proposals_of(out)] == ["P#2"]
 
 
 def test_a_chained_variant_is_placed_against_its_own_partner():
@@ -1068,12 +1093,13 @@ def machine_with_calendar(draw):
     for i in range(draw(st.integers(0, 12))):
         start, dur = draw(st.integers(0, 600)), draw(st.integers(1, 50))
         prev, state = draw(st.sampled_from(states)), draw(st.sampled_from(states))
-        setup = m._setup(prev, state)
+        setup = m._changeover(prev, state)
         segments = [("operation", TimeInterval(start + setup, start + setup + dur))]
         if setup:
             segments.insert(0, ("setup", TimeInterval(start, start + setup)))
         entry = BookingEntry(
-            f"o{i}", "1", segments, open_tail=draw(st.integers(0, 4)) == 0, end_state=state
+            f"o{i}", "1", segments, open_tail=draw(st.integers(0, 4)) == 0, end_state=state,
+            start_state=state,
         )
         try:
             m.schedule.insert_booking(entry, m._succ_setup)
@@ -1108,7 +1134,7 @@ def full_walk_machine(m, cfp, conv, ctx):
         ):
             if own and gap_start != tail.operation_end:
                 continue
-            setup = m._setup(from_state, product)
+            setup = m._changeover(from_state, product)
             prefix = setup + unload
             op_start = max(es, gap_start + prefix)
             if ls is not None and op_start > ls:
@@ -1194,13 +1220,16 @@ def crane_with_calendar(draw):
         segments = [("load", TimeInterval(start + setup, start + setup + dur))]
         if setup:
             segments.insert(0, ("travel", TimeInterval(start, start + setup)))
-        entry = BookingEntry(f"o{i}", "T", segments, end_state=drop)
+        # some bookings keep their approach: their pickup is not known, as
+        # for a block the scenario fixed
+        known = draw(st.booleans())
+        entry = BookingEntry(
+            f"o{i}", "T", segments, end_state=drop, start_state=pickup if known else None
+        )
         try:
             t.schedule.insert_booking(entry, t._succ_setup)
         except OverlapError:
             continue
-        if draw(st.booleans()):
-            t._pickup_x[(entry.order_id, "T")] = pickup
     hold_others(t, draw(other_holds))
     check_invariants(t.schedule)
     return t
@@ -1291,6 +1320,101 @@ def test_property_crane_skip_places_legs_like_the_full_walk(
     )
 
 
+def walked(slots, dur, handling=0, tail=0):
+    """``_fits``' slots as (span, slot, slack_after, price), a placement's terms."""
+    return [
+        (TimeInterval(start - setup - handling, end + tail), TimeInterval(start, end), slack,
+         proposal_price(dur, setup, ti_next))
+        for start, end, setup, ti_next, slack in slots
+    ]
+
+
+@given(st.data())
+def test_property_the_placement_walk_gives_a_machine_the_full_walks_slots(data):
+    # up to MAX_SLOTS_PER_CFP slots per alternative, read straight off the walk
+    m = data.draw(machine_with_calendar())
+    cfp = data.draw(machine_cfp(m))
+    order, product = cfp.workpiece.order_id, cfp.workpiece.product
+    hold_others(m, data.draw(other_holds), order)
+    conv = conversation_id(order, 0)
+    ref, ctx = copy.deepcopy(m), FakeCtx()
+    offers = full_walk_machine(ref, cfp, conv, ctx)
+    spans = {h.proposal_id: h.span for h in ref.holds}
+    tail = m.schedule.open_tail_for(order)
+    if m._engaged_elsewhere(order):
+        assert offers == []
+        return
+    unload = 0 if (cfp.workpiece.location is None or tail) else m.unload_estimate
+    earliest = [tail.operation_end if tail else alt.windows.es for alt in cfp.alternatives]
+    table = m._table(conv, min(earliest), frozenset({order}) if tail else frozenset())
+    if tail is not None:
+        table = [row for row in table if row.start == tail.operation_end]
+    dur = m.op_duration[product]
+    for alt_idx, (alt, es) in enumerate(zip(cfp.alternatives, earliest)):
+        slots = m._fits(
+            table, product, product, es, dur, alt.windows, MAX_SLOTS_PER_CFP, unload,
+            m.load_estimate,
+        )
+        assert walked(slots, dur, unload, m.load_estimate) == [
+            (spans[p.proposal_id], p.slot, p.slack_after, p.price)
+            for p in offers
+            if p.alternative == alt_idx
+        ]
+
+
+@given(
+    crane_with_calendar(),
+    st.one_of(st.none(), st.tuples(st.integers(0, 700), st.integers(5, 60))),
+    st.sampled_from((0.0, 12.0, 30.0, 60.0)),
+    st.sampled_from((0.0, 12.0, 30.0, 60.0)),
+    st.sampled_from((0.0, 20.0, 45.0, 60.0)),
+    st.integers(0, 800),
+    st.integers(0, 120),
+    st.one_of(st.none(), st.integers(0, 300)),
+    st.one_of(st.none(), st.integers(0, 400)),
+    st.tuples(st.integers(0, 800), st.integers(10, 80)),
+)
+def test_property_the_placement_walk_gives_crane_legs_the_full_walks_slots(
+    t, init, fx_a, fx_b, tx, es, ef_after, ls_room, lf_room, partner_slot
+):
+    # two legs that drop off at the same x read one table, one slot each; the
+    # chained variant loads at the partner's drop-off with no approach; an
+    # initial block, whose pickup the crane does not know, keeps its approach
+    if init is not None:
+        start, length = init
+        try:
+            t._book_fixed(FixedBlock("T-init-0", start, start + length, 45.0), "init", "operation")
+        except OverlapError:
+            pass
+    geom = t.geometry
+    ef = es + ef_after
+    windows = StageWindows(
+        es=es,
+        ef=ef,
+        ls=None if ls_room is None else es + ls_room,
+        lf=None if lf_room is None else ef + lf_room,
+    )
+    legs = [TransportLeg((fx, 5.0), (tx, 5.0), windows, realizes="P#1") for fx in (fx_a, fx_b)]
+    durs = [geom.load_time + geom.travel_seconds(fx, tx) + geom.unload_time for fx in (fx_a, fx_b)]
+    conv = "o1/s1"
+    table = t._table(conv, min(max(es, ef - dur) for dur in durs))
+    full = t.schedule.free_intervals(extra_busy=t.holds.active_spans(exclude_conversation=conv))
+    for leg, dur in zip(legs, durs):
+        slots = t._fits(table, leg.from_location[0], tx, max(es, ef - dur), dur, windows, 1)
+        expected = full_walk_leg(t, leg, dur, full)
+        assert walked(slots, dur) == ([] if expected is None else [expected])
+    start, length = partner_slot
+    after = Proposal(
+        "Crane1#p0", TRANSPORT, "Crane1", (0.0, 5.0), TimeInterval(start, start + length),
+        Slack(0), length, 5, 5, price=length,
+    )
+    reachable = table[: bisect.bisect_right(table, after.slot.start, key=lambda row: row.start)]
+    earliest = max(es, ef - durs[0], after.slot.end)
+    slots = t._fits(reachable, None, tx, earliest, durs[0], windows, 1)
+    expected = full_walk_leg(t, legs[0], durs[0], full, after)
+    assert walked(slots, durs[0]) == ([] if expected is None else [expected])
+
+
 def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretches():
     # the successor's 60-s approach from x=60 shrinks to 0 after a drop at x=0,
     # so the gap reaches 160 although its free interval ends at 100
@@ -1301,9 +1425,9 @@ def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretche
             "T",
             [("travel", TimeInterval(100, 160)), ("load", TimeInterval(160, 165))],
             end_state=0.0,
+            start_state=0.0,  # its pickup
         )
     )
-    t._pickup_x[("s", "T")] = 0.0
     leg = TransportLeg((0.0, 5.0), (0.0, 5.0), StageWindows(es=140, ef=150), "P#1")
     conv = "o1/s1"
     table = t._table(conv, 140)
@@ -1329,6 +1453,7 @@ def test_machine_keeps_an_interval_that_ends_before_es_when_the_gap_stretches():
             "1",
             [("setup", TimeInterval(100, 160)), ("operation", TimeInterval(160, 170))],
             end_state="A",
+            start_state="A",
         )
     )
     out = m.handle(envelope("M1", "o1", 0, production_cfp(es=150)), FakeCtx())
@@ -1367,18 +1492,44 @@ def test_crane_legs_walk_a_bounded_number_of_gaps(monkeypatch, n_orders):
     from cnetsched.harness import build_shop_scenario, run_scenario
 
     counts = {"legs": 0, "rows": 0}
-    usable, place = TransportAgent._usable, TransportAgent._place_leg
+    walking = []  # non-empty inside the placement walk, but not in its bisect
+    table_of, fits, usable = TransportAgent._table, TransportAgent._fits, TransportAgent._usable
+    place = TransportAgent._place_leg
+
+    class Rows(list):
+        """A gap table that counts the rows the walk reads from it by index."""
+
+        def __getitem__(self, i):
+            if isinstance(i, slice):
+                return Rows(super().__getitem__(i))
+            if walking:
+                counts["rows"] += 1
+            return super().__getitem__(i)
+
+    def counted_table(self, *args, **kwargs):
+        return Rows(table_of(self, *args, **kwargs))
+
+    def counted_fits(self, *args, **kwargs):
+        walking.append(True)
+        try:
+            return fits(self, *args, **kwargs)
+        finally:
+            walking.pop()
 
     def counted_usable(self, table, base):
-        # the placement walk pulls the rows it reads from here, one by one
-        for row in usable(self, table, base):
-            counts["rows"] += 1
-            yield row
+        paused = walking[:]
+        walking.clear()  # its bisect probes are not rows the walk reads
+        try:
+            return usable(self, table, base)
+        finally:
+            walking.extend(paused)
 
     def counted_place(self, *args, **kwargs):
         counts["legs"] += 1
         return place(self, *args, **kwargs)
 
+    monkeypatch.setattr(TransportAgent, "_table", counted_table)
+    monkeypatch.setattr(TransportAgent, "_fits", counted_fits)
     monkeypatch.setattr(TransportAgent, "_usable", counted_usable)
     monkeypatch.setattr(TransportAgent, "_place_leg", counted_place)
     report = run_scenario(build_shop_scenario("flow", n_orders, 100), mode="deterministic")
@@ -1479,7 +1630,9 @@ def test_property_a_kept_table_is_the_fresh_table_with_rows_that_end_early(
         elif step[0] == "book":
             _, start, dur, state, open_tail = step
             segments = [("operation", TimeInterval(start, start + dur))]
-            entry = BookingEntry(f"b{edits}", "1", segments, open_tail, end_state=state)
+            entry = BookingEntry(
+                f"b{edits}", "1", segments, open_tail, end_state=state, start_state=state
+            )
             try:
                 m.schedule.insert_booking(entry, m._succ_setup)
                 edits += 1
@@ -1509,7 +1662,7 @@ def test_property_a_kept_table_is_the_fresh_table_with_rows_that_end_early(
             assert extra >= 0 and table[extra:] == fresh
             after = base - m._setup_bound - 1
             assert all(row.end <= after for row in table[:extra])
-            assert m._usable(table, base) == m._usable(fresh, base)
+            assert table[m._usable(table, base):] == fresh[m._usable(fresh, base):]
 
 
 def test_a_machine_reuses_its_table_until_the_calendar_changes_or_another_order_holds():

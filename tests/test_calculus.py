@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cnetsched.calculus import (
     InfeasibleWindow,
     NoTransport,
-    OutOfSegment,
     ScheduleParams,
     StageWindows,
     TransportGeometry,
@@ -16,7 +15,6 @@ from cnetsched.calculus import (
     needs_buffering,
     proposal_price,
     transport_direct_windows,
-    transport_duration,
     transport_from_buffer_windows,
     transport_to_buffer_windows,
 )
@@ -155,33 +153,15 @@ def test_transport_floor_requires_fleet_and_locations():
         derive_t_transport_min([(0, 0)], [CRANE])
 
 
-def test_leg_durations_between_floor_positions():
-    assert transport_duration((5, 5), (15, 15), CRANE) == minutes(22)
-    assert transport_duration((15, 15), (10, 11), CRANE) == minutes(21)
-
-
-def test_leg_duration_outside_segment():
-    tight = TransportGeometry(1.0, 60, 60, 0.0, 10.0)
-    with pytest.raises(OutOfSegment):
-        transport_duration((5, 0), (15, 0), tight)
-
-
 def test_travel_rounding_is_exact_on_whole_results():
     assert CRANE.travel_seconds(5, 15) == 120
     assert CRANE.travel_seconds(0, 0) == 0
     assert TransportGeometry(3.0, 0, 0, 0, 100).travel_seconds(0, 10) == 4  # ceil
 
 
-@given(
-    st.floats(0, 60, allow_nan=False),
-    st.floats(0, 60, allow_nan=False),
-    st.floats(0, 20, allow_nan=False),
-    st.floats(0, 20, allow_nan=False),
-)
-def test_property_leg_duration_symmetric(xa, xb, ya, yb):
-    assert transport_duration((xa, ya), (xb, yb), CRANE) == transport_duration(
-        (xb, yb), (xa, ya), CRANE
-    )
+@given(st.floats(0, 60, allow_nan=False), st.floats(0, 60, allow_nan=False))
+def test_property_travel_is_symmetric(xa, xb):
+    assert CRANE.travel_seconds(xa, xb) == CRANE.travel_seconds(xb, xa)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ moves on purpose must still be a valid one.
 """
 
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -17,15 +18,18 @@ from cnetsched.agents import OrderAgent
 from cnetsched.harness import (
     build_scaling_scenario,
     build_shop_scenario,
+    gantt_rows,
     kernel_config,
     render_gantt,
     render_trace,
     run_scenario,
+    scaling_document,
+    shop_document,
 )
-from cnetsched.scenario import load_scenario
+from cnetsched.scenario import load_scenario, parse_scenario
 
 from conftest import FLOWSHOP, JOBSHOP, agent_kinds, hold_check
-from oracle import occupancy_check, stability_check
+from oracle import occupancy_check, physics_check, stability_check
 
 GOLDEN = [
     pytest.param(
@@ -70,13 +74,36 @@ def test_deterministic_schedule_is_unchanged(make, digest, counts):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+#: the scenario document of each golden run, by its id
+DOCUMENTS = {
+    "section6_flowshop": lambda: json.loads(FLOWSHOP.read_text(encoding="utf-8")),
+    "tableV_jobshop": lambda: json.loads(JOBSHOP.read_text(encoding="utf-8")),
+    "flow-15x100": lambda: shop_document("flow", 15, 100),
+    "job-15x100": lambda: shop_document("job", 15, 100),
+    "scaling-k32": lambda: scaling_document(32),
+}
+
+#: setups and empty travels the physics asks for and the GANTT lacks, by
+#: run: a booking inserted in front of one booked with no setup leaves room
+#: for the setup that one now needs, but no segment for it (a known fault,
+#: pinned here until the calendar records it)
+UNRECORDED = {"tableV_jobshop": 2, "flow-15x100": 18, "job-15x100": 12}
+
+
 @pytest.mark.parametrize("make, digest, counts", GOLDEN)
-def test_golden_runs_pass_the_oracles(make, digest, counts):
-    r = run_scenario(make(), mode="deterministic")
+def test_golden_runs_pass_the_oracles(make, digest, counts, request):
+    run_id = request.node.callspec.id
+    doc = DOCUMENTS[run_id]()
+    scenario = make()
+    assert parse_scenario(doc) == scenario  # the document the run was built from
+    r = run_scenario(scenario, mode="deterministic")
     schedules = r.schedules()
     assert occupancy_check(schedules, kinds=agent_kinds(r)) == []
     assert stability_check(r.commits, schedules) == []
     assert hold_check(r) == []
+    physics = physics_check(doc, gantt_rows(r))
+    assert [p for p in physics if "not recorded" not in p] == []
+    assert len(physics) == UNRECORDED.get(run_id, 0)
 
 
 class VirtualTime:

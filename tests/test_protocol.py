@@ -197,7 +197,7 @@ RECORDS = [
     DeadlineExpired(3),
     StartOrder("o1"),
     WINDOWS,
-    RouteCandidate(kind="direct", legs=(mk_proposal("t1", "Crane1"),)),
+    RouteCandidate("direct", None, (mk_proposal("t1", "Crane1", TRANSPORT),), 160, 60),
 ]
 
 

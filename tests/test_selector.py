@@ -328,6 +328,141 @@ def test_nothing_feasible_returns_none():
     assert select(ocs) is None
 
 
+# ---------------------------------------------------------------------------
+# the route rule as a test-side reference: each route's check and price
+# worked out from its proposals alone, on every candidate a brute-force
+# wiring finds
+
+
+def ref_price(b, legs):
+    return sum(q.price for q in legs) + (b.price if b is not None else 0)
+
+
+def ref_route(kind, b=None, legs=()):
+    return RouteCandidate(kind, b, legs, legs[-1].slot.end if legs else None, ref_price(b, legs))
+
+
+def ref_within_latest_start(p, start):
+    latest = p.slack_after.bound_from(p.slot.start)
+    return latest is None or start <= latest
+
+
+def ref_route_ok(production, route, ctx):
+    """Temporal consistency of a candidate chain."""
+    if route.arrival is None:
+        return True
+    if not ref_within_latest_start(production, max(production.slot.start, route.arrival)):
+        return False
+    if route.kind == "buffered":
+        leg_in, leg_out = route.legs
+        buf = route.buffer
+        if leg_out.slot.start < leg_in.slot.end:
+            return False  # picked up before it arrived
+        if leg_in.slot.end < buf.slot.start:
+            return False  # buffer not yet available on arrival
+        buf_latest = buf.slack_after.bound_from(buf.slot.end)
+        if buf_latest is not None and leg_out.slot.start > buf_latest:
+            return False
+        if leg_out.required_operation not in (None, leg_in.proposal_id):
+            return False
+        return leg_in.required_operation is None  # inbound legs never depend on a later one
+    (leg,) = route.legs
+    return leg.required_operation is None and leg.slot.start >= ctx.f_prev
+
+
+def ref_routes(p, buffers, transports, ctx):
+    """Every route of ``p`` the links wire, in ``build_ocs``'s order, that passes the check."""
+    if ctx.prev_resource is None:
+        return [ref_route("entry")]
+    if p.resource_id == ctx.prev_resource:
+        return [ref_route("stay-on-machine")]
+    candidates = [
+        ref_route("buffered", b, (leg_in, leg_out))
+        for b in buffers
+        if b.realizes == p.proposal_id
+        for leg_in in transports
+        if leg_in.via is None and leg_in.realizes == b.proposal_id
+        for leg_out in transports
+        if leg_out.via == b.proposal_id and leg_out.realizes == p.proposal_id
+    ] + [
+        ref_route("direct", None, (t,))
+        for t in transports
+        if t.via is None and t.realizes == p.proposal_id
+    ]
+    return [r for r in candidates if ref_route_ok(p, r, ctx)]
+
+
+slacks = st.one_of(st.just(Slack.UNBOUNDED), st.integers(0, 40).map(Slack))
+
+
+@st.composite
+def proposal_sets(draw):
+    """Productions, buffer stays and direct, buffered and dependent legs,
+    on small times so that every check sits on its boundary now and then."""
+    production = [
+        prod(f"P#{i}", draw(st.sampled_from(("M1", "M2", "M-prev"))), draw(st.integers(15, 60)),
+             dur=draw(st.integers(1, 3)), price=draw(st.integers(0, 3)), slack=draw(slacks))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    pids = [p.proposal_id for p in production]
+    buffers, transports = [], []
+
+    def add_leg(first, realizes, via=None, inbound=()):
+        # an outbound leg names one of its stay's inbound legs more often than not
+        start = draw(st.integers(first, first + 20))
+        earlier = [t.proposal_id for t in transports]
+        required = draw(st.one_of(
+            st.none(), st.sampled_from(earlier + ["T#other"]), *map(st.just, inbound)
+        ))
+        transports.append(
+            leg(f"T#{len(transports)}", start, start + draw(st.integers(1, 10)), realizes, via,
+                required, price=draw(st.integers(0, 3)))
+        )
+
+    for i in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, 15))
+        b = buf(f"B#{i}", draw(st.sampled_from(pids)), start, start + draw(st.integers(0, 30)),
+                slack=draw(slacks))._replace(price=draw(st.integers(0, 2)))
+        buffers.append(b)
+        for _ in range(draw(st.integers(0, 2))):
+            add_leg(0, b.proposal_id)
+        inbound = [t.proposal_id for t in transports if t.realizes == b.proposal_id]
+        for _ in range(draw(st.integers(0, 2))):
+            add_leg(10, b.realizes, b.proposal_id, inbound)
+    for _ in range(draw(st.integers(0, 3))):
+        add_leg(0, draw(st.sampled_from(pids)))
+    ctx = StageContext(
+        f_prev=draw(st.integers(0, 15)),
+        prev_resource=None if draw(st.integers(0, 4)) == 0 else "M-prev",
+    )
+    return production, buffers, transports, ctx
+
+
+@given(proposal_sets(), st.randoms())
+def test_property_routes_and_selection_match_the_reference_route_rule(data, rng):
+    production, buffers, transports, ctx = data
+    expected = [
+        (p, ref_routes(p, buffers, transports, ctx))
+        for p in sorted(production, key=lambda q: q.proposal_id)
+    ]
+    ocs = build_ocs(production, buffers, transports, ctx)
+    assert [(oc.production, oc.routes) for oc in ocs] == expected
+    choices = [(OperationCombination(p, routes), r) for p, routes in expected for r in routes]
+    sel = select(ocs)
+    if not choices:
+        assert sel is None
+        return
+    best = min(choices, key=ranking_key)
+    assert (sel.winner.production, sel.route) == (best[0].production, best[1])
+    assert sel.fulfillment == ranking_key(best)[0]
+    assert sel.accept_ids == (best[0].production.proposal_id,) + best[1].proposal_ids
+    # the same proposals handed over in another order pick the same route
+    for group in (production, buffers, transports):
+        rng.shuffle(group)
+    again = select(build_ocs(production, buffers, transports, ctx))
+    assert again.accept_ids == sel.accept_ids
+
+
 # small value ranges force ties on fulfillment, price, resource and ids
 tied_ids = st.sampled_from(("a", "b"))
 small = st.integers(0, 1)
@@ -352,7 +487,7 @@ def route_sets(draw):
             if n == 2 and draw(st.booleans()):
                 b = buf(draw(tied_ids), p.proposal_id, 0, 1)._replace(price=draw(small))
             kind = "buffered" if b is not None else "direct" if n else "entry"
-            routes.append(RouteCandidate(kind, b, legs))
+            routes.append(ref_route(kind, b, legs))
         ocs.append(OperationCombination(p, routes))
     return ocs
 
@@ -364,7 +499,7 @@ def ranking_key(choice):
     start = max(p.slot.start, route.legs[-1].slot.end) if route.legs else p.slot.start
     return (
         start + p.op_duration,
-        p.price + route.price,
+        p.price + ref_price(route.buffer, route.legs),
         p.resource_id,
         p.proposal_id,
         route.proposal_ids,
