@@ -1,15 +1,16 @@
 """Event kernels that drive the agents: deterministic replay and a wall clock.
 
 The same agent objects run under either kernel, fed one event at a time on
-the caller's thread from two queues: envelopes wait in a FIFO, round
-deadlines and order releases in a heap, and the earlier head by ``(at,
-seq)`` goes first. The deterministic kernel delivers over a logical tick
-clock — equal inputs give byte-identical traces. The concurrent kernel
-delivers on the monotonic wall clock, sleeping until the next event falls
-due, which the order-release (hosting interval) experiments measure: many
-orders negotiate at once, interleaved by when their messages and deadlines
-fall due. Either kernel is itself the context its handlers are given
-(:class:`_Kernel`).
+the caller's thread by one loop (:meth:`_Kernel.run`) from two queues:
+envelopes wait in a FIFO, round deadlines and order releases in a heap, and
+the earlier head by ``(at, seq)`` goes first. The kernels differ only in how
+they read the time, wait and stop. The deterministic kernel's logical tick
+clock jumps to each event — equal inputs give byte-identical traces. The
+concurrent kernel sleeps on the monotonic wall clock until the next event
+falls due, which the order-release (hosting interval) experiments measure:
+many orders negotiate at once, interleaved by when their messages and
+deadlines fall due. Either kernel is itself the context its handlers are
+given (:class:`_Kernel`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from math import inf
 from typing import NamedTuple, Optional, Union
 
 from .agents import OrderAgent, StartOrder
@@ -27,8 +29,12 @@ from .protocol import DeadlineExpired, Message, MessageCounter
 log = logging.getLogger(__name__)
 
 
+#: the most events one run delivers, under either kernel
+MAX_EVENTS = 2_000_000
+
+
 class RunTimeout(RuntimeError):
-    """The deterministic kernel popped more than ``max_events`` events."""
+    """A run popped more than ``MAX_EVENTS`` events."""
 
 
 @dataclass(frozen=True)
@@ -37,7 +43,6 @@ class KernelConfig:
 
     cfp_deadline: float = 60
     hold_deadline: float = 100_000
-    max_events: int = 2_000_000
     wall_limit: Optional[float] = None
     # concurrent only: wall-clock delay between sending and delivering a
     # message, emulating middleware/network cost; the deterministic kernel
@@ -101,26 +106,25 @@ _KERNEL_LINES = {StartOrder: "StartOrder", DeadlineExpired: "Deadline"}
 
 
 class _Kernel:
-    """What both kernels share: the event queues, message counts, trace and commit log.
+    """What both kernels share: the one delivery loop, the event queues,
+    message counts, trace and commit log.
 
     Every delivery — a message, a round deadline, an order release — is one
     entry ``(at, seq, receiver, event)``, numbered in the order it is made,
-    and the run delivers them in ``(at, seq)`` order. Envelopes go into a
-    FIFO, deadlines and releases into a heap. A FIFO is enough because
-    posting order is delivery order: the clock never runs backwards (no
-    deadline is armed in the past), every envelope is due one constant hop
-    after it was posted, and ``seq`` only grows, so each envelope sorts
-    after every one posted before it. Delivery takes whichever head is
-    earlier. The kernels differ only in their clock and in when they stop
-    delivering.
+    and :meth:`run` delivers them in ``(at, seq)`` order from two queues,
+    taking whichever head is earlier. Envelopes go into a FIFO, deadlines
+    and releases into a heap. A FIFO is enough because posting order is
+    delivery order: the clock never runs backwards (no deadline is armed in
+    the past), every envelope is due one constant hop after it was posted,
+    and ``seq`` only grows. A kernel supplies only its clock: ``now()``,
+    ``_wait(t)``, ``_stamp``, ``_hop``, ``_start`` (zero the clock and give
+    the limit) and ``_stop_drops_deadlines``.
 
-    A deadline or release popped from the heap goes through
-    :meth:`_dispatch`, which writes its kernel trace line first; an envelope
-    popped from the FIFO goes to :meth:`_deliver` directly. ``_deliver``
-    runs the receiver's handler, then reads the clock and formats its stamp
-    once for every envelope the handler returned: they are all posted at the
-    instant the handler returned. Under the deterministic kernel the clock
-    stands still during a handler, so this is the instant it was called.
+    A deadline or release gets its kernel trace line before :meth:`_deliver`
+    runs the receiver's handler; ``_deliver`` then reads the clock and
+    formats its stamp once for every envelope the handler returned: they are
+    all posted at the instant it returned (on the tick clock, which stands
+    still during a handler, the instant it was called).
 
     The kernel is also the context each handler is given: an agent reads
     ``directory``, ``cfp_deadline``, ``hold_deadline`` and ``now()``, arms
@@ -130,7 +134,10 @@ class _Kernel:
     """
 
     mode: str
-    _hop: float = 1  # delay between sending a message and its delivery
+    _default_config = KernelConfig
+    _hop: float  # delay between sending a message and its delivery
+    #: whether the deadlines and releases still armed at the stop go unread
+    _stop_drops_deadlines: bool
 
     def __init__(
         self,
@@ -144,7 +151,7 @@ class _Kernel:
             raise ValueError(f"releases for unknown agents {unknown}")
         self.directory = directory
         self.agents = agents
-        self.config = config or KernelConfig()
+        self.config = config or self._default_config()
         self.cfp_deadline = self.config.cfp_deadline
         self.hold_deadline = self.config.hold_deadline
         self._receiver = ""  # the agent whose handler runs
@@ -189,12 +196,6 @@ class _Kernel:
         if now != self._stamped[0]:
             self._stamped = (now, self._stamp(now))
         return self._stamped[1]
-
-    def _dispatch(self, receiver: str, event: Union[StartOrder, DeadlineExpired]) -> None:
-        """Write the kernel line of a deadline or release, then deliver it."""
-        kind = _KERNEL_LINES[type(event)]
-        self.trace.append(f"{self._stamp_of(self.now())} kernel>{receiver} {kind}")
-        self._deliver(receiver, event)
 
     def _deliver(self, receiver: str, event: Event) -> None:
         """Run the receiver's handler and post what it returns, stamped once."""
@@ -243,129 +244,131 @@ class _Kernel:
             },
         )
 
+    def run(self) -> RunReport:
+        """Deliver every event as it falls due until none may still land.
+
+        The run stops once every order has finished or the clock reaches the
+        limit ``_start`` gives. Once every order has finished, every envelope
+        still lands, also those sent after the stop, so the last order's
+        final accepts, departures and rejects land. At the limit the run
+        reads on from a copy of the FIFO, so only the messages in flight land
+        and open negotiations cannot go on. With ``_stop_drops_deadlines``
+        no deadline or release is read after the stop. Stopped or not, the
+        run ends when neither queue holds an event: one thread with nothing
+        to deliver never goes on. A handler runs to completion, so one that
+        overruns the limit ends the run when it returns. An agent's exception
+        propagates from here, and popping more than ``MAX_EVENTS`` events
+        raises ``RunTimeout``.
+        """
+        t_wall = time.perf_counter()
+        fifo, heap, agents = self._fifo, self._heap, self.agents
+        open_orders = {aid for aid, agent in agents.items() if isinstance(agent, OrderAgent)}
+        limit = self._start(len(open_orders)) if open_orders else -inf  # -inf: stop now
+        now, popped = self.now(), 0
+        while True:
+            if now >= limit:  # the run stops
+                if open_orders:  # at the limit: only the envelopes in flight land
+                    log.error("%s run hit the wall limit of %.1fs", self.mode, limit)
+                    fifo = deque(fifo)  # envelopes posted from now on stay in self._fifo
+                limit = inf
+                if self._stop_drops_deadlines:
+                    heap = []  # deadlines armed from now on stay in self._heap
+            if heap and (not fifo or heap[0] < fifo[0]):
+                queue = heap
+            elif fifo:
+                queue = fifo
+            else:
+                break
+            if queue[0][0] > now:
+                self._wait(min(queue[0][0], limit))
+                now = self.now()
+                continue
+            popped += 1
+            if popped > MAX_EVENTS:
+                raise RunTimeout(f"event cap {MAX_EVENTS} exceeded")
+            if queue is fifo:
+                _at, _seq, receiver, event = fifo.popleft()
+                self._deliver(receiver, event)
+            else:
+                _at, _seq, receiver, event = heapq.heappop(heap)
+                kind = _KERNEL_LINES[type(event)]  # a deadline or release: its kernel line first
+                self.trace.append(f"{self._stamp_of(self.now())} kernel>{receiver} {kind}")
+                self._deliver(receiver, event)
+            if receiver in open_orders and agents[receiver].status in ("done", "failed"):
+                open_orders.discard(receiver)
+                if not open_orders:
+                    limit = -inf
+            if limit < inf:  # a clock with a limit ran on during the handler
+                now = self.now()
+        return self._report(time.perf_counter() - t_wall)
+
 
 class DeterministicKernel(_Kernel):
     """Single-threaded replayable event loop over a logical tick clock.
 
-    Message delivery costs one tick; timers jump the clock forward for free,
-    so protocol deadlines are cheap in logical time.
+    Message delivery costs one tick; waiting jumps the clock to the next
+    event for free, so deadlines are cheap in logical time. The clock never
+    runs out and the stop drops nothing, so every armed deadline fires.
     """
 
     mode = "deterministic"
+    _hop = 1
+    _stop_drops_deadlines = False
     _now: float = 0
 
     def now(self):
         return self._now
 
+    def _wait(self, t) -> None:
+        self._now = t
+
     @staticmethod
     def _stamp(t) -> str:
         return f"{int(t):08d}"
 
-    def run(self) -> RunReport:
-        t0 = time.perf_counter()
-        fifo, heap, cap, popped = self._fifo, self._heap, self.config.max_events, 0
-        while fifo or heap:
-            popped += 1
-            if popped > cap:
-                raise RunTimeout(f"event cap {cap} exceeded")
-            if heap and (not fifo or heap[0] < fifo[0]):
-                self._now, _seq, receiver, event = heapq.heappop(heap)
-                self._dispatch(receiver, event)
-            else:
-                self._now, _seq, receiver, event = fifo.popleft()
-                self._deliver(receiver, event)
-        return self._report(time.perf_counter() - t0)
+    def _start(self, orders: int) -> float:
+        return inf
 
 
 class ConcurrentKernel(_Kernel):
     """Actor kernel on the monotonic clock, run on the caller's thread.
 
-    ``run()`` delivers events in ``(at, seq)`` order, sleeping until the
-    next one falls due, and runs the receiver's handler to completion before
-    the next event: an agent's handlers never overlap and see its events in
-    that order, and a run starts no thread whatever the floor's size and
-    however many deadlines are armed. Order releases are heap entries at
-    their configured wall-clock offsets — the hosting-interval experiments
-    feed on this — and ``config.message_latency`` is the per-hop delivery
-    delay. The run stops at one cutoff, the newest envelope that may still
-    land.
+    ``run()`` sleeps until the next event falls due: an agent's handlers
+    never overlap and see its events in ``(at, seq)`` order, and a run
+    starts no thread whatever the floor's size and however many deadlines
+    are armed. Order releases fall due at their wall-clock offsets — the
+    hosting-interval experiments feed on this — ``config.message_latency``
+    is the hop, and the stop drops the deadlines and releases still pending.
     """
 
     mode = "concurrent"
-
-    def __init__(
-        self,
-        directory,
-        agents: dict[str, object],
-        releases: list[tuple[float, str]],
-        config: Optional[KernelConfig] = None,
-    ):
-        super().__init__(directory, agents, releases, config or KernelConfig.concurrent())
-        self._hop = self.config.message_latency
-        self._last_release = max((at for at, _ in releases), default=0.0)
-        self._t0 = 0.0
-        self._open = {aid for aid, agent in agents.items() if isinstance(agent, OrderAgent)}
+    _default_config = KernelConfig.concurrent
+    _hop = property(lambda self: self.config.message_latency)
+    _stop_drops_deadlines = True
+    _t0 = 0.0  # the monotonic time the run started at
 
     def now(self) -> float:
         return time.monotonic() - self._t0
+
+    def _wait(self, t) -> None:
+        time.sleep(max(0.0, t - self.now()))
 
     @staticmethod
     def _stamp(t) -> str:
         return f"{t:012.6f}"
 
-    def run(self) -> RunReport:
-        """Deliver every event as it falls due until the run stops and its envelopes are in.
-
-        The run stops once every order has finished or the wall limit has
-        passed. From then on ``last`` is the newest envelope that may still
-        land: the heap is dropped, so pending deadlines and releases go
-        unseen, and the FIFO is delivered up to ``last``. Once every order
-        has finished it is unbounded: the last order's final accepts and
-        departures reach their calendars, and the rejects it sends for late
-        proposals free the holds they answer. At the wall limit it is the
-        newest envelope already posted, so only the messages in flight land
-        and open negotiations cannot go on. A handler runs to
-        completion: one that overruns the wall limit ends the run when it
-        returns, and one that never returns holds it, as under the
-        deterministic kernel. An agent's exception propagates from here.
-        """
-        t_wall = time.perf_counter()
-        limit = self.config.wall_limit
-        if limit is None:
-            # generous safety net: every stage can burn a full CFP deadline
-            stages = 20 * max(1, len(self._open))
-            limit = self._last_release + 60.0 + stages * self.config.cfp_deadline
-        fifo, heap, agents, open_orders = self._fifo, self._heap, self.agents, self._open
-        last = None  # the run is open
+    def _start(self, orders: int) -> float:
+        """Zero the clock; the wall limit, or a generous safety net after the
+        last release (the heap holds only releases yet) in which every stage
+        can burn a full CFP deadline."""
         self._t0 = time.monotonic()
-        while True:
-            now = self.now()
-            if last is None and (not open_orders or now >= limit):
-                if open_orders:
-                    log.error("concurrent run hit the wall limit of %.1fs", limit)
-                last = self._seq if open_orders else float("inf")
-                heap.clear()  # deadlines and releases: those armed from now on go unread too
-            if last is not None:
-                if not fifo or fifo[0][1] > last:
-                    break
-                queue = fifo
-            elif heap and (not fifo or heap[0] < fifo[0]):
-                queue = heap
-            else:
-                queue = fifo
-            if queue and queue[0][0] <= now:
-                if queue is fifo:
-                    _at, _seq, receiver, event = fifo.popleft()
-                    self._deliver(receiver, event)
-                else:
-                    _at, _seq, receiver, event = heapq.heappop(heap)
-                    self._dispatch(receiver, event)
-                if receiver in open_orders and agents[receiver].status in ("done", "failed"):
-                    open_orders.discard(receiver)
-            else:
-                due = queue[0][0] if queue else limit
-                time.sleep((due if last is not None else min(due, limit)) - now)
-        return self._report(time.perf_counter() - t_wall)
+        if self.config.wall_limit is not None:
+            return self.config.wall_limit
+        last_release = max(self._heap, default=(0.0,))[0]
+        return last_release + 60.0 + 20 * orders * self.config.cfp_deadline
+
+
+_KERNELS = {kernel.mode: kernel for kernel in (DeterministicKernel, ConcurrentKernel)}
 
 
 def run_kernel(
@@ -376,10 +379,6 @@ def run_kernel(
     config: Optional[KernelConfig] = None,
 ) -> RunReport:
     """Run one scheduling session under the named kernel ("deterministic"/"concurrent")."""
-    if mode == "deterministic":
-        kernel = DeterministicKernel(directory, agents, releases, config)
-    elif mode == "concurrent":
-        kernel = ConcurrentKernel(directory, agents, releases, config)
-    else:
+    if mode not in _KERNELS:
         raise ValueError(f"unknown kernel mode {mode!r}")
-    return kernel.run()
+    return _KERNELS[mode](directory, agents, releases, config).run()

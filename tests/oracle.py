@@ -204,11 +204,14 @@ def _seconds(value: float) -> int:
 
 
 def physics_check(doc: Mapping, rows: Iterable[tuple]) -> list[str]:
-    """Machine setups and crane travel judged against the scenario document.
+    """Machine setups and operations and crane travel judged against the
+    scenario document.
 
     Reads only ``doc`` (a scenario document, minutes and metres per minute)
     and the GANTT rows of ``harness.gantt_rows``. On a machine, a negotiated
-    booking starts with a setup segment exactly when the document's setup
+    booking holds one operation segment, which lasts the document's
+    ``op_duration`` of the order's product there, and starts with a setup
+    segment exactly when the document's setup
     from the state before it to the order's product is not zero, and that
     segment lasts that long. The state before is the machine's
     ``initial_state``, the previous booking's product, an initial booking's
@@ -237,7 +240,7 @@ def physics_check(doc: Mapping, rows: Iterable[tuple]) -> list[str]:
         for order, label, _ in booked
     }
     for machine in doc["machines"]:
-        rid, setup = machine["id"], machine.get("setup", {})
+        rid, setup, op_duration = machine["id"], machine.get("setup", {}), machine["op_duration"]
         fixed = {
             _seconds(b["start"]): b.get("end_state", "")
             for b in machine.get("initial_bookings", [])
@@ -251,6 +254,12 @@ def physics_check(doc: Mapping, rows: Iterable[tuple]) -> list[str]:
                 state = fixed[segments[0][1]]
                 continue
             product = product_of[order]
+            operations = [end - start for kind, start, end in segments if kind == "operation"]
+            if product not in op_duration or operations != [_seconds(op_duration[product])]:
+                problems.append(
+                    f"{rid} {order}/{label}: operation segments {operations} for product "
+                    f"{product!r}, the document gives {op_duration.get(product)} min"
+                )
             want = _seconds(setup.get(state, {}).get(product, 0))
             found = [end - start for kind, start, end in segments if kind == "setup"]
             if want and not found:

@@ -106,6 +106,22 @@ def test_golden_runs_pass_the_oracles(make, digest, counts, request):
     assert len(physics) == UNRECORDED.get(run_id, 0)
 
 
+def test_physics_check_judges_each_operation_by_the_document():
+    # the flow shop's GANTT against a document whose Cutting takes twice as
+    # long: each of Cutting's negotiated operations is flagged, nothing else
+    doc = DOCUMENTS["section6_flowshop"]()
+    rows = gantt_rows(run_scenario(parse_scenario(doc), mode="deterministic"))
+    (cutting,) = [m for m in doc["machines"] if m["id"] == "Cutting"]
+    cutting["op_duration"] = {p: 2 * d for p, d in cutting["op_duration"].items()}
+    operations = {
+        (order, label) for rid, order, label, kind, *_ in rows
+        if rid == "Cutting" and kind == "operation" and label not in ("init", "maintenance")
+    }
+    flagged = physics_check(doc, rows)
+    assert len(operations) == len(flagged) == 2
+    assert all(p.startswith("Cutting ") and "operation segments" in p for p in flagged)
+
+
 class VirtualTime:
     """The ``time`` functions the concurrent kernel reads; ``sleep`` advances the clock."""
 

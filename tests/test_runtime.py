@@ -229,10 +229,11 @@ def test_an_operation_no_machine_offers_fails_the_order_not_the_load(steps, stag
     assert hold_check(r) == []
 
 
-def test_event_cap_raises_run_timeout(flowshop_scenario):
+def test_event_cap_raises_run_timeout(flowshop_scenario, monkeypatch):
     b = build_runtime(flowshop_scenario)
+    monkeypatch.setattr(runtime, "MAX_EVENTS", 10)
     with pytest.raises(RunTimeout):
-        run_kernel("deterministic", b.directory, b.agents, b.releases, KernelConfig(max_events=10))
+        run_kernel("deterministic", b.directory, b.agents, b.releases, KernelConfig())
 
 
 def test_unknown_mode_rejected(flowshop_scenario):
@@ -462,6 +463,30 @@ def test_concurrent_run_ends_after_a_handler_that_overruns_the_wall_limit(
     assert overrun <= time.perf_counter() - t0 < overrun + 1.0
     assert r.status == {"order-A": "stuck", "order-B": "stuck"}
     assert started == []
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "concurrent"])
+def test_a_run_with_nothing_left_to_deliver_ends_at_once(mode, monkeypatch):
+    # o1 starts, then arms no deadline and sends nothing: no event can fall
+    # due again, so either clock ends the run at once, the wall clock long
+    # before its 5-s limit, and reports the order stuck
+    b = build_runtime(parse_scenario(single_responder_doc(), source="t"))
+    order, handled = b.agents["o1"], []
+
+    def start_and_go_quiet(event, ctx):
+        handled.append(event)
+        order.status = "running"
+        return []
+
+    monkeypatch.setattr(order, "handle", start_and_go_quiet)
+    config = KernelConfig() if mode == "deterministic" else KernelConfig.concurrent(wall_limit=5)
+    t0 = time.perf_counter()
+    r = run_kernel(mode, b.directory, b.agents, b.releases, config)
+    assert time.perf_counter() - t0 < 1.0
+    assert handled == [StartOrder("o1")]
+    assert r.status == {"o1": "stuck"}
+    assert [line.split(" ", 1)[1] for line in r.trace] == ["kernel>o1 StartOrder"]
+    assert r.counter.total() == 0 and r.commits == []
 
 
 @pytest.mark.parametrize("floor", ["flowshop", "scaling-k32"])
