@@ -62,6 +62,8 @@ from .timebase import (
     Seconds,
     Slack,
     TimeInterval,
+    no_changeover,
+    segments,
 )
 
 if TYPE_CHECKING:  # scenario imports this module; its records are read by attribute
@@ -153,12 +155,12 @@ class _ResourceAgent:
     ``_deferred`` and :meth:`_drain` answers it once a reject or a departure
     resolves the engagement. A kind supplies only how it places proposals
     (``_propose``) and lays out an accepted booking (``_booking``), and where
-    it needs them ``_changeover`` and ``_commit``.
+    it needs one ``_commit``.
 
-    A booking records the state it needs at its start (``start_state``), so
-    one rule serves both the placement walk and the calendar: a booking in
-    front of another costs it ``_changeover(end state, its start state)``,
-    and nothing new when that start state is unknown.
+    The calendar prices every changeover: a kind hands its
+    ``changeover(from_state, to_state)`` to its ``ResourceSchedule``, and
+    the placement walk, a booking's own setup and the setup a booking
+    imposes on the one after it all read that one rule there.
 
     A CFP is answered from one gap table (:meth:`_table`). While no other
     conversation holds an offer and no open tail is assumed closed, that is
@@ -176,36 +178,25 @@ class _ResourceAgent:
     #: successor can impose on this resource; set by each kind
     _setup_bound: Seconds = 0
 
-    def __init__(self, agent_id: str, initial: Any = "") -> None:
+    def __init__(self, agent_id: str, initial: Any = "", changeover=no_changeover) -> None:
         self.agent_id = agent_id
-        self.schedule = ResourceSchedule(initial=initial)
+        # positional: every agent builds one, and keywords cost more
+        self.schedule = ResourceSchedule([], initial, changeover)
         self.holds = HoldBook()
         self._seq = 0
         self._deferred: list[Message] = []
 
-    def _book_fixed(
-        self, block: FixedBlock, label: str, kind: str, start_state: Any = None
-    ) -> None:
-        """Book a scenario's fixed block before any negotiation."""
-        segments = [(kind, TimeInterval(block.start, block.end))]
-        self.schedule.insert_booking(
-            BookingEntry(
-                block.order_id, label, segments, end_state=block.state, start_state=start_state
+    def _book_fixed(self, *blocks: tuple[FixedBlock, str, str, Any]) -> None:
+        """Book a scenario's fixed blocks, each ``(block, label, segment kind,
+        start state)``, before any negotiation: in start order, so each lands
+        with no booking after it, whatever order the scenario lists them in."""
+        for block, label, kind, start_state in sorted(blocks, key=lambda b: b[0].start):
+            self.schedule.insert_booking(
+                BookingEntry(
+                    block.order_id, label, [(kind, TimeInterval(block.start, block.end))],
+                    end_state=block.state, start_state=start_state,
+                )
             )
-        )
-
-    def _changeover(self, from_state: Any, to_state: Any) -> Seconds:
-        """The setup between a booking ending in ``from_state`` and one
-        starting in ``to_state``; each kind with setups supplies it."""
-        raise NotImplementedError
-
-    def _succ_setup(self, new_state: Any, succ: BookingEntry) -> Seconds:
-        """``insert_booking``'s successor setup: the changeover from
-        ``new_state`` to what ``succ`` needs at its start, or as booked when
-        that is unknown."""
-        if succ.start_state is None:
-            return succ.core_start - succ.span_start
-        return self._changeover(new_state, succ.start_state)
 
     def handle(self, event, ctx) -> list[Message]:
         if not isinstance(event, Message):
@@ -351,10 +342,10 @@ class _ResourceAgent:
 
         A row's gap is its free interval as such a booking sees it: with a
         successor whose start state is known, it ends where the successor's
-        setup, ``_changeover(end_state, start state)``, has to begin, and
+        setup, ``changeover(end_state, start state)``, has to begin, and
         ``ti_next`` is the signed change of that setup. Empty gaps are
         skipped. A slot starts no earlier than ``earliest`` and than the
-        gap's start plus ``_changeover(from_state, need)`` (nothing when
+        gap's start plus ``changeover(from_state, need)`` (nothing when
         ``need`` is None) and ``handling``; ``tail`` more must fit behind it.
         The walk stops at the first slot that would start after the latest
         start or end after the latest finish, since every later gap's slot
@@ -363,7 +354,7 @@ class _ResourceAgent:
         the gap reaches the scan horizon.
         """
         ls, lf = windows.ls, windows.lf
-        changeover = self._changeover
+        changeover = self.schedule.changeover
         # the windows' cap on the slack, the same for every gap
         cap = ls + dur + tail if ls is not None else None
         if lf is not None and (cap is None or lf + tail < cap):
@@ -443,7 +434,7 @@ class _ResourceAgent:
         raise NotImplementedError
 
     def _commit(self, hold: OfferHold, entry: BookingEntry, ctx) -> None:
-        self.schedule.insert_booking(entry, successor_setup=self._succ_setup)
+        self.schedule.insert_booking(entry)
         ctx.record_commit(self.agent_id, entry)
 
 
@@ -458,22 +449,21 @@ class ProductionAgent(_ResourceAgent):
     _keeps_workpiece = True
 
     def __init__(self, spec: MachineSpec, unload_estimate: Seconds = 0, load_estimate: Seconds = 0):
-        super().__init__(spec.id, spec.initial_state)
+        # the spec's lookup, not a method of the agent: the calendar holding it
+        # makes no reference cycle back to the agent
+        super().__init__(spec.id, spec.initial_state, spec.changeover)
         self.location = spec.location
         self.op_duration = spec.op_duration
         self.setup = spec.setup
         self.unload_estimate = unload_estimate
         self.load_estimate = load_estimate
-        # a maintenance window demands its state just like a job does, so
-        # finishing in the wrong state in front of one costs a changeover too
-        for b in spec.initial_bookings:
-            self._book_fixed(b, "init", "operation", b.state)
-        for w in spec.maintenance:
-            self._book_fixed(w, "maintenance", "maintenance", w.state)
-
-    def _changeover(self, from_state: str, to_state: str) -> Seconds:
-        row = self.setup.get(from_state)
-        return row.get(to_state, 0) if row else 0
+        if spec.initial_bookings or spec.maintenance:
+            # a maintenance window demands its state just like a job does, so
+            # finishing in the wrong state in front of one costs a changeover too
+            self._book_fixed(
+                *((b, "init", "operation", b.state) for b in spec.initial_bookings),
+                *((w, "maintenance", "maintenance", w.state) for w in spec.maintenance),
+            )
 
     @functools.cached_property
     def _setup_bound(self) -> Seconds:
@@ -531,18 +521,13 @@ class ProductionAgent(_ResourceAgent):
         unload = acc.actual_unload_time if p.unload_time else 0
         # a piece staying here departed first (see OrderAgent.decide)
         product = hold.end_state
-        setup = self._changeover(self.schedule.state_before(booked.start), product)
-        segments: list[tuple[str, TimeInterval]] = []
-        t = booked.start - unload - setup
-        if setup:
-            segments.append(("setup", TimeInterval(t, t + setup)))
-            t += setup
-        if unload:
-            segments.append(("unload", TimeInterval(t, t + unload)))
-            t += unload
-        segments.append(("operation", booked))
+        setup = self.schedule.setup_before(booked.start, product)
+        laid = segments(
+            booked.start - unload - setup,
+            ("setup", setup), ("unload", unload), ("operation", booked.duration),
+        )
         return BookingEntry(
-            order_id, hold.step_label, segments, open_tail=True, end_state=product,
+            order_id, hold.step_label, laid, open_tail=True, end_state=product,
             start_state=product,
         )
 
@@ -605,16 +590,12 @@ class BufferAgent(_ResourceAgent):
         if latest is not None and resident.end > latest:
             raise _Refusal("pickup outside the offered slack")
         u, l = acc.actual_unload_time, acc.actual_load_time
-        segments: list[tuple[str, TimeInterval]] = []
-        if u:
-            segments.append(("unload", TimeInterval(resident.start - u, resident.start)))
-        if not resident.is_empty():
-            segments.append(("buffer-hold", resident))
-        if l:
-            segments.append(("load", TimeInterval(resident.end, resident.end + l)))
-        if not segments:
+        laid = segments(
+            resident.start - u, ("unload", u), ("buffer-hold", resident.duration), ("load", l)
+        )
+        if not laid:
             raise _Refusal("empty buffering interval")
-        return BookingEntry(order_id, hold.step_label, segments)
+        return BookingEntry(order_id, hold.step_label, laid)
 
 
 # ---------------------------------------------------------------------------
@@ -627,15 +608,15 @@ class TransportAgent(_ResourceAgent):
     kind = TRANSPORT
 
     def __init__(self, spec: TransportSpec):
-        super().__init__(spec.id, spec.initial_x)
-        self.geometry = geom = spec.geometry()
-        self._committed_pids: set[str] = set()
+        geom = spec.geometry()
         # a changeover is empty travel from a drop-off x to a pickup x, always
         # inside the crane's own segment
-        self._changeover = geom.travel_seconds
+        super().__init__(spec.id, spec.initial_x, geom.travel_seconds)
+        self.geometry = geom
+        self._committed_pids: set[str] = set()
         self._setup_bound = geom.travel_seconds(geom.x_min, geom.x_max)
-        for b in spec.initial_bookings:
-            self._book_fixed(b, "init", "operation")  # its pickup is not known
+        if spec.initial_bookings:  # a fixed movement's pickup is not known
+            self._book_fixed(*((b, "init", "operation", None) for b in spec.initial_bookings))
 
     def _propose(self, msg: Message, cfp: Cfp, step: int, until: Seconds) -> list[Proposal]:
         """One proposal per leg this crane covers, plus the chained variants.
@@ -650,28 +631,28 @@ class TransportAgent(_ResourceAgent):
         x_min, x_max = geom.x_min, geom.x_max
         handling, travel = geom.load_time + geom.unload_time, geom.travel_seconds
         conv = msg.conversation_id
-        # legs that some other leg chains onto head into a buffer
-        chain_targets = {leg.chain_after for leg in cfp.legs if leg.chain_after is not None}
+        # a leg that some other leg departs via what it realizes heads into a buffer
+        buffered = {leg.via for leg in cfp.legs if leg.via is not None}
         from_buffer, to_buffer, direct = (
             f"T:B{step},{step}", f"T:{step - 1},B{step}", f"T:{step - 1},{step}"
         )
-        legs: list[tuple[int, TransportLeg, str, tuple]] = []
+        legs: list[tuple[TransportLeg, str, tuple]] = []
         #: placement key -> the first leg with it and its duration
         distinct: dict[tuple, tuple[TransportLeg, Seconds]] = {}
-        for leg_idx, leg in enumerate(cfp.legs):
+        for leg in cfp.legs:
             frm, tx = leg.from_location, leg.to_location[0]
             if not (x_min <= frm[0] <= x_max and x_min <= tx <= x_max):
                 continue  # the one check that the crane's segment covers the leg
             if leg.via is not None:
                 label = from_buffer
-            elif leg_idx in chain_targets:
+            elif leg.realizes in buffered:
                 label = to_buffer
             else:
                 label = direct
             key = (frm, tx, leg.windows)
             if key not in distinct:
                 distinct[key] = leg, handling + travel(frm[0], tx)
-            legs.append((leg_idx, leg, label, key))
+            legs.append((leg, label, key))
         if not legs:
             return []  # outside this crane's segment: silent, no calendar walk
         # a chained variant starts after its partner, which is placed no
@@ -682,18 +663,19 @@ class TransportAgent(_ResourceAgent):
         )
         placed = {key: self._place_leg(leg, dur, table) for key, (leg, dur) in distinct.items()}
         proposals: list[Proposal] = []
-        emitted_by_leg: dict[int, Proposal] = {}
-        for leg_idx, leg, label, key in legs:
+        #: the proposal a leg realizes -> the leg's plain offer and drop-off x
+        offered: dict[str, tuple[Proposal, float]] = {}
+        for leg, label, key in legs:
             fx, tx = leg.from_location[0], leg.to_location[0]
             echo = 0, leg.realizes, leg.via  # alternative, realizes, via: the leg's own
             plain = placed[key]
             if plain is not None:
                 made = self._offer(until, conv, label, plain[0], tx, *plain[1], *echo)
                 proposals.append(made)
-                emitted_by_leg[leg_idx] = made
-            # chained variant: departing right where a partner leg drops off
-            partner = emitted_by_leg.get(leg.chain_after)
-            if partner is None or abs(cfp.legs[leg.chain_after].to_location[0] - fx) >= 1e-9:
+                offered[leg.realizes] = made, tx
+            # chained variant: departing right where the leg into its buffer drops off
+            partner, drop_x = offered.get(leg.via, (None, None))
+            if partner is None or abs(drop_x - fx) >= 1e-9:
                 continue
             chained = self._place_leg(leg, distinct[key][1], table, after=partner)
             # one equal to the plain placement is not offered: no hold, no id
@@ -747,22 +729,13 @@ class TransportAgent(_ResourceAgent):
 
         geom = self.geometry
         pickup_x, drop_x = p.location[0], hold.end_state
-        pred_x = self.schedule.state_before(booked.start)
-        setup = geom.travel_seconds(pred_x, pickup_x)
-        travel = geom.travel_seconds(pickup_x, drop_x)
-        segments: list[tuple[str, TimeInterval]] = []
-        t = booked.start - setup
-        if setup:
-            segments.append(("travel", TimeInterval(t, booked.start)))
-        t = booked.start
-        segments.append(("load", TimeInterval(t, t + geom.load_time)))
-        t += geom.load_time
-        if travel:
-            segments.append(("travel", TimeInterval(t, t + travel)))
-            t += travel
-        segments.append(("unload", TimeInterval(t, t + geom.unload_time)))
+        setup = self.schedule.setup_before(booked.start, pickup_x)
+        laid = segments(
+            booked.start - setup, ("travel", setup), ("load", geom.load_time),
+            ("travel", geom.travel_seconds(pickup_x, drop_x)), ("unload", geom.unload_time),
+        )
         return BookingEntry(
-            order_id, hold.step_label, segments, end_state=drop_x, start_state=pickup_x
+            order_id, hold.step_label, laid, end_state=drop_x, start_state=pickup_x
         )
 
     def _commit(self, hold: OfferHold, entry: BookingEntry, ctx) -> None:
@@ -782,13 +755,10 @@ class StageCommit:
     slack_after: Slack
 
 
-def _leg(
-    frm, to: Proposal, windows: StageWindows, via: Optional[str] = None,
-    chain_after: Optional[int] = None,
-) -> TransportLeg:
+def _leg(frm, to: Proposal, windows: StageWindows, via: Optional[str] = None) -> TransportLeg:
     """The movement from ``frm`` (a commit or a proposal) to the resource of
     ``to``, which it realizes."""
-    return TransportLeg(frm.location, to.location, windows, to.proposal_id, via, chain_after)
+    return TransportLeg(frm.location, to.location, windows, to.proposal_id, via)
 
 
 class OrderAgent:
@@ -982,9 +952,8 @@ class OrderAgent:
                         w_out = calculus.transport_from_buffer_windows(f_prev, b, p, params)
                     except InfeasibleWindow:
                         continue
-                    inbound_idx = len(legs)
                     legs.append(_leg(prev, b, w_in))
-                    legs.append(_leg(b, p, w_out, b.proposal_id, inbound_idx))
+                    legs.append(_leg(b, p, w_out, b.proposal_id))
             else:
                 try:
                     w = calculus.transport_direct_windows(f_prev, st_prev, p, params)

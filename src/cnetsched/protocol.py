@@ -72,9 +72,11 @@ class TransportLeg(NamedTuple):
     ``realizes`` names the proposal whose arrival this leg enables (a buffer
     proposal for inbound legs, a production proposal otherwise); ``via`` names
     the buffer proposal the workpiece departs from, if any. A crane echoes
-    both on its proposal. ``chain_after`` points at the index of the leg this
-    one may directly follow on the same transport, enabling a reduced-price
-    chained proposal.
+    both on its proposal. These two links are the whole chain: a CFP asks
+    one inbound leg per buffer stay, so an outbound leg may directly follow,
+    on the same crane and at a reduced price, the leg whose ``realizes`` is
+    its ``via``. The crane prices each leg's empty travel by its calendar's
+    changeover, like every other setup.
     """
 
     from_location: tuple[float, float]
@@ -82,7 +84,6 @@ class TransportLeg(NamedTuple):
     windows: StageWindows
     realizes: str
     via: Optional[str] = None
-    chain_after: Optional[int] = None
 
 
 class Cfp(NamedTuple):

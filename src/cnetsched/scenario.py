@@ -65,6 +65,11 @@ class MachineSpec:
     initial_bookings: tuple[FixedBlock, ...] = ()
     maintenance: tuple[FixedBlock, ...] = ()
 
+    def changeover(self, from_state: str, to_state: str) -> Seconds:
+        """The setup matrix's entry, none where it has no entry."""
+        row = self.setup.get(from_state)
+        return row.get(to_state, 0) if row else 0
+
 
 @dataclass(frozen=True)
 class BufferSpec:

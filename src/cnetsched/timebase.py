@@ -19,6 +19,10 @@ state it needs at its start. The resource's placement walk reads the gaps a
 booking of one end state sees straight off the table, with no further
 calendar lookup, however many legs or alternatives the CFP carries.
 
+The calendar prices every changeover by the one rule its resource gave it
+(a machine's setup matrix, a crane's empty travel): a booking's own setup
+and the one an insert imposes on the booking after it.
+
 Every edit of a calendar goes through :meth:`ResourceSchedule.insert_booking`
 or :meth:`ResourceSchedule.close_open_tail`, and each drops the table the
 schedule keeps. Until the next edit, a resource that holds no offer for
@@ -166,10 +170,10 @@ class BookingEntry:
     segment. ``end_state`` is what the resource is left in: a machine's
     state (a product name) or a crane's drop-off x as a float.
     ``start_state`` is what the booking needs at its start: a machine's
-    product, a crane's pickup x. A booking in front of it recomputes its
-    setup as the changeover from its own ``end_state`` to that state; with
-    None (a block the scenario fixed without a known pickup) the setup stays
-    as booked.
+    product, a crane's pickup x. A booking inserted in front of it
+    recomputes its setup as the calendar's changeover from its own
+    ``end_state`` to that state; with None (a block the scenario fixed
+    without a known pickup) the setup stays as booked.
     """
 
     order_id: str
@@ -227,8 +231,20 @@ class BookingEntry:
         return op.end if op is not None else self.span_end
 
 
-# callback: (new predecessor end state, successor entry) -> required setup duration
-SetupFn = Callable[[Any, BookingEntry], Seconds]
+def segments(t: Seconds, *parts: tuple[str, Seconds]) -> list[tuple[str, TimeInterval]]:
+    """The ``(kind, seconds)`` parts laid out back to back from ``t``, the empty ones left out."""
+    out: list[tuple[str, TimeInterval]] = []
+    for kind, seconds in parts:
+        if seconds:
+            out.append((kind, TimeInterval(t, t + seconds)))
+            t += seconds
+    return out
+
+
+def no_changeover(from_state: Any, to_state: Any) -> Seconds:
+    """The changeover of a resource without setups."""
+    return 0
+
 
 _span_start = attrgetter("span_start")
 _span_end = attrgetter("span_end")
@@ -252,8 +268,11 @@ class ResourceSchedule:
     so both ``span_start`` and ``span_end`` never decrease along ``entries``.
     The lookups bisect the live list on these keys, so ``entries`` is edited
     only through :meth:`insert_booking` and :meth:`close_open_tail`.
-    ``initial`` is the state before the first booking. A gap table takes one
-    bisect and one walk of the entries after it (:meth:`free_intervals`).
+    ``initial`` is the state before the first booking, and
+    ``changeover(from_state, to_state)`` is the setup a booking starting in
+    ``to_state`` owes one ending in ``from_state`` (none by default). A gap
+    table takes one bisect and one walk of the entries after it
+    (:meth:`free_intervals`).
 
     The open tails are also indexed by order (``_tails``), so the checks for
     them cost one lookup instead of a scan. Both edits keep the index; it is
@@ -264,9 +283,13 @@ class ResourceSchedule:
     on success; a refused edit changes nothing and keeps it.
     """
 
-    def __init__(self, entries: Optional[list[BookingEntry]] = None, initial: Any = "") -> None:
+    def __init__(
+        self, entries: Optional[list[BookingEntry]] = None, initial: Any = "",
+        changeover: Callable[[Any, Any], Seconds] = no_changeover,
+    ) -> None:
         self.entries: list[BookingEntry] = [] if entries is None else entries
         self.initial = initial
+        self.changeover = changeover
         #: (``after``, rows) of the kept gap table; None until built, and after each edit
         self._kept: Optional[tuple[Seconds, list[GapRow]]] = None
         self._tails: dict[str, BookingEntry] = {}
@@ -406,16 +429,21 @@ class ResourceSchedule:
         i = bisect.bisect_right(self.entries, t, key=_span_end)
         return self.entries[i - 1].end_state if i else self.initial
 
+    def setup_before(self, t: Seconds, to_state: Any) -> Seconds:
+        """The changeover a booking starting in ``to_state`` at ``t`` owes the
+        state before it (:meth:`state_before`)."""
+        return self.changeover(self.state_before(t), to_state)
+
     # -- mutations -------------------------------------------------------
 
-    def insert_booking(
-        self, entry: BookingEntry, successor_setup: Optional[SetupFn] = None
-    ) -> None:
+    def insert_booking(self, entry: BookingEntry) -> None:
         """Insert ``entry``, shifting the successor's setup segment if needed.
 
-        Raises OverlapError when the entry (or the successor setup it forces)
-        cannot fit. On success only the successor's setup segment may have
-        moved; every other previously booked segment is untouched.
+        The successor's setup becomes ``changeover(entry's end state, its
+        start state)``, or stays as booked when that start state is None.
+        Raises OverlapError when the entry (or that setup) cannot fit. On
+        success only the successor's setup segment may have moved; every
+        other previously booked segment is untouched.
         """
         entry.validate()
         if entry.open_tail and entry.order_id in self._tails:
@@ -438,17 +466,12 @@ class ResourceSchedule:
                 )
 
         succ: Optional[BookingEntry] = None
-        new_setup = 0
         if idx < len(self.entries):
             succ = self.entries[idx]
-            # with a callback the successor's setup is recomputed from the new
-            # end state; one with no segment yet must still find room in the gap
-            if successor_setup is None:
+            if succ.start_state is None:
                 new_setup = succ.core_start - succ.span_start  # as booked
             else:
-                new_setup = successor_setup(entry.end_state, succ)
-                if new_setup < 0:
-                    raise ValueError("setup duration cannot be negative")
+                new_setup = self.changeover(entry.end_state, succ.start_state)
             if entry.span_end > succ.core_start - new_setup:
                 raise OverlapError(
                     f"booking {entry.order_id}/{entry.step_label} overlaps "
@@ -457,7 +480,7 @@ class ResourceSchedule:
                 )
 
         # all checks passed: apply
-        if succ is not None and succ.setup_interval is not None and successor_setup is not None:
+        if succ is not None and succ.setup_interval is not None:
             kind, old_setup = succ.segments[0]
             if new_setup:
                 succ.segments[0] = (kind, TimeInterval(old_setup.end - new_setup, old_setup.end))

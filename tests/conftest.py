@@ -76,25 +76,25 @@ def open_tails(schedule):
     return [e for e in schedule.entries if e.open_tail]
 
 
-def table_gaps(rows, new_end_state, setup_of):
+def table_gaps(rows, new_end_state, changeover):
     """The rows of a gap table as a booking ending in ``new_end_state`` sees them.
 
     The rule ``agents._ResourceAgent._fits`` applies to each row before it
-    places a slot: with a successor, the gap ends where the successor's setup,
-    recomputed by ``setup_of``, has to begin. Yields ``(start, end,
-    from_state, ti_next)`` and skips empty gaps.
+    places a slot: with a successor whose start state is known, the gap ends
+    where the successor's setup, recomputed by ``changeover``, has to begin.
+    Yields ``(start, end, from_state, ti_next)`` and skips empty gaps.
     """
     for start, end, from_state, succ, core_start, setup in rows:
         ti = 0
-        if succ is not None:
-            new_setup = setup_of(new_end_state, succ)
+        if succ is not None and succ.start_state is not None:
+            new_setup = changeover(new_end_state, succ.start_state)
             ti = new_setup - setup
             end = core_start - new_setup
         if end > start:
             yield start, end, from_state, ti
 
 
-def full_gap_walk(schedule, free, new_end_state, setup_of):
+def full_gap_walk(schedule, free, new_end_state):
     """The successor-aware gap walk that asks the calendar afresh for every interval.
 
     The reference for ``ResourceSchedule.gap_table`` read through
@@ -105,9 +105,9 @@ def full_gap_walk(schedule, free, new_end_state, setup_of):
     for iv in free:
         end, ti = iv.end, 0
         succ = schedule.entry_at_or_after(iv.end)
-        if succ is not None and succ.span_start == iv.end:
+        if succ is not None and succ.span_start == iv.end and succ.start_state is not None:
             setup_iv = succ.setup_interval
-            new_setup = setup_of(new_end_state, succ)
+            new_setup = schedule.changeover(new_end_state, succ.start_state)
             ti = new_setup - (setup_iv.duration if setup_iv is not None else 0)
             end = succ.core_start - new_setup
         if end > iv.start:

@@ -203,19 +203,22 @@ def _seconds(value: float) -> int:
     return int(round(value * 60))
 
 
-def physics_check(doc: Mapping, rows: Iterable[tuple]) -> list[str]:
-    """Machine setups and operations and crane travel judged against the
-    scenario document.
+def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ()) -> list[str]:
+    """Machine stages, setups and operations and crane travel judged against
+    the scenario document.
 
-    Reads only ``doc`` (a scenario document, minutes and metres per minute)
-    and the GANTT rows of ``harness.gantt_rows``. On a machine, a negotiated
-    booking holds one operation segment, which lasts the document's
-    ``op_duration`` of the order's product there, and starts with a setup
-    segment exactly when the document's setup
-    from the state before it to the order's product is not zero, and that
-    segment lasts that long. The state before is the machine's
-    ``initial_state``, the previous booking's product, an initial booking's
-    ``end_state`` or a maintenance window's ``state``. A crane movement's
+    Reads only ``doc`` (a scenario document, minutes and metres per minute),
+    the GANTT rows of ``harness.gantt_rows`` and the ids of the orders that
+    finished (``done``). An order's negotiated machine bookings are labelled
+    1…k, a prefix of its product's steps, each on a machine whose
+    ``operation`` is that step; a done order has them all. On a machine, a
+    negotiated booking holds one operation segment, which lasts the
+    document's ``op_duration`` of the order's product there, and starts with
+    a setup segment exactly when the document's setup from the state before
+    it to the order's product is not zero, and that segment lasts that long.
+    The state before is the machine's ``initial_state``, the previous
+    booking's product, an initial booking's ``end_state`` or a maintenance
+    window's ``state``. A crane movement's
     empty travel (before its load) and loaded travel (between load and
     unload) are each present exactly when the document's travel time for it
     is not zero, and last that long: empty from the crane's previous drop-off
@@ -239,6 +242,33 @@ def physics_check(doc: Mapping, rows: Iterable[tuple]) -> list[str]:
         if rid not in cranes
         for order, label, _ in booked
     }
+    steps_of = {p["id"]: p["steps"] for p in doc["products"]}
+    operation_of = {m["id"]: m["operation"] for m in doc["machines"]}
+    done = set(done)
+    stages: dict[str, list[str]] = {order: [] for order in done}
+    for rid, operation in operation_of.items():
+        for order, label, _ in bookings.get(rid, []):
+            if label in ("init", "maintenance"):
+                continue
+            stages.setdefault(order, []).append(label)
+            steps = steps_of[product_of[order]]
+            if not label.isdigit() or not 1 <= int(label) <= len(steps):
+                continue  # judged with the order's labels below
+            if steps[int(label) - 1] != operation:
+                problems.append(
+                    f"{rid} {order}/{label}: a {operation!r} machine, the plan's step "
+                    f"{label} is {steps[int(label) - 1]!r}"
+                )
+    for order, labels in sorted(stages.items()):
+        n = len(steps_of[product_of[order]])
+        k = n if order in done else len(labels)
+        if k > n or sorted(labels, key=lambda label: (len(label), label)) != [
+            str(i) for i in range(1, k + 1)
+        ]:
+            problems.append(
+                f"{order}: machine stages {sorted(labels)} are not "
+                + ("all" if order in done else "a prefix of") + f" the {n} steps of its plan"
+            )
     for machine in doc["machines"]:
         rid, setup, op_duration = machine["id"], machine.get("setup", {}), machine["op_duration"]
         fixed = {

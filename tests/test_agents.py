@@ -432,7 +432,6 @@ def transport_cfp(order="o1", deadline=10**7):
         windows=StageWindows(es=2000, ef=2000),
         realizes="P#1",
         via="B#1",
-        chain_after=0,
     )
     return Cfp(
         kind=TRANSPORT,
@@ -558,7 +557,7 @@ def test_every_offer_field_lands_in_its_named_place():
     inbound = TransportLeg((10.0, 5.0), (20.0, 15.0), StageWindows(es=0, ef=1210, lf=1300), "B#1")
     outbound = TransportLeg(
         (20.0, 15.0), (40.0, 5.0), StageWindows(es=2000, ef=2000, ls=2100, lf=2200), "P#1",
-        via="B#1", chain_after=0,
+        via="B#1",
     )
     cfp = Cfp(
         kind=TRANSPORT,
@@ -653,6 +652,29 @@ def test_crane_charges_the_approach_from_its_exact_drop_off_position():
     (offer,) = proposals_of(t.handle(envelope("T1", "o1", 1, cfp), FakeCtx()))
     assert offer.slot == TimeInterval(62, 70)  # 60 s booked, 2 s approach, 8 s run
     assert offer.price == 8 + 2
+
+
+def test_a_crane_without_handling_times_books_its_movement_as_travel_alone():
+    # zero load and unload times lay out no segment, so the accept books the
+    # loaded run instead of failing on an empty load segment
+    from cnetsched.harness import gantt_rows, run_scenario
+
+    doc = {
+        "format_version": 1,
+        "params": {"t_buffer_min": 15},
+        "machines": [
+            {"id": "M1", "operation": "cutting", "location": [0, 0], "op_duration": {"A": 1}},
+            {"id": "M2", "operation": "forging", "location": [1010, 0], "op_duration": {"A": 1}},
+        ],
+        "transports": [{"id": "T1", "segment": [0, 2000], "speed": 60, "load": 0, "unload": 0}],
+        "products": [{"id": "A", "steps": ["cutting", "forging"]}],
+        "orders": [{"id": "o1", "product": "A"}],
+    }
+    report = run_scenario(parse_scenario(doc), mode="deterministic")
+    assert report.status == {"o1": "done"}
+    assert [row for row in gantt_rows(report) if row[0] == "T1"] == [
+        ("T1", "o1", "T:1,2", "travel", 60, 1070)
+    ]
 
 
 def test_transport_chained_accept_requires_committed_partner():
@@ -811,8 +833,8 @@ def test_a_chained_variant_is_placed_against_its_own_partner():
     inbound_a = TransportLeg((10.0, 5.0), (20.0, 15.0), StageWindows(es=0, ef=1210), "B#1")
     inbound_b = TransportLeg((0.0, 5.0), (20.0, 15.0), StageWindows(es=3000, ef=4220), "B#2")
     w_out = StageWindows(es=2000, ef=2000)
-    out_a = TransportLeg((20.0, 15.0), (40.0, 5.0), w_out, "P#1", via="B#1", chain_after=0)
-    out_b = TransportLeg((20.0, 15.0), (40.0, 5.0), w_out, "P#2", via="B#2", chain_after=1)
+    out_a = TransportLeg((20.0, 15.0), (40.0, 5.0), w_out, "P#1", via="B#1")
+    out_b = TransportLeg((20.0, 15.0), (40.0, 5.0), w_out, "P#2", via="B#2")
     t, ctx = crane(), FakeCtx()
     cfp = crane_cfp(inbound_a, inbound_b, out_a, out_b)
     props = proposals_of(t.handle(envelope("Crane1", "o1", 1, cfp), ctx))
@@ -1036,26 +1058,26 @@ def legs_asked(with_buffer_offers):
     neg.proposals.append([p for msg in offers for p in msg.parts])
     (transport_call,) = oa.plan_transport(neg, ctx)
     assert transport_call.receiver == "Crane1"
-    return [(leg.via, leg.realizes, leg.chain_after) for leg in transport_call.parts[0].legs]
+    return [(leg.via, leg.realizes) for leg in transport_call.parts[0].legs]
 
 
 def test_order_asks_buffer_legs_for_a_buffered_proposal_and_a_direct_leg_otherwise():
     assert legs_asked(with_buffer_offers=True) == [
-        (None, "Buf1#p1", None),  # into the buffer
-        ("Buf1#p1", "P#1", 0),  # out of it, chained onto the inbound leg
-        (None, "P#2", None),  # straight to the machine that needs no buffering
+        (None, "Buf1#p1"),  # into the buffer
+        ("Buf1#p1", "P#1"),  # out of it, via the stay the inbound leg realizes
+        (None, "P#2"),  # straight to the machine that needs no buffering
     ]
 
 
 def test_order_asks_no_leg_for_a_buffered_proposal_without_a_buffer_offer():
-    assert legs_asked(with_buffer_offers=False) == [(None, "P#2", None)]
+    assert legs_asked(with_buffer_offers=False) == [(None, "P#2")]
 
 
 # ---------------------------------------------------------------------------
 # placement skip: the same offers as a walk over every free interval
 #
-# Calendars are grown by ``insert_booking`` with the agent's own successor
-# setup, so a later booking may shrink a successor's setup and a gap may end
+# Calendars are grown by ``insert_booking``, which prices the agent's own
+# changeover, so a later booking may shrink a successor's setup and a gap may end
 # after its free interval (``gap.end > iv.end``); holds of other orders and
 # open tails sit in between. The references are copies of the walks before
 # the skip: every free interval from time 0.
@@ -1093,7 +1115,7 @@ def machine_with_calendar(draw):
     for i in range(draw(st.integers(0, 12))):
         start, dur = draw(st.integers(0, 600)), draw(st.integers(1, 50))
         prev, state = draw(st.sampled_from(states)), draw(st.sampled_from(states))
-        setup = m._changeover(prev, state)
+        setup = m.schedule.changeover(prev, state)
         segments = [("operation", TimeInterval(start + setup, start + setup + dur))]
         if setup:
             segments.insert(0, ("setup", TimeInterval(start, start + setup)))
@@ -1102,7 +1124,7 @@ def machine_with_calendar(draw):
             start_state=state,
         )
         try:
-            m.schedule.insert_booking(entry, m._succ_setup)
+            m.schedule.insert_booking(entry)
         except OverlapError:
             pass
     check_invariants(m.schedule)
@@ -1129,12 +1151,10 @@ def full_walk_machine(m, cfp, conv, ctx):
         es = tail.operation_end if own else alt.windows.es
         ls, lf = alt.windows.ls, alt.windows.lf
         emitted = 0
-        for gap_start, gap_end, from_state, ti_next in full_gap_walk(
-            m.schedule, free, product, m._succ_setup
-        ):
+        for gap_start, gap_end, from_state, ti_next in full_gap_walk(m.schedule, free, product):
             if own and gap_start != tail.operation_end:
                 continue
-            setup = m._changeover(from_state, product)
+            setup = m.schedule.changeover(from_state, product)
             prefix = setup + unload
             op_start = max(es, gap_start + prefix)
             if ls is not None and op_start > ls:
@@ -1227,7 +1247,7 @@ def crane_with_calendar(draw):
             f"o{i}", "T", segments, end_state=drop, start_state=pickup if known else None
         )
         try:
-            t.schedule.insert_booking(entry, t._succ_setup)
+            t.schedule.insert_booking(entry)
         except OverlapError:
             continue
     hold_others(t, draw(other_holds))
@@ -1240,9 +1260,7 @@ def full_walk_leg(t, leg, dur, free, after=None):
     geom = t.geometry
     w = leg.windows
     fx, tx = leg.from_location[0], leg.to_location[0]
-    for gap_start, gap_end, from_state, ti_next in full_gap_walk(
-        t.schedule, free, tx, t._succ_setup
-    ):
+    for gap_start, gap_end, from_state, ti_next in full_gap_walk(t.schedule, free, tx):
         if after is not None:
             if not (gap_start <= after.slot.start and after.slot.end <= gap_end):
                 continue
@@ -1383,7 +1401,8 @@ def test_property_the_placement_walk_gives_crane_legs_the_full_walks_slots(
     if init is not None:
         start, length = init
         try:
-            t._book_fixed(FixedBlock("T-init-0", start, start + length, 45.0), "init", "operation")
+            block = FixedBlock("T-init-0", start, start + length, 45.0)
+            t._book_fixed((block, "init", "operation", None))
         except OverlapError:
             pass
     geom = t.geometry
@@ -1634,7 +1653,7 @@ def test_property_a_kept_table_is_the_fresh_table_with_rows_that_end_early(
                 f"b{edits}", "1", segments, open_tail, end_state=state, start_state=state
             )
             try:
-                m.schedule.insert_booking(entry, m._succ_setup)
+                m.schedule.insert_booking(entry)
                 edits += 1
             except OverlapError:
                 pass

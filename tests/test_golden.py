@@ -101,7 +101,8 @@ def test_golden_runs_pass_the_oracles(make, digest, counts, request):
     assert occupancy_check(schedules, kinds=agent_kinds(r)) == []
     assert stability_check(r.commits, schedules) == []
     assert hold_check(r) == []
-    physics = physics_check(doc, gantt_rows(r))
+    done = [o for o, status in r.status.items() if status == "done"]
+    physics = physics_check(doc, gantt_rows(r), done)
     assert [p for p in physics if "not recorded" not in p] == []
     assert len(physics) == UNRECORDED.get(run_id, 0)
 
@@ -120,6 +121,27 @@ def test_physics_check_judges_each_operation_by_the_document():
     flagged = physics_check(doc, rows)
     assert len(operations) == len(flagged) == 2
     assert all(p.startswith("Cutting ") and "operation segments" in p for p in flagged)
+
+
+def test_physics_check_judges_each_orders_machine_stages_by_its_plan():
+    # the flow shop's GANTT against a document whose product A mills before
+    # it forges and ends with a fifth step
+    doc = DOCUMENTS["section6_flowshop"]()
+    report = run_scenario(parse_scenario(doc), mode="deterministic")
+    rows, done = gantt_rows(report), sorted(report.status)
+    assert report.all_done and physics_check(doc, rows, done) == []
+    (steps,) = [p["steps"] for p in doc["products"] if p["id"] == "A"]
+    steps[1], steps[2] = steps[2], steps[1]
+    steps.append("cutting")
+    misplaced = [
+        "Forging order-A/2: a 'forging' machine, the plan's step 2 is 'milling'",
+        "Milling1 order-A/3: a 'milling' machine, the plan's step 3 is 'forging'",
+    ]
+    assert physics_check(doc, rows, done) == misplaced + [
+        "order-A: machine stages ['1', '2', '3', '4'] are not all the 5 steps of its plan"
+    ]
+    # an order that did not finish is held to a prefix only
+    assert physics_check(doc, rows) == misplaced
 
 
 class VirtualTime:

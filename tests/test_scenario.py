@@ -4,7 +4,7 @@ import json
 import pytest
 
 from cnetsched.agents import BufferAgent, OrderAgent, ProductionAgent, TransportAgent
-from cnetsched.harness import scaling_document, shop_document
+from cnetsched.harness import gantt_rows, run_scenario, scaling_document, shop_document
 from cnetsched.scenario import ValidationError, build_runtime, load_scenario, parse_scenario
 from cnetsched.timebase import minutes
 
@@ -342,6 +342,25 @@ def test_build_runtime_materialises_calendars():
     crane = rt.agents["Crane1"]
     assert crane.schedule.entries[0].end_state == 30.0
     assert float(crane.schedule.state_before(minutes(10))) == 30.0
+
+
+def test_fixed_blocks_listed_out_of_time_order_land_where_the_document_puts_them():
+    # the window in state B is listed after the initial booking that needs A
+    # right behind it: booked in document order, the window would owe that
+    # booking the B -> A changeover it has no room for
+    doc = minimal_doc()
+    m1 = doc["machines"][0]
+    m1["setup"] = {"A": {"B": 10}, "B": {"A": 5}}
+    m1["initial_bookings"] = [{"order_id": "pre", "start": 30, "end": 60, "end_state": "A"}]
+    m1["maintenance"] = [{"start": 10, "end": 30, "state": "B"}]
+    report = run_scenario(parse_scenario(doc, source="t"), mode="deterministic")
+    assert report.status == {"o1": "done"}
+    assert [row for row in gantt_rows(report) if row[0] == "M1"] == [
+        ("M1", "M1-maint-0", "maintenance", "maintenance", 600, 1800),
+        ("M1", "pre", "init", "operation", 1800, 3600),
+        ("M1", "o1", "1", "operation", 3600, 9600),
+        ("M1", "o1", "1", "load", 9600, 10200),
+    ]
 
 
 def test_build_runtime_sorts_releases():

@@ -52,7 +52,8 @@ def test_random_scenarios_pass_the_oracles():
             if status == "failed"
         )
         schedules = r.schedules()
-        physics = physics_check(doc, gantt_rows(r))
+        done = [o for o, status in r.status.items() if status == "done"]
+        physics = physics_check(doc, gantt_rows(r), done)
         missing = [p for p in physics if "not recorded" in p]
         found = (
             occupancy_check(schedules, kinds=agent_kinds(r))

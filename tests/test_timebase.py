@@ -19,12 +19,16 @@ from conftest import full_gap_walk, open_tails, table_gaps
 from oracle import check_invariants
 
 
-def op_entry(order, start, end, step="1", end_state="", open_tail=False, setup=0):
+def op_entry(
+    order, start, end, step="1", end_state="", open_tail=False, setup=0, start_state=None
+):
     segments = []
     if setup:
         segments.append(("setup", TimeInterval(start - setup, start)))
     segments.append(("operation", TimeInterval(start, end)))
-    return BookingEntry(order, step, segments, open_tail=open_tail, end_state=end_state)
+    return BookingEntry(
+        order, step, segments, open_tail=open_tail, end_state=end_state, start_state=start_state
+    )
 
 
 def spans(rows):
@@ -212,43 +216,56 @@ def test_second_open_tail_for_same_order_rejected():
         s.insert_booking(op_entry("a", 200, 300, open_tail=True))
 
 
+def into_p(setup_after):
+    """A changeover into state P costing ``setup_after[from_state]``, none into others."""
+    return lambda from_state, to_state: setup_after[from_state] if to_state == "P" else 0
+
+
 def test_successor_setup_reshaped_on_insert():
-    setup_table = {"A": 0, "B": 30}
-
-    def setup_of(end_state, succ):
-        return setup_table[end_state]
-
-    s = ResourceSchedule()
-    succ = op_entry("later", 200, 300, setup=30)  # setup [170, 200)
+    s = ResourceSchedule(changeover=into_p({"A": 0, "B": 30}))
+    succ = op_entry("later", 200, 300, setup=30, start_state="P")  # setup [170, 200)
     s.insert_booking(succ)
 
-    s.insert_booking(op_entry("now", 0, 170, end_state="A"), setup_of)
+    s.insert_booking(op_entry("now", 0, 170, end_state="A"))
     assert succ.setup_interval is None  # shrank to nothing
     assert succ.segments[0] == ("operation", TimeInterval(200, 300))
     check_invariants(s)
 
 
 def test_insert_rejected_when_successor_setup_no_longer_fits():
-    def setup_of(end_state, succ):
-        return 50
-
-    s = ResourceSchedule()
-    s.insert_booking(op_entry("later", 200, 300, setup=30))
+    s = ResourceSchedule(changeover=lambda *_: 50)
+    s.insert_booking(op_entry("later", 200, 300, setup=30, start_state="P"))
     with pytest.raises(OverlapError):
         # would end at 160, but the successor setup must now start at 150
-        s.insert_booking(op_entry("now", 0, 160, end_state="C"), setup_of)
+        s.insert_booking(op_entry("now", 0, 160, end_state="C"))
 
 
 def test_insert_accounts_for_unmaterialized_successor_setup():
-    def setup_of(end_state, succ):
-        return 20 if end_state == "B" else 0
-
-    s = ResourceSchedule()
-    s.insert_booking(op_entry("later", 200, 300))  # no setup segment recorded
+    s = ResourceSchedule(changeover=into_p({"A": 0, "B": 20}))
+    s.insert_booking(op_entry("later", 200, 300, start_state="P"))  # no setup segment recorded
     with pytest.raises(OverlapError):
-        s.insert_booking(op_entry("now", 0, 190, end_state="B"), setup_of)
-    s.insert_booking(op_entry("now", 0, 180, end_state="B"), setup_of)
+        s.insert_booking(op_entry("now", 0, 190, end_state="B"))
+    s.insert_booking(op_entry("now", 0, 180, end_state="B"))
     check_invariants(s)
+
+
+def test_a_successor_without_a_start_state_keeps_its_setup_as_booked():
+    s = ResourceSchedule(changeover=lambda *_: 50)
+    succ = op_entry("later", 200, 300, setup=30)  # setup [170, 200), no known start state
+    s.insert_booking(succ)
+    with pytest.raises(OverlapError):
+        s.insert_booking(op_entry("now", 0, 171, end_state="C"))
+    s.insert_booking(op_entry("now", 0, 170, end_state="C"))
+    assert succ.setup_interval == TimeInterval(170, 200)
+    check_invariants(s)
+
+
+def test_setup_before_prices_the_state_before_by_the_calendars_changeover():
+    s = ResourceSchedule(initial="A", changeover=into_p({"A": 10, "B": 40}))
+    s.insert_booking(op_entry("a", 100, 200, end_state="B"))
+    assert [s.setup_before(t, "P") for t in (0, 199, 200, 500)] == [10, 10, 40, 40]
+    assert s.setup_before(500, "Q") == 0
+    assert ResourceSchedule(initial="A").setup_before(0, "P") == 0  # no setups by default
 
 
 def test_close_open_tail_adds_hold_and_load():
@@ -383,21 +400,19 @@ def test_the_last_row_ends_at_the_first_of_the_entry_and_the_horizon(at, last_en
 
 
 def test_placement_gaps_respect_successor_setup():
-    def setup_of(end_state, succ):
-        return 40 if end_state == "B" else 10
-
-    s = ResourceSchedule(initial="A")
-    s.insert_booking(op_entry("later", 200, 300, setup=20))  # setup [180, 200)
+    changeover = into_p({"A": 10, "B": 40})
+    s = ResourceSchedule(initial="A", changeover=changeover)
+    s.insert_booking(op_entry("later", 200, 300, setup=20, start_state="P"))  # setup [180, 200)
     table = s.gap_table()
     assert table[0].succ is s.entries[0] and table[0].setup == 20
     # start, end, from_state, ti_next: a 40s setup is now needed before 200
-    assert list(table_gaps(table, "B", setup_of))[0] == (0, 160, "A", 20)
+    assert list(table_gaps(table, "B", changeover))[0] == (0, 160, "A", 20)
     # the setup shrinks and the gap stretches
-    assert list(table_gaps(table, "A", setup_of))[0] == (0, 190, "A", -10)
+    assert list(table_gaps(table, "A", changeover))[0] == (0, 190, "A", -10)
 
 
 def test_the_kept_table_is_dropped_at_every_edit_of_the_calendar():
-    s = ResourceSchedule([op_entry("init", 0, 10)])
+    s = ResourceSchedule([op_entry("init", 0, 10)], changeover=lambda *_: 30)
     kept = s.gap_table()
     assert s.gap_table() is kept
 
@@ -409,10 +424,10 @@ def test_the_kept_table_is_dropped_at_every_edit_of_the_calendar():
         assert table == ResourceSchedule(list(s.entries)).gap_table()
         kept = table
 
-    s.insert_booking(op_entry("a", 100, 200, end_state="A", setup=10))
+    s.insert_booking(op_entry("a", 100, 200, end_state="A", setup=10, start_state="A"))
     rebuilt()
     # the insert shifts its successor's setup too: the table goes all the same
-    s.insert_booking(op_entry("b", 50, 60, end_state="B"), successor_setup=lambda *_: 30)
+    s.insert_booking(op_entry("b", 50, 60, end_state="B"))
     assert s.entries[-1].setup_interval == TimeInterval(70, 100)
     rebuilt()
     s.insert_booking(op_entry("c", 300, 400, open_tail=True))
@@ -464,15 +479,12 @@ def test_property_entries_stay_pairwise_disjoint(tries):
 
 @given(attempts)
 def test_property_booked_cores_never_move(tries):
-    def setup_of(end_state, succ):
-        return 5
-
-    s = ResourceSchedule()
+    s = ResourceSchedule(changeover=lambda *_: 5)
     cores: list[tuple[str, int, int]] = []
     for i, (start, dur, setup) in enumerate(tries):
-        e = op_entry(f"o{i}", start + setup, start + setup + dur, setup=setup)
+        e = op_entry(f"o{i}", start + setup, start + setup + dur, setup=setup, start_state="P")
         try:
-            s.insert_booking(e, setup_of)
+            s.insert_booking(e)
         except OverlapError:
             continue
         cores.append((f"o{i}", e.core_start, e.operation_end))
@@ -611,22 +623,12 @@ MACHINE_SETUP = {("A", "B"): 15, ("B", "A"): 30, ("A", "C"): 5, ("C", "B"): 25}
 CRANE_XS = (0.0, 7.0, 12.5, 30.0)
 
 
-def machine_succ_setup(new_state, succ):
-    return MACHINE_SETUP.get((new_state, succ.end_state), 0)
+def machine_changeover(from_state, to_state):
+    return MACHINE_SETUP.get((from_state, to_state), 0)
 
 
 def travel(a, b):
     return int(round(abs(a - b) * 2))
-
-
-def crane_succ_setup(pickups):
-    def setup_of(new_state, succ):
-        pickup = pickups.get((succ.order_id, succ.step_label))
-        if pickup is None:
-            return succ.setup_interval.duration if succ.setup_interval else 0
-        return travel(float(new_state), pickup)
-
-    return setup_of
 
 
 holds = st.lists(
@@ -640,20 +642,22 @@ holds = st.lists(
 @st.composite
 def machine_calendar(draw):
     """A machine calendar grown by insert_booking and close_open_tail only."""
-    s = ResourceSchedule()
+    s = ResourceSchedule(changeover=machine_changeover)
     for i in range(draw(st.integers(0, 14))):
         start, dur = draw(st.integers(0, 600)), draw(st.integers(1, 60))
         setup = draw(st.sampled_from((0, 5, 15, 30)))
+        state = draw(st.sampled_from(MACHINE_STATES))
         entry = op_entry(
             f"o{i}",
             start + setup,
             start + setup + dur,
-            end_state=draw(st.sampled_from(MACHINE_STATES)),
+            end_state=state,
             open_tail=draw(st.integers(0, 3)) == 0,
             setup=setup,
+            start_state=state,
         )
         try:
-            s.insert_booking(entry, machine_succ_setup)  # moves successor setups
+            s.insert_booking(entry)  # moves successor setups
         except OverlapError:
             pass
     for e in open_tails(s):
@@ -671,7 +675,7 @@ def machine_calendar(draw):
 def crane_calendar(draw):
     """A crane calendar, its recorded pickups and its initial position."""
     initial_x = draw(st.sampled_from((0.0, 30.0)))
-    s = ResourceSchedule(initial=initial_x)
+    s = ResourceSchedule(initial=initial_x, changeover=travel)
     pickups: dict[tuple[str, str], float] = {}
     for i in range(draw(st.integers(0, 14))):
         start, dur = draw(st.integers(0, 600)), draw(st.integers(1, 60))
@@ -679,13 +683,17 @@ def crane_calendar(draw):
         segments = [("load", TimeInterval(start + setup, start + setup + dur))]
         if setup:
             segments.insert(0, ("travel", TimeInterval(start, start + setup)))
-        entry = BookingEntry(f"o{i}", "T", segments, end_state=draw(st.sampled_from(CRANE_XS)))
+        # some bookings keep their approach: their pickup is not known
+        pickup = draw(st.sampled_from((None, 0.0, 7.0, 20.0, 30.0)))
+        entry = BookingEntry(
+            f"o{i}", "T", segments, end_state=draw(st.sampled_from(CRANE_XS)), start_state=pickup
+        )
         try:
-            s.insert_booking(entry, crane_succ_setup(pickups))
+            s.insert_booking(entry)
         except (OverlapError, ValueError):
             continue
-        if draw(st.booleans()):
-            pickups[(entry.order_id, "T")] = draw(st.sampled_from((0.0, 7.0, 20.0, 30.0)))
+        if pickup is not None:
+            pickups[(entry.order_id, "T")] = pickup
     check_invariants(s)
     return s, pickups, initial_x
 
@@ -778,14 +786,14 @@ def test_property_indexed_lookups_match_linear_scans(s):
     st.booleans(),
 )
 def test_property_machine_gap_walk_matches_linear_scan(s, product, initial, extra, own):
-    s = ResourceSchedule(s.entries, initial=initial)
+    s = ResourceSchedule(s.entries, initial=initial, changeover=machine_changeover)
     tails = open_tails(s)
     assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
     free = s.free_intervals(extra_busy=extra, assume_closed=assume)
     linear = linear_machine_gaps(s, product, initial, extra, assume)
     table = s.gap_table(extra_busy=extra, assume_closed=assume)
-    assert list(table_gaps(table, product, machine_succ_setup)) == linear
-    assert list(full_gap_walk(s, free, product, machine_succ_setup)) == linear
+    assert list(table_gaps(table, product, machine_changeover)) == linear
+    assert list(full_gap_walk(s, free, product)) == linear
     horizon = max((e.span_end for e in s.entries), default=0) + 5
     for t in range(horizon):
         assert s.state_before(t) == linear_state(s, t, initial)
@@ -797,8 +805,8 @@ def test_property_crane_gap_walk_matches_linear_scan(calendar, drop_x, extra):
     free = s.free_intervals(extra_busy=extra)
     linear = linear_crane_gaps(s, pickups, initial_x, drop_x, extra)
     table = s.gap_table(extra_busy=extra)
-    assert list(table_gaps(table, drop_x, crane_succ_setup(pickups))) == linear
-    walk = full_gap_walk(s, free, drop_x, crane_succ_setup(pickups))
+    assert list(table_gaps(table, drop_x, travel)) == linear
+    walk = full_gap_walk(s, free, drop_x)
     assert list(walk) == linear
     horizon = max((e.span_end for e in s.entries), default=0) + 5
     for t in range(horizon):
