@@ -250,9 +250,10 @@ class _ResourceAgent:
         workpiece, its live offer may yet become such a booking."""
         if self.schedule.has_open_tail and self.schedule.open_tail_for(order_id) is None:
             return True
-        if not (self._keeps_workpiece and self.holds):
+        holds = self.holds
+        if not (self._keeps_workpiece and holds):
             return False
-        return any(parse_conversation(h.conversation_id)[0] != order_id for h in self.holds)
+        return any(parse_conversation(h.conversation_id)[0] != order_id for h in holds.values())
 
     def _on_departure(self, info: InformDeparture, ctx) -> list[Message]:
         try:
@@ -283,9 +284,11 @@ class _ResourceAgent:
         now = ctx.now()
         if cfp.deadline and cfp.deadline <= now:
             return []  # answered too late to matter (e.g. drained after blocking)
-        if self.holds:
-            self.holds.purge(now)  # the one purge per CFP: the rest reads live holds only
-        if self._engaged_elsewhere(cfp.workpiece.order_id):
+        holds = self.holds
+        if holds:
+            holds.purge(now)  # the one purge per CFP: the rest reads live holds only
+        order_id = cfp.workpiece.order_id
+        if (holds or self.schedule.has_open_tail) and self._engaged_elsewhere(order_id):
             # queue: _drain answers it after the next reject or departure
             self._deferred.append(msg)
             return []
@@ -386,26 +389,25 @@ class _ResourceAgent:
         return slots
 
     def _offer(
-        self, until: Seconds, conv: str, step_label: str, span: TimeInterval, end_state, *fields
+        self, until: Seconds, conv: str, step_label: str, span: TimeInterval, end_state,
+        fields: tuple,
     ) -> Proposal:
         """Number a proposal and hold ``span`` for it until ``until``, the hold deadline.
 
-        ``fields`` are the proposal's fields after ``resource_id``, by position
-        in ``Proposal._fields`` order: location, slot, slack_after,
+        ``fields`` are the proposal's fields after ``resource_id``, as one
+        tuple in ``Proposal._fields`` order: location, slot, slack_after,
         op_duration, load_time, unload_time, price, then optionally
         alternative, realizes, via and required_operation. Every offer takes
-        this path, so the Proposal is built as one tuple, with the defaults
-        of the fields not given, and checks nothing, as its constructor
-        would not either.
+        this path, so the Proposal, with the defaults of the fields not
+        given, and its hold are each built as one tuple and check nothing,
+        as their constructors would not either.
         """
         self._seq += 1
         pid = f"{self.agent_id}#p{self._seq}"
-        proposal = tuple.__new__(
-            Proposal,
-            (pid, self.kind, self.agent_id, *fields,
-             *_PROPOSAL_DEFAULTS[len(fields) - _OFFER_REQUIRED:]),
-        )
-        self.holds.add(OfferHold(pid, span, conv, until, proposal, step_label, end_state))
+        new = tuple.__new__
+        defaults = _PROPOSAL_DEFAULTS[len(fields) - _OFFER_REQUIRED:]
+        proposal = new(Proposal, (pid, self.kind, self.agent_id) + fields + defaults)
+        self.holds.add(new(OfferHold, (pid, span, conv, until, proposal, step_label, end_state)))
         return proposal
 
     # -- commitment -------------------------------------------------------
@@ -508,8 +510,8 @@ class ProductionAgent(_ResourceAgent):
                     self._offer(
                         until, conv, label,
                         TimeInterval(op_start - setup - unload, op_end + load_est), product,
-                        self.location, TimeInterval(op_start, op_end), slack_after, op_dur,
-                        load_est, unload, proposal_price(op_dur, setup, ti_next), alt_idx,
+                        (self.location, TimeInterval(op_start, op_end), slack_after, op_dur,
+                         load_est, unload, proposal_price(op_dur, setup, ti_next), alt_idx),
                     )
                 )
         return proposals
@@ -574,8 +576,8 @@ class BufferAgent(_ResourceAgent):
                 proposals.append(
                     self._offer(
                         until, conv, label, TimeInterval(max(0, start - u_est), end + l_est), "",
-                        self.location, TimeInterval(start, end), slack_after, end - start,
-                        l_est, u_est, 0, alt_idx, alt.realizes,
+                        (self.location, TimeInterval(start, end), slack_after, end - start,
+                         l_est, u_est, 0, alt_idx, alt.realizes),
                     )
                 )
                 break  # earliest feasible slot per alternative
@@ -670,7 +672,7 @@ class TransportAgent(_ResourceAgent):
             echo = 0, leg.realizes, leg.via  # alternative, realizes, via: the leg's own
             plain = placed[key]
             if plain is not None:
-                made = self._offer(until, conv, label, plain[0], tx, *plain[1], *echo)
+                made = self._offer(until, conv, label, plain[0], tx, plain[1] + echo)
                 proposals.append(made)
                 offered[leg.realizes] = made, tx
             # chained variant: departing right where the leg into its buffer drops off
@@ -682,8 +684,8 @@ class TransportAgent(_ResourceAgent):
             if chained is not None and (
                 plain is None or _slot_and_price(chained[1]) != _slot_and_price(plain[1])
             ):
-                fields = (*chained[1], *echo, partner.proposal_id)
-                proposals.append(self._offer(until, conv, label, chained[0], tx, *fields))
+                fields = chained[1] + echo + (partner.proposal_id,)
+                proposals.append(self._offer(until, conv, label, chained[0], tx, fields))
         return proposals
 
     def _place_leg(
@@ -783,10 +785,9 @@ class OrderAgent:
     # -- kernel event entry -------------------------------------------------
 
     def handle(self, event, ctx) -> list[Message]:
-        if self.status in ("done", "failed"):
-            return reject_unused(self.agent_id, event)
-        if isinstance(event, Message):
+        if isinstance(event, Message) and self.status != "failed":
             part = event.parts[0]  # an envelope carries one payload kind
+            # a done order too: its final stage's accepts went out as it finished
             if isinstance(part, InformFailure):
                 _, failed_stage = parse_conversation(event.conversation_id)
                 if failed_stage is not None and len(self.committed) > failed_stage:
@@ -795,8 +796,9 @@ class OrderAgent:
                     # the abort frees the machine actually holding the piece
                     del self.committed[failed_stage:]
                 return self._abort(ctx, f"commit refused by {event.sender}: {part.reason}")
-            return self._drive(event, ctx)
-        if isinstance(event, DeadlineExpired):
+        if self.status in ("done", "failed"):
+            return reject_unused(self.agent_id, event)
+        if isinstance(event, (Message, DeadlineExpired)):
             return self._drive(event, ctx)
         if isinstance(event, StartOrder):
             self.status = "running"

@@ -23,9 +23,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import (
-    Any, Callable, Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence, Union,
-)
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .calculus import StageWindows
 from .timebase import Seconds, Slack, TimeInterval
@@ -223,13 +221,14 @@ def parse_conversation(conv: str) -> tuple[str, Optional[int]]:
 # offer holds
 
 
-@dataclass(slots=True)
-class OfferHold:
+class OfferHold(NamedTuple):
     """A timeslot promised to one order and therefore withheld from others.
 
     The hold also keeps what the resource needs to book the offer on accept:
     the proposal, the step label of the booking, and the state the booking
-    leaves the resource in (a machine's product, a crane's drop-off x).
+    leaves the resource in (a machine's product, a crane's drop-off x). A
+    hold is never changed once made; a resource's ``_offer`` builds it as
+    one positional tuple.
     """
 
     proposal_id: str
@@ -241,33 +240,31 @@ class OfferHold:
     end_state: Union[str, float] = ""
 
 
-class HoldBook:
-    """Per-resource registry of outstanding offer holds."""
+class HoldBook(dict):
+    """Per-resource registry of outstanding offer holds, keyed by proposal id.
 
-    def __init__(self) -> None:
-        self._holds: dict[str, OfferHold] = {}
+    A plain dict underneath: its size, truth test, ``in`` and ``pop`` are the
+    dict's own, ``in`` and iteration read proposal ids, and the holds are its
+    ``values()``, in the order they were added.
+    """
+
+    __slots__ = ()
 
     def add(self, hold: OfferHold) -> None:
-        self._holds[hold.proposal_id] = hold
+        self[hold.proposal_id] = hold
 
     def release(self, proposal_id: str) -> Optional[OfferHold]:
-        return self._holds.pop(proposal_id, None)
+        return self.pop(proposal_id, None)
 
     def take(self, proposal_id: str, now: Seconds) -> Optional[OfferHold]:
         """Pop the hold if it exists and has not expired; expired holds vanish."""
         self.purge(now)
-        return self._holds.pop(proposal_id, None)
+        return self.pop(proposal_id, None)
 
     def purge(self, now: Seconds) -> None:
-        dead = [pid for pid, h in self._holds.items() if h.deadline < now]
+        dead = [pid for pid, h in self.items() if h.deadline < now]
         for pid in dead:
-            del self._holds[pid]
-
-    def __contains__(self, proposal_id: str) -> bool:
-        return proposal_id in self._holds
-
-    def __iter__(self) -> Iterator[OfferHold]:
-        return iter(self._holds.values())
+            del self[pid]
 
     def active_spans(self, exclude_conversation: Optional[str] = None) -> list[TimeInterval]:
         """Spans other negotiations must treat as busy; expired holds count until purged.
@@ -276,14 +273,7 @@ class HoldBook:
         one order may overlap each other, the indecision problem is about two
         *different* orders claiming one slot.
         """
-        return [
-            h.span
-            for h in self._holds.values()
-            if h.conversation_id != exclude_conversation
-        ]
-
-    def __len__(self) -> int:
-        return len(self._holds)
+        return [h.span for h in self.values() if h.conversation_id != exclude_conversation]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ concurrent kernel sleeps on the monotonic wall clock until the next event
 falls due, which the order-release (hosting interval) experiments measure:
 many orders negotiate at once, interleaved by when their messages and
 deadlines fall due. Either kernel is itself the context its handlers are
-given (:class:`_Kernel`).
+given (:class:`_Kernel`), and posts what one handler returns as one batch
+(:meth:`_Kernel._post`): one clock read and one stamp for all of it.
 """
 
 from __future__ import annotations
@@ -120,17 +121,18 @@ class _Kernel:
     ``_wait(t)``, ``_stamp``, ``_hop``, ``_start`` (zero the clock and give
     the limit) and ``_stop_drops_deadlines``.
 
-    A deadline or release gets its kernel trace line before :meth:`_deliver`
-    runs the receiver's handler; ``_deliver`` then reads the clock and
-    formats its stamp once for every envelope the handler returned: they are
-    all posted at the instant it returned (on the tick clock, which stands
-    still during a handler, the instant it was called).
+    :meth:`run` pops each event and calls its receiver's ``handle``; a
+    deadline or release first gets its kernel trace line. What the handler
+    returns goes to :meth:`_post` as one batch, which reads the clock and
+    formats its stamp once for all of it: the envelopes are all posted at
+    the instant the handler returned (on the tick clock, which stands still
+    during a handler, the instant it was called).
 
     The kernel is also the context each handler is given: an agent reads
     ``directory``, ``cfp_deadline``, ``hold_deadline`` and ``now()``, arms
     a deadline for itself with ``set_timer(delay)`` and logs a booking with
     ``record_commit``. One handler runs at a time, so ``set_timer`` arms
-    the deadline for the receiver :meth:`_deliver` is running.
+    the deadline for the receiver whose handler :meth:`run` is running.
     """
 
     mode: str
@@ -177,35 +179,32 @@ class _Kernel:
         self._schedule(self.now() + delay, self._receiver, DeadlineExpired(token))
         return token
 
-    def _post(self, msg: Message, now, stamp: str) -> None:
-        """Count ``msg``, write its trace line stamped ``stamp`` and queue its
-        delivery one hop after ``now``."""
-        sender, receiver, conv, parts = msg
-        if receiver not in self.agents:
-            log.error("message to unknown agent %s dropped", receiver)
-            return
-        variant = type(parts[0]).__name__  # Message.variant, without the property call
-        counts, key = self.counter.counts, (conv, variant)
-        counts[key] = counts.get(key, 0) + 1
-        self.trace.append(f"{stamp} {sender}>{receiver} {variant} n={len(parts)} {conv}")
-        self._seq += 1
-        self._fifo.append((now + self._hop, self._seq, receiver, msg))
+    def _post(self, out: list[Message]) -> None:
+        """Post the envelopes one handler returned: count each, write its
+        trace line and queue its delivery one hop from now, under one stamp.
+        An envelope to an unknown agent is dropped with an error line."""
+        now = self.now()
+        stamp, due = self._stamp_of(now), now + self._hop
+        agents, counts = self.agents, self.counter.counts
+        trace, fifo, seq = self.trace, self._fifo, self._seq
+        for msg in out:
+            sender, receiver, conv, parts = msg
+            if receiver not in agents:
+                log.error("message to unknown agent %s dropped", receiver)
+                continue
+            variant = type(parts[0]).__name__  # Message.variant, without the property call
+            key = (conv, variant)
+            counts[key] = counts.get(key, 0) + 1
+            trace.append(f"{stamp} {sender}>{receiver} {variant} n={len(parts)} {conv}")
+            seq += 1
+            fifo.append((due, seq, receiver, msg))
+        self._seq = seq
 
     def _stamp_of(self, now) -> str:
         """``_stamp(now)``, formatted once per tick: a tick's trace lines share it."""
         if now != self._stamped[0]:
             self._stamped = (now, self._stamp(now))
         return self._stamped[1]
-
-    def _deliver(self, receiver: str, event: Event) -> None:
-        """Run the receiver's handler and post what it returns, stamped once."""
-        self._receiver = receiver
-        out = self.agents[receiver].handle(event, self)
-        if out:
-            now = self.now()
-            stamp = self._stamp_of(now)
-            for msg in out:
-                self._post(msg, now, stamp)
 
     def record_commit(self, resource_id: str, entry) -> None:
         # the booked *core* is what stability protects: leading setup/travel may
@@ -288,12 +287,14 @@ class _Kernel:
                 raise RunTimeout(f"event cap {MAX_EVENTS} exceeded")
             if queue is fifo:
                 _at, _seq, receiver, event = fifo.popleft()
-                self._deliver(receiver, event)
             else:
                 _at, _seq, receiver, event = heapq.heappop(heap)
                 kind = _KERNEL_LINES[type(event)]  # a deadline or release: its kernel line first
                 self.trace.append(f"{self._stamp_of(self.now())} kernel>{receiver} {kind}")
-                self._deliver(receiver, event)
+            self._receiver = receiver
+            out = agents[receiver].handle(event, self)
+            if out:
+                self._post(out)
             if receiver in open_orders and agents[receiver].status in ("done", "failed"):
                 open_orders.discard(receiver)
                 if not open_orders:

@@ -349,7 +349,7 @@ class ResourceSchedule:
                 if e.span_end <= after and e.order_id not in assume_closed:
                     return []
             cursor, state = entries[first - 1].span_end, entries[first - 1].end_state
-        holds = sorted(iv for iv in extra_busy if not iv.is_empty())
+        holds = sorted(iv for iv in extra_busy if not iv.is_empty()) if extra_busy else ()
 
         def blockers() -> Iterator[tuple[Seconds, Optional[Seconds], Optional[BookingEntry]]]:
             # (start, end, entry); a held span has no entry, and a blocking

@@ -65,7 +65,10 @@ def hold_check(report) -> list[str]:
         return [f"orders still running: {', '.join(running)}"]
     return [
         f"{rid} still holds {n}: "
-        + ", ".join(f"{h.proposal_id} for {h.conversation_id}" for h in report.agents[rid].holds)
+        + ", ".join(
+            f"{h.proposal_id} for {h.conversation_id}"
+            for h in report.agents[rid].holds.values()
+        )
         for rid, n in sorted(report.leftover_holds.items())
         if n
     ]

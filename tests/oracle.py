@@ -223,7 +223,10 @@ def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ())
     unload) are each present exactly when the document's travel time for it
     is not zero, and last that long: empty from the crane's previous drop-off
     (its ``initial_x``, or an initial booking's ``end_x``) to the pickup,
-    loaded from the pickup to the drop-off. A movement labelled ``T:a,b``
+    loaded from the pickup to the drop-off. A crane whose ``load`` and
+    ``unload`` are both zero books a movement as that travel alone, the
+    empty run then the loaded one, each present exactly when not zero. A
+    movement labelled ``T:a,b``
     picks up where the order's booking labelled ``a`` sits and drops off
     where the one labelled ``b`` sits. Returns one line per violation; a
     setup or travel the document asks for and the booking lacks reads
@@ -310,6 +313,7 @@ def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ())
             return math.ceil(abs(b - a) / metres_per_s - 1e-9)
 
         initial_x = crane.get("initial_x", crane["segment"][0])
+        handles = _seconds(crane.get("load", 0)) or _seconds(crane.get("unload", 0))
         fixed = {
             _seconds(b["start"]): b.get("end_x", initial_x)
             for b in crane.get("initial_bookings", [])
@@ -326,6 +330,22 @@ def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ())
                 continue
             pickup, drop = (x_of[w] for w in where)
             kinds = [kind for kind, _, _ in segments]
+            if not handles:
+                # no handling segment parts the approach from the loaded run
+                got = [e - s for kind, s, e in segments if kind == "travel"]
+                want = [t for t in (travel(x, pickup), travel(pickup, drop)) if t]
+                if len(got) < len(want):
+                    problems.append(
+                        f"{rid} {order}/{label}: travel not recorded, the document gives "
+                        f"{want} s"
+                    )
+                elif got != want or set(kinds) != {"travel"}:
+                    problems.append(
+                        f"{rid} {order}/{label}: segments {kinds} of {got} s travel, the "
+                        f"document gives {want} s of travel alone"
+                    )
+                x = drop
+                continue
             if "load" not in kinds or "unload" not in kinds:
                 problems.append(f"{rid} {order}/{label}: no load or no unload")
                 continue

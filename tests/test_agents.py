@@ -14,6 +14,7 @@ from cnetsched.agents import (
     ProductionAgent,
     StageCommit,
     TransportAgent,
+    _Refusal,
     _slack_from,
 )
 from cnetsched.calculus import ScheduleParams, proposal_price
@@ -24,6 +25,7 @@ from cnetsched.protocol import (
     AcceptProposal,
     Cfp,
     CfpAlternative,
+    DeadlineExpired,
     InformDeparture,
     InformFailure,
     Message,
@@ -54,7 +56,7 @@ from cnetsched.timebase import (
     minutes,
 )
 from conftest import full_gap_walk, open_tails
-from oracle import check_invariants, find_entry
+from oracle import check_invariants, find_entry, physics_check
 
 PARAMS = ScheduleParams(t_transport_min=minutes(21), t_buffer_min=minutes(15))
 
@@ -445,7 +447,7 @@ def transport_cfp(order="o1", deadline=10**7):
 def test_transport_labels_legs_and_offers_chained_variant():
     t, ctx = crane(), FakeCtx()
     props = proposals_of(t.handle(envelope("Crane1", "o1", 1, transport_cfp()), ctx))
-    held = {h.proposal_id: h for h in t.holds}
+    held = {h.proposal_id: h for h in t.holds.values()}
     by_label = {}
     for p in props:
         by_label.setdefault(held[p.proposal_id].step_label, []).append(p)
@@ -477,8 +479,8 @@ def test_transport_drops_a_chained_variant_equal_to_the_plain_one_without_holdin
 
 
 def hold_fields(agent, p):
-    (hold,) = [h for h in agent.holds if h.proposal_id == p.proposal_id]
-    return {f.name: getattr(hold, f.name) for f in dataclasses.fields(hold)}
+    (hold,) = [h for h in agent.holds.values() if h.proposal_id == p.proposal_id]
+    return hold._asdict()
 
 
 def test_every_offer_field_lands_in_its_named_place():
@@ -675,6 +677,7 @@ def test_a_crane_without_handling_times_books_its_movement_as_travel_alone():
     assert [row for row in gantt_rows(report) if row[0] == "T1"] == [
         ("T1", "o1", "T:1,2", "travel", 60, 1070)
     ]
+    assert physics_check(doc, gantt_rows(report), report.status) == []
 
 
 def test_transport_chained_accept_requires_committed_partner():
@@ -773,7 +776,11 @@ def test_repeated_crane_legs_get_one_shared_placement_and_offers_of_their_own():
     props = proposals_of(t.handle(envelope("Crane1", "o1", 1, crane_cfp(*legs)), ctx))
     assert [(p.realizes, p.via) for p in props] == [(leg.realizes, leg.via) for leg in legs]
     assert len({p.proposal_id for p in props}) == len(legs)
-    holds = {h.proposal_id: h for h in t.holds if h.conversation_id == conversation_id("o1", 1)}
+    holds = {
+        h.proposal_id: h
+        for h in t.holds.values()
+        if h.conversation_id == conversation_id("o1", 1)
+    }
     assert set(holds) == {p.proposal_id for p in props}
     assert all(holds[p.proposal_id].proposal is p for p in props)
     # each offer is the one the leg gets when it is asked for alone
@@ -986,6 +993,27 @@ def test_abort_without_commits_sends_nothing():
     assert oa.status == "failed" and out == []
 
 
+def test_a_commit_refused_in_the_final_stage_fails_the_order(flowshop_scenario, monkeypatch):
+    # the order finishes as its last decide sends the accepts, so the
+    # refusal reaches an order that already reads done: it still aborts
+    from cnetsched.harness import run_scenario
+
+    s = flowshop_scenario
+    final = {o.id: str(len(s.product(o.product).steps)) for o in s.orders}
+    booking = ProductionAgent._booking
+
+    def refuse_the_final_step(self, hold, acc, order_id):
+        if hold.step_label == final[order_id]:
+            raise _Refusal("final step refused")
+        return booking(self, hold, acc, order_id)
+
+    monkeypatch.setattr(ProductionAgent, "_booking", refuse_the_final_step)
+    report = run_scenario(flowshop_scenario, mode="deterministic")
+    assert report.status == {"order-A": "failed", "order-B": "failed"}
+    for diagnostic in report.diagnostics.values():
+        assert diagnostic.startswith("commit refused by Quality: final step refused")
+
+
 def test_decide_departs_a_stay_on_machine_piece_before_the_accept_lands():
     # the piece stays on M1: the departure, which closes its tail there, must
     # land before the accept; both kernels deliver to one receiver in post order
@@ -1002,12 +1030,19 @@ def test_decide_departs_a_stay_on_machine_piece_before_the_accept_lands():
 
 
 def test_terminal_order_ignores_further_events():
+    # a failed order stays as it failed, whatever comes in; a done one only
+    # answers a stray proposal with a reject (a refused commit aborts it)
     oa, ctx = order_agent(), FakeCtx()
-    oa.status = "done"
+    oa.status, oa.diagnostic = "failed", "stage 1: no offers"
     out = oa.handle(
         Message("M1", "o1", "o1/s0", (InformFailure("M1#p1", "late"),)), ctx
     )
-    assert out == [] and oa.status == "done"
+    assert out == [] and oa.status == "failed" and oa.diagnostic == "stage 1: no offers"
+    oa.status = "done"
+    late = offered_operation("M1#p2", "M1", 5.0, 0)
+    out = oa.handle(Message("M1", "o1", "o1/s0", (late,)), ctx)
+    assert out == [Message("o1", "M1", "o1/s0", (RejectProposal("M1#p2"),))]
+    assert oa.handle(DeadlineExpired(1), ctx) == [] and oa.status == "done"
 
 
 def test_production_round_windows_follow_previous_commit():
@@ -1172,21 +1207,23 @@ def full_walk_machine(m, cfp, conv, ctx):
                     "1",
                     TimeInterval(block_start, op_end + load_est),
                     product,
-                    m.location,
-                    TimeInterval(op_start, op_end),
-                    _slack_from(
-                        gap_end,
-                        op_end + load_est,
-                        min_bound(
-                            ls + op_dur + load_est if ls is not None else None,
-                            lf + load_est if lf is not None else None,
+                    (
+                        m.location,
+                        TimeInterval(op_start, op_end),
+                        _slack_from(
+                            gap_end,
+                            op_end + load_est,
+                            min_bound(
+                                ls + op_dur + load_est if ls is not None else None,
+                                lf + load_est if lf is not None else None,
+                            ),
                         ),
+                        op_dur,
+                        load_est,
+                        unload,
+                        proposal_price(op_dur, setup, ti_next),
+                        alt_idx,
                     ),
-                    op_dur,
-                    load_est,
-                    unload,
-                    proposal_price(op_dur, setup, ti_next),
-                    alt_idx,
                 )
             )
             emitted += 1
@@ -1226,7 +1263,7 @@ def test_property_machine_skip_makes_the_full_walks_offers(data):
     ref, ctx = copy.deepcopy(m), FakeCtx()
     made = [p for out in m._on_cfp(msg, cfp, ctx) for p in out.parts]
     assert made == full_walk_machine(ref, cfp, msg.conversation_id, ctx)
-    assert list(m.holds) == list(ref.holds)
+    assert list(m.holds.values()) == list(ref.holds.values())
 
 
 @st.composite
@@ -1357,7 +1394,7 @@ def test_property_the_placement_walk_gives_a_machine_the_full_walks_slots(data):
     conv = conversation_id(order, 0)
     ref, ctx = copy.deepcopy(m), FakeCtx()
     offers = full_walk_machine(ref, cfp, conv, ctx)
-    spans = {h.proposal_id: h.span for h in ref.holds}
+    spans = {h.proposal_id: h.span for h in ref.holds.values()}
     tail = m.schedule.open_tail_for(order)
     if m._engaged_elsewhere(order):
         assert offers == []

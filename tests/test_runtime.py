@@ -320,6 +320,54 @@ def test_concurrent_envelopes_of_one_handler_share_its_stamp_and_due_time(monkey
     assert delivered == [("M1", "m0"), ("M2", "m1"), ("M1", "m2")]
 
 
+@pytest.mark.parametrize("mode", ["deterministic", "concurrent"])
+def test_one_handlers_envelopes_are_posted_as_one_batch(mode, monkeypatch, caplog):
+    # o1's release handler returns three envelopes, the second to an agent
+    # nobody registered: the other two get their trace lines in order under
+    # one stamp (on a wall clock that moves at every read too), one count
+    # each and consecutive seqs; the stray one is dropped with an error line
+    b = build_runtime(parse_scenario(single_responder_doc(), source="t"))
+    order, delivered = b.agents["o1"], []
+
+    def send_three(event, ctx):
+        order.status = "done"
+        return [
+            Message("o1", receiver, "o1/s0", (RejectProposal(f"m{i}"),))
+            for i, receiver in enumerate(("M1", "nobody", "M2"))
+        ]
+
+    def recorder(event, ctx):
+        delivered.append((event.receiver, event.parts[0].proposal_id))
+        return []
+
+    monkeypatch.setattr(order, "handle", send_three)
+    for name in ("M1", "M2"):
+        monkeypatch.setattr(b.agents[name], "handle", recorder)
+    monkeypatch.setattr(runtime, "time", TickingClock())
+    kernel = runtime._KERNELS[mode](b.directory, b.agents, b.releases)
+    posted = []
+
+    class LoggedFifo(deque):
+        def append(self, entry):
+            posted.append(entry)
+            super().append(entry)
+
+    kernel._fifo = LoggedFifo()
+    with caplog.at_level("ERROR", logger=runtime.__name__):
+        report = kernel.run()
+    lines = [line.split(" ", 1) for line in report.trace[1:]]  # after o1's StartOrder
+    assert [line for _stamp, line in lines] == [
+        "o1>M1 RejectProposal n=1 o1/s0", "o1>M2 RejectProposal n=1 o1/s0"
+    ]
+    assert len({stamp for stamp, _line in lines}) == 1
+    assert report.counter.counts == {("o1/s0", "RejectProposal"): 2}
+    seqs = [seq for _at, seq, _receiver, _msg in posted]
+    assert seqs == [seqs[0], seqs[0] + 1]
+    assert [receiver for _at, _seq, receiver, _msg in posted] == ["M1", "M2"]
+    assert delivered == [("M1", "m0"), ("M2", "m2")]
+    assert [r.getMessage() for r in caplog.records] == ["message to unknown agent nobody dropped"]
+
+
 def staggered(scenario, seconds=0.3):
     """The scenario with its order releases ``seconds`` apart.
 

@@ -117,7 +117,7 @@ def test_a_proposal_reaching_a_failed_order_is_rejected():
     held = [
         (rid, h.proposal_id)
         for rid in agent_kinds(r)
-        for h in r.agents[rid].holds
+        for h in r.agents[rid].holds.values()
         if h.conversation_id.startswith("o05/")
     ]
     assert held == []
