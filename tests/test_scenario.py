@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 
 import pytest
@@ -372,3 +373,138 @@ def test_build_runtime_sorts_releases():
     ]
     rt = build_runtime(parse_scenario(doc, source="t"))
     assert rt.releases == [(1, "early"), (1, "tied"), (9, "late")]
+
+
+# ---------------------------------------------------------------------------
+# the validator's output, pinned
+
+
+def fault_in_every_field_kind():
+    doc = minimal_doc()
+    doc["params"].update(t_buffer_min="soon", t_transport_min=0.001, cfp_deadline=-1,
+                         hold_deadline=float("inf"))
+    m1, m2 = doc["machines"]
+    del m1["operation"]
+    m1.update(location=[10], op_duration={"A": -1, "B": 1e308, "C": True},
+              setup={"A": {"B": "ten", "C": 0.0001}, "B": [], "C": {"A": -2}},
+              initial_state=7,
+              initial_bookings=[{"start": 30, "end": 20, "end_state": 3},
+                                {"order_id": 9, "start": 25, "end": 40}, "pre"],
+              maintenance=[{"start": 35, "end": 0.5}, {"start": -1, "end": 1e308}],
+              shared_resources=["tool"])
+    m2.update(id="Buf1", op_duration={}, maintenance="none")
+    doc["buffers"].append({"location": [1, 2, 3], "capacity": 2})
+    doc["buffers"].append(["Buf9"])
+    doc["transports"][0].update(segment=[60, 0], speed=0, load=-1, unload=0.0001,
+                                initial_x="left",
+                                initial_bookings=[{"start": 0, "end": 5, "end_x": 99},
+                                                  {"start": 4, "end": 6, "end_x": "far"}])
+    doc["transports"].append({"id": "M1", "segment": [0, 10], "speed": 1, "load": 1,
+                              "unload": 1, "initial_x": 11, "initial_bookings": {}})
+    doc["products"][0]["steps"] = ["cutting", 5, {"operation": 6, "tools": ["t"]}, {}]
+    doc["products"].append({"id": "A", "steps": "cutting"})
+    doc["products"].append({"steps": []})
+    doc["orders"] = [{"product": "Z", "arrival": -1, "release": "now"},
+                     {"id": "o1", "arrival": 0.001, "release": -2},
+                     {"id": "o1", "product": "A"}, "o3"]
+    return doc
+
+
+def test_every_problem_of_a_faulty_document_is_reported_in_document_order():
+    # params, machines with their setup cells, initial bookings and
+    # maintenance windows, buffers, cranes with their bookings, product
+    # steps and orders: every message, in the order it was reported
+    assert problems_of(fault_in_every_field_kind()) == (
+        "t.params.t_buffer_min: expected a finite number",
+        "t.params.t_buffer_min: must be a positive number of minutes",
+        "t.params.t_transport_min: 0.001 minutes is not a whole number of seconds",
+        "t.params.cfp_deadline: must be a positive number when given",
+        "t.params.hold_deadline: must be a positive number when given",
+        "t.machines[0].operation: required field is missing",
+        "t.machines[0].shared_resources: shared-resource demands are not supported by this engine",
+        "t.machines[0].location: expected [x, y] finite numbers",
+        "t.machines[0].op_duration.A: must be >= 0, got -1",
+        "t.machines[0].op_duration.A: operation duration must be positive",
+        "t.machines[0].op_duration.B: 1e+308 minutes is too long to count in seconds",
+        "t.machines[0].op_duration.B: operation duration must be positive",
+        "t.machines[0].op_duration.C: expected a finite number",
+        "t.machines[0].op_duration.C: operation duration must be positive",
+        "t.machines[0].setup.A.B: expected a finite number",
+        "t.machines[0].setup.A.C: 0.0001 minutes is not a whole number of seconds",
+        "t.machines[0].setup.B: expected an object, got list",
+        "t.machines[0].setup.C.A: must be >= 0, got -2",
+        "t.machines[0].initial_bookings[0]: end (1200s) must be after start (1800s)",
+        "t.machines[0].initial_bookings[0].end_state: expected a string",
+        "t.machines[0].initial_bookings[1].order_id: expected a string",
+        "t.machines[0].initial_bookings[2]: expected an object, got str",
+        "t.machines[0].initial_bookings[2].start: required field is missing",
+        "t.machines[0].initial_bookings[2].end: required field is missing",
+        "t.machines[0].initial_bookings[2]: end (0s) must be after start (0s)",
+        "t.machines[0].maintenance[0]: end (30s) must be after start (2100s)",
+        "t.machines[0].maintenance[1].start: must be >= 0, got -1",
+        "t.machines[0].maintenance[1].end: 1e+308 minutes is too long to count in seconds",
+        "t.machines[0].maintenance[1]: end (0s) must be after start (0s)",
+        "t.machines[0].initial_bookings[0]: overlaps t.machines[0].initial_bookings[1] "
+        "([1500, 2400) vs start 1800)",
+        "t.machines[0].initial_state: expected a string",
+        "t.machines[1].op_duration: must map at least one product to a duration",
+        "t.machines[1].maintenance: expected an array, got str",
+        "t.buffers[0].id: id 'Buf1' already used by machine",
+        "t.buffers[1].id: required field is missing",
+        "t.buffers[1].capacity: buffer places have capacity 1; model more places instead",
+        "t.buffers[1].location: expected [x, y] finite numbers",
+        "t.buffers[2]: expected an object, got list",
+        "t.buffers[2].id: required field is missing",
+        "t.buffers[2].location: required field is missing",
+        "t.transports[0].segment: expected [lo, hi] finite numbers with lo <= hi",
+        "t.transports[0].speed: must be positive (metres per minute)",
+        "t.transports[0].initial_x: expected a finite number",
+        "t.transports[0].initial_bookings[0].end_x: 99 lies outside segment [0.0, 0.0]",
+        "t.transports[0].initial_bookings[1].end_x: expected a finite number",
+        "t.transports[0].initial_bookings[1]: overlaps t.transports[0].initial_bookings[0] "
+        "([0, 300) vs start 240)",
+        "t.transports[0].load: must be >= 0, got -1",
+        "t.transports[0].unload: 0.0001 minutes is not a whole number of seconds",
+        "t.transports[1].id: id 'M1' already used by machine",
+        "t.transports[1].initial_x: 11 lies outside segment [0, 10]",
+        "t.transports[1].initial_bookings: expected an array, got dict",
+        "t.products[0].steps[1]: expected an operation name or an object with one",
+        "t.products[0].steps[2].tools: shared-resource demands are not supported by this engine",
+        "t.products[0].steps[2].operation: expected a string",
+        "t.products[0].steps[3].operation: required field is missing",
+        "t.products[1].id: duplicate product id 'A'",
+        "t.products[1].steps: expected an array, got str",
+        "t.products[1].steps: a product needs at least one step",
+        "t.products[2].id: required field is missing",
+        "t.products[2].steps: a product needs at least one step",
+        "t.orders[0].product: unknown product 'Z'",
+        "t.orders[0].arrival: must be >= 0, got -1",
+        "t.orders[0].release: expected a finite number",
+        "t.orders[1].product: required field is missing",
+        "t.orders[1].arrival: 0.001 minutes is not a whole number of seconds",
+        "t.orders[1].release: must be >= 0, got -2",
+        "t.orders[2].id: id 'o1' already used by order",
+        "t.orders[3]: expected an object, got str",
+        "t.orders[3].product: required field is missing",
+    )
+
+
+#: sha256 of repr(parse_scenario(doc)) for the documents the benchmarks and
+#: goldens are built from
+PARSED_DIGESTS = {
+    "section6_flowshop": "7b4c58b2c8d324723a83d43067504b911aa2e452c43937642672b058ff868ac1",
+    "tableV_jobshop": "7027f3aceff9652abe71b7da122e3c070b4510c29ea03c54b9d9b34d99e7b005",
+    "flow-15x100": "878cac7382dc7dc960652ace26de13ef0ae3b2abcbd437951e69183569d76022",
+    "job-15x100": "52e876c93bc1a4b018098dccc42ac6ced5ba60aa7e918f613e6de99d53f9f90f",
+    "scaling-32": "d35dc04d950804625d2f82acf99ce50bbe4164ecdd15cc81b14fb7315f9b804a",
+}
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [pytest.param(*p.values, PARSED_DIGESTS[p.id], id=p.id)
+     for p in ROUND_TRIP if p.id in PARSED_DIGESTS],
+)
+def test_parsed_records_are_pinned(make, digest):
+    # the Scenario records a document parses to, field for field
+    assert hashlib.sha256(repr(parse_scenario(make())).encode()).hexdigest() == digest
