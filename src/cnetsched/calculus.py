@@ -109,8 +109,12 @@ def derive_t_transport_min(
     Best-case handling (min load+unload over the fleet) plus the shortest real
     move: the minimal positive pairwise x-distance among the given locations at
     the fleet's maximum speed. Locations sharing an x-coordinate are one place
-    as far as x-travel is concerned, so zero distances never count; if no two
-    locations differ in x the travel share is zero.
+    as far as x-travel is concerned, so distances of 1e-9 m or less never
+    count; if no two locations differ in x the travel share is zero.
+
+    O(L log L) in the L locations: with the x values sorted, the nearest
+    counted distance from each x is to the first later x more than 1e-9
+    away, and that x only moves right as the first one does.
     """
     if not transports:
         raise NoTransport("cannot derive a transport floor without transports")
@@ -118,14 +122,16 @@ def derive_t_transport_min(
         raise ValueError("need at least two locations")
     handling = min(t.load_time + t.unload_time for t in transports)
     top_speed = max(t.speed for t in transports)
-    xs = [loc[0] for loc in locations]
-    deltas = [
-        abs(a - b)
-        for i, a in enumerate(xs)
-        for b in xs[i + 1 :]
-        if abs(a - b) > 1e-9
-    ]
-    travel = math.ceil(min(deltas) / top_speed - 1e-9) if deltas else 0
+    xs = sorted(loc[0] for loc in locations)
+    nearest = math.inf
+    j = 0
+    for a in xs:
+        while j < len(xs) and not xs[j] - a > 1e-9:
+            j += 1
+        if j == len(xs):
+            break
+        nearest = min(nearest, xs[j] - a)
+    travel = math.ceil(nearest / top_speed - 1e-9) if nearest < math.inf else 0
     return handling + travel
 
 

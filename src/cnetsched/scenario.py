@@ -13,6 +13,7 @@ violation with its field path, because scenario files are written by hand.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 from .agents import BufferAgent, DirectoryService, OrderAgent, ProductionAgent, TransportAgent
 from .calculus import NoTransport, ScheduleParams, TransportGeometry, derive_t_transport_min
 from .protocol import BUFFER, TRANSPORT
-from .timebase import Seconds, minutes
+from .timebase import Seconds
 
 FORMAT_VERSION = 1
 
@@ -135,8 +136,11 @@ class Scenario:
                 return p
         raise KeyError(product_id)
 
-    @property
+    @functools.cached_property
     def t_transport_min(self) -> Seconds:
+        """The transport floor T_T,min: the document's, or derived from the
+        floor's places and fleet. Derived once per scenario: parsing,
+        ``build_runtime`` and the run all read it."""
         if self.params.t_transport_min is not None:
             return self.params.t_transport_min
         locations = [m.location for m in self.machines] + [
@@ -163,7 +167,11 @@ def _finite(value: Any) -> bool:
 
 
 class _Reader:
-    """Walks a parsed JSON tree collecting problems instead of failing fast."""
+    """Walks a parsed JSON tree collecting problems instead of failing fast.
+
+    A reader takes a field's parent object, its key and the parent's path,
+    and formats the field's own path only when it reports a problem there.
+    """
 
     def __init__(self) -> None:
         self.problems: list[str] = []
@@ -209,7 +217,8 @@ class _Reader:
                 return default
             self.fail(f"{path}.{key}", "required field is missing")
             return 0.0
-        if not _finite(value):
+        # _finite's test inline: every minutes field passes here
+        if isinstance(value, bool) or not (isinstance(value, (int, float)) and math.isfinite(value)):
             self.fail(f"{path}.{key}", "expected a finite number")
             return 0.0
         if minimum is not None and value < minimum:
@@ -217,24 +226,29 @@ class _Reader:
             return minimum
         return value
 
-    def duration(self, parent: Mapping, key: str, path: str, default: Any = _MISSING,
-                 minimum: float = 0) -> Seconds:
-        """A minutes field converted to engine seconds."""
-        raw = self.number(parent, key, path, default=default, minimum=minimum)
+    def duration(self, parent: Mapping, key: str, path: str, default: Any = _MISSING) -> Seconds:
+        """A minutes field of at least zero, converted to engine seconds as
+        ``timebase.minutes`` does: it must land on a whole second."""
+        raw = self.number(parent, key, path, default, 0)
+        s = raw * 60
         try:
-            return minutes(raw)
-        except ValueError as exc:
-            self.fail(f"{path}.{key}", str(exc))
+            out = int(round(s))
         except OverflowError:
             self.fail(f"{path}.{key}", f"{raw} minutes is too long to count in seconds")
-        return 0
+            return 0
+        if abs(s - out) > 1e-9:
+            self.fail(f"{path}.{key}", f"{raw} minutes is not a whole number of seconds")
+            return 0
+        return out
 
     def xy(self, parent: Mapping, key: str, path: str) -> tuple[float, float]:
         value = parent.get(key, _MISSING)
         if value is _MISSING:
             self.fail(f"{path}.{key}", "required field is missing")
             return (0.0, 0.0)
-        if not isinstance(value, list) or len(value) != 2 or not all(map(_finite, value)):
+        if not isinstance(value, list) or len(value) != 2 or not (
+            _finite(value[0]) and _finite(value[1])
+        ):
             self.fail(f"{path}.{key}", "expected [x, y] finite numbers")
             return (0.0, 0.0)
         return (float(value[0]), float(value[1]))
@@ -255,12 +269,14 @@ class _Reader:
         A named block takes its ``order_id`` field, ``<id_prefix>-<j>`` by
         default; an unnamed one is always ``<id_prefix>-<j>``.
         """
+        if key not in owner:
+            return ()
         out = []
-        for j, raw in enumerate(self.array(owner.get(key, []), f"{path}.{key}")):
+        for j, raw in enumerate(self.array(owner[key], f"{path}.{key}")):
             bpath = f"{path}.{key}[{j}]"
             bdoc = self.obj(raw, bpath)
-            start = self.duration(bdoc, "start", bpath, minimum=0)
-            end = self.duration(bdoc, "end", bpath, minimum=0)
+            start = self.duration(bdoc, "start", bpath)
+            end = self.duration(bdoc, "end", bpath)
             if end <= start:
                 self.fail(bpath, f"end ({end}s) must be after start ({start}s)")
             order_id = f"{id_prefix}-{j}"
@@ -280,6 +296,8 @@ class _Reader:
 
 
 def _check_disjoint(spans: list[tuple[Seconds, Seconds, str]], r: _Reader) -> None:
+    if len(spans) < 2:
+        return
     spans = sorted(spans)
     for (s0, e0, p0), (s1, _e1, p1) in zip(spans, spans[1:]):
         if s1 < e0:
@@ -287,6 +305,12 @@ def _check_disjoint(spans: list[tuple[Seconds, Seconds, str]], r: _Reader) -> No
 
 
 def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
+    """Validate a scenario document and build its records.
+
+    Every problem is collected, each with its field path, and all of them
+    raise one ``ValidationError``. Paths are formatted per record, and a
+    field's own path only where a problem is reported there.
+    """
     r = _Reader()
     root = r.obj(doc, source)
 
@@ -297,12 +321,12 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
     name = r.string(root, "name", source, default="unnamed")
 
     pdoc = r.obj(root.get("params", {}), f"{source}.params")
-    t_buffer = r.duration(pdoc, "t_buffer_min", f"{source}.params", minimum=0)
+    t_buffer = r.duration(pdoc, "t_buffer_min", f"{source}.params")
     if t_buffer <= 0:
         r.fail(f"{source}.params.t_buffer_min", "must be a positive number of minutes")
     t_transport: Optional[Seconds] = None
     if pdoc.get("t_transport_min") is not None:
-        t_transport = r.duration(pdoc, "t_transport_min", f"{source}.params", minimum=0)
+        t_transport = r.duration(pdoc, "t_transport_min", f"{source}.params")
     cfp_deadline = pdoc.get("cfp_deadline")
     hold_deadline = pdoc.get("hold_deadline")
     given = 0
@@ -324,10 +348,11 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
     seen_ids: dict[str, str] = {}
 
     def claim_id(kind: str, agent_id: str, path: str) -> None:
+        """Claim ``agent_id`` for the record at ``path``."""
         if not agent_id:
             return
         if agent_id in seen_ids:
-            r.fail(path, f"id {agent_id!r} already used by {seen_ids[agent_id]}")
+            r.fail(f"{path}.id", f"id {agent_id!r} already used by {seen_ids[agent_id]}")
         else:
             seen_ids[agent_id] = kind
 
@@ -336,28 +361,28 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         path = f"{source}.machines[{i}]"
         mdoc = r.obj(mdoc_raw, path)
         mid = r.string(mdoc, "id", path)
-        claim_id("machine", mid, f"{path}.id")
+        claim_id("machine", mid, path)
         operation = r.string(mdoc, "operation", path)
         r.no_shared_resources(mdoc, path)
         location = r.xy(mdoc, "location", path)
 
         durations: dict[str, Seconds] = {}
-        ddoc = r.obj(mdoc.get("op_duration", {}), f"{path}.op_duration")
+        dpath = f"{path}.op_duration"
+        ddoc = r.obj(mdoc.get("op_duration", {}), dpath)
         if not ddoc:
-            r.fail(f"{path}.op_duration", "must map at least one product to a duration")
+            r.fail(dpath, "must map at least one product to a duration")
         for product in sorted(ddoc):
-            dur = r.duration(ddoc, product, f"{path}.op_duration", minimum=0)
+            dur = r.duration(ddoc, product, dpath)
             if dur <= 0:
-                r.fail(f"{path}.op_duration.{product}", "operation duration must be positive")
+                r.fail(f"{dpath}.{product}", "operation duration must be positive")
             durations[product] = dur
 
         setups: dict[str, dict[str, Seconds]] = {}
         sdoc = r.obj(mdoc.get("setup", {}), f"{path}.setup")
         for frm in sorted(sdoc):
-            row = r.obj(sdoc[frm], f"{path}.setup.{frm}")
-            setups[frm] = {
-                to: r.duration(row, to, f"{path}.setup.{frm}", minimum=0) for to in sorted(row)
-            }
+            rpath = f"{path}.setup.{frm}"
+            row = r.obj(sdoc[frm], rpath)
+            setups[frm] = {to: r.duration(row, to, rpath) for to in sorted(row)}
 
         spans: list[tuple[Seconds, Seconds, str]] = []
         bookings = r.blocks(
@@ -370,36 +395,29 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
             named=False,
         )
         _check_disjoint(spans, r)
-        machines.append(
-            MachineSpec(
-                id=mid,
-                operation=operation,
-                location=location,
-                op_duration=durations,
-                setup=setups,
-                initial_state=r.string(mdoc, "initial_state", path, default=""),
-                initial_bookings=bookings,
-                maintenance=windows,
-            )
-        )
+        # positional: a frozen dataclass builds slower from keywords
+        machines.append(MachineSpec(
+            mid, operation, location, durations, setups,
+            r.string(mdoc, "initial_state", path, default=""), bookings, windows,
+        ))
 
     buffers: list[BufferSpec] = []
     for i, bdoc_raw in enumerate(r.array(root.get("buffers", []), f"{source}.buffers")):
         path = f"{source}.buffers[{i}]"
         bdoc = r.obj(bdoc_raw, path)
         bid = r.string(bdoc, "id", path)
-        claim_id("buffer", bid, f"{path}.id")
+        claim_id("buffer", bid, path)
         capacity = r.number(bdoc, "capacity", path, default=1, minimum=1)
         if capacity != 1:
             r.fail(f"{path}.capacity", "buffer places have capacity 1; model more places instead")
-        buffers.append(BufferSpec(id=bid, location=r.xy(bdoc, "location", path)))
+        buffers.append(BufferSpec(bid, r.xy(bdoc, "location", path)))
 
     transports: list[TransportSpec] = []
     for i, tdoc_raw in enumerate(r.array(root.get("transports", []), f"{source}.transports")):
         path = f"{source}.transports[{i}]"
         tdoc = r.obj(tdoc_raw, path)
         tid = r.string(tdoc, "id", path)
-        claim_id("transport", tid, f"{path}.id")
+        claim_id("transport", tid, path)
         seg = tdoc.get("segment")
         pair = isinstance(seg, list) and len(seg) == 2 and all(map(_finite, seg))
         if not pair or seg[1] < seg[0]:
@@ -423,17 +441,11 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         crane_bookings = r.blocks(tdoc, "initial_bookings", path, spans, crane_state, f"{tid}-init")
         _check_disjoint(spans, r)
 
-        transports.append(
-            TransportSpec(
-                id=tid,
-                segment=(float(seg[0]), float(seg[1])),
-                speed=float(speed),
-                load=r.duration(tdoc, "load", path, minimum=0),
-                unload=r.duration(tdoc, "unload", path, minimum=0),
-                initial_x=float(initial_x),
-                initial_bookings=crane_bookings,
-            )
-        )
+        transports.append(TransportSpec(
+            tid, (float(seg[0]), float(seg[1])), float(speed),
+            r.duration(tdoc, "load", path), r.duration(tdoc, "unload", path),
+            float(initial_x), crane_bookings,
+        ))
 
     products: list[ProductSpec] = []
     product_ids: set[str] = set()
@@ -463,19 +475,15 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
     for i, odoc_raw in enumerate(r.array(root.get("orders", []), f"{source}.orders")):
         path = f"{source}.orders[{i}]"
         odoc = r.obj(odoc_raw, path)
-        oid = r.string(odoc, "id", path, default=f"order-{i + 1}")
-        claim_id("order", oid, f"{path}.id")
+        oid = r.string(odoc, "id", path) if "id" in odoc else f"order-{i + 1}"
+        claim_id("order", oid, path)
         product = r.string(odoc, "product", path)
         if product and product_ids and product not in product_ids:
             r.fail(f"{path}.product", f"unknown product {product!r}")
-        orders.append(
-            OrderSpec(
-                id=oid,
-                product=product,
-                arrival=r.duration(odoc, "arrival", path, default=0, minimum=0),
-                release=r.number(odoc, "release", path, default=0.0, minimum=0),
-            )
-        )
+        orders.append(OrderSpec(
+            oid, product, r.duration(odoc, "arrival", path, default=0),
+            r.number(odoc, "release", path, default=0.0, minimum=0),
+        ))
 
     if r.problems:
         raise ValidationError(r.problems)

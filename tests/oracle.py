@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -203,6 +204,40 @@ def _seconds(value: float) -> int:
     return int(round(value * 60))
 
 
+def _fixed_blocks(doc: Mapping) -> dict[str, list[tuple[tuple, Any]]]:
+    """resource -> its fixed blocks in the document, each ``(row, state)``:
+    the one GANTT row it books and the machine state or crane x it leaves."""
+    out: dict[str, list[tuple[tuple, Any]]] = {}
+
+    def add(rid: str, order: str, label: str, kind: str, block: Mapping, state: Any) -> None:
+        span = (_seconds(block["start"]), _seconds(block["end"]))
+        out.setdefault(rid, []).append(((rid, order, label, kind, *span), state))
+
+    for m in doc["machines"]:
+        rid = m["id"]
+        for j, b in enumerate(m.get("initial_bookings", [])):
+            add(rid, b.get("order_id", f"{rid}-init-{j}"), "init", "operation", b,
+                b.get("end_state", ""))
+        for j, w in enumerate(m.get("maintenance", [])):
+            add(rid, f"{rid}-maint-{j}", "maintenance", "maintenance", w, w.get("state", ""))
+    for t in doc.get("transports", []):
+        rid, initial_x = t["id"], t.get("initial_x", t["segment"][0])
+        for j, b in enumerate(t.get("initial_bookings", [])):
+            add(rid, b.get("order_id", f"{rid}-init-{j}"), "init", "operation", b,
+                b.get("end_x", initial_x))
+    return out
+
+
+def _state_after_fixed(blocks: list[tuple[tuple, Any]], order: str, label: str,
+                       start: int, before: Any) -> Any:
+    """The state a fixed row leaves: its block's, found by start, else by
+    order id and label; ``before`` when the document has no such block."""
+    for row, state in blocks:
+        if row[4] == start:
+            return state
+    return next((state for row, state in blocks if row[1:3] == (order, label)), before)
+
+
 def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ()) -> list[str]:
     """Machine stages, setups and operations and crane travel judged against
     the scenario document.
@@ -218,21 +253,27 @@ def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ())
     it to the order's product is not zero, and that segment lasts that long.
     The state before is the machine's ``initial_state``, the previous
     booking's product, an initial booking's ``end_state`` or a maintenance
-    window's ``state``. A crane movement's
-    empty travel (before its load) and loaded travel (between load and
-    unload) are each present exactly when the document's travel time for it
-    is not zero, and last that long: empty from the crane's previous drop-off
-    (its ``initial_x``, or an initial booking's ``end_x``) to the pickup,
-    loaded from the pickup to the drop-off. A crane whose ``load`` and
-    ``unload`` are both zero books a movement as that travel alone, the
-    empty run then the loaded one, each present exactly when not zero. A
-    movement labelled ``T:a,b``
-    picks up where the order's booking labelled ``a`` sits and drops off
-    where the one labelled ``b`` sits. Returns one line per violation; a
+    window's ``state``. Every fixed block of the document (a machine's
+    initial booking or maintenance window, a crane's initial booking) is one
+    row on its resource: its ``order_id``, or ``<id>-init-<j>`` /
+    ``<id>-maint-<j>``, labelled ``init`` or ``maintenance``, of kind
+    ``operation`` or ``maintenance``, over the block's span. A fixed row
+    leaves its block's state, the block found by the row's start, else by
+    its order id and label, so one misplaced block is one problem. A crane
+    movement's empty travel (before its load) and loaded travel (between
+    load and unload) are each present exactly when the document's travel
+    time for it is not zero, and last that long: empty from the crane's
+    previous drop-off (its ``initial_x``, or an initial booking's ``end_x``)
+    to the pickup, loaded from the pickup to the drop-off. A crane whose
+    ``load`` and ``unload`` are both zero books a movement as that travel
+    alone, the empty run then the loaded one, each present exactly when not
+    zero. A movement labelled ``T:a,b`` picks up where the order's booking
+    labelled ``a`` sits and drops off where the one labelled ``b`` sits. Returns one line per violation; a
     setup or travel the document asks for and the booking lacks reads
     "... not recorded ...".
     """
     problems: list[str] = []
+    rows = list(rows)
     product_of = {
         o.get("id", f"order-{i + 1}"): o["product"] for i, o in enumerate(doc["orders"])
     }
@@ -272,19 +313,23 @@ def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ())
                 f"{order}: machine stages {sorted(labels)} are not "
                 + ("all" if order in done else "a prefix of") + f" the {n} steps of its plan"
             )
+    found = Counter(row for row in rows if row[2] in ("init", "maintenance"))
+    fixed = _fixed_blocks(doc)
+    for row, _ in (block for blocks in fixed.values() for block in blocks):
+        if found[row]:
+            found[row] -= 1
+        else:
+            rid, order, label, kind, start, end = row
+            problems.append(
+                f"{rid} {order}/{label}: no {kind} row over [{start}, {end}), the document's "
+                "fixed block"
+            )
     for machine in doc["machines"]:
         rid, setup, op_duration = machine["id"], machine.get("setup", {}), machine["op_duration"]
-        fixed = {
-            _seconds(b["start"]): b.get("end_state", "")
-            for b in machine.get("initial_bookings", [])
-        }
-        fixed.update(
-            (_seconds(w["start"]), w.get("state", "")) for w in machine.get("maintenance", [])
-        )
         state = machine.get("initial_state", "")
         for order, label, segments in bookings.get(rid, []):
             if label in ("init", "maintenance"):
-                state = fixed[segments[0][1]]
+                state = _state_after_fixed(fixed.get(rid, []), order, label, segments[0][1], state)
                 continue
             product = product_of[order]
             operations = [end - start for kind, start, end in segments if kind == "operation"]
@@ -314,14 +359,10 @@ def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ())
 
         initial_x = crane.get("initial_x", crane["segment"][0])
         handles = _seconds(crane.get("load", 0)) or _seconds(crane.get("unload", 0))
-        fixed = {
-            _seconds(b["start"]): b.get("end_x", initial_x)
-            for b in crane.get("initial_bookings", [])
-        }
         x = initial_x
         for order, label, segments in bookings.get(rid, []):
             if label == "init":
-                x = fixed[segments[0][1]]
+                x = _state_after_fixed(fixed.get(rid, []), order, label, segments[0][1], x)
                 continue
             ends = label[2:].split(",") if label.startswith("T:") else []
             where = [served.get((order, end)) for end in ends]
@@ -367,6 +408,28 @@ def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ())
                     )
             x = drop
     return problems
+
+
+# ---------------------------------------------------------------------------
+# the transport floor, pair by pair
+
+
+def pairwise_t_transport_min(
+    locations: Sequence[tuple[float, float]], transports: Sequence[Any]
+) -> Seconds:
+    """``calculus.derive_t_transport_min`` over every pair of locations:
+    fastest handling plus the shortest x-distance above 1e-9 m at top speed."""
+    handling = min(t.load_time + t.unload_time for t in transports)
+    top_speed = max(t.speed for t in transports)
+    xs = [loc[0] for loc in locations]
+    deltas = [
+        abs(a - b)
+        for i, a in enumerate(xs)
+        for b in xs[i + 1 :]
+        if abs(a - b) > 1e-9
+    ]
+    travel = math.ceil(min(deltas) / top_speed - 1e-9) if deltas else 0
+    return handling + travel
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,22 @@ def test_physics_check_judges_each_orders_machine_stages_by_its_plan():
     assert physics_check(doc, rows) == misplaced
 
 
+@pytest.mark.parametrize("order", ["warmup-C", "warmup-F", "Forging-maint-0", "warmup-T"])
+def test_physics_check_finds_each_fixed_block_where_the_document_puts_it(order):
+    # the flow shop's GANTT with one fixed block's row a minute late: that
+    # block is flagged, and nothing else
+    doc = DOCUMENTS["section6_flowshop"]()
+    report = run_scenario(parse_scenario(doc), mode="deterministic")
+    rows, done = gantt_rows(report), sorted(report.status)
+    assert physics_check(doc, rows, done) == []
+    (at,) = [i for i, row in enumerate(rows) if row[1] == order]
+    rid, _, label, kind, start, end = rows[at]
+    rows[at] = (rid, order, label, kind, start + 60, end + 60)
+    assert physics_check(doc, rows, done) == [
+        f"{rid} {order}/{label}: no {kind} row over [{start}, {end}), the document's fixed block"
+    ]
+
+
 class VirtualTime:
     """The ``time`` functions the concurrent kernel reads; ``sleep`` advances the clock."""
 
