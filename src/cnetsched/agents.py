@@ -153,7 +153,9 @@ class _ResourceAgent:
     releases them as the order decides. Engagement lives here too: while
     another order could still claim the resource, a CFP waits in
     ``_deferred`` and :meth:`_drain` answers it once a reject or a departure
-    resolves the engagement. A kind supplies only how it places proposals
+    resolves the engagement. That is the one rule that keeps other orders off
+    a machine holding a workpiece: the calendar reads its open tail as ending
+    at the operation end. A kind supplies only how it places proposals
     (``_propose``) and lays out an accepted booking (``_booking``), and where
     it needs one ``_commit``.
 
@@ -163,11 +165,10 @@ class _ResourceAgent:
     imposes on the one after it all read that one rule there.
 
     A CFP is answered from one gap table (:meth:`_table`). While no other
-    conversation holds an offer and no open tail is assumed closed, that is
-    the table the calendar keeps until its next edit
-    (``ResourceSchedule.gap_table``): on a floor of many interchangeable
-    machines most of them receive CFP after CFP with nothing booked in
-    between.
+    conversation holds an offer, that is the table the calendar keeps until
+    its next edit (``ResourceSchedule.gap_table``): on a floor of many
+    interchangeable machines most of them receive CFP after CFP with nothing
+    booked in between.
     """
 
     kind: str  # PRODUCTION | BUFFER | TRANSPORT
@@ -304,9 +305,7 @@ class _ResourceAgent:
         by ``_offer`` until ``until``."""
         raise NotImplementedError
 
-    def _table(
-        self, conv: str, base: Seconds, assume_closed: frozenset[str] = frozenset()
-    ) -> list[GapRow]:
+    def _table(self, conv: str, base: Seconds) -> list[GapRow]:
         """The CFP's gap table, other conversations' holds counted busy.
 
         This conversation's holds are ignored, so the offers made for one CFP
@@ -315,10 +314,11 @@ class _ResourceAgent:
         intervals :meth:`_usable` would skip for it are not even looked up,
         and a kept table's extra rows are among those it drops. Machines,
         cranes and buffers all read the rows; a buffer only their ``start``
-        and ``end``.
+        and ``end``. An open tail ends at its operation end: only its own
+        order gets this far (:meth:`_engaged_elsewhere`).
         """
         busy = self.holds.active_spans(exclude_conversation=conv) if self.holds else ()
-        return self.schedule.gap_table(base - self._setup_bound - 1, busy, assume_closed)
+        return self.schedule.gap_table(base - self._setup_bound - 1, busy)
 
     def _usable(self, table: list[GapRow], base: Seconds) -> int:
         """The index of the first row of ``table`` that may host a slot
@@ -480,9 +480,7 @@ class ProductionAgent(_ResourceAgent):
         if op_dur is None:
             return []
         tail = self.schedule.open_tail_for(order_id)
-        own = tail is not None
-        entry_stage = cfp.workpiece.location is None
-        unload = 0 if (entry_stage or own) else self.unload_estimate
+        unload = 0 if cfp.workpiece.location is None or tail is not None else self.unload_estimate
         load_est = self.load_estimate
         conv = msg.conversation_id
         # the requested es includes a transport estimate; when the piece is
@@ -494,7 +492,7 @@ class ProductionAgent(_ResourceAgent):
         if not earliest:
             return []
         # every alternative reads the same table: the new end state is the product
-        table = self._table(conv, min(earliest), frozenset({order_id}) if own else frozenset())
+        table = self._table(conv, min(earliest))
         if tail is not None:
             # the workpiece sits on this machine and can only wait in place:
             # any slot beyond the next booking is unreachable
@@ -832,11 +830,13 @@ class OrderAgent:
         return self._start_stage(ctx)
 
     def _abort(self, ctx, reason: str) -> list[Message]:
+        neg, self.neg = self.neg, None
         self.status = "failed"
         self.diagnostic = reason
         self.t_end = ctx.now()
-        self.neg = None
         out: list[Message] = []
+        if neg is not None and neg.phase not in (DONE, FAILED):  # a refused commit cut it short
+            out = rejects(self.agent_id, neg.conversation, neg.all_proposals())
         if self.committed:
             # free the machine still holding (or believed to hold) the piece;
             # a resource without a matching open tail simply ignores this

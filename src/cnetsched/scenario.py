@@ -171,6 +171,8 @@ class _Reader:
 
     A reader takes a field's parent object, its key and the parent's path,
     and formats the field's own path only when it reports a problem there.
+    A field reader that reports a problem returns None, so no later check
+    reads a value the document did not give: each problem is reported once.
     """
 
     def __init__(self) -> None:
@@ -191,16 +193,18 @@ class _Reader:
             return []
         return value
 
-    def string(self, parent: Mapping, key: str, path: str, default: Any = _MISSING) -> str:
+    def string(
+        self, parent: Mapping, key: str, path: str, default: Any = _MISSING
+    ) -> Optional[str]:
         value = parent.get(key, _MISSING)
         if value is _MISSING:
             if default is not _MISSING:
                 return default
             self.fail(f"{path}.{key}", "required field is missing")
-            return ""
+            return None
         if not isinstance(value, str):
             self.fail(f"{path}.{key}", "expected a string")
-            return ""
+            return None
         return value
 
     def number(
@@ -210,47 +214,51 @@ class _Reader:
         path: str,
         default: Any = _MISSING,
         minimum: Optional[float] = None,
-    ) -> float:
+    ) -> Optional[float]:
         value = parent.get(key, _MISSING)
         if value is _MISSING:
             if default is not _MISSING:
                 return default
             self.fail(f"{path}.{key}", "required field is missing")
-            return 0.0
+            return None
         # _finite's test inline: every minutes field passes here
         if isinstance(value, bool) or not (isinstance(value, (int, float)) and math.isfinite(value)):
             self.fail(f"{path}.{key}", "expected a finite number")
-            return 0.0
+            return None
         if minimum is not None and value < minimum:
             self.fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-            return minimum
+            return None
         return value
 
-    def duration(self, parent: Mapping, key: str, path: str, default: Any = _MISSING) -> Seconds:
+    def duration(
+        self, parent: Mapping, key: str, path: str, default: Any = _MISSING
+    ) -> Optional[Seconds]:
         """A minutes field of at least zero, converted to engine seconds as
         ``timebase.minutes`` does: it must land on a whole second."""
         raw = self.number(parent, key, path, default, 0)
+        if raw is None:
+            return None
         s = raw * 60
         try:
             out = int(round(s))
         except OverflowError:
             self.fail(f"{path}.{key}", f"{raw} minutes is too long to count in seconds")
-            return 0
+            return None
         if abs(s - out) > 1e-9:
             self.fail(f"{path}.{key}", f"{raw} minutes is not a whole number of seconds")
-            return 0
+            return None
         return out
 
-    def xy(self, parent: Mapping, key: str, path: str) -> tuple[float, float]:
+    def xy(self, parent: Mapping, key: str, path: str) -> Optional[tuple[float, float]]:
         value = parent.get(key, _MISSING)
         if value is _MISSING:
             self.fail(f"{path}.{key}", "required field is missing")
-            return (0.0, 0.0)
+            return None
         if not isinstance(value, list) or len(value) != 2 or not (
             _finite(value[0]) and _finite(value[1])
         ):
             self.fail(f"{path}.{key}", "expected [x, y] finite numbers")
-            return (0.0, 0.0)
+            return None
         return (float(value[0]), float(value[1]))
 
     def blocks(
@@ -263,7 +271,7 @@ class _Reader:
         id_prefix: str,
         named: bool = True,
     ) -> tuple[FixedBlock, ...]:
-        """``owner[key]`` as fixed blocks; each block's span joins ``spans``.
+        """``owner[key]`` as fixed blocks; each span whose bounds were read joins ``spans``.
 
         ``state(block, path)`` reads what the block leaves the resource in.
         A named block takes its ``order_id`` field, ``<id_prefix>-<j>`` by
@@ -277,13 +285,14 @@ class _Reader:
             bdoc = self.obj(raw, bpath)
             start = self.duration(bdoc, "start", bpath)
             end = self.duration(bdoc, "end", bpath)
-            if end <= start:
-                self.fail(bpath, f"end ({end}s) must be after start ({start}s)")
+            if start is not None and end is not None:
+                if end <= start:
+                    self.fail(bpath, f"end ({end}s) must be after start ({start}s)")
+                spans.append((start, end, bpath))
             order_id = f"{id_prefix}-{j}"
             if named:
                 order_id = self.string(bdoc, "order_id", bpath, default=order_id)
             out.append(FixedBlock(order_id, start, end, state(bdoc, bpath)))
-            spans.append((start, end, bpath))
         return tuple(out)
 
     def no_shared_resources(self, parent: Mapping, path: str) -> None:
@@ -322,7 +331,7 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
 
     pdoc = r.obj(root.get("params", {}), f"{source}.params")
     t_buffer = r.duration(pdoc, "t_buffer_min", f"{source}.params")
-    if t_buffer <= 0:
+    if t_buffer == 0:  # a duration read is never negative, and None if it failed
         r.fail(f"{source}.params.t_buffer_min", "must be a positive number of minutes")
     t_transport: Optional[Seconds] = None
     if pdoc.get("t_transport_min") is not None:
@@ -373,7 +382,7 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
             r.fail(dpath, "must map at least one product to a duration")
         for product in sorted(ddoc):
             dur = r.duration(ddoc, product, dpath)
-            if dur <= 0:
+            if dur == 0:  # as t_buffer_min
                 r.fail(f"{dpath}.{product}", "operation duration must be positive")
             durations[product] = dur
 
@@ -384,6 +393,7 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
             row = r.obj(sdoc[frm], rpath)
             setups[frm] = {to: r.duration(row, to, rpath) for to in sorted(row)}
 
+        initial_state = r.string(mdoc, "initial_state", path, default="")
         spans: list[tuple[Seconds, Seconds, str]] = []
         bookings = r.blocks(
             mdoc, "initial_bookings", path, spans,
@@ -397,8 +407,7 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         _check_disjoint(spans, r)
         # positional: a frozen dataclass builds slower from keywords
         machines.append(MachineSpec(
-            mid, operation, location, durations, setups,
-            r.string(mdoc, "initial_state", path, default=""), bookings, windows,
+            mid, operation, location, durations, setups, initial_state, bookings, windows,
         ))
 
     buffers: list[BufferSpec] = []
@@ -408,7 +417,7 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         bid = r.string(bdoc, "id", path)
         claim_id("buffer", bid, path)
         capacity = r.number(bdoc, "capacity", path, default=1, minimum=1)
-        if capacity != 1:
+        if capacity is not None and capacity != 1:
             r.fail(f"{path}.capacity", "buffer places have capacity 1; model more places instead")
         buffers.append(BufferSpec(bid, r.xy(bdoc, "location", path)))
 
@@ -422,29 +431,29 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         pair = isinstance(seg, list) and len(seg) == 2 and all(map(_finite, seg))
         if not pair or seg[1] < seg[0]:
             r.fail(f"{path}.segment", "expected [lo, hi] finite numbers with lo <= hi")
-            seg = [0.0, 0.0]
+            seg = None
         speed = r.number(tdoc, "speed", path)
-        if speed <= 0:
+        if speed is not None and speed <= 0:
             r.fail(f"{path}.speed", "must be positive (metres per minute)")
-            speed = 1.0
-        initial_x = r.number(tdoc, "initial_x", path, default=float(seg[0]))
-        if not seg[0] <= initial_x <= seg[1]:
+        load, unload = r.duration(tdoc, "load", path), r.duration(tdoc, "unload", path)
+        initial_x = r.number(tdoc, "initial_x", path, default=seg[0] if seg else None)
+        if seg is not None and initial_x is not None and not seg[0] <= initial_x <= seg[1]:
             r.fail(f"{path}.initial_x", f"{initial_x} lies outside segment {seg}")
 
-        def crane_state(bdoc: Mapping, bpath: str) -> float:
+        def crane_state(bdoc: Mapping, bpath: str) -> Optional[float]:
             end_x = r.number(bdoc, "end_x", bpath, default=initial_x)
-            if not seg[0] <= end_x <= seg[1]:
+            if seg is not None and end_x is not None and not seg[0] <= end_x <= seg[1]:
                 r.fail(f"{bpath}.end_x", f"{end_x} lies outside segment {seg}")
-            return float(end_x)
+            return None if end_x is None else float(end_x)
 
         spans = []
         crane_bookings = r.blocks(tdoc, "initial_bookings", path, spans, crane_state, f"{tid}-init")
         _check_disjoint(spans, r)
-
+        if r.problems:
+            continue  # a failed field has no value to build from; the problems raise below
         transports.append(TransportSpec(
-            tid, (float(seg[0]), float(seg[1])), float(speed),
-            r.duration(tdoc, "load", path), r.duration(tdoc, "unload", path),
-            float(initial_x), crane_bookings,
+            tid, (float(seg[0]), float(seg[1])), float(speed), load, unload, float(initial_x),
+            crane_bookings,
         ))
 
     products: list[ProductSpec] = []
@@ -455,7 +464,8 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         pid = r.string(pdoc2, "id", path)
         if pid in product_ids:
             r.fail(f"{path}.id", f"duplicate product id {pid!r}")
-        product_ids.add(pid)
+        elif pid is not None:
+            product_ids.add(pid)
         steps: list[str] = []
         raw_steps = r.array(pdoc2.get("steps", []), f"{path}.steps")
         if not raw_steps:

@@ -5,9 +5,9 @@ sits on top of two guarantees made here:
 
 * all intervals are half-open ``[start, end)`` over non-negative integer seconds,
   so adjacent segments never double-count an instant;
-* a calendar is a time-sorted list of pairwise disjoint booking entries, where an
-  entry with an *open tail* (departure not yet negotiated) blocks its whole
-  suffix to +infinity instead of pretending to know when the workpiece leaves.
+* a calendar is a time-sorted list of pairwise disjoint booking entries; an
+  entry with an *open tail* (departure not yet negotiated) ends at its
+  operation end, and the calendar books nothing after it until it is closed.
 
 A resource answers one CFP from one gap table
 (:meth:`ResourceSchedule.gap_table`): its free intervals, each with the state
@@ -26,8 +26,7 @@ and the one an insert imposes on the booking after it.
 Every edit of a calendar goes through :meth:`ResourceSchedule.insert_booking`
 or :meth:`ResourceSchedule.close_open_tail`, and each drops the table the
 schedule keeps. Until the next edit, a resource that holds no offer for
-another conversation and assumes no open tail closed answers CFP after CFP
-from that one kept table.
+another conversation answers CFP after CFP from that one kept table.
 """
 
 from __future__ import annotations
@@ -165,10 +164,10 @@ class BookingEntry:
     """One committed activity on a resource: an ordered run of contiguous segments.
 
     ``open_tail=True`` marks a production booking whose workpiece departure is
-    still unknown; the resource stays blocked from the entry's start onwards
-    until :meth:`ResourceSchedule.close_open_tail` attaches the real load
-    segment. ``end_state`` is what the resource is left in: a machine's
-    state (a product name) or a crane's drop-off x as a float.
+    still unknown; its segments end at the operation end, and nothing may be
+    booked after it until :meth:`ResourceSchedule.close_open_tail` attaches
+    the real load segment. ``end_state`` is what the resource is left in: a
+    machine's state (a product name) or a crane's drop-off x as a float.
     ``start_state`` is what the booking needs at its start: a machine's
     product, a crane's pickup x. A booking inserted in front of it
     recomputes its setup as the calendar's changeover from its own
@@ -279,8 +278,8 @@ class ResourceSchedule:
     built from ``entries`` when a schedule is constructed.
 
     The schedule also keeps the last gap table it built with no extra busy
-    span and nothing assumed closed (:meth:`gap_table`). Both edits drop it
-    on success; a refused edit changes nothing and keeps it.
+    span (:meth:`gap_table`). Both edits drop it on success; a refused edit
+    changes nothing and keeps it.
     """
 
     def __init__(
@@ -310,26 +309,21 @@ class ResourceSchedule:
         return self._tails.get(order_id)
 
     def free_intervals(
-        self,
-        extra_busy: Iterable[TimeInterval] = (),
-        assume_closed: frozenset[str] | set[str] = frozenset(),
-        after: Seconds = -1,
+        self, extra_busy: Iterable[TimeInterval] = (), after: Seconds = -1
     ) -> list[GapRow]:
         """The maximal free intervals of ``[0, HORIZON)`` as gap rows, sorted.
 
-        Open-tail entries block from their span start to +infinity;
-        ``assume_closed`` names orders whose open tail counts as ending at its
-        operation end (a resource reasoning about the follow-up operation of
-        the workpiece it holds). The union of the rows' intervals and the busy
-        spans partitions ``[0, HORIZON)`` exactly.
+        Every entry ends at its last segment, an open tail at its operation
+        end: nothing is booked after it, and its resource answers only the
+        order whose workpiece it holds. The union of the rows' intervals and
+        the busy spans partitions ``[0, HORIZON)`` exactly.
 
         Only the intervals ending after ``after`` are returned (the default
         keeps all), and they are not clipped: each is the same maximal
         interval the full query gives, so its start and everything derived
         from it stay put. The walk starts at the end of the last entry ending
         by ``after``, the instant after which only the later entries and
-        ``extra_busy`` can block. An open tail among the earlier entries (one
-        ending by ``after``) still blocks everything after it.
+        ``extra_busy`` can block.
 
         From there one walk merges the later entries with the sorted held
         spans in start order, an entry first on a tie. A row's
@@ -345,15 +339,11 @@ class ResourceSchedule:
         first = bisect.bisect_right(entries, after, key=_span_end)
         cursor, state = 0, self.initial
         if first:
-            for e in self._tails.values():
-                if e.span_end <= after and e.order_id not in assume_closed:
-                    return []
             cursor, state = entries[first - 1].span_end, entries[first - 1].end_state
         holds = sorted(iv for iv in extra_busy if not iv.is_empty()) if extra_busy else ()
 
-        def blockers() -> Iterator[tuple[Seconds, Optional[Seconds], Optional[BookingEntry]]]:
-            # (start, end, entry); a held span has no entry, and a blocking
-            # open tail and the closing HORIZON have no end
+        def blockers() -> Iterator[tuple[Seconds, Seconds, Optional[BookingEntry]]]:
+            # (start, end, entry); a held span and the closing HORIZON have no entry
             h = 0
             for e in entries[first:]:
                 segments = e.segments
@@ -361,11 +351,10 @@ class ResourceSchedule:
                 while h < len(holds) and holds[h].start < start:
                     yield (*holds[h], None)
                     h += 1
-                blocks = e.open_tail and e.order_id not in assume_closed
-                yield start, None if blocks else segments[-1][1].end, e
+                yield start, segments[-1][1].end, e
             for iv in holds[h:]:
                 yield (*iv, None)
-            yield HORIZON, None, None
+            yield HORIZON, HORIZON, None
 
         rows: list[GapRow] = []
         for start, end, entry in blockers():
@@ -377,18 +366,13 @@ class ResourceSchedule:
                     rows.append(GapRow(cursor, start, state, entry, start, 0))
                 else:
                     rows.append(GapRow(cursor, start, state, entry, setup.end, setup.duration))
-            if end is None or start == HORIZON:
-                break  # an open tail or the horizon blocks everything after it
             if entry is not None:
                 state = entry.end_state
             cursor = max(cursor, end)
         return rows
 
     def gap_table(
-        self,
-        after: Seconds = -1,
-        extra_busy: Sequence[TimeInterval] = (),
-        assume_closed: frozenset[str] | set[str] = frozenset(),
+        self, after: Seconds = -1, extra_busy: Sequence[TimeInterval] = ()
     ) -> list[GapRow]:
         """The rows of :meth:`free_intervals`, kept while they stay exact.
 
@@ -402,23 +386,20 @@ class ResourceSchedule:
         intervals first (and ask only for those ending after
         ``base - S - 1``).
 
-        With no extra busy span and nothing assumed closed, the table is
-        kept, and a later such query whose ``after`` is no earlier gets the
-        same list back until an edit drops it. Its rows that end after the
-        new ``after`` are exactly the ones a fresh table would hold: the
-        calendar is unchanged, so each is the same maximal interval with the
-        same neighbours. Its other rows all end by the new ``after``, so a
-        caller that drops those rows (as the slot search does with ``base``)
-        sees no difference.
+        With no extra busy span, the table is kept, and a later such query
+        whose ``after`` is no earlier gets the same list back until an edit
+        drops it. Its rows that end after the new ``after`` are exactly the
+        ones a fresh table would hold: the calendar is unchanged, so each is
+        the same maximal interval with the same neighbours. Its other rows
+        all end by the new ``after``, so a caller that drops those rows (as
+        the slot search does with ``base``) sees no difference.
         """
-        plain = not extra_busy and not assume_closed
+        if extra_busy:
+            return self.free_intervals(extra_busy, after)
         kept = self._kept
-        if plain and kept is not None and kept[0] <= after:
-            return kept[1]
-        rows = self.free_intervals(extra_busy, assume_closed, after)
-        if plain:
-            self._kept = (after, rows)
-        return rows
+        if kept is None or after < kept[0]:
+            kept = self._kept = (after, self.free_intervals((), after))
+        return kept[1]
 
     def entry_at_or_after(self, t: Seconds) -> Optional[BookingEntry]:
         i = bisect.bisect_left(self.entries, t, key=_span_start)

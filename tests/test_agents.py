@@ -13,6 +13,7 @@ from cnetsched.agents import (
     OrderAgent,
     ProductionAgent,
     StageCommit,
+    StartOrder,
     TransportAgent,
     _Refusal,
     _slack_from,
@@ -993,6 +994,36 @@ def test_abort_without_commits_sends_nothing():
     assert oa.status == "failed" and out == []
 
 
+def test_an_order_aborted_by_a_refused_commit_rejects_the_offers_of_the_open_stage():
+    # stage 1 commits on M1 and stage 2 asks M2 and M3 to mill; M2 has
+    # answered when M1 refuses stage 1: M2's offer must be freed at once,
+    # not held until its hold deadline
+    oa = OrderAgent(OrderSpec("o1", "A"), ("cutting", "milling"), PARAMS)
+    ctx = FakeCtx()
+    mill = machine_spec({"A": 3000}, {})
+    resources = {"M1": machine("M1")}
+    for rid in ("M2", "M3"):
+        resources[rid] = ProductionAgent(dataclasses.replace(mill, id=rid, operation="milling"))
+        ctx.directory.register("milling", rid)
+    ctx.directory.register("cutting", "M1")
+    (cfp,) = oa.handle(StartOrder("o1"), ctx)
+    (offer,) = resources["M1"].handle(cfp, ctx)
+    sent = oa.handle(offer, ctx)
+    assert [(m.receiver, m.conversation_id) for m in sent] == [
+        ("M1", "o1/s0"), ("M2", "o1/s1"), ("M3", "o1/s1")
+    ]
+    (m2_offer,) = resources["M2"].handle(sent[1], ctx)
+    assert oa.handle(m2_offer, ctx) == []  # still awaiting M3
+    refusal = Message("M1", "o1", "o1/s0", (InformFailure(offer.parts[0].proposal_id, "gone"),))
+    out = oa.handle(refusal, ctx)
+    assert oa.status == "failed"
+    assert out == [
+        Message("o1", "M2", "o1/s1", tuple(RejectProposal(p.proposal_id) for p in m2_offer.parts))
+    ]
+    resources["M2"].handle(out[0], ctx)
+    assert len(resources["M2"].holds) == 0
+
+
 def test_a_commit_refused_in_the_final_stage_fails_the_order(flowshop_scenario, monkeypatch):
     # the order finishes as its last decide sends the accepts, so the
     # refusal reaches an order that already reads done: it still aborts
@@ -1177,10 +1208,7 @@ def full_walk_machine(m, cfp, conv, ctx):
     own = tail is not None
     unload = 0 if (cfp.workpiece.location is None or own) else m.unload_estimate
     load_est = m.load_estimate
-    free = m.schedule.free_intervals(
-        extra_busy=m.holds.active_spans(exclude_conversation=conv),
-        assume_closed=frozenset({order_id}) if own else frozenset(),
-    )
+    free = m.schedule.free_intervals(extra_busy=m.holds.active_spans(exclude_conversation=conv))
     out = []
     for alt_idx, alt in enumerate(cfp.alternatives):
         es = tail.operation_end if own else alt.windows.es
@@ -1401,7 +1429,7 @@ def test_property_the_placement_walk_gives_a_machine_the_full_walks_slots(data):
         return
     unload = 0 if (cfp.workpiece.location is None or tail) else m.unload_estimate
     earliest = [tail.operation_end if tail else alt.windows.es for alt in cfp.alternatives]
-    table = m._table(conv, min(earliest), frozenset({order}) if tail else frozenset())
+    table = m._table(conv, min(earliest))
     if tail is not None:
         table = [row for row in table if row.start == tail.operation_end]
     dur = m.op_duration[product]
@@ -1658,13 +1686,12 @@ calendar_steps = st.lists(
 )
 
 
-def fresh_table(m, conv, base, assume_closed):
+def fresh_table(m, conv, base):
     """The gap table a CFP of ``conv`` from ``base`` gets when built from scratch:
     on a copy of the calendar, which keeps no table."""
     calendar = ResourceSchedule(list(m.schedule.entries), initial=m.schedule.initial)
-    return calendar.gap_table(
-        base - m._setup_bound - 1, m.holds.active_spans(exclude_conversation=conv), assume_closed
-    )
+    busy = m.holds.active_spans(exclude_conversation=conv)
+    return calendar.gap_table(base - m._setup_bound - 1, busy)
 
 
 #: the bases of the CFPs asked after each step, a later one often on the same calendar
@@ -1673,10 +1700,8 @@ cfp_bases = st.lists(
 )
 
 
-@given(calendar_steps, cfp_bases, st.booleans())
-def test_property_a_kept_table_is_the_fresh_table_with_rows_that_end_early(
-    steps, bases, assume_own
-):
+@given(calendar_steps, cfp_bases)
+def test_property_a_kept_table_is_the_fresh_table_with_rows_that_end_early(steps, bases):
     # every step is followed by CFPs; the first ones meet an empty calendar
     m, conv = small_machine(), "o1/s0"
     edits = held = 0
@@ -1709,11 +1734,9 @@ def test_property_a_kept_table_is_the_fresh_table_with_rows_that_end_early(
         elif held:
             held -= 1
             m.holds.release(f"x#{held}")
-        tails = open_tails(m.schedule)
-        assume = frozenset({tails[0].order_id}) if assume_own and tails else frozenset()
         for base in step_bases:
-            table = m._table(conv, base, assume)
-            fresh = fresh_table(m, conv, base, assume)
+            table = m._table(conv, base)
+            fresh = fresh_table(m, conv, base)
             extra = len(table) - len(fresh)
             assert extra >= 0 and table[extra:] == fresh
             after = base - m._setup_bound - 1

@@ -416,7 +416,6 @@ def test_every_problem_of_a_faulty_document_is_reported_in_document_order():
     # steps and orders: every message, in the order it was reported
     assert problems_of(fault_in_every_field_kind()) == (
         "t.params.t_buffer_min: expected a finite number",
-        "t.params.t_buffer_min: must be a positive number of minutes",
         "t.params.t_transport_min: 0.001 minutes is not a whole number of seconds",
         "t.params.cfp_deadline: must be a positive number when given",
         "t.params.hold_deadline: must be a positive number when given",
@@ -424,29 +423,24 @@ def test_every_problem_of_a_faulty_document_is_reported_in_document_order():
         "t.machines[0].shared_resources: shared-resource demands are not supported by this engine",
         "t.machines[0].location: expected [x, y] finite numbers",
         "t.machines[0].op_duration.A: must be >= 0, got -1",
-        "t.machines[0].op_duration.A: operation duration must be positive",
         "t.machines[0].op_duration.B: 1e+308 minutes is too long to count in seconds",
-        "t.machines[0].op_duration.B: operation duration must be positive",
         "t.machines[0].op_duration.C: expected a finite number",
-        "t.machines[0].op_duration.C: operation duration must be positive",
         "t.machines[0].setup.A.B: expected a finite number",
         "t.machines[0].setup.A.C: 0.0001 minutes is not a whole number of seconds",
         "t.machines[0].setup.B: expected an object, got list",
         "t.machines[0].setup.C.A: must be >= 0, got -2",
+        "t.machines[0].initial_state: expected a string",
         "t.machines[0].initial_bookings[0]: end (1200s) must be after start (1800s)",
         "t.machines[0].initial_bookings[0].end_state: expected a string",
         "t.machines[0].initial_bookings[1].order_id: expected a string",
         "t.machines[0].initial_bookings[2]: expected an object, got str",
         "t.machines[0].initial_bookings[2].start: required field is missing",
         "t.machines[0].initial_bookings[2].end: required field is missing",
-        "t.machines[0].initial_bookings[2]: end (0s) must be after start (0s)",
         "t.machines[0].maintenance[0]: end (30s) must be after start (2100s)",
         "t.machines[0].maintenance[1].start: must be >= 0, got -1",
         "t.machines[0].maintenance[1].end: 1e+308 minutes is too long to count in seconds",
-        "t.machines[0].maintenance[1]: end (0s) must be after start (0s)",
         "t.machines[0].initial_bookings[0]: overlaps t.machines[0].initial_bookings[1] "
         "([1500, 2400) vs start 1800)",
-        "t.machines[0].initial_state: expected a string",
         "t.machines[1].op_duration: must map at least one product to a duration",
         "t.machines[1].maintenance: expected an array, got str",
         "t.buffers[0].id: id 'Buf1' already used by machine",
@@ -458,13 +452,12 @@ def test_every_problem_of_a_faulty_document_is_reported_in_document_order():
         "t.buffers[2].location: required field is missing",
         "t.transports[0].segment: expected [lo, hi] finite numbers with lo <= hi",
         "t.transports[0].speed: must be positive (metres per minute)",
+        "t.transports[0].load: must be >= 0, got -1",
+        "t.transports[0].unload: 0.0001 minutes is not a whole number of seconds",
         "t.transports[0].initial_x: expected a finite number",
-        "t.transports[0].initial_bookings[0].end_x: 99 lies outside segment [0.0, 0.0]",
         "t.transports[0].initial_bookings[1].end_x: expected a finite number",
         "t.transports[0].initial_bookings[1]: overlaps t.transports[0].initial_bookings[0] "
         "([0, 300) vs start 240)",
-        "t.transports[0].load: must be >= 0, got -1",
-        "t.transports[0].unload: 0.0001 minutes is not a whole number of seconds",
         "t.transports[1].id: id 'M1' already used by machine",
         "t.transports[1].initial_x: 11 lies outside segment [0, 10]",
         "t.transports[1].initial_bookings: expected an array, got dict",

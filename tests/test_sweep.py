@@ -14,17 +14,27 @@ import re
 from collections import Counter
 from dataclasses import replace
 
-from cnetsched.agents import DirectoryService
+from cnetsched.agents import DirectoryService, _ResourceAgent
 from cnetsched.harness import (
+    build_scaling_scenario,
     build_shop_scenario,
     gantt_rows,
     render_gantt,
     render_trace,
     run_scenario,
 )
+from cnetsched.protocol import parse_conversation
 from cnetsched.scenario import load_scenario, parse_scenario
 
-from conftest import FLOWSHOP, JOBSHOP, agent_kinds, hold_check, random_document, random_scenario
+from conftest import (
+    FLOWSHOP,
+    JOBSHOP,
+    agent_kinds,
+    hold_check,
+    open_tails,
+    random_document,
+    random_scenario,
+)
 from oracle import (
     OracleInfeasible,
     exhaustive_schedule,
@@ -161,3 +171,31 @@ def test_schedule_is_independent_of_proposal_arrival_order(monkeypatch):
         if render_gantt(run_scenario(s, mode="deterministic")) != as_is[name]
     ]
     assert moved == []
+
+
+def test_only_the_order_a_machine_holds_a_workpiece_for_reads_its_calendar(monkeypatch):
+    # the engagement rule (_ResourceAgent._engaged_elsewhere) defers every
+    # other order's CFP while a workpiece waits on the machine, so a gap
+    # table is only ever built over open tails of the asking order itself
+    table = _ResourceAgent._table
+    own, foreign = [], []
+
+    def watched(self, conv, base, *args):
+        order = parse_conversation(conv)[0]
+        for tail in open_tails(self.schedule):
+            seen = own if tail.order_id == order else foreign
+            seen.append((self.agent_id, conv, tail.order_id))
+        return table(self, conv, base, *args)
+
+    monkeypatch.setattr(_ResourceAgent, "_table", watched)
+    floors = [
+        load_scenario(FLOWSHOP),
+        load_scenario(JOBSHOP),
+        build_shop_scenario("flow", 15, 100),
+        build_shop_scenario("job", 15, 100),
+        build_scaling_scenario(32),
+    ]
+    for scenario in floors + [random_scenario(seed) for seed in range(200)]:
+        run_scenario(scenario, mode="deterministic")
+    assert foreign == []
+    assert own  # the floors do ask calendars that hold a workpiece

@@ -325,14 +325,12 @@ def test_free_intervals_simple():
     ]
 
 
-def test_free_intervals_open_tail_blocks_suffix():
+def test_free_intervals_read_an_open_tail_as_ending_at_its_operation_end():
     s = ResourceSchedule()
     s.insert_booking(op_entry("a", 100, 200, open_tail=True))
-    assert spans(s.free_intervals()) == [TimeInterval(0, 100)]
-    # ... unless the reasoning assumes that workpiece departs at operation end
-    assert spans(s.free_intervals(assume_closed={"a"})) == [
-        TimeInterval(0, 100), TimeInterval(200, HORIZON)
-    ]
+    # the departure is not negotiated yet; the engagement rule, not the
+    # calendar, keeps other orders off the time behind it
+    assert spans(s.free_intervals()) == [TimeInterval(0, 100), TimeInterval(200, HORIZON)]
 
 
 def test_free_intervals_extra_busy():
@@ -356,13 +354,14 @@ def test_free_intervals_after_keeps_whole_intervals_ending_later():
     assert spans(held) == [TimeInterval(250, 300), TimeInterval(400, HORIZON)]
 
 
-def test_free_intervals_after_an_earlier_open_tail_is_empty():
+def test_free_intervals_after_an_earlier_open_tail_start_at_its_operation_end():
     s = ResourceSchedule()
     s.insert_booking(op_entry("a", 100, 200, open_tail=True))
-    assert s.free_intervals(after=500) == []
+    assert spans(s.free_intervals(after=500)) == [TimeInterval(200, HORIZON)]
     # a tail whose operation ends exactly at ``after`` is among the earlier entries
-    assert s.free_intervals(after=200) == []
-    assert spans(s.free_intervals(assume_closed={"a"}, after=500)) == [TimeInterval(200, HORIZON)]
+    rows = s.free_intervals(after=200)
+    assert spans(rows) == [TimeInterval(200, HORIZON)]
+    assert rows[0].from_state == s.entries[0].end_state
 
 
 def tie_calendar():
@@ -519,14 +518,15 @@ def test_property_free_intervals_match_per_second_scan(s, scan_end):
         got.update(range(iv.start, min(iv.end, scan_end)))
     busy = set()
     for e in s.entries:
-        busy.update(range(e.span_start, scan_end if e.open_tail else min(e.span_end, scan_end)))
+        # an open tail ends at its last segment, the operation end
+        busy.update(range(e.span_start, min(e.span_end, scan_end)))
     expected = set(range(scan_end)) - busy
     assert got == expected
     # free intervals are maximal: sorted with busy time strictly between them
     for a, b in zip(free, free[1:]):
         assert a.end < b.start
-    # the last one reaches the horizon unless an open tail blocks the rest
-    assert bool(free and free[-1].end == HORIZON) != s.has_open_tail
+    # the last one reaches the horizon
+    assert free[-1].end == HORIZON
 
 
 @given(prebuilt_schedule(), st.integers(0, 600), st.integers(1, 50))
@@ -702,18 +702,6 @@ def linear_at_or_after(s, t):
     return next((e for e in s.entries if e.span_start >= t), None)
 
 
-def linear_machine_state(s, t, initial, assume_closed):
-    state = initial
-    for e in s.entries:
-        if e.open_tail and e.order_id not in assume_closed:
-            break
-        if e.span_end <= t:
-            state = e.end_state
-        else:
-            break
-    return state
-
-
 def linear_state(s, t, initial):
     state = initial
     for e in s.entries:
@@ -724,10 +712,10 @@ def linear_state(s, t, initial):
     return state
 
 
-def linear_machine_gaps(s, product, initial, extra, assume_closed):
+def linear_machine_gaps(s, product, initial, extra):
     """The per-agent machine gap scan the indexed walk replaced."""
     out = []
-    for iv in s.free_intervals(extra_busy=extra, assume_closed=assume_closed):
+    for iv in s.free_intervals(extra_busy=extra):
         succ = linear_at_or_after(s, iv.end)
         end, ti = iv.end, 0
         if succ is not None:
@@ -743,7 +731,7 @@ def linear_machine_gaps(s, product, initial, extra, assume_closed):
                     end = succ.span_start - new_setup
         if end <= iv.start:
             continue
-        out.append((iv.start, end, linear_machine_state(s, iv.start, initial, assume_closed), ti))
+        out.append((iv.start, end, linear_state(s, iv.start, initial), ti))
     return out
 
 
@@ -783,15 +771,12 @@ def test_property_indexed_lookups_match_linear_scans(s):
     st.sampled_from(MACHINE_STATES),
     st.sampled_from(MACHINE_STATES),
     holds,
-    st.booleans(),
 )
-def test_property_machine_gap_walk_matches_linear_scan(s, product, initial, extra, own):
+def test_property_machine_gap_walk_matches_linear_scan(s, product, initial, extra):
     s = ResourceSchedule(s.entries, initial=initial, changeover=machine_changeover)
-    tails = open_tails(s)
-    assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
-    free = s.free_intervals(extra_busy=extra, assume_closed=assume)
-    linear = linear_machine_gaps(s, product, initial, extra, assume)
-    table = s.gap_table(extra_busy=extra, assume_closed=assume)
+    free = s.free_intervals(extra_busy=extra)
+    linear = linear_machine_gaps(s, product, initial, extra)
+    table = s.gap_table(extra_busy=extra)
     assert list(table_gaps(table, product, machine_changeover)) == linear
     assert list(full_gap_walk(s, free, product)) == linear
     horizon = max((e.span_end for e in s.entries), default=0) + 5
@@ -813,23 +798,19 @@ def test_property_crane_gap_walk_matches_linear_scan(calendar, drop_x, extra):
         assert s.state_before(t) == linear_state(s, t, initial_x)
 
 
-@given(machine_calendar(), holds, st.booleans(), st.integers(-5, 800))
-def test_property_free_intervals_after_is_the_filtered_full_query(s, extra, own, lo):
-    tails = open_tails(s)
-    assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
-    full = s.free_intervals(extra_busy=extra, assume_closed=assume)
-    bounded = s.free_intervals(extra_busy=extra, assume_closed=assume, after=lo)
+@given(machine_calendar(), holds, st.integers(-5, 800))
+def test_property_free_intervals_after_is_the_filtered_full_query(s, extra, lo):
+    full = s.free_intervals(extra_busy=extra)
+    bounded = s.free_intervals(extra_busy=extra, after=lo)
     assert bounded == [iv for iv in full if iv.end > lo]
 
 
-@given(machine_calendar(), holds, st.booleans(), st.integers(-5, 800))
-def test_property_gap_table_of_a_bounded_list_is_the_full_tables_tail(s, extra, own, lo):
+@given(machine_calendar(), holds, st.integers(-5, 800))
+def test_property_gap_table_of_a_bounded_list_is_the_full_tables_tail(s, extra, lo):
     # the cursor starts with one bisect at the first interval it is given
-    tails = open_tails(s)
-    assume = frozenset({tails[0].order_id}) if own and tails else frozenset()
-    table = s.gap_table(lo, extra, assume)
+    table = s.gap_table(lo, extra)
     # built on a copy of the calendar, which keeps no table
-    full = ResourceSchedule(list(s.entries)).gap_table(-1, extra, assume)
+    full = ResourceSchedule(list(s.entries)).gap_table(-1, extra)
     assert table == [row for row in full if row.end > lo]
     for row in table:
         assert row.from_state == s.state_before(row.start)
