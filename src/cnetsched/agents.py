@@ -217,7 +217,8 @@ class _ResourceAgent:
             accept_failed = False
             for part in parts:
                 if accept_failed:
-                    # linked accepts in one envelope commit or fail as a unit
+                    # accepts after a failed one in the envelope are refused;
+                    # those booked before it stay booked
                     self.holds.release(part.proposal_id)
                     out.append(
                         _failure(
@@ -923,10 +924,8 @@ class OrderAgent:
             if p.resource_id == prev.resource_id:
                 continue  # stays on the machine, nothing to buffer
             if calculus.needs_buffering(f_prev, p.slot.start, params):
-                try:
-                    windows = calculus.buffer_windows(f_prev, p, params)
-                except InfeasibleWindow:
-                    continue
+                # feasible: needs_buffering leaves EF - ES > t_buffer_min > 0
+                windows = calculus.buffer_windows(f_prev, p, params)
                 alternatives.append(CfpAlternative(windows=windows, realizes=p.proposal_id))
         self._buffered = frozenset(alt.realizes for alt in alternatives)
         if not alternatives:

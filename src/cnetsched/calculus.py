@@ -135,6 +135,11 @@ def derive_t_transport_min(
     return handling + travel
 
 
+def _before(bound: Optional[Seconds], d: Seconds) -> Optional[Seconds]:
+    """``bound - d``, or None when the bound is unbounded."""
+    return None if bound is None else bound - d
+
+
 def buffer_windows(f_prev: Seconds, prod: Proposal, params: ScheduleParams) -> StageWindows:
     """Entry/exit windows for buffering between a finished step and a proposed next step.
 
@@ -150,9 +155,8 @@ def buffer_windows(f_prev: Seconds, prod: Proposal, params: ScheduleParams) -> S
         raise InfeasibleWindow(
             "next operation starts too early to leave room for buffering"
         )
-    lf = None if prod.slack_after.unbounded else ef + prod.slack_after.seconds
-    ls = None if lf is None else lf - params.t_buffer_min
-    return StageWindows(es=es, ef=ef, ls=ls, lf=lf)
+    lf = prod.slack_after.bound_from(ef)
+    return StageWindows(es=es, ef=ef, ls=_before(lf, params.t_buffer_min), lf=lf)
 
 
 def transport_to_buffer_windows(
@@ -171,21 +175,28 @@ def transport_to_buffer_windows(
     transports and the minimal buffering. LF tracks LS by the minimal
     transport duration.
     """
-    es = f_prev
-    ef = max(f_prev, buf.slot.start)
+    t = params.t_transport_min
     ls = min_bound(
         prev_slack.bound_from(f_prev),
-        None
-        if (b := buf.slack_after.bound_from(buf.slot.start)) is None
-        else b - params.t_transport_min,
-        None
-        if (p := prod.slack_after.bound_from(prod.slot.start)) is None
-        else p - 2 * params.t_transport_min - params.t_buffer_min,
+        _before(buf.slack_after.bound_from(buf.slot.start), t),
+        _before(prod.slack_after.bound_from(prod.slot.start), 2 * t + params.t_buffer_min),
     )
-    if ls is not None and ls < es:
-        raise InfeasibleWindow("no room left to reach the buffer in time")
-    lf = None if ls is None else ls + params.t_transport_min
-    return StageWindows(es=es, ef=ef, ls=ls, lf=lf)
+    lf = None if ls is None else ls + t
+    return StageWindows(es=f_prev, ef=max(f_prev, buf.slot.start), ls=ls, lf=lf)
+
+
+def _leg_into(
+    es: Seconds, free_by: Optional[Seconds], prod: Proposal, params: ScheduleParams
+) -> StageWindows:
+    """Windows for a leg that delivers a workpiece to the next step's offer ``prod``.
+
+    The leg starts in [ES, min(free_by, latest start of ``prod`` - T_T,min)],
+    where ``free_by`` is the latest moment the workpiece may still be picked
+    up, and finishes within [S_next, S_next + ST_next].
+    """
+    lf = prod.slack_after.bound_from(prod.slot.start)
+    ls = min_bound(free_by, _before(lf, params.t_transport_min))
+    return StageWindows(es=es, ef=prod.slot.start, ls=ls, lf=lf)
 
 
 def transport_from_buffer_windows(
@@ -199,23 +210,11 @@ def transport_from_buffer_windows(
     ``buf`` is the buffer's offer, read for its ``slot.end`` and
     ``slack_after``; ``prod`` is the next step's offer, read for its
     ``slot.start`` and ``slack_after``. ES leaves room for the minimal inbound
-    transport and minimal buffering after f_prev; the leg must finish exactly
-    when the next operation can start, i.e. within [S_next, S_next + ST_next].
+    transport and minimal buffering after f_prev; the workpiece is free until
+    the buffer's latest pickup.
     """
     es = f_prev + params.t_transport_min + params.t_buffer_min
-    ef = prod.slot.start
-    ls = min_bound(
-        buf.slack_after.bound_from(buf.slot.end),
-        None
-        if (p := prod.slack_after.bound_from(prod.slot.start)) is None
-        else p - params.t_transport_min,
-    )
-    if ls is not None and ls < es:
-        raise InfeasibleWindow("buffer exit window closes before the leg can start")
-    lf = prod.slack_after.bound_from(prod.slot.start)
-    if lf is not None and lf < ef:
-        raise InfeasibleWindow("next operation window closes before arrival")
-    return StageWindows(es=es, ef=ef, ls=ls, lf=lf)
+    return _leg_into(es, buf.slack_after.bound_from(buf.slot.end), prod, params)
 
 
 def transport_direct_windows(
@@ -226,22 +225,11 @@ def transport_direct_windows(
 ) -> StageWindows:
     """Windows for a direct resource-to-resource leg (no buffering in between).
 
-    ``prod`` is the next step's offer, read for its ``slot.start`` and ``slack_after``.
+    ``prod`` is the next step's offer, read for its ``slot.start`` and
+    ``slack_after``; the workpiece is free from f_prev until the previous
+    commitment's latest finish.
     """
-    es = f_prev
-    ef = prod.slot.start
-    ls = min_bound(
-        prev_slack.bound_from(f_prev),
-        None
-        if (p := prod.slack_after.bound_from(prod.slot.start)) is None
-        else p - params.t_transport_min,
-    )
-    if ls is not None and ls < es:
-        raise InfeasibleWindow("direct leg window closes before the workpiece is free")
-    lf = prod.slack_after.bound_from(prod.slot.start)
-    if lf is not None and lf < ef:
-        raise InfeasibleWindow("next operation window closes before arrival")
-    return StageWindows(es=es, ef=ef, ls=ls, lf=lf)
+    return _leg_into(f_prev, prev_slack.bound_from(f_prev), prod, params)
 
 
 def proposal_price(op_duration: Seconds, setup: Seconds, ti_next: Seconds = 0) -> int:

@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 from .agents import BufferAgent, DirectoryService, OrderAgent, ProductionAgent, TransportAgent
 from .calculus import NoTransport, ScheduleParams, TransportGeometry, derive_t_transport_min
 from .protocol import BUFFER, TRANSPORT
-from .timebase import Seconds
+from .timebase import Seconds, minutes
 
 FORMAT_VERSION = 1
 
@@ -233,21 +233,18 @@ class _Reader:
     def duration(
         self, parent: Mapping, key: str, path: str, default: Any = _MISSING
     ) -> Optional[Seconds]:
-        """A minutes field of at least zero, converted to engine seconds as
-        ``timebase.minutes`` does: it must land on a whole second."""
+        """A minutes field of at least zero, converted to engine seconds by
+        ``timebase.minutes``: it must land on a whole second."""
         raw = self.number(parent, key, path, default, 0)
         if raw is None:
             return None
-        s = raw * 60
         try:
-            out = int(round(s))
+            return minutes(raw)
         except OverflowError:
             self.fail(f"{path}.{key}", f"{raw} minutes is too long to count in seconds")
-            return None
-        if abs(s - out) > 1e-9:
-            self.fail(f"{path}.{key}", f"{raw} minutes is not a whole number of seconds")
-            return None
-        return out
+        except ValueError as exc:
+            self.fail(f"{path}.{key}", str(exc))
+        return None
 
     def xy(self, parent: Mapping, key: str, path: str) -> Optional[tuple[float, float]]:
         value = parent.get(key, _MISSING)
@@ -416,10 +413,11 @@ def parse_scenario(doc: Any, source: str = "<scenario>") -> Scenario:
         bdoc = r.obj(bdoc_raw, path)
         bid = r.string(bdoc, "id", path)
         claim_id("buffer", bid, path)
+        location = r.xy(bdoc, "location", path)
         capacity = r.number(bdoc, "capacity", path, default=1, minimum=1)
         if capacity is not None and capacity != 1:
             r.fail(f"{path}.capacity", "buffer places have capacity 1; model more places instead")
-        buffers.append(BufferSpec(bid, r.xy(bdoc, "location", path)))
+        buffers.append(BufferSpec(bid, location))
 
     transports: list[TransportSpec] = []
     for i, tdoc_raw in enumerate(r.array(root.get("transports", []), f"{source}.transports")):

@@ -61,12 +61,6 @@ class OperationCombination:
     routes: list[RouteCandidate] = field(default_factory=list)
 
 
-def _latest(p: Proposal, point: Seconds) -> Optional[Seconds]:
-    """``point`` plus ``p``'s slack, or None when that slack is unbounded."""
-    slack = p.slack_after.seconds
-    return None if slack is None else point + slack
-
-
 def build_ocs(
     production: Sequence[Proposal],
     buffers: Sequence[Proposal],
@@ -109,11 +103,11 @@ def build_ocs(
             # a route for every link the order's CFPs asked for: buffered,
             # direct or both; arriving by the latest start is arriving by
             # max(slot start, arrival), since the slack is never negative
-            latest = _latest(p, p.slot.start)
+            latest = p.slack_after.bound_from(p.slot.start)
             for b in buffers_for.get(pid, ()):
                 bid = b.proposal_id
                 outbound = legs.get((bid, pid), ())
-                stay_start, pickup_by = b.slot.start, _latest(b, b.slot.end)
+                stay_start, pickup_by = b.slot.start, b.slack_after.bound_from(b.slot.end)
                 for leg_in in legs.get((None, bid), ()):
                     dropped = leg_in.slot.end
                     if leg_in.required_operation is not None or dropped < stay_start:

@@ -138,10 +138,6 @@ class Slack(_Slack):
     def _make(cls, iterable: Iterable[Optional[Seconds]]) -> "Slack":
         return cls(*iterable)
 
-    @property
-    def unbounded(self) -> bool:
-        return self.seconds is None
-
     def bound_from(self, point: Seconds) -> Optional[Seconds]:
         """point + slack, or None when the slack is unbounded."""
         return None if self.seconds is None else point + self.seconds

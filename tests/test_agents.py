@@ -728,6 +728,23 @@ def test_transport_linked_accepts_fail_as_a_unit():
     assert t.schedule.entries == []
 
 
+def test_transport_accepts_booked_before_a_failure_stay_booked():
+    t, ctx = crane(), FakeCtx()
+    props = proposals_of(t.handle(envelope("Crane1", "o1", 1, transport_cfp()), ctx))
+    inbound = next(p for p in props if p.via is None)
+    out = t.handle(
+        envelope(
+            "Crane1", "o1", 1,
+            AcceptProposal(inbound.proposal_id, inbound.slot),  # books
+            AcceptProposal("Crane1#p99", TimeInterval(0, 1210)),  # unknown -> fails
+        ),
+        ctx,
+    )
+    assert [m.variant for m in out] == ["InformFailure"]
+    assert out[0].parts[0].proposal_id == "Crane1#p99"
+    assert [e.order_id for e in t.schedule.entries] == ["o1"]
+
+
 # ---------------------------------------------------------------------------
 # offer book, shared by every resource kind
 

@@ -292,6 +292,22 @@ def test_needs_buffering_is_strict_at_the_floor():
     assert not needs_buffering(f_prev, f_prev + direct, PARAMS)
 
 
+@given(
+    st.integers(0, 10**5),
+    st.integers(0, 10**5),
+    st.one_of(st.just(Slack.UNBOUNDED), st.integers(0, 10**5).map(Slack)),
+    st.integers(1, 10**4),
+    st.integers(1, 10**4),
+)
+def test_property_buffering_when_needed_is_always_feasible(f_prev, start, slack, t, b):
+    """Wherever needs_buffering holds, the buffer's windows exist: the agent
+    that asks for buffering relies on it and catches no InfeasibleWindow."""
+    params = ScheduleParams(t_transport_min=t, t_buffer_min=b)
+    prod = offer(start, start + minutes(30), slack)
+    if needs_buffering(f_prev, prod.slot.start, params):
+        buffer_windows(f_prev, prod, params)
+
+
 def test_proposal_price_sums_signed_increment():
     assert proposal_price(minutes(150), minutes(15)) == minutes(165)
     assert proposal_price(minutes(150), 0, ti_next=-minutes(30)) == minutes(120)

@@ -445,8 +445,8 @@ def test_every_problem_of_a_faulty_document_is_reported_in_document_order():
         "t.machines[1].maintenance: expected an array, got str",
         "t.buffers[0].id: id 'Buf1' already used by machine",
         "t.buffers[1].id: required field is missing",
-        "t.buffers[1].capacity: buffer places have capacity 1; model more places instead",
         "t.buffers[1].location: expected [x, y] finite numbers",
+        "t.buffers[1].capacity: buffer places have capacity 1; model more places instead",
         "t.buffers[2]: expected an object, got list",
         "t.buffers[2].id: required field is missing",
         "t.buffers[2].location: required field is missing",

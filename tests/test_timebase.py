@@ -120,7 +120,7 @@ def test_interval_hashes_and_orders_as_its_field_tuple():
 
 
 def test_slack_semantics():
-    assert Slack.UNBOUNDED.unbounded
+    assert Slack.UNBOUNDED.seconds is None
     assert Slack.UNBOUNDED.bound_from(100) is None
     assert Slack(50).bound_from(100) == 150
     with pytest.raises(ValueError):
