@@ -121,9 +121,14 @@ def _failure(sender: str, receiver: str, conv: str, proposal_id: str, reason: st
 def _slack_from(gap_end: Seconds, nominal_end: Seconds, cap: Optional[Seconds]) -> Slack:
     """Shift room for a slot ending at ``nominal_end`` in a gap ending at
     ``gap_end``, capped at ``cap`` (None: no cap); a gap reaching the scan
-    horizon does not bound it."""
+    horizon does not bound it.
+
+    ``max(0, ...)`` makes the one thing ``Slack`` checks hold, so the record
+    is built as one positional tuple."""
     limit = cap if gap_end >= HORIZON else gap_end if cap is None else min(gap_end, cap)
-    return Slack.UNBOUNDED if limit is None else Slack(max(0, limit - nominal_end))
+    if limit is None:
+        return Slack.UNBOUNDED
+    return tuple.__new__(Slack, (max(0, limit - nominal_end),))
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +763,8 @@ class StageCommit:
 
 def _leg(frm, to: Proposal, windows: StageWindows, via: Optional[str] = None) -> TransportLeg:
     """The movement from ``frm`` (a commit or a proposal) to the resource of
-    ``to``, which it realizes."""
-    return TransportLeg(frm.location, to.location, windows, to.proposal_id, via)
+    ``to``, which it realizes. A leg checks nothing: one positional tuple."""
+    return tuple.__new__(TransportLeg, (frm.location, to.location, windows, to.proposal_id, via))
 
 
 class OrderAgent:

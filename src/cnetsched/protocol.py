@@ -5,11 +5,23 @@ RejectProposal, InformDeparture, InformFailure. An envelope (Message) carries
 one or more payloads of one kind to one receiver; aggregation is what keeps
 message growth linear in the number of contacted resources. Payloads and
 envelopes are immutable tuple records (``typing.NamedTuple``): cheap to build
-once per hop, and safe to hand from sender to receiver without a copy. A
-record that checks nothing is built as one positional tuple where it is built
-most (each resource's ``_offer``, :func:`rejects`); one that checks its fields
-checks them at every construction, and :meth:`Message.fanout` checks a CFP
-round's shared parts once for all its envelopes.
+once per hop, and safe to hand from sender to receiver without a copy.
+
+A record that checks nothing is built as one positional tuple,
+``tuple.__new__(cls, fields)``, where it is built most; its own constructor
+would check nothing either:
+
+- Proposal and OfferHold in each resource's ``_offer``;
+- RejectProposal in :func:`rejects`;
+- GapRow in ``ResourceSchedule.free_intervals``;
+- TransportLeg in ``agents._leg``;
+- RouteCandidate in ``selector.build_ocs``.
+
+A record that checks its fields (TimeInterval, Slack, StageWindows, Message)
+checks them at every construction, with two exceptions where the check is
+known to hold: :meth:`Message.fanout` checks a CFP round's shared parts once
+for all its envelopes, and ``agents._slack_from`` builds a Slack of
+``max(0, ...)`` seconds, which is never negative.
 
 StageNegotiation is a deterministic state machine: feeding it the same event
 sequence always yields the same transitions and the same outgoing envelopes.
@@ -20,6 +32,7 @@ kind each awaits, which CFPs it sends), and what to select once they close.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -209,8 +222,18 @@ def conversation_id(order_id: str, stage_index: int) -> str:
     return f"{order_id}/s{stage_index}"
 
 
+#: distinct conversation ids :func:`parse_conversation` remembers; a run has
+#: one per order and stage, and the least recently parsed is forgotten first
+PARSED_CONVERSATIONS = 4096
+
+
+@functools.lru_cache(maxsize=PARSED_CONVERSATIONS)
 def parse_conversation(conv: str) -> tuple[str, Optional[int]]:
-    """(order_id, stage index) from a conversation id; stage None if malformed."""
+    """(order_id, stage index) from a conversation id; stage None if malformed.
+
+    Every resource parses the id of each CFP and accept it receives, so the
+    result, an immutable tuple, is remembered per id.
+    """
     head, sep, tail = conv.rpartition("/s")
     if sep and tail.isdigit():
         return head, int(tail)

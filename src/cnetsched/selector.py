@@ -39,6 +39,9 @@ class RouteCandidate(NamedTuple):
     ``arrival`` (when the last leg unloads at the production resource; None
     without a leg) and ``price`` (the legs' and the buffer stay's prices)
     are worked out once, by :func:`build_ocs`, which reads them off the slots.
+    A route checks nothing, so :func:`build_ocs` builds each route with a
+    leg as one positional tuple, and hands out one shared record for each of
+    the two routes without.
     """
 
     kind: str  # "entry" | "stay-on-machine" | "direct" | "buffered"
@@ -53,6 +56,11 @@ class RouteCandidate(NamedTuple):
         if self.buffer is not None:
             ids.append(self.buffer.proposal_id)
         return tuple(ids)
+
+
+#: the two routes without a leg: the same record for every production proposal
+_ENTRY = RouteCandidate("entry", None, (), None, 0)
+_STAY = RouteCandidate("stay-on-machine", None, (), None, 0)
 
 
 @dataclass
@@ -89,6 +97,7 @@ def build_ocs(
         legs.setdefault((t.via, t.realizes), []).append(t)
 
     f_prev, prev_resource = ctx.f_prev, ctx.prev_resource
+    new = tuple.__new__
     ocs: list[OperationCombination] = []
     for p in sorted(production, key=_proposal_id):
         oc = OperationCombination(production=p)
@@ -96,9 +105,9 @@ def build_ocs(
         pid = p.proposal_id
         if prev_resource is None:
             # system entry: the first operation needs no transport at all
-            routes.append(RouteCandidate("entry", None, (), None, 0))
+            routes.append(_ENTRY)
         elif p.resource_id == prev_resource:
-            routes.append(RouteCandidate("stay-on-machine", None, (), None, 0))
+            routes.append(_STAY)
         else:
             # a route for every link the order's CFPs asked for: buffered,
             # direct or both; arriving by the latest start is arriving by
@@ -121,12 +130,10 @@ def build_ocs(
                             and (required is None or required == leg_in.proposal_id)
                             and (latest is None or arrival <= latest)
                         ):
-                            routes.append(
-                                RouteCandidate(
-                                    "buffered", b, (leg_in, leg_out), arrival,
-                                    leg_in.price + leg_out.price + b.price,
-                                )
-                            )
+                            routes.append(new(RouteCandidate, (
+                                "buffered", b, (leg_in, leg_out), arrival,
+                                leg_in.price + leg_out.price + b.price,
+                            )))
             for leg in legs.get((None, pid), ()):
                 picked, arrival = leg.slot
                 if (
@@ -134,7 +141,9 @@ def build_ocs(
                     and picked >= f_prev
                     and (latest is None or arrival <= latest)
                 ):
-                    routes.append(RouteCandidate("direct", None, (leg,), arrival, leg.price))
+                    routes.append(
+                        new(RouteCandidate, ("direct", None, (leg,), arrival, leg.price))
+                    )
         ocs.append(oc)
     return ocs
 

@@ -353,15 +353,18 @@ class ResourceSchedule:
             yield HORIZON, HORIZON, None
 
         rows: list[GapRow] = []
+        new = tuple.__new__  # a GapRow checks nothing: one positional tuple
         for start, end, entry in blockers():
             if start > HORIZON:
                 start, entry = HORIZON, None  # clipped: no entry starts where the row ends
             if start > cursor and start > after:
                 setup = entry.setup_interval if entry is not None else None
                 if setup is None:
-                    rows.append(GapRow(cursor, start, state, entry, start, 0))
+                    rows.append(new(GapRow, (cursor, start, state, entry, start, 0)))
                 else:
-                    rows.append(GapRow(cursor, start, state, entry, setup.end, setup.duration))
+                    rows.append(
+                        new(GapRow, (cursor, start, state, entry, setup.end, setup.duration))
+                    )
             if entry is not None:
                 state = entry.end_state
             cursor = max(cursor, end)

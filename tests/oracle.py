@@ -268,15 +268,18 @@ def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ())
     ``load`` and ``unload`` are both zero books a movement as that travel
     alone, the empty run then the loaded one, each present exactly when not
     zero. A movement labelled ``T:a,b`` picks up where the order's booking
-    labelled ``a`` sits and drops off where the one labelled ``b`` sits. Returns one line per violation; a
-    setup or travel the document asks for and the booking lacks reads
-    "... not recorded ...".
+    labelled ``a`` sits and drops off where the one labelled ``b`` sits. No
+    negotiated machine or buffer booking of an order handles its workpiece
+    before the order's ``arrival``: the booking's first segment other than a
+    setup starts no earlier (a setup readies the machine, not the workpiece,
+    and a crane picks the workpiece up only from such a booking). Returns one
+    line per violation; a setup or travel the document asks for and the
+    booking lacks reads "... not recorded ...".
     """
     problems: list[str] = []
     rows = list(rows)
-    product_of = {
-        o.get("id", f"order-{i + 1}"): o["product"] for i, o in enumerate(doc["orders"])
-    }
+    orders = {o.get("id", f"order-{i + 1}"): o for i, o in enumerate(doc["orders"])}
+    product_of = {order: o["product"] for order, o in orders.items()}
     bookings = _bookings_in_time(rows)
     cranes = {t["id"]: t for t in doc.get("transports", [])}
     x_of = {r["id"]: r["location"][0] for r in doc["machines"] + doc.get("buffers", [])}
@@ -313,6 +316,19 @@ def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ())
                 f"{order}: machine stages {sorted(labels)} are not "
                 + ("all" if order in done else "a prefix of") + f" the {n} steps of its plan"
             )
+    for rid, booked in bookings.items():
+        if rid in cranes:
+            continue
+        for order, label, segments in booked:
+            if label in ("init", "maintenance"):
+                continue
+            arrival = _seconds(orders[order].get("arrival", 0))
+            kind, start, _ = next((s for s in segments if s[0] != "setup"), segments[0])
+            if start < arrival:
+                problems.append(
+                    f"{rid} {order}/{label}: {kind} at {start} s, before the order's arrival "
+                    f"at {arrival} s"
+                )
     found = Counter(row for row in rows if row[2] in ("init", "maintenance"))
     fixed = _fixed_blocks(doc)
     for row, _ in (block for blocks in fixed.values() for block in blocks):

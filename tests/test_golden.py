@@ -160,6 +160,63 @@ def test_physics_check_finds_each_fixed_block_where_the_document_puts_it(order):
     ]
 
 
+def test_physics_check_finds_a_booking_that_handles_the_workpiece_before_its_arrival():
+    # the flow shop with order-A arriving at 1000 min, when the cutting
+    # machine's warm-up has just let its setup finish: the setup may start
+    # before the arrival, the operation may not; the stage-1 booking moved a
+    # minute earlier is flagged, and nothing else
+    doc = DOCUMENTS["section6_flowshop"]()
+    (order_a,) = [o for o in doc["orders"] if o["id"] == "order-A"]
+    order_a["arrival"] = 1000
+    report = run_scenario(parse_scenario(doc), mode="deterministic")
+    rows, done = gantt_rows(report), sorted(report.status)
+    stage_1 = [row for row in rows if row[1:3] == ("order-A", "1")]
+    assert [row[3:] for row in stage_1[:2]] == [
+        ("setup", 58200, 60000), ("operation", 60000, 64800)
+    ]
+    assert physics_check(doc, rows, done) == []
+    rows = [(*row[:4], row[4] - 60, row[5] - 60) if row in stage_1 else row for row in rows]
+    assert physics_check(doc, rows, done) == [
+        "Cutting order-A/1: operation at 59940 s, before the order's arrival at 60000 s"
+    ]
+
+
+@pytest.mark.parametrize("minutes", [1200, 2000])
+def test_an_order_arriving_after_the_machines_are_free_is_handled_no_earlier(minutes):
+    # order-A arrives after the cutting machine's warm-up: a run that reads
+    # the arrival as the first stage's earliest start passes the physics
+    # check, one that ignores it books stage 1 at the warm-up's end (an
+    # unrecorded empty travel is the known fault UNRECORDED pins)
+    doc = DOCUMENTS["section6_flowshop"]()
+    (order_a,) = [o for o in doc["orders"] if o["id"] == "order-A"]
+    order_a["arrival"] = minutes
+    report = run_scenario(parse_scenario(doc), mode="deterministic")
+    assert report.all_done
+    physics = physics_check(doc, gantt_rows(report), sorted(report.status))
+    assert [p for p in physics if "not recorded" not in p] == []
+
+
+@pytest.mark.parametrize("order, leg, moved, problem", [
+    # the pickup moves from buffer stay B2 to the cutting machine, as far
+    # from the forging machine: the loaded run keeps its length, the empty
+    # run from the crane's last drop-off does not
+    ("order-A", "T:B2,2", "T:1,2", "empty travel segments [180], the document gives 300 s"),
+    # the pickup moves from the forging machine to the quality machine, as
+    # far from the rollforming machine, and the crane there has no empty run
+    ("order-B", "T:2,3", "T:5,3", "empty travel not recorded, the document gives 360 s"),
+])
+def test_physics_check_finds_a_crane_leg_whose_pickup_moved(order, leg, moved, problem):
+    # the flow shop's GANTT with one crane leg picking up at another of its
+    # order's bookings: that leg's travel is flagged, and nothing else
+    doc = DOCUMENTS["section6_flowshop"]()
+    report = run_scenario(parse_scenario(doc), mode="deterministic")
+    rows, done = gantt_rows(report), sorted(report.status)
+    assert physics_check(doc, rows, done) == []
+    (rid,) = {row[0] for row in rows if row[1:3] == (order, leg)}
+    rows = [(*row[:2], moved, *row[3:]) if row[1:3] == (order, leg) else row for row in rows]
+    assert physics_check(doc, rows, done) == [f"{rid} {order}/{moved}: {problem}"]
+
+
 class VirtualTime:
     """The ``time`` functions the concurrent kernel reads; ``sleep`` advances the clock."""
 

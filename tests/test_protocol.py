@@ -8,6 +8,7 @@ from cnetsched.protocol import (
     BUFFER,
     DONE,
     FAILED,
+    PARSED_CONVERSATIONS,
     PRODUCTION,
     START,
     TRANSPORT,
@@ -221,6 +222,22 @@ def test_conversation_id_round_trip():
     assert parse_conversation("order/with/slashes/s12") == ("order/with/slashes", 12)
     assert parse_conversation("no-stage-here") == ("no-stage-here", None)
     assert parse_conversation("order/sX") == ("order/sX", None)
+
+
+@pytest.mark.parametrize("conv, parsed", [
+    ("o/s3", ("o", 3)),
+    ("o/s", ("o/s", None)),
+    ("o/sx", ("o/sx", None)),
+    ("a/s1/s2", ("a/s1", 2)),
+    ("o", ("o", None)),
+    ("o/s01", ("o", 1)),
+])
+def test_parse_conversation_remembers_each_id_within_a_bound(conv, parsed):
+    # each resource parses every CFP's and accept's id: a parse is made once
+    # per id, and the ids remembered are bounded in a long-running process
+    first, again = parse_conversation(conv), parse_conversation(conv)
+    assert type(first) is tuple and first == parsed and again is first
+    assert parse_conversation.cache_info().maxsize == PARSED_CONVERSATIONS
 
 
 # ---------------------------------------------------------------------------
