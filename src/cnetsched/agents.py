@@ -47,7 +47,6 @@ from .protocol import (
     advance_stage,
     conversation_id,
     parse_conversation,
-    reject_unused,
     rejects,
 )
 from .selector import StageContext, build_ocs, select
@@ -77,11 +76,6 @@ _iv_start = attrgetter("start")
 _iv_end = attrgetter("end")
 #: the slot and the price among the proposal fields ``_place_leg`` returns
 _slot_and_price = itemgetter(1, 6)
-#: Proposal's trailing defaults, in field order: ``_offer`` adds those not given
-_PROPOSAL_DEFAULTS = tuple(Proposal._field_defaults.values())
-#: the fields an ``_offer`` caller must give: all but the three ``_offer``
-#: fills in itself and the defaulted ones
-_OFFER_REQUIRED = len(Proposal._fields) - 3 - len(_PROPOSAL_DEFAULTS)
 
 
 class StartOrder(NamedTuple):
@@ -395,24 +389,26 @@ class _ResourceAgent:
         return slots
 
     def _offer(
-        self, until: Seconds, conv: str, step_label: str, span: TimeInterval, end_state,
-        fields: tuple,
+        self, until: Seconds, conv: str, step_label: str, end_state, lead: Seconds,
+        tail: Seconds, fields: tuple,
     ) -> Proposal:
-        """Number a proposal and hold ``span`` for it until ``until``, the hold deadline.
+        """Number a proposal and hold it until ``until``, the hold deadline.
 
-        ``fields`` are the proposal's fields after ``resource_id``, as one
-        tuple in ``Proposal._fields`` order: location, slot, slack_after,
-        op_duration, load_time, unload_time, price, then optionally
-        alternative, realizes, via and required_operation. Every offer takes
-        this path, so the Proposal, with the defaults of the fields not
-        given, and its hold are each built as one tuple and check nothing,
-        as their constructors would not either.
+        This is the one place a promise is made. ``fields`` are all the
+        proposal's fields after ``resource_id``, in ``Proposal._fields``
+        order: location, slot, slack_after, op_duration, load_time,
+        unload_time, price, alternative, realizes, via, required_operation.
+        The hold withholds the slot, ``lead`` seconds before it and ``tail``
+        after it: the handling and setup an accept books around the slot.
+        The Proposal and its hold are each built as one tuple and check
+        nothing, as their constructors would not either.
         """
         self._seq += 1
         pid = f"{self.agent_id}#p{self._seq}"
         new = tuple.__new__
-        defaults = _PROPOSAL_DEFAULTS[len(fields) - _OFFER_REQUIRED:]
-        proposal = new(Proposal, (pid, self.kind, self.agent_id) + fields + defaults)
+        proposal = new(Proposal, (pid, self.kind, self.agent_id) + fields)
+        slot = fields[1]
+        span = TimeInterval(slot.start - lead, slot.end + tail)
         self.holds.add(new(OfferHold, (pid, span, conv, until, proposal, step_label, end_state)))
         return proposal
 
@@ -512,10 +508,10 @@ class ProductionAgent(_ResourceAgent):
             ):
                 proposals.append(
                     self._offer(
-                        until, conv, label,
-                        TimeInterval(op_start - setup - unload, op_end + load_est), product,
+                        until, conv, label, product, setup + unload, load_est,
                         (self.location, TimeInterval(op_start, op_end), slack_after, op_dur,
-                         load_est, unload, proposal_price(op_dur, setup, ti_next), alt_idx),
+                         load_est, unload, proposal_price(op_dur, setup, ti_next), alt_idx,
+                         None, None, None),
                     )
                 )
         return proposals
@@ -579,9 +575,9 @@ class BufferAgent(_ResourceAgent):
                 )
                 proposals.append(
                     self._offer(
-                        until, conv, label, TimeInterval(max(0, start - u_est), end + l_est), "",
+                        until, conv, label, "", u_est, l_est,
                         (self.location, TimeInterval(start, end), slack_after, end - start,
-                         l_est, u_est, 0, alt_idx, alt.realizes),
+                         l_est, u_est, 0, alt_idx, alt.realizes, None, None),
                     )
                 )
                 break  # earliest feasible slot per alternative
@@ -676,7 +672,7 @@ class TransportAgent(_ResourceAgent):
             echo = 0, leg.realizes, leg.via  # alternative, realizes, via: the leg's own
             plain = placed[key]
             if plain is not None:
-                made = self._offer(until, conv, label, plain[0], tx, plain[1] + echo)
+                made = self._offer(until, conv, label, tx, plain[0], 0, plain[1] + echo + (None,))
                 proposals.append(made)
                 offered[leg.realizes] = made, tx
             # chained variant: departing right where the leg into its buffer drops off
@@ -689,7 +685,7 @@ class TransportAgent(_ResourceAgent):
                 plain is None or _slot_and_price(chained[1]) != _slot_and_price(plain[1])
             ):
                 fields = chained[1] + echo + (partner.proposal_id,)
-                proposals.append(self._offer(until, conv, label, chained[0], tx, fields))
+                proposals.append(self._offer(until, conv, label, tx, chained[0], 0, fields))
         return proposals
 
     def _place_leg(
@@ -698,9 +694,10 @@ class TransportAgent(_ResourceAgent):
         dur: Seconds,
         table: list[GapRow],
         after: Optional[Proposal] = None,
-    ) -> Optional[tuple[TimeInterval, tuple]]:
-        """Where ``leg`` fits first: the span to hold and the proposal's fields
-        from location to price, in the order ``_offer`` takes them.
+    ) -> Optional[tuple[Seconds, tuple]]:
+        """Where ``leg`` fits first: the approach travel before the slot,
+        which the offer holds too, and the proposal's fields from location
+        to price, in the order ``_offer`` takes them.
 
         ``after`` places the chained variant, which loads where and when the
         partner proposal ``after`` unloads. None when the leg fits nowhere.
@@ -721,7 +718,7 @@ class TransportAgent(_ResourceAgent):
         if not slots:
             return None
         load_start, end, setup, ti_next, slack_after = slots[0]
-        return TimeInterval(load_start - setup, end), (
+        return setup, (
             leg.from_location, TimeInterval(load_start, end), slack_after, dur,
             geom.load_time, geom.unload_time, proposal_price(dur, setup, ti_next),
         )
@@ -801,7 +798,9 @@ class OrderAgent:
                     del self.committed[failed_stage:]
                 return self._abort(ctx, f"commit refused by {event.sender}: {part.reason}")
         if self.status in ("done", "failed"):
-            return reject_unused(self.agent_id, event)
+            if isinstance(event, Message) and isinstance(event.parts[0], Proposal):
+                return rejects(self.agent_id, event.conversation_id, event.parts)
+            return []
         if isinstance(event, (Message, DeadlineExpired)):
             return self._drive(event, ctx)
         if isinstance(event, StartOrder):

@@ -11,8 +11,9 @@ A record that checks nothing is built as one positional tuple,
 ``tuple.__new__(cls, fields)``, where it is built most; its own constructor
 would check nothing either:
 
-- Proposal and OfferHold in each resource's ``_offer``;
-- RejectProposal in :func:`rejects`;
+- Proposal and OfferHold in ``_ResourceAgent._offer``, which every offer
+  takes;
+- RejectProposal in :func:`rejects`, which builds every reject;
 - GapRow in ``ResourceSchedule.free_intervals``;
 - TransportLeg in ``agents._leg``;
 - RouteCandidate in ``selector.build_ocs``.
@@ -113,8 +114,9 @@ class Proposal(NamedTuple):
     between a stage's proposals, so a route exists only where the order's
     CFPs asked for one.
 
-    A resource's ``_offer`` builds every offer positionally, as one tuple in
-    ``_fields`` order with the trailing defaults from ``_field_defaults``.
+    ``_ResourceAgent._offer`` builds every offer, positionally, from all of
+    its fields: the caller gives each one, so the defaults are for records
+    built by keyword.
     """
 
     proposal_id: str
@@ -250,8 +252,8 @@ class OfferHold(NamedTuple):
     The hold also keeps what the resource needs to book the offer on accept:
     the proposal, the step label of the booking, and the state the booking
     leaves the resource in (a machine's product, a crane's drop-off x). A
-    hold is never changed once made; a resource's ``_offer`` builds it as
-    one positional tuple.
+    hold is never changed once made; ``_ResourceAgent._offer`` builds it as
+    one positional tuple, with the proposal it holds.
     """
 
     proposal_id: str
@@ -415,7 +417,7 @@ def advance_stage(
     passed on to the planner unchanged. Out-of-phase or unknown events are
     dropped with a log line, never an exception: DEBUG for a proposal that
     missed its round, WARNING for a protocol violation; proposals among them
-    are rejected (:func:`reject_unused`).
+    are rejected (:func:`rejects`).
 
     The common event is tested first: a proposal envelope of the open
     round's conversation and kind.
@@ -434,7 +436,8 @@ def advance_stage(
                     return []
                 return _advance_round(neg, planner, ctx)
         _log_unused(neg, event)
-        return reject_unused(neg.order_id, event)
+        unused = parts if isinstance(parts[0], Proposal) else ()  # one payload kind
+        return rejects(neg.order_id, event.conversation_id, unused)
 
     if phase in (DONE, FAILED):
         return []
@@ -480,32 +483,15 @@ def _log_unused(neg: StageNegotiation, msg: Message) -> None:
         log.debug("late reply: %s proposal during %s round", kind, phase)
 
 
-def reject_unused(order_id: str, event) -> list[Message]:
-    """A RejectProposal to the sender for every proposal in ``event``.
-
-    An order answers each proposal it will not use (late, stray or out of
-    phase) this way, so the sender frees the held span at once instead of
-    withholding it from other orders until the hold deadline.
-    """
-    if not isinstance(event, Message):
-        return []
-    parts = tuple(RejectProposal(p.proposal_id) for p in event.parts if isinstance(p, Proposal))
-    if not parts:
-        return []
-    return [
-        Message(
-            sender=order_id,
-            receiver=event.sender,
-            conversation_id=event.conversation_id,
-            parts=parts,
-        )
-    ]
-
-
 def rejects(order_id: str, conv: str, proposals: Iterable[Proposal]) -> list[Message]:
     """One RejectProposal envelope per resource, in resource order.
 
-    A RejectProposal checks nothing, so each is built as its one-field tuple.
+    Each reject goes to the proposal's ``resource_id``, the agent that holds
+    it, so the span is freed at once instead of withheld from other orders
+    until the hold deadline. Every reject an order sends is built here: for
+    the offers a stage does not take, and for each proposal it will not use
+    (late, stray or out of phase). A RejectProposal checks nothing, so each
+    is built as its one-field tuple.
     """
     by_resource: dict[str, list[RejectProposal]] = {}
     new = tuple.__new__

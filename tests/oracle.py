@@ -284,10 +284,10 @@ def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ())
     cranes = {t["id"]: t for t in doc.get("transports", [])}
     x_of = {r["id"]: r["location"][0] for r in doc["machines"] + doc.get("buffers", [])}
     served = {
-        (order, label): rid
+        (order, label): (rid, segments)
         for rid, booked in bookings.items()
         if rid not in cranes
-        for order, label, _ in booked
+        for order, label, segments in booked
     }
     steps_of = {p["id"]: p["steps"] for p in doc["products"]}
     operation_of = {m["id"]: m["operation"] for m in doc["machines"]}
@@ -374,7 +374,8 @@ def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ())
             return math.ceil(abs(b - a) / metres_per_s - 1e-9)
 
         initial_x = crane.get("initial_x", crane["segment"][0])
-        handles = _seconds(crane.get("load", 0)) or _seconds(crane.get("unload", 0))
+        load_s, unload_s = _seconds(crane.get("load", 0)), _seconds(crane.get("unload", 0))
+        handles = load_s or unload_s
         x = initial_x
         for order, label, segments in bookings.get(rid, []):
             if label == "init":
@@ -385,7 +386,16 @@ def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ())
             if len(where) != 2 or None in where:
                 problems.append(f"{rid} {order}/{label}: cannot find the bookings it serves")
                 continue
-            pickup, drop = (x_of[w] for w in where)
+            (src, src_segments), (dst, dst_segments) = where
+            pickup, drop = x_of[src], x_of[dst]
+            source = (f"{src}/{ends[0]}", src_segments)
+            target = (f"{dst}/{ends[1]}", dst_segments)
+            problems.extend(
+                f"{rid} {order}/{label}: handover: {problem}"
+                for problem in _handovers(
+                    segments, source, target, load_s, unload_s, travel(pickup, drop)
+                )
+            )
             kinds = [kind for kind, _, _ in segments]
             if not handles:
                 # no handling segment parts the approach from the loaded run
@@ -424,6 +434,44 @@ def physics_check(doc: Mapping, rows: Iterable[tuple], done: Iterable[str] = ())
                     )
             x = drop
     return problems
+
+
+def _segment(seg: tuple[str, int, int]) -> str:
+    kind, start, end = seg
+    return f"{kind} {start}-{end}"
+
+
+def _handovers(
+    segments: list, source: tuple[str, list], target: tuple[str, list],
+    load_s: int, unload_s: int, loaded_travel: int,
+) -> list[str]:
+    """How a crane movement's ``segments`` miss the bookings it serves: its
+    load must be the tail of the ``source`` booking it leaves, and its
+    unload the head, the first segment other than a setup, of the
+    ``target`` booking it reaches; each of ``source`` and ``target`` is
+    ``(name, segments)``. A crane that takes no time to load (or to unload)
+    books no such segment, so the instants must meet instead: the source
+    booking ends at the pickup, ``unload_s`` and ``loaded_travel`` before
+    the movement ends, and the target booking's head starts where the
+    movement ends. A handling segment the movement lacks is judged by the
+    travel rules, not here."""
+    (src, src_segments), (dst, dst_segments) = source, target
+    tail = src_segments[-1]
+    head = next((seg for seg in dst_segments if seg[0] != "setup"), dst_segments[0])
+    load = next((seg for seg in segments if seg[0] == "load"), None)
+    unload = next((seg for seg in segments if seg[0] == "unload"), None)
+    end = segments[-1][2]
+    pickup = end - unload_s - loaded_travel
+    out = []
+    if load_s and load is not None and load != tail:
+        out.append(f"{_segment(load)} is not the tail of {src}, its {_segment(tail)}")
+    if not load_s and pickup != tail[2]:
+        out.append(f"pickup at {pickup} s is not the end of {src}, its {_segment(tail)}")
+    if unload_s and unload is not None and unload != head:
+        out.append(f"{_segment(unload)} is not the head of {dst}, its {_segment(head)}")
+    if not unload_s and end != head[1]:
+        out.append(f"drop-off at {end} s is not the start of {dst}, its {_segment(head)}")
+    return out
 
 
 # ---------------------------------------------------------------------------

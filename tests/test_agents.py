@@ -1244,14 +1244,14 @@ def full_walk_machine(m, cfp, conv, ctx):
                 break
             if op_end + load_est > gap_end:
                 continue
-            block_start = op_start - prefix
             out.append(
                 m._offer(
                     ctx.now() + ctx.hold_deadline,
                     conv,
                     "1",
-                    TimeInterval(block_start, op_end + load_est),
                     product,
+                    prefix,
+                    load_est,
                     (
                         m.location,
                         TimeInterval(op_start, op_end),
@@ -1268,6 +1268,9 @@ def full_walk_machine(m, cfp, conv, ctx):
                         unload,
                         proposal_price(op_dur, setup, ti_next),
                         alt_idx,
+                        None,
+                        None,
+                        None,
                     ),
                 )
             )
@@ -1374,8 +1377,9 @@ def full_walk_leg(t, leg, dur, free, after=None):
 def placed(leg):
     if leg is None:
         return None
-    span, fields = leg
+    approach, fields = leg
     proposal = Proposal("-", TRANSPORT, "-", *fields)
+    span = TimeInterval(proposal.slot.start - approach, proposal.slot.end)
     return span, proposal.slot, proposal.slack_after, proposal.price
 
 
@@ -1533,7 +1537,7 @@ def test_crane_keeps_an_interval_that_ends_before_the_base_when_the_gap_stretche
     conv = "o1/s1"
     table = t._table(conv, 140)
     assert table[0][:2] == (0, 100)
-    _span, fields = t._place_leg(leg, 10, table)
+    _approach, fields = t._place_leg(leg, 10, table)
     proposal = Proposal("-", TRANSPORT, "Crane1", *fields)
     assert proposal.slot == TimeInterval(140, 150)
     assert proposal.price == 10 + 0 - 60  # the successor's setup shrinks by 60 s

@@ -105,6 +105,8 @@ def test_golden_runs_pass_the_oracles(make, digest, counts, request):
     physics = physics_check(doc, gantt_rows(r), done)
     assert [p for p in physics if "not recorded" not in p] == []
     assert len(physics) == UNRECORDED.get(run_id, 0)
+    # every crane load and unload is the tail and head of the bookings it serves
+    assert sum(": handover: " in p for p in physics) == 0
 
 
 def test_physics_check_judges_each_operation_by_the_document():
@@ -164,7 +166,8 @@ def test_physics_check_finds_a_booking_that_handles_the_workpiece_before_its_arr
     # the flow shop with order-A arriving at 1000 min, when the cutting
     # machine's warm-up has just let its setup finish: the setup may start
     # before the arrival, the operation may not; the stage-1 booking moved a
-    # minute earlier is flagged, and nothing else
+    # minute earlier is flagged, and so is its load, which no longer is the
+    # crane's, and nothing else
     doc = DOCUMENTS["section6_flowshop"]()
     (order_a,) = [o for o in doc["orders"] if o["id"] == "order-A"]
     order_a["arrival"] = 1000
@@ -177,7 +180,9 @@ def test_physics_check_finds_a_booking_that_handles_the_workpiece_before_its_arr
     assert physics_check(doc, rows, done) == []
     rows = [(*row[:4], row[4] - 60, row[5] - 60) if row in stage_1 else row for row in rows]
     assert physics_check(doc, rows, done) == [
-        "Cutting order-A/1: operation at 59940 s, before the order's arrival at 60000 s"
+        "Cutting order-A/1: operation at 59940 s, before the order's arrival at 60000 s",
+        "Crane1 order-A/T:1,B2: handover: load 64800-65400 is not the tail of Cutting/1, its "
+        "load 64740-65340",
     ]
 
 
@@ -196,25 +201,84 @@ def test_an_order_arriving_after_the_machines_are_free_is_handled_no_earlier(min
     assert [p for p in physics if "not recorded" not in p] == []
 
 
-@pytest.mark.parametrize("order, leg, moved, problem", [
+@pytest.mark.parametrize("order, leg, moved, problem, handover", [
     # the pickup moves from buffer stay B2 to the cutting machine, as far
     # from the forging machine: the loaded run keeps its length, the empty
     # run from the crane's last drop-off does not
-    ("order-A", "T:B2,2", "T:1,2", "empty travel segments [180], the document gives 300 s"),
+    ("order-A", "T:B2,2", "T:1,2", "empty travel segments [180], the document gives 300 s",
+     "load 102840-103440 is not the tail of Cutting/1, its load 64800-65400"),
     # the pickup moves from the forging machine to the quality machine, as
     # far from the rollforming machine, and the crane there has no empty run
-    ("order-B", "T:2,3", "T:5,3", "empty travel not recorded, the document gives 360 s"),
+    ("order-B", "T:2,3", "T:5,3", "empty travel not recorded, the document gives 360 s",
+     "load 85200-85800 is not the tail of Quality/5, its operation 104160-113160"),
 ])
-def test_physics_check_finds_a_crane_leg_whose_pickup_moved(order, leg, moved, problem):
+def test_physics_check_finds_a_crane_leg_whose_pickup_moved(order, leg, moved, problem, handover):
     # the flow shop's GANTT with one crane leg picking up at another of its
-    # order's bookings: that leg's travel is flagged, and nothing else
+    # order's bookings: that leg's load, which is not the new booking's tail,
+    # and its travel are flagged, and nothing else
     doc = DOCUMENTS["section6_flowshop"]()
     report = run_scenario(parse_scenario(doc), mode="deterministic")
     rows, done = gantt_rows(report), sorted(report.status)
     assert physics_check(doc, rows, done) == []
     (rid,) = {row[0] for row in rows if row[1:3] == (order, leg)}
     rows = [(*row[:2], moved, *row[3:]) if row[1:3] == (order, leg) else row for row in rows]
-    assert physics_check(doc, rows, done) == [f"{rid} {order}/{moved}: {problem}"]
+    assert physics_check(doc, rows, done) == [
+        f"{rid} {order}/{moved}: handover: {handover}", f"{rid} {order}/{moved}: {problem}"
+    ]
+
+
+def test_physics_check_finds_a_crane_leg_whose_unload_moved():
+    # the flow shop's GANTT with order-B's leg into stage 3 unloading 1 s
+    # late, its loaded run 1 s longer: the unload is not the head of the
+    # Rollforming booking, and the run is not the document's
+    doc = DOCUMENTS["section6_flowshop"]()
+    report = run_scenario(parse_scenario(doc), mode="deterministic")
+    rows, done = gantt_rows(report), sorted(report.status)
+    leg = [i for i, row in enumerate(rows) if row[1:3] == ("order-B", "T:2,3")]
+    assert [rows[i][3:] for i in leg] == [
+        ("load", 85200, 85800), ("travel", 85800, 85980), ("unload", 85980, 86580)
+    ]
+    _, run, unload = leg
+    rows[run] = (*rows[run][:5], 85981)
+    rows[unload] = (*rows[unload][:4], 85981, 86581)
+    assert physics_check(doc, rows, done) == [
+        "Crane1 order-B/T:2,3: handover: unload 85981-86581 is not the head of "
+        "Rollforming/3, its unload 85980-86580",
+        "Crane1 order-B/T:2,3: loaded travel segments [181], the document gives 180 s",
+    ]
+
+
+@pytest.mark.parametrize("shift, problems", [
+    (0, []),
+    # the run 1 s late: the machine it leaves ended before the pickup, and
+    # the one it reaches starts before the drop-off
+    (1, ["pickup at 61 s is not the end of M1/1, its operation 0-60",
+         "drop-off at 1071 s is not the start of M2/2, its operation 1070-1130"]),
+])
+def test_physics_check_meets_the_instants_of_a_crane_without_handling(shift, problems):
+    # a crane with no load and no unload books its movement as travel alone:
+    # its run starts where the booking it leaves ends and ends where the
+    # booking it reaches starts
+    doc = {
+        "format_version": 1,
+        "params": {"t_buffer_min": 15},
+        "machines": [
+            {"id": "M1", "operation": "cutting", "location": [0, 0], "op_duration": {"A": 1}},
+            {"id": "M2", "operation": "forging", "location": [1010, 0], "op_duration": {"A": 1}},
+        ],
+        "transports": [{"id": "T1", "segment": [0, 2000], "speed": 60, "load": 0, "unload": 0}],
+        "products": [{"id": "A", "steps": ["cutting", "forging"]}],
+        "orders": [{"id": "o1", "product": "A"}],
+    }
+    report = run_scenario(parse_scenario(doc), mode="deterministic")
+    rows = gantt_rows(report)
+    assert [row for row in rows if row[0] == "T1"] == [("T1", "o1", "T:1,2", "travel", 60, 1070)]
+    rows = [
+        (*row[:4], row[4] + shift, row[5] + shift) if row[0] == "T1" else row for row in rows
+    ]
+    assert physics_check(doc, rows, report.status) == [
+        f"T1 o1/T:1,2: handover: {p}" for p in problems
+    ]
 
 
 class VirtualTime:

@@ -493,10 +493,11 @@ def test_stage_drops_out_of_phase_events():
     assert advance_stage(
         neg, proposal_msg("M1", "o9/s4", mk_proposal("X#1", "M1")), planner, ctx
     ) == rejected("o9/s4", "X#1")
-    # wrong proposal kind for the current round: rejected, sender still awaited
+    # wrong proposal kind for the current round: rejected, sender still awaited;
+    # the reject goes to B1, which holds the proposal
     assert advance_stage(
         neg, proposal_msg("M1", "o1/s0", mk_proposal("B#1", "B1", kind=BUFFER)), planner, ctx
-    ) == rejected("o1/s0", "B#1")
+    ) == [Message("o1", "B1", "o1/s0", (RejectProposal("B#1"),))]
     assert neg.awaiting == {"M1", "M2"}
     assert neg.proposals == [[]]
 

@@ -578,10 +578,11 @@ def test_concurrent_bookkeeping_holds_when_two_orders_interleave_with_a_1ms_hop(
     s = staggered(flowshop_scenario)
     cfg = replace(kernel_config(s, "concurrent"), message_latency=0.001, wall_limit=60)
     r = run_scenario(s, "concurrent", config=cfg)
-    assert r.all_done
+    assert r.all_done, (r.status, r.diagnostics)
     kinds = [ln.split()[2] for ln in r.trace]
     assert kinds.count("StartOrder") == len(r.status)
-    assert len(kinds) - kinds.count("StartOrder") - kinds.count("Deadline") == r.counter.total()
+    envelope_lines = len(kinds) - kinds.count("StartOrder") - kinds.count("Deadline")
+    assert envelope_lines == r.counter.total(), (envelope_lines, r.counter.total())
     assert stability_check(r.commits, r.schedules()) == []
 
 

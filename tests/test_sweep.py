@@ -52,6 +52,7 @@ def test_random_scenarios_pass_the_oracles():
     digest = hashlib.sha256()
     failures = Counter()
     unrecorded = {}
+    handovers = 0
     for seed in range(200):
         doc = random_document(seed)
         r = run_scenario(parse_scenario(doc, source=f"fuzz-{seed}"), mode="deterministic")
@@ -65,6 +66,7 @@ def test_random_scenarios_pass_the_oracles():
         done = [o for o, status in r.status.items() if status == "done"]
         physics = physics_check(doc, gantt_rows(r), done)
         missing = [p for p in physics if "not recorded" in p]
+        handovers += sum(": handover: " in p for p in physics)
         found = (
             occupancy_check(schedules, kinds=agent_kinds(r))
             + stability_check(r.commits, schedules)
@@ -77,6 +79,8 @@ def test_random_scenarios_pass_the_oracles():
     assert problems == []
     # the setups the calendar leaves unrecorded (test_golden.py's UNRECORDED)
     assert unrecorded == {11: 1, 28: 1, 45: 1, 57: 2, 78: 2, 146: 2, 147: 4, 165: 1}
+    # every crane load and unload is the tail and head of the bookings it serves
+    assert handovers == 0
     # a refactor leaves every schedule and trace of the sweep as it is, and
     # every failed order's diagnostic, which neither of them shows
     assert digest.hexdigest() == SWEEP_DIGEST
